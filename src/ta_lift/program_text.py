@@ -15,11 +15,14 @@ precedence.  Loops must have compile-time-constant bounds and are fully
 unrolled at parse time; `if` conditions may compare loop variables and
 constants.  DRAM operands are `buffer` or `buffer + EXPR` where the offset
 counts 4-byte elements.  A `void test(...) { ... }` wrapper is tolerated
-and stripped.
+and stripped.  Program text is ASCII; any other character outside a
+comment is a syntax error.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .isa import (
@@ -98,7 +101,7 @@ _PUNCT = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tok:
     kind: str  # "ident" | "num" | "punct" | "eof"
     text: str
@@ -106,54 +109,98 @@ class _Tok:
     line: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
+# One alternative per token class, tried in order; `bad` catches every other
+# character, so the scan covers the whole text.
+_TOKEN = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<space>[ \t\r\n]+)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<dec>[0-9]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _tokenize(text: str, starts: list[int] | None = None) -> list[_Tok]:
+    """Split ASCII program text into tokens; any other character is a syntax error.
+
+    When `starts` is given, the offset of each token but `eof` is appended to it.
+    """
     toks: list[_Tok] = []
-    i = 0
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group()
+        if kind == "ident" or kind == "punct":
+            tok = _Tok(kind, word, None, line)
+        elif kind == "space":
+            line += word.count("\n")
             continue
-        if ch in " \t\r":
-            i += 1
+        elif kind == "dec":
+            tok = _Tok("num", word, int(word), line)
+        elif kind == "hex":
+            if len(word) == 2:
+                raise ProgramSyntaxError(line, f"hex literal '{word}' has no digits")
+            tok = _Tok("num", word, int(word, 16), line)
+        elif kind == "comment":
             continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch.isdigit():
-            j = i
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                value = int(text[i:j], 16)
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-                value = int(text[i:j])
-            toks.append(_Tok("num", text[i:j], value, line))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], None, line))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("punct", p, None, line))
-                i += len(p)
-                break
         else:
-            raise ProgramSyntaxError(line, f"unexpected character {ch!r}")
+            raise ProgramSyntaxError(line, f"unexpected character {word!r}")
+        toks.append(tok)
+        if starts is not None:
+            starts.append(m.start())
     toks.append(_Tok("eof", "", None, line))
     return toks
+
+
+# What must precede a '-' for it to join into a longer punct ("-" + "-" is "--").
+_MINUS_JOINS = tuple(p[:-1] for p in _PUNCT if len(p) > 1 and p.endswith("-"))
+
+
+def _tokenize_slots(text: str, offsets: list[int]) -> tuple[list[_Tok], list[int]] | None:
+    """Tokenize `text`, which holds a `0` placeholder at each offset, and find each placeholder's token.
+
+    A placeholder has a slot when it is a token of its own and no '-' put
+    before it would join the punct in front of it; then any integer that
+    `_fill_slots` puts there tokenizes exactly as it would in the text.
+    None when the text does not tokenize or some placeholder has no slot:
+    it sits in a comment, is joined to a neighbour (`x0`, `00`, `0x4`) or
+    follows a '-'.
+    """
+    starts: list[int] = []
+    try:
+        toks = _tokenize(text, starts)
+    except ProgramSyntaxError:
+        return None
+    slots: list[int] = []
+    for offset in offsets:
+        slot = bisect_left(starts, offset)
+        if slot == len(starts) or starts[slot] != offset or toks[slot].text != "0":
+            return None
+        if text.endswith(_MINUS_JOINS, 0, offset):
+            return None
+        slots.append(slot)
+    return toks, slots
+
+
+def _fill_slots(toks: list[_Tok], slots: list[int], values: tuple[int, ...] | list[int]) -> list[_Tok]:
+    """A copy of `toks` with each slot's token replaced by its value.
+
+    A negative value becomes the two tokens '-' and its magnitude, as its text would tokenize.
+    """
+    filled: list[_Tok] = []
+    last = 0
+    for slot, value in zip(slots, values):
+        filled += toks[last:slot]
+        line = toks[slot].line
+        if value < 0:
+            filled.append(_Tok("punct", "-", None, line))
+        filled.append(_Tok("num", str(abs(value)), abs(value), line))
+        last = slot + 1
+    filled += toks[last:]
+    return filled
 
 
 _INSTRUCTION_NAMES = {
@@ -231,8 +278,11 @@ class _Parser:
     def _shift(self) -> int:
         v = self._additive()
         while self.at("<<"):
-            self.next()
-            v <<= self._additive()
+            line = self.next().line
+            count = self._additive()
+            if count < 0:
+                raise ProgramSyntaxError(line, f"negative shift count {count}")
+            v <<= count
         return v
 
     def _additive(self) -> int:
@@ -325,6 +375,10 @@ class _Parser:
         if t.kind != "ident":
             raise ProgramSyntaxError(t.line, "DRAM operand must start with a buffer name")
         name = t.text
+        # A table buffer stays a buffer where a loop variable of its name is in
+        # scope, while inference refuses the name there.  Loop variables are
+        # the only scoped names (see _parse_for), so text that parses against
+        # a table parses with inference too unless a `for` binds a table name.
         known = name in self.buffers
         if not known and self.infer_buffers and name not in self.symbols and not self._in_scope(name):
             self.buffers[name] = (0, 0)
@@ -441,6 +495,7 @@ class _Parser:
         self.symbols[t.text] = value
 
     def _parse_for(self) -> None:
+        # The one place a scoped name is bound, always as `NAME =` in the header.
         kw = self.expect("for")
         self.expect("(")
         if self.at("int") or self.at("uint32_t"):
@@ -613,8 +668,10 @@ class _Parser:
         raise UnknownFunctionError(line, name)
 
 
-def parse_program(text: str, buffers: dict[str, tuple[int, int]] | None = None) -> Program:
-    """Parse program text into a Program.
+def parse_program(source: str | list[_Tok], buffers: dict[str, tuple[int, int]] | None = None) -> Program:
+    """Parse program text, or the tokens `_tokenize` made of it, into a Program.
+
+    A token list is only read, so one list can be parsed many times.
 
     `buffers` maps declared DRAM buffer names to (rows, cols).  Passing None
     switches on buffer inference: any fresh identifier in a DRAM operand
@@ -622,7 +679,7 @@ def parse_program(text: str, buffers: dict[str, tuple[int, int]] | None = None) 
     whether free-form text looks like a program; real verification always
     supplies the kernel's buffer table.
     """
-    parser = _Parser(_tokenize(text), buffers)
+    parser = _Parser(_tokenize(source) if isinstance(source, str) else source, buffers)
     parser.parse_program_body()
     return Program(tuple(parser.out), parser.buffers, parser.symbols)
 

@@ -18,12 +18,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from . import kernels
 from .gateway import Backend, GenerationParams
-from .harness import extract_code
-from .isa import Activation, Dataflow
+from .harness import _FENCE, extract_code
+from .isa import Program
 from .kernels import KernelSpec, TestCase, verify_source
 from .machine import MachineConfig
-from .program_text import ProgramSyntaxError, parse_program
+from .program_text import (
+    _ACTIVATIONS,
+    _DATAFLOWS,
+    _INSTRUCTION_NAMES,
+    _KEYWORDS,
+    ProgramSyntaxError,
+    _fill_slots,
+    _tokenize,
+    _tokenize_slots,
+    parse_program,
+)
 from .prompts import EmptyConstantSet, build_repair_fill_prompt, build_repair_mark_prompt
 
 MARKER = "<CONST>"
@@ -31,26 +42,7 @@ DEFAULT_CONSTANT_SET: tuple[int, ...] = (0, 1, 3, 4, 12)
 DEFAULT_CAP = 10_000
 DEFAULT_MAX_HOLES = 5
 
-_INSTRUCTION_WORDS = {
-    "config_ex",
-    "config_ld",
-    "config_st",
-    "mvin",
-    "mvin2",
-    "mvin3",
-    "preload",
-    "preload_zeros",
-    "compute_preloaded",
-    "compute_accumulated",
-    "mvout",
-    "fence",
-}
-_RESERVED = (
-    _INSTRUCTION_WORDS
-    | {d.value for d in Dataflow}
-    | {a.value for a in Activation}
-    | {"static", "uint32_t", "int", "for", "if", "else", "void", "sizeof", "float", "true", "false"}
-)
+_RESERVED = _INSTRUCTION_NAMES | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
 
 _DECL = re.compile(r"^[ \t]*(?:static[ \t]+)?uint32_t[ \t]+(\w+)[ \t]*=[ \t]*(-?\d+)[ \t]*;", re.M)
 
@@ -61,9 +53,13 @@ class NoHolesFound(ValueError):
 
 @dataclass(frozen=True)
 class Hole:
+    """A repairable site; `start`/`end` delimit its text (a marker or an initializer) in the code."""
+
     id: str
     line: int
     column: int
+    start: int
+    end: int
     name: str | None = None
 
 
@@ -73,20 +69,19 @@ class HoleTemplate:
     holes: tuple[Hole, ...]
     origin: str = ""
 
+    def pieces(self) -> list[str]:
+        """The code around the holes: one more piece than there are holes."""
+        pieces, last = [], 0
+        for hole in self.holes:
+            pieces.append(self.code[last : hole.start])
+            last = hole.end
+        pieces.append(self.code[last:])
+        return pieces
+
     def substitute(self, values: dict[str, int]) -> str:
         """Fill every hole; `values` maps hole id to an integer."""
-        code = self.code
-        for hole in self.holes:
-            if hole.name is None:
-                continue
-            pattern = rf"(\b(?:static[ \t]+)?uint32_t[ \t]+{re.escape(hole.name)}[ \t]*=[ \t]*)-?\d+"
-            code = re.sub(pattern, rf"\g<1>{values[hole.id]}", code, count=1)
-        marker_ids = [hole.id for hole in self.holes if hole.name is None]
-        parts = code.split(MARKER)
-        filled = parts[0]
-        for hole_id, part in zip(marker_ids, parts[1:]):
-            filled += str(values[hole_id]) + part
-        return filled
+        pieces = self.pieces()
+        return pieces[0] + "".join(str(values[hole.id]) + piece for hole, piece in zip(self.holes, pieces[1:]))
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -106,7 +101,8 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
     marker_index = 0
     for match in re.finditer(re.escape(MARKER), marked_code):
         line, column = _position(marked_code, match.start())
-        found.append((match.start(), Hole(id=f"h{marker_index}", line=line, column=column)))
+        hole = Hole(id=f"h{marker_index}", line=line, column=column, start=match.start(), end=match.end())
+        found.append((match.start(), hole))
         marker_index += 1
     if original is not None:
         for match in _DECL.finditer(marked_code):
@@ -116,7 +112,8 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
             if re.search(rf"\b{re.escape(name)}\b", original):
                 continue
             line, column = _position(marked_code, match.start(2))
-            found.append((match.start(2), Hole(id=name, line=line, column=column, name=name)))
+            hole = Hole(id=name, line=line, column=column, start=match.start(2), end=match.end(2), name=name)
+            found.append((match.start(2), hole))
     found.sort(key=lambda pair: pair[0])
     if not found:
         raise NoHolesFound("no <CONST> markers and no introduced constant declarations")
@@ -125,30 +122,85 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
 
 @dataclass(frozen=True)
 class FillCandidate:
-    code: str
+    """One enumerated fill; its text is rendered only when `code` is read.
+
+    `program` is the fill parsed against the enumerator's buffer table, or
+    None when only the parse with inferred buffers accepts it.
+    """
+
+    template: HoleTemplate = field(repr=False)
     assignment: tuple[tuple[str, int], ...]
     index: int
+    program: Program | None = field(repr=False)
+
+    @property
+    def code(self) -> str:
+        return self.template.substitute(dict(self.assignment))
 
 
 class FillEnumerator:
     """Iterates the Cartesian product of constants over holes, up to a cap.
 
+    The template is tokenized once with a `0` in every hole; each fill puts
+    its integers into a copy of those tokens and is parsed once, against
+    `buffers` as verification does.  Templates whose holes are not tokens
+    of their own (see `_tokenize_slots`) are re-tokenized for every fill.
+
     After iteration, `capped` says whether the product was truncated,
-    `attempted` counts enumerated fills and `skipped` counts fills whose
-    substitution did not parse.
+    `attempted` counts enumerated fills and `skipped` counts fills that do
+    not parse even with inferred buffers.
     """
 
-    def __init__(self, template: HoleTemplate, constants: list[int] | tuple[int, ...], cap: int = DEFAULT_CAP):
+    def __init__(
+        self,
+        template: HoleTemplate,
+        constants: list[int] | tuple[int, ...],
+        buffers: dict[str, tuple[int, int]],
+        cap: int = DEFAULT_CAP,
+    ):
         distinct = tuple(dict.fromkeys(constants))
         if not distinct:
             raise EmptyConstantSet("cannot enumerate fills from an empty constant set")
         self.template = template
         self.constants = distinct
+        self.buffers = buffers
         self.cap = cap
         self.capped = False
         self.attempted = 0
         self.skipped = 0
         self.total = len(distinct) ** len(template.holes)
+        pieces = template.pieces()
+        offsets, at = [], -1
+        for piece in pieces[:-1]:
+            at += len(piece) + 1
+            offsets.append(at)
+        self._slots = _tokenize_slots("0".join(pieces), offsets)
+        # A fill that the table accepts is refused by inference only where a
+        # `for` binds a table name (see program_text's parse_dram_ref); only
+        # then, or without slots, is the inferred parse run on such fills.
+        tokens = self._slots[0] if self._slots else []
+        self._infer_always = self._slots is None or any(
+            a.text in buffers and b.text == "=" for a, b in zip(tokens, tokens[1:])
+        )
+
+    def _parse(self, values: tuple[int, ...]) -> Program | None:
+        """The fill parsed against the buffer table, None if only the inferred parse accepts it.
+
+        Raises ProgramSyntaxError when the fill does not parse even with
+        inferred buffers.
+        """
+        if self._slots is None:
+            ids = [hole.id for hole in self.template.holes]
+            tokens = _tokenize(self.template.substitute(dict(zip(ids, values))))
+        else:
+            tokens = _fill_slots(*self._slots, values)
+        try:
+            program = parse_program(tokens, self.buffers)
+        except ProgramSyntaxError:
+            program = None
+        if program is None or self._infer_always:
+            parse_program(tokens, None)
+        return program
 
     def __iter__(self) -> Iterator[FillCandidate]:
         ids = [hole.id for hole in self.template.holes]
@@ -157,20 +209,21 @@ class FillEnumerator:
                 self.capped = True
                 return
             self.attempted += 1
-            values = dict(zip(ids, combo))
-            code = self.template.substitute(values)
             try:
-                parse_program(code, None)
+                program = self._parse(combo)
             except ProgramSyntaxError:
                 self.skipped += 1
                 continue
-            yield FillCandidate(code=code, assignment=tuple(zip(ids, combo)), index=index)
+            yield FillCandidate(self.template, tuple(zip(ids, combo)), index, program)
 
 
 def enumerate_fills(
-    template: HoleTemplate, constants: list[int] | tuple[int, ...], cap: int = DEFAULT_CAP
+    template: HoleTemplate,
+    constants: list[int] | tuple[int, ...],
+    buffers: dict[str, tuple[int, int]],
+    cap: int = DEFAULT_CAP,
 ) -> FillEnumerator:
-    return FillEnumerator(template, constants, cap)
+    return FillEnumerator(template, constants, buffers, cap)
 
 
 @dataclass(frozen=True)
@@ -204,27 +257,17 @@ class RepairResult:
 def _match_assignment(template: HoleTemplate, filled: str) -> tuple[tuple[str, int], ...]:
     """Best-effort recovery of hole values from an externally filled program.
 
-    Rewrites every named-hole initializer to a marker, then matches the
-    filled text against the resulting pattern.  Holes are stored in offset
-    order, so the i-th matched integer belongs to the i-th hole.  An empty
-    tuple means the filled text strayed from the template's shape.
+    Matches the filled text against the template's pieces with an integer
+    between each pair; the i-th matched integer belongs to the i-th hole.
+    An empty tuple means the filled text strayed from the template's shape.
     """
-    probe = template.code
-    for hole in template.holes:
-        if hole.name is None:
-            continue
-        pattern = rf"(\b(?:static[ \t]+)?uint32_t[ \t]+{re.escape(hole.name)}[ \t]*=[ \t]*)-?\d+"
-        probe = re.sub(pattern, r"\g<1>" + MARKER, probe, count=1)
-    parts = probe.strip().split(MARKER)
-    if len(parts) != len(template.holes) + 1:
-        return ()
-    pattern_text = re.escape(parts[0]) + "".join(r"(-?\d+)" + re.escape(part) for part in parts[1:])
-    match = re.fullmatch(pattern_text, filled.strip())
+    pieces = template.pieces()
+    pieces[0] = pieces[0].lstrip()
+    pieces[-1] = pieces[-1].rstrip()
+    match = re.fullmatch(r"(-?\d+)".join(re.escape(piece) for piece in pieces), filled.strip())
     if match is None:
         return ()
-    return tuple(
-        (hole.id, int(value)) for hole, value in zip(template.holes, match.groups())
-    )
+    return tuple((hole.id, int(value)) for hole, value in zip(template.holes, match.groups()))
 
 
 def repair(
@@ -250,13 +293,13 @@ def repair(
         raise ValueError(f"unknown repair mode '{mode}'")
     stats = RepairStats()
 
-    def verify(code: str) -> bool:
+    def passes(verdict_of, subject) -> bool:
         start = time.perf_counter()
-        verdict = verify_source(code, spec, cases, cfg)
+        passed = verdict_of(subject, spec, cases, cfg).passed
         stats.verify_seconds += time.perf_counter() - start
-        return verdict.passed
+        return passed
 
-    if MARKER not in candidate and verify(candidate):
+    if MARKER not in candidate and passes(verify_source, candidate):
         return RepairResult(Repaired(program=candidate, assignment=()), stats)
 
     original: str | None = candidate
@@ -286,7 +329,7 @@ def repair(
             if code is None:
                 continue
             stats.candidates_tried += 1
-            if verify(code):
+            if passes(verify_source, code):
                 return RepairResult(
                     Repaired(program=code, assignment=_match_assignment(template, code)), stats
                 )
@@ -299,10 +342,11 @@ def repair(
         return RepairResult(
             Aborted(f"{len(template.holes)} holes exceed the enumeration limit of {max_holes}"), stats
         )
-    enumerator = enumerate_fills(template, constants, cap)
+    enumerator = enumerate_fills(template, constants, spec.buffer_shapes(), cap)
     for fill in enumerator:
         stats.candidates_tried += 1
-        if verify(fill.code):
+        # Looked up on the module, so a wrapper put on kernels.verify_program sees every fill.
+        if fill.program is not None and passes(kernels.verify_program, fill.program):
             return RepairResult(Repaired(program=fill.code, assignment=fill.assignment), stats)
     stats.candidates_tried += enumerator.skipped
     return RepairResult(Exhausted(tried=stats.candidates_tried), stats)
@@ -310,7 +354,7 @@ def repair(
 
 def _marked_from_reply(reply: str) -> str:
     """The marking reply is code, fenced or bare; fences win when present."""
-    fenced = re.findall(r"```[^\n]*\n(.*?)```", reply, re.DOTALL)
+    fenced = _FENCE.findall(reply)
     if fenced:
         return max(fenced, key=len).rstrip("\n")
     return reply

@@ -1,6 +1,7 @@
 """Exit codes, output files, and replay determinism of the ta-lift command."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -298,3 +299,14 @@ def test_entry_point_help_via_subprocess():
     )
     assert result.returncode == 0
     assert "ta-lift" in result.stdout
+
+
+@pytest.mark.parametrize("module", ["ta_lift.cli", "ta_lift"])
+def test_module_entry_points_run_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--kernel", "nope"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2, result.stderr

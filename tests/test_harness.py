@@ -11,6 +11,7 @@ import pytest
 
 from ta_lift.fixtures import golden_program, kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
+from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
 from ta_lift.harness import (
     Ablation,
     ConfigError,
@@ -102,6 +103,18 @@ def test_extract_prose_returns_none():
 def test_extract_bare_program_passes_through():
     text = "config_st(16);\nfence();"
     assert extract_code(text) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["mvin(A, 0x, 4, 4);", "mvin(A, \u00b2, 4, 4);", "config_st(1 << -1);"],
+    ids=["hex-without-digits", "non-ascii-digit", "negative-shift"],
+)
+def test_garbled_literal_is_a_parse_failure(text):
+    spec = kernel("mm1")
+    verdict = verify_source(text, spec, generate_testcases(spec, seed=3, count=1))
+    assert isinstance(verdict.failure, ParseFailure)
+    assert extract_code(text) is None
 
 
 # -- experiments over the replay backend --------------------------------------

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ta_lift.isa import (
     Activation,
@@ -22,6 +26,9 @@ from ta_lift.program_text import (
     ProgramSyntaxError,
     UnboundSymbolError,
     UnknownFunctionError,
+    _fill_slots,
+    _tokenize,
+    _tokenize_slots,
     parse_program,
     render_program,
 )
@@ -180,3 +187,89 @@ def test_render_high_bit_address_reparses() -> None:
     p = parse_program("preload_zeros(0x80000000);", {})
     again = parse_program(render_program(p), {})
     assert again.instructions == p.instructions
+
+
+# -- tokenizer -------------------------------------------------------------------
+
+
+def test_tokens_carry_kind_value_and_line() -> None:
+    toks = _tokenize("mvin2(p+0X1f, 007,\n\t12);// done <<=\nx<<=y_1")
+    assert [(t.kind, t.text, t.value, t.line) for t in toks] == [
+        ("ident", "mvin2", None, 1),
+        ("punct", "(", None, 1),
+        ("ident", "p", None, 1),
+        ("punct", "+", None, 1),
+        ("num", "0X1f", 31, 1),
+        ("punct", ",", None, 1),
+        ("num", "007", 7, 1),
+        ("punct", ",", None, 1),
+        ("num", "12", 12, 2),
+        ("punct", ")", None, 2),
+        ("punct", ";", None, 2),
+        ("ident", "x", None, 3),
+        ("punct", "<<=", None, 3),
+        ("ident", "y_1", None, 3),
+        ("eof", "", None, 3),
+    ]
+
+
+@pytest.mark.parametrize("text", ["0x", "12 \u00b2", "\u0663", "caf\u00e9", "a / b", "\f"])
+def test_tokenizer_rejects_anything_outside_the_ascii_grammar(text: str) -> None:
+    with pytest.raises(ProgramSyntaxError):
+        _tokenize(text)
+
+
+def test_negative_shift_count_rejected() -> None:
+    with pytest.raises(ProgramSyntaxError, match="negative shift"):
+        parse_program("config_st(1 << (2 - 3));", {})
+
+
+_TOKEN_CHARS = list("ab_xXfF0912 \t\r\n/+-*|<>=!&(){};,.#") + ["\u00b2", "\u00e9", "\u0663"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=st.sampled_from(_TOKEN_CHARS), max_size=30))
+def test_tokens_spell_the_text_without_spaces_and_comments(text: str) -> None:
+    try:
+        toks = _tokenize(text)
+    except ProgramSyntaxError:
+        return
+    assert toks[-1].kind == "eof"
+    assert all(a.line <= b.line for a, b in zip(toks, toks[1:]))
+    assert toks[-1].line == text.count("\n") + 1
+    spelled = "".join(t.text for t in toks)
+    assert spelled.isascii()
+    assert spelled == re.sub(r"//[^\n]*|[ \t\r\n]", "", text)
+
+
+def _spelled(toks):
+    return [(t.kind, t.text, t.value, t.line) for t in toks]
+
+
+@pytest.mark.parametrize("text", ["f(x0);", "f(00);", "f(0x4);", "f(a-0);", "f(a--0);", "f(1); // 0", "f(0\u00e9);"])
+def test_placeholder_that_is_not_a_token_of_its_own_has_no_slot(text: str) -> None:
+    assert _tokenize_slots(text, [text.index("0")]) is None
+
+
+def test_placeholders_are_filled_in_place() -> None:
+    text = "f(0, a - 0,\n 0);"
+    toks, slots = _tokenize_slots(text, [2, 9, 13])
+    assert _spelled(_fill_slots(toks, slots, [12, -3, 0])) == _spelled(_tokenize("f(12, a - -3,\n 0);"))
+    assert _spelled(toks) == _spelled(_tokenize(text))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.text(alphabet=st.sampled_from(_TOKEN_CHARS), max_size=8), min_size=2, max_size=4),
+    st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+)
+def test_filled_slots_tokenize_like_the_filled_text(pieces: list[str], values: list[int]) -> None:
+    offsets, at = [], -1
+    for piece in pieces[:-1]:
+        at += len(piece) + 1
+        offsets.append(at)
+    found = _tokenize_slots("0".join(pieces), offsets)
+    if found is None:
+        return
+    filled = pieces[0] + "".join(str(v) + piece for v, piece in zip(values, pieces[1:]))
+    assert _spelled(_fill_slots(*found, values)) == _spelled(_tokenize(filled))
