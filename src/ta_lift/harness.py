@@ -269,10 +269,6 @@ def run_experiment(
     return report
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "-", label).strip("-") or "row"
-
-
 def persist_records(report: ExperimentReport, records_dir: str | Path) -> None:
     root = Path(records_dir)
     root.mkdir(parents=True, exist_ok=True)

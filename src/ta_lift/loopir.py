@@ -5,12 +5,19 @@ f32 DRAM arrays, with plain assignments and `+=` accumulations at the
 leaves.  Bounds are compile-time constants, so every access can be
 bounds-checked by interval analysis at parse time, and extents can be
 swapped consistently to produce small clones that interpret quickly.
+
+`interpret` compiles a nest to the source of a Python function once, keeps
+the function on the nest object and calls it: loops over Python ints and one
+`np.float32` operation per `+ - *`, the values a direct evaluation of the
+tree in f32 gives, bit for bit.  Loops plus operators nest at most
+`_MAX_DEPTH` deep; deeper nests are a `NestingTooDeep` syntax error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +28,10 @@ class KernelSyntaxError(ValueError):
 
 class NonConstantBound(KernelSyntaxError):
     """A loop bound or extent is not an integer literal."""
+
+
+class NestingTooDeep(KernelSyntaxError):
+    """Loops and operators nest deeper than the recursive passes over a nest can go."""
 
 
 class BoundsError(ValueError):
@@ -101,6 +112,15 @@ class LoopNest:
     arrays: tuple[ArrayDecl, ...]
     body: tuple[Statement, ...]
 
+    @cached_property
+    def _program(self):
+        """This nest compiled to a Python function (see `interpret`).
+
+        Kept per object, not per value: nests that compare equal can still
+        differ in output, as `Const(0.0) == Const(-0.0)`.
+        """
+        return _compile(self)
+
 
 # -- expression helpers --------------------------------------------------------
 
@@ -176,6 +196,13 @@ def free_vars(expr: Expr) -> set[str]:
 _TOKEN = re.compile(r"\d+\.\d+|\d+|\w+|[\[\](),+\-*]")
 _LOOP = re.compile(r"^for (\w+) in seq\(([^,]+), ([^)]+)\):$")
 
+# Passes over a nest (bounds, rendering, rewrites, the cost proxy) recurse
+# once per loop and once per operator, so a statement's enclosing loops plus
+# the longest operator chain in its expressions may not exceed this.
+_MAX_DEPTH = 900
+# The expression parser recurses three times per parenthesis or bracket.
+_MAX_BRACKETS = 100
+
 
 class _ExprParser:
     def __init__(self, text: str):
@@ -183,6 +210,7 @@ class _ExprParser:
         if "".join(self.tokens).replace(" ", "") != text.replace(" ", ""):
             raise KernelSyntaxError(f"cannot tokenize expression '{text}'")
         self.pos = 0
+        self.brackets = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -221,15 +249,20 @@ class _ExprParser:
             raise KernelSyntaxError("unexpected end of expression")
         if tok == "(":
             self.take()
+            self.open_bracket()
             expr = self.sum()
             self.take(")")
+            self.brackets -= 1
             return expr
         if tok == "-":
-            self.take()
-            inner = self.atom()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return BinOp("-", Const(0), inner)
+            signs = 0
+            while self.peek() == "-":
+                self.take()
+                signs += 1
+            expr = self.atom()
+            for _ in range(signs):
+                expr = Const(-expr.value) if isinstance(expr, Const) else BinOp("-", Const(0), expr)
+            return expr
         self.take()
         if re.fullmatch(r"\d+\.\d+", tok):
             return Const(float(tok))
@@ -239,13 +272,20 @@ class _ExprParser:
             raise KernelSyntaxError(f"unexpected token '{tok}'")
         if self.peek() == "[":
             self.take()
+            self.open_bracket()
             indices = [self.sum()]
             while self.peek() == ",":
                 self.take()
                 indices.append(self.sum())
             self.take("]")
+            self.brackets -= 1
             return Read(tok, tuple(indices))
         return Var(tok)
+
+    def open_bracket(self) -> None:
+        self.brackets += 1
+        if self.brackets > _MAX_BRACKETS:
+            raise NestingTooDeep(f"more than {_MAX_BRACKETS} nested parentheses or brackets")
 
 
 def parse_expr(text: str) -> Expr:
@@ -322,87 +362,151 @@ def parse_kernel(text: str) -> LoopNest:
         return width // 4
 
     base = indent_of(body_lines[0])
-    pos = 0
-
-    def parse_block(level: int) -> tuple[Statement, ...]:
-        nonlocal pos
-        stmts: list[Statement] = []
-        while pos < len(body_lines):
-            line = body_lines[pos]
-            depth = indent_of(line)
-            if depth < level:
-                break
-            if depth > level:
-                raise KernelSyntaxError(f"unexpected indentation: '{line.strip()}'")
-            stripped = line.strip()
-            pos += 1
-            loop = _LOOP.match(stripped)
-            if loop:
-                lo = _parse_int(loop.group(2))
-                hi = _parse_int(loop.group(3))
-                inner = parse_block(level + 1)
-                if not inner:
-                    raise KernelSyntaxError(f"loop '{stripped}' has an empty body")
-                stmts.append(Loop(loop.group(1), lo, hi, inner))
-                continue
-            op = " += " if " += " in stripped else " = "
-            if op not in stripped:
-                raise KernelSyntaxError(f"cannot parse statement '{stripped}'")
-            lhs_text, rhs_text = stripped.split(op, 1)
-            lhs = parse_expr(lhs_text)
-            if not isinstance(lhs, Read):
-                raise KernelSyntaxError(f"left side must be an array element: '{stripped}'")
-            for index in lhs.indices:
-                if any(isinstance(node, Read) for node in _walk(index)):
-                    raise KernelSyntaxError(f"array reads are not allowed in indices: '{stripped}'")
-            kind = Accumulate if op == " += " else Assign
-            stmts.append(kind(lhs.array, lhs.indices, parse_expr(rhs_text)))
-        return tuple(stmts)
-
     if base != 0 and all(indent_of(l) >= base for l in body_lines):
         body_lines = [l[base * 4 :] for l in body_lines]
-    body = parse_block(0)
-    if pos < len(body_lines):
-        raise KernelSyntaxError(f"unexpected indentation: '{body_lines[pos].strip()}'")
-    nest = LoopNest(name, tuple(arrays), body)
+
+    # The loops open at the current line, outermost first, each with its
+    # header, variable, bounds and the statements of its body so far.
+    open_loops: list[tuple[str, str, int, int, list[Statement]]] = []
+    top: list[Statement] = []
+
+    def close_loop() -> None:
+        header, var, lo, hi, stmts = open_loops.pop()
+        if not stmts:
+            raise KernelSyntaxError(f"loop '{header}' has an empty body")
+        (open_loops[-1][4] if open_loops else top).append(Loop(var, lo, hi, tuple(stmts)))
+
+    for line in body_lines:
+        depth = indent_of(line)
+        while depth < len(open_loops):
+            close_loop()
+        if depth > len(open_loops):
+            raise KernelSyntaxError(f"unexpected indentation: '{line.strip()}'")
+        stripped = line.strip()
+        loop = _LOOP.match(stripped)
+        if loop:
+            lo = _parse_int(loop.group(2))
+            hi = _parse_int(loop.group(3))
+            open_loops.append((stripped, loop.group(1), lo, hi, []))
+            continue
+        op = " += " if " += " in stripped else " = "
+        if op not in stripped:
+            raise KernelSyntaxError(f"cannot parse statement '{stripped}'")
+        lhs_text, rhs_text = stripped.split(op, 1)
+        lhs = parse_expr(lhs_text)
+        if not isinstance(lhs, Read):
+            raise KernelSyntaxError(f"left side must be an array element: '{stripped}'")
+        for index in lhs.indices:
+            if any(isinstance(node, Read) for node in _walk(index)):
+                raise KernelSyntaxError(f"array reads are not allowed in indices: '{stripped}'")
+        kind = Accumulate if op == " += " else Assign
+        (open_loops[-1][4] if open_loops else top).append(kind(lhs.array, lhs.indices, parse_expr(rhs_text)))
+    while open_loops:
+        close_loop()
+    nest = LoopNest(name, tuple(arrays), tuple(top))
     check_bounds(nest)
     return nest
 
 
 def _walk(expr: Expr):
-    yield expr
-    if isinstance(expr, Read):
-        for index in expr.indices:
-            yield from _walk(index)
-    elif isinstance(expr, BinOp):
-        yield from _walk(expr.left)
-        yield from _walk(expr.right)
+    """Every node of `expr` in preorder, array indices included."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Read):
+            stack.extend(reversed(node.indices))
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+
+
+def _postorder(expr: Expr) -> list[Expr]:
+    """`expr`'s value nodes, operands before operators, left before right.
+
+    Array indices are not descended into.  Iterative, so a deep sum cannot
+    exhaust the Python stack.
+    """
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, BinOp):
+            stack += (node.left, node.right)
+    order.reverse()
+    return order
+
+
+def _operator_depth(expr: Expr) -> int:
+    """The longest chain of operators in `expr`, through array indices."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, BinOp):
+            depth += 1
+            stack += ((node.left, depth), (node.right, depth))
+        elif isinstance(node, Read):
+            stack.extend((index, depth) for index in node.indices)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _check_depth(nest: LoopNest) -> None:
+    """Reject a nest whose loops plus operators nest deeper than `_MAX_DEPTH`."""
+    stack = [(stmt, 0) for stmt in nest.body]
+    while stack:
+        stmt, loops = stack.pop()
+        if isinstance(stmt, Loop):
+            depth = loops + 1
+            stack.extend((inner, depth) for inner in stmt.body)
+        else:
+            depth = loops + max(_operator_depth(e) for e in (*stmt.indices, stmt.rhs))
+        if depth > _MAX_DEPTH:
+            raise NestingTooDeep(f"loops and operators nest {depth} deep, more than {_MAX_DEPTH}")
 
 
 # -- bounds checking -----------------------------------------------------------
 
+# Integers up to this magnitude are exact in f32, and so is f32 arithmetic on them.
+_EXACT_F32_INT = 2**24
 
-def _interval(expr: Expr, ranges: dict[str, tuple[int, int]]) -> tuple[float, float]:
-    if isinstance(expr, Const):
-        return (expr.value, expr.value)
-    if isinstance(expr, Var):
-        if expr.name not in ranges:
-            raise BoundsError(f"unbound variable '{expr.name}' in index expression")
-        return ranges[expr.name]
-    if isinstance(expr, Read):
-        raise BoundsError("array reads are not allowed in index expressions")
-    ll, lh = _interval(expr.left, ranges)
-    rl, rh = _interval(expr.right, ranges)
-    if expr.op == "+":
-        return (ll + rl, lh + rh)
-    if expr.op == "-":
-        return (ll - rh, lh - rl)
-    corners = (ll * rl, ll * rh, lh * rl, lh * rh)
-    return (min(corners), max(corners))
+
+def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]]):
+    """The value range of every node of an index expression, in `_postorder`."""
+    bounds: list[tuple[float, float]] = []
+    for node in _postorder(expr):
+        if isinstance(node, Const):
+            bounds.append((node.value, node.value))
+        elif isinstance(node, Var):
+            if node.name not in ranges:
+                raise BoundsError(f"unbound variable '{node.name}' in index expression")
+            bounds.append(ranges[node.name])
+        elif isinstance(node, Read):
+            raise BoundsError("array reads are not allowed in index expressions")
+        else:
+            (rl, rh), (ll, lh) = bounds.pop(), bounds.pop()
+            if node.op == "+":
+                bounds.append((ll + rl, lh + rh))
+            elif node.op == "-":
+                bounds.append((ll - rh, lh - rl))
+            else:
+                corners = (ll * rl, ll * rh, lh * rl, lh * rh)
+                bounds.append((min(corners), max(corners)))
+        yield bounds[-1]
+
+
+def _exact_in_ints(expr: Expr, ranges: dict[str, tuple[int, int]]) -> bool:
+    """Whether every value in an index expression is an integer of magnitude at most 2**24."""
+    if any(isinstance(node, Const) and type(node.value) is not int for node in _postorder(expr)):
+        return False
+    return all(max(abs(low), abs(high)) <= _EXACT_F32_INT for low, high in _intervals(expr, ranges))
 
 
 def check_bounds(nest: LoopNest) -> None:
-    """Reject any access that interval analysis cannot prove in-bounds."""
+    """Reject any access that interval analysis cannot prove in-bounds.
+
+    A nest too deep to analyze raises NestingTooDeep first.
+    """
+    _check_depth(nest)
     extents = {a.name: a.extents for a in nest.arrays}
 
     def check_access(array: str, indices: tuple[Expr, ...], ranges) -> None:
@@ -411,7 +515,7 @@ def check_bounds(nest: LoopNest) -> None:
         if len(indices) != len(extents[array]):
             raise BoundsError(f"{array} expects {len(extents[array])} indices, got {len(indices)}")
         for dim, index in enumerate(indices):
-            low, high = _interval(index, ranges)
+            *_, (low, high) = _intervals(index, ranges)
             if low < 0 or high >= extents[array][dim]:
                 raise BoundsError(
                     f"{array} index {dim} spans [{low}, {high}] outside [0, {extents[array][dim] - 1}]"
@@ -501,53 +605,164 @@ def render_kernel(nest: LoopNest) -> str:
 
 
 # -- interpretation ------------------------------------------------------------
+#
+# Arrays enter the generated code as nested lists of `np.float32` scalars,
+# which index faster than numpy arrays and hold the same values.  Each value
+# `+ - *` is one `np.float32` op into a temporary, so no generated
+# expression nests however deep the tree.  An index is computed in Python
+# ints only where every intermediate is an integer of magnitude at most
+# 2**24, where f32 arithmetic is exact; elsewhere it is computed in f32 and
+# truncated with `int()`, so `B[i * 1.5]` and large offsets land where f32
+# puts them.  No user name appears in the source (arrays `a<k>`, loop
+# variables `i<k>`, temporaries `t<k>`, constants `c<k>`), so names such as
+# `range` or `np` cannot capture anything.
+
+# CPython refuses more than 20 statically nested blocks in one function.
+_LOOPS_PER_FUNCTION = 16
+
+
+class _Compiler:
+    """Python source for one nest, as `lines` of functions `k0`, `k1`, ...
+
+    `k0` takes the arrays in declaration order.  A loop deeper than
+    `_LOOPS_PER_FUNCTION` in its function moves to a function of its own
+    that also takes the loop variables in scope.  A scope maps each visible
+    loop variable to its Python name and its inclusive value range.
+    """
+
+    def __init__(self, nest: LoopNest):
+        self.arrays = {a.name: f"a{k}" for k, a in enumerate(nest.arrays)}
+        self.namespace: dict[str, object] = {"f32": np.float32}
+        self.constants: dict[bytes, str] = {}
+        self.queue: list[tuple[str, tuple[Statement, ...], dict]] = []
+        self.lines: list[str] = []
+        self.loops = 0
+        self.temps = 0
+        self.function(nest.body, {})
+        # Emitting a function may queue more; the loop picks them up.
+        for header, stmts, scope in self.queue:
+            self.lines.append(header)
+            self.block(stmts, scope, 1)
+
+    def function(self, stmts: tuple[Statement, ...], scope: dict) -> str:
+        """Queue a function running `stmts` in `scope`; return its call."""
+        name = f"k{len(self.queue)}"
+        params = ", ".join([*self.arrays.values(), *(var for var, _ in scope.values())])
+        self.queue.append((f"def {name}({params}):", stmts, scope))
+        return f"{name}({params})"
+
+    def block(self, stmts: tuple[Statement, ...], scope: dict, depth: int) -> None:
+        pad = "    " * depth
+        if not stmts:
+            self.lines.append(pad + "pass")
+        for stmt in stmts:
+            if isinstance(stmt, Loop) and depth > _LOOPS_PER_FUNCTION:
+                self.lines.append(pad + self.function((stmt,), scope))
+            elif isinstance(stmt, Loop):
+                var = f"i{self.loops}"
+                self.loops += 1
+                self.lines.append(f"{pad}for {var} in range({stmt.lo}, {stmt.hi}):")
+                inner = {**scope, stmt.var: (var, (stmt.lo, stmt.hi - 1))}
+                self.block(stmt.body, inner, depth + 1)
+            else:
+                self.temps = 0
+                code: list[str] = []
+                target = self.access(stmt.array, stmt.indices, scope, code)
+                value = self.value(stmt.rhs, scope, code)
+                if isinstance(stmt, Accumulate):
+                    value = f"{target} + {value}"
+                code.append(f"{target} = {value}")
+                self.lines.extend(pad + line for line in code)
+
+    def temp(self, code: list[str], value: str) -> str:
+        self.temps += 1
+        code.append(f"t{self.temps} = {value}")
+        return f"t{self.temps}"
+
+    def constant(self, value: int | float) -> str:
+        f = np.float32(value)
+        key = f.tobytes()
+        if key not in self.constants:
+            self.constants[key] = f"c{len(self.constants)}"
+            self.namespace[self.constants[key]] = f
+        return self.constants[key]
+
+    def variable(self, name: str, scope: dict) -> str:
+        if name not in scope:
+            raise BoundsError(f"unbound variable '{name}'")
+        return scope[name][0]
+
+    def access(self, array: str, indices: tuple[Expr, ...], scope: dict, code: list[str]) -> str:
+        """`a<k>[...]...[...]`, with each index computed into `code` first."""
+        if array not in self.arrays:
+            raise BoundsError(f"unknown array '{array}'")
+        spots = [self.index(index, scope, code) for index in indices]
+        return self.arrays[array] + "".join(f"[{spot}]" for spot in spots)
+
+    def value(self, expr: Expr, scope: dict, code: list[str]) -> str:
+        """Emit `expr` in f32 into `code`; return the operand holding its value."""
+
+        def leaf(node: Expr) -> str:
+            if isinstance(node, Const):
+                return self.constant(node.value)
+            if isinstance(node, Var):
+                return f"f32({self.variable(node.name, scope)})"
+            return self.temp(code, self.access(node.array, node.indices, scope, code))
+
+        return self.operators(expr, code, leaf)
+
+    def index(self, expr: Expr, scope: dict, code: list[str]) -> str:
+        """Emit an index into `code`; return an int operand equal to `int(f32 value)`."""
+        if not _exact_in_ints(expr, {name: bounds for name, (_, bounds) in scope.items()}):
+            return self.temp(code, f"int({self.value(expr, scope, code)})")
+        return self.operators(
+            expr, code, lambda node: repr(node.value) if isinstance(node, Const) else self.variable(node.name, scope)
+        )
+
+    def operators(self, expr: Expr, code: list[str], leaf) -> str:
+        """Emit one temporary per operator of `expr`, with `leaf` giving the other nodes."""
+        stack: list[str] = []
+        for node in _postorder(expr):
+            if isinstance(node, BinOp):
+                right, left = stack.pop(), stack.pop()
+                stack.append(self.temp(code, f"{left} {node.op} {right}"))
+            else:
+                stack.append(leaf(node))
+        return stack.pop()
+
+
+def _compile(nest: LoopNest):
+    compiler = _Compiler(nest)
+    source = "\n".join(compiler.lines) + "\n"
+    exec(compile(source, f"<loop nest {nest.name}>", "exec"), compiler.namespace)
+    return compiler.namespace["k0"]
+
+
+def _as_lists(array: np.ndarray) -> list:
+    return list(array) if array.ndim == 1 else [_as_lists(part) for part in array]
 
 
 def interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Run the kernel sequentially in 32-bit float and return all arrays."""
-    arrays: dict[str, np.ndarray] = {}
+    """Run the kernel sequentially in 32-bit float and return all arrays.
+
+    The nest is compiled to Python on its first run and the function kept
+    on the nest object.  Variables are scoped lexically: an inner loop that
+    reuses a name shadows the outer one only inside its body.
+    """
     declared = {a.name: a.extents for a in nest.arrays}
     if set(inputs) != set(declared):
         raise ShapeMismatch(f"inputs {sorted(inputs)} do not match arrays {sorted(declared)}")
+    lists = []
     for name, extents in declared.items():
         value = np.asarray(inputs[name], dtype=np.float32)
         if value.shape != extents:
             raise ShapeMismatch(f"{name} has shape {value.shape}, expected {extents}")
-        arrays[name] = value.copy()
-
-    def evaluate(expr: Expr, env: dict[str, int]) -> np.float32:
-        if isinstance(expr, Const):
-            return np.float32(expr.value)
-        if isinstance(expr, Var):
-            return np.float32(env[expr.name])
-        if isinstance(expr, Read):
-            spot = tuple(int(evaluate(i, env)) for i in expr.indices)
-            return arrays[expr.array][spot]
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return np.float32(left + right)
-        if expr.op == "-":
-            return np.float32(left - right)
-        return np.float32(left * right)
-
-    def run(stmts: tuple[Statement, ...], env: dict[str, int]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Loop):
-                for i in range(stmt.lo, stmt.hi):
-                    env[stmt.var] = i
-                    run(stmt.body, env)
-                del env[stmt.var]
-                continue
-            spot = tuple(int(evaluate(i, env)) for i in stmt.indices)
-            value = evaluate(stmt.rhs, env)
-            if isinstance(stmt, Assign):
-                arrays[stmt.array][spot] = value
-            else:
-                arrays[stmt.array][spot] = np.float32(arrays[stmt.array][spot] + value)
-
-    run(nest.body, {})
-    return arrays
+        lists.append(_as_lists(value))
+    nest._program(*lists)
+    return {
+        name: np.array(values, dtype=np.float32).reshape(extents)
+        for (name, extents), values in zip(declared.items(), lists)
+    }
 
 
 @dataclass(frozen=True)

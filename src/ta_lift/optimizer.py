@@ -214,10 +214,6 @@ def _make_blocks(slices: list[tuple[Instruction, ...]], dim: int) -> list[Block]
     return blocks
 
 
-def _is_config(ins: Instruction) -> bool:
-    return isinstance(ins, (ConfigEx, ConfigLd, ConfigSt))
-
-
 def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
     """Cut a program into a prelude plus one block per preload.
 
@@ -494,12 +490,6 @@ def _block_profiles(
     return profiles, fixed_total, any_duplicates
 
 
-def _pitch_of(stride_bytes: int | None) -> int | None:
-    if stride_bytes is None or stride_bytes % 4 != 0:
-        return None
-    return stride_bytes // 4
-
-
 def _dedup_savings(profiles: list[list[tuple]], order: tuple[int, ...]) -> float:
     ld: dict[int, int | None] = {0: None, 1: None, 2: None}
     st: int | None = None
@@ -527,7 +517,7 @@ def _dedup_savings(profiles: list[list[tuple]], order: tuple[int, ...]) -> float
                 st = entry[2]
             elif tag == "mvin":
                 _, cost, accumulating, static_key, rows, cols, dest = entry
-                pitch = _pitch_of(ld[static_key[0]])
+                pitch = _elems(ld[static_key[0]])
                 key = static_key + (pitch,)
                 if not accumulating and key in seen:
                     saved += cost
@@ -546,7 +536,7 @@ def _dedup_savings(profiles: list[list[tuple]], order: tuple[int, ...]) -> float
                 invalidate(entry[1])
             else:
                 _, buffer, offset, cols, rows = entry
-                pitch = _pitch_of(st)
+                pitch = _elems(st)
                 if pitch is None:
                     invalidate((f"dram:{buffer}", 0, _FAR))
                 else:

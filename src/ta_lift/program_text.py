@@ -16,7 +16,9 @@ unrolled at parse time; `if` conditions may compare loop variables and
 constants.  DRAM operands are `buffer` or `buffer + EXPR` where the offset
 counts 4-byte elements.  A `void test(...) { ... }` wrapper is tolerated
 and stripped.  Program text is ASCII; any other character outside a
-comment is a syntax error.
+comment is a syntax error.  Blocks, `for`, `if`, the wrapper, and
+parentheses in expressions and conditions nest at most `_MAX_NESTING`
+levels deep.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .isa import (
 )
 
 _UNROLL_LIMIT = 200_000
+# The parser is recursive descent, one to seven Python frames per level.
+_MAX_NESTING = 100
 
 
 class ProgramSyntaxError(ValueError):
@@ -232,6 +236,7 @@ class _Parser:
         self.symbols: dict[str, int] = {}
         self.scopes: list[dict[str, int]] = []
         self.out: list[Instruction] = []
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -252,6 +257,12 @@ class _Parser:
 
     def at(self, text: str) -> bool:
         return self.peek().text == text
+
+    def enter(self) -> None:
+        """Open one nesting level; the caller closes it with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ProgramSyntaxError(self.peek().line, f"nesting deeper than {_MAX_NESTING} levels")
 
     # -- name resolution ----------------------------------------------------
 
@@ -301,10 +312,12 @@ class _Parser:
         return v
 
     def _unary(self) -> int:
-        if self.at("-"):
+        negate = False
+        while self.at("-"):
             self.next()
-            return -self._unary()
-        return self._atom()
+            negate = not negate
+        v = self._atom()
+        return -v if negate else v
 
     def _atom(self) -> int:
         t = self.next()
@@ -312,8 +325,10 @@ class _Parser:
             assert t.value is not None
             return t.value
         if t.text == "(":
+            self.enter()
             v = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return v
         if t.text == "sizeof":
             self.expect("(")
@@ -346,14 +361,16 @@ class _Parser:
         # A parenthesized condition is ambiguous with a parenthesized integer
         # expression; try the condition reading first.
         if self.at("("):
-            save = self.pos
+            save = self.pos, self.depth
             self.next()
+            self.enter()
             try:
                 v = self.parse_cond()
                 self.expect(")")
+                self.depth -= 1
                 return v
             except ProgramSyntaxError:
-                self.pos = save
+                self.pos, self.depth = save
         lhs = self.parse_expr()
         t = self.next()
         if t.text not in ("==", "!=", "<", "<=", ">", ">="):
@@ -435,25 +452,20 @@ class _Parser:
 
     def parse_statement(self) -> None:
         t = self.peek()
-        if t.text == "{":
-            self.next()
-            while not self.at("}"):
-                if self.peek().kind == "eof":
-                    raise ProgramSyntaxError(t.line, "unterminated block")
-                self.parse_statement()
-            self.next()
+        if t.text in ("{", "void", "for", "if"):
+            self.enter()
+            if t.text == "{":
+                self._parse_block()
+            elif t.text == "void":
+                self._parse_function_wrapper()
+            elif t.text == "for":
+                self._parse_for()
+            else:
+                self._parse_if()
+            self.depth -= 1
             return
         if t.text == ";":
             self.next()
-            return
-        if t.text == "void":
-            self._parse_function_wrapper()
-            return
-        if t.text == "for":
-            self._parse_for()
-            return
-        if t.text == "if":
-            self._parse_if()
             return
         if t.text in ("static", "uint32_t"):
             self._parse_declaration()
@@ -462,6 +474,14 @@ class _Parser:
             self._parse_call()
             return
         raise ProgramSyntaxError(t.line, f"unexpected token '{t.text or 'end of input'}'")
+
+    def _parse_block(self) -> None:
+        t = self.expect("{")
+        while not self.at("}"):
+            if self.peek().kind == "eof":
+                raise ProgramSyntaxError(t.line, "unterminated block")
+            self.parse_statement()
+        self.next()
 
     def _parse_function_wrapper(self) -> None:
         self.expect("void")

@@ -96,14 +96,18 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
     `<CONST>` tokens always count.  When the original candidate is given,
     any fresh integer-initialized `uint32_t` declaration (a name the
     original never mentions) counts as a named hole as well.
+
+    Ids are unique: markers are `h0`, `h1`, ...; a named hole's id is its
+    name, or `name#N` when that id is already taken (the name is declared
+    again, or it is also a marker id).
     """
     found: list[tuple[int, Hole]] = []
-    marker_index = 0
-    for match in re.finditer(re.escape(MARKER), marked_code):
+    ids: set[str] = set()
+    for marker_index, match in enumerate(re.finditer(re.escape(MARKER), marked_code)):
         line, column = _position(marked_code, match.start())
         hole = Hole(id=f"h{marker_index}", line=line, column=column, start=match.start(), end=match.end())
         found.append((match.start(), hole))
-        marker_index += 1
+        ids.add(hole.id)
     if original is not None:
         for match in _DECL.finditer(marked_code):
             name = match.group(1)
@@ -111,8 +115,13 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
                 continue
             if re.search(rf"\b{re.escape(name)}\b", original):
                 continue
+            hole_id, again = name, 0
+            while hole_id in ids:
+                again += 1
+                hole_id = f"{name}#{again}"
+            ids.add(hole_id)
             line, column = _position(marked_code, match.start(2))
-            hole = Hole(id=name, line=line, column=column, start=match.start(2), end=match.end(2), name=name)
+            hole = Hole(id=hole_id, line=line, column=column, start=match.start(2), end=match.end(2), name=name)
             found.append((match.start(2), hole))
     found.sort(key=lambda pair: pair[0])
     if not found:

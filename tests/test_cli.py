@@ -288,6 +288,26 @@ def test_schedule_rejects_malformed_kernel(tmp_path, capsys):
     assert "kernel error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "def deep(A: f32[4] @ DRAM):\n    A[0] = " + " + ".join(["A[0]"] * 3000) + "\n",
+        "def deep(A: f32[4] @ DRAM):\n"
+        + "".join("    " * (d + 1) + f"for v{d} in seq(0, 1):\n" for d in range(1000))
+        + "    " * 1001 + "A[0] = 1.0\n",
+    ],
+    ids=["3000-term-sum", "1000-deep-loops"],
+)
+def test_schedule_rejects_too_deep_kernel(tmp_path, capsys, text):
+    kernel_file = tmp_path / "deep.k"
+    kernel_file.write_text(text)
+    fixtures = write_json(tmp_path / "fx.json", {})
+    code = dispatch(["schedule", "--program", str(kernel_file), "--backend", "replay",
+                     "--fixtures", str(fixtures)])
+    assert code == 1
+    assert "kernel error: loops and operators nest" in capsys.readouterr().out
+
+
 # -- console entry point ---------------------------------------------------------
 
 

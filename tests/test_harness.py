@@ -107,8 +107,16 @@ def test_extract_bare_program_passes_through():
 
 @pytest.mark.parametrize(
     "text",
-    ["mvin(A, 0x, 4, 4);", "mvin(A, \u00b2, 4, 4);", "config_st(1 << -1);"],
-    ids=["hex-without-digits", "non-ascii-digit", "negative-shift"],
+    [
+        "mvin(A, 0x, 4, 4);",
+        "mvin(A, \u00b2, 4, 4);",
+        "config_st(1 << -1);",
+        "static uint32_t x = " + "(" * 5000 + "1" + ")" * 5000 + ";\n" + golden_program("mm1"),
+        "{" * 5000 + "}" * 5000 + "\n" + golden_program("mm1"),
+        "if (" + "(" * 5000 + "1 == 1" + ")" * 5000 + ") { fence(); }\n" + golden_program("mm1"),
+    ],
+    ids=["hex-without-digits", "non-ascii-digit", "negative-shift", "deep-parens", "deep-braces",
+         "deep-condition"],
 )
 def test_garbled_literal_is_a_parse_failure(text):
     spec = kernel("mm1")

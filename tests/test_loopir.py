@@ -1,7 +1,11 @@
 """Loop nest IR: parsing, rendering, interpretation, and the cost proxy."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ta_lift.loopir import (
     Accumulate,
@@ -13,11 +17,14 @@ from ta_lift.loopir import (
     KernelSyntaxError,
     Loop,
     LoopNest,
+    NestingTooDeep,
     NonConstantBound,
     Read,
     ShapeMismatch,
     SignatureMismatch,
+    Statement,
     Var,
+    check_bounds,
     check_equivalence,
     interpret,
     locality_cost,
@@ -29,6 +36,15 @@ from ta_lift.loopir import (
     render_line,
     substitute_stmt,
     times,
+)
+from ta_lift.schedule import (
+    IllegalRewrite,
+    _walk_statements,
+    fission_at,
+    fuse_at,
+    reorder_at,
+    tile_at,
+    unroll_at,
 )
 
 DOITGEN = """\
@@ -283,3 +299,254 @@ def test_render_line_shapes():
     assert render_line(r) == "for r in seq(0, 64):"
     zero = r.body[0].body[0].body[0]
     assert render_line(zero) == "sum[p] = 0.0"
+
+
+# -- the compiled interpreter against the tree walker it replaced ---------------
+
+
+def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The tree-walking interpreter `interpret` replaced, kept as the oracle."""
+    arrays = {a.name: np.asarray(inputs[a.name], dtype=np.float32).copy() for a in nest.arrays}
+
+    def evaluate(expr, env):
+        if isinstance(expr, Const):
+            return np.float32(expr.value)
+        if isinstance(expr, Var):
+            return np.float32(env[expr.name])
+        if isinstance(expr, Read):
+            spot = tuple(int(evaluate(i, env)) for i in expr.indices)
+            return arrays[expr.array][spot]
+        left = evaluate(expr.left, env)
+        right = evaluate(expr.right, env)
+        if expr.op == "+":
+            return np.float32(left + right)
+        if expr.op == "-":
+            return np.float32(left - right)
+        return np.float32(left * right)
+
+    def run(stmts, env):
+        for stmt in stmts:
+            if isinstance(stmt, Loop):
+                for i in range(stmt.lo, stmt.hi):
+                    env[stmt.var] = i
+                    run(stmt.body, env)
+                del env[stmt.var]
+                continue
+            spot = tuple(int(evaluate(i, env)) for i in stmt.indices)
+            value = evaluate(stmt.rhs, env)
+            if isinstance(stmt, Assign):
+                arrays[stmt.array][spot] = value
+            else:
+                arrays[stmt.array][spot] = np.float32(arrays[stmt.array][spot] + value)
+
+    run(nest.body, {})
+    return arrays
+
+
+def random_inputs(nest: LoopNest, seed: int) -> dict[str, np.ndarray]:
+    """Normal floats of mixed scale, with arbitrary bit patterns (NaNs, infinities, subnormals) mixed in."""
+    rng = np.random.default_rng(seed)
+    inputs = {}
+    for a in nest.arrays:
+        values = (rng.standard_normal(a.extents) * 10.0 ** rng.integers(-3, 4, a.extents)).astype(np.float32)
+        bits = rng.integers(0, 2**32, size=a.extents, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        inputs[a.name] = np.where(rng.random(a.extents) < 0.2, bits, values)
+    return inputs
+
+
+def assert_same_as_walker(nest: LoopNest, inputs: dict[str, np.ndarray]) -> None:
+    with np.errstate(all="ignore"):
+        expected = walk_interpret(nest, inputs)
+        got = interpret(nest, inputs)
+    assert set(got) == set(expected)
+    for name in expected:
+        assert got[name].dtype == np.float32 and got[name].shape == expected[name].shape
+        assert got[name].tobytes() == expected[name].tobytes(), name
+
+
+# Names the generated code must not capture: Python keywords and builtins,
+# the module's own globals, and the generated names themselves.
+ODD_NAMES = ("range", "lambda", "int", "np", "f32", "k0", "a0", "i0", "t1", "c0", "x", "y")
+VALUE_CONSTANTS = (0.0, -0.0, 1, -1, 2, 0.5, -2.75, 3.0000001, 1e-40, 123456789.0, 16777217)
+
+
+@st.composite
+def random_nests(draw) -> LoopNest:
+    names = draw(st.lists(st.sampled_from(ODD_NAMES), min_size=1, max_size=3, unique=True))
+    arrays = tuple(
+        ArrayDecl(name, tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))) for name in names
+    )
+    extents = {a.name: a.extents for a in arrays}
+
+    def index(extent: int, scope: dict[str, tuple[int, int]]):
+        fitting = [v for v, (lo, hi) in scope.items() if hi - lo < extent]
+        kind = draw(st.sampled_from(("const", "float", "var", "scaled") if fitting else ("const", "float")))
+        if kind == "const":
+            return Const(draw(st.integers(0, extent - 1)))
+        if kind == "float":  # truncated: 1.5 indexes element 1
+            return Const(draw(st.integers(0, extent - 1)) + 0.5)
+        var = draw(st.sampled_from(fitting))
+        lo, hi = scope[var]
+        shifted = BinOp("-", Var(var), Const(lo)) if lo else Var(var)
+        return BinOp("*", shifted, Const(0.5)) if kind == "scaled" else shifted
+
+    def read(scope):
+        name = draw(st.sampled_from(names))
+        return Read(name, tuple(index(e, scope) for e in extents[name]))
+
+    def expr(scope, depth):
+        leaves = ["const", "read"] + (["var"] if scope else [])
+        kind = draw(st.sampled_from(leaves + (["op"] * 2 if depth else [])))
+        if kind == "const":
+            return Const(draw(st.sampled_from(VALUE_CONSTANTS)))
+        if kind == "var":
+            return Var(draw(st.sampled_from(sorted(scope))))
+        if kind == "read":
+            return read(scope)
+        op = draw(st.sampled_from("+-*"))
+        return BinOp(op, expr(scope, depth - 1), expr(scope, depth - 1))
+
+    def block(scope, depth) -> tuple[Statement, ...]:
+        stmts = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and draw(st.booleans()):
+                var = draw(st.sampled_from(ODD_NAMES))  # may shadow an outer loop
+                lo = draw(st.integers(0, 2))
+                hi = lo + draw(st.integers(1, 3))
+                stmts.append(Loop(var, lo, hi, block({**scope, var: (lo, hi - 1)}, depth - 1)))
+                continue
+            target = read(scope)
+            kind = draw(st.sampled_from((Assign, Accumulate)))
+            stmts.append(kind(target.array, target.indices, expr(scope, 3)))
+        return tuple(stmts)
+
+    nest = LoopNest("random", arrays, block({}, 3))
+    check_bounds(nest)
+    return nest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_nests(), st.integers(0, 2**32 - 1))
+def test_interpret_matches_walker_on_random_nests(nest, seed):
+    try:
+        with np.errstate(all="ignore"):
+            walk_interpret(nest, random_inputs(nest, seed))
+    except KeyError:
+        # The walker unbinds a shadowed outer variable when the inner loop
+        # ends, so it cannot run a later use of it; interpret scopes lexically.
+        assume(False)
+    assert_same_as_walker(nest, random_inputs(nest, seed))
+
+
+def small_doitgen_at(extent: int) -> LoopNest:
+    return reduce_extents(parse_kernel(DOITGEN), extent)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_interpret_matches_walker_on_rewritten_doitgen(data):
+    nest = small_doitgen_at(4)
+    for step in range(data.draw(st.integers(1, 4))):
+        paths = [path for path, _ in _walk_statements(nest.body, ())]
+        path = data.draw(st.sampled_from(paths))
+        op = data.draw(st.sampled_from(("tile", "reorder", "fission", "unroll", "fuse")))
+        try:
+            if op == "tile":
+                size = data.draw(st.sampled_from((1, 2, 4)))
+                nest = tile_at(nest, path, size, f"range{step}", f"lambda{step}")
+            elif op == "reorder":
+                nest = reorder_at(nest, path)
+            elif op == "fission":
+                nest = fission_at(nest, path, data.draw(st.sampled_from(("before", "after"))))
+            elif op == "unroll":
+                nest = unroll_at(nest, path)
+            else:
+                nest = fuse_at(nest, path, path[:-1] + (path[-1] + 1,))
+            check_bounds(nest)
+        except (IllegalRewrite, BoundsError, IndexError):
+            continue
+    assert_same_as_walker(nest, random_inputs(nest, data.draw(st.integers(0, 2**32 - 1))))
+
+
+def deep_nest(loops: int, body: str) -> str:
+    """`body` inside `loops` nested loops; `v0` and `v1` take two values, the rest one."""
+    lines = ["def deep(A: f32[4] @ DRAM, B: f32[2] @ DRAM):"]
+    lines += ["    " * (d + 1) + f"for v{d} in seq(0, {2 if d < 2 else 1}):" for d in range(loops)]
+    return "\n".join(lines + ["    " * (loops + 1) + body]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        deep_nest(25, "A[v1 + v24] += A[v1] * B[v0]"),  # more loops than CPython nests in one function
+        deep_nest(400, "A[v399 + v1] += A[v0] - 1.5"),
+        deep_nest(1, "A[v0] = " + " + ".join(["A[v0]"] * 900)),  # no generated expression nests
+        deep_nest(1, "B[v0 * 1.5] = A[v0 + 16777216 - 16777216] + 0.1"),  # f32 index arithmetic
+        "def range(lambda: f32[3] @ DRAM, int: f32[3] @ DRAM, 9x: f32[1] @ DRAM):\n"
+        "    for np in seq(0, 3):\n"
+        "        for 1x in seq(0, 1):\n"
+        "            int[np] += lambda[np] * int[2 - np]\n",
+        # Loop variables are f32 values too: 16777217 rounds to 16777216.
+        "def f(A: f32[2] @ DRAM):\n"
+        "    for i in seq(16777217, 16777218):\n"
+        "        for j in seq(16777216, 16777217):\n"
+        "            A[i - j] = i - j\n",
+    ],
+    ids=["25-deep", "400-deep", "900-terms", "float-index", "odd-names", "large-loop-values"],
+)
+def test_interpret_matches_walker_on_hard_nests(text):
+    nest = parse_kernel(text)
+    assert_same_as_walker(nest, random_inputs(nest, 5))
+
+
+def test_negative_zero_constant_is_not_merged_with_zero():
+    plus_zero = parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = 0.0\n")
+    minus_zero = parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = -0.0\n")
+    assert plus_zero == minus_zero  # the IR compares values, so -0.0 == 0.0
+    ones = {"A": np.ones(1, dtype=np.float32)}
+    assert interpret(plus_zero, ones)["A"].view(np.uint32)[0] == 0x00000000
+    assert interpret(minus_zero, ones)["A"].view(np.uint32)[0] == 0x80000000
+    assert_same_as_walker(minus_zero, ones)
+
+
+def test_float_index_truncates():
+    nest = parse_kernel("def f(A: f32[2] @ DRAM, B: f32[2] @ DRAM):\n"
+                        "    for i in seq(0, 2):\n        B[i * 1.5] = A[i] + 1.0\n")
+    out = interpret(nest, {"A": np.array([1, 2], dtype=np.float32), "B": np.zeros(2, dtype=np.float32)})
+    assert out["B"].tolist() == [2.0, 3.0]
+
+
+def test_check_equivalence_on_reduced_doitgen_is_fast():
+    nest = small_doitgen()
+    start = time.perf_counter()
+    assert check_equivalence(nest, small_doitgen(), trials=5)
+    # The tree walker took about 0.5 s here; the compiled nests take about 0.01 s.
+    assert time.perf_counter() - start < 0.25
+
+
+# -- depth limits ----------------------------------------------------------------
+
+
+def test_loop_depth_limit():
+    nest = parse_kernel(deep_nest(900, "A[0] = 1.0"))
+    assert interpret(nest, {"A": np.zeros(4, np.float32), "B": np.zeros(2, np.float32)})["A"][0] == 1.0
+    with pytest.raises(NestingTooDeep, match="nest 901 deep"):
+        parse_kernel(deep_nest(901, "A[0] = 1.0"))
+
+
+def test_expression_depth_limit():
+    # One loop plus 899 operators is exactly the limit.
+    parse_kernel(deep_nest(1, "A[0] = " + " + ".join(["A[0]"] * 900)))
+    for terms in (901, 3000):
+        with pytest.raises(NestingTooDeep, match="more than 900"):
+            parse_kernel(deep_nest(1, "A[0] = " + " + ".join(["A[0]"] * terms)))
+    with pytest.raises(NestingTooDeep, match="nested parentheses"):
+        parse_kernel(deep_nest(1, "A[0] = " + "(" * 5000 + "1.0" + ")" * 5000))
+    # Unary minus signs are counted in a loop, and fold into a constant.
+    assert parse_kernel(deep_nest(1, "A[0] = " + "- " * 5000 + "1.0")).body[0].body[0].rhs == Const(1.0)
+
+
+def test_rewrite_past_the_depth_limit_is_refused():
+    nest = parse_kernel(deep_nest(1, "A[v0] = " + " + ".join(["A[0]"] * 899) + " + v0"))
+    with pytest.raises(NestingTooDeep):
+        check_bounds(tile_at(nest, (0,), 1, "outer", "inner"))

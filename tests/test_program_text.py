@@ -143,6 +143,19 @@ def test_unknown_buffer_rejected() -> None:
         parse_program("config_ld(4, 0); mvin(q, 0, 1, 4);", BUFFERS)
 
 
+def test_nesting_limit() -> None:
+    assert parse_program("config_st(" + "(" * 100 + "4" + ")" * 100 + ");", {}).instructions == (ConfigSt(4),)
+    with pytest.raises(ProgramSyntaxError, match="nesting deeper than 100 levels"):
+        parse_program("config_st(" + "(" * 101 + "4" + ")" * 101 + ");", {})
+    assert parse_program("{" * 100 + "fence();" + "}" * 100, {}).instructions == (Fence(),)
+    with pytest.raises(ProgramSyntaxError, match="nesting deeper than 100 levels"):
+        parse_program("{" * 101 + "fence();" + "}" * 101, {})
+    with pytest.raises(ProgramSyntaxError, match="nesting deeper than 100 levels"):
+        parse_program("for (int i = 0; i < 1; i++) " * 101 + "fence();", {})
+    # A chain of unary minus signs is a loop, not a nesting.
+    assert parse_program("config_st(" + "- " * 5000 + "4);", {}).instructions == (ConfigSt(4),)
+
+
 def test_runaway_loop_rejected() -> None:
     with pytest.raises(NonConstantLoopBoundError):
         parse_program("for (int i = 0; i < 10000000; i++) { fence(); }", {})

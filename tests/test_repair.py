@@ -84,6 +84,19 @@ def test_markers_and_named_holes_interleave_by_position():
     assert [h.id for h in template.holes] == ["h0", "S"]
 
 
+def test_each_declaration_gets_its_own_id():
+    original = "config_st(4);\nconfig_ld(48, 0);\nfence();"
+    marked = ("config_st(<CONST>);\nstatic uint32_t S = 4;\nconfig_st(S);\n"
+              "static uint32_t S = 48;\nstatic uint32_t h0 = 0;\nconfig_ld(S, h0);\nfence();")
+    template = extract_holes(marked, original)
+    assert [h.id for h in template.holes] == ["h0", "S", "S#1", "h0#1"]
+    assert [h.name for h in template.holes] == [None, "S", "S", "h0"]
+    fills = list(enumerate_fills(template, [0, 4], SPEC.buffer_shapes()))
+    assert len(fills) == 16
+    for fill in fills:
+        assert parse_program(fill.code, SPEC.buffer_shapes()) == fill.program
+
+
 def test_substitute_fills_every_hole():
     original = "config_st(4);\nconfig_ld(48, 0);\nfence();"
     marked = "config_st(<CONST>);\nstatic uint32_t S = 48;\nconfig_ld(S, 0);\nfence();"
