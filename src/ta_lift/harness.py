@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -228,15 +227,10 @@ def run_experiment(
             prompt = build_translation_prompt(ablation.prompt_spec(spec))
             completions = backend.complete(prompt, config.params)
             cases = generate_testcases(spec, config.seed, config.testcases_per_kernel)
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                records = list(
-                    pool.map(
-                        lambda pair: _verify_candidate(
-                            spec, prompt.fingerprint, pair[0], pair[1].text, cases
-                        ),
-                        enumerate(completions),
-                    )
-                )
+            records = [
+                _verify_candidate(spec, prompt.fingerprint, index, completion.text, cases)
+                for index, completion in enumerate(completions)
+            ]
             all_records.extend(records)
             c = sum(1 for r in records if r.verdict.passed)
             counts.append((name, len(records), c))

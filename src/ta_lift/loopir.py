@@ -470,16 +470,24 @@ def _check_depth(nest: LoopNest) -> None:
 _EXACT_F32_INT = 2**24
 
 
-def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]]):
-    """The value range of every node of an index expression, in `_postorder`."""
+def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]], f32: bool = False):
+    """The value range of every node of an index expression, in `_postorder`.
+
+    With `f32`, constants, loop variables and every operation are `np.float32`,
+    as `interpret` computes an index that is not exact in ints.  Rounding to
+    f32 is monotone, so the ranges still hold every value `interpret` can
+    compute; a range that is not finite is a BoundsError.
+    """
+    number = np.float32 if f32 else (lambda value: value)
     bounds: list[tuple[float, float]] = []
     for node in _postorder(expr):
         if isinstance(node, Const):
-            bounds.append((node.value, node.value))
+            bounds.append((number(node.value), number(node.value)))
         elif isinstance(node, Var):
             if node.name not in ranges:
                 raise BoundsError(f"unbound variable '{node.name}' in index expression")
-            bounds.append(ranges[node.name])
+            low, high = ranges[node.name]
+            bounds.append((number(low), number(high)))
         elif isinstance(node, Read):
             raise BoundsError("array reads are not allowed in index expressions")
         else:
@@ -491,14 +499,22 @@ def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]]):
             else:
                 corners = (ll * rl, ll * rh, lh * rl, lh * rh)
                 bounds.append((min(corners), max(corners)))
+        if f32 and not np.isfinite(bounds[-1]).all():
+            raise BoundsError("index expression overflows f32")
         yield bounds[-1]
 
 
-def _exact_in_ints(expr: Expr, ranges: dict[str, tuple[int, int]]) -> bool:
-    """Whether every value in an index expression is an integer of magnitude at most 2**24."""
-    if any(isinstance(node, Const) and type(node.value) is not int for node in _postorder(expr)):
-        return False
-    return all(max(abs(low), abs(high)) <= _EXACT_F32_INT for low, high in _intervals(expr, ranges))
+def _int_range(expr: Expr, ranges: dict[str, tuple[int, int]]) -> tuple[int, int] | None:
+    """The range of an index expression whose every value is an integer of magnitude at most 2**24, else None.
+
+    A float constant makes every range that depends on it a float one.
+    """
+    span = None
+    for span in _intervals(expr, ranges):
+        low, high = span
+        if type(low) is not int or type(high) is not int or max(abs(low), abs(high)) > _EXACT_F32_INT:
+            return None
+    return span
 
 
 def check_bounds(nest: LoopNest) -> None:
@@ -515,7 +531,12 @@ def check_bounds(nest: LoopNest) -> None:
         if len(indices) != len(extents[array]):
             raise BoundsError(f"{array} expects {len(extents[array])} indices, got {len(indices)}")
         for dim, index in enumerate(indices):
-            *_, (low, high) = _intervals(index, ranges)
+            # interpret computes an index in ints where that is exact, else in f32.
+            span = _int_range(index, ranges)
+            if span is None:
+                with np.errstate(over="ignore"):
+                    *_, span = _intervals(index, ranges, f32=True)
+            low, high = span
             if low < 0 or high >= extents[array][dim]:
                 raise BoundsError(
                     f"{array} index {dim} spans [{low}, {high}] outside [0, {extents[array][dim] - 1}]"
@@ -713,7 +734,7 @@ class _Compiler:
 
     def index(self, expr: Expr, scope: dict, code: list[str]) -> str:
         """Emit an index into `code`; return an int operand equal to `int(f32 value)`."""
-        if not _exact_in_ints(expr, {name: bounds for name, (_, bounds) in scope.items()}):
+        if _int_range(expr, {name: bounds for name, (_, bounds) in scope.items()}) is None:
             return self.temp(code, f"int({self.value(expr, scope, code)})")
         return self.operators(
             expr, code, lambda node: repr(node.value) if isinstance(node, Const) else self.variable(node.name, scope)

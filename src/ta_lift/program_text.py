@@ -11,21 +11,26 @@ The accepted subset mirrors what the instruction macros look like in C:
 
 Expressions are integers over decimal/hex literals, previously declared
 symbols, `sizeof(float)` (= 4), and the operators  + - * | <<  with C
-precedence.  Loops must have compile-time-constant bounds and are fully
-unrolled at parse time; `if` conditions may compare loop variables and
-constants.  DRAM operands are `buffer` or `buffer + EXPR` where the offset
-counts 4-byte elements.  A `void test(...) { ... }` wrapper is tolerated
-and stripped.  Program text is ASCII; any other character outside a
-comment is a syntax error.  Blocks, `for`, `if`, the wrapper, and
-parentheses in expressions and conditions nest at most `_MAX_NESTING`
-levels deep.
+precedence; a `<<` or `*` whose result reaches 2**64 in magnitude is a
+syntax error, raised before the value is computed.  Loops must have
+compile-time-constant bounds and are fully unrolled at parse time; `if`
+conditions may compare loop variables and constants.  DRAM operands are
+`buffer` or `buffer + EXPR` where the offset counts 4-byte elements.  A
+`void test(...) { ... }` wrapper is tolerated and stripped.  Program text
+is ASCII; any other character outside a comment is a syntax error.
+Blocks, `for`, `if`, the wrapper, and parentheses in expressions and
+conditions nest at most `_MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import string
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .isa import (
     SENTINEL,
@@ -48,8 +53,9 @@ from .isa import (
 )
 
 _UNROLL_LIMIT = 200_000
-# The parser is recursive descent, one to seven Python frames per level.
+# The parser is recursive descent, at most five Python frames per level.
 _MAX_NESTING = 100
+_INT_LIMIT = 1 << 64
 
 
 class ProgramSyntaxError(ValueError):
@@ -104,132 +110,164 @@ _PUNCT = (
     "=",
 )
 
+# Tokens are strings: a name, a number, a punct, or "" for the end of input.
+# `_tokenize` returns them with a parallel list of line numbers.
+_Tokens = tuple[list[str], list[int]]
 
-@dataclass(slots=True)
-class _Tok:
-    kind: str  # "ident" | "num" | "punct" | "eof"
-    text: str
-    value: int | None
-    line: int
-
-
-# One alternative per token class, tried in order; `bad` catches every other
-# character, so the scan covers the whole text.
-_TOKEN = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<space>[ \t\r\n]+)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")"
-    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
-    r"|(?P<dec>[0-9]+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<bad>.)",
-    re.DOTALL,
+# One word per token of a comment-free line, and one for each other character
+# that is not a space, which `_check_line` reports.
+_WORD = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*|0[xX][0-9a-fA-F]*|[0-9]+|"
+    + "|".join(re.escape(p) for p in _PUNCT)
+    + r"|[^ \t\r]"
 )
+# Every word of a line with no match here, and no longer than the shortest
+# digit limit Python may apply to int(), is a well-formed token.
+_SUSPECT = re.compile(r"[^A-Za-z0-9_ \t\r<>=+\-|(){};,*]|0[xX](?![0-9a-fA-F])")
+_SHORT_LINE = sys.int_info.str_digits_check_threshold
+_ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_(){};,+-*|<>=")
 
 
-def _tokenize(text: str, starts: list[int] | None = None) -> list[_Tok]:
+def _check_line(words: list[str], line: int) -> None:
+    """Raise at the first word that is not a token."""
+    for word in words:
+        if word[0] in string.digits:
+            if len(word) == 2 and word[1] in "xX":
+                raise ProgramSyntaxError(line, f"hex literal '{word}' has no digits")
+            limit = sys.get_int_max_str_digits()
+            if limit and len(word) > limit and word.isdigit():
+                raise ProgramSyntaxError(line, f"integer literal has more than {limit} digits")
+        elif len(word) == 1 and word not in _ONE_CHAR_TOKENS:
+            raise ProgramSyntaxError(line, f"unexpected character {word!r}")
+
+
+def _tokenize(text: str) -> _Tokens:
     """Split ASCII program text into tokens; any other character is a syntax error.
 
-    When `starts` is given, the offset of each token but `eof` is appended to it.
+    Each line is cut at its first `//`, which no token contains.  The token
+    list ends with "" on the last line.
     """
-    toks: list[_Tok] = []
-    line = 1
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word = m.group()
-        if kind == "ident" or kind == "punct":
-            tok = _Tok(kind, word, None, line)
-        elif kind == "space":
-            line += word.count("\n")
-            continue
-        elif kind == "dec":
-            tok = _Tok("num", word, int(word), line)
-        elif kind == "hex":
-            if len(word) == 2:
-                raise ProgramSyntaxError(line, f"hex literal '{word}' has no digits")
-            tok = _Tok("num", word, int(word, 16), line)
-        elif kind == "comment":
-            continue
-        else:
-            raise ProgramSyntaxError(line, f"unexpected character {word!r}")
-        toks.append(tok)
-        if starts is not None:
-            starts.append(m.start())
-    toks.append(_Tok("eof", "", None, line))
-    return toks
+    toks: list[str] = []
+    lines: list[int] = []
+    number = 0
+    for number, line in enumerate(text.split("\n"), 1):
+        cut = line.find("//")
+        if cut >= 0:
+            line = line[:cut]
+        words = _WORD.findall(line)
+        if len(line) > _SHORT_LINE or _SUSPECT.search(line):
+            _check_line(words, number)
+        toks += words
+        lines += [number] * len(words)
+    toks.append("")
+    lines.append(number)
+    return toks, lines
+
+
+def _number(tok: str) -> int:
+    return int(tok, 16) if tok[1:2] in ("x", "X") else int(tok)
 
 
 # What must precede a '-' for it to join into a longer punct ("-" + "-" is "--").
 _MINUS_JOINS = tuple(p[:-1] for p in _PUNCT if len(p) > 1 and p.endswith("-"))
 
 
-def _tokenize_slots(text: str, offsets: list[int]) -> tuple[list[_Tok], list[int]] | None:
+def _tokenize_slots(text: str, offsets: list[int]) -> tuple[list[str], list[int], list[int]] | None:
     """Tokenize `text`, which holds a `0` placeholder at each offset, and find each placeholder's token.
 
-    A placeholder has a slot when it is a token of its own and no '-' put
+    Returns the tokens, their lines and each placeholder's token index.  A
+    placeholder has a slot when it is a token of its own and no '-' put
     before it would join the punct in front of it; then any integer that
     `_fill_slots` puts there tokenizes exactly as it would in the text.
     None when the text does not tokenize or some placeholder has no slot:
     it sits in a comment, is joined to a neighbour (`x0`, `00`, `0x4`) or
     follows a '-'.
     """
-    starts: list[int] = []
     try:
-        toks = _tokenize(text, starts)
+        toks, lines = _tokenize(text)
     except ProgramSyntaxError:
         return None
     slots: list[int] = []
     for offset in offsets:
-        slot = bisect_left(starts, offset)
-        if slot == len(starts) or starts[slot] != offset or toks[slot].text != "0":
+        start = text.rfind("\n", 0, offset) + 1
+        end = text.find("\n", offset)
+        code = text[start : end if end >= 0 else len(text)]
+        column = offset - start
+        cut = code.find("//")
+        if 0 <= cut < column or text.endswith(_MINUS_JOINS, 0, offset):
             return None
-        if text.endswith(_MINUS_JOINS, 0, offset):
+        if cut >= 0:
+            code = code[:cut]
+        # The words on either side spell the line only if the placeholder is a token of its own.
+        before = _WORD.findall(code[:column])
+        if before + ["0"] + _WORD.findall(code[column + 1 :]) != _WORD.findall(code):
             return None
-        slots.append(slot)
-    return toks, slots
+        slots.append(bisect_left(lines, text.count("\n", 0, offset) + 1) + len(before))
+    return toks, lines, slots
 
 
-def _fill_slots(toks: list[_Tok], slots: list[int], values: tuple[int, ...] | list[int]) -> list[_Tok]:
-    """A copy of `toks` with each slot's token replaced by its value.
+def _fill_slots(toks: list[str], lines: list[int], slots: list[int], values: tuple[int, ...] | list[int]) -> _Tokens:
+    """Copies of `toks` and `lines` with each slot's token replaced by its value.
 
     A negative value becomes the two tokens '-' and its magnitude, as its text would tokenize.
     """
-    filled: list[_Tok] = []
+    filled: list[str] = []
+    filled_lines: list[int] = []
     last = 0
     for slot, value in zip(slots, values):
         filled += toks[last:slot]
-        line = toks[slot].line
+        filled_lines += lines[last:slot]
         if value < 0:
-            filled.append(_Tok("punct", "-", None, line))
-        filled.append(_Tok("num", str(abs(value)), abs(value), line))
+            filled.append("-")
+            filled_lines.append(lines[slot])
+        filled.append(str(abs(value)))
+        filled_lines.append(lines[slot])
         last = slot + 1
     filled += toks[last:]
-    return filled
+    filled_lines += lines[last:]
+    return filled, filled_lines
 
 
-_INSTRUCTION_NAMES = {
-    "config_ex",
-    "config_ld",
-    "config_st",
-    "mvin",
-    "mvin2",
-    "mvin3",
-    "preload",
-    "preload_zeros",
-    "compute_preloaded",
-    "compute_accumulated",
-    "mvout",
-    "fence",
+# Each instruction's constructor and its operands in order: a DRAM
+# reference, a local address, a flag, a dataflow or activation name, a
+# channel (any integer), or the name of a count that must be non-negative.
+_CALLS: dict[str, tuple[Callable[..., Instruction], tuple[str, ...]]] = {
+    "config_ex": (ConfigEx, ("dataflow", "activation", "flag", "flag")),
+    "config_ld": (ConfigLd, ("stride", "channel")),
+    "config_st": (ConfigSt, ("stride",)),
+    "mvin": (partial(Mvin, 0), ("dram", "local", "cols", "rows")),
+    "mvin2": (partial(Mvin, 1), ("dram", "local", "cols", "rows")),
+    "mvin3": (partial(Mvin, 2), ("dram", "local", "cols", "rows")),
+    "preload": (Preload, ("local", "local", "B_cols", "B_rows", "C_cols", "C_rows")),
+    "preload_zeros": (PreloadZeros, ("local",)),
+    "compute_preloaded": (ComputePreloaded, ("local", "local", "A_cols", "A_rows", "D_cols", "D_rows")),
+    "compute_accumulated": (ComputeAccumulated, ("local", "local", "A_cols", "A_rows", "D_cols", "D_rows")),
+    "mvout": (Mvout, ("dram", "local", "cols", "rows")),
+    "fence": (Fence, ()),
 }
+_INSTRUCTION_NAMES = set(_CALLS)
 
 _DATAFLOWS = {d.value: d for d in Dataflow}
 _ACTIVATIONS = {a.value: a for a in Activation}
+_NAMED_OPERANDS = {"dataflow": _DATAFLOWS, "activation": _ACTIVATIONS}
 _KEYWORDS = {"static", "uint32_t", "int", "for", "if", "else", "void", "sizeof", "float", "true", "false"}
+
+# Binary operators by precedence, all left-associative, as in C.
+_BINARY = {"|": 1, "<<": 2, "+": 3, "-": 3, "*": 4}
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], buffers: dict[str, tuple[int, int]] | None):
+    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]] | None):
         self.toks = toks
+        self.lines = lines
         self.pos = 0
         self.infer_buffers = buffers is None
         self.buffers: dict[str, tuple[int, int]] = dict(buffers) if buffers else {}
@@ -239,120 +277,114 @@ class _Parser:
         self.depth = 0
 
     # -- token helpers ------------------------------------------------------
+    # The end token "" matches no expected text, so a parse that goes on never
+    # moves past it.
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+    def next(self) -> str:
+        """The current token; the position moves on unless it is the end."""
+        tok = self.toks[self.pos]
+        if tok:
             self.pos += 1
-        return t
+        return tok
 
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ProgramSyntaxError(t.line, f"expected '{text}', found '{t.text or 'end of input'}'")
-        return t
+    def expect(self, text: str) -> None:
+        tok = self.toks[self.pos]
+        if tok != text:
+            raise self.error(f"expected '{text}', found '{tok or 'end of input'}'")
+        self.pos += 1
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
+    def error(self, reason: str, pos: int | None = None) -> ProgramSyntaxError:
+        """A syntax error at the line of token `pos`, the current one by default."""
+        return ProgramSyntaxError(self.lines[self.pos if pos is None else pos], reason)
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with `self.depth -= 1`."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise ProgramSyntaxError(self.peek().line, f"nesting deeper than {_MAX_NESTING} levels")
+            raise self.error(f"nesting deeper than {_MAX_NESTING} levels")
 
     # -- name resolution ----------------------------------------------------
 
-    def lookup(self, name: str, line: int) -> int:
+    def lookup(self, name: str, pos: int) -> int:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
         if name in self.symbols:
             return self.symbols[name]
-        raise UnboundSymbolError(line, name)
+        raise UnboundSymbolError(self.lines[pos], name)
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> int:
-        return self._bitor()
-
-    def _bitor(self) -> int:
-        v = self._shift()
-        while self.at("|"):
-            self.next()
-            v |= self._shift()
-        return v
-
-    def _shift(self) -> int:
-        v = self._additive()
-        while self.at("<<"):
-            line = self.next().line
-            count = self._additive()
-            if count < 0:
-                raise ProgramSyntaxError(line, f"negative shift count {count}")
-            v <<= count
-        return v
-
-    def _additive(self) -> int:
-        v = self._term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self._term()
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    def _term(self) -> int:
-        v = self._unary()
-        while self.at("*"):
-            self.next()
-            v *= self._unary()
-        return v
-
-    def _unary(self) -> int:
+    def parse_expr(self, floor: int = 1) -> int:
+        """An operand, then every binary operator of precedence `floor` or more (precedence climbing)."""
+        toks = self.toks
+        pos = self.pos
+        tok = toks[pos]
         negate = False
-        while self.at("-"):
-            self.next()
+        while tok == "-":
             negate = not negate
-        v = self._atom()
-        return -v if negate else v
-
-    def _atom(self) -> int:
-        t = self.next()
-        if t.kind == "num":
-            assert t.value is not None
-            return t.value
-        if t.text == "(":
+            pos += 1
+            tok = toks[pos]
+        self.pos = pos + 1
+        if tok[:1].isdigit():
+            value = _number(tok)
+        elif tok == "(":
             self.enter()
-            v = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
             self.depth -= 1
-            return v
-        if t.text == "sizeof":
+        elif tok == "sizeof":
             self.expect("(")
             self.expect("float")
             self.expect(")")
-            return 4
-        if t.kind == "ident":
-            return self.lookup(t.text, t.line)
-        raise ProgramSyntaxError(t.line, f"expected an expression, found '{t.text or 'end of input'}'")
+            value = 4
+        elif tok.isidentifier():
+            value = self.lookup(tok, pos)
+        else:
+            raise self.error(f"expected an expression, found '{tok or 'end of input'}'", pos)
+        if negate:
+            value = -value
+        while True:
+            op = toks[self.pos]
+            precedence = _BINARY.get(op, 0)
+            if precedence < floor:
+                return value
+            at = self.pos
+            self.pos += 1
+            rhs = self.parse_expr(precedence + 1)
+            if op == "+":
+                value += rhs
+            elif op == "-":
+                value -= rhs
+            elif op == "|":
+                value |= rhs
+            elif op == "*":
+                # Nonzero factors of a and b bits multiply to at least 2**(a+b-2),
+                # so only products of at most 65 bits are computed.
+                if value and rhs and value.bit_length() + rhs.bit_length() > 65 or abs(value * rhs) >= _INT_LIMIT:
+                    raise self.error("'*' result reaches 2**64 in magnitude", at)
+                value *= rhs
+            else:
+                if rhs < 0:
+                    raise self.error(f"negative shift count {rhs}", at)
+                if value and value.bit_length() + rhs > 64:
+                    raise self.error("'<<' result reaches 2**64 in magnitude", at)
+                value <<= rhs
 
     # -- conditions for if() ------------------------------------------------
 
     def parse_cond(self) -> bool:
         v = self._cond_and()
-        while self.at("||"):
-            self.next()
+        while self.toks[self.pos] == "||":
+            self.pos += 1
             rhs = self._cond_and()
             v = v or rhs
         return v
 
     def _cond_and(self) -> bool:
         v = self._cond_atom()
-        while self.at("&&"):
-            self.next()
+        while self.toks[self.pos] == "&&":
+            self.pos += 1
             rhs = self._cond_atom()
             v = v and rhs
         return v
@@ -360,9 +392,9 @@ class _Parser:
     def _cond_atom(self) -> bool:
         # A parenthesized condition is ambiguous with a parenthesized integer
         # expression; try the condition reading first.
-        if self.at("("):
+        if self.toks[self.pos] == "(":
             save = self.pos, self.depth
-            self.next()
+            self.pos += 1
             self.enter()
             try:
                 v = self.parse_cond()
@@ -372,26 +404,19 @@ class _Parser:
             except ProgramSyntaxError:
                 self.pos, self.depth = save
         lhs = self.parse_expr()
-        t = self.next()
-        if t.text not in ("==", "!=", "<", "<=", ">", ">="):
-            raise ProgramSyntaxError(t.line, f"expected a comparison operator, found '{t.text}'")
-        rhs = self.parse_expr()
-        return {
-            "==": lhs == rhs,
-            "!=": lhs != rhs,
-            "<": lhs < rhs,
-            "<=": lhs <= rhs,
-            ">": lhs > rhs,
-            ">=": lhs >= rhs,
-        }[t.text]
+        op = self.toks[self.pos]
+        if op not in _COMPARE:
+            raise self.error(f"expected a comparison operator, found '{op}'")
+        self.pos += 1
+        return _COMPARE[op](lhs, self.parse_expr())
 
     # -- operand helpers ----------------------------------------------------
 
     def parse_dram_ref(self) -> DramRef:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ProgramSyntaxError(t.line, "DRAM operand must start with a buffer name")
-        name = t.text
+        at = self.pos
+        name = self.toks[at]
+        if not name.isidentifier():
+            raise self.error("DRAM operand must start with a buffer name")
         # A table buffer stays a buffer where a loop variable of its name is in
         # scope, while inference refuses the name there.  Loop variables are
         # the only scoped names (see _parse_for), so text that parses against
@@ -403,160 +428,136 @@ class _Parser:
         if not known:
             # A declared symbol is not a buffer; anything else is unbound.
             if name in self.symbols or self._in_scope(name):
-                raise ProgramSyntaxError(t.line, f"'{name}' is not a declared buffer")
-            raise UnboundSymbolError(t.line, name)
-        self.next()
+                raise self.error(f"'{name}' is not a declared buffer")
+            raise UnboundSymbolError(self.lines[at], name)
+        self.pos += 1
         offset = 0
-        if self.at("+"):
-            self.next()
-            offset = self.parse_expr()
-        elif self.at("-"):
-            self.next()
-            offset = -self.parse_expr()
+        sign = self.toks[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+            offset = self.parse_expr() if sign == "+" else -self.parse_expr()
         if offset < 0:
-            raise ProgramSyntaxError(t.line, f"negative DRAM offset {offset} for buffer '{name}'")
+            raise self.error(f"negative DRAM offset {offset} for buffer '{name}'", at)
         return DramRef(name, offset)
 
     def _in_scope(self, name: str) -> bool:
         return any(name in s for s in self.scopes)
 
-    def parse_local_addr(self) -> LocalAddr:
-        line = self.peek().line
-        v = self.parse_expr()
-        if v < 0 or v > 0xFFFFFFFF:
-            raise ProgramSyntaxError(line, f"local address {v:#x} outside 32-bit range")
-        return LocalAddr(v)
-
-    def _flag_arg(self) -> bool:
-        t = self.peek()
-        if t.text == "true":
-            self.next()
-            return True
-        if t.text == "false":
-            self.next()
-            return False
-        return bool(self.parse_expr())
-
-    def _nonneg(self, what: str) -> int:
-        line = self.peek().line
-        v = self.parse_expr()
-        if v < 0:
-            raise ProgramSyntaxError(line, f"{what} must be non-negative, got {v}")
-        return v
-
     # -- statements ---------------------------------------------------------
 
     def parse_program_body(self) -> None:
-        while self.peek().kind != "eof":
+        while self.toks[self.pos]:
             self.parse_statement()
 
     def parse_statement(self) -> None:
-        t = self.peek()
-        if t.text in ("{", "void", "for", "if"):
+        tok = self.toks[self.pos]
+        if tok in ("{", "void", "for", "if"):
             self.enter()
-            if t.text == "{":
+            if tok == "{":
                 self._parse_block()
-            elif t.text == "void":
+            elif tok == "void":
                 self._parse_function_wrapper()
-            elif t.text == "for":
+            elif tok == "for":
                 self._parse_for()
             else:
                 self._parse_if()
             self.depth -= 1
-            return
-        if t.text == ";":
-            self.next()
-            return
-        if t.text in ("static", "uint32_t"):
+        elif tok == ";":
+            self.pos += 1
+        elif tok == "static" or tok == "uint32_t":
             self._parse_declaration()
-            return
-        if t.kind == "ident" and self.peek(1).text == "(":
+        elif tok.isidentifier() and self.toks[self.pos + 1] == "(":
             self._parse_call()
-            return
-        raise ProgramSyntaxError(t.line, f"unexpected token '{t.text or 'end of input'}'")
+        else:
+            raise self.error(f"unexpected token '{tok or 'end of input'}'")
 
     def _parse_block(self) -> None:
-        t = self.expect("{")
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                raise ProgramSyntaxError(t.line, "unterminated block")
+        at = self.pos
+        self.expect("{")
+        while self.toks[self.pos] != "}":
+            if not self.toks[self.pos]:
+                raise self.error("unterminated block", at)
             self.parse_statement()
-        self.next()
+        self.pos += 1
 
     def _parse_function_wrapper(self) -> None:
         self.expect("void")
-        t = self.next()
-        if t.kind != "ident":
-            raise ProgramSyntaxError(t.line, "expected a function name after 'void'")
+        at = self.pos
+        if not self.next().isidentifier():
+            raise self.error("expected a function name after 'void'", at)
         self.expect("(")
         depth = 1
         while depth:
             tok = self.next()
-            if tok.kind == "eof":
-                raise ProgramSyntaxError(t.line, "unterminated parameter list")
-            if tok.text == "(":
+            if not tok:
+                raise self.error("unterminated parameter list", at)
+            if tok == "(":
                 depth += 1
-            elif tok.text == ")":
+            elif tok == ")":
                 depth -= 1
         self.parse_statement()  # the function body block
 
     def _parse_declaration(self) -> None:
-        if self.at("static"):
-            self.next()
+        if self.toks[self.pos] == "static":
+            self.pos += 1
         self.expect("uint32_t")
-        t = self.next()
-        if t.kind != "ident":
-            raise ProgramSyntaxError(t.line, "expected a name in declaration")
-        if t.text in self.buffers:
-            raise ProgramSyntaxError(t.line, f"'{t.text}' is already a buffer name")
+        at = self.pos
+        name = self.next()
+        if not name.isidentifier():
+            raise self.error("expected a name in declaration", at)
+        if name in self.buffers:
+            raise self.error(f"'{name}' is already a buffer name", at)
         self.expect("=")
         value = self.parse_expr()
         self.expect(";")
-        self.symbols[t.text] = value
+        self.symbols[name] = value
+
+    def _word(self, want: str, reason: str) -> None:
+        """Consume the current token, which must be `want`, or raise `reason`."""
+        if self.toks[self.pos] != want:
+            raise self.error(reason)
+        self.pos += 1
 
     def _parse_for(self) -> None:
         # The one place a scoped name is bound, always as `NAME =` in the header.
-        kw = self.expect("for")
+        kw = self.pos
+        self.expect("for")
         self.expect("(")
-        if self.at("int") or self.at("uint32_t"):
-            self.next()
-        name_tok = self.next()
-        if name_tok.kind != "ident":
-            raise ProgramSyntaxError(name_tok.line, "expected a loop variable name")
-        var = name_tok.text
+        if self.toks[self.pos] in ("int", "uint32_t"):
+            self.pos += 1
+        at = self.pos
+        var = self.next()
+        if not var.isidentifier():
+            raise self.error("expected a loop variable name", at)
         self.expect("=")
         start = self.parse_expr()
         self.expect(";")
-        cond_var = self.next()
-        if cond_var.text != var:
-            raise ProgramSyntaxError(cond_var.line, f"loop condition must test '{var}'")
-        cmp_tok = self.next()
-        if cmp_tok.text not in ("<", "<="):
-            raise NonConstantLoopBoundError(cmp_tok.line, f"unsupported loop comparison '{cmp_tok.text}'")
+        self._word(var, f"loop condition must test '{var}'")
+        cmp = self.toks[self.pos]
+        if cmp not in ("<", "<="):
+            raise NonConstantLoopBoundError(self.lines[self.pos], f"unsupported loop comparison '{cmp}'")
+        self.pos += 1
         bound = self.parse_expr()
-        if cmp_tok.text == "<=":
+        if cmp == "<=":
             bound += 1
         self.expect(";")
-        step_var = self.next()
-        if step_var.text != var:
-            raise ProgramSyntaxError(step_var.line, f"loop step must update '{var}'")
-        t = self.next()
-        if t.text == "++":
+        self._word(var, f"loop step must update '{var}'")
+        at = self.pos
+        update = self.next()
+        if update == "++":
             step = 1
-        elif t.text == "+=":
+        elif update == "+=":
             step = self.parse_expr()
-        elif t.text == "=":
-            again = self.next()
-            if again.text != var:
-                raise ProgramSyntaxError(again.line, f"loop step must update '{var}'")
+        elif update == "=":
+            self._word(var, f"loop step must update '{var}'")
             self.expect("+")
             step = self.parse_expr()
         else:
-            raise ProgramSyntaxError(t.line, f"unsupported loop step '{t.text}'")
+            raise self.error(f"unsupported loop step '{update}'", at)
         if step <= 0:
-            raise NonConstantLoopBoundError(kw.line, f"loop step must be positive, got {step}")
+            raise NonConstantLoopBoundError(self.lines[kw], f"loop step must be positive, got {step}")
         if (bound - start) > 0 and (bound - start) / step > _UNROLL_LIMIT:
-            raise NonConstantLoopBoundError(kw.line, "loop unrolls to too many iterations")
+            raise NonConstantLoopBoundError(self.lines[kw], "loop unrolls to too many iterations")
         self.expect(")")
         body_start = self.pos
         value = start
@@ -569,7 +570,7 @@ class _Parser:
             value += step
             iterations += 1
             if len(self.out) > _UNROLL_LIMIT:
-                raise NonConstantLoopBoundError(kw.line, "program unrolls to too many instructions")
+                raise NonConstantLoopBoundError(self.lines[kw], "program unrolls to too many instructions")
         if iterations == 0:
             # Still need to skip over the (never-executed) body.
             self.scopes.append({var: start})
@@ -591,107 +592,57 @@ class _Parser:
             self.parse_statement()
         else:
             self._skip_statement()
-        if self.at("else"):
-            self.next()
+        if self.toks[self.pos] == "else":
+            self.pos += 1
             if taken:
                 self._skip_statement()
             else:
                 self.parse_statement()
 
     def _parse_call(self) -> None:
-        name_tok = self.next()
-        name = name_tok.text
-        if name not in _INSTRUCTION_NAMES:
-            raise UnknownFunctionError(name_tok.line, name)
-        self.expect("(")
-        ins = self._build_instruction(name, name_tok.line)
+        at = self.pos
+        name = self.toks[at]
+        if name not in _CALLS:
+            raise UnknownFunctionError(self.lines[at], name)
+        build, kinds = _CALLS[name]
+        self.pos += 2  # the name and its '('
+        operands = []
+        for kind in kinds:
+            if operands:
+                self.expect(",")
+            operands.append(self._operand(kind))
         self.expect(")")
         self.expect(";")
-        self.out.append(ins)
+        self.out.append(build(*operands))
 
-    def _comma(self) -> None:
-        self.expect(",")
-
-    def _build_instruction(self, name: str, line: int) -> Instruction:
-        if name == "fence":
-            return Fence()
-        if name == "config_ex":
-            t = self.next()
-            if t.text not in _DATAFLOWS:
-                raise ProgramSyntaxError(t.line, f"unknown dataflow '{t.text}'")
-            dataflow = _DATAFLOWS[t.text]
-            self._comma()
-            t = self.next()
-            if t.text not in _ACTIVATIONS:
-                raise ProgramSyntaxError(t.line, f"unknown activation '{t.text}'")
-            act = _ACTIVATIONS[t.text]
-            self._comma()
-            a_t = self._flag_arg()
-            self._comma()
-            b_t = self._flag_arg()
-            return ConfigEx(dataflow, act, a_t, b_t)
-        if name == "config_ld":
-            stride = self._nonneg("stride")
-            self._comma()
-            channel = self.parse_expr()
-            return ConfigLd(stride, channel)
-        if name == "config_st":
-            return ConfigSt(self._nonneg("stride"))
-        if name in ("mvin", "mvin2", "mvin3"):
-            channel = {"mvin": 0, "mvin2": 1, "mvin3": 2}[name]
-            dram = self.parse_dram_ref()
-            self._comma()
-            local = self.parse_local_addr()
-            self._comma()
-            cols = self._nonneg("cols")
-            self._comma()
-            rows = self._nonneg("rows")
-            return Mvin(channel, dram, local, cols, rows)
-        if name == "preload":
-            b = self.parse_local_addr()
-            self._comma()
-            c = self.parse_local_addr()
-            self._comma()
-            b_cols = self._nonneg("B_cols")
-            self._comma()
-            b_rows = self._nonneg("B_rows")
-            self._comma()
-            c_cols = self._nonneg("C_cols")
-            self._comma()
-            c_rows = self._nonneg("C_rows")
-            return Preload(b, c, b_cols, b_rows, c_cols, c_rows)
-        if name == "preload_zeros":
-            return PreloadZeros(self.parse_local_addr())
-        if name in ("compute_preloaded", "compute_accumulated"):
-            a = self.parse_local_addr()
-            self._comma()
-            d = self.parse_local_addr()
-            self._comma()
-            a_cols = self._nonneg("A_cols")
-            self._comma()
-            a_rows = self._nonneg("A_rows")
-            self._comma()
-            d_cols = self._nonneg("D_cols")
-            self._comma()
-            d_rows = self._nonneg("D_rows")
-            cls = ComputePreloaded if name == "compute_preloaded" else ComputeAccumulated
-            return cls(a, d, a_cols, a_rows, d_cols, d_rows)
-        if name == "mvout":
-            dram = self.parse_dram_ref()
-            self._comma()
-            local = self.parse_local_addr()
-            self._comma()
-            cols = self._nonneg("cols")
-            self._comma()
-            rows = self._nonneg("rows")
-            return Mvout(dram, local, cols, rows)
-        raise UnknownFunctionError(line, name)
+    def _operand(self, kind: str) -> DramRef | LocalAddr | Dataflow | Activation | bool | int:
+        if kind == "dram":
+            return self.parse_dram_ref()
+        at = self.pos
+        if kind in _NAMED_OPERANDS:
+            word = self.next()
+            if word not in _NAMED_OPERANDS[kind]:
+                raise self.error(f"unknown {kind} '{word}'", at)
+            return _NAMED_OPERANDS[kind][word]
+        if kind == "flag" and self.toks[at] in ("true", "false"):
+            self.pos += 1
+            return self.toks[at] == "true"
+        value = self.parse_expr()
+        if kind == "local":
+            if value < 0 or value > 0xFFFFFFFF:
+                raise self.error(f"local address {value:#x} outside 32-bit range", at)
+            return LocalAddr(value)
+        if kind == "flag":
+            return bool(value)
+        if value < 0 and kind != "channel":
+            raise self.error(f"{kind} must be non-negative, got {value}", at)
+        return value
 
 
-def parse_program(source: str | list[_Tok], buffers: dict[str, tuple[int, int]] | None = None) -> Program:
+def parse_program(source: str | _Tokens, buffers: dict[str, tuple[int, int]] | None = None) -> Program:
     """Parse program text, or the tokens `_tokenize` made of it, into a Program.
 
-    A token list is only read, so one list can be parsed many times.
+    Tokens are only read, so one pair of lists can be parsed many times.
 
     `buffers` maps declared DRAM buffer names to (rows, cols).  Passing None
     switches on buffer inference: any fresh identifier in a DRAM operand
@@ -699,7 +650,8 @@ def parse_program(source: str | list[_Tok], buffers: dict[str, tuple[int, int]] 
     whether free-form text looks like a program; real verification always
     supplies the kernel's buffer table.
     """
-    parser = _Parser(_tokenize(source) if isinstance(source, str) else source, buffers)
+    toks, lines = _tokenize(source) if isinstance(source, str) else source
+    parser = _Parser(toks, lines, buffers)
     parser.parse_program_body()
     return Program(tuple(parser.out), parser.buffers, parser.symbols)
 

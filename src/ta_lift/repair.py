@@ -187,10 +187,8 @@ class FillEnumerator:
         # A fill that the table accepts is refused by inference only where a
         # `for` binds a table name (see program_text's parse_dram_ref); only
         # then, or without slots, is the inferred parse run on such fills.
-        tokens = self._slots[0] if self._slots else []
-        self._infer_always = self._slots is None or any(
-            a.text in buffers and b.text == "=" for a, b in zip(tokens, tokens[1:])
-        )
+        toks = self._slots[0] if self._slots else []
+        self._infer_always = self._slots is None or any(a in buffers and b == "=" for a, b in zip(toks, toks[1:]))
 
     def _parse(self, values: tuple[int, ...]) -> Program | None:
         """The fill parsed against the buffer table, None if only the inferred parse accepts it.

@@ -114,9 +114,14 @@ def test_extract_bare_program_passes_through():
         "static uint32_t x = " + "(" * 5000 + "1" + ")" * 5000 + ";\n" + golden_program("mm1"),
         "{" * 5000 + "}" * 5000 + "\n" + golden_program("mm1"),
         "if (" + "(" * 5000 + "1 == 1" + ")" * 5000 + ") { fence(); }\n" + golden_program("mm1"),
+        "config_st(1 << 100000);\n" + golden_program("mm1"),
+        "static uint32_t A0 = 0xffff;\n"
+        + "".join(f"static uint32_t A{i + 1} = A{i} * A{i};\n" for i in range(10))
+        + golden_program("mm1"),
+        "config_st(" + "9" * 5000 + ");\n" + golden_program("mm1"),
     ],
     ids=["hex-without-digits", "non-ascii-digit", "negative-shift", "deep-parens", "deep-braces",
-         "deep-condition"],
+         "deep-condition", "huge-shift", "squaring-chain", "long-literal"],
 )
 def test_garbled_literal_is_a_parse_failure(text):
     spec = kernel("mm1")

@@ -107,6 +107,9 @@ def test_render_wraps_long_headers():
     assert parse_kernel(render_kernel(short)) == short
 
 
+BIG = "3" + "0" * 38 + ".0"
+
+
 @pytest.mark.parametrize(
     "text,error",
     [
@@ -119,11 +122,21 @@ def test_render_wraps_long_headers():
         ("def f(A: f32[4] @ DRAM):\n    A[A[0]] = 0.0\n", KernelSyntaxError),
         ("def f(A: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        A[i + 1] = 0.0\n", BoundsError),
         ("def f(A: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        A[i, 0] = 0.0\n", BoundsError),
+        # interpret indexes in f32, where 0.99999999999 * 2 is 2.0.
+        ("def f(A: f32[2] @ DRAM):\n    A[0.99999999999 * 2] = 0.0\n", BoundsError),
+        # 3e38 + 3e38 overflows f32 to inf, so the index is inf, not 0.
+        (f"def f(A: f32[4] @ DRAM):\n    A[{BIG} + {BIG} - {BIG} - {BIG}] = 0.0\n", BoundsError),
     ],
 )
 def test_parse_rejects_malformed_kernels(text, error):
     with pytest.raises(error):
         parse_kernel(text)
+
+
+def test_float_index_bounds_are_checked_in_f32():
+    # f32(3) * f32(0.99999997) is 2.9999998, below 3, although 3 * 0.99999997 rounds to 3.0 in f32.
+    nest = parse_kernel("def f(A: f32[3] @ DRAM):\n    for i in seq(3, 4):\n        A[i * 0.99999997] = 1.0\n")
+    assert interpret(nest, {"A": np.zeros(3, dtype=np.float32)})["A"].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_expression_rendering():

@@ -426,6 +426,17 @@ def test_session_equivalence_gate_catches_unsound_fission():
     assert session.records[-1].result == message
 
 
+def test_session_refuses_a_rewrite_whose_index_rounds_out_of_bounds():
+    # Unrolling folds 3 * 0.99999997 into one constant, which f32 rounds to 3.0.
+    text = "def t(A: f32[3] @ DRAM):\n    for i in seq(3, 4):\n        A[i * 0.99999997] = 1.0\n"
+    session = ScheduleSession(parse_kernel(text))
+    ok, message = session.apply(command("unroll", line="for i in seq(3, 4):"))
+    assert not ok
+    assert message == "A index 0 spans [3.0, 3.0] outside [0, 2]"
+    assert session.full == parse_kernel(text)
+    assert session.records[-1].result == message
+
+
 # -- prompts and the replay loop ------------------------------------------------
 
 
