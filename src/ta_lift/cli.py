@@ -36,7 +36,7 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .kernels import KernelSpec, Verdict, generate_testcases, machine_for_case, verify_program, verify_source
+from .kernels import KernelSpec, Verdict, generate_testcases, machine_for_cases, verify_program, verify_source
 from .loopir import BoundsError, KernelSyntaxError, locality_cost, parse_kernel, render_kernel
 from .machine import ExecError, execute, read_output
 from .optimizer import optimize_program
@@ -226,15 +226,18 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     if program is None:
         return EXIT_FAIL
     cases = generate_testcases(spec, ns.seed, ns.n)
-    outputs = []
-    for index, case in enumerate(cases):
-        machine = machine_for_case(spec, case)
+    results = []
+    if cases:
+        machine = machine_for_cases(spec, cases)
         try:
             execute(machine, program)
         except ExecError as err:
-            print(f"case {index}: execution failed: {err}")
+            # Execution errors depend only on the program, so the first case hits it.
+            print(f"case 0: execution failed: {err}")
             return EXIT_FAIL
-        result = read_output(machine, spec.c)
+        results = read_output(machine, spec.c)
+    outputs = []
+    for index, result in enumerate(results):
         outputs.append({"index": index, "output": result.tolist()})
         print(f"case {index}: {spec.c} shape {result.shape[0]}x{result.shape[1]} "
               f"checksum {float(result.sum()):.6g}")

@@ -206,13 +206,13 @@ class Verdict:
     cases: list[CaseOutcome] = field(default_factory=list)
 
 
-def machine_for_case(spec: KernelSpec, case: TestCase, cfg: MachineConfig | None = None) -> Machine:
-    """Bind a test case's inputs into a fresh machine.
+def machine_for_cases(spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Machine:
+    """Bind the cases' inputs into one fresh machine, case axis first.
 
     Bias buffers are negated for subtracting kernels; see the module
     docstring.
     """
-    contents = dict(case.inputs)
+    contents = {name: np.stack([case.inputs[name] for case in cases]) for name in cases[0].inputs}
     if spec.sub and spec.d is not None and spec.d in contents:
         contents[spec.d] = -contents[spec.d]
     return create_machine(cfg, spec.buffer_shapes(), contents)
@@ -233,36 +233,32 @@ def _compare(got: np.ndarray, want: np.ndarray, exact: bool) -> tuple[int, int] 
     return int(r), int(c)
 
 
-def verify_case(p: Program, spec: KernelSpec, case: TestCase, cfg: MachineConfig) -> CaseOutcome:
-    machine = machine_for_case(spec, case, cfg)
+def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:
+    """Run all cases in one batched execution, then report them in order up to the first that fails.
+
+    Execution errors depend only on the program, so one fails every case
+    alike and is reported as case 0's.
+    """
+    verdict = Verdict(passed=True)
+    if not cases:
+        return verdict
+    machine = machine_for_cases(spec, cases, cfg)
     try:
         execute(machine, p)
     except ExecError as e:
-        return CaseOutcome(index=0, passed=False, failure=ExecFailure(e.index, e.kind, e.detail))
-    got = read_output(machine, spec.c)
-    position = _compare(got, case.expected, exact=_integer_valued(case))
-    if position is None:
-        return CaseOutcome(index=0, passed=True)
-    r, c = position
-    return CaseOutcome(
-        index=0,
-        passed=False,
-        failure=WrongResult(position, float(got[r, c]), float(case.expected[r, c])),
-    )
-
-
-def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:
-    """Run every case; fail fast on the first case that does not pass."""
-    cfg = cfg or MachineConfig()
-    verdict = Verdict(passed=True)
-    for index, case in enumerate(cases):
-        outcome = verify_case(p, spec, case, cfg)
-        outcome.index = index
-        verdict.cases.append(outcome)
-        if not outcome.passed:
-            verdict.passed = False
-            verdict.failure = outcome.failure
-            break
+        failure = ExecFailure(e.index, e.kind, e.detail)
+        return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
+    outputs = read_output(machine, spec.c)
+    for index, (case, got) in enumerate(zip(cases, outputs)):
+        position = _compare(got, case.expected, exact=_integer_valued(case))
+        if position is None:
+            verdict.cases.append(CaseOutcome(index=index, passed=True))
+            continue
+        r, c = position
+        verdict.passed = False
+        verdict.failure = WrongResult(position, float(got[r, c]), float(case.expected[r, c]))
+        verdict.cases.append(CaseOutcome(index=index, passed=False, failure=verdict.failure))
+        break
     return verdict
 
 

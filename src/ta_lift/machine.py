@@ -5,6 +5,12 @@ accumulator (both row-addressed, DIM elements wide), configuration
 registers, and the latched weights/output-address pair left by the most
 recent preload.  Execution is sequential; every error carries the index of
 the offending instruction.
+
+A machine may hold a batch of cases: every array of data state (DRAM
+buffers, scratchpad, accumulator, latched weights) then carries the case
+axes in front, and each instruction runs once for all cases.  Every check
+depends only on the program and the configuration, never on the data, so a
+batched run fails exactly where each of its cases would fail alone.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ class _ExecRegs:
 
 @dataclass
 class _Latched:
-    weights: np.ndarray  # post-transpose W block
+    weights: np.ndarray  # post-transpose W block, behind the case axes
     c_raw: int
     c_row: int
     c_accumulate: bool
@@ -108,26 +114,36 @@ def create_machine(
 ) -> Machine:
     """Build a machine with the given DRAM buffers.
 
-    Buffers named in `shapes` but absent from `contents` start zeroed.
+    Buffers named in `shapes` but absent from `contents` start zeroed.  Each
+    content array is a (rows, cols) matrix with the same leading case axes
+    as every other content array; those axes become the machine's batch
+    shape, which is empty for plain matrices.
     """
     cfg = cfg or MachineConfig()
     contents = contents or {}
     for name in contents:
         if name not in shapes:
             raise ShapeMismatch(f"contents given for undeclared buffer '{name}'")
-    dram: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}
+    batch: tuple[int, ...] | None = None
     for name, (rows, cols) in shapes.items():
         if rows < 1 or cols < 1:
             raise ShapeMismatch(f"buffer '{name}' has degenerate shape ({rows}, {cols})")
         if name in contents:
-            arr = np.asarray(contents[name], dtype=np.float32)
-            if arr.shape != (rows, cols):
+            arr = np.array(contents[name], dtype=np.float32)
+            if arr.shape[-2:] != (rows, cols):
                 raise ShapeMismatch(f"buffer '{name}' expects shape ({rows}, {cols}), got {arr.shape}")
-            dram[name] = arr.copy()
-        else:
-            dram[name] = np.zeros((rows, cols), dtype=np.float32)
-    spad = np.zeros((cfg.spad_rows, cfg.dim), dtype=np.float32)
-    acc = np.zeros((cfg.acc_rows, cfg.dim), dtype=np.float32)
+            if batch is not None and arr.shape[:-2] != batch:
+                raise ShapeMismatch(f"buffer '{name}' has case shape {arr.shape[:-2]} but earlier contents have {batch}")
+            batch = arr.shape[:-2]
+            arrays[name] = arr
+    batch = batch or ()
+    dram = {
+        name: arrays[name] if name in arrays else np.zeros(batch + shape, dtype=np.float32)
+        for name, shape in shapes.items()
+    }
+    spad = np.zeros(batch + (cfg.spad_rows, cfg.dim), dtype=np.float32)
+    acc = np.zeros(batch + (cfg.acc_rows, cfg.dim), dtype=np.float32)
     return Machine(cfg, dram, spad, acc)
 
 
@@ -151,15 +167,37 @@ def _check_local_rows(m: Machine, idx: int, space: Space, row: int, nrows: int) 
 
 
 def _dram_flat(m: Machine, idx: int, buffer: str) -> np.ndarray:
+    """The buffer as one row of elements per case: a writable view."""
     if buffer not in m.dram:
         raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{buffer}'")
-    return m.dram[buffer].reshape(-1)
+    arr = m.dram[buffer]
+    return arr.reshape(arr.shape[:-2] + (-1,))
+
+
+def _exec_config_ex(m: Machine, idx: int, ins: ConfigEx) -> None:
+    m.regs.dataflow = ins.dataflow
+    m.regs.act = ins.act
+    m.regs.a_transpose = ins.a_transpose
+    m.regs.b_transpose = ins.b_transpose
+
+
+def _exec_config_ld(m: Machine, idx: int, ins: ConfigLd) -> None:
+    m.ld_strides[ins.channel] = ins.stride_bytes
+
+
+def _exec_config_st(m: Machine, idx: int, ins: ConfigSt) -> None:
+    m.st_stride = ins.stride_bytes
+
+
+def _exec_fence(m: Machine, idx: int, ins: Fence) -> None:
+    pass  # sequential semantics: nothing outstanding to wait on
 
 
 def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
     dim = m.config.dim
     pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
     flat = _dram_flat(m, idx, ins.dram.buffer)
+    size = flat.shape[-1]
     space = ins.local.space
     mem = _local_mem(m, space)
     tiles = (ins.cols + dim - 1) // dim
@@ -170,25 +208,25 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
             src = ins.dram.offset + r * pitch + t * dim
-            if src < 0 or src + width > flat.size:
+            if src < 0 or src + width > size:
                 raise ExecError(
                     idx,
                     "dram_out_of_range",
-                    f"read [{src}, {src + width}) exceeds buffer '{ins.dram.buffer}' of {flat.size} elements",
+                    f"read [{src}, {src + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
                 )
             dst = base_row + t * dim + r
             if accumulate:
-                mem[dst, :width] += flat[src : src + width]
+                mem[..., dst, :width] += flat[..., src : src + width]
             else:
-                mem[dst, :width] = flat[src : src + width]
+                mem[..., dst, :width] = flat[..., src : src + width]
     m.dram_bytes_in += ELEMENT_BYTES * ins.cols * ins.rows
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
     if not ins.b.is_sentinel:
         _check_local_rows(m, idx, Space.SCRATCHPAD, ins.b.row, ins.b_rows)
-        block = m.spad[ins.b.row : ins.b.row + ins.b_rows, : ins.b_cols].copy()
-        weights = block.T.copy() if m.regs.b_transpose else block
+        block = m.spad[..., ins.b.row : ins.b.row + ins.b_rows, : ins.b_cols].copy()
+        weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block
     else:
         if m.latched is None:
             raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
@@ -206,7 +244,7 @@ def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
 def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
     dim = m.config.dim
     m.latched = _Latched(
-        weights=np.zeros((dim, dim), dtype=np.float32),
+        weights=np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32),
         c_raw=ins.c.raw,
         c_row=ins.c.row,
         c_accumulate=ins.c.accumulate,
@@ -224,37 +262,36 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
     if lat is None:
         raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
     _check_local_rows(m, idx, Space.SCRATCHPAD, ins.a.row, ins.a_rows)
-    a_raw = m.spad[ins.a.row : ins.a.row + ins.a_rows, : ins.a_cols]
-    a_eff = a_raw.T if m.regs.a_transpose else a_raw
-    if a_eff.shape[1] != lat.weights.shape[0]:
+    a_raw = m.spad[..., ins.a.row : ins.a.row + ins.a_rows, : ins.a_cols]
+    a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
+    a_rows, a_cols = a_eff.shape[-2:]
+    w_rows, w_cols = lat.weights.shape[-2:]
+    if a_cols != w_rows:
         raise ExecError(
             idx,
             "dimension_mismatch",
-            f"A is {a_eff.shape[0]}x{a_eff.shape[1]} but weights are "
-            f"{lat.weights.shape[0]}x{lat.weights.shape[1]}",
+            f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}",
+        )
+    if (a_rows, w_cols) != (lat.c_rows, lat.c_cols):
+        raise ExecError(
+            idx,
+            "dimension_mismatch",
+            f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}",
         )
     product = a_eff.astype(np.float32) @ lat.weights
-    if product.shape != (lat.c_rows, lat.c_cols):
-        raise ExecError(
-            idx,
-            "dimension_mismatch",
-            f"result is {product.shape[0]}x{product.shape[1]} but the preload latched "
-            f"{lat.c_rows}x{lat.c_cols}",
-        )
     if ins.d.is_sentinel:
         biased = product
     else:
         _check_local_rows(m, idx, Space.SCRATCHPAD, ins.d.row, ins.d_rows)
-        bias = m.spad[ins.d.row : ins.d.row + ins.d_rows, : ins.d_cols]
-        if bias.shape != product.shape:
+        if (ins.d_rows, ins.d_cols) != (lat.c_rows, lat.c_cols):
             raise ExecError(
                 idx,
                 "dimension_mismatch",
                 f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}",
             )
-        biased = product + bias
+        biased = product + m.spad[..., ins.d.row : ins.d.row + ins.d_rows, : ins.d_cols]
     _check_local_rows(m, idx, Space.ACCUMULATOR, lat.c_row, lat.c_rows)
-    dst = m.acc[lat.c_row : lat.c_row + lat.c_rows, : lat.c_cols]
+    dst = m.acc[..., lat.c_row : lat.c_row + lat.c_rows, : lat.c_cols]
     accumulate = lat.c_accumulate or isinstance(ins, ComputeAccumulated)
     if accumulate:
         dst += biased
@@ -268,6 +305,7 @@ def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
     if m.regs.act not in (Activation.NONE, Activation.RELU) and not ins.local.full_width:
         raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
     flat = _dram_flat(m, idx, ins.dram.buffer)
+    size = flat.shape[-1]
     tiles = (ins.cols + dim - 1) // dim
     base_row = ins.local.row
     _check_local_rows(m, idx, Space.ACCUMULATOR, base_row, (tiles - 1) * dim + ins.rows)
@@ -276,55 +314,50 @@ def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
             src_row = base_row + t * dim + r
-            values = m.acc[src_row, :width]
+            values = m.acc[..., src_row, :width]
             if apply_relu:
                 values = np.maximum(values, np.float32(0.0))
             dst = ins.dram.offset + r * pitch + t * dim
-            if dst < 0 or dst + width > flat.size:
+            if dst < 0 or dst + width > size:
                 raise ExecError(
                     idx,
                     "dram_out_of_range",
-                    f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {flat.size} elements",
+                    f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
                 )
-            flat[dst : dst + width] = values
+            flat[..., dst : dst + width] = values
     m.dram_bytes_out += ELEMENT_BYTES * ins.cols * ins.rows
 
 
+_EXECUTORS = {
+    ConfigEx: _exec_config_ex,
+    ConfigLd: _exec_config_ld,
+    ConfigSt: _exec_config_st,
+    Mvin: _exec_mvin,
+    Preload: _exec_preload,
+    PreloadZeros: _exec_preload_zeros,
+    ComputePreloaded: _exec_compute,
+    ComputeAccumulated: _exec_compute,
+    Mvout: _exec_mvout,
+    Fence: _exec_fence,
+}
+
+
 def execute(m: Machine, p: Program) -> Machine:
-    """Run a program to completion, mutating and returning the machine."""
+    """Run a program to completion on every case at once, mutating and returning the machine."""
     try:
         validate_program(p, dim=m.config.dim, max_block_len=m.config.max_block_len)
     except ValidationError as e:
         raise ExecError(e.index, e.kind, e.detail) from None
     for idx, ins in enumerate(p.instructions):
-        if isinstance(ins, ConfigEx):
-            m.regs.dataflow = ins.dataflow
-            m.regs.act = ins.act
-            m.regs.a_transpose = ins.a_transpose
-            m.regs.b_transpose = ins.b_transpose
-        elif isinstance(ins, ConfigLd):
-            m.ld_strides[ins.channel] = ins.stride_bytes
-        elif isinstance(ins, ConfigSt):
-            m.st_stride = ins.stride_bytes
-        elif isinstance(ins, Mvin):
-            _exec_mvin(m, idx, ins)
-        elif isinstance(ins, Preload):
-            _exec_preload(m, idx, ins)
-        elif isinstance(ins, PreloadZeros):
-            _exec_preload_zeros(m, idx, ins)
-        elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-            _exec_compute(m, idx, ins)
-        elif isinstance(ins, Mvout):
-            _exec_mvout(m, idx, ins)
-        elif isinstance(ins, Fence):
-            pass  # sequential semantics: nothing outstanding to wait on
-        else:
+        run = _EXECUTORS.get(type(ins))
+        if run is None:
             raise ExecError(idx, "unsupported", f"unknown instruction {ins!r}")
+        run(m, idx, ins)
     return m
 
 
 def read_output(m: Machine, buffer: str) -> np.ndarray:
-    """Return a copy of a DRAM buffer as a (rows, cols) matrix."""
+    """Return a copy of a DRAM buffer: a (rows, cols) matrix behind the case axes."""
     if buffer not in m.dram:
         raise ShapeMismatch(f"unknown buffer '{buffer}'")
     return m.dram[buffer].copy()

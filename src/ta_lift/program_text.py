@@ -13,7 +13,8 @@ Expressions are integers over decimal/hex literals, previously declared
 symbols, `sizeof(float)` (= 4), and the operators  + - * | <<  with C
 precedence; a `<<` or `*` whose result reaches 2**64 in magnitude is a
 syntax error, raised before the value is computed.  Loops must have
-compile-time-constant bounds and are fully unrolled at parse time; `if`
+compile-time-constant bounds and are fully unrolled at parse time, at most
+`_UNROLL_LIMIT` body iterations per loop and in total; `if`
 conditions may compare loop variables and constants.  DRAM operands are
 `buffer` or `buffer + EXPR` where the offset counts 4-byte elements.  A
 `void test(...) { ... }` wrapper is tolerated and stripped.  Program text
@@ -275,6 +276,8 @@ class _Parser:
         self.scopes: list[dict[str, int]] = []
         self.out: list[Instruction] = []
         self.depth = 0
+        # Loop-body iterations over the whole parse, loops in skipped statements included.
+        self.iterations = 0
 
     # -- token helpers ------------------------------------------------------
     # The end token "" matches no expected text, so a parse that goes on never
@@ -556,22 +559,23 @@ class _Parser:
             raise self.error(f"unsupported loop step '{update}'", at)
         if step <= 0:
             raise NonConstantLoopBoundError(self.lines[kw], f"loop step must be positive, got {step}")
-        if (bound - start) > 0 and (bound - start) / step > _UNROLL_LIMIT:
+        if bound - start > _UNROLL_LIMIT * step:
             raise NonConstantLoopBoundError(self.lines[kw], "loop unrolls to too many iterations")
         self.expect(")")
         body_start = self.pos
         value = start
-        iterations = 0
         while value < bound:
+            self.iterations += 1
+            if self.iterations > _UNROLL_LIMIT:
+                raise NonConstantLoopBoundError(self.lines[kw], "loops unroll to too many iterations in total")
             self.pos = body_start
             self.scopes.append({var: value})
             self.parse_statement()
             self.scopes.pop()
             value += step
-            iterations += 1
             if len(self.out) > _UNROLL_LIMIT:
                 raise NonConstantLoopBoundError(self.lines[kw], "program unrolls to too many instructions")
-        if iterations == 0:
+        if start >= bound:
             # Still need to skip over the (never-executed) body.
             self.scopes.append({var: start})
             self._skip_statement()

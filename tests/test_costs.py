@@ -18,7 +18,7 @@ from ta_lift.isa import (
     PreloadZeros,
     Space,
 )
-from ta_lift.kernels import generate_testcases, machine_for_case
+from ta_lift.kernels import generate_testcases, machine_for_cases
 from ta_lift.machine import execute
 from ta_lift.program_text import parse_program
 
@@ -89,8 +89,8 @@ def test_dram_bytes_match_simulator_counters() -> None:
         spec = kernel(name)
         program = parse_program(golden_program(name), spec.buffer_shapes())
         report = program_cost(program)
-        case = generate_testcases(spec, seed=2, count=1)[0]
-        machine = machine_for_case(spec, case)
+        cases = generate_testcases(spec, seed=2, count=3)
+        machine = machine_for_cases(spec, cases)
         execute(machine, program)
         assert report.dram_bytes_in == machine.dram_bytes_in
         assert report.dram_bytes_out == machine.dram_bytes_out

@@ -119,9 +119,10 @@ def test_extract_bare_program_passes_through():
         + "".join(f"static uint32_t A{i + 1} = A{i} * A{i};\n" for i in range(10))
         + golden_program("mm1"),
         "config_st(" + "9" * 5000 + ");\n" + golden_program("mm1"),
+        "for (int i = 0; i < 0x" + "f" * 300 + "; i++) fence();",
     ],
     ids=["hex-without-digits", "non-ascii-digit", "negative-shift", "deep-parens", "deep-braces",
-         "deep-condition", "huge-shift", "squaring-chain", "long-literal"],
+         "deep-condition", "huge-shift", "squaring-chain", "long-literal", "long-hex-loop-bound"],
 )
 def test_garbled_literal_is_a_parse_failure(text):
     spec = kernel("mm1")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ta_lift import program_text
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
     Activation,
@@ -30,6 +31,7 @@ from ta_lift.isa import (
     PreloadZeros,
     Program,
 )
+from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
 from ta_lift.program_text import (
     NonConstantLoopBoundError,
     ProgramSyntaxError,
@@ -169,6 +171,24 @@ def test_nesting_limit() -> None:
 def test_runaway_loop_rejected() -> None:
     with pytest.raises(NonConstantLoopBoundError):
         parse_program("for (int i = 0; i < 10000000; i++) { fence(); }", {})
+
+
+def test_loop_iterations_are_budgeted_over_the_whole_parse(monkeypatch) -> None:
+    monkeypatch.setattr(program_text, "_UNROLL_LIMIT", 1000)
+    # Each loop is within the limit and the body emits nothing, so only the
+    # count over the whole parse stops it.
+    nest = "for (int i = 0; i < 1000; i++) for (int j = 0; j < 1000; j++) if (i == 1000) fence();\n"
+    spec = kernel("mm1")
+    verdict = verify_source(nest + golden_program("mm1"), spec, generate_testcases(spec, seed=3, count=1))
+    assert isinstance(verdict.failure, ParseFailure)
+    assert "too many iterations in total" in verdict.failure.message
+    # Loops inside a statement that is skipped still iterate, so they count too.
+    with pytest.raises(NonConstantLoopBoundError, match="in total"):
+        parse_program("for (int k = 0; k < 0; k++) " + nest, {})
+    within = "for (int i = 0; i < 40; i++) for (int j = 0; j < 24; j++) if (i == j) config_st(4 * i);"
+    assert len(parse_program(within, {}).instructions) == 24
+    for name in KERNELS:
+        parse_program(golden_program(name), kernel(name).buffer_shapes())
 
 
 def test_zero_trip_loop_emits_nothing() -> None:
