@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .costs import render_feedback
@@ -96,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--kernel", required=True, help="kernel name")
     translate.add_argument("--seed", type=int, default=0)
     translate.add_argument("--n", type=int, default=1, help="samples to request")
-    translate.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           help="parallel candidate verifications")
     translate.add_argument("--out", help="output directory")
     backend_flags(translate)
 
@@ -276,23 +272,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_translate(ns: argparse.Namespace) -> int:
     spec = _require_kernel(ns.kernel)
     backend = _make_backend(ns)
-    if ns.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     prompt = build_translation_prompt(Ablation(label="default").prompt_spec(spec))
     completions = backend.complete(prompt, GenerationParams(n_samples=ns.n))
     cases = generate_testcases(spec, ns.seed, 5)
 
-    def check(indexed) -> tuple[int, str | None, Verdict]:
-        index, completion = indexed
+    results = []
+    for completion in completions:
         code = extract_code(completion.text)
-        if code is None:
-            return index, None, Verdict(passed=False)
-        return index, code, verify_source(code, spec, cases)
-
-    with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-        results = list(pool.map(check, enumerate(completions)))
-    passing = [code for _, code, verdict in results if verdict.passed and code is not None]
-    for index, code, verdict in results:
+        results.append((code, Verdict(passed=False) if code is None else verify_source(code, spec, cases)))
+    passing = [code for code, verdict in results if verdict.passed]
+    for index, (code, verdict) in enumerate(results):
         if verdict.passed:
             status = "pass"
         elif code is None:

@@ -16,14 +16,9 @@ accumulate-on-write address bit, and finished tiles are stored out once.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from .isa import SENTINEL
 from .kernels import KernelSpec
 from .machine import MachineConfig
-
-_EXAMPLE_KERNELS = ("gv1", "mm3", "mm4")
 
 
 def _specs() -> list[KernelSpec]:
@@ -171,11 +166,6 @@ def kernel(name: str) -> KernelSpec:
     return KERNELS[name]
 
 
-def example_kernel_names() -> tuple[str, ...]:
-    """Kernels whose golden programs double as in-context prompt examples."""
-    return _EXAMPLE_KERNELS
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -319,34 +309,3 @@ def kernel_document(spec: KernelSpec, cfg: MachineConfig | None = None) -> dict:
         ],
         "golden_program": emit_golden_program(spec, cfg),
     }
-
-
-def save_kernel_file(spec: KernelSpec, path: str | Path, cfg: MachineConfig | None = None) -> None:
-    Path(path).write_text(json.dumps(kernel_document(spec, cfg), indent=2) + "\n")
-
-
-def load_kernel_file(path: str | Path) -> tuple[KernelSpec, str]:
-    """Load a fixture document; returns the spec and its golden program text."""
-    doc = json.loads(Path(path).read_text())
-    roles = {entry["name"]: entry["role"] for entry in doc["buffers"]}
-    names = {role: name for name, role in roles.items()}
-    spec = KernelSpec(
-        name=doc["name"],
-        op=doc["op"],
-        i=doc["i"],
-        k=doc["k"],
-        j=doc["j"],
-        transpose_a=doc["transpose_a"],
-        transpose_b=doc["transpose_b"],
-        sub=doc["sub"],
-        a=[n for n, r in roles.items() if r == "input"][0],
-        b=[n for n, r in roles.items() if r == "input"][1],
-        d=names.get("bias"),
-        c=names["output"],
-        description=doc.get("description", ""),
-    )
-    expected = {name: (decl.rows, decl.cols) for name, decl in spec.buffer_table().items()}
-    declared = {entry["name"]: (entry["rows"], entry["cols"]) for entry in doc["buffers"]}
-    if expected != declared:
-        raise ValueError(f"buffer table in {path} does not match the kernel dimensions")
-    return spec, doc.get("golden_program", "")

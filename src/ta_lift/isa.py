@@ -99,10 +99,6 @@ class LocalAddr:
         return self.raw == SENTINEL
 
 
-def decode_local_addr(raw: int) -> LocalAddr:
-    return LocalAddr(raw)
-
-
 @dataclass(frozen=True)
 class DramRef:
     """A DRAM operand: a named buffer plus an element offset (4-byte units)."""

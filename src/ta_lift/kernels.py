@@ -13,7 +13,7 @@ the negative load-scale factor real hardware would use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class KernelSpec:
     @property
     def b_shape(self) -> tuple[int, int]:
         return (self.j, self.k) if self.transpose_b else (self.k, self.j)
-
-    @property
-    def c_shape(self) -> tuple[int, int]:
-        return (self.i, self.j)
 
     def buffer_table(self) -> dict[str, BufferDecl]:
         table = {
@@ -218,15 +214,24 @@ def machine_for_cases(spec: KernelSpec, cases: list[TestCase], cfg: MachineConfi
     return create_machine(cfg, spec.buffer_shapes(), contents)
 
 
-def _integer_valued(case: TestCase) -> bool:
-    return all(np.array_equal(arr, np.trunc(arr)) for arr in case.inputs.values())
+def _tolerance(spec: KernelSpec, case: TestCase) -> np.ndarray | None:
+    """Per-element bound on |got - want|, or None to compare exactly.
+
+    Integer-valued data keeps float32 arithmetic exact.  Otherwise the bound
+    scales with each element's sum of |a*b| (plus |d|), not with its value:
+    a correct element that is a cancelling sum keeps the rounding error of
+    its terms, which can exceed any fraction of the small result.
+    """
+    if all(np.array_equal(arr, np.trunc(arr)) for arr in case.inputs.values()):
+        return None
+    magnitudes = {name: np.abs(arr) for name, arr in case.inputs.items()}
+    return ABS_TOLERANCE + REL_TOLERANCE * evaluate_reference(replace(spec, sub=False), magnitudes)
 
 
-def _compare(got: np.ndarray, want: np.ndarray, exact: bool) -> tuple[int, int] | None:
-    if exact:
-        mismatch = got != want
-    else:
-        mismatch = ~np.isclose(got, want, rtol=REL_TOLERANCE, atol=ABS_TOLERANCE)
+def _compare(got: np.ndarray, want: np.ndarray, tolerance: np.ndarray | None) -> tuple[int, int] | None:
+    mismatch = got != want
+    if tolerance is not None:
+        mismatch &= ~(np.abs(got - want) <= tolerance)
     if not mismatch.any():
         return None
     r, c = np.argwhere(mismatch)[0]
@@ -250,7 +255,7 @@ def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: Mac
         return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
     outputs = read_output(machine, spec.c)
     for index, (case, got) in enumerate(zip(cases, outputs)):
-        position = _compare(got, case.expected, exact=_integer_valued(case))
+        position = _compare(got, case.expected, _tolerance(spec, case))
         if position is None:
             verdict.cases.append(CaseOutcome(index=index, passed=True))
             continue

@@ -1,12 +1,13 @@
-"""Block-level program optimization: segment, rewrite, reorder, verify.
+"""Block-level program optimization: segment, rewrite, order, verify.
 
 A verified program is cut into contiguous blocks: a prelude of leading
 configuration instructions, then one block per preload with the mvins that
 feed it, its computes, and the mvouts its computes produce.  Blocks are
-rewritten by peephole rules or by a model, orderings are searched or
-proposed by a model, and every candidate must re-verify in the simulator
-before it replaces its input.  A change that fails verification or raises
-the modeled cost is discarded, so the pipeline never regresses a program.
+rewritten by peephole rules or by a model.  The rules keep the block order;
+only a model may propose another, and its plan must respect the dependence
+edges.  Every candidate must re-verify in the simulator before it replaces
+its input.  A change that fails verification or raises the modeled cost is
+discarded, so the pipeline never regresses a program.
 
 Footprints drive the dependence analysis.  Memory footprints (scratchpad
 rows, accumulator rows, DRAM element intervals) conflict by interval
@@ -18,11 +19,10 @@ own preload do not serialize on the latch.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 
-from .costs import CostParams, CostReport, instruction_cost, program_cost
+from .costs import CostParams, CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
     SENTINEL,
@@ -48,10 +48,6 @@ from .prompts import build_block_optimize_prompt, build_reorder_prompt
 
 _FAR = 1 << 40
 _CONFIG_REGS = ("ex", "ld0", "ld1", "ld2", "st")
-
-
-class CyclicDependence(ValueError):
-    """The dependence edges admit no ordering."""
 
 
 class PlanParseError(ValueError):
@@ -306,15 +302,12 @@ class PeepholeContext:
     state: _ScanState = field(default_factory=_ScanState)
     last_preload: Preload | PreloadZeros | None = None
     weights_clean: bool = False
-    seen_mvins: dict[tuple, int] = field(default_factory=dict)
+    seen_mvins: set[tuple] = field(default_factory=set)
 
     def _invalidate_writes(self, writes: list[Interval]) -> None:
-        mem = _memory_only(writes)
-        if not mem:
-            return
-        stale = [key for key, _ in self.seen_mvins.items() if _any_overlap(tuple(mem), key[-1])]
-        for key in stale:
-            del self.seen_mvins[key]
+        mem = tuple(_memory_only(writes))
+        if mem:
+            self.seen_mvins -= {key for key in self.seen_mvins if _any_overlap(mem, key[-1])}
 
     def _weights_interval(self) -> Interval | None:
         pre = self.last_preload
@@ -322,6 +315,29 @@ class PeepholeContext:
             space = "acc" if pre.b.space is Space.ACCUMULATOR else "spad"
             return (space, pre.b.row, pre.b.row + pre.b_rows)
         return None
+
+    def admit(self, ins: Instruction) -> bool:
+        """Walk past one instruction other than a preload.
+
+        Returns False, and changes nothing, for an mvin that reloads a tile
+        still in place: same source, destination and stride, and neither
+        overwritten since.  Accumulating mvins are always kept.
+        """
+        key = None
+        if isinstance(ins, Mvin) and not (ins.local.space is Space.ACCUMULATOR and ins.local.accumulate):
+            key = _mvin_key(ins, self.state, self.dim)
+            if key in self.seen_mvins:
+                return False
+        if isinstance(ins, ConfigEx):
+            self.weights_clean = False  # a transpose change would alter relatched weights
+        _, writes = _effects(ins, self.state, self.dim)
+        self._invalidate_writes(writes)
+        weights = self._weights_interval()
+        if weights is not None and _any_overlap(tuple(_memory_only(writes)), (weights,)):
+            self.weights_clean = False
+        if key is not None:
+            self.seen_mvins.add(key)
+        return True
 
 
 def _mvin_key(ins: Mvin, state: _ScanState, dim: int) -> tuple:
@@ -349,85 +365,35 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
     """
     kept: list[Instruction] = []
     for ins in block.instructions:
-        if isinstance(ins, Mvin):
-            accumulating = ins.local.space is Space.ACCUMULATOR and ins.local.accumulate
-            key = _mvin_key(ins, ctx.state, ctx.dim)
-            if not accumulating and key in ctx.seen_mvins:
-                continue
-            reads, writes = _effects(ins, ctx.state, ctx.dim)
-            ctx._invalidate_writes(writes)
-            weights = ctx._weights_interval()
-            if weights is not None and _any_overlap(tuple(_memory_only(writes)), (weights,)):
-                ctx.weights_clean = False
-            if not accumulating:
-                ctx.seen_mvins[key] = 0
-            kept.append(ins)
+        if not isinstance(ins, (Preload, PreloadZeros)):
+            if ctx.admit(ins):
+                kept.append(ins)
             continue
-        if isinstance(ins, (Preload, PreloadZeros)):
-            previous = ctx.last_preload
-            same = (
-                previous is not None
-                and type(ins) is type(previous)
-                and ins == previous
-                and ctx.weights_clean
-            )
-            if same:
-                _effects(ins, ctx.state, ctx.dim)
-                continue
-            rewritten = ins
-            if (
-                isinstance(ins, Preload)
-                and isinstance(previous, Preload)
-                and not ins.b.is_sentinel
-                and not previous.b.is_sentinel
-                and ins.b == previous.b
-                and (ins.b_cols, ins.b_rows) == (previous.b_cols, previous.b_rows)
-                and ctx.weights_clean
-            ):
-                rewritten = replace(ins, b=LocalAddr(SENTINEL))
-            _effects(ins, ctx.state, ctx.dim)
-            ctx.last_preload = ins
-            ctx.weights_clean = True
-            kept.append(rewritten)
+        previous = ctx.last_preload
+        _effects(ins, ctx.state, ctx.dim)
+        if ins == previous and ctx.weights_clean:
             continue
-        if isinstance(ins, ConfigEx):
-            ctx.weights_clean = False  # a transpose change would alter relatched weights
-        reads, writes = _effects(ins, ctx.state, ctx.dim)
-        ctx._invalidate_writes(writes)
-        weights = ctx._weights_interval()
-        if weights is not None and _any_overlap(tuple(_memory_only(writes)), (weights,)):
-            ctx.weights_clean = False
-        kept.append(ins)
-    return Block(
-        id=block.id,
-        instructions=tuple(kept),
-        reads=block.reads,
-        writes=block.writes,
-        exposed_regs=block.exposed_regs,
-        written_regs=block.written_regs,
-    )
+        rewritten = ins
+        if (
+            isinstance(ins, Preload)
+            and isinstance(previous, Preload)
+            and not ins.b.is_sentinel
+            and not previous.b.is_sentinel
+            and ins.b == previous.b
+            and (ins.b_cols, ins.b_rows) == (previous.b_cols, previous.b_rows)
+            and ctx.weights_clean
+        ):
+            rewritten = replace(ins, b=LocalAddr(SENTINEL))
+        ctx.last_preload = ins
+        ctx.weights_clean = True
+        kept.append(rewritten)
+    return replace(block, instructions=tuple(kept))
 
 
 def dedup_mvins(instructions: tuple[Instruction, ...], dim: int = 4) -> tuple[Instruction, ...]:
     """Program-wide duplicate-mvin elimination with write invalidation."""
     ctx = PeepholeContext(dim=dim)
-    kept: list[Instruction] = []
-    for ins in instructions:
-        if isinstance(ins, Mvin):
-            accumulating = ins.local.space is Space.ACCUMULATOR and ins.local.accumulate
-            key = _mvin_key(ins, ctx.state, dim)
-            if not accumulating and key in ctx.seen_mvins:
-                continue
-            _, writes = _effects(ins, ctx.state, dim)
-            ctx._invalidate_writes(writes)
-            if not accumulating:
-                ctx.seen_mvins[key] = 0
-            kept.append(ins)
-            continue
-        _, writes = _effects(ins, ctx.state, dim)
-        ctx._invalidate_writes(writes)
-        kept.append(ins)
-    return tuple(kept)
+    return tuple(ins for ins in instructions if ctx.admit(ins))
 
 
 # -- ordering ------------------------------------------------------------------
@@ -444,176 +410,13 @@ def _respects(order: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> bool
     return all(position[i] < position[j] for i, j in edges)
 
 
-def _block_profiles(
-    blocks: list[Block], params: CostParams, dim: int
-) -> tuple[list[list[tuple]], float, bool]:
-    """Per-block walk entries for the ordering objective.
+def search_reorder(blocks: list[Block]) -> OrderingPlan:
+    """The fallback plan: keep the blocks in program order.
 
-    Cost is position-independent per instruction, so the objective reduces
-    to a fixed total minus whatever the cross-block mvin dedup saves.  The
-    profiles carry just enough state to replay that dedup quickly: stride
-    updates, mvin keys and intervals, and memory writes that invalidate
-    earlier loads.  Compute targets come from the block's own preload, so
-    they are resolvable without global state.
+    Every dependence edge runs from a lower block id to a higher one, so
+    this order respects them all.
     """
-    profiles: list[list[tuple]] = []
-    fixed_total = 0.0
-    key_counts: dict[tuple, int] = {}
-    for block in blocks:
-        latch: tuple[int, int] | None = None
-        entries: list[tuple] = []
-        for ins in block.instructions:
-            cost = instruction_cost(ins, params)
-            fixed_total += cost
-            if isinstance(ins, ConfigLd):
-                entries.append(("ld", ins.channel, ins.stride_bytes))
-            elif isinstance(ins, ConfigSt):
-                entries.append(("st", ins.stride_bytes))
-            elif isinstance(ins, Mvin):
-                accumulating = ins.local.space is Space.ACCUMULATOR and ins.local.accumulate
-                dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
-                static_key = (ins.channel, ins.dram.buffer, ins.dram.offset, ins.local.raw, ins.cols, ins.rows)
-                if not accumulating:
-                    key_counts[static_key] = key_counts.get(static_key, 0) + 1
-                entries.append(("mvin", cost, accumulating, static_key, ins.rows, ins.cols, dest))
-            elif isinstance(ins, Preload):
-                latch = (ins.c.row, ins.c_rows)
-            elif isinstance(ins, PreloadZeros):
-                latch = (ins.c.row, dim)
-            elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-                target = ("acc", latch[0], latch[0] + latch[1]) if latch else ("acc", 0, _FAR)
-                entries.append(("write", target))
-            elif isinstance(ins, Mvout):
-                entries.append(("mvout", ins.dram.buffer, ins.dram.offset, ins.cols, ins.rows))
-        profiles.append(entries)
-    any_duplicates = any(count > 1 for count in key_counts.values())
-    return profiles, fixed_total, any_duplicates
-
-
-def _dedup_savings(profiles: list[list[tuple]], order: tuple[int, ...]) -> float:
-    ld: dict[int, int | None] = {0: None, 1: None, 2: None}
-    st: int | None = None
-    seen: dict[tuple, tuple[Interval, Interval]] = {}
-    buckets: dict[str, set[tuple]] = {}
-    saved = 0.0
-
-    def invalidate(interval: Interval) -> None:
-        bucket = buckets.get(interval[0])
-        if not bucket:
-            return
-        stale = [key for key in bucket if key in seen and (
-            _overlap(interval, seen[key][0]) or _overlap(interval, seen[key][1]))]
-        for key in stale:
-            src, dest = seen.pop(key)
-            buckets[src[0]].discard(key)
-            buckets[dest[0]].discard(key)
-
-    for block_id in order:
-        for entry in profiles[block_id]:
-            tag = entry[0]
-            if tag == "ld":
-                ld[entry[1]] = entry[2]
-            elif tag == "st":
-                st = entry[2]
-            elif tag == "mvin":
-                _, cost, accumulating, static_key, rows, cols, dest = entry
-                pitch = _elems(ld[static_key[0]])
-                key = static_key + (pitch,)
-                if not accumulating and key in seen:
-                    saved += cost
-                    continue
-                buffer, offset = static_key[1], static_key[2]
-                if pitch is None:
-                    src: Interval = (f"dram:{buffer}", 0, _FAR)
-                else:
-                    src = (f"dram:{buffer}", offset, offset + (rows - 1) * pitch + cols)
-                invalidate(dest)
-                if not accumulating:
-                    seen[key] = (src, dest)
-                    buckets.setdefault(src[0], set()).add(key)
-                    buckets.setdefault(dest[0], set()).add(key)
-            elif tag == "write":
-                invalidate(entry[1])
-            else:
-                _, buffer, offset, cols, rows = entry
-                pitch = _elems(st)
-                if pitch is None:
-                    invalidate((f"dram:{buffer}", 0, _FAR))
-                else:
-                    invalidate((f"dram:{buffer}", offset, offset + (rows - 1) * pitch + cols))
-    return saved
-
-
-def _check_acyclic(n: int, edges: frozenset[tuple[int, int]]) -> None:
-    pending = {i: 0 for i in range(n)}
-    for _, j in edges:
-        pending[j] += 1
-    ready = [i for i, deg in pending.items() if deg == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for i, j in edges:
-            if i == node:
-                pending[j] -= 1
-                if pending[j] == 0:
-                    ready.append(j)
-    if seen != n:
-        raise CyclicDependence(f"dependence edges contain a cycle over {n} blocks")
-
-
-def search_reorder(
-    blocks: list[Block],
-    edges: frozenset[tuple[int, int]],
-    params: CostParams | None = None,
-    cfg: MachineConfig | None = None,
-    exhaustive_limit: int = 8,
-) -> OrderingPlan:
-    """Find a dependence-respecting order minimizing modeled cost.
-
-    Small programs get an exhaustive sweep over topological orders with a
-    lexicographic tie-break; larger ones get deterministic greedy
-    best-insertion in block-id order, placing each block as late as ties
-    allow so an already-optimal program keeps its original order.
-    """
-    params = params or CostParams()
-    cfg = cfg or MachineConfig()
-    n = len(blocks)
-    if n == 0:
-        return OrderingPlan(permutation=(), provenance="search")
-    _check_acyclic(n, edges)
-    identity = tuple(range(n))
-
-    profiles, _, any_duplicates = _block_profiles(blocks, params, cfg.dim)
-    if not any_duplicates:
-        return OrderingPlan(permutation=identity, provenance="search")
-
-    if n <= exhaustive_limit:
-        best: tuple[float, tuple[int, ...]] | None = None
-        for perm in itertools.permutations(range(n)):
-            if not _respects(perm, edges):
-                continue
-            cost = -_dedup_savings(profiles, perm)
-            if best is None or cost < best[0]:
-                best = (cost, perm)
-        assert best is not None  # the identity order always respects the edges
-        return OrderingPlan(permutation=best[1], provenance="search")
-
-    order: list[int] = []
-    for block_id in range(n):
-        predecessors = {i for i, j in edges if j == block_id}
-        lowest = 0
-        for pos, placed in enumerate(order):
-            if placed in predecessors:
-                lowest = pos + 1
-        best_pos, best_cost = len(order), None
-        for pos in range(len(order), lowest - 1, -1):
-            candidate = tuple(order[:pos] + [block_id] + order[pos:])
-            cost = -_dedup_savings(profiles, candidate)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_pos = cost, pos
-        order.insert(best_pos, block_id)
-    return OrderingPlan(permutation=tuple(order), provenance="search")
+    return OrderingPlan(tuple(range(len(blocks))), provenance="search")
 
 
 def parse_plan(reply: str, n_blocks: int) -> tuple[int, ...]:
@@ -700,7 +503,7 @@ def optimize_program(
 
     blocks = segment_blocks(p, cfg)
     if not blocks:
-        return OptimizeResult(p, before, before, OrderingPlan((), "search"))
+        return OptimizeResult(p, before, before, search_reorder(blocks))
     identity = tuple(range(len(blocks)))
 
     def verified(candidate: Program) -> bool:
@@ -728,28 +531,27 @@ def optimize_program(
         if verified(candidate):
             blocks = candidate_blocks
 
-    # Stage 2: ordering.
-    edges = analyze_dependences(blocks)
-    plan: OrderingPlan | None = None
-    if mode in ("llm", "llm_then_rules") and backend is not None:
+    # Stage 2: ordering.  The rules keep the block order, which the stage
+    # above has verified.  Only a model's plan is checked against the
+    # dependence edges, then re-verified after a program-wide mvin dedup.
+    plan = search_reorder(blocks)
+    final = reassemble(blocks, plan.permutation, p)
+    if mode != "rules" and backend is not None:
+        reply = backend.complete(build_reorder_prompt([block.text() for block in blocks]), llm_params)[0].text
         try:
-            reply = backend.complete(
-                build_reorder_prompt([block.text() for block in blocks]), llm_params
-            )[0].text
             permutation = parse_plan(reply, len(blocks))
-            if _respects(permutation, edges):
-                candidate = reassemble(blocks, permutation, p, dedup=True, cfg=cfg)
-                if verified(candidate):
-                    plan = OrderingPlan(permutation, provenance="llm")
         except PlanParseError:
-            plan = None
-    if plan is None:
-        plan = search_reorder(blocks, edges, cost_params, cfg)
-
-    final = reassemble(blocks, plan.permutation, p, dedup=True, cfg=cfg)
-    if not verified(final):
-        final, plan = p, OrderingPlan(identity, provenance="search")
+            permutation = None
+        if permutation is not None and _respects(permutation, analyze_dependences(blocks)):
+            candidate = reassemble(blocks, permutation, p, dedup=True, cfg=cfg)
+            if verified(candidate):
+                final, plan = candidate, OrderingPlan(permutation, provenance="llm")
+    if mode == "llm" and plan.provenance == "search":
+        # No peephole ran, so the dedup walk may still drop loads.
+        candidate = reassemble(blocks, plan.permutation, p, dedup=True, cfg=cfg)
+        if verified(candidate):
+            final = candidate
     after = program_cost(final, cost_params)
     if after.total > before.total:
-        final, after, plan = p, before, OrderingPlan(identity, provenance="search")
+        final, after, plan = p, before, search_reorder(blocks)
     return OptimizeResult(program=final, before=before, after=after, plan=plan)

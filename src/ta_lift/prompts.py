@@ -118,9 +118,6 @@ class Prompt:
     def text(self) -> str:
         return "\n\n".join(text for _, text in self.messages)
 
-    def size_bytes(self) -> int:
-        return sum(len(text.encode("utf-8")) for _, text in self.messages)
-
 
 def _make_prompt(messages: list[tuple[str, str]]) -> Prompt:
     canon = json.dumps([[role, text] for role, text in messages], ensure_ascii=False)
@@ -278,11 +275,3 @@ def build_repair_fill_prompt(candidate_code: str, constants: tuple[int, ...] | l
         raise EmptyConstantSet("the fill prompt needs at least one constant option")
     system = instruction_text("repair_fill").replace("{constants}", format_constant_set(constants))
     return _make_prompt([("system", system), ("user", candidate_code.strip("\n"))])
-
-
-def build_repair_prompts(candidate_code: str, constants: tuple[int, ...] | list[int]) -> tuple[Prompt, Prompt]:
-    """Both repair steps over the same candidate, in order."""
-    return (
-        build_repair_mark_prompt(candidate_code),
-        build_repair_fill_prompt(candidate_code, constants),
-    )

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from ta_lift.fixtures import KERNELS, emit_golden_program, golden_program, kernel
 from ta_lift.isa import ConfigLd, ConfigSt, DramRef, LocalAddr, Mvout, Program
 from ta_lift.kernels import (
+    ABS_TOLERANCE,
+    REL_TOLERANCE,
     CaseOutcome,
     ExecFailure,
     KernelSpec,
@@ -25,7 +27,7 @@ from ta_lift.kernels import (
     Verdict,
     WrongResult,
     _compare,
-    _integer_valued,
+    _tolerance,
     evaluate_reference,
     generate_testcases,
     machine_for_cases,
@@ -51,7 +53,7 @@ def oracle_case(p: Program, spec: KernelSpec, case: Case, cfg: MachineConfig) ->
     except ExecError as e:
         return CaseOutcome(index=0, passed=False, failure=ExecFailure(e.index, e.kind, e.detail))
     got = read_output(machine, spec.c)
-    position = _compare(got, case.expected, exact=_integer_valued(case))
+    position = _compare(got, case.expected, _tolerance(spec, case))
     if position is None:
         return CaseOutcome(index=0, passed=True)
     r, c = position
@@ -216,6 +218,42 @@ def test_every_golden_verifies_in_one_batched_run() -> None:
         verdict = verify_program(_GOLDEN_PROGRAMS[name], spec, cases)
         assert verdict == oracle_verify(_GOLDEN_PROGRAMS[name], spec, cases)
         assert verdict.passed and len(verdict.cases) == 6
+
+
+def test_cancelling_sum_passes_within_the_scaled_tolerance() -> None:
+    # Seed 17 draws non-integer data for case 0; its element (2, 10) is a
+    # sum of terms that cancel to about -0.0293, off by 5e-6 in float32.
+    spec = kernel("mm5")
+    cases = make_cases(spec, 5, seed=17)
+    verdict = verify_program(_GOLDEN_PROGRAMS["mm5"], spec, cases)
+    assert verdict.passed and len(verdict.cases) == 5
+    assert verdict == oracle_verify(_GOLDEN_PROGRAMS["mm5"], spec, cases)
+
+
+def test_an_element_off_by_more_than_the_scaled_bound_fails() -> None:
+    spec = kernel("mm5")
+    case = make_cases(spec, 5, seed=17)[0]
+    bound = _tolerance(spec, case)
+    magnitude = np.abs(case.inputs[spec.a]).astype(np.float64) @ np.abs(case.inputs[spec.b]).T  # B is stored transposed
+    np.testing.assert_allclose(bound, ABS_TOLERANCE + REL_TOLERANCE * magnitude, rtol=1e-5)
+    for factor, passes in ((0.5, True), (2.0, False)):
+        expected = case.expected.copy()
+        expected[2, 10] += np.float32(factor * bound[2, 10])
+        off = dataclasses.replace(case, expected=expected)
+        verdict = verify_program(_GOLDEN_PROGRAMS["mm5"], spec, [off])
+        assert verdict.passed is passes, factor
+        if not passes:
+            assert verdict.failure.position == (2, 10)
+
+
+def test_integer_cases_compare_exactly() -> None:
+    spec = kernel("mm5")
+    case = generate_testcases(spec, seed=17, count=1)[0]
+    assert _tolerance(spec, case) is None
+    expected = case.expected.copy()
+    expected[0, 0] += np.float32(1e-3)
+    verdict = verify_program(_GOLDEN_PROGRAMS["mm5"], spec, [dataclasses.replace(case, expected=expected)])
+    assert verdict.failure.position == (0, 0)
 
 
 def test_no_cases_is_a_pass_without_running() -> None:

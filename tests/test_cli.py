@@ -117,7 +117,7 @@ def test_translate_verifies_samples_in_order(tmp_path, capsys):
     })
     out = tmp_path / "out"
     code = dispatch(["translate", "--kernel", "gv1", "--backend", "replay",
-                     "--fixtures", str(fixtures), "--n", "2", "--jobs", "2",
+                     "--fixtures", str(fixtures), "--n", "2",
                      "--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out

@@ -8,12 +8,9 @@ import pytest
 from ta_lift.fixtures import (
     KERNELS,
     emit_golden_program,
-    example_kernel_names,
     golden_program,
     kernel,
     kernel_document,
-    load_kernel_file,
-    save_kernel_file,
 )
 from ta_lift.isa import ComputePreloaded, Fence, Mvin, Mvout, Preload, Program, validate_program
 from ta_lift.kernels import generate_testcases, verify_source
@@ -27,7 +24,6 @@ def parsed_golden(name: str) -> Program:
 
 def test_registry_has_eleven_kernels() -> None:
     assert len(KERNELS) == 11
-    assert set(example_kernel_names()) == {"gv1", "mm3", "mm4"}
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -100,15 +96,6 @@ def test_kernel_document_lists_buffers() -> None:
     assert doc["name"] == "gv1"
     assert {entry["name"] for entry in doc["buffers"]} == {"Bdyn", "p", "B_p"}
     assert doc["golden_program"].strip().endswith("fence();")
-
-
-def test_kernel_file_round_trip(tmp_path) -> None:
-    path = tmp_path / "gv1.json"
-    save_kernel_file(kernel("gv1"), path)
-    spec, program_text = load_kernel_file(path)
-    assert spec == kernel("gv1")
-    parsed = parse_program(program_text, spec.buffer_shapes())
-    assert parsed.instructions == parsed_golden("gv1").instructions
 
 
 def test_all_goldens_fit_default_machine() -> None:

@@ -13,7 +13,6 @@ from ta_lift.isa import (
     Program,
     Space,
     ValidationError,
-    decode_local_addr,
     encode_local_addr,
     validate_program,
 )
@@ -33,7 +32,7 @@ def test_encode_accumulator_full_width() -> None:
 
 
 def test_decode_fields() -> None:
-    addr = decode_local_addr(0x80000004)
+    addr = LocalAddr(0x80000004)
     assert addr.space is Space.ACCUMULATOR
     assert not addr.accumulate
     assert not addr.full_width
@@ -59,7 +58,7 @@ def test_encode_decode_round_trip() -> None:
         accumulate = rng.random() < 0.5
         full = rng.random() < 0.5
         row = rng.randrange(1 << 29)
-        addr = decode_local_addr(encode_local_addr(space, accumulate, full, row))
+        addr = LocalAddr(encode_local_addr(space, accumulate, full, row))
         assert (addr.space, addr.accumulate, addr.full_width, addr.row) == (space, accumulate, full, row)
 
 

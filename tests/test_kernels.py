@@ -60,7 +60,7 @@ def test_spec_buffer_shapes_follow_transposes() -> None:
     spec = KernelSpec(name="t", op="matmul", i=6, k=3, j=2, transpose_a=True)
     assert spec.a_shape == (3, 6)
     assert spec.b_shape == (3, 2)
-    assert spec.c_shape == (6, 2)
+    assert spec.buffer_shapes()[spec.c] == (6, 2)
     spec2 = KernelSpec(name="t2", op="matmul", i=6, k=3, j=2, transpose_b=True)
     assert spec2.a_shape == (6, 3)
     assert spec2.b_shape == (2, 3)
