@@ -10,21 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import (
-    ComputeAccumulated,
-    ComputePreloaded,
-    ConfigEx,
-    ConfigLd,
-    ConfigSt,
-    Fence,
-    Instruction,
-    Mvin,
-    Mvout,
-    Preload,
-    PreloadZeros,
-    Program,
-)
-from .machine import ELEMENT_BYTES
+from .isa import Instruction, Program, spec_of
 
 
 @dataclass(frozen=True)
@@ -39,31 +25,25 @@ class CostParams:
 
 def instruction_kind(ins: Instruction) -> str:
     """The macro name an instruction renders as."""
-    if isinstance(ins, Mvin):
-        return ("mvin", "mvin2", "mvin3")[ins.channel]
-    return {
-        ConfigEx: "config_ex",
-        ConfigLd: "config_ld",
-        ConfigSt: "config_st",
-        Preload: "preload",
-        PreloadZeros: "preload_zeros",
-        ComputePreloaded: "compute_preloaded",
-        ComputeAccumulated: "compute_accumulated",
-        Mvout: "mvout",
-        Fence: "fence",
-    }[type(ins)]
+    return spec_of(ins).mnemonic
+
+
+def _priced(ins: Instruction, params: CostParams) -> tuple[str, float, int, int]:
+    """An instruction's kind, cost, and DRAM bytes moved in and out."""
+    spec = spec_of(ins)
+    moved_in = spec.bytes_in(ins)
+    moved_out = spec.bytes_out(ins)
+    cost = (
+        params.issue
+        + params.byte_cost * (moved_in + moved_out)
+        + params.pipeline_fill * spec.fills
+        + params.row_cost * spec.rows_fed(ins)
+    )
+    return spec.mnemonic, cost, moved_in, moved_out
 
 
 def instruction_cost(ins: Instruction, params: CostParams | None = None) -> float:
-    params = params or CostParams()
-    cost = params.issue
-    if isinstance(ins, (Mvin, Mvout)):
-        cost += params.byte_cost * ELEMENT_BYTES * ins.cols * ins.rows
-    elif isinstance(ins, (Preload, PreloadZeros)):
-        cost += params.pipeline_fill
-    elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-        cost += params.row_cost * ins.a_rows
-    return cost
+    return _priced(ins, params or CostParams())[1]
 
 
 @dataclass(frozen=True)
@@ -85,15 +65,12 @@ def program_cost(program: Program, params: CostParams | None = None) -> CostRepo
     bytes_out = 0
     total = 0.0
     for ins in program.instructions:
-        kind = instruction_kind(ins)
-        cost = instruction_cost(ins, params)
+        kind, cost, moved_in, moved_out = _priced(ins, params)
         breakdown[kind] = breakdown.get(kind, 0.0) + cost
         counts[kind] = counts.get(kind, 0) + 1
         total += cost
-        if isinstance(ins, Mvin):
-            bytes_in += ELEMENT_BYTES * ins.cols * ins.rows
-        elif isinstance(ins, Mvout):
-            bytes_out += ELEMENT_BYTES * ins.cols * ins.rows
+        bytes_in += moved_in
+        bytes_out += moved_out
     return CostReport(
         total=total,
         breakdown=breakdown,

@@ -287,25 +287,3 @@ def emit_golden_program(spec: KernelSpec, cfg: MachineConfig | None = None) -> s
 def golden_program(name: str, cfg: MachineConfig | None = None) -> str:
     return emit_golden_program(kernel(name), cfg)
 
-
-# -- fixture documents ---------------------------------------------------------
-
-
-def kernel_document(spec: KernelSpec, cfg: MachineConfig | None = None) -> dict:
-    """The structured fixture document for one kernel."""
-    return {
-        "name": spec.name,
-        "op": spec.op,
-        "i": spec.i,
-        "k": spec.k,
-        "j": spec.j,
-        "transpose_a": spec.transpose_a,
-        "transpose_b": spec.transpose_b,
-        "sub": spec.sub,
-        "description": spec.description,
-        "buffers": [
-            {"name": name, "rows": decl.rows, "cols": decl.cols, "role": decl.role}
-            for name, decl in spec.buffer_table().items()
-        ],
-        "golden_program": emit_golden_program(spec, cfg),
-    }

@@ -12,15 +12,24 @@ accumulator.  Each row holds DIM 32-bit float elements.  Local addresses are
 The value 0xffffffff is reserved as a sentinel: as a preload weight operand
 it means "keep the previously latched weights", as a compute bias operand it
 means "no bias".
+
+`INSTRUCTIONS` declares each mnemonic once: its constructor, its operands in
+text order, its footprint, the DRAM bytes it moves and its cost terms.  The
+parser, the renderer, the cost model and the optimizer's footprints all read
+that table; `spec_of` finds an instruction's entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from operator import attrgetter
+from typing import Callable
 
 DIM_DEFAULT = 4
 SENTINEL = 0xFFFFFFFF
+ELEMENT_BYTES = 4
 
 _ACC_BIT = 1 << 31
 _ACCUMULATE_BIT = 1 << 30
@@ -262,3 +271,192 @@ def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = 4)
         elif isinstance(ins, ConfigSt):
             if ins.stride_bytes < 0:
                 raise ValidationError(idx, "unsupported", "config_st stride must be non-negative")
+
+
+# -- footprints ----------------------------------------------------------------
+
+# A span of state that an instruction reads or writes: (space, start, end),
+# end exclusive.  Memory spaces are "spad" and "acc" (rows) and
+# "dram:<buffer>" (elements); the registers "reg:ex", "reg:ld0".."reg:ld2",
+# "reg:st" and "reg:latch" are one slot wide.
+Interval = tuple[str, int, int]
+Effects = tuple[list[Interval], list[Interval]]  # (reads, writes)
+
+_FAR = 1 << 40
+_EX: Interval = ("reg:ex", 0, 1)
+_ST: Interval = ("reg:st", 0, 1)
+_LATCH: Interval = ("reg:latch", 0, 1)
+
+
+@dataclass
+class ScanState:
+    """Configuration and latch state carried across a left-to-right scan."""
+
+    ld_strides: dict[int, int | None] = field(default_factory=lambda: {0: None, 1: None, 2: None})
+    st_stride: int | None = None
+    latch: tuple[int, int, bool] | None = None  # (c_row, c_rows, c_accumulate)
+
+
+def stride_elems(stride_bytes: int | None) -> int | None:
+    """A configured stride in elements; None when unset or not whole elements."""
+    if stride_bytes is None or stride_bytes % ELEMENT_BYTES != 0:
+        return None
+    return stride_bytes // ELEMENT_BYTES
+
+
+def _local_interval(local: LocalAddr, cols: int, rows: int, dim: int) -> Interval:
+    tiles = (cols + dim - 1) // dim
+    space = "acc" if local.space is Space.ACCUMULATOR else "spad"
+    return (space, local.row, local.row + (tiles - 1) * dim + rows)
+
+
+def _dram_interval(ref: DramRef, cols: int, rows: int, pitch: int | None) -> Interval:
+    if pitch is None:
+        return (f"dram:{ref.buffer}", 0, _FAR)
+    return (f"dram:{ref.buffer}", ref.offset, ref.offset + (rows - 1) * pitch + cols)
+
+
+# A footprint function gives an instruction's reads and writes, given the
+# scan state and DIM, and moves the state past the instruction.
+
+
+def _no_footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
+    return [], []
+
+
+def _config_ex_footprint(ins: ConfigEx, state: ScanState, dim: int) -> Effects:
+    return [], [_EX]
+
+
+def _config_ld_footprint(ins: ConfigLd, state: ScanState, dim: int) -> Effects:
+    state.ld_strides[ins.channel] = ins.stride_bytes
+    return [], [(f"reg:ld{ins.channel}", 0, 1)]
+
+
+def _config_st_footprint(ins: ConfigSt, state: ScanState, dim: int) -> Effects:
+    state.st_stride = ins.stride_bytes
+    return [], [_ST]
+
+
+def _mvin_footprint(ins: Mvin, state: ScanState, dim: int) -> Effects:
+    dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
+    pitch = stride_elems(state.ld_strides.get(ins.channel))
+    reads = [(f"reg:ld{ins.channel}", 0, 1), _dram_interval(ins.dram, ins.cols, ins.rows, pitch)]
+    if ins.local.space is Space.ACCUMULATOR and ins.local.accumulate:
+        reads.append(dest)
+    return reads, [dest]
+
+
+def _preload_footprint(ins: Preload, state: ScanState, dim: int) -> Effects:
+    state.latch = (ins.c.row, ins.c_rows, ins.c.accumulate)
+    if ins.b.is_sentinel:
+        return [_LATCH], [_LATCH]
+    return [_EX, ("spad", ins.b.row, ins.b.row + ins.b_rows)], [_LATCH]
+
+
+def _preload_zeros_footprint(ins: PreloadZeros, state: ScanState, dim: int) -> Effects:
+    state.latch = (ins.c.row, dim, ins.c.accumulate)
+    return [], [_LATCH]
+
+
+def _compute_footprint(
+    ins: ComputePreloaded | ComputeAccumulated, state: ScanState, dim: int, accumulated: bool = False
+) -> Effects:
+    reads = [_LATCH, _EX, ("spad", ins.a.row, ins.a.row + ins.a_rows)]
+    if not ins.d.is_sentinel:
+        reads.append(("spad", ins.d.row, ins.d.row + ins.d_rows))
+    if state.latch is None:
+        target, accumulated = ("acc", 0, _FAR), True
+    else:
+        row, nrows, acc_bit = state.latch
+        target, accumulated = ("acc", row, row + nrows), acc_bit or accumulated
+    if accumulated:
+        reads.append(target)
+    return reads, [target]
+
+
+def _mvout_footprint(ins: Mvout, state: ScanState, dim: int) -> Effects:
+    reads = [_ST, _EX, _local_interval(ins.local, ins.cols, ins.rows, dim)]
+    return reads, [_dram_interval(ins.dram, ins.cols, ins.rows, stride_elems(state.st_stride))]
+
+
+# -- the instruction table -------------------------------------------------------------
+
+
+def _moved_bytes(ins: Mvin | Mvout) -> int:
+    return ELEMENT_BYTES * ins.cols * ins.rows
+
+
+def _nothing(ins: Instruction) -> int:
+    return 0
+
+
+@dataclass(eq=False)
+class InstructionSpec:
+    """One mnemonic: how it is written, what it touches and what it costs.
+
+    `operands` lists (field, operand kind) pairs in text order.  A kind is
+    `dram`, `local` (a local address), `flag`, `dataflow`, `activation`,
+    `channel` (any integer) or the name of a count that must be
+    non-negative, which parser messages quote.  Cost terms: one issue,
+    `bytes_in` + `bytes_out` DRAM bytes moved, `fills` pipeline fills and
+    `rows_fed` rows fed through the array.
+    """
+
+    mnemonic: str
+    type: type
+    operands: tuple[tuple[str, str], ...]
+    footprint: Callable[[Instruction, ScanState, int], Effects] = _no_footprint
+    bytes_in: Callable[[Instruction], int] = _nothing
+    bytes_out: Callable[[Instruction], int] = _nothing
+    fills: int = 0
+    rows_fed: Callable[[Instruction], int] = _nothing
+    channel: int | None = None  # the load channel that an mvin mnemonic fixes
+
+    def __post_init__(self) -> None:
+        # The constructor, taking the operands in text order.
+        self.build: Callable[..., Instruction] = self.type if self.channel is None else partial(self.type, self.channel)
+
+
+_MOVE = (("dram", "dram"), ("local", "local"), ("cols", "cols"), ("rows", "rows"))
+_COMPUTE = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_rows"),
+            ("d_cols", "D_cols"), ("d_rows", "D_rows"))
+_PRELOAD = (("b", "local"), ("c", "local"), ("b_cols", "B_cols"), ("b_rows", "B_rows"),
+            ("c_cols", "C_cols"), ("c_rows", "C_rows"))
+_CONFIG_EX = (("dataflow", "dataflow"), ("act", "activation"), ("a_transpose", "flag"), ("b_transpose", "flag"))
+
+INSTRUCTIONS: tuple[InstructionSpec, ...] = (
+    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, _config_ex_footprint),
+    InstructionSpec("config_ld", ConfigLd, (("stride_bytes", "stride"), ("channel", "channel")), _config_ld_footprint),
+    InstructionSpec("config_st", ConfigSt, (("stride_bytes", "stride"),), _config_st_footprint),
+    InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=0),
+    InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=1),
+    InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=2),
+    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, fills=1),
+    InstructionSpec("preload_zeros", PreloadZeros, (("c", "local"),), _preload_zeros_footprint, fills=1),
+    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint, rows_fed=attrgetter("a_rows")),
+    InstructionSpec(
+        "compute_accumulated",
+        ComputeAccumulated,
+        _COMPUTE,
+        partial(_compute_footprint, accumulated=True),
+        rows_fed=attrgetter("a_rows"),
+    ),
+    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, bytes_out=_moved_bytes),
+    InstructionSpec("fence", Fence, ()),
+)
+
+BY_MNEMONIC: dict[str, InstructionSpec] = {spec.mnemonic: spec for spec in INSTRUCTIONS}
+_BY_TYPE = {spec.type: spec for spec in INSTRUCTIONS if spec.channel is None}
+_MVIN_BY_CHANNEL = {spec.channel: spec for spec in INSTRUCTIONS if spec.channel is not None}
+
+
+def spec_of(ins: Instruction) -> InstructionSpec:
+    """An instruction's table entry: by type, and by load channel for an mvin."""
+    kind = type(ins)
+    return _MVIN_BY_CHANNEL[ins.channel] if kind is Mvin else _BY_TYPE[kind]
+
+
+def footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
+    """What an instruction reads and writes; the scan state moves past it."""
+    return spec_of(ins).footprint(ins, state, dim)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .isa import (
+    ELEMENT_BYTES,
     Activation,
     ComputeAccumulated,
     ComputePreloaded,
@@ -35,10 +36,9 @@ from .isa import (
     Program,
     Space,
     ValidationError,
+    spec_of,
     validate_program,
 )
-
-ELEMENT_BYTES = 4
 
 
 class ConfigInvalid(ValueError):
@@ -219,7 +219,7 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
                 mem[..., dst, :width] += flat[..., src : src + width]
             else:
                 mem[..., dst, :width] = flat[..., src : src + width]
-    m.dram_bytes_in += ELEMENT_BYTES * ins.cols * ins.rows
+    m.dram_bytes_in += spec_of(ins).bytes_in(ins)
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
@@ -325,7 +325,7 @@ def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
                     f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
                 )
             flat[..., dst : dst + width] = values
-    m.dram_bytes_out += ELEMENT_BYTES * ins.cols * ins.rows
+    m.dram_bytes_out += spec_of(ins).bytes_out(ins)
 
 
 _EXECUTORS = {

@@ -9,12 +9,14 @@ edges.  Every candidate must re-verify in the simulator before it replaces
 its input.  A change that fails verification or raises the modeled cost is
 discarded, so the pipeline never regresses a program.
 
-Footprints drive the dependence analysis.  Memory footprints (scratchpad
-rows, accumulator rows, DRAM element intervals) conflict by interval
-overlap.  Register state (the config registers and the weight latch) is
-treated as privatizable: a block that writes a register before reading it
-breaks the dependence chain, so ordinary blocks that each begin with their
-own preload do not serialize on the latch.
+Footprints drive the dependence analysis.  Each instruction's footprint
+comes from its entry in the instruction table (`isa.INSTRUCTIONS`), given
+the configuration and latch state of a left-to-right scan.  Memory
+footprints (scratchpad rows, accumulator rows, DRAM element intervals)
+conflict by interval overlap.  Register state (the config registers and
+the weight latch) is treated as privatizable: a block that writes a
+register before reading it breaks the dependence chain, so ordinary blocks
+that each begin with their own preload do not serialize on the latch.
 """
 
 from __future__ import annotations
@@ -26,125 +28,27 @@ from .costs import CostParams, CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
     SENTINEL,
-    ComputeAccumulated,
-    ComputePreloaded,
     ConfigEx,
-    ConfigLd,
-    ConfigSt,
-    Fence,
     Instruction,
+    Interval,
     LocalAddr,
     Mvin,
-    Mvout,
     Preload,
     PreloadZeros,
     Program,
+    ScanState,
     Space,
+    footprint,
+    stride_elems,
 )
 from .kernels import KernelSpec, TestCase, verify_program
 from .machine import MachineConfig
 from .program_text import ProgramSyntaxError, parse_program, render_instruction
 from .prompts import build_block_optimize_prompt, build_reorder_prompt
 
-_FAR = 1 << 40
-_CONFIG_REGS = ("ex", "ld0", "ld1", "ld2", "st")
-
 
 class PlanParseError(ValueError):
     """A reordering reply could not be read as a permutation of blocks."""
-
-
-Interval = tuple[str, int, int]
-
-
-@dataclass
-class _ScanState:
-    """Configuration and latch state carried across a left-to-right scan."""
-
-    ld_strides: dict[int, int | None] = field(default_factory=lambda: {0: None, 1: None, 2: None})
-    st_stride: int | None = None
-    a_transpose: bool = False
-    b_transpose: bool = False
-    latch: tuple[int, int, bool] | None = None  # (c_row, c_rows, c_accumulate)
-
-
-def _local_interval(local: LocalAddr, cols: int, rows: int, dim: int) -> Interval:
-    tiles = (cols + dim - 1) // dim
-    space = "acc" if local.space is Space.ACCUMULATOR else "spad"
-    return (space, local.row, local.row + (tiles - 1) * dim + rows)
-
-
-def _dram_interval(buffer: str, offset: int, cols: int, rows: int, pitch: int | None) -> Interval:
-    if pitch is None:
-        return (f"dram:{buffer}", 0, _FAR)
-    return (f"dram:{buffer}", offset, offset + (rows - 1) * pitch + cols)
-
-
-def _elems(stride_bytes: int | None) -> int | None:
-    if stride_bytes is None or stride_bytes % 4 != 0:
-        return None
-    return stride_bytes // 4
-
-
-def _effects(ins: Instruction, state: _ScanState, dim: int) -> tuple[list[Interval], list[Interval]]:
-    """Reads and writes of one instruction, then update the scan state."""
-    reads: list[Interval] = []
-    writes: list[Interval] = []
-    if isinstance(ins, ConfigEx):
-        writes.append(("reg:ex", 0, 1))
-        state.a_transpose = ins.a_transpose
-        state.b_transpose = ins.b_transpose
-    elif isinstance(ins, ConfigLd):
-        writes.append((f"reg:ld{ins.channel}", 0, 1))
-        state.ld_strides[ins.channel] = ins.stride_bytes
-    elif isinstance(ins, ConfigSt):
-        writes.append(("reg:st", 0, 1))
-        state.st_stride = ins.stride_bytes
-    elif isinstance(ins, Mvin):
-        reads.append((f"reg:ld{ins.channel}", 0, 1))
-        pitch = _elems(state.ld_strides.get(ins.channel))
-        reads.append(_dram_interval(ins.dram.buffer, ins.dram.offset, ins.cols, ins.rows, pitch))
-        dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
-        writes.append(dest)
-        if ins.local.space is Space.ACCUMULATOR and ins.local.accumulate:
-            reads.append(dest)
-    elif isinstance(ins, Preload):
-        writes.append(("reg:latch", 0, 1))
-        if ins.b.is_sentinel:
-            reads.append(("reg:latch", 0, 1))
-        else:
-            reads.append(("reg:ex", 0, 1))
-            reads.append(("spad", ins.b.row, ins.b.row + ins.b_rows))
-        state.latch = (ins.c.row, ins.c_rows, ins.c.accumulate)
-    elif isinstance(ins, PreloadZeros):
-        writes.append(("reg:latch", 0, 1))
-        state.latch = (ins.c.row, dim, ins.c.accumulate)
-    elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-        reads.append(("reg:latch", 0, 1))
-        reads.append(("reg:ex", 0, 1))
-        reads.append(("spad", ins.a.row, ins.a.row + ins.a_rows))
-        if not ins.d.is_sentinel:
-            reads.append(("spad", ins.d.row, ins.d.row + ins.d_rows))
-        if state.latch is None:
-            target: Interval = ("acc", 0, _FAR)
-            accumulate = True
-        else:
-            row, nrows, acc_bit = state.latch
-            target = ("acc", row, row + nrows)
-            accumulate = acc_bit or isinstance(ins, ComputeAccumulated)
-        writes.append(target)
-        if accumulate:
-            reads.append(target)
-    elif isinstance(ins, Mvout):
-        reads.append(("reg:st", 0, 1))
-        reads.append(("reg:ex", 0, 1))
-        reads.append(_local_interval(ins.local, ins.cols, ins.rows, dim))
-        writes.append(
-            _dram_interval(ins.dram.buffer, ins.dram.offset, ins.cols, ins.rows, _elems(state.st_stride))
-        )
-    elif isinstance(ins, Fence):
-        pass
-    return reads, writes
 
 
 def _overlap(a: Interval, b: Interval) -> bool:
@@ -174,7 +78,7 @@ def _memory_only(intervals: list[Interval]) -> list[Interval]:
 
 def _make_blocks(slices: list[tuple[Instruction, ...]], dim: int) -> list[Block]:
     """Build blocks (with footprints) from already-chosen contiguous slices."""
-    state = _ScanState()
+    state = ScanState()
     blocks: list[Block] = []
     for block_id, instructions in enumerate(slices):
         reads: list[Interval] = []
@@ -182,7 +86,7 @@ def _make_blocks(slices: list[tuple[Instruction, ...]], dim: int) -> list[Block]
         exposed: list[str] = []
         written: list[str] = []
         for ins in instructions:
-            r, w = _effects(ins, state, dim)
+            r, w = footprint(ins, state, dim)
             for iv in r:
                 if iv[0].startswith("reg:"):
                     reg = iv[0][4:]
@@ -222,10 +126,10 @@ def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
     if not instructions:
         return []
 
-    state = _ScanState()
+    state = ScanState()
     per_ins: list[tuple[list[Interval], list[Interval]]] = []
     for ins in instructions:
-        per_ins.append(_effects(ins, state, cfg.dim))
+        per_ins.append(footprint(ins, state, cfg.dim))
 
     def first_consumer(index: int) -> int:
         mem_writes = tuple(_memory_only(per_ins[index][1]))
@@ -274,11 +178,9 @@ def analyze_dependences(blocks: list[Block]) -> frozenset[tuple[int, int]]:
             ):
                 edges.add((a.id, b.id))
 
-    for reg in _CONFIG_REGS + ("latch",):
+    for reg in {reg for block in blocks for reg in block.exposed_regs}:
         writers = [b.id for b in blocks if reg in b.written_regs]
         exposed = [b.id for b in blocks if reg in b.exposed_regs]
-        if not exposed:
-            continue
         for earlier, later in zip(writers, writers[1:]):
             edges.add((earlier, later))
         for reader in exposed:
@@ -299,22 +201,11 @@ class PeepholeContext:
     """Cross-block state for the rewrite walk, in original block order."""
 
     dim: int = 4
-    state: _ScanState = field(default_factory=_ScanState)
+    state: ScanState = field(default_factory=ScanState)
     last_preload: Preload | PreloadZeros | None = None
+    weights: tuple[Interval, ...] = ()  # the memory the last preload latched from
     weights_clean: bool = False
     seen_mvins: set[tuple] = field(default_factory=set)
-
-    def _invalidate_writes(self, writes: list[Interval]) -> None:
-        mem = tuple(_memory_only(writes))
-        if mem:
-            self.seen_mvins -= {key for key in self.seen_mvins if _any_overlap(mem, key[-1])}
-
-    def _weights_interval(self) -> Interval | None:
-        pre = self.last_preload
-        if isinstance(pre, Preload) and not pre.b.is_sentinel:
-            space = "acc" if pre.b.space is Space.ACCUMULATOR else "spad"
-            return (space, pre.b.row, pre.b.row + pre.b_rows)
-        return None
 
     def admit(self, ins: Instruction) -> bool:
         """Walk past one instruction other than a preload.
@@ -323,37 +214,22 @@ class PeepholeContext:
         still in place: same source, destination and stride, and neither
         overwritten since.  Accumulating mvins are always kept.
         """
+        reads, writes = footprint(ins, self.state, self.dim)  # an mvin leaves the state as it is
         key = None
         if isinstance(ins, Mvin) and not (ins.local.space is Space.ACCUMULATOR and ins.local.accumulate):
-            key = _mvin_key(ins, self.state, self.dim)
+            key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory_only(reads), *writes))
             if key in self.seen_mvins:
                 return False
         if isinstance(ins, ConfigEx):
             self.weights_clean = False  # a transpose change would alter relatched weights
-        _, writes = _effects(ins, self.state, self.dim)
-        self._invalidate_writes(writes)
-        weights = self._weights_interval()
-        if weights is not None and _any_overlap(tuple(_memory_only(writes)), (weights,)):
-            self.weights_clean = False
+        mem = tuple(_memory_only(writes))
+        if mem:
+            self.seen_mvins -= {seen for seen in self.seen_mvins if _any_overlap(mem, seen[-1])}
+            if _any_overlap(mem, self.weights):
+                self.weights_clean = False
         if key is not None:
             self.seen_mvins.add(key)
         return True
-
-
-def _mvin_key(ins: Mvin, state: _ScanState, dim: int) -> tuple:
-    dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
-    pitch = _elems(state.ld_strides.get(ins.channel))
-    src = _dram_interval(ins.dram.buffer, ins.dram.offset, ins.cols, ins.rows, pitch)
-    return (
-        ins.channel,
-        ins.dram.buffer,
-        ins.dram.offset,
-        ins.local.raw,
-        ins.cols,
-        ins.rows,
-        pitch,
-        (src, dest),
-    )
 
 
 def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
@@ -370,7 +246,7 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
                 kept.append(ins)
             continue
         previous = ctx.last_preload
-        _effects(ins, ctx.state, ctx.dim)
+        reads, _ = footprint(ins, ctx.state, ctx.dim)
         if ins == previous and ctx.weights_clean:
             continue
         rewritten = ins
@@ -385,6 +261,7 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
         ):
             rewritten = replace(ins, b=LocalAddr(SENTINEL))
         ctx.last_preload = ins
+        ctx.weights = tuple(_memory_only(reads))
         ctx.weights_clean = True
         kept.append(rewritten)
     return replace(block, instructions=tuple(kept))

@@ -30,27 +30,19 @@ import re
 import string
 import sys
 from bisect import bisect_left
-from functools import partial
 from typing import Callable
 
 from .isa import (
-    SENTINEL,
+    BY_MNEMONIC,
+    INSTRUCTIONS,
     Activation,
-    ComputeAccumulated,
-    ComputePreloaded,
-    ConfigEx,
-    ConfigLd,
-    ConfigSt,
     Dataflow,
     DramRef,
-    Fence,
     Instruction,
+    InstructionSpec,
     LocalAddr,
-    Mvin,
-    Mvout,
-    Preload,
-    PreloadZeros,
     Program,
+    spec_of,
 )
 
 _UNROLL_LIMIT = 200_000
@@ -228,25 +220,6 @@ def _fill_slots(toks: list[str], lines: list[int], slots: list[int], values: tup
     filled_lines += lines[last:]
     return filled, filled_lines
 
-
-# Each instruction's constructor and its operands in order: a DRAM
-# reference, a local address, a flag, a dataflow or activation name, a
-# channel (any integer), or the name of a count that must be non-negative.
-_CALLS: dict[str, tuple[Callable[..., Instruction], tuple[str, ...]]] = {
-    "config_ex": (ConfigEx, ("dataflow", "activation", "flag", "flag")),
-    "config_ld": (ConfigLd, ("stride", "channel")),
-    "config_st": (ConfigSt, ("stride",)),
-    "mvin": (partial(Mvin, 0), ("dram", "local", "cols", "rows")),
-    "mvin2": (partial(Mvin, 1), ("dram", "local", "cols", "rows")),
-    "mvin3": (partial(Mvin, 2), ("dram", "local", "cols", "rows")),
-    "preload": (Preload, ("local", "local", "B_cols", "B_rows", "C_cols", "C_rows")),
-    "preload_zeros": (PreloadZeros, ("local",)),
-    "compute_preloaded": (ComputePreloaded, ("local", "local", "A_cols", "A_rows", "D_cols", "D_rows")),
-    "compute_accumulated": (ComputeAccumulated, ("local", "local", "A_cols", "A_rows", "D_cols", "D_rows")),
-    "mvout": (Mvout, ("dram", "local", "cols", "rows")),
-    "fence": (Fence, ()),
-}
-_INSTRUCTION_NAMES = set(_CALLS)
 
 _DATAFLOWS = {d.value: d for d in Dataflow}
 _ACTIVATIONS = {a.value: a for a in Activation}
@@ -606,18 +579,18 @@ class _Parser:
     def _parse_call(self) -> None:
         at = self.pos
         name = self.toks[at]
-        if name not in _CALLS:
+        spec = BY_MNEMONIC.get(name)
+        if spec is None:
             raise UnknownFunctionError(self.lines[at], name)
-        build, kinds = _CALLS[name]
         self.pos += 2  # the name and its '('
         operands = []
-        for kind in kinds:
+        for _, kind in spec.operands:
             if operands:
                 self.expect(",")
             operands.append(self._operand(kind))
         self.expect(")")
         self.expect(";")
-        self.out.append(build(*operands))
+        self.out.append(spec.build(*operands))
 
     def _operand(self, kind: str) -> DramRef | LocalAddr | Dataflow | Activation | bool | int:
         if kind == "dram":
@@ -669,39 +642,28 @@ def _render_dram(ref: DramRef) -> str:
     return ref.buffer
 
 
-def _render_local(addr: LocalAddr) -> str:
-    return f"{addr.raw:#x}"
+# How each operand kind is written, as an f-string field over `ins`; any
+# other kind is an integer.
+_OPERAND_TEXT = {
+    "dram": "{_render_dram(ins.%s)}",
+    "local": "{ins.%s.raw:#x}",
+    "flag": "{'true' if ins.%s else 'false'}",
+    "dataflow": "{ins.%s.value}",
+    "activation": "{ins.%s.value}",
+}
+
+
+def _renderer(spec: InstructionSpec) -> Callable[[Instruction], str]:
+    """One f-string for the whole call, compiled from the entry's operand kinds."""
+    fields = ", ".join(_OPERAND_TEXT.get(kind, "{ins.%s}") % name for name, kind in spec.operands)
+    return eval(f'lambda ins: f"{spec.mnemonic}({fields});"', {"_render_dram": _render_dram})
+
+
+_RENDERERS = {spec: _renderer(spec) for spec in INSTRUCTIONS}
 
 
 def render_instruction(ins: Instruction) -> str:
-    if isinstance(ins, ConfigEx):
-        flags = f"{'true' if ins.a_transpose else 'false'}, {'true' if ins.b_transpose else 'false'}"
-        return f"config_ex({ins.dataflow.value}, {ins.act.value}, {flags});"
-    if isinstance(ins, ConfigLd):
-        return f"config_ld({ins.stride_bytes}, {ins.channel});"
-    if isinstance(ins, ConfigSt):
-        return f"config_st({ins.stride_bytes});"
-    if isinstance(ins, Mvin):
-        name = ("mvin", "mvin2", "mvin3")[ins.channel]
-        return f"{name}({_render_dram(ins.dram)}, {_render_local(ins.local)}, {ins.cols}, {ins.rows});"
-    if isinstance(ins, Preload):
-        return (
-            f"preload({_render_local(ins.b)}, {_render_local(ins.c)}, "
-            f"{ins.b_cols}, {ins.b_rows}, {ins.c_cols}, {ins.c_rows});"
-        )
-    if isinstance(ins, PreloadZeros):
-        return f"preload_zeros({_render_local(ins.c)});"
-    if isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-        name = "compute_preloaded" if isinstance(ins, ComputePreloaded) else "compute_accumulated"
-        return (
-            f"{name}({_render_local(ins.a)}, {_render_local(ins.d)}, "
-            f"{ins.a_cols}, {ins.a_rows}, {ins.d_cols}, {ins.d_rows});"
-        )
-    if isinstance(ins, Mvout):
-        return f"mvout({_render_dram(ins.dram)}, {_render_local(ins.local)}, {ins.cols}, {ins.rows});"
-    if isinstance(ins, Fence):
-        return "fence();"
-    raise TypeError(f"not an instruction: {ins!r}")
+    return _RENDERERS[spec_of(ins)](ins)
 
 
 def render_program(p: Program) -> str:

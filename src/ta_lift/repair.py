@@ -21,13 +21,12 @@ from typing import Iterator
 from . import kernels
 from .gateway import Backend, GenerationParams
 from .harness import _FENCE, extract_code
-from .isa import Program
+from .isa import BY_MNEMONIC, Program
 from .kernels import KernelSpec, TestCase, verify_source
 from .machine import MachineConfig
 from .program_text import (
     _ACTIVATIONS,
     _DATAFLOWS,
-    _INSTRUCTION_NAMES,
     _KEYWORDS,
     ProgramSyntaxError,
     _fill_slots,
@@ -42,7 +41,7 @@ DEFAULT_CONSTANT_SET: tuple[int, ...] = (0, 1, 3, 4, 12)
 DEFAULT_CAP = 10_000
 DEFAULT_MAX_HOLES = 5
 
-_RESERVED = _INSTRUCTION_NAMES | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
+_RESERVED = set(BY_MNEMONIC) | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
 
 _DECL = re.compile(r"^[ \t]*(?:static[ \t]+)?uint32_t[ \t]+(\w+)[ \t]*=[ \t]*(-?\d+)[ \t]*;", re.M)
 

@@ -10,7 +10,6 @@ from ta_lift.fixtures import (
     emit_golden_program,
     golden_program,
     kernel,
-    kernel_document,
 )
 from ta_lift.isa import ComputePreloaded, Fence, Mvin, Mvout, Preload, Program, validate_program
 from ta_lift.kernels import generate_testcases, verify_source
@@ -89,13 +88,6 @@ def test_emitter_rejects_oversized_kernels() -> None:
     huge = KernelSpec(name="huge", op="matmul", i=4, k=4000, j=4)
     with pytest.raises(ValueError):
         emit_golden_program(huge, MachineConfig(spad_rows=64))
-
-
-def test_kernel_document_lists_buffers() -> None:
-    doc = kernel_document(kernel("gv1"))
-    assert doc["name"] == "gv1"
-    assert {entry["name"] for entry in doc["buffers"]} == {"Bdyn", "p", "B_p"}
-    assert doc["golden_program"].strip().endswith("fence();")
 
 
 def test_all_goldens_fit_default_machine() -> None:

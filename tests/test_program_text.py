@@ -1067,9 +1067,15 @@ _SYMBOLS = st.dictionaries(
 @given(_SYMBOLS, st.lists(_INSTRUCTIONS, max_size=12))
 def test_rendered_random_programs_parse_as_the_reference(symbols: dict[str, int], instructions: list[Instruction]) -> None:
     text = render_program(Program(tuple(instructions), {}, symbols))
-    for buffers in ({name: (4, 4) for name in _BUFFER_NAMES}, None):
+    table = {name: (4, 4) for name in _BUFFER_NAMES}
+    for buffers in (table, None):
         assert_same_as_reference(text, buffers)
     assert_tokens_as_reference(text)
+    try:
+        parsed = parse_program(text, table)
+    except ProgramSyntaxError:
+        return
+    assert parsed.instructions == tuple(instructions)
 
 
 # Words of integer expressions; each stream is parsed as a declaration, an
