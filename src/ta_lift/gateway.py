@@ -15,9 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -148,14 +147,11 @@ class HttpBackend:
     timeout: float = 120.0
     max_attempts: int = 3
     backoff: float = 0.5
-    max_inflight: int = 4
     sleep: Callable[[float], None] = time.sleep
-    _gate: threading.Semaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.base_url = self.base_url or os.environ.get("TA_LIFT_API_BASE", "")
         self.api_key = self.api_key or os.environ.get("TA_LIFT_API_KEY", "")
-        self._gate = threading.Semaphore(self.max_inflight)
 
     def complete(self, prompt: Prompt, params: GenerationParams) -> list[Completion]:
         if not self.base_url:
@@ -177,8 +173,7 @@ class HttpBackend:
 
         body: dict = {}
         for attempt in range(self.max_attempts):
-            with self._gate:
-                status, body = self.post(url, headers, payload, self.timeout)
+            status, body = self.post(url, headers, payload, self.timeout)
             if status < 400:
                 break
             if status < 500:

@@ -233,6 +233,8 @@ def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = 4)
     """
     for idx, ins in enumerate(p.instructions):
         if isinstance(ins, Mvin):
+            if ins.channel not in (0, 1, 2):
+                raise ValidationError(idx, "unsupported", f"mvin channel {ins.channel} not in 0..2")
             if ins.rows < 1 or ins.rows > dim:
                 raise ValidationError(idx, "rows_exceed_dim", f"mvin rows {ins.rows} not in 1..{dim}")
             if ins.cols < 1 or ins.cols > dim * max_block_len:

@@ -9,22 +9,25 @@ edges.  Every candidate must re-verify in the simulator before it replaces
 its input.  A change that fails verification or raises the modeled cost is
 discarded, so the pipeline never regresses a program.
 
-Footprints drive the dependence analysis.  Each instruction's footprint
-comes from its entry in the instruction table (`isa.INSTRUCTIONS`), given
-the configuration and latch state of a left-to-right scan.  Memory
-footprints (scratchpad rows, accumulator rows, DRAM element intervals)
-conflict by interval overlap.  Register state (the config registers and
-the weight latch) is treated as privatizable: a block that writes a
-register before reading it breaks the dependence chain, so ordinary blocks
-that each begin with their own preload do not serialize on the latch.
+Each instruction's footprint comes from its entry in the instruction table
+(`isa.INSTRUCTIONS`), given the configuration and latch state of a
+left-to-right scan.  Segmentation scans them once; a block is only its
+slice of instructions.  Block footprints are built only where a model's
+plan is checked, by `analyze_dependences`.  Memory footprints (scratchpad
+rows, accumulator rows, DRAM element intervals) conflict by interval
+overlap.  Register state (the config registers and the weight latch) is
+treated as privatizable: a block that writes a register before reading it
+breaks the dependence chain, so ordinary blocks that each begin with their
+own preload do not serialize on the latch.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from .costs import CostParams, CostReport, program_cost
+from .costs import CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
     SENTINEL,
@@ -55,7 +58,7 @@ def _overlap(a: Interval, b: Interval) -> bool:
     return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
 
 
-def _any_overlap(xs: tuple[Interval, ...], ys: tuple[Interval, ...]) -> bool:
+def _any_overlap(xs: Sequence[Interval], ys: Sequence[Interval]) -> bool:
     return any(_overlap(x, y) for x in xs for y in ys)
 
 
@@ -63,10 +66,6 @@ def _any_overlap(xs: tuple[Interval, ...], ys: tuple[Interval, ...]) -> bool:
 class Block:
     id: int
     instructions: tuple[Instruction, ...]
-    reads: tuple[Interval, ...]
-    writes: tuple[Interval, ...]
-    exposed_regs: tuple[str, ...]
-    written_regs: tuple[str, ...]
 
     def text(self) -> str:
         return "\n".join(render_instruction(ins) for ins in self.instructions)
@@ -76,114 +75,78 @@ def _memory_only(intervals: list[Interval]) -> list[Interval]:
     return [iv for iv in intervals if not iv[0].startswith("reg:")]
 
 
-def _make_blocks(slices: list[tuple[Instruction, ...]], dim: int) -> list[Block]:
-    """Build blocks (with footprints) from already-chosen contiguous slices."""
-    state = ScanState()
-    blocks: list[Block] = []
-    for block_id, instructions in enumerate(slices):
-        reads: list[Interval] = []
-        writes: list[Interval] = []
-        exposed: list[str] = []
-        written: list[str] = []
-        for ins in instructions:
-            r, w = footprint(ins, state, dim)
-            for iv in r:
-                if iv[0].startswith("reg:"):
-                    reg = iv[0][4:]
-                    if reg not in written and reg not in exposed:
-                        exposed.append(reg)
-                else:
-                    reads.append(iv)
-            for iv in w:
-                if iv[0].startswith("reg:"):
-                    reg = iv[0][4:]
-                    if reg not in written:
-                        written.append(reg)
-                else:
-                    writes.append(iv)
-        blocks.append(
-            Block(
-                id=block_id,
-                instructions=tuple(instructions),
-                reads=tuple(reads),
-                writes=tuple(writes),
-                exposed_regs=tuple(exposed),
-                written_regs=tuple(written),
-            )
-        )
-    return blocks
-
-
 def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
     """Cut a program into a prelude plus one block per preload.
 
-    Cuts never move instructions: each mvin run directly before a preload
-    joins the new block exactly when its first consumer (the first later
-    instruction reading the rows it wrote) sits at or past that preload.
+    Cuts never move instructions: each mvin of the run directly before a
+    preload joins the new block exactly when its first consumer (the first
+    later instruction reading the rows it wrote) sits at or past that
+    preload.  Walking the run backwards, that means no later mvin of the
+    run reads its rows.
     """
     cfg = cfg or MachineConfig()
-    instructions = list(p.instructions)
-    if not instructions:
-        return []
-
+    instructions = tuple(p.instructions)
     state = ScanState()
-    per_ins: list[tuple[list[Interval], list[Interval]]] = []
-    for ins in instructions:
-        per_ins.append(footprint(ins, state, cfg.dim))
-
-    def first_consumer(index: int) -> int:
-        mem_writes = tuple(_memory_only(per_ins[index][1]))
-        for later in range(index + 1, len(instructions)):
-            mem_reads = tuple(_memory_only(per_ins[later][0]))
-            if _any_overlap(mem_writes, mem_reads):
-                return later
-        return len(instructions)
-
+    effects = [footprint(ins, state, cfg.dim) for ins in instructions]
     cuts: list[int] = []
     for index, ins in enumerate(instructions):
         if not isinstance(ins, (Preload, PreloadZeros)):
             continue
-        start = index
-        back = index - 1
-        while back >= 0 and isinstance(instructions[back], Mvin):
-            if first_consumer(back) >= index:
-                start = back
-                back -= 1
-            else:
+        start, later_reads = index, []
+        while start > 0 and isinstance(instructions[start - 1], Mvin):
+            reads, writes = effects[start - 1]
+            if _any_overlap(writes, later_reads):
                 break
-        if not cuts or start > cuts[-1]:
-            cuts.append(start)
-
-    if cuts and cuts[0] == 0:
-        slices = []
-    elif cuts:
-        slices = [tuple(instructions[: cuts[0]])]
-    else:
-        slices = [tuple(instructions)]
-    for n, cut in enumerate(cuts):
-        end = cuts[n + 1] if n + 1 < len(cuts) else len(instructions)
-        slices.append(tuple(instructions[cut:end]))
-    return _make_blocks(slices, cfg.dim)
+            start -= 1
+            later_reads += reads
+        cuts.append(start)
+    bounds = sorted({0, *cuts, len(instructions)})
+    return [Block(n, instructions[a:b]) for n, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def analyze_dependences(blocks: list[Block]) -> frozenset[tuple[int, int]]:
-    """Pairwise block conflicts; every edge (i, j) means i stays before j."""
+def _registers(intervals: list[Interval]) -> set[str]:
+    return {iv[0][4:] for iv in intervals if iv[0].startswith("reg:")}
+
+
+def analyze_dependences(blocks: list[Block], cfg: MachineConfig | None = None) -> frozenset[tuple[int, int]]:
+    """Pairwise block conflicts; every edge (i, j) means i stays before j.
+
+    One scan in block order gives each block its memory reads and writes,
+    the registers it reads before writing them (exposed) and the registers
+    it writes.
+    """
+    cfg = cfg or MachineConfig()
+    state = ScanState()
+    scanned = []
+    for block in blocks:
+        reads: list[Interval] = []
+        writes: list[Interval] = []
+        exposed: set[str] = set()
+        written: set[str] = set()
+        for ins in block.instructions:
+            r, w = footprint(ins, state, cfg.dim)
+            exposed |= _registers(r) - written
+            written |= _registers(w)
+            reads += _memory_only(r)
+            writes += _memory_only(w)
+        scanned.append((block.id, reads, writes, exposed, written))
+
     edges: set[tuple[int, int]] = set()
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1 :]:
+    for i, (a, a_reads, a_writes, _, _) in enumerate(scanned):
+        for b, b_reads, b_writes, _, _ in scanned[i + 1 :]:
             if (
-                _any_overlap(a.writes, b.reads)
-                or _any_overlap(a.reads, b.writes)
-                or _any_overlap(a.writes, b.writes)
+                _any_overlap(a_writes, b_reads)
+                or _any_overlap(a_reads, b_writes)
+                or _any_overlap(a_writes, b_writes)
             ):
-                edges.add((a.id, b.id))
+                edges.add((a, b))
 
-    for reg in {reg for block in blocks for reg in block.exposed_regs}:
-        writers = [b.id for b in blocks if reg in b.written_regs]
-        exposed = [b.id for b in blocks if reg in b.exposed_regs]
+    for reg in set().union(*(exposed for *_, exposed, _ in scanned)):
+        writers = [b for b, *_, written in scanned if reg in written]
+        readers = [b for b, *_, exposed, _ in scanned if reg in exposed]
         for earlier, later in zip(writers, writers[1:]):
             edges.add((earlier, later))
-        for reader in exposed:
+        for reader in readers:
             before = [w for w in writers if w < reader]
             if before:
                 edges.add((before[-1], reader))
@@ -298,8 +261,11 @@ def search_reorder(blocks: list[Block]) -> OrderingPlan:
 
 def parse_plan(reply: str, n_blocks: int) -> tuple[int, ...]:
     """Read a reordering reply as a permutation of block ids."""
-    labeled = [int(m) for m in re.findall(r"[Bb]lock\s*#?\s*(\d+)", reply)]
-    candidates = labeled if labeled else [int(m) for m in re.findall(r"\d+", reply)]
+    runs = re.findall(r"[Bb]lock\s*#?\s*(\d+)", reply) or re.findall(r"\d+", reply)
+    try:
+        candidates = [int(run) for run in runs]
+    except ValueError:  # past int()'s digit limit, so no block id
+        raise PlanParseError(f"expected block ids 0..{n_blocks - 1}, found a number too long to read") from None
     if len(candidates) != n_blocks or sorted(candidates) != list(range(n_blocks)):
         raise PlanParseError(
             f"expected a permutation of blocks 0..{n_blocks - 1}, found {candidates}"
@@ -366,17 +332,15 @@ def optimize_program(
     mode: str = "rules",
     backend: Backend | None = None,
     params: GenerationParams | None = None,
-    cost_params: CostParams | None = None,
     cfg: MachineConfig | None = None,
 ) -> OptimizeResult:
     """Optimize a verified program; every stage is gated by verification."""
     if mode not in ("rules", "llm", "llm_then_rules"):
         raise ValueError(f"unknown optimize mode '{mode}'")
-    cost_params = cost_params or CostParams()
     cfg = cfg or MachineConfig()
     if not verify_program(p, spec, cases, cfg).passed:
         raise ValueError("optimize_program expects a program that already verifies")
-    before = program_cost(p, cost_params)
+    before = program_cost(p)
 
     blocks = segment_blocks(p, cfg)
     if not blocks:
@@ -389,21 +353,18 @@ def optimize_program(
     # Stage 1: per-block rewrites, each gated by whole-program verification.
     llm_params = params or GenerationParams(n_samples=1)
     if mode in ("llm", "llm_then_rules") and backend is not None:
-        slices = [block.instructions for block in blocks]
-        for position, block in enumerate(blocks):
+        for block in blocks:
             rewritten = _llm_block_rewrite(block, backend, llm_params, p)
             if rewritten is None or rewritten == block.instructions:
                 continue
-            trial = list(slices)
-            trial[position] = rewritten
-            candidate = reassemble(_make_blocks(trial, cfg.dim), identity, p)
-            if verified(candidate) and program_cost(candidate, cost_params).total <= before.total:
-                slices = trial
-        blocks = _make_blocks(slices, cfg.dim)
+            trial = list(blocks)
+            trial[block.id] = Block(block.id, rewritten)
+            candidate = reassemble(trial, identity, p)
+            if verified(candidate) and program_cost(candidate).total <= before.total:
+                blocks = trial
     if mode in ("rules", "llm_then_rules"):
         ctx = PeepholeContext(dim=cfg.dim)
-        slices = [peephole_block(block, ctx).instructions for block in blocks]
-        candidate_blocks = _make_blocks(slices, cfg.dim)
+        candidate_blocks = [peephole_block(block, ctx) for block in blocks]
         candidate = reassemble(candidate_blocks, identity, p)
         if verified(candidate):
             blocks = candidate_blocks
@@ -419,7 +380,7 @@ def optimize_program(
             permutation = parse_plan(reply, len(blocks))
         except PlanParseError:
             permutation = None
-        if permutation is not None and _respects(permutation, analyze_dependences(blocks)):
+        if permutation is not None and _respects(permutation, analyze_dependences(blocks, cfg)):
             candidate = reassemble(blocks, permutation, p, dedup=True, cfg=cfg)
             if verified(candidate):
                 final, plan = candidate, OrderingPlan(permutation, provenance="llm")
@@ -428,7 +389,7 @@ def optimize_program(
         candidate = reassemble(blocks, plan.permutation, p, dedup=True, cfg=cfg)
         if verified(candidate):
             final = candidate
-    after = program_cost(final, cost_params)
+    after = program_cost(final)
     if after.total > before.total:
         final, after, plan = p, before, search_reorder(blocks)
     return OptimizeResult(program=final, before=before, after=after, plan=plan)

@@ -20,14 +20,6 @@ from .kernels import KernelSpec
 PROMPT_BUDGET_BYTES = 32 * 1024
 
 
-class Task(Enum):
-    TRANSLATE = "translate"
-    OPTIMIZE_BLOCK = "optimize_block"
-    REORDER_BLOCKS = "reorder_blocks"
-    REPAIR_MARK = "repair_mark"
-    REPAIR_FILL = "repair_fill"
-
-
 class SourceStyle(Enum):
     NL_ONLY = "nl_only"
     CODE_ONLY = "code_only"
@@ -130,7 +122,6 @@ class PromptSpec:
     """Everything that determines a translation prompt's bytes."""
 
     kernel: KernelSpec
-    task: Task = Task.TRANSLATE
     shots: int = 1
     nl_annotated: bool = True
     include_isa: bool = True
@@ -203,8 +194,6 @@ def _source_section(style: SourceStyle) -> str:
 
 
 def build_translation_prompt(spec: PromptSpec) -> Prompt:
-    if spec.task is not Task.TRANSLATE:
-        raise ValueError(f"expected a translation spec, got task {spec.task.value}")
     if spec.shots == 0 and not spec.nl_annotated:
         # With no examples there is nothing to strip; canonicalize so the
         # fingerprint does not depend on the irrelevant flag.

@@ -395,7 +395,7 @@ def parse_apply_command(text: str) -> ScheduleCommand:
     payload = apply_lines[-1][len("APPLY:") :].strip()
     try:
         data = json.loads(payload)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also a number past int()'s digit limit, or deep nesting
         raise CommandError(f"invalid JSON after APPLY: ({err})") from None
     if not isinstance(data, dict) or "optimization" not in data or "arguments" not in data:
         raise CommandError("APPLY payload must carry 'optimization' and 'arguments'")

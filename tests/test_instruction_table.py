@@ -16,7 +16,7 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from ta_lift import machine, repair
 from ta_lift.fixtures import KERNELS, kernel
@@ -27,10 +27,13 @@ from ta_lift.isa import (
     DramRef,
     Interval,
     LocalAddr,
+    Mvin,
     Program,
     ScanState,
+    ValidationError,
     footprint,
     spec_of,
+    validate_program,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
 from ta_lift.machine import ExecError, Machine, execute
@@ -111,13 +114,17 @@ def _twin(m: Machine, reads: dict[str, np.ndarray], noise: dict[str, np.ndarray]
 
 def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bool:
     """Run one instruction on `m` and on a randomized twin; False once it fails."""
+    single = Program((ins,))
+    try:
+        validate_program(single, m.config.dim, m.config.max_block_len)  # an invalid one has no footprint
+    except ValidationError:
+        return False
     reads, writes = footprint(ins, state, m.config.dim)
     read_masks = _masks(m, reads)
     write_masks = _masks(m, writes)
     twin = _twin(m, read_masks, noise)
     before = {space: memory.copy() for space, memory in _memories(m).items()}
     twin_before = {space: memory.copy() for space, memory in _memories(twin).items()}
-    single = Program((ins,))
     try:
         execute(m, single)
     except ExecError:
@@ -148,8 +155,17 @@ def test_declared_footprints_cover_every_golden() -> None:
         _run_differential(m, _GOLDEN_PROGRAMS[name])
 
 
+def _gv1_with_first_mvin_on_channel(channel: int) -> Program:
+    program = _GOLDEN_PROGRAMS["gv1"]
+    at = next(at for at, ins in enumerate(program.instructions) if isinstance(ins, Mvin))
+    instructions = list(program.instructions)
+    instructions[at] = dataclasses.replace(instructions[at], channel=channel)
+    return dataclasses.replace(program, instructions=tuple(instructions))
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(workloads())
+@example((_gv1_with_first_mvin_on_channel(-5), kernel("gv1"), generate_testcases(kernel("gv1"), seed=0, count=2)))
 def test_declared_footprints_cover_random_and_mutated_programs(workload) -> None:
     program, spec, cases = workload
     _run_differential(machine_for_cases(spec, cases[:2]), program)

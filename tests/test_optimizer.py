@@ -1,5 +1,7 @@
 import random
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +24,10 @@ from ta_lift.isa import (
     Mvin,
     Mvout,
     Preload,
+    PreloadZeros,
     Program,
+    ScanState,
+    footprint,
 )
 from ta_lift.kernels import generate_testcases, verify_program
 from ta_lift.optimizer import (
@@ -41,6 +46,8 @@ from ta_lift.optimizer import (
 )
 from ta_lift.program_text import parse_program, render_program
 from ta_lift.prompts import build_block_optimize_prompt, build_reorder_prompt
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def parsed_golden(name):
@@ -112,28 +119,27 @@ def test_mvout_stays_with_its_compute_block():
 
 # -- dependences -----------------------------------------------------------
 
-
-def _mini_block(block_id, instructions, reads=(), writes=(), exposed=(), written=()):
-    return Block(
-        id=block_id,
-        instructions=tuple(instructions),
-        reads=tuple(reads),
-        writes=tuple(writes),
-        exposed_regs=tuple(exposed),
-        written_regs=tuple(written),
-    )
+ACC = 1 << 31
 
 
 def test_disjoint_blocks_have_no_edge():
-    a = _mini_block(0, (), writes=[("acc", 0, 4), ("dram:out", 0, 4)])
-    b = _mini_block(1, (), writes=[("acc", 8, 12), ("dram:other", 0, 4)])
+    a = Block(0, (Mvin(0, DramRef("x", 0), LocalAddr(ACC), 4, 4), Mvout(DramRef("out", 0), LocalAddr(ACC), 4, 4)))
+    b = Block(
+        1, (Mvin(0, DramRef("x", 16), LocalAddr(ACC | 8), 4, 4), Mvout(DramRef("other", 0), LocalAddr(ACC | 8), 4, 4))
+    )
     assert analyze_dependences([a, b]) == frozenset()
 
 
 def test_read_after_write_makes_edge():
-    a = _mini_block(0, (), writes=[("spad", 0, 8)])
-    b = _mini_block(1, (), reads=[("spad", 4, 6)])
+    a = Block(0, (Mvin(0, DramRef("x", 0), LocalAddr(0), 8, 4),))  # scratchpad rows 0..8
+    b = Block(1, (Preload(LocalAddr(4), LocalAddr(ACC), 4, 2, 4, 4),))  # reads rows 4..6
     assert (0, 1) in analyze_dependences([a, b])
+
+
+def test_write_after_read_makes_edge():
+    a = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))  # reads scratchpad rows 0..4
+    b = Block(1, (Mvin(0, DramRef("x", 0), LocalAddr(0), 4, 4),))  # overwrites them
+    assert analyze_dependences([a, b]) == frozenset({(0, 1)})
 
 
 def test_accumulation_chain_is_totally_ordered():
@@ -153,17 +159,149 @@ def test_accumulation_chain_is_totally_ordered():
 
 
 def test_register_use_pins_reader_between_writers():
-    writer1 = _mini_block(0, (), written=["latch"])
-    reader = _mini_block(1, (), exposed=["latch"])
-    writer2 = _mini_block(2, (), written=["latch"])
+    writer1 = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))
+    reader = Block(1, (ComputePreloaded(LocalAddr(8), LocalAddr(SENTINEL), 4, 4, 4, 4),))  # reads the latch
+    writer2 = Block(2, (Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),))
     edges = analyze_dependences([writer1, reader, writer2])
     assert (0, 1) in edges and (1, 2) in edges and (0, 2) in edges
 
 
 def test_private_register_writes_do_not_serialize():
-    writer1 = _mini_block(0, (), written=["latch"])
-    writer2 = _mini_block(1, (), written=["latch"])
+    writer1 = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))
+    writer2 = Block(1, (Preload(LocalAddr(4), LocalAddr(ACC | 4), 4, 4, 4, 4),))
     assert analyze_dependences([writer1, writer2]) == frozenset()
+
+
+# -- segmentation and dependences against the first-written oracle --------------
+
+
+def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
+    """Block sizes and edges as the optimizer first computed them.
+
+    Cuts come from each mvin's first consumer anywhere later in the program;
+    then every block's footprint is aggregated in a second scan, and every
+    pair of blocks is tested.
+    """
+    instructions = program.instructions
+    state = ScanState()
+    effects = [footprint(ins, state, 4) for ins in instructions]
+
+    def memory(intervals):
+        return [iv for iv in intervals if not iv[0].startswith("reg:")]
+
+    def overlap(xs, ys):
+        return any(x[0] == y[0] and x[1] < y[2] and y[1] < x[2] for x in xs for y in ys)
+
+    def first_consumer(index):
+        writes = memory(effects[index][1])
+        later = (at for at in range(index + 1, len(instructions)) if overlap(writes, memory(effects[at][0])))
+        return next(later, len(instructions))
+
+    cuts = []
+    for index, ins in enumerate(instructions):
+        if isinstance(ins, (Preload, PreloadZeros)):
+            start = index
+            while start > 0 and isinstance(instructions[start - 1], Mvin) and first_consumer(start - 1) >= index:
+                start -= 1
+            if not cuts or start > cuts[-1]:
+                cuts.append(start)
+    bounds = sorted({0, *cuts, len(instructions)})
+    slices = [instructions[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    state = ScanState()
+    blocks = []
+    for block in slices:
+        reads, writes, exposed, written = [], [], [], []
+        for ins in block:
+            r, w = footprint(ins, state, 4)
+            for iv in r:
+                reg = iv[0][4:] if iv[0].startswith("reg:") else None
+                if reg is None:
+                    reads.append(iv)
+                elif reg not in written and reg not in exposed:
+                    exposed.append(reg)
+            for iv in w:
+                reg = iv[0][4:] if iv[0].startswith("reg:") else None
+                if reg is None:
+                    writes.append(iv)
+                elif reg not in written:
+                    written.append(reg)
+        blocks.append((reads, writes, exposed, written))
+
+    edges = set()
+    for i, (a_reads, a_writes, _, _) in enumerate(blocks):
+        for j in range(i + 1, len(blocks)):
+            b_reads, b_writes = blocks[j][:2]
+            if overlap(a_writes, b_reads) or overlap(a_reads, b_writes) or overlap(a_writes, b_writes):
+                edges.add((i, j))
+    for reg in {reg for block in blocks for reg in block[2]}:
+        writers = [i for i, block in enumerate(blocks) if reg in block[3]]
+        for earlier, later in zip(writers, writers[1:]):
+            edges.add((earlier, later))
+        for reader in (i for i, block in enumerate(blocks) if reg in block[2]):
+            before = [w for w in writers if w < reader]
+            if before:
+                edges.add((before[-1], reader))
+            edges.update((reader, w) for w in writers if w > reader)
+    return [len(s) for s in slices], frozenset(edges)
+
+
+def _assert_matches_oracle(program: Program) -> None:
+    blocks = segment_blocks(program)
+    assert tuple(i for b in blocks for i in b.instructions) == program.instructions
+    assert [b.id for b in blocks] == list(range(len(blocks)))
+    assert ([len(b.instructions) for b in blocks], analyze_dependences(blocks)) == _oracle(program)
+
+
+def test_mvin_read_by_a_later_mvin_of_the_run_stays_before_the_cut():
+    accumulate = LocalAddr(ACC | 1 << 30)
+    program = Program(
+        (
+            ConfigLd(16, 0),
+            Mvin(0, DramRef("x", 0), LocalAddr(ACC), 4, 4),
+            Mvin(0, DramRef("y", 0), accumulate, 4, 4),  # reads the rows the mvin above wrote
+            Mvin(0, DramRef("w", 0), LocalAddr(0), 4, 4),
+            Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),
+        )
+    )
+    assert [len(b.instructions) for b in segment_blocks(program)] == [2, 3]
+    _assert_matches_oracle(program)
+
+
+@pytest.fixture(scope="module")
+def naive_programs():
+    """Each kernel's naive program, as the benchmark's optimize workload writes it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import naive_program
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {
+        name: (kernel(name), parse_program(naive_program(golden_program(name)), kernel(name).buffer_shapes()))
+        for name in sorted(KERNELS)
+    }
+
+
+def test_goldens_and_naive_programs_match_the_oracle(naive_programs):
+    for name in sorted(KERNELS):
+        _assert_matches_oracle(parsed_golden(name)[1])
+        _assert_matches_oracle(naive_programs[name][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
+def test_synthetic_programs_match_the_oracle(seed, n):
+    _assert_matches_oracle(_synthetic_program(seed, n))
+
+
+def test_rules_mode_scans_each_footprint_at_most_twice(naive_programs, monkeypatch):
+    """Once to segment, once for the peephole walk; block footprints are not built."""
+    calls = []
+    monkeypatch.setattr(optimizer, "footprint", lambda *args: calls.append(1) or footprint(*args))
+    for spec, program in naive_programs.values():
+        calls.clear()
+        optimize_program(program, spec, cases_for(spec, count=2), mode="rules")
+        assert len(calls) <= 2 * len(program.instructions), spec.name
 
 
 # -- peephole --------------------------------------------------------------
@@ -246,7 +384,7 @@ def golden_setup(name):
     return spec, program, blocks, analyze_dependences(blocks), cases_for(spec)
 
 
-def _synthetic_blocks(seed: int, n: int = 6):
+def _synthetic_program(seed: int, n: int = 6) -> Program:
     """Blocks with randomized loads, some sharing a dram tile."""
     rng = random.Random(seed)
     prelude = (
@@ -266,8 +404,7 @@ def _synthetic_blocks(seed: int, n: int = 6):
                 Mvout(DramRef("out", 64 * b), LocalAddr((1 << 31) | row), 4, 4),
             )
         )
-    program = Program(tuple(i for s in slices for i in s), {"w": (16, 16), "out": (64, 16)})
-    return segment_blocks(program)
+    return Program(tuple(i for s in slices for i in s), {"w": (16, 16), "out": (64, 16)})
 
 
 def random_topological_order(n, edges, rng):
@@ -298,7 +435,7 @@ def random_topological_order(n, edges, rng):
 )
 def test_random_programs_ordering_respects_edges(source):
     """Every edge runs forward, so the fallback (identity) plan respects them all."""
-    blocks = golden_setup(source)[2] if isinstance(source, str) else _synthetic_blocks(*source)
+    blocks = golden_setup(source)[2] if isinstance(source, str) else segment_blocks(_synthetic_program(*source))
     plan = search_reorder(blocks)
     assert plan == OrderingPlan(tuple(range(len(blocks))), "search")
     assert all(i < j for i, j in analyze_dependences(blocks))
@@ -331,6 +468,8 @@ def test_parse_plan_rejects_non_permutations():
         parse_plan("Block 0, Block 0, Block 1", 3)
     with pytest.raises(PlanParseError):
         parse_plan("Block 0, Block 1", 3)
+    with pytest.raises(PlanParseError):  # past int()'s 4300-digit limit
+        parse_plan("Block " + "7" * 5000, 3)
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -390,6 +529,18 @@ def test_llm_plan_violating_edges_falls_back_to_search(monkeypatch):
     # The edges refuse the plan before it is simulated: only the input and
     # the identity order with its mvin dedup are verified.
     assert len(verified) == 2
+
+
+def test_llm_plan_with_an_unreadable_number_falls_back_to_search():
+    spec, program = parsed_golden("gv1")
+    blocks = segment_blocks(program)
+    backend = ReplayBackend()
+    for block in blocks:
+        backend.add(build_block_optimize_prompt(block.text()).fingerprint, ["no change"])
+    backend.add(build_reorder_prompt([b.text() for b in blocks]).fingerprint, ["Block " + "7" * 5000])
+    result = optimize_program(program, spec, cases_for(spec), mode="llm", backend=backend)
+    assert result.plan.provenance == "search"
+    assert render_program(result.program) == render_program(program)
 
 
 def test_llm_identity_plan_accepted():

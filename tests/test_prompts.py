@@ -15,7 +15,6 @@ from ta_lift.prompts import (
     PromptSpec,
     PROMPT_BUDGET_BYTES,
     SourceStyle,
-    Task,
     build_block_optimize_prompt,
     build_reorder_prompt,
     build_repair_fill_prompt,

@@ -118,6 +118,8 @@ def test_parse_apply_command_takes_last_apply_line():
         'APPLY: {"optimization": "reorder", "arguments": {"line": 7}}',
         'APPLY: {"optimization": "fission", "arguments": {"line": "x", "location": "middle"}}',
         'APPLY: {"optimization": "fuse", "arguments": {"line1": "x", "line2": "y", "extra": "z"}}',
+        'APPLY: {"optimization": "tile", "arguments": {"line": "x", "tile_size": ' + "7" * 5000 + "}}",
+        "APPLY: " + "[" * 100_000,
     ],
 )
 def test_parse_apply_command_rejects(reply):
