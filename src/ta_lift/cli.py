@@ -63,6 +63,21 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return values
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ta-lift",
@@ -79,27 +94,27 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="run a program on random testcases")
     simulate.add_argument("--program", required=True, help="program text file")
     simulate.add_argument("--kernel", required=True, help="kernel name")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--n", type=int, default=3, help="number of testcases")
+    simulate.add_argument("--seed", type=_at_least(0), default=0)
+    simulate.add_argument("--n", type=_at_least(1), default=3, help="number of testcases")
     simulate.add_argument("--out", help="output directory")
 
     verify = commands.add_parser("verify", help="check a program against the reference semantics")
     verify.add_argument("--program", required=True, help="program text file")
     verify.add_argument("--kernel", required=True, help="kernel name")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--n", type=int, default=20, help="number of testcases")
+    verify.add_argument("--seed", type=_at_least(0), default=0)
+    verify.add_argument("--n", type=_at_least(1), default=20, help="number of testcases")
     verify.add_argument("--out", help="output directory")
 
     translate = commands.add_parser("translate", help="sample translations and verify them")
     translate.add_argument("--kernel", required=True, help="kernel name")
-    translate.add_argument("--seed", type=int, default=0)
-    translate.add_argument("--n", type=int, default=1, help="samples to request")
+    translate.add_argument("--seed", type=_at_least(0), default=0)
+    translate.add_argument("--n", type=_at_least(1), default=1, help="samples to request")
     translate.add_argument("--out", help="output directory")
     backend_flags(translate)
 
     evaluate = commands.add_parser("evaluate", help="run a pass@k experiment from a config file")
     evaluate.add_argument("--config", required=True, help="experiment config JSON")
-    evaluate.add_argument("--seed", type=int, default=None, help="override the config seed")
+    evaluate.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
     evaluate.add_argument("--n", type=int, default=None, help="override samples per prompt")
     evaluate.add_argument("--k", type=_csv_ints, default=None, help="override k values, comma-separated")
     evaluate.add_argument("--out", help="output directory")
@@ -112,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated fill constants")
     repair_cmd.add_argument("--mode", choices=("llm", "enumerate", "llm_then_enumerate"),
                             default="enumerate")
-    repair_cmd.add_argument("--seed", type=int, default=0)
-    repair_cmd.add_argument("--n", type=int, default=5, help="number of testcases")
+    repair_cmd.add_argument("--seed", type=_at_least(0), default=0)
+    repair_cmd.add_argument("--n", type=_at_least(1), default=5, help="number of testcases")
     repair_cmd.add_argument("--out", help="output directory")
     backend_flags(repair_cmd, default=None)
 
@@ -121,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--program", required=True, help="program text file")
     optimize.add_argument("--kernel", required=True, help="kernel name")
     optimize.add_argument("--mode", choices=("rules", "llm", "llm_then_rules"), default="rules")
-    optimize.add_argument("--seed", type=int, default=0)
-    optimize.add_argument("--n", type=int, default=5, help="number of testcases")
+    optimize.add_argument("--seed", type=_at_least(0), default=0)
+    optimize.add_argument("--n", type=_at_least(1), default=5, help="number of testcases")
     optimize.add_argument("--out", help="output directory")
     backend_flags(optimize, default=None)
 
     schedule = commands.add_parser("schedule", help="drive an interactive loop-scheduling session")
     schedule.add_argument("--program", required=True, help="loop-nest kernel file")
-    schedule.add_argument("--seed", type=int, default=0)
+    schedule.add_argument("--seed", type=_at_least(0), default=0)
     schedule.add_argument("--n", type=int, default=4, help="maximum conversation steps")
     schedule.add_argument("--out", help="output directory")
     backend_flags(schedule)
@@ -221,17 +236,14 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     program = _parse_or_fail(_read_text(ns.program), spec)
     if program is None:
         return EXIT_FAIL
-    cases = generate_testcases(spec, ns.seed, ns.n)
-    results = []
-    if cases:
-        machine = machine_for_cases(spec, cases)
-        try:
-            execute(machine, program)
-        except ExecError as err:
-            # Execution errors depend only on the program, so the first case hits it.
-            print(f"case 0: execution failed: {err}")
-            return EXIT_FAIL
-        results = read_output(machine, spec.c)
+    machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
+    try:
+        execute(machine, program)
+    except ExecError as err:
+        # Execution errors depend only on the program, so the first case hits it.
+        print(f"case 0: execution failed: {err}")
+        return EXIT_FAIL
+    results = read_output(machine, spec.c)
     outputs = []
     for index, result in enumerate(results):
         outputs.append({"index": index, "output": result.tolist()})
@@ -324,6 +336,8 @@ def _experiment_from_config(data: dict, ns: argparse.Namespace) -> ExperimentCon
             n_samples=ns.n if ns.n is not None else data.get("n_samples", 50),
             max_tokens=data.get("max_tokens", 2048),
         )
+        if not isinstance(data["kernels"], list):
+            raise TypeError("kernels must be a list of kernel names")
         return ExperimentConfig(
             kernels=tuple(data["kernels"]),
             ablations=tuple(ablations),

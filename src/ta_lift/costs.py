@@ -13,14 +13,11 @@ from dataclasses import dataclass, field
 from .isa import Instruction, Program, spec_of
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Weights for the per-instruction cost terms."""
-
-    issue: float = 1.0
-    byte_cost: float = 0.25
-    pipeline_fill: float = 4.0
-    row_cost: float = 1.0
+# Weights of the per-instruction cost terms.
+ISSUE = 1.0
+BYTE_COST = 0.25
+PIPELINE_FILL = 4.0
+ROW_COST = 1.0
 
 
 def instruction_kind(ins: Instruction) -> str:
@@ -28,22 +25,13 @@ def instruction_kind(ins: Instruction) -> str:
     return spec_of(ins).mnemonic
 
 
-def _priced(ins: Instruction, params: CostParams) -> tuple[str, float, int, int]:
+def _priced(ins: Instruction) -> tuple[str, float, int, int]:
     """An instruction's kind, cost, and DRAM bytes moved in and out."""
     spec = spec_of(ins)
     moved_in = spec.bytes_in(ins)
     moved_out = spec.bytes_out(ins)
-    cost = (
-        params.issue
-        + params.byte_cost * (moved_in + moved_out)
-        + params.pipeline_fill * spec.fills
-        + params.row_cost * spec.rows_fed(ins)
-    )
+    cost = ISSUE + BYTE_COST * (moved_in + moved_out) + PIPELINE_FILL * spec.fills + ROW_COST * spec.rows_fed(ins)
     return spec.mnemonic, cost, moved_in, moved_out
-
-
-def instruction_cost(ins: Instruction, params: CostParams | None = None) -> float:
-    return _priced(ins, params or CostParams())[1]
 
 
 @dataclass(frozen=True)
@@ -57,15 +45,14 @@ class CostReport:
     dram_bytes_out: int = 0
 
 
-def program_cost(program: Program, params: CostParams | None = None) -> CostReport:
-    params = params or CostParams()
+def program_cost(program: Program) -> CostReport:
     breakdown: dict[str, float] = {}
     counts: dict[str, int] = {}
     bytes_in = 0
     bytes_out = 0
     total = 0.0
     for ins in program.instructions:
-        kind, cost, moved_in, moved_out = _priced(ins, params)
+        kind, cost, moved_in, moved_out = _priced(ins)
         breakdown[kind] = breakdown.get(kind, 0.0) + cost
         counts[kind] = counts.get(kind, 0) + 1
         total += cost

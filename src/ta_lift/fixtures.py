@@ -16,7 +16,7 @@ accumulate-on-write address bit, and finished tiles are stored out once.
 
 from __future__ import annotations
 
-from .isa import SENTINEL
+from .isa import ELEMENT_BYTES, SENTINEL
 from .kernels import KernelSpec
 from .machine import MachineConfig
 
@@ -238,11 +238,11 @@ def emit_golden_program(spec: KernelSpec, cfg: MachineConfig | None = None) -> s
     a_flag = "true" if spec.transpose_a else "false"
     b_flag = "true" if spec.transpose_b else "false"
     lines.append(f"config_ex(WEIGHT_STATIONARY, NO_ACTIVATION, {a_flag}, {b_flag});")
-    lines.append(f"config_st({spec.j * 4});")
-    lines.append(f"config_ld({spec.a_shape[1] * 4}, 0);")
-    lines.append(f"config_ld({spec.b_shape[1] * 4}, 1);")
+    lines.append(f"config_st({spec.j * ELEMENT_BYTES});")
+    lines.append(f"config_ld({spec.a_shape[1] * ELEMENT_BYTES}, 0);")
+    lines.append(f"config_ld({spec.b_shape[1] * ELEMENT_BYTES}, 1);")
     if d_layout is not None:
-        lines.append(f"config_ld({spec.j * 4}, 2);")
+        lines.append(f"config_ld({spec.j * ELEMENT_BYTES}, 2);")
 
     staged: set[tuple[str, int, int]] = set()
 

@@ -15,12 +15,13 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fixtures import kernel
+from .fixtures import KERNELS, kernel
 from .gateway import Backend, GenerationParams
 from .kernels import KernelSpec, Verdict, generate_testcases, verify_source
 from .program_text import ProgramSyntaxError, parse_program
 from .prompts import (
     DEFAULT_EXAMPLE_ORDER,
+    EXAMPLE_NAMES,
     ExamplesPosition,
     PromptSpec,
     SourceStyle,
@@ -176,19 +177,41 @@ def _verify_candidate(
     )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(config: ExperimentConfig) -> None:
+    """Reject every inconsistent or mistyped setting before any prompt is sent."""
     if not config.kernels:
         raise ConfigError("no kernels configured")
     if not config.ablations:
         raise ConfigError("no ablations configured")
     labels = [a.label for a in config.ablations]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("ablation labels must be unique")
+    if not all(isinstance(label, str) for label in labels) or len(set(labels)) != len(labels):
+        raise ConfigError("ablation labels must be unique strings")
+    for name, value in (("model", config.params.model), ("date", config.date)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} {value!r} is not a string")
     for name in config.kernels:
-        kernel(name)
+        if not isinstance(name, str) or name not in KERNELS:
+            raise ConfigError(f"unknown kernel {name!r}")
+    for ablation in config.ablations:
+        unknown = [name for name in ablation.examples if name not in EXAMPLE_NAMES]
+        if unknown:
+            raise ConfigError(f"ablation '{ablation.label}': unknown example {unknown[0]!r}")
+        if not _is_int(ablation.shots) or not 0 <= ablation.shots <= len(ablation.examples):
+            allowed = f"0..{len(ablation.examples)}"
+            raise ConfigError(f"ablation '{ablation.label}': shots {ablation.shots!r} not in {allowed}")
+    if not _is_int(config.params.n_samples):
+        raise ConfigError(f"n_samples {config.params.n_samples!r} is not an integer")
     for k in config.k_values:
-        if not 1 <= k <= config.params.n_samples:
-            raise ConfigError(f"k={k} out of range for n={config.params.n_samples}")
+        if not _is_int(k) or not 1 <= k <= config.params.n_samples:
+            raise ConfigError(f"k={k!r} out of range for n={config.params.n_samples}")
+    if not _is_int(config.seed) or config.seed < 0:
+        raise ConfigError(f"seed {config.seed!r} is not a non-negative integer")
+    if not _is_int(config.testcases_per_kernel) or config.testcases_per_kernel < 1:
+        raise ConfigError(f"testcases {config.testcases_per_kernel!r} is not a positive integer")
     if config.aggregate not in ("micro", "macro"):
         raise ConfigError(f"unknown aggregate mode '{config.aggregate}'")
 

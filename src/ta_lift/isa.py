@@ -14,8 +14,9 @@ it means "keep the previously latched weights", as a compute bias operand it
 means "no bias".
 
 `INSTRUCTIONS` declares each mnemonic once: its constructor, its operands in
-text order, its footprint, the DRAM bytes it moves and its cost terms.  The
-parser, the renderer, the cost model and the optimizer's footprints all read
+text order, the memory its local operands must address, its footprint, the
+DRAM bytes it moves and its cost terms.  The parser, the renderer,
+`validate_program`, the cost model and the optimizer's footprints all read
 that table; `spec_of` finds an instruction's entry.
 """
 
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
+from math import inf
 from operator import attrgetter
 from typing import Callable
 
 DIM_DEFAULT = 4
+MAX_BLOCK_LEN_DEFAULT = 4  # an mvin or mvout moves at most this many DIM-wide tiles
 SENTINEL = 0xFFFFFFFF
 ELEMENT_BYTES = 4
 
@@ -225,56 +228,6 @@ class ValidationError(ValueError):
         self.detail = message
 
 
-def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = 4) -> None:
-    """Check per-instruction structural constraints (sizes and address spaces).
-
-    Memory bounds and stateful rules (preload-before-compute, stride setup)
-    are the simulator's job; this covers everything checkable per instruction.
-    """
-    for idx, ins in enumerate(p.instructions):
-        if isinstance(ins, Mvin):
-            if ins.channel not in (0, 1, 2):
-                raise ValidationError(idx, "unsupported", f"mvin channel {ins.channel} not in 0..2")
-            if ins.rows < 1 or ins.rows > dim:
-                raise ValidationError(idx, "rows_exceed_dim", f"mvin rows {ins.rows} not in 1..{dim}")
-            if ins.cols < 1 or ins.cols > dim * max_block_len:
-                raise ValidationError(idx, "block_too_wide", f"mvin cols {ins.cols} not in 1..{dim * max_block_len}")
-        elif isinstance(ins, Mvout):
-            if ins.rows < 1 or ins.rows > dim:
-                raise ValidationError(idx, "rows_exceed_dim", f"mvout rows {ins.rows} not in 1..{dim}")
-            if ins.cols < 1 or ins.cols > dim * max_block_len:
-                raise ValidationError(idx, "block_too_wide", f"mvout cols {ins.cols} not in 1..{dim * max_block_len}")
-            if ins.local.space is not Space.ACCUMULATOR:
-                raise ValidationError(idx, "wrong_address_space", "mvout must read the accumulator")
-        elif isinstance(ins, Preload):
-            for label, v in (("b_cols", ins.b_cols), ("b_rows", ins.b_rows), ("c_cols", ins.c_cols), ("c_rows", ins.c_rows)):
-                if v < 1 or v > dim:
-                    raise ValidationError(idx, "dimension_mismatch", f"preload {label}={v} not in 1..{dim}")
-            if not ins.b.is_sentinel and ins.b.space is not Space.SCRATCHPAD:
-                raise ValidationError(idx, "wrong_address_space", "preload weights must come from the scratchpad")
-            if ins.c.space is not Space.ACCUMULATOR:
-                raise ValidationError(idx, "wrong_address_space", "preload output must target the accumulator")
-        elif isinstance(ins, PreloadZeros):
-            if ins.c.space is not Space.ACCUMULATOR:
-                raise ValidationError(idx, "wrong_address_space", "preload_zeros output must target the accumulator")
-        elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
-            for label, v in (("a_cols", ins.a_cols), ("a_rows", ins.a_rows), ("d_cols", ins.d_cols), ("d_rows", ins.d_rows)):
-                if v < 1 or v > dim:
-                    raise ValidationError(idx, "dimension_mismatch", f"compute {label}={v} not in 1..{dim}")
-            if ins.a.space is not Space.SCRATCHPAD:
-                raise ValidationError(idx, "wrong_address_space", "compute operand A must live in the scratchpad")
-            if not ins.d.is_sentinel and ins.d.space is not Space.SCRATCHPAD:
-                raise ValidationError(idx, "wrong_address_space", "compute bias must live in the scratchpad")
-        elif isinstance(ins, ConfigLd):
-            if ins.channel not in (0, 1, 2):
-                raise ValidationError(idx, "unsupported", f"config_ld channel {ins.channel} not in 0..2")
-            if ins.stride_bytes < 0:
-                raise ValidationError(idx, "unsupported", "config_ld stride must be non-negative")
-        elif isinstance(ins, ConfigSt):
-            if ins.stride_bytes < 0:
-                raise ValidationError(idx, "unsupported", "config_st stride must be non-negative")
-
-
 # -- footprints ----------------------------------------------------------------
 
 # A span of state that an instruction reads or writes: (space, start, end),
@@ -294,7 +247,7 @@ _LATCH: Interval = ("reg:latch", 0, 1)
 class ScanState:
     """Configuration and latch state carried across a left-to-right scan."""
 
-    ld_strides: dict[int, int | None] = field(default_factory=lambda: {0: None, 1: None, 2: None})
+    ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latch: tuple[int, int, bool] | None = None  # (c_row, c_rows, c_accumulate)
 
@@ -400,9 +353,9 @@ class InstructionSpec:
     `operands` lists (field, operand kind) pairs in text order.  A kind is
     `dram`, `local` (a local address), `flag`, `dataflow`, `activation`,
     `channel` (any integer) or the name of a count that must be
-    non-negative, which parser messages quote.  Cost terms: one issue,
-    `bytes_in` + `bytes_out` DRAM bytes moved, `fills` pipeline fills and
-    `rows_fed` rows fed through the array.
+    non-negative, which parser messages quote and `validate_program` bounds.
+    Cost terms: one issue, `bytes_in` + `bytes_out` DRAM bytes moved,
+    `fills` pipeline fills and `rows_fed` rows fed through the array.
     """
 
     mnemonic: str
@@ -414,6 +367,7 @@ class InstructionSpec:
     fills: int = 0
     rows_fed: Callable[[Instruction], int] = _nothing
     channel: int | None = None  # the load channel that an mvin mnemonic fixes
+    spaces: tuple[tuple[str, Space, bool], ...] = ()  # (local operand, its memory, whether the sentinel may stand)
 
     def __post_init__(self) -> None:
         # The constructor, taking the operands in text order.
@@ -426,6 +380,9 @@ _COMPUTE = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_
 _PRELOAD = (("b", "local"), ("c", "local"), ("b_cols", "B_cols"), ("b_rows", "B_rows"),
             ("c_cols", "C_cols"), ("c_rows", "C_rows"))
 _CONFIG_EX = (("dataflow", "dataflow"), ("act", "activation"), ("a_transpose", "flag"), ("b_transpose", "flag"))
+_WEIGHTS = ("b", Space.SCRATCHPAD, True)
+_OUTPUT = ("c", Space.ACCUMULATOR, False)
+_COMPUTE_SPACES = (("a", Space.SCRATCHPAD, False), ("d", Space.SCRATCHPAD, True))
 
 INSTRUCTIONS: tuple[InstructionSpec, ...] = (
     InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, _config_ex_footprint),
@@ -434,23 +391,22 @@ INSTRUCTIONS: tuple[InstructionSpec, ...] = (
     InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=0),
     InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=1),
     InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=2),
-    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, fills=1),
-    InstructionSpec("preload_zeros", PreloadZeros, (("c", "local"),), _preload_zeros_footprint, fills=1),
-    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint, rows_fed=attrgetter("a_rows")),
-    InstructionSpec(
-        "compute_accumulated",
-        ComputeAccumulated,
-        _COMPUTE,
-        partial(_compute_footprint, accumulated=True),
-        rows_fed=attrgetter("a_rows"),
-    ),
-    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, bytes_out=_moved_bytes),
+    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, fills=1, spaces=(_WEIGHTS, _OUTPUT)),
+    InstructionSpec("preload_zeros", PreloadZeros, (("c", "local"),), _preload_zeros_footprint, fills=1,
+                    spaces=(_OUTPUT,)),
+    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint,
+                    rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
+    InstructionSpec("compute_accumulated", ComputeAccumulated, _COMPUTE, partial(_compute_footprint, accumulated=True),
+                    rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
+    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, bytes_out=_moved_bytes,
+                    spaces=(("local", Space.ACCUMULATOR, False),)),
     InstructionSpec("fence", Fence, ()),
 )
 
 BY_MNEMONIC: dict[str, InstructionSpec] = {spec.mnemonic: spec for spec in INSTRUCTIONS}
 _BY_TYPE = {spec.type: spec for spec in INSTRUCTIONS if spec.channel is None}
 _MVIN_BY_CHANNEL = {spec.channel: spec for spec in INSTRUCTIONS if spec.channel is not None}
+LOAD_CHANNELS: tuple[int, ...] = tuple(_MVIN_BY_CHANNEL)
 
 
 def spec_of(ins: Instruction) -> InstructionSpec:
@@ -462,3 +418,52 @@ def spec_of(ins: Instruction) -> InstructionSpec:
 def footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
     """What an instruction reads and writes; the scan state moves past it."""
     return spec_of(ins).footprint(ins, state, dim)
+
+
+# -- validation ------------------------------------------------------------------
+
+
+@cache
+def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]:
+    """Per type: the mnemonic messages name, the bounded fields and the address spaces.
+
+    Bounds come by operand kind; the first mvin entry also bounds the channel the others fix.
+    """
+    extent = ("dimension_mismatch", 1, dim)
+    limits = {
+        "rows": ("rows_exceed_dim", 1, dim),
+        "cols": ("block_too_wide", 1, dim * max_block_len),
+        **dict.fromkeys(("A_cols", "A_rows", "B_cols", "B_rows", "C_cols", "C_rows", "D_cols", "D_rows"), extent),
+        "stride": ("unsupported", 0, inf),
+        "channel": ("unsupported", min(LOAD_CHANNELS), max(LOAD_CHANNELS)),
+    }
+    rules: dict[type, tuple[str, tuple, tuple]] = {}
+    for spec in INSTRUCTIONS:
+        fields = spec.operands if spec.channel is None else (("channel", "channel"),) + spec.operands
+        bounds = tuple((name,) + limits[kind] for name, kind in fields if kind in limits)
+        rules.setdefault(spec.type, (spec.mnemonic, bounds, spec.spaces))
+    return rules
+
+
+def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> None:
+    """Check each instruction's type, operand bounds and address spaces against the table.
+
+    Memory bounds and stateful rules (preload-before-compute, stride setup) are the simulator's job.
+    """
+    rules = _rules(dim, max_block_len)
+    for idx, ins in enumerate(p.instructions):
+        rule = rules.get(type(ins))
+        if rule is None:
+            raise ValidationError(idx, "unsupported", f"unknown instruction type {type(ins).__name__}")
+        mnemonic, bounds, spaces = rule
+        for name, kind, lo, hi in bounds:
+            value = getattr(ins, name)
+            if not lo <= value <= hi:
+                allowed = f"in {lo}..{hi}" if hi < inf else f"at least {lo}"
+                raise ValidationError(idx, kind, f"{mnemonic} {name} {value} must be {allowed}")
+        for name, space, sentinel_ok in spaces:
+            addr = getattr(ins, name)
+            if addr.space is not space and not (sentinel_ok and addr.is_sentinel):
+                allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
+                message = f"{mnemonic} {name} {addr.raw:#x} must address {allowed}"
+                raise ValidationError(idx, "wrong_address_space", message)

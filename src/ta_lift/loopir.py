@@ -886,11 +886,14 @@ def _coefficient(expr: Expr, var: str) -> int | float | None:
     return None
 
 
-def locality_cost(nest: LoopNest, penalty: float = 4.0) -> float:
+STRIDE_PENALTY = 4.0
+
+
+def locality_cost(nest: LoopNest) -> float:
     """Dynamic statement count plus a penalty per strided access execution.
 
     Every loop header and leaf statement instance counts once.  Each array
-    access is charged `penalty` per execution when the innermost enclosing
+    access is charged `STRIDE_PENALTY` per execution when the innermost enclosing
     loop variable appearing in its indices walks the flattened row-major
     layout with a stride other than one.
     """
@@ -931,7 +934,7 @@ def locality_cost(nest: LoopNest, penalty: float = 4.0) -> float:
             )
             for array, indices in accesses:
                 if access_is_strided(array, indices, loop_vars):
-                    total += penalty * multiplier
+                    total += STRIDE_PENALTY * multiplier
 
     visit(nest.body, 1.0, [])
     return total

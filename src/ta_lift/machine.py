@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .isa import (
+    DIM_DEFAULT,
     ELEMENT_BYTES,
+    LOAD_CHANNELS,
+    MAX_BLOCK_LEN_DEFAULT,
     Activation,
     ComputeAccumulated,
     ComputePreloaded,
@@ -36,7 +39,6 @@ from .isa import (
     Program,
     Space,
     ValidationError,
-    spec_of,
     validate_program,
 )
 
@@ -61,10 +63,10 @@ class ExecError(Exception):
 
 @dataclass(frozen=True)
 class MachineConfig:
-    dim: int = 4
+    dim: int = DIM_DEFAULT
     spad_rows: int = 1024
     acc_rows: int = 256
-    max_block_len: int = 4
+    max_block_len: int = MAX_BLOCK_LEN_DEFAULT
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -76,17 +78,8 @@ class MachineConfig:
 
 
 @dataclass
-class _ExecRegs:
-    dataflow: Dataflow = Dataflow.WEIGHT_STATIONARY
-    act: Activation = Activation.NONE
-    a_transpose: bool = False
-    b_transpose: bool = False
-
-
-@dataclass
 class _Latched:
     weights: np.ndarray  # post-transpose W block, behind the case axes
-    c_raw: int
     c_row: int
     c_accumulate: bool
     c_cols: int
@@ -99,12 +92,10 @@ class Machine:
     dram: dict[str, np.ndarray]
     spad: np.ndarray
     acc: np.ndarray
-    regs: _ExecRegs = field(default_factory=_ExecRegs)
-    ld_strides: dict[int, int | None] = field(default_factory=lambda: {0: None, 1: None, 2: None})
+    regs: ConfigEx = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.NONE, False, False)  # the last config_ex
+    ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latched: _Latched | None = None
-    dram_bytes_in: int = 0
-    dram_bytes_out: int = 0
 
 
 def create_machine(
@@ -155,10 +146,6 @@ def _stride_elems(m: Machine, idx: int, stride_bytes: int | None, what: str) -> 
     return stride_bytes // ELEMENT_BYTES
 
 
-def _local_mem(m: Machine, space: Space) -> np.ndarray:
-    return m.acc if space is Space.ACCUMULATOR else m.spad
-
-
 def _check_local_rows(m: Machine, idx: int, space: Space, row: int, nrows: int) -> None:
     limit = m.config.acc_rows if space is Space.ACCUMULATOR else m.config.spad_rows
     kind = "acc_out_of_range" if space is Space.ACCUMULATOR else "spad_out_of_range"
@@ -175,10 +162,7 @@ def _dram_flat(m: Machine, idx: int, buffer: str) -> np.ndarray:
 
 
 def _exec_config_ex(m: Machine, idx: int, ins: ConfigEx) -> None:
-    m.regs.dataflow = ins.dataflow
-    m.regs.act = ins.act
-    m.regs.a_transpose = ins.a_transpose
-    m.regs.b_transpose = ins.b_transpose
+    m.regs = ins
 
 
 def _exec_config_ld(m: Machine, idx: int, ins: ConfigLd) -> None:
@@ -199,7 +183,7 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
     flat = _dram_flat(m, idx, ins.dram.buffer)
     size = flat.shape[-1]
     space = ins.local.space
-    mem = _local_mem(m, space)
+    mem = m.acc if space is Space.ACCUMULATOR else m.spad
     tiles = (ins.cols + dim - 1) // dim
     base_row = ins.local.row
     _check_local_rows(m, idx, space, base_row, (tiles - 1) * dim + ins.rows)
@@ -219,7 +203,6 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
                 mem[..., dst, :width] += flat[..., src : src + width]
             else:
                 mem[..., dst, :width] = flat[..., src : src + width]
-    m.dram_bytes_in += spec_of(ins).bytes_in(ins)
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
@@ -233,7 +216,6 @@ def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
         weights = m.latched.weights
     m.latched = _Latched(
         weights=weights,
-        c_raw=ins.c.raw,
         c_row=ins.c.row,
         c_accumulate=ins.c.accumulate,
         c_cols=ins.c_cols,
@@ -245,7 +227,6 @@ def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
     dim = m.config.dim
     m.latched = _Latched(
         weights=np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32),
-        c_raw=ins.c.raw,
         c_row=ins.c.row,
         c_accumulate=ins.c.accumulate,
         c_cols=dim,
@@ -325,7 +306,6 @@ def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
                     f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
                 )
             flat[..., dst : dst + width] = values
-    m.dram_bytes_out += spec_of(ins).bytes_out(ins)
 
 
 _EXECUTORS = {
@@ -349,10 +329,7 @@ def execute(m: Machine, p: Program) -> Machine:
     except ValidationError as e:
         raise ExecError(e.index, e.kind, e.detail) from None
     for idx, ins in enumerate(p.instructions):
-        run = _EXECUTORS.get(type(ins))
-        if run is None:
-            raise ExecError(idx, "unsupported", f"unknown instruction {ins!r}")
-        run(m, idx, ins)
+        _EXECUTORS[type(ins)](m, idx, ins)
     return m
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from .costs import CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
+    DIM_DEFAULT,
     SENTINEL,
     ConfigEx,
     Instruction,
@@ -163,7 +164,7 @@ def analyze_dependences(blocks: list[Block], cfg: MachineConfig | None = None) -
 class PeepholeContext:
     """Cross-block state for the rewrite walk, in original block order."""
 
-    dim: int = 4
+    dim: int = DIM_DEFAULT
     state: ScanState = field(default_factory=ScanState)
     last_preload: Preload | PreloadZeros | None = None
     weights: tuple[Interval, ...] = ()  # the memory the last preload latched from
@@ -230,7 +231,7 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
     return replace(block, instructions=tuple(kept))
 
 
-def dedup_mvins(instructions: tuple[Instruction, ...], dim: int = 4) -> tuple[Instruction, ...]:
+def dedup_mvins(instructions: tuple[Instruction, ...], dim: int = DIM_DEFAULT) -> tuple[Instruction, ...]:
     """Program-wide duplicate-mvin elimination with write invalidation."""
     ctx = PeepholeContext(dim=dim)
     return tuple(ins for ins in instructions if ctx.admit(ins))

@@ -10,7 +10,7 @@ The accepted subset mirrors what the instruction macros look like in C:
     if (i == 0) { ... } else { ... }
 
 Expressions are integers over decimal/hex literals, previously declared
-symbols, `sizeof(float)` (= 4), and the operators  + - * | <<  with C
+symbols, `sizeof(float)` (= `ELEMENT_BYTES`), and the operators  + - * | <<  with C
 precedence; a `<<` or `*` whose result reaches 2**64 in magnitude is a
 syntax error, raised before the value is computed.  Loops must have
 compile-time-constant bounds and are fully unrolled at parse time, at most
@@ -34,6 +34,7 @@ from typing import Callable
 
 from .isa import (
     BY_MNEMONIC,
+    ELEMENT_BYTES,
     INSTRUCTIONS,
     Activation,
     Dataflow,
@@ -313,7 +314,7 @@ class _Parser:
             self.expect("(")
             self.expect("float")
             self.expect(")")
-            value = 4
+            value = ELEMENT_BYTES
         elif tok.isidentifier():
             value = self.lookup(tok, pos)
         else:

@@ -225,25 +225,21 @@ def build_translation_prompt(spec: PromptSpec) -> Prompt:
     return _make_prompt([("system", system), ("user", "\n\n".join(sections))])
 
 
-def build_block_optimize_prompt(
-    block_text: str,
-    isa: str | None = None,
-    heuristics: tuple[str, ...] = DEFAULT_HEURISTICS,
-) -> Prompt:
+def build_block_optimize_prompt(block_text: str, heuristics: tuple[str, ...] = DEFAULT_HEURISTICS) -> Prompt:
     system = instruction_text("optimize")
     if heuristics:
         numbered = "\n".join(f"{n}. {line}" for n, line in enumerate(heuristics, start=1))
         system += "\n// heuristics:\n" + numbered
-    user = (isa if isa is not None else isa_text()) + "\n\n" + block_text.strip("\n")
+    user = isa_text() + "\n\n" + block_text.strip("\n")
     return _make_prompt([("system", system), ("user", user)])
 
 
-def build_reorder_prompt(blocks: list[str] | tuple[str, ...], isa: str | None = None) -> Prompt:
+def build_reorder_prompt(blocks: list[str] | tuple[str, ...]) -> Prompt:
     if not blocks:
         raise ValueError("at least one block is required")
     system = instruction_text("reorder")
     labeled = "\n\n".join(f"Block {idx}:\n{block.strip()}" for idx, block in enumerate(blocks))
-    user = (isa if isa is not None else isa_text()) + "\n\n" + labeled
+    user = isa_text() + "\n\n" + labeled
     return _make_prompt([("system", system), ("user", user)])
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -251,7 +250,6 @@ class Aborted:
 @dataclass
 class RepairStats:
     candidates_tried: int = 0
-    verify_seconds: float = 0.0
 
 
 @dataclass
@@ -298,14 +296,7 @@ def repair(
     if mode not in ("llm", "enumerate", "llm_then_enumerate"):
         raise ValueError(f"unknown repair mode '{mode}'")
     stats = RepairStats()
-
-    def passes(verdict_of, subject) -> bool:
-        start = time.perf_counter()
-        passed = verdict_of(subject, spec, cases, cfg).passed
-        stats.verify_seconds += time.perf_counter() - start
-        return passed
-
-    if MARKER not in candidate and passes(verify_source, candidate):
+    if MARKER not in candidate and verify_source(candidate, spec, cases, cfg).passed:
         return RepairResult(Repaired(program=candidate, assignment=()), stats)
 
     original: str | None = candidate
@@ -335,7 +326,7 @@ def repair(
             if code is None:
                 continue
             stats.candidates_tried += 1
-            if passes(verify_source, code):
+            if verify_source(code, spec, cases, cfg).passed:
                 return RepairResult(
                     Repaired(program=code, assignment=_match_assignment(template, code)), stats
                 )
@@ -352,7 +343,7 @@ def repair(
     for fill in enumerator:
         stats.candidates_tried += 1
         # Looked up on the module, so a wrapper put on kernels.verify_program sees every fill.
-        if fill.program is not None and passes(kernels.verify_program, fill.program):
+        if fill.program is not None and kernels.verify_program(fill.program, spec, cases, cfg).passed:
             return RepairResult(Repaired(program=fill.code, assignment=fill.assignment), stats)
     stats.candidates_tried += enumerator.skipped
     return RepairResult(Exhausted(tried=stats.candidates_tried), stats)

@@ -73,7 +73,8 @@ _ARGUMENT_NAMES = {
     "unroll": frozenset({"line"}),
 }
 
-_UNROLL_LIMIT = 1024
+# The most statements (loops plus leaves) a nest may hold after an unroll.
+_UNROLL_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -269,13 +270,22 @@ def reorder_at(nest: LoopNest, path: Path) -> LoopNest:
     return _splice(nest, path, (swapped,))
 
 
+def _statement_count(stmts: tuple[Statement, ...]) -> int:
+    return sum(1 for _ in _walk_statements(stmts, ()))
+
+
 def unroll_at(nest: LoopNest, path: Path) -> LoopNest:
     node = _node_at(nest, path)
     if not isinstance(node, Loop):
         raise IllegalRewrite(f"unroll target is not a loop: '{render_line(node)}'")
     extent = node.hi - node.lo
-    if extent > _UNROLL_LIMIT:
-        raise IllegalRewrite(f"unrolling {extent} iterations exceeds the limit of {_UNROLL_LIMIT}")
+    body = _statement_count(node.body)
+    total = _statement_count(nest.body) - 1 - body + extent * body
+    if total > _UNROLL_LIMIT:
+        raise IllegalRewrite(
+            f"unrolling {extent} iterations would grow the kernel to {total} statements, "
+            f"over the limit of {_UNROLL_LIMIT}"
+        )
     replacement = tuple(
         substitute_stmt(stmt, node.var, Const(node.lo + i))
         for i in range(extent)
@@ -449,19 +459,16 @@ class ScheduleSession:
     """Parallel full and reduced kernel states plus an ordered transcript."""
 
     full: LoopNest
-    reduced_limit: int = 8
-    trials: int = 5
     seed: int = 0
-    penalty: float = 4.0
     reduced: LoopNest = field(init=False)
     records: list[SessionRecord] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        self.reduced = reduce_extents(self.full, self.reduced_limit)
+        self.reduced = reduce_extents(self.full)
 
     @property
     def cost(self) -> float:
-        return locality_cost(self.full, self.penalty)
+        return locality_cost(self.full)
 
     def apply(self, command: ScheduleCommand) -> tuple[bool, str]:
         """Apply one command to both states, gated on reduced equivalence."""
@@ -469,7 +476,7 @@ class ScheduleSession:
             paths = _resolve_paths(self.full, command)
             new_full = _apply_at(self.full, command, paths)
             new_reduced = _apply_at(self.reduced, command, paths, clamp_tiles=True)
-            verdict = check_equivalence(self.reduced, new_reduced, self.trials, self.seed)
+            verdict = check_equivalence(self.reduced, new_reduced, seed=self.seed)
             if not verdict.passed:
                 raise IllegalRewrite(
                     f"the rewrite changed the kernel's results on randomized inputs "
@@ -527,9 +534,9 @@ def schedule_task_text() -> str:
     return _asset("schedule_task.txt").strip("\n")
 
 
-def build_schedule_prompt(nest: LoopNest, cost: float | None = None, penalty: float = 4.0) -> Prompt:
+def build_schedule_prompt(nest: LoopNest, cost: float | None = None) -> Prompt:
     if cost is None:
-        cost = locality_cost(nest, penalty)
+        cost = locality_cost(nest)
     task = schedule_task_text()
     task = task.replace(_KERNEL_MARK, render_kernel(nest).rstrip("\n"))
     task = task.replace(_COST_MARK, format_cost(cost))
@@ -549,27 +556,17 @@ def extend_prompt(prompt: Prompt, reply: str, feedback: str) -> Prompt:
     return _make_prompt(list(prompt.messages) + [("assistant", reply), ("user", feedback)])
 
 
-def run_llm_session(
-    nest: LoopNest,
-    backend: Backend,
-    params: GenerationParams | None = None,
-    max_steps: int = 8,
-    reduced_limit: int = 8,
-    trials: int = 5,
-    seed: int = 0,
-    penalty: float = 4.0,
-) -> ScheduleSession:
+def run_llm_session(nest: LoopNest, backend: Backend, max_steps: int = 8, seed: int = 0) -> ScheduleSession:
     """Drive a multi-turn scheduling conversation against a backend.
 
     Each turn sends the running conversation, parses the trailing APPLY
     command, applies it through the session gate, and folds the resulting
     feedback message back into the next prompt.
     """
-    session = ScheduleSession(nest, reduced_limit=reduced_limit, trials=trials, seed=seed, penalty=penalty)
-    generation = params or GenerationParams(n_samples=1)
-    prompt = build_schedule_prompt(nest, session.cost, penalty)
+    session = ScheduleSession(nest, seed=seed)
+    prompt = build_schedule_prompt(nest, session.cost)
     for _ in range(max_steps):
-        completions = backend.complete(prompt, generation)
+        completions = backend.complete(prompt, GenerationParams(n_samples=1))
         if not completions:
             break
         reply = completions[0].text

@@ -11,6 +11,7 @@ import pytest
 from conftest import eval_bundle, fenced, schedule_bundle, translation_prompt, write_json
 from ta_lift.cli import dispatch
 from ta_lift.fixtures import golden_program
+from ta_lift.gateway import ReplayBackend
 
 
 def golden_file(directory: Path, name: str = "gv1") -> Path:
@@ -60,6 +61,36 @@ def test_malformed_fixtures_file_is_usage_error(tmp_path, payload, capsys):
     code = dispatch(["translate", "--kernel", "gv1", "--backend", "replay",
                      "--fixtures", str(fixtures)])
     assert code == 2
+
+
+_CASE_COMMANDS = {
+    "simulate": ["simulate", "--program", "{fence}", "--kernel", "gv2"],
+    "verify": ["verify", "--program", "{fence}", "--kernel", "gv2"],
+    "translate": ["translate", "--kernel", "gv2", "--backend", "replay", "--fixtures", "{fixtures}"],
+    "repair": ["repair", "--program", "{fence}", "--kernel", "gv2", "--mode", "enumerate"],
+    "optimize": ["optimize", "--program", "{fence}", "--kernel", "gv2", "--mode", "rules"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(_CASE_COMMANDS))
+def test_fewer_than_one_case_is_a_usage_error(tmp_path, capsys, command, value):
+    # With no cases, a program that is only a fence would verify, be "repaired" or accept any rewrite.
+    fence = tmp_path / "fence.txt"
+    fence.write_text("fence();\n")
+    fixtures = write_json(tmp_path / "fixtures.json", {translation_prompt("gv2").fingerprint: [fenced("fence();")]})
+    argv = [arg.format(fence=fence, fixtures=fixtures) for arg in _CASE_COMMANDS[command]]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--n", value, "--out", str(out)]) == 2
+    assert "argument --n: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_CASE_COMMANDS))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    argv = [arg.format(fence="fence.txt", fixtures="fixtures.json") for arg in _CASE_COMMANDS[command]]
+    assert dispatch(argv + ["--seed", "-1"]) == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
 
 # -- verify and simulate ---------------------------------------------------------
@@ -179,6 +210,40 @@ def test_evaluate_rejects_bad_config(tmp_path, capsys):
                      "--fixtures", str(fixtures)])
     assert code == 2
     assert "bad experiment config" in capsys.readouterr().err
+
+
+_MALFORMED_CONFIGS = {
+    "unknown kernel": {"kernels": ["gv9"]},
+    "kernels as a string": {"kernels": "gv1"},
+    "nested kernel list": {"kernels": [["gv1"]]},
+    "negative shots": {"ablations": [{"label": "base", "shots": -1}]},
+    "more shots than examples": {"ablations": [{"label": "base", "shots": 5}]},
+    "unknown example": {"ablations": [{"label": "base", "examples": ["matvec", "nope"]}]},
+    "unhashable label": {"ablations": [{"label": ["base"]}]},
+    "string k": {"k_values": ["1"]},
+    "string seed": {"seed": "x"},
+    "negative seed": {"seed": -1},
+    "string testcases": {"testcases": "5"},
+    "zero testcases": {"testcases": 0},
+    "negative testcases": {"testcases": -1},
+    "numeric model": {"model": 5},
+    "numeric date": {"date": 20240101},
+}
+
+
+@pytest.mark.parametrize("change", _MALFORMED_CONFIGS.values(), ids=_MALFORMED_CONFIGS.keys())
+def test_evaluate_rejects_malformed_config_before_any_backend_call(tmp_path, capsys, monkeypatch, change):
+    config, fixtures = eval_bundle(tmp_path)
+    write_json(config, {**json.loads(config.read_text()), **change})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr(ReplayBackend, "complete", unreachable)
+    code = dispatch(["evaluate", "--config", str(config), "--backend", "replay",
+                     "--fixtures", str(fixtures), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("usage error: ")]
 
 
 def test_evaluate_k_override_changes_columns(tmp_path, capsys):

@@ -263,7 +263,7 @@ def test_config_validation():
             ),
             ReplayBackend(),
         )
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="unknown kernel 'gv9'"):
         run_experiment(two_kernel_config(kernels=("gv2", "gv9")), ReplayBackend())
 
 

@@ -1,4 +1,9 @@
-"""The instruction table against its users: the parser, the machine and the benchmark.
+"""The instruction table against its users: the parser, the validator, the machine and the benchmark.
+
+The validation oracle keeps the hand-written per-type checks that
+`validate_program` had before it was derived from the table, and checks
+that both agree on the goldens, the benchmark's naive programs, random
+workloads and programs with one field mutated.
 
 The footprint differential steps a batched machine one instruction at a
 time.  Before each step it copies the machine and fills everything in the
@@ -13,22 +18,33 @@ are not covered: the copy keeps them as they are.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ta_lift import machine, repair
-from ta_lift.fixtures import KERNELS, kernel
+from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
     INSTRUCTIONS,
+    SENTINEL,
     Activation,
+    ComputeAccumulated,
+    ComputePreloaded,
+    ConfigLd,
+    ConfigSt,
     Dataflow,
     DramRef,
     Interval,
     LocalAddr,
     Mvin,
+    Mvout,
+    Preload,
+    PreloadZeros,
     Program,
+    Space,
     ScanState,
     ValidationError,
     footprint,
@@ -73,6 +89,224 @@ def test_each_entry_names_every_field_and_round_trips_through_text() -> None:
         ins = spec.build(*(_SAMPLE_OPERANDS.get(kind, 3) for _, kind in spec.operands))
         assert spec_of(ins) is spec
         assert parse_program(render_instruction(ins), {"A": (4, 4)}).instructions == (ins,)
+
+
+# -- validation derived from the table ------------------------------------------------------
+
+
+def old_violations(p: Program, dim: int = 4, max_block_len: int = 4):
+    """The hand-written validator's rules, in its order: it raised the first of these.
+
+    Yields (index, kind, field, value, allowed) for every rule each instruction
+    breaks.  An unknown instruction type was the machine's check, not the
+    validator's; it is yielded here because `validate_program` now owns it.
+    """
+    for idx, ins in enumerate(p.instructions):
+        if isinstance(ins, Mvin):
+            if ins.channel not in (0, 1, 2):
+                yield idx, "unsupported", "channel", str(ins.channel), "0..2"
+            if ins.rows < 1 or ins.rows > dim:
+                yield idx, "rows_exceed_dim", "rows", str(ins.rows), f"1..{dim}"
+            if ins.cols < 1 or ins.cols > dim * max_block_len:
+                yield idx, "block_too_wide", "cols", str(ins.cols), f"1..{dim * max_block_len}"
+        elif isinstance(ins, Mvout):
+            if ins.rows < 1 or ins.rows > dim:
+                yield idx, "rows_exceed_dim", "rows", str(ins.rows), f"1..{dim}"
+            if ins.cols < 1 or ins.cols > dim * max_block_len:
+                yield idx, "block_too_wide", "cols", str(ins.cols), f"1..{dim * max_block_len}"
+            if ins.local.space is not Space.ACCUMULATOR:
+                yield idx, "wrong_address_space", "local", f"{ins.local.raw:#x}", "accumulator"
+        elif isinstance(ins, Preload):
+            for label in ("b_cols", "b_rows", "c_cols", "c_rows"):
+                v = getattr(ins, label)
+                if v < 1 or v > dim:
+                    yield idx, "dimension_mismatch", label, str(v), f"1..{dim}"
+            if not ins.b.is_sentinel and ins.b.space is not Space.SCRATCHPAD:
+                yield idx, "wrong_address_space", "b", f"{ins.b.raw:#x}", "scratchpad"
+            if ins.c.space is not Space.ACCUMULATOR:
+                yield idx, "wrong_address_space", "c", f"{ins.c.raw:#x}", "accumulator"
+        elif isinstance(ins, PreloadZeros):
+            if ins.c.space is not Space.ACCUMULATOR:
+                yield idx, "wrong_address_space", "c", f"{ins.c.raw:#x}", "accumulator"
+        elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
+            for label in ("a_cols", "a_rows", "d_cols", "d_rows"):
+                v = getattr(ins, label)
+                if v < 1 or v > dim:
+                    yield idx, "dimension_mismatch", label, str(v), f"1..{dim}"
+            if ins.a.space is not Space.SCRATCHPAD:
+                yield idx, "wrong_address_space", "a", f"{ins.a.raw:#x}", "scratchpad"
+            if not ins.d.is_sentinel and ins.d.space is not Space.SCRATCHPAD:
+                yield idx, "wrong_address_space", "d", f"{ins.d.raw:#x}", "scratchpad"
+        elif isinstance(ins, ConfigLd):
+            if ins.channel not in (0, 1, 2):
+                yield idx, "unsupported", "channel", str(ins.channel), "0..2"
+            if ins.stride_bytes < 0:
+                yield idx, "unsupported", "stride_bytes", str(ins.stride_bytes), "at least 0"
+        elif isinstance(ins, ConfigSt):
+            if ins.stride_bytes < 0:
+                yield idx, "unsupported", "stride_bytes", str(ins.stride_bytes), "at least 0"
+        elif type(ins) not in machine._EXECUTORS:
+            yield idx, "unsupported", "type", type(ins).__name__, "unknown"
+
+
+def assert_validation_agrees(program: Program, dim: int = 4, max_block_len: int = 4) -> None:
+    """Same pass or fail and index as the old rules; a kind the instruction breaks;
+    a message that names the mnemonic, the field, the value and what is allowed."""
+    violations = list(old_violations(program, dim, max_block_len))
+    try:
+        validate_program(program, dim, max_block_len)
+    except ValidationError as err:
+        assert violations, err
+        assert err.index == violations[0][0], (err, violations[0])
+        broken = [v for v in violations if v[0] == err.index]
+        ins = program.instructions[err.index]
+        if broken[0][2] == "type":
+            assert err.kind == "unsupported" and type(ins).__name__ in err.detail
+            return
+        mnemonic = next(spec.mnemonic for spec in INSTRUCTIONS if spec.type is type(ins))
+        assert err.detail.startswith(mnemonic + " "), err
+        assert any(
+            kind == err.kind and f" {name} {value} must " in err.detail and allowed in err.detail
+            for _, kind, name, value, allowed in broken
+        ), (err, broken)
+    else:
+        assert not violations, violations[0]
+
+
+class Unknown:
+    """An instruction type the table does not declare."""
+
+
+def _naive_programs() -> dict[str, Program]:
+    """Each kernel's naive program, as the benchmark's optimize workload writes it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import naive_program
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {
+        name: parse_program(naive_program(golden_program(name)), kernel(name).buffer_shapes())
+        for name in sorted(KERNELS)
+    }
+
+
+_NAIVE_PROGRAMS = _naive_programs()
+_PROGRAMS = [*(_GOLDEN_PROGRAMS[name] for name in sorted(KERNELS)), *_NAIVE_PROGRAMS.values()]
+_MACHINE_SHAPES = ((4, 4), (8, 2), (2, 1), (1, 16))  # (dim, max_block_len)
+_EDGE_COUNTS = (-4, -1, 0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 2**31)
+_EDGE_ADDRESSES = (0, 4, 1 << 29, 1 << 31, (1 << 31) | (1 << 30) | 3, (1 << 31) | (1 << 29), SENTINEL - 1, SENTINEL)
+
+
+def _edge_values(value) -> tuple:
+    """Values to put in a field: counts around every bound, and addresses in both
+    memories, with each flag and the sentinel."""
+    if isinstance(value, bool) or not isinstance(value, (int, LocalAddr)):
+        return ()
+    if isinstance(value, int):
+        return _EDGE_COUNTS
+    return tuple(LocalAddr(raw) for raw in _EDGE_ADDRESSES)
+
+
+def test_validation_agrees_on_goldens_and_naive_programs() -> None:
+    for program in _PROGRAMS:
+        for dim, max_block_len in _MACHINE_SHAPES:
+            assert_validation_agrees(program, dim, max_block_len)
+
+
+def test_validation_agrees_on_every_one_field_mutation_of_each_mnemonic() -> None:
+    samples = {}
+    for program in _PROGRAMS:
+        for ins in program.instructions:
+            samples.setdefault(spec_of(ins).mnemonic, ins)
+    for spec in INSTRUCTIONS:
+        samples.setdefault(spec.mnemonic, spec.build(*(_SAMPLE_OPERANDS.get(kind, 3) for _, kind in spec.operands)))
+    assert set(samples) == {spec.mnemonic for spec in INSTRUCTIONS}
+    for ins in samples.values():
+        for field in dataclasses.fields(ins):
+            for value in _edge_values(getattr(ins, field.name)):
+                mutated = dataclasses.replace(ins, **{field.name: value})
+                for dim, max_block_len in _MACHINE_SHAPES:
+                    assert_validation_agrees(Program((ins, mutated, ins)), dim, max_block_len)
+
+
+def test_validation_messages_name_the_rule() -> None:
+    def detail(*instructions) -> str:
+        try:
+            validate_program(Program(instructions))
+        except ValidationError as err:
+            return str(err)
+        return "valid"
+
+    spad, acc = LocalAddr(0), LocalAddr(1 << 31)
+    mvin = Mvin(1, DramRef("A"), spad, 4, 4)
+    assert detail(dataclasses.replace(mvin, rows=5)) == "instruction 0: rows_exceed_dim: mvin rows 5 must be in 1..4"
+    assert detail(mvin, dataclasses.replace(mvin, cols=17)) == (
+        "instruction 1: block_too_wide: mvin cols 17 must be in 1..16"
+    )
+    assert detail(dataclasses.replace(mvin, channel=3)) == "instruction 0: unsupported: mvin channel 3 must be in 0..2"
+    assert detail(ConfigLd(-4, 0)) == "instruction 0: unsupported: config_ld stride_bytes -4 must be at least 0"
+    assert detail(ConfigSt(-4)) == "instruction 0: unsupported: config_st stride_bytes -4 must be at least 0"
+    assert detail(Mvout(DramRef("C"), spad, 4, 4)) == (
+        "instruction 0: wrong_address_space: mvout local 0x0 must address the accumulator"
+    )
+    keep = Preload(LocalAddr(SENTINEL), acc, 4, 4, 4, 4)
+    assert detail(keep) == "valid"
+    assert detail(dataclasses.replace(keep, b=acc)) == (
+        "instruction 0: wrong_address_space: preload b 0x80000000 must address the scratchpad or be the sentinel"
+    )
+    no_bias = ComputePreloaded(spad, LocalAddr(SENTINEL), 4, 4, 4, 4)
+    assert detail(no_bias) == "valid"
+    assert detail(dataclasses.replace(no_bias, a=LocalAddr(SENTINEL))) == (
+        "instruction 0: wrong_address_space: compute_preloaded a 0xffffffff must address the scratchpad"
+    )
+    assert detail(dataclasses.replace(no_bias, d_rows=0)) == (
+        "instruction 0: dimension_mismatch: compute_preloaded d_rows 0 must be in 1..4"
+    )
+    assert detail(mvin, Unknown()) == "instruction 1: unsupported: unknown instruction type Unknown"
+
+
+def test_execute_reports_an_unknown_instruction_before_running_anything() -> None:
+    spec = kernel("gv1")
+    program = _GOLDEN_PROGRAMS["gv1"]
+    m = machine_for_cases(spec, generate_testcases(spec, seed=0, count=1))
+    before = {name: arr.copy() for name, arr in m.dram.items()}
+    try:
+        execute(m, Program(program.instructions + (Unknown(),)))
+    except ExecError as err:
+        assert (err.index, err.kind) == (len(program.instructions), "unsupported")
+    else:
+        raise AssertionError("an unknown instruction ran")
+    assert all(np.array_equal(m.dram[name], arr) for name, arr in before.items())
+
+
+@st.composite
+def one_field_mutations(draw):
+    """(program, dim, max_block_len): a golden or naive program with one field of one
+    instruction set to an edge value, or one instruction replaced by an unknown type."""
+    program = draw(st.sampled_from(_PROGRAMS))
+    instructions = list(program.instructions)
+    at = draw(st.integers(0, len(instructions) - 1))
+    ins = instructions[at]
+    choices = [(f.name, v) for f in dataclasses.fields(ins) for v in _edge_values(getattr(ins, f.name))]
+    if choices and draw(st.integers(0, 9)):
+        name, value = draw(st.sampled_from(choices))
+        instructions[at] = dataclasses.replace(ins, **{name: value})
+    else:
+        instructions[at] = Unknown()
+    dim, max_block_len = draw(st.sampled_from(_MACHINE_SHAPES))
+    return Program(tuple(instructions), program.buffers, program.symbols), dim, max_block_len
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(one_field_mutations())
+def test_validation_agrees_on_one_field_mutations(mutation) -> None:
+    assert_validation_agrees(*mutation)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(workloads(), st.sampled_from(_MACHINE_SHAPES))
+def test_validation_agrees_on_random_workloads(workload, shape) -> None:
+    assert_validation_agrees(workload[0], *shape)
 
 
 # -- the footprint differential ------------------------------------------------------------

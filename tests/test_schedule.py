@@ -1,6 +1,7 @@
 """Schedule commands: line lookup, the five rewrites, sessions, and prompts."""
 
 import json
+import time
 
 import pytest
 
@@ -437,6 +438,28 @@ def test_session_refuses_a_rewrite_whose_index_rounds_out_of_bounds():
     assert message == "A index 0 spans [3.0, 3.0] outside [0, 2]"
     assert session.full == parse_kernel(text)
     assert session.records[-1].result == message
+
+
+def test_session_refuses_an_unroll_that_would_outgrow_the_statement_limit():
+    # Each unroll multiplies the nest: the third would hold 266,369 statements.
+    session = ScheduleSession(parse_kernel(DOITGEN))
+    assert session.apply(command("unroll", line="for s in seq(0, 64):")) == (True, "ok")
+    assert session.apply(command("unroll", line="for p in seq(0, 64): #0")) == (True, "ok")
+    kept = session.full
+    start = time.perf_counter()
+    ok, message = session.apply(command("unroll", line="for q in seq(0, 64):"))
+    assert time.perf_counter() - start < 1.0
+    assert not ok
+    assert message == (
+        "unrolling 64 iterations would grow the kernel to 266369 statements, over the limit of 65536"
+    )
+    assert session.full is kept
+
+
+def test_unroll_limit_counts_statements_not_iterations():
+    text = "def t(A: f32[4096] @ DRAM):\n    for i in seq(0, 4096):\n        A[i] = 1.0\n"
+    unrolled = apply_schedule_command(parse_kernel(text), command("unroll", line="for i in seq(0, 4096):"))
+    assert len(unrolled.body) == 4096
 
 
 # -- prompts and the replay loop ------------------------------------------------
