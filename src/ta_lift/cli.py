@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = commands.add_parser("schedule", help="drive an interactive loop-scheduling session")
     schedule.add_argument("--program", required=True, help="loop-nest kernel file")
     schedule.add_argument("--seed", type=_at_least(0), default=0)
-    schedule.add_argument("--n", type=int, default=4, help="maximum conversation steps")
+    schedule.add_argument("--n", type=_at_least(1), default=4, help="maximum conversation steps")
     schedule.add_argument("--out", help="output directory")
     backend_flags(schedule)
 

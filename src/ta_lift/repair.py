@@ -7,7 +7,9 @@ by a model or by hand: each suspect site becomes a `<CONST>` token, or a
 fresh `uint32_t` declaration whose initializer is the suspect value.
 Second the holes are filled, either by asking the model or by enumerating
 assignments from a small constant set, and every filled program runs
-through the simulator until one verifies.
+through the simulator until one verifies.  Enumeration parses the template
+once; a fill parses again only the operands its holes reach and rebuilds
+only their instructions (see `FillEnumerator`).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .program_text import (
     _ACTIVATIONS,
     _DATAFLOWS,
     _KEYWORDS,
+    HoleSlots,
     ProgramSyntaxError,
-    _fill_slots,
     _tokenize,
     _tokenize_slots,
     parse_program,
@@ -148,10 +150,19 @@ class FillCandidate:
 class FillEnumerator:
     """Iterates the Cartesian product of constants over holes, up to a cap.
 
-    The template is tokenized once with a `0` in every hole; each fill puts
-    its integers into a copy of those tokens and is parsed once, against
-    `buffers` as verification does.  Templates whose holes are not tokens
-    of their own (see `_tokenize_slots`) are re-tokenized for every fill.
+    The template is tokenized once with a `0` in every hole and parsed once,
+    against `buffers` as verification does, recording a slot for every
+    operand a hole reaches, directly or through a `static uint32_t`
+    declaration (see `HoleSlots`).  A fill then puts its integers into those
+    few tokens, parses them again with the parser's own checks and rebuilds
+    only the instructions they belong to; a fill whose slots do not parse is
+    skipped, as its text would be.
+
+    Some templates are tokenized and parsed whole for every fill instead: a
+    hole that is not a token of its own (see `_tokenize_slots`), a hole that
+    reaches a loop header, an `if` condition or a buffer name, and a `for`
+    that binds a buffer name, where the parses with the table and with
+    inferred buffers differ.  `slotted` says which way a template goes.
 
     After iteration, `capped` says whether the product was truncated,
     `attempted` counts enumerated fills and `skipped` counts fills that do
@@ -181,12 +192,22 @@ class FillEnumerator:
         for piece in pieces[:-1]:
             at += len(piece) + 1
             offsets.append(at)
-        self._slots = _tokenize_slots("0".join(pieces), offsets)
+        slots = _tokenize_slots("0".join(pieces), offsets)
         # A fill that the table accepts is refused by inference only where a
         # `for` binds a table name (see program_text's parse_dram_ref); only
         # then, or without slots, is the inferred parse run on such fills.
-        toks = self._slots[0] if self._slots else []
-        self._infer_always = self._slots is None or any(a in buffers and b == "=" for a, b in zip(toks, toks[1:]))
+        toks = slots[0] if slots else []
+        self._infer_always = slots is None or any(a in buffers and b == "=" for a, b in zip(toks, toks[1:]))
+        self._holes: HoleSlots | None = None
+        if not self._infer_always:
+            holes = HoleSlots(slots[2])
+            try:
+                self._template = parse_program(slots[:2], buffers, holes)
+            except ProgramSyntaxError:
+                pass  # a placeholder 0 the template cannot take, such as a loop step
+            else:
+                self._holes = holes if holes.usable else None
+        self.slotted = self._holes is not None
 
     def _parse(self, values: tuple[int, ...]) -> Program | None:
         """The fill parsed against the buffer table, None if only the inferred parse accepts it.
@@ -194,11 +215,11 @@ class FillEnumerator:
         Raises ProgramSyntaxError when the fill does not parse even with
         inferred buffers.
         """
-        if self._slots is None:
-            ids = [hole.id for hole in self.template.holes]
-            tokens = _tokenize(self.template.substitute(dict(zip(ids, values))))
-        else:
-            tokens = _fill_slots(*self._slots, values)
+        if self._holes is not None:
+            # The table and inferred parses of a slotted template differ in no value check.
+            return self._holes.fill(self._template, values)
+        ids = [hole.id for hole in self.template.holes]
+        tokens = _tokenize(self.template.substitute(dict(zip(ids, values))))
         try:
             program = parse_program(tokens, self.buffers)
         except ProgramSyntaxError:

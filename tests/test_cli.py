@@ -86,6 +86,17 @@ def test_fewer_than_one_case_is_a_usage_error(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_fewer_than_one_schedule_step_is_a_usage_error(tmp_path, capsys, value):
+    # With no steps the session would make no backend call and still exit 0.
+    kernel_file, fixtures = schedule_bundle(tmp_path)
+    out = tmp_path / "out"
+    assert dispatch(["schedule", "--program", str(kernel_file), "--backend", "replay",
+                     "--fixtures", str(fixtures), "--n", value, "--out", str(out)]) == 2
+    assert "argument --n: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", sorted(_CASE_COMMANDS))
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     argv = [arg.format(fence="fence.txt", fixtures="fixtures.json") for arg in _CASE_COMMANDS[command]]

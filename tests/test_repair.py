@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -267,18 +268,35 @@ def reference_repair(template, spec, cases, constants):
     return Exhausted(tried=tried + skipped), tried + skipped
 
 
+def reference_skipped(template, constants):
+    """How many fills of the whole product do not parse even with inferred buffers."""
+    skipped = 0
+    for combo in itertools.product(dict.fromkeys(constants), repeat=len(template.holes)):
+        try:
+            parse_program(template.substitute({hole.id: value for hole, value in zip(template.holes, combo)}), None)
+        except ProgramSyntaxError:
+            skipped += 1
+    return skipped
+
+
 @functools.cache
 def cases_for(name):
     return generate_testcases(kernel(name), seed=11, count=3)
 
 
-def assert_matches_reference(candidate, name, constants, marked=None):
+def assert_matches_reference(candidate, name, constants, marked=None, slotted=None):
+    """Repair by enumeration agrees with the text loop; `slotted` is the path the template must take."""
     spec, cases = kernel(name), cases_for(name)
     result = repair(candidate, spec, cases, constants=constants, mode="enumerate", marked=marked)
     template = extract_holes(candidate) if marked is None else extract_holes(marked, candidate)
     outcome, tried = reference_repair(template, spec, cases, constants)
     assert result.outcome == outcome
     assert result.stats.candidates_tried == tried
+    enumerator = enumerate_fills(template, constants, spec.buffer_shapes())
+    list(enumerator)
+    assert enumerator.skipped == reference_skipped(template, constants)
+    if slotted is not None:
+        assert enumerator.slotted == slotted
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -290,18 +308,71 @@ def test_parse_once_repair_matches_text_loop(data):
     negative = data.draw(st.integers(-16, -1))
     others = data.draw(st.lists(st.sampled_from((0, 1, 3, 4, 12, 16, 48)), min_size=1, max_size=3, unique=True))
     constants = tuple(data.draw(st.permutations([negative, *others])))
-    assert_matches_reference(punch_holes(golden, spans), name, constants)
+    assert_matches_reference(punch_holes(golden, spans), name, constants, slotted=True)
 
 
 def test_named_hole_matches_text_loop():
     candidate = perturbed("mvin(Pinf + 52, Pinf_sp + 16, 4, 4);", "mvin(Pinf + 52, Pinf_sp + 16, 3, 4);")
     marked = "static uint32_t COLS = 3;\n" + candidate.replace("Pinf_sp + 16, 3, 4)", "Pinf_sp + 16, COLS, 4)")
-    assert_matches_reference(candidate, "gv2", (-1, 3, 4), marked=marked)
+    assert_matches_reference(candidate, "gv2", (-1, 3, 4), marked=marked, slotted=True)
+
+
+def test_named_hole_feeding_another_declaration_matches_text_loop():
+    candidate = perturbed("mvin(Pinf + 52, Pinf_sp + 16, 4, 4);", "mvin(Pinf + 52, Pinf_sp + 16, 3, 4);")
+    marked = "static uint32_t COLS = 3;\nstatic uint32_t WIDE = COLS + 0;\n" + candidate.replace(
+        "Pinf_sp + 16, 3, 4)", "Pinf_sp + 16, WIDE, COLS)")
+    assert_matches_reference(candidate, "gv2", (-1, 3, 4), marked=marked, slotted=True)
 
 
 def test_dram_offset_hole_matches_text_loop():
     candidate = perturbed("mvin(Pinf + 52,", "mvin(Pinf + <CONST>,")
-    assert_matches_reference(candidate, "gv2", (-4, 48, 52))
+    assert_matches_reference(candidate, "gv2", (-4, 48, 52), slotted=True)
+
+
+@pytest.mark.parametrize(
+    "old, new, constants",
+    [
+        # A declaration a hole reaches, read by operand arithmetic (`x_sp + 4`, ...).
+        ("static uint32_t x_sp = 36;", "static uint32_t x_sp = <CONST>;", (-4, 0, 36, 2**32)),
+        # One declaration a hole reaches feeds another.
+        ("static uint32_t x_sp = 36;", "static uint32_t OFF = <CONST>;\nstatic uint32_t x_sp = OFF + 32;",
+         (-40, 0, 4, 2**32)),
+        # A hole in a declaration that a later declaration of the same name hides.
+        ("static uint32_t x_sp = 36;",
+         "static uint32_t x_sp = <CONST>;\nconfig_st(x_sp);\nstatic uint32_t x_sp = 36;", (-4, 4, 36)),
+        # A negative count, and a local address at 2**32.
+        ("config_st(4);", "config_st(<CONST>);", (-4, 4, 2**32)),
+        ("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + <CONST>, 1, 4);", (2**32, -4, 4)),
+        # '<<' and '*' results reaching 2**64, and a negative shift count.
+        ("Pinf_sp + 16, 4, 4);", "Pinf_sp + (1 << <CONST>), 4, 4);", (-1, 64, 63, 4)),
+        ("mvin(Pinf + 52,", "mvin(Pinf + 13 * <CONST>,", (2**60, -1, 4)),
+        # Operands in a not-taken branch and in a zero-trip loop body emit nothing, but still raise.
+        ("fence();", "if (0 == 1) { config_st(<CONST>); } else { fence(); }", (-1, 0, 4)),
+        ("fence();", "for (int i = 0; i < 0; i++) { mvin(Pinf, Pinf_sp + i + <CONST>, 4, 4); }\nfence();",
+         (2**32, 0, -4)),
+        # An operand in a loop body is a slot in every iteration.
+        ("config_st(4);", "for (int i = 0; i < 3; i++) { config_st(<CONST> + i - i); }", (-4, 0, 4)),
+    ],
+)
+def test_slotted_holes_match_text_loop(old, new, constants):
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=True)
+
+
+@pytest.mark.parametrize(
+    "old, new, constants",
+    [
+        # Loop bounds, a loop step and an `if` condition change which instructions exist.
+        ("config_st(4);", "for (int i = 0; i < <CONST>; i++) { config_st(4); }", (0, 1, 2)),
+        ("config_st(4);", "for (int i = 0; i < 8; i += <CONST>) { config_st(4); }", (-1, 0, 4, 8)),
+        ("config_st(4);", "if (<CONST> == 1) { config_st(4); } else { config_st(12); }", (0, 1, -1)),
+        # A declaration a hole reaches, read by a loop bound.
+        ("config_st(4);", "static uint32_t N = <CONST>;\nfor (int i = 0; i < N; i++) { config_st(4); }", (0, 1, 3)),
+        # A hole where a buffer name belongs.
+        ("mvin(Pinf + 52,", "mvin(<CONST> + 52,", (0, 4)),
+    ],
+)
+def test_holes_that_steer_the_parse_match_text_loop(old, new, constants):
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=False)
 
 
 @pytest.mark.parametrize(
@@ -317,25 +388,104 @@ def test_dram_offset_hole_matches_text_loop():
 )
 def test_holes_glued_to_their_neighbours_match_text_loop(marked):
     # Each of these fills tokenizes differently from a lone integer token.
-    assert_matches_reference(perturbed("config_st(4);", marked), "gv2", (-4, 0, 4, 12))
+    assert_matches_reference(perturbed("config_st(4);", marked), "gv2", (-4, 0, 4, 12), slotted=False)
 
 
 def test_loop_variable_shadowing_a_buffer_matches_text_loop():
     # Against the buffer table `mvin2(x, ...)` loads buffer x; with inferred
     # buffers the loop variable x makes the fill unparseable, so it is skipped.
     loop = "for (int x = 0; x < <CONST>; x++) { mvin2(x, x_sp, 1, 4); }"
-    assert_matches_reference(perturbed("mvin2(x, x_sp, 1, 4);", loop), "gv2", (0, 1))
+    assert_matches_reference(perturbed("mvin2(x, x_sp, 1, 4);", loop), "gv2", (0, 1), slotted=False)
 
 
-def test_enumeration_parses_each_fill_once(monkeypatch):
+# -- slotted fills against a parse of their text -------------------------------
+
+ALL_GOLDENS = ("gv1", "gv2", "gv3", "gv4", "mm1", "mm2", "mm3", "mm4", "mm5", "mm6", "mm7")
+_OPERAND_LITERAL = re.compile(r"(?<![\w.])(0[xX][0-9a-fA-F]+|\d+)(?![\w.])")
+
+
+@functools.cache
+def operand_literal_spans(name):
+    """Spans of every integer literal inside an instruction's operands, `X_sp + N` offsets included."""
+    spans, offset = [], 0
+    for line in golden_program(name).splitlines(keepends=True):
+        if line.rstrip().endswith(");") and not line.lstrip().startswith("static"):
+            args = line.index("(")
+            spans += [(offset + m.start(1), offset + m.end(1)) for m in _OPERAND_LITERAL.finditer(line, args)]
+        offset += len(line)
+    return spans
+
+
+@pytest.mark.parametrize("name", ALL_GOLDENS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_slotted_fills_equal_a_parse_of_their_text(name, data):
+    golden = golden_program(name)
+    spans = data.draw(st.lists(st.sampled_from(operand_literal_spans(name)), min_size=1, max_size=3, unique=True))
+    negative = data.draw(st.integers(-2**33, -1))
+    large = data.draw(st.integers(2**32, 2**40))
+    other = data.draw(st.sampled_from((1, 3, 4, 12, 16, 48)))
+    constants = tuple(data.draw(st.permutations([negative, 0, large, other])))
+    template = extract_holes(punch_holes(golden, spans))
+    buffers = kernel(name).buffer_shapes()
+    enumerator = enumerate_fills(template, constants, buffers)
+    assert enumerator.slotted
+    yielded = {fill.index: fill for fill in enumerator}
+    ids = [hole.id for hole in template.holes]
+    for index, combo in enumerate(itertools.product(constants, repeat=len(ids))):
+        code = template.substitute(dict(zip(ids, combo)))
+        try:
+            parsed = parse_program(code, buffers)
+        except ProgramSyntaxError:
+            assert index not in yielded, code
+            continue
+        fill = yielded[index]
+        assert fill.code == code
+        assert fill.program.instructions == parsed.instructions
+        assert fill.program.buffers == parsed.buffers
+        assert fill.program.symbols == parsed.symbols
+    assert enumerator.skipped == enumerator.total - len(yielded)
+
+
+# -- parses per template -------------------------------------------------------
+
+
+def count_parses(monkeypatch):
+    """The buffer table of every call to `repair.parse_program`, in order."""
     buffer_tables = []
     real = repair_module.parse_program
 
-    def counting(source, buffers=None):
+    def counting(source, buffers=None, record=None):
         buffer_tables.append(buffers)
-        return real(source, buffers)
+        return real(source, buffers, record)
 
     monkeypatch.setattr(repair_module, "parse_program", counting)
-    result = repair(perturbed("config_st(4);", "config_st(<CONST>);"), SPEC, CASES, mode="enumerate")
-    assert result.stats.candidates_tried == 4
-    assert buffer_tables == [SPEC.buffer_shapes()] * 4
+    return buffer_tables
+
+
+@pytest.mark.parametrize(
+    "marked, tried",
+    [
+        ("config_st(<CONST>);\nconfig_ld(48, 0);", 4),
+        # (4, 48) is the 24th pair of (0, 1, 3, 4, 12, 48) in product order.
+        ("config_st(<CONST>);\nconfig_ld(<CONST>, 0);", 24),
+    ],
+)
+def test_slotted_template_parses_once_whatever_the_fills(monkeypatch, marked, tried):
+    buffer_tables = count_parses(monkeypatch)
+    candidate = perturbed("config_st(4);\nconfig_ld(48, 0);", marked)
+    result = repair(candidate, SPEC, CASES, constants=(0, 1, 3, 4, 12, 48), mode="enumerate")
+    assert isinstance(result.outcome, Repaired)
+    assert result.stats.candidates_tried == tried
+    assert buffer_tables == [SPEC.buffer_shapes()]
+
+
+def test_loop_bound_hole_template_parses_each_fill(monkeypatch):
+    buffer_tables = count_parses(monkeypatch)
+    loop = "for (int i = 0; i < <CONST>; i++) { config_st(4); }"
+    result = repair(perturbed("config_st(4);", loop), SPEC, CASES, constants=(0, 1), mode="enumerate")
+    assert result.outcome == Repaired(program=GOLDEN.replace("config_st(4);", loop.replace("<CONST>", "1")),
+                                      assignment=(("h0", 1),))
+    assert result.stats.candidates_tried == 2
+    # The template parse finds that the hole steers a loop; then each fill is parsed whole.
+    assert buffer_tables == [SPEC.buffer_shapes()] * (1 + 2)
