@@ -10,6 +10,7 @@ backend error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -78,6 +79,7 @@ def _at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ta-lift",
@@ -165,7 +167,10 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path} is not UTF-8 text: {err}") from None
 
 
 def _make_backend(ns: argparse.Namespace) -> Backend:
@@ -184,7 +189,8 @@ def _make_backend(ns: argparse.Namespace) -> Backend:
             except json.JSONDecodeError as err:
                 raise UsageError(f"fixtures file is not valid JSON: {err}") from None
             if not isinstance(mapping, dict) or not all(
-                isinstance(k, str) and isinstance(v, list) for k, v in mapping.items()
+                isinstance(k, str) and isinstance(v, list) and all(isinstance(s, str) for s in v)
+                for k, v in mapping.items()
             ):
                 raise UsageError("fixtures file must map fingerprints to lists of sample texts")
         return ReplayBackend(mapping, directory=cache)
@@ -290,7 +296,7 @@ def cmd_translate(ns: argparse.Namespace) -> int:
 
     results = []
     for completion in completions:
-        code = extract_code(completion.text)
+        code = extract_code(completion.text, spec.buffer_shapes())
         results.append((code, Verdict(passed=False) if code is None else verify_source(code, spec, cases)))
     passing = [code for code, verdict in results if verdict.passed]
     for index, (code, verdict) in enumerate(results):

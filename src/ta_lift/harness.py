@@ -48,18 +48,19 @@ EXAMPLE_SOURCE_KERNELS: dict[str, str] = {
 _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-def extract_code(completion_text: str) -> str | None:
+def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]]) -> str | None:
     """Pull the candidate program out of a completion.
 
     Replies usually wrap code in fenced blocks; the largest block wins.
-    Bare replies are accepted whole if they already parse as a program.
+    A bare reply is accepted whole if it already parses against `buffers`,
+    the buffer table of the kernel it was written for.
     """
     blocks = [m.group(1) for m in _FENCE.finditer(completion_text)]
     if blocks:
         best = max(blocks, key=len)
         return best.rstrip("\n")
     try:
-        parse_program(completion_text, None)
+        parse_program(completion_text, buffers)
     except ProgramSyntaxError:
         return None
     return completion_text
@@ -162,7 +163,7 @@ class ExperimentReport:
 def _verify_candidate(
     spec: KernelSpec, fingerprint: str, index: int, raw: str, cases
 ) -> CandidateRecord:
-    code = extract_code(raw)
+    code = extract_code(raw, spec.buffer_shapes())
     if code is None:
         verdict = Verdict(passed=False)
     else:

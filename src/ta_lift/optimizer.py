@@ -308,7 +308,7 @@ def _llm_block_rewrite(
     block: Block,
     backend: Backend,
     params: GenerationParams,
-    base: Program,
+    buffers: dict[str, tuple[int, int]],
 ) -> tuple[Instruction, ...] | None:
     from .harness import extract_code
 
@@ -316,11 +316,11 @@ def _llm_block_rewrite(
         return None
     prompt = build_block_optimize_prompt(block.text())
     completions = backend.complete(prompt, params)
-    code = extract_code(completions[0].text)
+    code = extract_code(completions[0].text, buffers)
     if code is None:
         return None
     try:
-        parsed = parse_program(code, dict(base.buffers))
+        parsed = parse_program(code, buffers)
     except ProgramSyntaxError:
         return None
     return parsed.instructions
@@ -354,8 +354,9 @@ def optimize_program(
     # Stage 1: per-block rewrites, each gated by whole-program verification.
     llm_params = params or GenerationParams(n_samples=1)
     if mode in ("llm", "llm_then_rules") and backend is not None:
+        buffers = spec.buffer_shapes()
         for block in blocks:
-            rewritten = _llm_block_rewrite(block, backend, llm_params, p)
+            rewritten = _llm_block_rewrite(block, backend, llm_params, buffers)
             if rewritten is None or rewritten == block.instructions:
                 continue
             trial = list(blocks)

@@ -241,12 +241,11 @@ _COMPARE = {
 
 
 class _Parser:
-    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]] | None):
+    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]]):
         self.toks = toks
         self.lines = lines
         self.pos = 0
-        self.infer_buffers = buffers is None
-        self.buffers: dict[str, tuple[int, int]] = dict(buffers) if buffers else {}
+        self.buffers = dict(buffers)
         self.symbols: dict[str, int] = {}
         self.scopes: list[dict[str, int]] = []
         self.out: list[Instruction] = []
@@ -395,15 +394,7 @@ class _Parser:
         name = self.toks[at]
         if not name.isidentifier():
             raise self.error("DRAM operand must start with a buffer name")
-        # A table buffer stays a buffer where a loop variable of its name is in
-        # scope, while inference refuses the name there.  Loop variables are
-        # the only scoped names (see _parse_for), so text that parses against
-        # a table parses with inference too unless a `for` binds a table name.
-        known = name in self.buffers
-        if not known and self.infer_buffers and name not in self.symbols and not self._in_scope(name):
-            self.buffers[name] = (0, 0)
-            known = True
-        if not known:
+        if name not in self.buffers:
             # A declared symbol is not a buffer; anything else is unbound.
             if name in self.symbols or self._in_scope(name):
                 raise self.error(f"'{name}' is not a declared buffer")
@@ -671,8 +662,7 @@ class HoleSlots:
         covered = {number for *_, numbers in self.spans for number in numbers}
         self.usable = self.usable and len(covered) == len(self.holes)
         self.reached = set(parser.reached)
-        # A slot reads no buffer name that the template parse did not accept.
-        self._parser.buffers = dict(parser.buffers)
+        self._parser.buffers = parser.buffers
 
     def fill(self, program: Program, values: tuple[int, ...] | list[int]) -> Program:
         """`program`, the template's parse, with the holes set to `values`, equal to a parse of that text.
@@ -706,8 +696,7 @@ class HoleSlots:
 class _SlotParser(_Parser):
     """A parse that records into a HoleSlots where the holes of its tokens reach."""
 
-    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]] | None,
-                 record: HoleSlots):
+    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]], record: HoleSlots):
         super().__init__(toks, lines, buffers)
         self.record = record
         self.reached: set[str] = set()  # declared names whose current value a hole reaches
@@ -780,17 +769,14 @@ class _SlotParser(_Parser):
 
 
 def parse_program(
-    source: str | _Tokens, buffers: dict[str, tuple[int, int]] | None = None, record: HoleSlots | None = None
+    source: str | _Tokens, buffers: dict[str, tuple[int, int]], record: HoleSlots | None = None
 ) -> Program:
     """Parse program text, or the tokens `_tokenize` made of it, into a Program.
 
     Tokens are only read, so one pair of lists can be parsed many times.
 
-    `buffers` maps declared DRAM buffer names to (rows, cols).  Passing None
-    switches on buffer inference: any fresh identifier in a DRAM operand
-    position is accepted with an unknown shape.  That mode exists for probing
-    whether free-form text looks like a program; real verification always
-    supplies the kernel's buffer table.
+    `buffers` maps the kernel's DRAM buffer names to (rows, cols); a DRAM
+    operand must name one of them, and any other name is unbound.
 
     With `record`, the parse also records where the holes of a template
     reach (see HoleSlots).

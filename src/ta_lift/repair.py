@@ -31,7 +31,6 @@ from .program_text import (
     _KEYWORDS,
     HoleSlots,
     ProgramSyntaxError,
-    _tokenize,
     _tokenize_slots,
     parse_program,
 )
@@ -40,7 +39,7 @@ from .prompts import EmptyConstantSet, build_repair_fill_prompt, build_repair_ma
 MARKER = "<CONST>"
 DEFAULT_CONSTANT_SET: tuple[int, ...] = (0, 1, 3, 4, 12)
 DEFAULT_CAP = 10_000
-DEFAULT_MAX_HOLES = 5
+MAX_HOLES = 5
 
 _RESERVED = set(BY_MNEMONIC) | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
 
@@ -133,14 +132,13 @@ def extract_holes(marked_code: str, original: str | None = None, origin: str = "
 class FillCandidate:
     """One enumerated fill; its text is rendered only when `code` is read.
 
-    `program` is the fill parsed against the enumerator's buffer table, or
-    None when only the parse with inferred buffers accepts it.
+    `program` is the fill parsed against the enumerator's buffer table.
     """
 
     template: HoleTemplate = field(repr=False)
     assignment: tuple[tuple[str, int], ...]
     index: int
-    program: Program | None = field(repr=False)
+    program: Program = field(repr=False)
 
     @property
     def code(self) -> str:
@@ -155,18 +153,18 @@ class FillEnumerator:
     operand a hole reaches, directly or through a `static uint32_t`
     declaration (see `HoleSlots`).  A fill then puts its integers into those
     few tokens, parses them again with the parser's own checks and rebuilds
-    only the instructions they belong to; a fill whose slots do not parse is
-    skipped, as its text would be.
+    only the instructions they belong to.
 
     Some templates are tokenized and parsed whole for every fill instead: a
-    hole that is not a token of its own (see `_tokenize_slots`), a hole that
-    reaches a loop header, an `if` condition or a buffer name, and a `for`
-    that binds a buffer name, where the parses with the table and with
-    inferred buffers differ.  `slotted` says which way a template goes.
+    hole that is not a token of its own (see `_tokenize_slots`), or a hole
+    that reaches a loop header, an `if` condition or a buffer name.
+    `slotted` says which way a template goes.  Either way a fill is parsed
+    once, and it is skipped exactly when that parse fails, which is when
+    `verify_source` on its text gives a `ParseFailure`.
 
     After iteration, `capped` says whether the product was truncated,
     `attempted` counts enumerated fills and `skipped` counts fills that do
-    not parse even with inferred buffers.
+    not parse.
     """
 
     def __init__(
@@ -193,13 +191,8 @@ class FillEnumerator:
             at += len(piece) + 1
             offsets.append(at)
         slots = _tokenize_slots("0".join(pieces), offsets)
-        # A fill that the table accepts is refused by inference only where a
-        # `for` binds a table name (see program_text's parse_dram_ref); only
-        # then, or without slots, is the inferred parse run on such fills.
-        toks = slots[0] if slots else []
-        self._infer_always = slots is None or any(a in buffers and b == "=" for a, b in zip(toks, toks[1:]))
         self._holes: HoleSlots | None = None
-        if not self._infer_always:
+        if slots is not None:
             holes = HoleSlots(slots[2])
             try:
                 self._template = parse_program(slots[:2], buffers, holes)
@@ -209,24 +202,12 @@ class FillEnumerator:
                 self._holes = holes if holes.usable else None
         self.slotted = self._holes is not None
 
-    def _parse(self, values: tuple[int, ...]) -> Program | None:
-        """The fill parsed against the buffer table, None if only the inferred parse accepts it.
-
-        Raises ProgramSyntaxError when the fill does not parse even with
-        inferred buffers.
-        """
+    def _parse(self, values: tuple[int, ...]) -> Program:
+        """The fill parsed against the buffer table; raises ProgramSyntaxError where its text would."""
         if self._holes is not None:
-            # The table and inferred parses of a slotted template differ in no value check.
             return self._holes.fill(self._template, values)
         ids = [hole.id for hole in self.template.holes]
-        tokens = _tokenize(self.template.substitute(dict(zip(ids, values))))
-        try:
-            program = parse_program(tokens, self.buffers)
-        except ProgramSyntaxError:
-            program = None
-        if program is None or self._infer_always:
-            parse_program(tokens, None)
-        return program
+        return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers)
 
     def __iter__(self) -> Iterator[FillCandidate]:
         ids = [hole.id for hole in self.template.holes]
@@ -241,15 +222,6 @@ class FillEnumerator:
                 self.skipped += 1
                 continue
             yield FillCandidate(self.template, tuple(zip(ids, combo)), index, program)
-
-
-def enumerate_fills(
-    template: HoleTemplate,
-    constants: list[int] | tuple[int, ...],
-    buffers: dict[str, tuple[int, int]],
-    cap: int = DEFAULT_CAP,
-) -> FillEnumerator:
-    return FillEnumerator(template, constants, buffers, cap)
 
 
 @dataclass(frozen=True)
@@ -303,8 +275,6 @@ def repair(
     mode: str = "llm_then_enumerate",
     backend: Backend | None = None,
     params: GenerationParams | None = None,
-    cap: int = DEFAULT_CAP,
-    max_holes: int = DEFAULT_MAX_HOLES,
     marked: str | None = None,
     cfg: MachineConfig | None = None,
 ) -> RepairResult:
@@ -340,10 +310,11 @@ def repair(
     except NoHolesFound:
         return RepairResult(Aborted("the marked candidate contains no holes"), stats)
 
+    buffers = spec.buffer_shapes()
     if mode in ("llm", "llm_then_enumerate") and backend is not None:
         fill_prompt = build_repair_fill_prompt(template.code, constants)
         for completion in backend.complete(fill_prompt, params or GenerationParams(n_samples=1)):
-            code = extract_code(completion.text)
+            code = extract_code(completion.text, buffers)
             if code is None:
                 continue
             stats.candidates_tried += 1
@@ -356,15 +327,15 @@ def repair(
     elif mode == "llm":
         return RepairResult(Aborted("llm fill mode needs a backend"), stats)
 
-    if len(template.holes) > max_holes:
+    if len(template.holes) > MAX_HOLES:
         return RepairResult(
-            Aborted(f"{len(template.holes)} holes exceed the enumeration limit of {max_holes}"), stats
+            Aborted(f"{len(template.holes)} holes exceed the enumeration limit of {MAX_HOLES}"), stats
         )
-    enumerator = enumerate_fills(template, constants, spec.buffer_shapes(), cap)
+    enumerator = FillEnumerator(template, constants, buffers)
     for fill in enumerator:
         stats.candidates_tried += 1
         # Looked up on the module, so a wrapper put on kernels.verify_program sees every fill.
-        if fill.program is not None and kernels.verify_program(fill.program, spec, cases, cfg).passed:
+        if kernels.verify_program(fill.program, spec, cases, cfg).passed:
             return RepairResult(Repaired(program=fill.code, assignment=fill.assignment), stats)
     stats.candidates_tried += enumerator.skipped
     return RepairResult(Exhausted(tried=stats.candidates_tried), stats)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import ta_lift.cli as cli
 from conftest import eval_bundle, fenced, schedule_bundle, translation_prompt, write_json
 from ta_lift.cli import dispatch
 from ta_lift.fixtures import golden_program
 from ta_lift.gateway import ReplayBackend
+from ta_lift.repair import DEFAULT_CONSTANT_SET
 
 
 def golden_file(directory: Path, name: str = "gv1") -> Path:
@@ -61,6 +63,61 @@ def test_malformed_fixtures_file_is_usage_error(tmp_path, payload, capsys):
     code = dispatch(["translate", "--kernel", "gv1", "--backend", "replay",
                      "--fixtures", str(fixtures)])
     assert code == 2
+
+
+def _not_utf8(directory: Path) -> Path:
+    path = directory / "not_utf8.txt"
+    path.write_bytes(b"fence();\n\xff\xfe\n")
+    return path
+
+
+def _non_string_samples(fixtures: Path) -> Path:
+    """The fixtures file rewritten so every prompt's samples are an integer and a null."""
+    return write_json(fixtures, {fingerprint: [1, None] for fingerprint in json.loads(fixtures.read_text())})
+
+
+_MALFORMED_INPUTS = {
+    "simulate-program": lambda d: ["simulate", "--program", _not_utf8(d), "--kernel", "gv1"],
+    "verify-program": lambda d: ["verify", "--program", _not_utf8(d), "--kernel", "gv1"],
+    "repair-program": lambda d: ["repair", "--program", _not_utf8(d), "--kernel", "gv1"],
+    "optimize-program": lambda d: ["optimize", "--program", _not_utf8(d), "--kernel", "gv1"],
+    "schedule-program": lambda d: ["schedule", "--program", _not_utf8(d), "--backend", "replay",
+                                   "--fixtures", schedule_bundle(d)[1]],
+    "evaluate-config": lambda d: ["evaluate", "--config", _not_utf8(d), "--backend", "replay",
+                                  "--fixtures", eval_bundle(d)[1]],
+    "translate-fixtures": lambda d: ["translate", "--kernel", "gv1", "--backend", "replay",
+                                     "--fixtures", _not_utf8(d)],
+    "translate-samples": lambda d: ["translate", "--kernel", "gv1", "--backend", "replay", "--fixtures",
+                                    write_json(d / "fx.json", {translation_prompt("gv1").fingerprint: [1, None]})],
+    "evaluate-samples": lambda d: ["evaluate", "--config", eval_bundle(d)[0], "--backend", "replay",
+                                   "--fixtures", _non_string_samples(eval_bundle(d)[1])],
+    "schedule-samples": lambda d: ["schedule", "--program", schedule_bundle(d)[0], "--backend", "replay",
+                                   "--fixtures", _non_string_samples(schedule_bundle(d)[1])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, case):
+    # A file that is not UTF-8, or replay samples that are not strings, must not end in a traceback.
+    argv = [str(arg) for arg in _MALFORMED_INPUTS[case](tmp_path)]
+    assert dispatch(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_consecutive_dispatches_see_their_own_defaults(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for name in ("verify", "repair", "schedule"):
+        monkeypatch.setitem(cli._HANDLERS, name, lambda ns: seen.append(ns) or 0)
+    assert dispatch(["verify", "--program", "p", "--kernel", "gv1", "--seed", "3", "--n", "7"]) == 0
+    assert dispatch(["repair", "--program", "p", "--kernel", "gv1"]) == 0
+    assert dispatch(["verify", "--program", "p", "--kernel", "gv1"]) == 0
+    assert dispatch(["schedule", "--program", "p"]) == 0
+    assert [(ns.subcommand, ns.seed, ns.n) for ns in seen] == [
+        ("verify", 3, 7), ("repair", 0, 5), ("verify", 0, 20), ("schedule", 0, 4)]
+    assert (seen[1].mode, seen[1].backend, seen[1].constants) == ("enumerate", None, DEFAULT_CONSTANT_SET)
+    assert seen[3].backend == "replay"
+    assert not hasattr(seen[2], "mode")
 
 
 _CASE_COMMANDS = {

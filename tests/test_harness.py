@@ -82,27 +82,34 @@ def test_pass_at_k_domain_errors():
 
 # -- code extraction -----------------------------------------------------------
 
+GV1_BUFFERS = kernel("gv1").buffer_shapes()
+
 
 def test_extract_single_fenced_block():
-    assert extract_code("```\nfence();\n```") == "fence();"
+    assert extract_code("```\nfence();\n```", GV1_BUFFERS) == "fence();"
 
 
 def test_extract_block_with_language_tag():
-    assert extract_code("Sure:\n```c\nfence();\nfence();\n```\nenjoy") == "fence();\nfence();"
+    assert extract_code("Sure:\n```c\nfence();\nfence();\n```\nenjoy", GV1_BUFFERS) == "fence();\nfence();"
 
 
 def test_extract_prefers_larger_block():
     text = "```\nfence();\n```\nbut really\n```\nfence();\nfence();\nfence();\n```"
-    assert extract_code(text) == "fence();\nfence();\nfence();"
+    assert extract_code(text, GV1_BUFFERS) == "fence();\nfence();\nfence();"
 
 
 def test_extract_prose_returns_none():
-    assert extract_code("I am unable to produce accelerator code.") is None
+    assert extract_code("I am unable to produce accelerator code.", GV1_BUFFERS) is None
 
 
 def test_extract_bare_program_passes_through():
-    text = "config_st(16);\nfence();"
-    assert extract_code(text) == text
+    for text in ("config_st(16);\nfence();", "config_ld(16, 0);\nmvin(Bdyn + 4, 0, 1, 4);"):
+        assert extract_code(text, GV1_BUFFERS) == text
+
+
+def test_extract_bare_reply_naming_another_buffer_is_not_code():
+    # `mystery` is no buffer of gv1, so the reply does not parse against the kernel's table.
+    assert extract_code("config_ld(16, 0);\nmvin(mystery, 0, 1, 4);", GV1_BUFFERS) is None
 
 
 @pytest.mark.parametrize(
@@ -128,7 +135,7 @@ def test_garbled_literal_is_a_parse_failure(text):
     spec = kernel("mm1")
     verdict = verify_source(text, spec, generate_testcases(spec, seed=3, count=1))
     assert isinstance(verdict.failure, ParseFailure)
-    assert extract_code(text) is None
+    assert extract_code(text, spec.buffer_shapes()) is None
 
 
 # -- experiments over the replay backend --------------------------------------

@@ -196,11 +196,6 @@ def test_zero_trip_loop_emits_nothing() -> None:
     assert p.instructions == (ConfigSt(4),)
 
 
-def test_buffer_inference_mode() -> None:
-    p = parse_program("config_ld(4, 0); mvin(mystery, 0, 1, 4);", None)
-    assert "mystery" in p.buffers
-
-
 def test_render_round_trip_structured() -> None:
     text = """
     static uint32_t Bdyn_sp_addr = 0;
@@ -1068,8 +1063,7 @@ _SYMBOLS = st.dictionaries(
 def test_rendered_random_programs_parse_as_the_reference(symbols: dict[str, int], instructions: list[Instruction]) -> None:
     text = render_program(Program(tuple(instructions), {}, symbols))
     table = {name: (4, 4) for name in _BUFFER_NAMES}
-    for buffers in (table, None):
-        assert_same_as_reference(text, buffers)
+    assert_same_as_reference(text, table)
     assert_tokens_as_reference(text)
     try:
         parsed = parse_program(text, table)
@@ -1151,8 +1145,7 @@ def test_expression_streams_parse_as_the_reference(expr: str) -> None:
     ],
 )
 def test_edge_cases_parse_as_the_reference(text: str) -> None:
-    for buffers in ({"p": (4, 4)}, None):
-        assert_same_as_reference(text, buffers)
+    assert_same_as_reference(text, {"p": (4, 4)})
     assert_tokens_as_reference(text)
 
 
@@ -1237,5 +1230,4 @@ def test_structured_sources_parse() -> None:
 def test_garbled_programs_parse_as_the_reference(source: tuple[str, dict[str, tuple[int, int]]]) -> None:
     text, buffers = source
     assert_same_as_reference(text, buffers)
-    assert_same_as_reference(text, None)
     assert_tokens_as_reference(text)

@@ -3,17 +3,19 @@
 import functools
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import constant_argument_spans, punch_holes
+from test_acceptance import constant_argument_spans, criterion_5_holes, punch_holes
 
+import ta_lift
 import ta_lift.repair as repair_module
 from ta_lift.fixtures import golden_program, kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
-from ta_lift.kernels import generate_testcases, verify_source
+from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
 from ta_lift.program_text import ProgramSyntaxError, parse_program
 from ta_lift.prompts import (
     EmptyConstantSet,
@@ -21,12 +23,13 @@ from ta_lift.prompts import (
     build_repair_mark_prompt,
 )
 from ta_lift.repair import (
+    DEFAULT_CONSTANT_SET,
     Aborted,
     Exhausted,
+    FillEnumerator,
     HoleTemplate,
     NoHolesFound,
     Repaired,
-    enumerate_fills,
     extract_holes,
     repair,
 )
@@ -92,7 +95,7 @@ def test_each_declaration_gets_its_own_id():
     template = extract_holes(marked, original)
     assert [h.id for h in template.holes] == ["h0", "S", "S#1", "h0#1"]
     assert [h.name for h in template.holes] == [None, "S", "S", "h0"]
-    fills = list(enumerate_fills(template, [0, 4], SPEC.buffer_shapes()))
+    fills = list(FillEnumerator(template, [0, 4], SPEC.buffer_shapes()))
     assert len(fills) == 16
     for fill in fills:
         assert parse_program(fill.code, SPEC.buffer_shapes()) == fill.program
@@ -111,14 +114,14 @@ def test_substitute_fills_every_hole():
 
 def test_single_hole_two_constants():
     template = extract_holes("config_st(<CONST>);\nfence();")
-    fills = list(enumerate_fills(template, [0, 1], SPEC.buffer_shapes()))
+    fills = list(FillEnumerator(template, [0, 1], SPEC.buffer_shapes()))
     assert [f.assignment for f in fills] == [(("h0", 0),), (("h0", 1),)]
     assert [f.code.splitlines()[0] for f in fills] == ["config_st(0);", "config_st(1);"]
 
 
 def test_two_holes_default_set_is_25_candidates():
     template = extract_holes("config_st(<CONST>);\nconfig_ld(<CONST>, 0);\nfence();")
-    fills = list(enumerate_fills(template, [0, 1, 3, 4, 12], SPEC.buffer_shapes()))
+    fills = list(FillEnumerator(template, [0, 1, 3, 4, 12], SPEC.buffer_shapes()))
     assert len(fills) == 25
     assert fills[0].assignment == (("h0", 0), ("h1", 0))
     assert fills[1].assignment == (("h0", 0), ("h1", 1))
@@ -129,7 +132,7 @@ def test_two_holes_default_set_is_25_candidates():
 def test_cap_truncates_product():
     marked = "\n".join("config_st(<CONST>);" for _ in range(5)) + "\nfence();"
     template = extract_holes(marked)
-    enumerator = enumerate_fills(template, [0, 1, 3, 4, 12], SPEC.buffer_shapes(), cap=100)
+    enumerator = FillEnumerator(template, [0, 1, 3, 4, 12], SPEC.buffer_shapes(), cap=100)
     fills = list(enumerator)
     assert len(fills) == 100
     assert enumerator.capped
@@ -137,8 +140,8 @@ def test_cap_truncates_product():
 
 
 def test_unparseable_fills_are_skipped_and_counted():
-    template = extract_holes("mvout(C, 0x80000000, 1, <CONST>);\nfence();")
-    enumerator = enumerate_fills(template, [-1, 4], SPEC.buffer_shapes())
+    template = extract_holes("mvout(B_p, 0x80000000, 1, <CONST>);\nfence();")
+    enumerator = FillEnumerator(template, [-1, 4], kernel("gv1").buffer_shapes())
     fills = list(enumerator)
     assert [f.assignment for f in fills] == [(("h0", 4),)]
     assert enumerator.skipped == 1
@@ -148,7 +151,7 @@ def test_unparseable_fills_are_skipped_and_counted():
 def test_empty_constant_set_rejected():
     template = extract_holes("config_st(<CONST>);")
     with pytest.raises(EmptyConstantSet):
-        enumerate_fills(template, [], SPEC.buffer_shapes())
+        FillEnumerator(template, [], SPEC.buffer_shapes())
 
 
 # -- repair flow ---------------------------------------------------------------
@@ -258,7 +261,7 @@ def reference_repair(template, spec, cases, constants):
     for combo in itertools.product(dict.fromkeys(constants), repeat=len(ids)):
         code = template.substitute(dict(zip(ids, combo)))
         try:
-            parse_program(code, None)
+            parse_program(code, spec.buffer_shapes())
         except ProgramSyntaxError:
             skipped += 1
             continue
@@ -268,15 +271,26 @@ def reference_repair(template, spec, cases, constants):
     return Exhausted(tried=tried + skipped), tried + skipped
 
 
-def reference_skipped(template, constants):
-    """How many fills of the whole product do not parse even with inferred buffers."""
-    skipped = 0
-    for combo in itertools.product(dict.fromkeys(constants), repeat=len(template.holes)):
+def assert_fills_match_their_text(template, spec, constants):
+    """Each fill is skipped exactly when `verify_source` gives its text a ParseFailure; else it is that text's parse."""
+    buffers = spec.buffer_shapes()
+    enumerator = FillEnumerator(template, constants, buffers)
+    yielded = {fill.index: fill for fill in enumerator}
+    ids = [hole.id for hole in template.holes]
+    for index, combo in enumerate(itertools.product(enumerator.constants, repeat=len(ids))):
+        code = template.substitute(dict(zip(ids, combo)))
         try:
-            parse_program(template.substitute({hole.id: value for hole, value in zip(template.holes, combo)}), None)
+            parsed = parse_program(code, buffers)  # the parse verify_source runs first
         except ProgramSyntaxError:
-            skipped += 1
-    return skipped
+            assert index not in yielded, code
+            # With no cases, verify_source stops after its parse.
+            assert isinstance(verify_source(code, spec, []).failure, ParseFailure), code
+            continue
+        assert index in yielded, code
+        assert yielded[index].code == code
+        assert yielded[index].program == parsed, code
+    assert enumerator.skipped == enumerator.total - len(yielded)
+    return enumerator
 
 
 @functools.cache
@@ -292,9 +306,7 @@ def assert_matches_reference(candidate, name, constants, marked=None, slotted=No
     outcome, tried = reference_repair(template, spec, cases, constants)
     assert result.outcome == outcome
     assert result.stats.candidates_tried == tried
-    enumerator = enumerate_fills(template, constants, spec.buffer_shapes())
-    list(enumerator)
-    assert enumerator.skipped == reference_skipped(template, constants)
+    enumerator = assert_fills_match_their_text(template, spec, constants)
     if slotted is not None:
         assert enumerator.slotted == slotted
 
@@ -392,10 +404,22 @@ def test_holes_glued_to_their_neighbours_match_text_loop(marked):
 
 
 def test_loop_variable_shadowing_a_buffer_matches_text_loop():
-    # Against the buffer table `mvin2(x, ...)` loads buffer x; with inferred
-    # buffers the loop variable x makes the fill unparseable, so it is skipped.
+    # Against the buffer table `mvin2(x, ...)` loads buffer x even where the loop variable x is in scope.
     loop = "for (int x = 0; x < <CONST>; x++) { mvin2(x, x_sp, 1, 4); }"
     assert_matches_reference(perturbed("mvin2(x, x_sp, 1, 4);", loop), "gv2", (0, 1), slotted=False)
+
+
+@pytest.mark.parametrize(
+    "old, new, constants",
+    [
+        # A loop variable named like a buffer: the buffer table still decides, so the template is slotted.
+        ("config_st(4);", "for (int x = 0; x < 1; x++) { config_st(<CONST>); }", (-4, 0, 4)),
+        ("mvin2(x, x_sp, 1, 4);", "for (int x = 0; x < 1; x++) { mvin2(x, x_sp, 1, <CONST>); }", (-1, 0, 4)),
+        ("mvin2(x, x_sp, 1, 4);", "for (int x = 0; x < 1; x++) { mvin2(x + <CONST>, x_sp, 1, 4); }", (-1, 0, 4)),
+    ],
+)
+def test_loop_binding_a_buffer_name_stays_slotted(old, new, constants):
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=True)
 
 
 # -- slotted fills against a parse of their text -------------------------------
@@ -427,24 +451,31 @@ def test_slotted_fills_equal_a_parse_of_their_text(name, data):
     other = data.draw(st.sampled_from((1, 3, 4, 12, 16, 48)))
     constants = tuple(data.draw(st.permutations([negative, 0, large, other])))
     template = extract_holes(punch_holes(golden, spans))
-    buffers = kernel(name).buffer_shapes()
-    enumerator = enumerate_fills(template, constants, buffers)
-    assert enumerator.slotted
-    yielded = {fill.index: fill for fill in enumerator}
-    ids = [hole.id for hole in template.holes]
-    for index, combo in enumerate(itertools.product(constants, repeat=len(ids))):
-        code = template.substitute(dict(zip(ids, combo)))
-        try:
-            parsed = parse_program(code, buffers)
-        except ProgramSyntaxError:
-            assert index not in yielded, code
-            continue
-        fill = yielded[index]
-        assert fill.code == code
-        assert fill.program.instructions == parsed.instructions
-        assert fill.program.buffers == parsed.buffers
-        assert fill.program.symbols == parsed.symbols
-    assert enumerator.skipped == enumerator.total - len(yielded)
+    assert assert_fills_match_their_text(template, kernel(name), constants).slotted
+
+
+# -- every fill of the benchmark's and criterion 5's templates -----------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", ALL_GOLDENS)
+def test_criterion_5_fills_match_their_text(name):
+    for hole_kernel, spans, _ in criterion_5_holes():
+        if hole_kernel == name:
+            template = extract_holes(punch_holes(golden_program(name), spans))
+            assert_fills_match_their_text(template, kernel(name), DEFAULT_CONSTANT_SET)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_repair_workload_fills_match_their_text(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for job in workloads.build_repair(ta_lift, seed, tmp_path).jobs:
+        text = Path(job.argv[job.argv.index("--program") + 1]).read_text()
+        spec = kernel(job.argv[job.argv.index("--kernel") + 1])
+        assert_fills_match_their_text(extract_holes(text), spec, DEFAULT_CONSTANT_SET)
 
 
 # -- parses per template -------------------------------------------------------
@@ -455,7 +486,7 @@ def count_parses(monkeypatch):
     buffer_tables = []
     real = repair_module.parse_program
 
-    def counting(source, buffers=None, record=None):
+    def counting(source, buffers, record=None):
         buffer_tables.append(buffers)
         return real(source, buffers, record)
 
