@@ -119,8 +119,15 @@ def load_completion(directory: Path, prompt: Prompt, params: GenerationParams, i
     path = _entry_path(directory, cache_key(prompt, params, index))
     if not path.exists():
         return None
-    record = json.loads(path.read_text())
-    return record["completions"][0]
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        record = None
+    completions = record.get("completions") if isinstance(record, dict) else None
+    if not completions or not isinstance(completions, list) or not isinstance(completions[0], str):
+        raise BackendError(0, f"cache record {path} is not a readable JSON object whose 'completions' list starts "
+                              "with a string")
+    return completions[0]
 
 
 def _default_post(url: str, headers: dict[str, str], payload: dict, timeout: float) -> tuple[int, dict]:

@@ -21,6 +21,18 @@ conditions may compare loop variables and constants.  DRAM operands are
 is ASCII; any other character outside a comment is a syntax error.
 Blocks, `for`, `if`, the wrapper, and parentheses in expressions and
 conditions nest at most `_MAX_NESTING` levels deep.
+
+Programs in the golden emitter's and `render_program`'s format are plain
+throughout, so `parse_program` reads text with one regex match per line for
+as long as each line is plain: blank, a comment, a `static uint32_t NAME =
+OPERAND;` declaration or a call whose operands are each a name, a decimal
+or hex literal, or `atom + atom`.  It resolves them by the token parser's
+rules.  At the first line it does not accept, or that the token parser
+would refuse, it hands the rest of the text, with the symbols and
+instructions so far, to the tokenizer and the token parser, so every error
+and its line are theirs.  Text in the prompt examples' format (a `void
+test(...) {` wrapper, `sizeof`, `<<`, `|` or `*`) has no plain first line
+and goes to the token parser whole.
 """
 
 from __future__ import annotations
@@ -136,16 +148,16 @@ def _check_line(words: list[str], line: int) -> None:
             raise ProgramSyntaxError(line, f"unexpected character {word!r}")
 
 
-def _tokenize(text: str) -> _Tokens:
+def _tokenize(text: str, first: int = 1) -> _Tokens:
     """Split ASCII program text into tokens; any other character is a syntax error.
 
-    Each line is cut at its first `//`, which no token contains.  The token
-    list ends with "" on the last line.
+    Each line is cut at its first `//`, which no token contains.  Lines are
+    numbered from `first`.  The token list ends with "" on the last line.
     """
     toks: list[str] = []
     lines: list[int] = []
-    number = 0
-    for number, line in enumerate(text.split("\n"), 1):
+    number = first - 1
+    for number, line in enumerate(text.split("\n"), first):
         cut = line.find("//")
         if cut >= 0:
             line = line[:cut]
@@ -768,6 +780,90 @@ class _SlotParser(_Parser):
             slots[at] = slots[at]._replace(index=None)
 
 
+# A line that holds one plain statement, or none: a `static uint32_t` declaration
+# of one operand or a call, each operand an atom or `atom + atom`, then perhaps a
+# comment.  No two runs of blanks are adjacent, so a line that fails to match
+# costs time linear in its length.
+_S = "[ \t\r]*"
+_ATOM = "[A-Za-z0-9_]+"
+_OPERAND = rf"{_ATOM}(?:{_S}\+{_S}{_ATOM})?"
+_PLAIN_LINE = re.compile(
+    rf"{_S}(?:(?:static[ \t\r]+uint32_t[ \t\r]+([A-Za-z_][A-Za-z0-9_]*){_S}={_S}({_OPERAND})"
+    rf"|({_ATOM}){_S}\({_S}(?:({_OPERAND}(?:{_S},{_S}{_OPERAND})*){_S})?\)){_S};{_S})?(?://.*)?"
+)
+# The operands of a plain line, each split into its one or two atoms.
+_PLAIN_OPERAND = re.compile(rf"({_ATOM}){_S}(?:\+{_S}({_ATOM}))?")
+_NUMBER = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
+class _Atoms(dict):
+    """Atom to the value `_Parser.parse_expr` reads for it alone: the declared names, and numbers as they are met.
+
+    None for any other atom, which `_Parser` would not read as a value, and 0 for a missing one ("").
+    """
+
+    def __missing__(self, atom: str) -> int | None:
+        if not _NUMBER.fullmatch(atom):
+            return None
+        value = self[atom] = _number(atom)
+        return value
+
+
+def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symbols: dict[str, int],
+                      out: list[Instruction]) -> int:
+    """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
+
+    Stops, without raising, at the first line that is not plain or that
+    `_Parser` might read otherwise or refuse, and leaves that line to it.
+    A line longer than the shortest digit limit Python may apply to int()
+    is left to it too, so every number taken here converts.
+    """
+    atoms = _Atoms({"": 0})
+    for number, row in enumerate(rows):
+        match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
+        if not match:
+            return number
+        name, operand, mnemonic, args = match.groups()
+        if name is not None:
+            if name in buffers or name in _KEYWORDS:
+                return number
+            ((head, tail),) = _PLAIN_OPERAND.findall(operand)
+            value, extra = atoms[head], atoms[tail]
+            if value is None or extra is None:
+                return number
+            symbols[name] = atoms[name] = value + extra
+            continue
+        if mnemonic is None:
+            continue
+        spec = BY_MNEMONIC.get(mnemonic)
+        operands = _PLAIN_OPERAND.findall(args or "")
+        if spec is None or len(operands) != len(spec.operands):
+            return number
+        values: list[object] = []
+        for (_, kind), (head, tail) in zip(spec.operands, operands):
+            if kind == "dram":
+                extra = atoms[tail]
+                if head not in buffers or extra is None:
+                    return number
+                values.append(DramRef(head, extra))
+            elif kind in _NAMED_OPERANDS:
+                if tail or head not in _NAMED_OPERANDS[kind]:
+                    return number
+                values.append(_NAMED_OPERANDS[kind][head])
+            elif kind == "flag" and head in ("true", "false"):
+                if tail:
+                    return number
+                values.append(head == "true")
+            else:
+                value, extra = atoms[head], atoms[tail]
+                if value is None or extra is None or kind == "local" and value + extra > 0xFFFFFFFF:
+                    return number
+                value += extra
+                values.append(LocalAddr(value) if kind == "local" else bool(value) if kind == "flag" else value)
+        out.append(spec.build(*values))
+    return len(rows)
+
+
 def parse_program(
     source: str | _Tokens, buffers: dict[str, tuple[int, int]], record: HoleSlots | None = None
 ) -> Program:
@@ -781,8 +877,19 @@ def parse_program(
     With `record`, the parse also records where the holes of a template
     reach (see HoleSlots).
     """
-    toks, lines = _tokenize(source) if isinstance(source, str) else source
+    symbols: dict[str, int] = {}
+    out: list[Instruction] = []
+    if isinstance(source, str):
+        taken = 0
+        if record is None:
+            rows = source.split("\n")
+            taken = _take_plain_lines(rows, buffers, symbols, out)
+            if taken:
+                source = "\n".join(rows[taken:])
+        source = _tokenize(source, taken + 1)
+    toks, lines = source
     parser = _Parser(toks, lines, buffers) if record is None else _SlotParser(toks, lines, buffers, record)
+    parser.symbols, parser.out = symbols, out
     parser.parse_program_body()
     return Program(tuple(parser.out), parser.buffers, parser.symbols)
 

@@ -1,6 +1,7 @@
 """Shared replay-fixture builders used by the CLI and acceptance tests."""
 
 import json
+import sys
 from pathlib import Path
 
 from ta_lift.fixtures import golden_program, kernel
@@ -36,6 +37,19 @@ TILE_REPLY = (
 )
 
 DONE_REPLY = "That looks good, no further changes."
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def naive_program(golden: str) -> str:
+    """The golden program as the benchmark's optimize workload emits it naively (`perfbench/workloads.py`)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import naive_program as emit
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return emit(golden)
 
 
 def fenced(text: str) -> str:

@@ -12,7 +12,7 @@ import ta_lift.cli as cli
 from conftest import eval_bundle, fenced, schedule_bundle, translation_prompt, write_json
 from ta_lift.cli import dispatch
 from ta_lift.fixtures import golden_program
-from ta_lift.gateway import ReplayBackend
+from ta_lift.gateway import GenerationParams, ReplayBackend, store_completion
 from ta_lift.repair import DEFAULT_CONSTANT_SET
 
 
@@ -102,6 +102,33 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, case):
     argv = [str(arg) for arg in _MALFORMED_INPUTS[case](tmp_path)]
     assert dispatch(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+_MALFORMED_RECORDS = {
+    "non-string": b'{"completions": [1]}',
+    "not-json": b"{broken",
+    "list": b"[]",
+    "no-completions": b"{}",
+    "empty-completions": b'{"completions": []}',
+    "string-completions": b'{"completions": "text"}',
+    "not-utf8": b"\xff\xfe",
+    "deeply-nested": b"[" * 100000,
+    "directory": None,  # a directory where the record file should be
+}
+
+
+@pytest.mark.parametrize("record", list(_MALFORMED_RECORDS.values()), ids=list(_MALFORMED_RECORDS))
+def test_malformed_cache_record_is_a_backend_error(tmp_path, capsys, record):
+    params = GenerationParams(n_samples=1)
+    path = store_completion(tmp_path, translation_prompt("gv1"), params, 0, fenced(golden_program("gv1")))
+    if record is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(record)
+    assert dispatch(["translate", "--kernel", "gv1", "--backend", "replay", "--cache", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: ") and str(path) in err
 
 
 def test_consecutive_dispatches_see_their_own_defaults(monkeypatch):

@@ -18,13 +18,13 @@ are not covered: the copy keeps them as they are.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_program
 from ta_lift import machine, repair
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
@@ -179,11 +179,6 @@ class Unknown:
 
 def _naive_programs() -> dict[str, Program]:
     """Each kernel's naive program, as the benchmark's optimize workload writes it."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from workloads import naive_program
-    finally:
-        sys.path.remove(str(PERFBENCH))
     return {
         name: parse_program(naive_program(golden_program(name)), kernel(name).buffer_shapes())
         for name in sorted(KERNELS)

@@ -1,12 +1,11 @@
 import random
-import sys
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_program
 from ta_lift import optimizer
 from ta_lift.costs import program_cost
 from ta_lift.fixtures import KERNELS, golden_program, kernel
@@ -46,8 +45,6 @@ from ta_lift.optimizer import (
 )
 from ta_lift.program_text import parse_program, render_program
 from ta_lift.prompts import build_block_optimize_prompt, build_reorder_prompt
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def parsed_golden(name):
@@ -271,11 +268,6 @@ def test_mvin_read_by_a_later_mvin_of_the_run_stays_before_the_cut():
 @pytest.fixture(scope="module")
 def naive_programs():
     """Each kernel's naive program, as the benchmark's optimize workload writes it."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from workloads import naive_program
-    finally:
-        sys.path.remove(str(PERFBENCH))
     return {
         name: (kernel(name), parse_program(naive_program(golden_program(name)), kernel(name).buffer_shapes()))
         for name in sorted(KERNELS)

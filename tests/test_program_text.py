@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_program
 from ta_lift import program_text
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
+    INSTRUCTIONS,
     Activation,
     ComputeAccumulated,
     ComputePreloaded,
@@ -1193,9 +1196,11 @@ _SOURCES += [(text, {"Bdyn": (12, 4), "p": (12, 1), "B_p": (4, 1)}) for text in 
 
 
 @st.composite
-def garbled_sources(draw) -> tuple[str, dict[str, tuple[int, int]]]:
-    """A golden or structured program with tokens deleted, duplicated or swapped, cut short, or stray text put in."""
-    text, buffers = draw(st.sampled_from(_SOURCES))
+def garbled_sources(draw, sources=st.sampled_from(_SOURCES)) -> tuple[str, dict[str, tuple[int, int]]]:
+    """A source, by default a golden or structured program, with tokens deleted, duplicated or swapped, cut short,
+    or stray text put in.
+    """
+    text, buffers = draw(sources)
     rng = draw(st.randoms(use_true_random=False))  # positions spread evenly, not drawn to the ends
     for _ in range(draw(st.integers(1, 3))):
         spans = [m.span() for m in re.finditer(r"\w+|<<|\S", text)]
@@ -1231,3 +1236,203 @@ def test_garbled_programs_parse_as_the_reference(source: tuple[str, dict[str, tu
     text, buffers = source
     assert_same_as_reference(text, buffers)
     assert_tokens_as_reference(text)
+
+
+# -- the plain-line matcher against the token parser alone ---------------------------
+# `parse_program` reads leading plain lines with `_take_plain_lines` and hands the
+# rest to `_Parser`; parsing the whole text with `_Parser` must give the same
+# program, or the same error class, message and line.
+
+
+def _token_parse(text: str, buffers: dict[str, tuple[int, int]]) -> Program:
+    parser = program_text._Parser(*_tokenize(text), buffers)
+    parser.parse_program_body()
+    return Program(tuple(parser.out), parser.buffers, parser.symbols)
+
+
+def _taken(text: str, buffers: dict[str, tuple[int, int]]) -> int:
+    return program_text._take_plain_lines(text.split("\n"), buffers, {}, [])
+
+
+def assert_same_as_token_parse(text: str, buffers: dict[str, tuple[int, int]]) -> None:
+    assert _outcome(parse_program, text, buffers) == _outcome(_token_parse, text, buffers)
+
+
+def test_goldens_and_naive_programs_are_plain_throughout() -> None:
+    for name in KERNELS:
+        buffers = kernel(name).buffer_shapes()
+        for text in (golden_program(name), naive_program(golden_program(name))):
+            assert _taken(text, buffers) == text.count("\n") + 1, name
+            assert_same_as_token_parse(text, buffers)
+
+
+_TABLE = {"A": (4, 4), "p": (4, 4)}
+_FLAGS = "config_ex(WEIGHT_STATIONARY, NO_ACTIVATION, {}, false);"
+_LIMIT = sys.get_int_max_str_digits() or 5000
+_SHORT_LINE = sys.int_info.str_digits_check_threshold
+
+
+@pytest.mark.parametrize(
+    ("text", "taken"),
+    [
+        # A declaration of a keyword is left to the token parser.
+        ("static uint32_t true = 1;\n" + _FLAGS.format("true + 1"), 0),
+        ("static uint32_t false = 0;\n" + _FLAGS.format("false + 1"), 0),
+        ("static uint32_t true = 1;\n" + _FLAGS.format("1 + true"), 0),
+        ("fence();\nstatic uint32_t sizeof = 4;\nconfig_st(sizeof);", 1),
+        (_FLAGS.format("true"), 1),
+        (_FLAGS.format("2"), 1),
+        ("fence();\n" + _FLAGS.format("true + 1"), 1),
+        ("fence();\nconfig_st(true);", 1),
+        ("static uint32_t s = 4;\nmvin(A + s, s + 0x10, s, 4);", 2),
+        # Local addresses are 32 bits; counts are unbounded until validation.
+        ("preload_zeros(0xffffffff);\npreload_zeros(0x100000000);", 1),
+        ("preload_zeros(4294967295);\npreload_zeros(4294967296);", 1),
+        ("static uint32_t a = 0xffffffff;\npreload_zeros(a + 1);", 1),
+        ("config_st(0x" + "f" * 17 + ");\nconfig_st(" + "9" * 20 + ");", 2),
+        ("preload_zeros(0x" + "f" * 17 + ");", 0),
+        ("static uint32_t x = " + "9" * 20 + ";\nconfig_ld(x, x);", 2),
+        ("config_st(1);\nconfig_st(" + "1" * (_LIMIT + 1) + ");", 1),
+        # Lines longer than the shortest digit limit are left to the tokenizer.
+        ("config_st(1);\nconfig_st(1);" + " " * _SHORT_LINE, 1),
+        ("config_st(1);\n" + " " * (_SHORT_LINE - 13) + "config_st(1);", 2),
+        ("config_st(1);\nconfig_st(0x);", 1),
+        ("config_st(1);\nconfig_st(12ab);\nconfig_st(1_0);", 1),
+        ("config_st(007);\nconfig_st(0X1f);", 2),
+        # Characters outside the grammar in an otherwise plain call line.
+        ("fence();\nconfig_st(\x0b4);", 1),
+        ("fence();\nconfig_st(4)\x0c;", 1),
+        ("fence();\nconfig_st(é);", 1),
+        ("fence();\nconfig_st(4 );", 1),
+        ("fence();\r\nconfig_st(4);\r\n\r\nstatic uint32_t x = 4;\r\nconfig_ld(x, 1);\r\n", 6),
+        ("// header\n\n  // indented\nfence(); // done\n\t\nconfig_st(4); // é\n// tail", 7),
+        ("fence(); // }\n/* not a comment */ fence();", 1),
+        ("static uint32_t x = 1;\nstatic uint32_t x = x + 1;\nconfig_st(x);", 3),
+        ("static uint32_t x = 1;\nstatic uint32_t p = 2;\nconfig_st(x);", 1),
+        ("uint32_t x = 1;\nconfig_st(x);", 0),
+        ("fence();\nconfig_st(y);", 1),
+        ("fence();\nmvin4(A, 0, 1, 1);", 1),
+        ("fence();\nfor(1);", 1),
+        ("fence();\nmvin(x, 0, 1, 1);\nmvin(p + A, 0, 1, 1);", 1),
+        ("fence();\nconfig_ex(SIDEWAYS, RELU, true, false);", 1),
+        ("fence();\nconfig_ex(WEIGHT_STATIONARY + 1, RELU, true, false);", 1),
+        ("fence();\nconfig_st(1, 2);\nconfig_ld(1);", 1),
+        ("fence();\nconfig_st(1 + 2 + 3);", 1),
+        ("fence();\nstatic uint32_t x = 1, 2;", 1),
+        ("fence();\nstatic uint32_t x = ;", 1),
+        ("fence(); fence();\nconfig_st(1);", 0),
+        ("fence();\nmvin(A,\n0, 1, 1);", 1),
+        # A truncated last line.
+        ("fence();\nconfig_ld(4,", 1),
+        ("fence();\nconfig_ld(4, 1)", 1),
+        # The wrapper and a loop after a matched prefix.
+        ("static uint32_t s = 4;\nvoid test(float *A) {\n  config_st(s);\n}\n", 1),
+        ("static uint32_t s = 4;\nfence();\n"
+         "for (int i = 0; i < s; i += 2) { mvin(A + i, s + i, 1, 1); }\nconfig_st(s);", 2),
+        ("static uint32_t s = 4;\nif (s == 4) fence();\nelse config_st(s);", 1),
+    ],
+)
+def test_matched_prefix_parses_as_the_token_parser(text: str, taken: int) -> None:
+    assert _taken(text, _TABLE) == taken
+    assert_same_as_token_parse(text, _TABLE)
+
+
+def test_truncated_golden_fails_at_the_same_line() -> None:
+    text = golden_program("mm1")
+    cut = text.index(",", len(text) // 2) + 1
+    line = text.count("\n", 0, cut) + 1
+    spec = kernel("mm1")
+    verdict = verify_source(text[:cut], spec, generate_testcases(spec, seed=3, count=1))
+    assert isinstance(verdict.failure, ParseFailure)
+    assert verdict.failure.message.startswith(f"line {line}: ")
+    assert _taken(text[:cut], spec.buffer_shapes()) == line - 1
+    assert_same_as_token_parse(text[:cut], spec.buffer_shapes())
+
+
+# A row of blanks before a character that ends the plain reading, at each place of a
+# plain line where blanks may stand.
+_BLANK_ROW_HEADS = ("", "fence();", "static", "static uint32_t x", "static uint32_t x =", "static uint32_t x = 1",
+                    "static uint32_t x = 1 +", "fence", "fence(", "config_st(1", "config_st(1 +", "config_st(1 ,",
+                    "config_st(1)")
+
+
+@pytest.mark.parametrize("head", _BLANK_ROW_HEADS)
+def test_long_blank_rows_fail_in_linear_time(head: str) -> None:
+    text = head + " " * 200_000 + "}"
+    spec = kernel("mm1")
+    start = time.perf_counter()
+    verdict = verify_source(text, spec, generate_testcases(spec, seed=3, count=1))
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(verdict.failure, ParseFailure) and verdict.failure.message.startswith("line 1: ")
+    # The row is too long for the matcher, so the regex alone must fail fast too: a
+    # quadratic backtrack takes seconds on 10 000 blanks, a linear one about a millisecond.
+    start = time.perf_counter()
+    assert program_text._PLAIN_LINE.fullmatch(head + " " * 10_000 + "}") is None
+    assert time.perf_counter() - start < 0.1
+
+
+# Atoms each operand kind reads, and atoms that take the matcher's other branches.
+_GOOD_ATOMS = {
+    "dram": ("A", "p"),
+    "dataflow": tuple(d.value for d in Dataflow),
+    "activation": tuple(a.value for a in Activation),
+    "flag": ("true", "false", "0", "2", "s"),
+}
+_NUMERIC_ATOMS = ("0", "4", "007", "0x10", "0X1f", "0xffffffff", "a", "s")
+_ODD_ATOMS = ("q", "A", "p", "true", "false", "sizeof", "for", "RELU", "0x", "12ab", "1_0", "4294967296",
+              "0x" + "f" * 17, "9" * 20, "1" * (_LIMIT + 1), "-1", "(4)", "s * 2", "a + s + 1", "true + 1",
+              "")
+_GAPS = ("", " ", "\t", "  ", "\r")
+
+
+@st.composite
+def plain_texts(draw) -> tuple[str, dict[str, tuple[int, int]]]:
+    """Declarations and calls whose operands are mostly plain and well-typed, with now and then an odd one."""
+    gap = st.sampled_from(_GAPS)
+
+    def operand(kind: str) -> str:
+        if draw(st.integers(0, 5)) == 0:
+            return draw(st.sampled_from(_ODD_ATOMS))
+        head = draw(st.sampled_from(_GOOD_ATOMS.get(kind, _NUMERIC_ATOMS)))
+        if draw(st.integers(0, 5) if kind in ("dataflow", "activation") else st.integers(0, 1)):
+            return head
+        return f"{head}{draw(gap)}+{draw(gap)}{draw(st.sampled_from(_NUMERIC_ATOMS))}"
+
+    rows = ["static uint32_t a = 3;", "static uint32_t s = 0x10;"]
+    rows += draw(st.lists(st.sampled_from(("static uint32_t sizeof = 4;", "static uint32_t true = 1;")), max_size=2))
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(("call", "call", "call", "declare", "blank", "comment")))
+        if shape == "declare":
+            name = draw(st.sampled_from(("a", "s", "true", "sizeof", "p", "q9")))
+            row = f"static uint32_t {name} = {operand('count')};"
+        elif shape == "call":
+            spec = draw(st.sampled_from(INSTRUCTIONS))
+            kinds = [kind for _, kind in spec.operands]
+            kinds = kinds[: len(kinds) + draw(st.sampled_from((0, 0, 0, 0, 0, -1)))]
+            args = f"{draw(gap)},{draw(gap)}".join(operand(kind) for kind in kinds)
+            row = f"{draw(gap)}{spec.mnemonic}{draw(gap)}({args}){draw(gap)};"
+        else:
+            row = "" if shape == "blank" else "// é }"
+        if draw(st.booleans()):
+            row += draw(gap) + "// note"
+        rows.append(row)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(rows), _TABLE
+
+
+def _rendered_texts(symbols: dict[str, int], instructions: list[Instruction]) -> tuple[str, dict[str, tuple[int, int]]]:
+    return render_program(Program(tuple(instructions), {}, symbols)), {name: (4, 4) for name in _BUFFER_NAMES}
+
+
+_MATCHER_SOURCES = st.one_of(plain_texts(), st.builds(_rendered_texts, _SYMBOLS, st.lists(_INSTRUCTIONS, max_size=12)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_MATCHER_SOURCES, garbled_sources(_MATCHER_SOURCES), garbled_sources()))
+def test_matcher_parses_as_the_token_parser(source: tuple[str, dict[str, tuple[int, int]]]) -> None:
+    assert_same_as_token_parse(*source)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(plain_texts())
+def test_matcher_parses_plain_texts_as_the_token_parser(source: tuple[str, dict[str, tuple[int, int]]]) -> None:
+    assert_same_as_token_parse(*source)
