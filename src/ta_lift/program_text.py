@@ -41,9 +41,7 @@ import operator
 import re
 import string
 import sys
-from bisect import bisect_left
-from dataclasses import replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .isa import (
     BY_MNEMONIC,
@@ -173,66 +171,6 @@ def _tokenize(text: str, first: int = 1) -> _Tokens:
 
 def _number(tok: str) -> int:
     return int(tok, 16) if tok[1:2] in ("x", "X") else int(tok)
-
-
-# What must precede a '-' for it to join into a longer punct ("-" + "-" is "--").
-_MINUS_JOINS = tuple(p[:-1] for p in _PUNCT if len(p) > 1 and p.endswith("-"))
-
-
-def _tokenize_slots(text: str, offsets: list[int]) -> tuple[list[str], list[int], list[int]] | None:
-    """Tokenize `text`, which holds a `0` placeholder at each offset, and find each placeholder's token.
-
-    Returns the tokens, their lines and each placeholder's token index.  A
-    placeholder has a slot when it is a token of its own and no '-' put
-    before it would join the punct in front of it; then any integer that
-    `_fill_slots` puts there tokenizes exactly as it would in the text.
-    None when the text does not tokenize or some placeholder has no slot:
-    it sits in a comment, is joined to a neighbour (`x0`, `00`, `0x4`) or
-    follows a '-'.
-    """
-    try:
-        toks, lines = _tokenize(text)
-    except ProgramSyntaxError:
-        return None
-    slots: list[int] = []
-    for offset in offsets:
-        start = text.rfind("\n", 0, offset) + 1
-        end = text.find("\n", offset)
-        code = text[start : end if end >= 0 else len(text)]
-        column = offset - start
-        cut = code.find("//")
-        if 0 <= cut < column or text.endswith(_MINUS_JOINS, 0, offset):
-            return None
-        if cut >= 0:
-            code = code[:cut]
-        # The words on either side spell the line only if the placeholder is a token of its own.
-        before = _WORD.findall(code[:column])
-        if before + ["0"] + _WORD.findall(code[column + 1 :]) != _WORD.findall(code):
-            return None
-        slots.append(bisect_left(lines, text.count("\n", 0, offset) + 1) + len(before))
-    return toks, lines, slots
-
-
-def _fill_slots(toks: list[str], lines: list[int], slots: list[int], values: tuple[int, ...] | list[int]) -> _Tokens:
-    """Copies of `toks` and `lines` with each slot's token replaced by its value.
-
-    A negative value becomes the two tokens '-' and its magnitude, as its text would tokenize.
-    """
-    filled: list[str] = []
-    filled_lines: list[int] = []
-    last = 0
-    for slot, value in zip(slots, values):
-        filled += toks[last:slot]
-        filled_lines += lines[last:slot]
-        if value < 0:
-            filled.append("-")
-            filled_lines.append(lines[slot])
-        filled.append(str(abs(value)))
-        filled_lines.append(lines[slot])
-        last = slot + 1
-    filled += toks[last:]
-    filled_lines += lines[last:]
-    return filled, filled_lines
 
 
 _DATAFLOWS = {d.value: d for d in Dataflow}
@@ -621,165 +559,6 @@ class _Parser:
         return value
 
 
-class _Slot(NamedTuple):
-    """One operand or declaration that a hole reaches, which a fill parses again."""
-
-    span: int  # its tokens, an index into HoleSlots.spans
-    kind: str | None  # the operand kind; None for a declaration
-    name: str  # the operand's field, or the declared name
-    index: int | None  # its instruction; None for a declaration or a statement the parse skips
-    scope: dict[str, int]  # the names it reads that no hole reaches, at their values then
-    reads: tuple[str, ...]  # the declared names it reads that a hole reaches
-
-
-class HoleSlots:
-    """Where the holes of a template reach, recorded by one parse of it.
-
-    `holes` are the token indices of the holes, in order, each holding a
-    placeholder integer token that `_fill_slots` can replace.  Passed to
-    `parse_program`, the parse records a slot for every instruction operand
-    and `static uint32_t` declaration whose tokens hold a hole or that reads
-    a declared name a hole reaches.  `fill` then parses only those tokens
-    again, with the parser's own checks, and rebuilds only the instructions
-    they belong to.
-
-    `usable` is False when some hole can change what the parse does rather
-    than a value: a hole outside every operand and declaration (a loop
-    header, an `if` condition, a wrapper's parameters), or a name a hole
-    reaches read outside one.  Then each fill must be parsed whole.
-    """
-
-    def __init__(self, holes: list[int]):
-        self.holes = holes
-        # Per span: its tokens and lines with an end token, its holes' places
-        # among them and their numbers in `holes`.
-        self.spans: list[tuple[list[str], list[int], list[int], list[int]]] = []
-        self.slots: list[_Slot] = []
-        self.reached: set[str] = set()  # the declared names a hole reaches when the parse ends
-        self.usable = True
-        self._span_ids: dict[tuple[int, int], int] = {}
-        self._parser = _Parser([""], [1], {})  # reparses the slots against the template's buffers
-
-    def span(self, toks: list[str], lines: list[int], start: int, end: int) -> int:
-        """The number of the span of tokens from `start` to `end`."""
-        key = (start, end)
-        if key not in self._span_ids:
-            numbers = list(range(bisect_left(self.holes, start), bisect_left(self.holes, end)))
-            self._span_ids[key] = len(self.spans)
-            self.spans.append((toks[start:end] + [""], lines[start : end + 1], [self.holes[n] - start for n in numbers],
-                               numbers))
-        return self._span_ids[key]
-
-    def finish(self, parser: _SlotParser) -> None:
-        covered = {number for *_, numbers in self.spans for number in numbers}
-        self.usable = self.usable and len(covered) == len(self.holes)
-        self.reached = set(parser.reached)
-        self._parser.buffers = parser.buffers
-
-    def fill(self, program: Program, values: tuple[int, ...] | list[int]) -> Program:
-        """`program`, the template's parse, with the holes set to `values`, equal to a parse of that text.
-
-        Raises ProgramSyntaxError exactly where that parse would.
-        """
-        spans = [_fill_slots(toks, lines, at, [values[n] for n in numbers]) for toks, lines, at, numbers in self.spans]
-        parser = self._parser
-        reached: dict[str, int] = {}
-        changes: dict[int, dict[str, object]] = {}
-        for slot in self.slots:
-            parser.toks, parser.lines = spans[slot.span]
-            parser.pos = parser.depth = 0
-            parser.symbols = {**slot.scope, **{name: reached[name] for name in slot.reads}}
-            if slot.kind is None:
-                parser._parse_declaration()
-                reached[slot.name] = parser.symbols[slot.name]
-            else:
-                value = parser._operand(slot.kind)
-                if slot.index is not None:
-                    changes.setdefault(slot.index, {})[slot.name] = value
-        instructions = list(program.instructions)
-        for index, fields in changes.items():
-            instructions[index] = replace(instructions[index], **fields)
-        symbols = dict(program.symbols)
-        for name in self.reached:
-            symbols[name] = reached[name]
-        return Program(tuple(instructions), dict(program.buffers), symbols)
-
-
-class _SlotParser(_Parser):
-    """A parse that records into a HoleSlots where the holes of its tokens reach."""
-
-    def __init__(self, toks: list[str], lines: list[int], buffers: dict[str, tuple[int, int]], record: HoleSlots):
-        super().__init__(toks, lines, buffers)
-        self.record = record
-        self.reached: set[str] = set()  # declared names whose current value a hole reaches
-        # The names the call or declaration being parsed reads: their value, or None where a hole reaches it.
-        self.reads: dict[str, int | None] | None = None
-
-    def parse_program_body(self) -> None:
-        super().parse_program_body()
-        self.record.finish(self)
-
-    def lookup(self, name: str, pos: int) -> int:
-        value = super().lookup(name, pos)
-        # Loop variables shadow declarations, and no hole reaches a loop variable.
-        reached = name in self.reached and not self._in_scope(name)
-        if self.reads is not None:
-            self.reads[name] = None if reached else value
-        elif reached:
-            self.record.usable = False
-        return value
-
-    def _reaches(self, start: int, reads: dict[str, int | None]) -> bool:
-        """Whether a hole reaches the tokens from `start` to here, directly or through a name in `reads`."""
-        holes = self.record.holes
-        at = bisect_left(holes, start)
-        return at < len(holes) and holes[at] < self.pos or None in reads.values()
-
-    def _parse_call(self) -> None:
-        start, self.reads = self.pos, {}
-        super()._parse_call()
-        reads, self.reads = self.reads, None
-        if not self._reaches(start, reads):
-            return
-        # Parse the operands again, one at a time, to record the ones a hole reaches.
-        end, self.pos = self.pos, start + 2
-        for number, (name, kind) in enumerate(BY_MNEMONIC[self.toks[start]].operands):
-            if number:
-                self.expect(",")
-            at, self.reads = self.pos, {}
-            self._operand(kind)
-            self._record(at, kind, name, len(self.out) - 1)
-        self.pos = end
-
-    def _parse_declaration(self) -> None:
-        start, self.reads = self.pos, {}
-        super()._parse_declaration()
-        name = self.toks[start + 2 if self.toks[start] == "static" else start + 1]
-        if self._record(start, None, name, None):
-            self.reached.add(name)
-        else:
-            self.reached.discard(name)
-
-    def _record(self, start: int, kind: str | None, name: str, index: int | None) -> bool:
-        """Record a slot for the tokens from `start` to here if a hole reaches them; whether one does."""
-        reads, self.reads = self.reads, None
-        if not self._reaches(start, reads):
-            return False
-        span = self.record.span(self.toks, self.lines, start, self.pos)
-        scope = {read: value for read, value in reads.items() if value is not None}
-        reached = tuple(read for read, value in reads.items() if value is None)
-        self.record.slots.append(_Slot(span, kind, name, index, scope, reached))
-        return True
-
-    def _skip_statement(self) -> None:
-        # What a skipped statement emits is dropped, but its operands are still checked.
-        slots = self.record.slots
-        first = len(slots)
-        super()._skip_statement()
-        for at in range(first, len(slots)):
-            slots[at] = slots[at]._replace(index=None)
-
-
 # A line that holds one plain statement, or none: a `static uint32_t` declaration
 # of one operand or a call, each operand an atom or `atom + atom`, then perhaps a
 # comment.  No two runs of blanks are adjacent, so a line that fails to match
@@ -813,12 +592,13 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
                       out: list[Instruction]) -> int:
     """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
 
-    Stops, without raising, at the first line that is not plain or that
-    `_Parser` might read otherwise or refuse, and leaves that line to it.
-    A line longer than the shortest digit limit Python may apply to int()
-    is left to it too, so every number taken here converts.
+    The lines may read the names already in `symbols`.  Stops, without
+    raising, at the first line that is not plain or that `_Parser` might
+    read otherwise or refuse, and leaves that line to it.  A line longer
+    than the shortest digit limit Python may apply to int() is left to it
+    too, so every number taken here converts.
     """
-    atoms = _Atoms({"": 0})
+    atoms = _Atoms({**symbols, "": 0})
     for number, row in enumerate(rows):
         match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
         if not match:
@@ -864,31 +644,19 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
     return len(rows)
 
 
-def parse_program(
-    source: str | _Tokens, buffers: dict[str, tuple[int, int]], record: HoleSlots | None = None
-) -> Program:
-    """Parse program text, or the tokens `_tokenize` made of it, into a Program.
-
-    Tokens are only read, so one pair of lists can be parsed many times.
+def parse_program(text: str, buffers: dict[str, tuple[int, int]]) -> Program:
+    """Parse program text into a Program.
 
     `buffers` maps the kernel's DRAM buffer names to (rows, cols); a DRAM
     operand must name one of them, and any other name is unbound.
-
-    With `record`, the parse also records where the holes of a template
-    reach (see HoleSlots).
     """
     symbols: dict[str, int] = {}
     out: list[Instruction] = []
-    if isinstance(source, str):
-        taken = 0
-        if record is None:
-            rows = source.split("\n")
-            taken = _take_plain_lines(rows, buffers, symbols, out)
-            if taken:
-                source = "\n".join(rows[taken:])
-        source = _tokenize(source, taken + 1)
-    toks, lines = source
-    parser = _Parser(toks, lines, buffers) if record is None else _SlotParser(toks, lines, buffers, record)
+    rows = text.split("\n")
+    taken = _take_plain_lines(rows, buffers, symbols, out)
+    if taken:
+        text = "\n".join(rows[taken:])
+    parser = _Parser(*_tokenize(text, taken + 1), buffers)
     parser.symbols, parser.out = symbols, out
     parser.parse_program_body()
     return Program(tuple(parser.out), parser.buffers, parser.symbols)

@@ -7,9 +7,11 @@ by a model or by hand: each suspect site becomes a `<CONST>` token, or a
 fresh `uint32_t` declaration whose initializer is the suspect value.
 Second the holes are filled, either by asking the model or by enumerating
 assignments from a small constant set, and every filled program runs
-through the simulator until one verifies.  Enumeration parses the template
-once; a fill parses again only the operands its holes reach and rebuilds
-only their instructions (see `FillEnumerator`).
+through the simulator until one verifies.  Enumeration reads the template
+once, row by row with the line matcher of `program_text`; a fill re-reads
+only the rows its holes reach and rebuilds only their instructions, and
+falls back to a whole parse where the matcher refuses a row (see
+`FillEnumerator`).
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ from typing import Iterator
 from . import kernels
 from .gateway import Backend, GenerationParams
 from .harness import _FENCE, extract_code
-from .isa import BY_MNEMONIC, Program
+from .isa import BY_MNEMONIC, Instruction, Program
 from .kernels import KernelSpec, TestCase, verify_source
 from .machine import MachineConfig
 from .program_text import (
     _ACTIVATIONS,
     _DATAFLOWS,
     _KEYWORDS,
-    HoleSlots,
+    _PLAIN_LINE,
     ProgramSyntaxError,
-    _tokenize_slots,
+    _take_plain_lines,
     parse_program,
 )
 from .prompts import EmptyConstantSet, build_repair_fill_prompt, build_repair_mark_prompt
@@ -43,6 +45,7 @@ MAX_HOLES = 5
 
 _RESERVED = set(BY_MNEMONIC) | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
 
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 _DECL = re.compile(r"^[ \t]*(?:static[ \t]+)?uint32_t[ \t]+(\w+)[ \t]*=[ \t]*(-?\d+)[ \t]*;", re.M)
 
 
@@ -148,19 +151,23 @@ class FillCandidate:
 class FillEnumerator:
     """Iterates the Cartesian product of constants over holes, up to a cap.
 
-    The template is tokenized once with a `0` in every hole and parsed once,
-    against `buffers` as verification does, recording a slot for every
-    operand a hole reaches, directly or through a `static uint32_t`
-    declaration (see `HoleSlots`).  A fill then puts its integers into those
-    few tokens, parses them again with the parser's own checks and rebuilds
-    only the instructions they belong to.
+    A template is read row by row when three things hold: the line matcher
+    of `program_text` takes every row with a `0` in each hole, no hole
+    touches a letter, digit or `_` of the template, so every fill reads the
+    same names, and no name is declared twice.  Then the template is read
+    once, one row at a time, against `buffers` as verification does.  The
+    rows a hole reaches are the rows that hold a hole and, in row order,
+    every row that reads a name declared on a row already reached.  A fill
+    re-reads only those rows, with its values in place, and replaces their
+    instructions and symbols in a copy of the template's program.  A
+    re-read row that reads no name a hole reaches is read once per text.
+    `slotted` says whether a template is read this way.
 
-    Some templates are tokenized and parsed whole for every fill instead: a
-    hole that is not a token of its own (see `_tokenize_slots`), or a hole
-    that reaches a loop header, an `if` condition or a buffer name.
-    `slotted` says which way a template goes.  Either way a fill is parsed
-    once, and it is skipped exactly when that parse fails, which is when
-    `verify_source` on its text gives a `ParseFailure`.
+    A fill with a re-read row that the matcher refuses, and every fill of a
+    template that fails one of the three conditions, is parsed whole.
+    Either way a fill equals the parse of its text, and it is skipped
+    exactly when that parse fails, which is when `verify_source` on its
+    text gives a `ParseFailure`.
 
     After iteration, `capped` says whether the product was truncated,
     `attempted` counts enumerated fills and `skipped` counts fills that do
@@ -185,27 +192,69 @@ class FillEnumerator:
         self.attempted = 0
         self.skipped = 0
         self.total = len(distinct) ** len(template.holes)
-        pieces = template.pieces()
-        offsets, at = [], -1
-        for piece in pieces[:-1]:
-            at += len(piece) + 1
-            offsets.append(at)
-        slots = _tokenize_slots("0".join(pieces), offsets)
-        self._holes: HoleSlots | None = None
-        if slots is not None:
-            holes = HoleSlots(slots[2])
-            try:
-                self._template = parse_program(slots[:2], buffers, holes)
-            except ProgramSyntaxError:
-                pass  # a placeholder 0 the template cannot take, such as a loop step
-            else:
-                self._holes = holes if holes.usable else None
-        self.slotted = self._holes is not None
+        # Each row a hole reaches: its pieces around its holes, their numbers, its
+        # instruction index, its declared name, and whether it is read once per text.
+        self._rows: list[tuple[list[str], list[int], int | None, str | None, bool]] = []
+        self._by_text: dict[str, Instruction | int | None] = {}  # what each row text read once gives
+        self.slotted = self._read_template(template.pieces())
+
+    def _read_template(self, pieces: list[str]) -> bool:
+        """Read the template row by row and keep the rows its holes reach; False if it fails a condition."""
+        if _NAME.search("".join(before[-1:] + after[:1] for before, after in zip(pieces, pieces[1:]))):
+            return False
+        rows: list[tuple[list[str], list[int]]] = []
+        texts, numbers = [""], []
+        for number, piece in enumerate(pieces):
+            if number:
+                texts.append("")
+                numbers.append(number - 1)
+            first, *others = piece.split("\n")
+            texts[-1] += first
+            for other in others:
+                rows.append((texts, numbers))
+                texts, numbers = [other], []
+        rows.append((texts, numbers))
+        symbols: dict[str, int] = {}
+        out: list[Instruction] = []
+        declarations = 0
+        reached: set[str] = set()
+        for texts, numbers in rows:
+            row = "0".join(texts)
+            index = len(out)
+            if not _take_plain_lines([row], self.buffers, symbols, out):
+                return False
+            name = _PLAIN_LINE.fullmatch(row)[1]
+            declarations += name is not None
+            reads = reached.intersection(_NAME.findall(row.partition("//")[0]))
+            if numbers or reads:
+                self._rows.append((texts, numbers, index if len(out) > index else None, name, not reads))
+                if name is not None:
+                    reached.add(name)
+        self._template = Program(tuple(out), dict(self.buffers), symbols)
+        return declarations == len(symbols)
 
     def _parse(self, values: tuple[int, ...]) -> Program:
         """The fill parsed against the buffer table; raises ProgramSyntaxError where its text would."""
-        if self._holes is not None:
-            return self._holes.fill(self._template, values)
+        if self.slotted:
+            instructions = list(self._template.instructions)
+            symbols = dict(self._template.symbols)
+            for texts, numbers, index, name, once in self._rows:
+                row = texts[0] + "".join(str(values[n]) + text for n, text in zip(numbers, texts[1:]))
+                if once and row in self._by_text:
+                    value = self._by_text[row]
+                else:
+                    out: list[Instruction] = []
+                    if not _take_plain_lines([row], self.buffers, symbols, out):
+                        break
+                    value = out[0] if out else symbols.get(name)
+                    if once:
+                        self._by_text[row] = value
+                if index is not None:
+                    instructions[index] = value
+                elif name is not None:
+                    symbols[name] = value
+            else:
+                return Program(tuple(instructions), dict(self.buffers), symbols)
         ids = [hole.id for hole in self.template.holes]
         return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers)
 

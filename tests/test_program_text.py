@@ -40,10 +40,8 @@ from ta_lift.program_text import (
     ProgramSyntaxError,
     UnboundSymbolError,
     UnknownFunctionError,
-    _fill_slots,
     _number,
     _tokenize,
-    _tokenize_slots,
     parse_program,
     render_program,
 )
@@ -295,35 +293,6 @@ def test_tokens_spell_the_text_without_spaces_and_comments(text: str) -> None:
     spelled = "".join(toks)
     assert spelled.isascii()
     assert spelled == re.sub(r"//[^\n]*|[ \t\r\n]", "", text)
-
-
-@pytest.mark.parametrize("text", ["f(x0);", "f(00);", "f(0x4);", "f(a-0);", "f(a--0);", "f(1); // 0", "f(0\u00e9);"])
-def test_placeholder_that_is_not_a_token_of_its_own_has_no_slot(text: str) -> None:
-    assert _tokenize_slots(text, [text.index("0")]) is None
-
-
-def test_placeholders_are_filled_in_place() -> None:
-    text = "f(0, a - 0,\n 0);"
-    toks, lines, slots = _tokenize_slots(text, [2, 9, 13])
-    assert _spelled(_fill_slots(toks, lines, slots, [12, -3, 0])) == _spelled(_tokenize("f(12, a - -3,\n 0);"))
-    assert _spelled((toks, lines)) == _spelled(_tokenize(text))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.text(alphabet=st.sampled_from(_TOKEN_CHARS), max_size=8), min_size=2, max_size=4),
-    st.lists(st.integers(-300, 300), min_size=3, max_size=3),
-)
-def test_filled_slots_tokenize_like_the_filled_text(pieces: list[str], values: list[int]) -> None:
-    offsets, at = [], -1
-    for piece in pieces[:-1]:
-        at += len(piece) + 1
-        offsets.append(at)
-    found = _tokenize_slots("0".join(pieces), offsets)
-    if found is None:
-        return
-    filled = pieces[0] + "".join(str(v) + piece for v, piece in zip(values, pieces[1:]))
-    assert _spelled(_fill_slots(*found, values)) == _spelled(_tokenize(filled))
 
 
 # -- integer range -----------------------------------------------------------------
@@ -1335,6 +1304,14 @@ _SHORT_LINE = sys.int_info.str_digits_check_threshold
 def test_matched_prefix_parses_as_the_token_parser(text: str, taken: int) -> None:
     assert _taken(text, _TABLE) == taken
     assert_same_as_token_parse(text, _TABLE)
+
+
+def test_matcher_reads_the_symbols_it_is_given() -> None:
+    rows = ["static uint32_t t = s + 1;", "mvin(A + s, t + 4, s, 4);"]
+    symbols, out = {"s": 0x10}, []
+    assert program_text._take_plain_lines(rows, _TABLE, symbols, out) == 2
+    parsed = _token_parse("\n".join(["static uint32_t s = 0x10;", *rows]), _TABLE)
+    assert (tuple(out), symbols) == (parsed.instructions, parsed.symbols)
 
 
 def test_truncated_golden_fails_at_the_same_line() -> None:

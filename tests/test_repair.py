@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import constant_argument_spans, criterion_5_holes, punch_holes
+from test_program_text import _STRAY
 
 import ta_lift
 import ta_lift.repair as repair_module
@@ -24,6 +25,7 @@ from ta_lift.prompts import (
 )
 from ta_lift.repair import (
     DEFAULT_CONSTANT_SET,
+    MARKER,
     Aborted,
     Exhausted,
     FillEnumerator,
@@ -349,12 +351,33 @@ def test_dram_offset_hole_matches_text_loop():
         # One declaration a hole reaches feeds another.
         ("static uint32_t x_sp = 36;", "static uint32_t OFF = <CONST>;\nstatic uint32_t x_sp = OFF + 32;",
          (-40, 0, 4, 2**32)),
-        # A hole in a declaration that a later declaration of the same name hides.
+        # A chain of declarations: every reader down the chain is re-read.
         ("static uint32_t x_sp = 36;",
-         "static uint32_t x_sp = <CONST>;\nconfig_st(x_sp);\nstatic uint32_t x_sp = 36;", (-4, 4, 36)),
+         "static uint32_t A = <CONST>;\nstatic uint32_t B = A + 4;\nstatic uint32_t x_sp = B + 28;", (-40, 0, 4, 8)),
+        # A declaration on the first row that many later rows read.
+        ("static uint32_t Pinf_sp = 0;", "static uint32_t Pinf_sp = <CONST>;", (-4, 0, 4, 2**32)),
+        # A declaration that no row reads.
+        ("static uint32_t NONE = 0xffffffff;",
+         "static uint32_t NONE = 0xffffffff;\nstatic uint32_t UNREAD = <CONST>;", (-4, 0, 2**32)),
+        # Two holes on one row.
+        ("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + <CONST>, x_sp + <CONST>, 1, 4);", (-4, 0, 4)),
         # A negative count, and a local address at 2**32.
         ("config_st(4);", "config_st(<CONST>);", (-4, 4, 2**32)),
         ("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + <CONST>, 1, 4);", (2**32, -4, 4)),
+    ],
+)
+def test_slotted_holes_match_text_loop(old, new, constants):
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=True)
+
+
+@pytest.mark.parametrize(
+    "old, new, constants",
+    [
+        # A hole in a declaration that a later declaration of the same name hides.
+        ("static uint32_t x_sp = 36;",
+         "static uint32_t x_sp = <CONST>;\nconfig_st(x_sp);\nstatic uint32_t x_sp = 36;", (-4, 4, 36)),
+        # A hole row that reads a name declared again after it.
+        ("config_st(4);", "static uint32_t Y = x_sp + <CONST>;\nconfig_st(Y);\nstatic uint32_t x_sp = 8;", (-4, 0, 4)),
         # '<<' and '*' results reaching 2**64, and a negative shift count.
         ("Pinf_sp + 16, 4, 4);", "Pinf_sp + (1 << <CONST>), 4, 4);", (-1, 64, 63, 4)),
         ("mvin(Pinf + 52,", "mvin(Pinf + 13 * <CONST>,", (2**60, -1, 4)),
@@ -362,12 +385,13 @@ def test_dram_offset_hole_matches_text_loop():
         ("fence();", "if (0 == 1) { config_st(<CONST>); } else { fence(); }", (-1, 0, 4)),
         ("fence();", "for (int i = 0; i < 0; i++) { mvin(Pinf, Pinf_sp + i + <CONST>, 4, 4); }\nfence();",
          (2**32, 0, -4)),
-        # An operand in a loop body is a slot in every iteration.
+        # An operand in a loop body, read in every iteration.
         ("config_st(4);", "for (int i = 0; i < 3; i++) { config_st(<CONST> + i - i); }", (-4, 0, 4)),
     ],
 )
-def test_slotted_holes_match_text_loop(old, new, constants):
-    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=True)
+def test_holes_off_plain_rows_match_text_loop(old, new, constants):
+    # A redeclared name, or a row the line matcher does not take: every fill is parsed whole.
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=False)
 
 
 @pytest.mark.parametrize(
@@ -388,19 +412,22 @@ def test_holes_that_steer_the_parse_match_text_loop(old, new, constants):
 
 
 @pytest.mark.parametrize(
-    "marked",
+    "marked, slotted",
     [
-        "config_st(-<CONST>);",
-        "config_st(0<CONST>);",
-        "config_st(<CONST>x4);",
-        "config_st(<CONST><CONST>);",
-        "config_st(4); // was <CONST>",
-        "config_st(0x<CONST>);",
+        ("config_st(-<CONST>);", False),
+        ("config_st(0<CONST>);", False),
+        ("config_st(<CONST>x4);", False),
+        ("config_st(<CONST><CONST>);", True),
+        ("config_st(4); // was <CONST>", True),
+        ("config_st(0x<CONST>);", False),
+        # A hole in a declared name: each fill declares another name.
+        ("static uint32_t N<CONST> = 4;\nconfig_st(4);", False),
     ],
 )
-def test_holes_glued_to_their_neighbours_match_text_loop(marked):
-    # Each of these fills tokenizes differently from a lone integer token.
-    assert_matches_reference(perturbed("config_st(4);", marked), "gv2", (-4, 0, 4, 12), slotted=False)
+def test_holes_glued_to_their_neighbours_match_text_loop(marked, slotted):
+    # A hole that touches a name character of the template, or a row the matcher refuses with a 0 in
+    # the hole, sends every fill to a whole parse.
+    assert_matches_reference(perturbed("config_st(4);", marked), "gv2", (-4, 0, 4, 12), slotted=slotted)
 
 
 def test_loop_variable_shadowing_a_buffer_matches_text_loop():
@@ -412,14 +439,14 @@ def test_loop_variable_shadowing_a_buffer_matches_text_loop():
 @pytest.mark.parametrize(
     "old, new, constants",
     [
-        # A loop variable named like a buffer: the buffer table still decides, so the template is slotted.
+        # A loop variable named like a buffer: the buffer table still decides.
         ("config_st(4);", "for (int x = 0; x < 1; x++) { config_st(<CONST>); }", (-4, 0, 4)),
         ("mvin2(x, x_sp, 1, 4);", "for (int x = 0; x < 1; x++) { mvin2(x, x_sp, 1, <CONST>); }", (-1, 0, 4)),
         ("mvin2(x, x_sp, 1, 4);", "for (int x = 0; x < 1; x++) { mvin2(x + <CONST>, x_sp, 1, 4); }", (-1, 0, 4)),
     ],
 )
-def test_loop_binding_a_buffer_name_stays_slotted(old, new, constants):
-    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=True)
+def test_loop_binding_a_buffer_name_matches_text_loop(old, new, constants):
+    assert_matches_reference(perturbed(old, new), "gv2", constants, slotted=False)
 
 
 # -- slotted fills against a parse of their text -------------------------------
@@ -431,13 +458,31 @@ _OPERAND_LITERAL = re.compile(r"(?<![\w.])(0[xX][0-9a-fA-F]+|\d+)(?![\w.])")
 @functools.cache
 def operand_literal_spans(name):
     """Spans of every integer literal inside an instruction's operands, `X_sp + N` offsets included."""
+    return _literal_spans(name, declarations=False)
+
+
+@functools.cache
+def initializer_spans(name):
+    """Spans of the integer literals that initialize the golden's `static uint32_t` declarations."""
+    return _literal_spans(name, declarations=True)
+
+
+def _literal_spans(name, declarations):
     spans, offset = [], 0
     for line in golden_program(name).splitlines(keepends=True):
-        if line.rstrip().endswith(");") and not line.lstrip().startswith("static"):
-            args = line.index("(")
-            spans += [(offset + m.start(1), offset + m.end(1)) for m in _OPERAND_LITERAL.finditer(line, args)]
+        if line.rstrip().endswith(";") and line.lstrip().startswith("static") == declarations:
+            start = line.index("=" if declarations else "(")
+            spans += [(offset + m.start(1), offset + m.end(1)) for m in _OPERAND_LITERAL.finditer(line, start)]
         offset += len(line)
     return spans
+
+
+def fill_constants(data):
+    """A negative, 0, a constant past 32 bits and a small one, in a drawn order."""
+    negative = data.draw(st.integers(-2**33, -1))
+    large = data.draw(st.integers(2**32, 2**40))
+    other = data.draw(st.sampled_from((1, 3, 4, 12, 16, 48)))
+    return tuple(data.draw(st.permutations([negative, 0, large, other])))
 
 
 @pytest.mark.parametrize("name", ALL_GOLDENS)
@@ -445,13 +490,39 @@ def operand_literal_spans(name):
 @given(data=st.data())
 def test_slotted_fills_equal_a_parse_of_their_text(name, data):
     golden = golden_program(name)
-    spans = data.draw(st.lists(st.sampled_from(operand_literal_spans(name)), min_size=1, max_size=3, unique=True))
-    negative = data.draw(st.integers(-2**33, -1))
-    large = data.draw(st.integers(2**32, 2**40))
-    other = data.draw(st.sampled_from((1, 3, 4, 12, 16, 48)))
-    constants = tuple(data.draw(st.permutations([negative, 0, large, other])))
+    spans = data.draw(st.lists(st.sampled_from(operand_literal_spans(name)), max_size=2, unique=True))
+    spans += data.draw(st.lists(st.sampled_from(initializer_spans(name)), min_size=0 if spans else 1, max_size=1))
     template = extract_holes(punch_holes(golden, spans))
-    assert assert_fills_match_their_text(template, kernel(name), constants).slotted
+    assert assert_fills_match_their_text(template, kernel(name), fill_constants(data)).slotted
+
+
+# What the edits put in: the garbled programs' stray text, name characters and separators.
+_GARBLE = _STRAY + ("x", "_", "4", " ", ",", ";", "\n")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_garbled_hole_rows_fill_as_their_text(data):
+    name = data.draw(st.sampled_from(("gv1", "gv2", "gv3", "gv4", "mm3")))
+    spans = data.draw(st.lists(st.sampled_from(operand_literal_spans(name) + initializer_spans(name)),
+                               min_size=1, max_size=2, unique=True))
+    rows = punch_holes(golden_program(name), spans).split("\n")
+    rng = data.draw(st.randoms(use_true_random=False))
+    for _ in range(data.draw(st.integers(1, 3))):
+        # A hole row or a row next to one; edits stay between the markers.
+        holes = [r for r, row in enumerate(rows) if MARKER in row]
+        at = min(max(rng.choice(holes) + rng.randint(-1, 1), 0), len(rows) - 1)
+        edit = data.draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if edit == "duplicate":
+            rows.insert(at + rng.randint(0, 1), rows[at].replace(MARKER, str(rng.choice((0, 4, 36)))))
+            continue
+        parts = rows[at].split(MARKER)
+        part = rng.randrange(len(parts))
+        cut = rng.choice((0, len(parts[part]), rng.randint(0, len(parts[part]))))
+        head, tail = parts[part][:cut], parts[part][cut:]
+        parts[part] = head + data.draw(st.sampled_from(_GARBLE)) + tail if edit == "insert" else head[:-1] + tail
+        rows[at] = MARKER.join(parts)
+    assert_fills_match_their_text(extract_holes("\n".join(rows)), kernel(name), fill_constants(data))
 
 
 # -- every fill of the benchmark's and criterion 5's templates -----------------
@@ -464,7 +535,7 @@ def test_criterion_5_fills_match_their_text(name):
     for hole_kernel, spans, _ in criterion_5_holes():
         if hole_kernel == name:
             template = extract_holes(punch_holes(golden_program(name), spans))
-            assert_fills_match_their_text(template, kernel(name), DEFAULT_CONSTANT_SET)
+            assert assert_fills_match_their_text(template, kernel(name), DEFAULT_CONSTANT_SET).slotted
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -475,7 +546,7 @@ def test_repair_workload_fills_match_their_text(seed, tmp_path, monkeypatch):
     for job in workloads.build_repair(ta_lift, seed, tmp_path).jobs:
         text = Path(job.argv[job.argv.index("--program") + 1]).read_text()
         spec = kernel(job.argv[job.argv.index("--kernel") + 1])
-        assert_fills_match_their_text(extract_holes(text), spec, DEFAULT_CONSTANT_SET)
+        assert assert_fills_match_their_text(extract_holes(text), spec, DEFAULT_CONSTANT_SET).slotted
 
 
 # -- parses per template -------------------------------------------------------
@@ -486,9 +557,9 @@ def count_parses(monkeypatch):
     buffer_tables = []
     real = repair_module.parse_program
 
-    def counting(source, buffers, record=None):
+    def counting(text, buffers):
         buffer_tables.append(buffers)
-        return real(source, buffers, record)
+        return real(text, buffers)
 
     monkeypatch.setattr(repair_module, "parse_program", counting)
     return buffer_tables
@@ -502,13 +573,13 @@ def count_parses(monkeypatch):
         ("config_st(<CONST>);\nconfig_ld(<CONST>, 0);", 24),
     ],
 )
-def test_slotted_template_parses_once_whatever_the_fills(monkeypatch, marked, tried):
+def test_slotted_template_parses_no_fill(monkeypatch, marked, tried):
     buffer_tables = count_parses(monkeypatch)
     candidate = perturbed("config_st(4);\nconfig_ld(48, 0);", marked)
     result = repair(candidate, SPEC, CASES, constants=(0, 1, 3, 4, 12, 48), mode="enumerate")
     assert isinstance(result.outcome, Repaired)
     assert result.stats.candidates_tried == tried
-    assert buffer_tables == [SPEC.buffer_shapes()]
+    assert buffer_tables == []
 
 
 def test_loop_bound_hole_template_parses_each_fill(monkeypatch):
@@ -518,5 +589,60 @@ def test_loop_bound_hole_template_parses_each_fill(monkeypatch):
     assert result.outcome == Repaired(program=GOLDEN.replace("config_st(4);", loop.replace("<CONST>", "1")),
                                       assignment=(("h0", 1),))
     assert result.stats.candidates_tried == 2
-    # The template parse finds that the hole steers a loop; then each fill is parsed whole.
-    assert buffer_tables == [SPEC.buffer_shapes()] * (1 + 2)
+    # The line matcher does not take the loop row, so each fill is parsed whole.
+    assert buffer_tables == [SPEC.buffer_shapes()] * 2
+
+
+def test_fill_parses_whole_only_where_the_matcher_refuses_a_row(monkeypatch):
+    buffer_tables = count_parses(monkeypatch)
+    template = extract_holes(perturbed("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + <CONST>, 1, 4);"))
+    enumerator = FillEnumerator(template, (-4, 4, 2**32), SPEC.buffer_shapes())
+    # The matcher takes `x_sp + 4` but neither `x_sp + -4`, which parses, nor `x_sp + 4294967296`, which does not.
+    assert [fill.code for fill in enumerator] == [template.substitute({"h0": v}) for v in (-4, 4)]
+    assert enumerator.slotted and (enumerator.attempted, enumerator.skipped) == (3, 1)
+    assert buffer_tables == [SPEC.buffer_shapes()] * 2
+
+
+# -- rows re-read per fill -----------------------------------------------------
+
+
+def count_row_reads(monkeypatch):
+    """The row of every call to `repair._take_plain_lines`, in order."""
+    rows = []
+    real = repair_module._take_plain_lines
+
+    def counting(lines, buffers, symbols, out):
+        rows.extend(lines)
+        return real(lines, buffers, symbols, out)
+
+    monkeypatch.setattr(repair_module, "_take_plain_lines", counting)
+    return rows
+
+
+def test_hole_rows_are_read_once_per_text(monkeypatch):
+    rows = count_row_reads(monkeypatch)
+    constants = (0, 1, 3, 4, 12, 48)
+    template = extract_holes(perturbed("config_st(4);\nconfig_ld(48, 0);", "config_st(<CONST>);\nconfig_ld(<CONST>, 0);"))
+    enumerator = FillEnumerator(template, constants, SPEC.buffer_shapes())
+    template_reads = len(rows)
+    assert template_reads == len(GOLDEN.split("\n")) and enumerator.slotted  # the template is read row by row
+    assert len(list(enumerator)) == 36
+    fill_rows = rows[template_reads:]
+    assert sorted(fill_rows) == sorted([f"config_st({v});" for v in constants] + [f"config_ld({v}, 0);" for v in constants])
+
+
+def test_rows_reading_a_reached_name_are_read_every_fill(monkeypatch):
+    rows = count_row_reads(monkeypatch)
+    marked = "static uint32_t A = <CONST>;\nstatic uint32_t x_sp = A + 36;"
+    template = extract_holes(perturbed("static uint32_t x_sp = 36;", marked))
+    enumerator = FillEnumerator(template, (0, 4, 8), SPEC.buffer_shapes())
+    template_reads = len(rows)
+    assert len(list(enumerator)) == 3 and enumerator.slotted
+    fill_rows = rows[template_reads:]
+    # Its text is the same in every fill, but the value of `A` is not.
+    assert fill_rows.count("static uint32_t x_sp = A + 36;") == 3
+    assert fill_rows.count("mvin2(x, x_sp, 1, 4);") == 3
+    assert [row for row in fill_rows if row.startswith("static uint32_t A")] == [
+        "static uint32_t A = 0;", "static uint32_t A = 4;", "static uint32_t A = 8;"]
+    # Rows that read no name a hole reaches are not re-read.
+    assert "config_st(4);" not in fill_rows
