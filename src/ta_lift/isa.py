@@ -27,7 +27,7 @@ from enum import Enum
 from functools import cache, partial
 from math import inf
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 DIM_DEFAULT = 4
 MAX_BLOCK_LEN_DEFAULT = 4  # an mvin or mvout moves at most this many DIM-wide tiles
@@ -450,8 +450,18 @@ def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = MA
 
     Memory bounds and stateful rules (preload-before-compute, stride setup) are the simulator's job.
     """
+    validate_instructions(enumerate(p.instructions), dim, max_block_len)
+
+
+def validate_instructions(indexed: Iterable[tuple[int, Instruction]], dim: int = DIM_DEFAULT,
+                          max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> None:
+    """`validate_program` over (index, instruction) pairs: raise for the first pair that fails.
+
+    Each instruction is checked on its own, so a program's first invalid
+    instruction is the lowest-indexed failure over any split of its indices.
+    """
     rules = _rules(dim, max_block_len)
-    for idx, ins in enumerate(p.instructions):
+    for idx, ins in indexed:
         rule = rules.get(type(ins))
         if rule is None:
             raise ValidationError(idx, "unsupported", f"unknown instruction type {type(ins).__name__}")

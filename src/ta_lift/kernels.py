@@ -17,8 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .isa import Program
-from .machine import ExecError, Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output
+from .isa import Instruction, Program, ValidationError, validate_instructions
+# Verification runs programs with `run`; `execute` stays importable here because
+# perfbench/tracing.py wraps `kernels.execute`.
+from .machine import ExecError, Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
 from .program_text import ProgramSyntaxError, parse_program
 
 REL_TOLERANCE = 1e-4
@@ -202,8 +204,8 @@ class Verdict:
     cases: list[CaseOutcome] = field(default_factory=list)
 
 
-def machine_for_cases(spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Machine:
-    """Bind the cases' inputs into one fresh machine, case axis first.
+def _stack_cases(spec: KernelSpec, cases: list[TestCase]) -> dict[str, np.ndarray]:
+    """The cases' inputs, case axis first, as a machine's DRAM contents.
 
     Bias buffers are negated for subtracting kernels; see the module
     docstring.
@@ -211,7 +213,12 @@ def machine_for_cases(spec: KernelSpec, cases: list[TestCase], cfg: MachineConfi
     contents = {name: np.stack([case.inputs[name] for case in cases]) for name in cases[0].inputs}
     if spec.sub and spec.d is not None and spec.d in contents:
         contents[spec.d] = -contents[spec.d]
-    return create_machine(cfg, spec.buffer_shapes(), contents)
+    return contents
+
+
+def machine_for_cases(spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Machine:
+    """Bind the cases' inputs into one fresh machine, case axis first."""
+    return create_machine(cfg, spec.buffer_shapes(), _stack_cases(spec, cases))
 
 
 def _tolerance(spec: KernelSpec, case: TestCase) -> np.ndarray | None:
@@ -238,33 +245,128 @@ def _compare(got: np.ndarray, want: np.ndarray, tolerance: np.ndarray | None) ->
     return int(r), int(c)
 
 
+class Verifier:
+    """Verifies programs against one case set, whose inputs are stacked at most once.
+
+    `verify` gives `verify_program`'s verdict.  It validates first, so an
+    invalid program stacks nothing and builds no machine; a valid one runs
+    on a fresh machine holding the stacked inputs, and each case's
+    tolerance is computed once.
+
+    Given a `template` and the ascending indices `rebuilt` of the
+    instructions its fills may change, `verify_fill` gives a fill the
+    verdict `verify` would.  The template's other instructions are
+    validated once, and the instructions before the first rebuilt one run
+    once, into a snapshot.  A fill then validates only its rebuilt
+    instructions, and if it is valid, runs the rest on a copy of the
+    snapshot.  Validation still decides first: an invalid instruction after
+    the rebuilt ones outranks an execution error before them.
+    """
+
+    def __init__(
+        self,
+        spec: KernelSpec,
+        cases: list[TestCase],
+        cfg: MachineConfig | None = None,
+        template: Program | None = None,
+        rebuilt: tuple[int, ...] = (),
+    ):
+        self.spec = spec
+        self.cases = cases
+        self.cfg = cfg or MachineConfig()
+        self.template = template
+        self.rebuilt = rebuilt
+        self._inputs: dict[str, np.ndarray] | None = None
+        self._tolerances: dict[int, np.ndarray | None] = {}
+        self._start = 0
+        self._invalid: ValidationError | None = None
+        self._snapshot: Machine | ExecError | None = None  # after the template's instructions before `_start`
+        if template is not None:
+            self._start = rebuilt[0] if rebuilt else len(template.instructions)
+            changed = set(rebuilt)
+            self._invalid = self._first_invalid(
+                (index, ins) for index, ins in enumerate(template.instructions) if index not in changed
+            )
+
+    def verify(self, p: Program) -> Verdict:
+        """`verify_program`'s verdict on `p`."""
+        if not self.cases:
+            return Verdict(passed=True)
+        invalid = self._first_invalid(enumerate(p.instructions))
+        if invalid is not None:
+            return _failed(invalid)
+        return self._finish(self._fresh(), p.instructions, 0)
+
+    def verify_fill(self, p: Program) -> Verdict:
+        """`verify`'s verdict on `p`, a fill that equals the template except at `rebuilt`."""
+        if not self.cases:
+            return Verdict(passed=True)
+        instructions = p.instructions
+        invalid = self._first_invalid((index, instructions[index]) for index in self.rebuilt)
+        if self._invalid is not None and (invalid is None or self._invalid.index < invalid.index):
+            invalid = self._invalid
+        if invalid is not None:
+            return _failed(invalid)
+        if self._snapshot is None:
+            machine = self._fresh()
+            try:
+                run(machine, self.template.instructions, 0, self._start)
+            except ExecError as e:
+                machine = e.with_traceback(None)  # kept, so it must not keep this frame alive
+            self._snapshot = machine
+        if isinstance(self._snapshot, ExecError):
+            return _failed(self._snapshot)
+        return self._finish(self._snapshot.copy(), instructions, self._start)
+
+    def _first_invalid(self, indexed) -> ValidationError | None:
+        try:
+            validate_instructions(indexed, self.cfg.dim, self.cfg.max_block_len)
+        except ValidationError as e:
+            return e.with_traceback(None)
+        return None
+
+    def _fresh(self) -> Machine:
+        """A new machine holding the cases' inputs, which are stacked on the first call."""
+        if self._inputs is None:
+            self._inputs = _stack_cases(self.spec, self.cases)
+        return create_machine(self.cfg, self.spec.buffer_shapes(), self._inputs)
+
+    def _finish(self, machine: Machine, instructions: tuple[Instruction, ...], start: int) -> Verdict:
+        """Run `instructions` from `start` on `machine`, then report the cases in order up to the first that fails."""
+        try:
+            run(machine, instructions, start)
+        except ExecError as e:
+            return _failed(e)
+        verdict = Verdict(passed=True)
+        outputs = read_output(machine, self.spec.c)
+        for index, (case, got) in enumerate(zip(self.cases, outputs)):
+            if index not in self._tolerances:
+                self._tolerances[index] = _tolerance(self.spec, case)
+            position = _compare(got, case.expected, self._tolerances[index])
+            if position is None:
+                verdict.cases.append(CaseOutcome(index=index, passed=True))
+                continue
+            r, c = position
+            verdict.passed = False
+            verdict.failure = WrongResult(position, float(got[r, c]), float(case.expected[r, c]))
+            verdict.cases.append(CaseOutcome(index=index, passed=False, failure=verdict.failure))
+            break
+        return verdict
+
+
+def _failed(error: ExecError | ValidationError) -> Verdict:
+    """The verdict of a program that fails at `error` on every case alike: reported once, as case 0's."""
+    failure = ExecFailure(error.index, error.kind, error.detail)
+    return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
+
+
 def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:
-    """Run all cases in one batched execution, then report them in order up to the first that fails.
+    """Validate, run all cases in one batched execution, then report them in order up to the first that fails.
 
     Execution errors depend only on the program, so one fails every case
     alike and is reported as case 0's.
     """
-    verdict = Verdict(passed=True)
-    if not cases:
-        return verdict
-    machine = machine_for_cases(spec, cases, cfg)
-    try:
-        execute(machine, p)
-    except ExecError as e:
-        failure = ExecFailure(e.index, e.kind, e.detail)
-        return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
-    outputs = read_output(machine, spec.c)
-    for index, (case, got) in enumerate(zip(cases, outputs)):
-        position = _compare(got, case.expected, _tolerance(spec, case))
-        if position is None:
-            verdict.cases.append(CaseOutcome(index=index, passed=True))
-            continue
-        r, c = position
-        verdict.passed = False
-        verdict.failure = WrongResult(position, float(got[r, c]), float(case.expected[r, c]))
-        verdict.cases.append(CaseOutcome(index=index, passed=False, failure=verdict.failure))
-        break
-    return verdict
+    return Verifier(spec, cases, cfg).verify(p)
 
 
 def verify_source(text: str, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:

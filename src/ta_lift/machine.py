@@ -15,7 +15,7 @@ batched run fails exactly where each of its cases would fail alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .isa import (
     ConfigSt,
     Dataflow,
     Fence,
+    Instruction,
     Mvin,
     Mvout,
     Preload,
@@ -96,6 +97,22 @@ class Machine:
     ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latched: _Latched | None = None
+
+    def copy(self) -> Machine:
+        """An independent copy: the two machines share no array and no stride table."""
+        latched = self.latched
+        if latched is not None:
+            latched = replace(latched, weights=latched.weights.copy())
+        return Machine(
+            self.config,
+            {name: arr.copy() for name, arr in self.dram.items()},
+            self.spad.copy(),
+            self.acc.copy(),
+            self.regs,
+            dict(self.ld_strides),
+            self.st_stride,
+            latched,
+        )
 
 
 def create_machine(
@@ -322,14 +339,23 @@ _EXECUTORS = {
 }
 
 
+def run(m: Machine, instructions: tuple[Instruction, ...], start: int = 0, stop: int | None = None) -> None:
+    """Run `instructions[start:stop]` on every case at once, without validating them.
+
+    Each keeps its index in the whole sequence, so an `ExecError` names the
+    same instruction as a run from the start would.
+    """
+    for idx, ins in enumerate(instructions[start:stop], start):
+        _EXECUTORS[type(ins)](m, idx, ins)
+
+
 def execute(m: Machine, p: Program) -> Machine:
-    """Run a program to completion on every case at once, mutating and returning the machine."""
+    """Validate a program, then run it to completion on every case at once, mutating and returning the machine."""
     try:
         validate_program(p, dim=m.config.dim, max_block_len=m.config.max_block_len)
     except ValidationError as e:
         raise ExecError(e.index, e.kind, e.detail) from None
-    for idx, ins in enumerate(p.instructions):
-        _EXECUTORS[type(ins)](m, idx, ins)
+    run(m, p.instructions)
     return m
 
 

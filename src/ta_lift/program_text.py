@@ -589,7 +589,7 @@ class _Atoms(dict):
 
 
 def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symbols: dict[str, int],
-                      out: list[Instruction]) -> int:
+                      out: list[Instruction], atoms: _Atoms | None = None) -> int:
     """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
 
     The lines may read the names already in `symbols`.  Stops, without
@@ -597,8 +597,13 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
     read otherwise or refuse, and leaves that line to it.  A line longer
     than the shortest digit limit Python may apply to int() is left to it
     too, so every number taken here converts.
+
+    `atoms`, when given, must hold `symbols` and is kept up to date with
+    them; calls over the rows of one text that share it convert each number
+    once.
     """
-    atoms = _Atoms({**symbols, "": 0})
+    if atoms is None:
+        atoms = _Atoms({**symbols, "": 0})
     for number, row in enumerate(rows):
         match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
         if not match:

@@ -8,10 +8,14 @@ fresh `uint32_t` declaration whose initializer is the suspect value.
 Second the holes are filled, either by asking the model or by enumerating
 assignments from a small constant set, and every filled program runs
 through the simulator until one verifies.  Enumeration reads the template
-once, row by row with the line matcher of `program_text`; a fill re-reads
-only the rows its holes reach and rebuilds only their instructions, and
-falls back to a whole parse where the matcher refuses a row (see
-`FillEnumerator`).
+once with the line matcher of `program_text`; a fill re-reads only the
+rows its holes reach and rebuilds only their instructions, and falls back
+to a whole parse where the matcher refuses a row (see `FillEnumerator`).
+One `kernels.Verifier` checks every fill of a repair call against cases
+stacked once.  A fill read this way validates only its rebuilt
+instructions, and runs only from the first instruction a fill may change,
+on a copy of the machine state the template's instructions before it
+leave; a fill parsed whole is validated and run whole (see `fill_verdicts`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from . import kernels
 from .gateway import Backend, GenerationParams
 from .harness import _FENCE, extract_code
 from .isa import BY_MNEMONIC, Instruction, Program
-from .kernels import KernelSpec, TestCase, verify_source
+from .kernels import KernelSpec, TestCase, Verdict, verify_source
 from .machine import MachineConfig
 from .program_text import (
     _ACTIVATIONS,
@@ -33,6 +37,7 @@ from .program_text import (
     _KEYWORDS,
     _PLAIN_LINE,
     ProgramSyntaxError,
+    _Atoms,
     _take_plain_lines,
     parse_program,
 )
@@ -47,6 +52,7 @@ _RESERVED = set(BY_MNEMONIC) | _KEYWORDS | set(_DATAFLOWS) | set(_ACTIVATIONS)
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 _DECL = re.compile(r"^[ \t]*(?:static[ \t]+)?uint32_t[ \t]+(\w+)[ \t]*=[ \t]*(-?\d+)[ \t]*;", re.M)
+_DECLARED = re.compile(r"^[ \t\r]*static[ \t\r]+uint32_t[ \t\r]+([A-Za-z_][A-Za-z0-9_]*)", re.M)
 
 
 class NoHolesFound(ValueError):
@@ -136,12 +142,15 @@ class FillCandidate:
     """One enumerated fill; its text is rendered only when `code` is read.
 
     `program` is the fill parsed against the enumerator's buffer table.
+    `from_rows` says whether it was read by the row path, so that it equals
+    the enumerator's `program` except at the indices in its `rebuilt`.
     """
 
     template: HoleTemplate = field(repr=False)
     assignment: tuple[tuple[str, int], ...]
     index: int
     program: Program = field(repr=False)
+    from_rows: bool
 
     @property
     def code(self) -> str:
@@ -151,17 +160,18 @@ class FillCandidate:
 class FillEnumerator:
     """Iterates the Cartesian product of constants over holes, up to a cap.
 
-    A template is read row by row when three things hold: the line matcher
+    A template takes the row path when three things hold: the line matcher
     of `program_text` takes every row with a `0` in each hole, no hole
     touches a letter, digit or `_` of the template, so every fill reads the
     same names, and no name is declared twice.  Then the template is read
-    once, one row at a time, against `buffers` as verification does.  The
-    rows a hole reaches are the rows that hold a hole and, in row order,
-    every row that reads a name declared on a row already reached.  A fill
+    once against `buffers`, as verification does, into `program`.  The rows
+    a hole reaches are the rows that hold a hole and, in row order, every
+    row that reads a name declared on a row already reached; `rebuilt`
+    holds the indices of their instructions, in ascending order.  A fill
     re-reads only those rows, with its values in place, and replaces their
-    instructions and symbols in a copy of the template's program.  A
-    re-read row that reads no name a hole reaches is read once per text.
-    `slotted` says whether a template is read this way.
+    instructions and symbols in a copy of `program`.  A re-read row that
+    reads no name a hole reaches is read once per text.  `slotted` says
+    whether a template takes the row path.
 
     A fill with a re-read row that the matcher refuses, and every fill of a
     template that fails one of the three conditions, is parsed whole.
@@ -196,10 +206,16 @@ class FillEnumerator:
         # instruction index, its declared name, and whether it is read once per text.
         self._rows: list[tuple[list[str], list[int], int | None, str | None, bool]] = []
         self._by_text: dict[str, Instruction | int | None] = {}  # what each row text read once gives
+        self.program: Program | None = None
+        self.rebuilt: tuple[int, ...] = ()
         self.slotted = self._read_template(template.pieces())
 
     def _read_template(self, pieces: list[str]) -> bool:
-        """Read the template row by row and keep the rows its holes reach; False if it fails a condition."""
+        """Read the template and keep the rows its holes reach; False if it fails a condition.
+
+        Each run of rows that hold no hole and read no reached name is read in
+        one call, and all calls share one table of atoms.
+        """
         if _NAME.search("".join(before[-1:] + after[:1] for before, after in zip(pieces, pieces[1:]))):
             return False
         rows: list[tuple[list[str], list[int]]] = []
@@ -216,28 +232,44 @@ class FillEnumerator:
         rows.append((texts, numbers))
         symbols: dict[str, int] = {}
         out: list[Instruction] = []
-        declarations = 0
+        atoms = _Atoms({"": 0})
         reached: set[str] = set()
+        plain: list[str] = []  # the rows since the last one a hole reaches
         for texts, numbers in rows:
             row = "0".join(texts)
+            reads = reached and reached.intersection(_NAME.findall(row.partition("//")[0]))
+            if not (numbers or reads):
+                plain.append(row)
+                continue
+            if _take_plain_lines(plain, self.buffers, symbols, out, atoms) < len(plain):
+                return False
+            plain = []
             index = len(out)
-            if not _take_plain_lines([row], self.buffers, symbols, out):
+            if not _take_plain_lines([row], self.buffers, symbols, out, atoms):
                 return False
             name = _PLAIN_LINE.fullmatch(row)[1]
-            declarations += name is not None
-            reads = reached.intersection(_NAME.findall(row.partition("//")[0]))
-            if numbers or reads:
-                self._rows.append((texts, numbers, index if len(out) > index else None, name, not reads))
-                if name is not None:
-                    reached.add(name)
-        self._template = Program(tuple(out), dict(self.buffers), symbols)
-        return declarations == len(symbols)
+            self._rows.append((texts, numbers, index if len(out) > index else None, name, not reads))
+            if name is not None:
+                reached.add(name)
+        if _take_plain_lines(plain, self.buffers, symbols, out, atoms) < len(plain):
+            return False
+        # A name declared twice is read with two values.  Every declaration holds "static", so
+        # the declarations need counting only where that word is met more often than names are.
+        text = "0".join(pieces)
+        if text.count("static") != len(symbols) and len(_DECLARED.findall(text)) != len(symbols):
+            return False
+        self.program = Program(tuple(out), dict(self.buffers), symbols)
+        self.rebuilt = tuple(index for _, _, index, _, _ in self._rows if index is not None)
+        return True
 
-    def _parse(self, values: tuple[int, ...]) -> Program:
-        """The fill parsed against the buffer table; raises ProgramSyntaxError where its text would."""
+    def _parse(self, values: tuple[int, ...]) -> tuple[Program, bool]:
+        """The fill parsed against the buffer table, and whether the row path read it.
+
+        Raises ProgramSyntaxError where its text would.
+        """
         if self.slotted:
-            instructions = list(self._template.instructions)
-            symbols = dict(self._template.symbols)
+            instructions = list(self.program.instructions)
+            symbols = dict(self.program.symbols)
             for texts, numbers, index, name, once in self._rows:
                 row = texts[0] + "".join(str(values[n]) + text for n, text in zip(numbers, texts[1:]))
                 if once and row in self._by_text:
@@ -254,9 +286,9 @@ class FillEnumerator:
                 elif name is not None:
                     symbols[name] = value
             else:
-                return Program(tuple(instructions), dict(self.buffers), symbols)
+                return Program(tuple(instructions), dict(self.buffers), symbols), True
         ids = [hole.id for hole in self.template.holes]
-        return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers)
+        return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers), False
 
     def __iter__(self) -> Iterator[FillCandidate]:
         ids = [hole.id for hole in self.template.holes]
@@ -266,11 +298,25 @@ class FillEnumerator:
                 return
             self.attempted += 1
             try:
-                program = self._parse(combo)
+                program, from_rows = self._parse(combo)
             except ProgramSyntaxError:
                 self.skipped += 1
                 continue
-            yield FillCandidate(self.template, tuple(zip(ids, combo)), index, program)
+            yield FillCandidate(self.template, tuple(zip(ids, combo)), index, program, from_rows)
+
+
+def fill_verdicts(
+    enumerator: FillEnumerator, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None
+) -> Iterator[tuple[FillCandidate, Verdict]]:
+    """Each fill that parses, with the verdict `verify_source` gives its text.
+
+    One `kernels.Verifier` serves every fill.  A fill read by the row path is
+    checked against the template's shared part; a fill parsed whole is
+    verified whole.
+    """
+    verifier = kernels.Verifier(spec, cases, cfg, enumerator.program, enumerator.rebuilt)
+    for fill in enumerator:
+        yield fill, verifier.verify_fill(fill.program) if fill.from_rows else verifier.verify(fill.program)
 
 
 @dataclass(frozen=True)
@@ -381,10 +427,9 @@ def repair(
             Aborted(f"{len(template.holes)} holes exceed the enumeration limit of {MAX_HOLES}"), stats
         )
     enumerator = FillEnumerator(template, constants, buffers)
-    for fill in enumerator:
+    for fill, verdict in fill_verdicts(enumerator, spec, cases, cfg):
         stats.candidates_tried += 1
-        # Looked up on the module, so a wrapper put on kernels.verify_program sees every fill.
-        if kernels.verify_program(fill.program, spec, cases, cfg).passed:
+        if verdict.passed:
             return RepairResult(Repaired(program=fill.code, assignment=fill.assignment), stats)
     stats.candidates_tried += enumerator.skipped
     return RepairResult(Exhausted(tried=stats.candidates_tried), stats)

@@ -8,6 +8,7 @@ one 2-D machine per case, run in order until the first case that fails.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from enum import Enum
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ta_lift.kernels as kernels
 from ta_lift.fixtures import KERNELS, emit_golden_program, golden_program, kernel
-from ta_lift.isa import ConfigLd, ConfigSt, DramRef, LocalAddr, Mvout, Program
+from ta_lift.isa import ConfigLd, ConfigSt, DramRef, LocalAddr, Mvin, Mvout, Program, ValidationError, validate_program
 from ta_lift.kernels import (
     ABS_TOLERANCE,
     REL_TOLERANCE,
@@ -33,7 +35,7 @@ from ta_lift.kernels import (
     machine_for_cases,
     verify_program,
 )
-from ta_lift.machine import ExecError, MachineConfig, ShapeMismatch, create_machine, execute, read_output
+from ta_lift.machine import ExecError, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
 from ta_lift.program_text import parse_program
 
 # -- the oracle: one machine per case ------------------------------------------------
@@ -208,6 +210,84 @@ def test_batched_machine_state_equals_single_case_runs(workload) -> None:
             assert batched.dram[name][index].tobytes() == arr.tobytes(), name
         assert batched.spad[index].tobytes() == single.spad.tobytes()
         assert batched.acc[index].tobytes() == single.acc.tobytes()
+
+
+def machine_state(m) -> tuple:
+    """Everything a run can change, as comparable values."""
+    latched = m.latched
+    if latched is not None:
+        latched = (latched.weights.shape, latched.weights.tobytes(), latched.c_row, latched.c_accumulate,
+                   latched.c_cols, latched.c_rows)
+    dram = {name: (arr.shape, arr.tobytes()) for name, arr in m.dram.items()}
+    return dram, m.spad.tobytes(), m.acc.tobytes(), m.regs, dict(m.ld_strides), m.st_stride, latched
+
+
+def arrays_of(m) -> list[np.ndarray]:
+    return [*m.dram.values(), m.spad, m.acc] + ([m.latched.weights] if m.latched is not None else [])
+
+
+def run_or_error(m, instructions, start=0, stop=None):
+    try:
+        run(m, instructions, start, stop)
+    except ExecError as err:
+        return err.index, err.kind
+    return None
+
+
+@_SETTINGS
+@given(workloads(), st.data())
+def test_a_run_split_at_a_copied_snapshot_equals_one_run(workload, data) -> None:
+    program, spec, cases = workload
+    try:
+        validate_program(program)  # only valid programs are run
+    except ValidationError:
+        return
+    instructions = program.instructions
+    whole = machine_for_cases(spec, cases)
+    try:
+        execute(whole, program)
+    except ExecError as err:
+        whole_error = err.index, err.kind
+    else:
+        whole_error = None
+    split = data.draw(st.integers(0, len(instructions)))
+    snapshot = machine_for_cases(spec, cases)
+    prefix_error = run_or_error(snapshot, instructions, 0, split)
+    if prefix_error is not None:
+        assert prefix_error == whole_error
+        assert machine_state(snapshot) == machine_state(whole)
+        return
+    before = machine_state(snapshot)
+    first, second = snapshot.copy(), snapshot.copy()
+    assert first.ld_strides is not snapshot.ld_strides and first.ld_strides is not second.ld_strides
+    for one, other in itertools.combinations((snapshot, first, second), 2):
+        assert not any(np.shares_memory(a, b) for a in arrays_of(one) for b in arrays_of(other))
+    for suffix in (first, second):
+        assert run_or_error(suffix, instructions, split) == whole_error
+        assert machine_state(suffix) == machine_state(whole)
+    # Neither suffix wrote through to the snapshot.
+    assert machine_state(snapshot) == before
+
+
+def test_an_invalid_program_is_refused_before_a_case_machine_is_built(monkeypatch) -> None:
+    spec = kernel("mm1")
+    golden = _GOLDEN_PROGRAMS["mm1"].instructions
+    at = len(golden) // 2
+    mvin = next(index for index in range(at, len(golden)) if isinstance(golden[index], Mvin))
+    program = Program(golden[:mvin] + (dataclasses.replace(golden[mvin], rows=5),) + golden[mvin + 1:],
+                      spec.buffer_shapes(), {})
+    cases = make_cases(spec, 3, seed=7)
+    # The verdict verification gave when it stacked the case machine and let `execute` validate.
+    with pytest.raises(ExecError) as err:
+        execute(machine_for_cases(spec, cases), program)
+    failure = ExecFailure(err.value.index, err.value.kind, err.value.detail)
+    assert err.value.index == mvin
+    built = []
+    for name in ("_stack_cases", "create_machine", "machine_for_cases"):
+        monkeypatch.setattr(kernels, name, lambda *args, name=name: built.append(name))
+    assert verify_program(program, spec, cases) == Verdict(
+        passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
+    assert built == []
 
 
 def test_every_golden_verifies_in_one_batched_run() -> None:

@@ -13,6 +13,8 @@ from test_acceptance import constant_argument_spans, criterion_5_holes, punch_ho
 from test_program_text import _STRAY
 
 import ta_lift
+import ta_lift.kernels as kernels
+import ta_lift.program_text as program_text
 import ta_lift.repair as repair_module
 from ta_lift.fixtures import golden_program, kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
@@ -33,6 +35,7 @@ from ta_lift.repair import (
     NoHolesFound,
     Repaired,
     extract_holes,
+    fill_verdicts,
     repair,
 )
 
@@ -274,10 +277,12 @@ def reference_repair(template, spec, cases, constants):
 
 
 def assert_fills_match_their_text(template, spec, constants):
-    """Each fill is skipped exactly when `verify_source` gives its text a ParseFailure; else it is that text's parse."""
+    """Each fill is skipped exactly when `verify_source` gives its text a ParseFailure; else it is that
+    text's parse, and repair's verdict on it is the one `verify_source` gives its text, field for field."""
     buffers = spec.buffer_shapes()
+    cases = cases_for(spec.name)
     enumerator = FillEnumerator(template, constants, buffers)
-    yielded = {fill.index: fill for fill in enumerator}
+    yielded = {fill.index: (fill, verdict) for fill, verdict in fill_verdicts(enumerator, spec, cases)}
     ids = [hole.id for hole in template.holes]
     for index, combo in enumerate(itertools.product(enumerator.constants, repeat=len(ids))):
         code = template.substitute(dict(zip(ids, combo)))
@@ -289,8 +294,10 @@ def assert_fills_match_their_text(template, spec, constants):
             assert isinstance(verify_source(code, spec, []).failure, ParseFailure), code
             continue
         assert index in yielded, code
-        assert yielded[index].code == code
-        assert yielded[index].program == parsed, code
+        fill, verdict = yielded[index]
+        assert fill.code == code
+        assert fill.program == parsed, code
+        assert verdict == verify_source(code, spec, cases), code
     assert enumerator.skipped == enumerator.total - len(yielded)
     return enumerator
 
@@ -549,6 +556,105 @@ def test_repair_workload_fills_match_their_text(seed, tmp_path, monkeypatch):
         assert assert_fills_match_their_text(extract_holes(text), spec, DEFAULT_CONSTANT_SET).slotted
 
 
+# A load before any load stride is set: a runtime error in the prefix shared by every fill.
+_EARLY_MVIN = ("config_ld(48, 0);", "mvin(Pinf, Pinf_sp, 4, 4);\nconfig_ld(48, 0);")
+# An instruction that fails validation (5 rows on a 4-wide machine), and a hole before it.
+_LATE_INVALID = ("mvin(Pinf + 8, Pinf_sp + 8, 4, 4);", "mvin(Pinf + 8, Pinf_sp + 8, 4, 5);")
+_LATER_HOLE = ("mvin(Pinf + 4, Pinf_sp + 4, 4, 4);", "mvin(Pinf + 4, Pinf_sp + 4, 4, <CONST>);")
+
+
+def edited(*edits):
+    text = GOLDEN
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "edits, prefix_error",
+    [
+        # Fills that validate fail where the prefix fails; the others fail validation at the hole.
+        ((_EARLY_MVIN, _LATER_HOLE), True),
+        # Validation decides first: an invalid instruction after the hole outranks the prefix's error.
+        ((_EARLY_MVIN, _LATER_HOLE, _LATE_INVALID), False),
+        ((_LATER_HOLE, _LATE_INVALID), False),
+    ],
+)
+def test_fill_verdicts_keep_validation_before_the_shared_prefix(edits, prefix_error):
+    template = extract_holes(edited(*edits))
+    enumerator = assert_fills_match_their_text(template, SPEC, (-1, 0, 4, 5))
+    assert enumerator.slotted
+    hole = enumerator.rebuilt[0]
+    # The fills' verdicts equal these (-1 does not parse); check that each takes the branch it is meant to.
+    for value in (0, 4, 5):
+        failure = verify_source(template.substitute({"h0": value}), SPEC, cases_for("gv2")).failure
+        in_prefix = value == 4 and prefix_error
+        assert failure.index < hole if in_prefix else failure.index >= hole
+        assert failure.kind == ("unsupported" if in_prefix else "rows_exceed_dim")
+
+
+def test_fill_parsed_whole_is_verified_whole(monkeypatch):
+    calls = []
+    for method in ("verify", "verify_fill"):
+        real = getattr(kernels.Verifier, method)
+        monkeypatch.setattr(kernels.Verifier, method,
+                            lambda self, p, real=real, method=method: calls.append(method) or real(self, p))
+    template = extract_holes(perturbed("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + <CONST>, 1, 4);"))
+    enumerator = FillEnumerator(template, (-4, 4, 2**32), SPEC.buffer_shapes())
+    fills = [(fill.assignment, fill.from_rows) for fill, _ in fill_verdicts(enumerator, SPEC, CASES)]
+    # `x_sp + -4` parses, but the line matcher does not take it.
+    assert fills == [((("h0", -4),), False), ((("h0", 4),), True)]
+    assert calls == ["verify", "verify_fill"]
+    assert_fills_match_their_text(template, SPEC, (-4, 4, 2**32))
+
+
+# -- work per fill -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("marked, tried", [("config_st(<CONST>);\nconfig_ld(48, 0);", 4),
+                                           ("config_st(<CONST>);\nconfig_ld(<CONST>, 0);", 24)])
+def test_cases_are_stacked_once_per_repair_call(monkeypatch, marked, tried):
+    stacked = []
+    real = kernels._stack_cases
+    monkeypatch.setattr(kernels, "_stack_cases", lambda *args: stacked.append(args) or real(*args))
+    candidate = perturbed("config_st(4);\nconfig_ld(48, 0);", marked)
+    result = repair(candidate, SPEC, CASES, constants=(0, 1, 3, 4, 12, 48), mode="enumerate")
+    assert isinstance(result.outcome, Repaired) and result.stats.candidates_tried == tried
+    assert len(stacked) == 1
+
+
+def test_fills_validate_only_their_rebuilt_instructions(monkeypatch):
+    validated = []
+    real = kernels.validate_instructions
+
+    def recording(indexed, dim, max_block_len):
+        indexed = list(indexed)
+        validated.append([index for index, _ in indexed])
+        return real(indexed, dim, max_block_len)
+
+    monkeypatch.setattr(kernels, "validate_instructions", recording)
+    template = extract_holes(perturbed("config_st(4);\nconfig_ld(48, 0);", "config_st(<CONST>);\nconfig_ld(<CONST>, 0);"))
+    enumerator = FillEnumerator(template, (0, 4, 48), SPEC.buffer_shapes())
+    assert len(list(fill_verdicts(enumerator, SPEC, CASES))) == 9
+    count = len(enumerator.program.instructions)
+    assert enumerator.rebuilt == (1, 2)
+    # The template's other instructions once, then each fill's two rebuilt ones.
+    assert validated == [[index for index in range(count) if index not in (1, 2)]] + [[1, 2]] * 9
+
+
+def test_template_read_converts_each_literal_once(monkeypatch):
+    converted = []
+    real = program_text._Atoms.__missing__
+    monkeypatch.setattr(program_text._Atoms, "__missing__", lambda self, atom: converted.append(atom) or real(self, atom))
+    golden = golden_program("mm1")
+    spans = operand_literal_spans("mm1")
+    template = extract_holes(punch_holes(golden, [spans[len(spans) // 2]]))
+    assert FillEnumerator(template, DEFAULT_CONSTANT_SET, kernel("mm1").buffer_shapes()).slotted
+    literals = [atom for atom in converted if program_text._NUMBER.fullmatch(atom)]
+    assert literals and len(literals) == len(set(literals))
+
+
 # -- parses per template -------------------------------------------------------
 
 
@@ -611,9 +717,9 @@ def count_row_reads(monkeypatch):
     rows = []
     real = repair_module._take_plain_lines
 
-    def counting(lines, buffers, symbols, out):
+    def counting(lines, buffers, symbols, out, atoms=None):
         rows.extend(lines)
-        return real(lines, buffers, symbols, out)
+        return real(lines, buffers, symbols, out, atoms)
 
     monkeypatch.setattr(repair_module, "_take_plain_lines", counting)
     return rows
