@@ -35,6 +35,7 @@ from .harness import (
     render_report,
     run_experiment,
 )
+from .isa import ValidationError, validate_program
 from .kernels import KernelSpec, Verdict, generate_testcases, machine_for_cases, verify_program, verify_source
 from .loopir import BoundsError, KernelSyntaxError, locality_cost, parse_kernel, render_kernel
 from .machine import ExecError, execute, read_output
@@ -242,11 +243,13 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     program = _parse_or_fail(_read_text(ns.program), spec)
     if program is None:
         return EXIT_FAIL
-    machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
     try:
+        # Validate before the cases are built; execution errors depend only
+        # on the program, so the first case hits them.
+        validate_program(program)
+        machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
         execute(machine, program)
-    except ExecError as err:
-        # Execution errors depend only on the program, so the first case hits it.
+    except (ValidationError, ExecError) as err:
         print(f"case 0: execution failed: {err}")
         return EXIT_FAIL
     results = read_output(machine, spec.c)

@@ -31,6 +31,7 @@ from .costs import CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
     DIM_DEFAULT,
+    MAX_BLOCK_LEN_DEFAULT,
     SENTINEL,
     ConfigEx,
     Instruction,
@@ -162,7 +163,15 @@ def analyze_dependences(blocks: list[Block], cfg: MachineConfig | None = None) -
 
 @dataclass
 class PeepholeContext:
-    """Cross-block state for the rewrite walk, in original block order."""
+    """Cross-block state for the rewrite walk, in original block order.
+
+    `seen_mvins` holds the mvins still in place.  `cells` files each of them
+    under every cell its memory intervals cover: per space, the DIM-row tiles
+    of a scratchpad or accumulator interval, and the tile None for a DRAM
+    interval or one wider than any move (an unknown pitch, a compute before
+    any preload).  A write tests only the mvins filed under the tiles it
+    covers and under None; a write filed under None tests its whole space.
+    """
 
     dim: int = DIM_DEFAULT
     state: ScanState = field(default_factory=ScanState)
@@ -170,6 +179,14 @@ class PeepholeContext:
     weights: tuple[Interval, ...] = ()  # the memory the last preload latched from
     weights_clean: bool = False
     seen_mvins: set[tuple] = field(default_factory=set)
+    cells: dict[str, dict[int | None, set[tuple]]] = field(default_factory=dict)  # space -> tile -> keys
+
+    def tiles(self, iv: Interval) -> Sequence[int | None]:
+        """The row tiles an interval covers, from one end's tile to the other's; or (None,)."""
+        first, last = sorted((iv[1], iv[2] - 1))  # an inverted interval still overlaps across its ends
+        if iv[0].startswith("dram:") or last - first >= self.dim * MAX_BLOCK_LEN_DEFAULT:
+            return (None,)
+        return range(first // self.dim, last // self.dim + 1)
 
     def admit(self, ins: Instruction) -> bool:
         """Walk past one instruction other than a preload.
@@ -188,12 +205,27 @@ class PeepholeContext:
             self.weights_clean = False  # a transpose change would alter relatched weights
         mem = tuple(_memory_only(writes))
         if mem:
-            self.seen_mvins -= {seen for seen in self.seen_mvins if _any_overlap(mem, seen[-1])}
+            for write in mem:
+                self._forget_overlapping(write)
             if _any_overlap(mem, self.weights):
                 self.weights_clean = False
         if key is not None:
             self.seen_mvins.add(key)
+            for iv in key[-1]:
+                for tile in self.tiles(iv):
+                    self.cells.setdefault(iv[0], {}).setdefault(tile, set()).add(key)
         return True
+
+    def _forget_overlapping(self, write: Interval) -> None:
+        """Drop every remembered mvin whose memory the write overlaps, from the set and from every cell."""
+        by_tile = self.cells.get(write[0], {})
+        tiles = self.tiles(write)
+        near = by_tile.values() if tiles[0] is None else [by_tile[t] for t in (*tiles, None) if t in by_tile]
+        for victim in [seen for seen in set().union(*near) if any(_overlap(write, iv) for iv in seen[-1])]:
+            self.seen_mvins.remove(victim)
+            for iv in victim[-1]:
+                for tile in self.tiles(iv):
+                    self.cells[iv[0]][tile].remove(victim)
 
 
 def peephole_block(block: Block, ctx: PeepholeContext) -> Block:

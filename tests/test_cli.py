@@ -231,6 +231,20 @@ def test_simulate_is_deterministic(tmp_path):
     assert len(json.loads(payloads[0])["cases"]) == 2
 
 
+def test_simulate_refuses_an_invalid_program_before_building_cases(tmp_path, capsys, monkeypatch):
+    program = tmp_path / "mm1.txt"
+    program.write_text(golden_program("mm1").replace("mvin(Ad, Ad_sp, 4, 4);", "mvin(Ad, Ad_sp, 4, 5);", 1))
+    calls = []
+    for name in ("generate_testcases", "machine_for_cases"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert dispatch(["simulate", "--program", str(program), "--kernel", "mm1", "--n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "case 0: execution failed: instruction 4: rows_exceed_dim: mvin rows 5 must be in 1..4\n"
+    )
+    assert calls == []
+
+
 # -- translate -------------------------------------------------------------------
 
 

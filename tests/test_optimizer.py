@@ -2,7 +2,7 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_program
@@ -11,6 +11,7 @@ from ta_lift.costs import program_cost
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.gateway import ReplayBackend
 from ta_lift.isa import (
+    MAX_BLOCK_LEN_DEFAULT,
     SENTINEL,
     Activation,
     ComputePreloaded,
@@ -26,7 +27,9 @@ from ta_lift.isa import (
     PreloadZeros,
     Program,
     ScanState,
+    Space,
     footprint,
+    stride_elems,
 )
 from ta_lift.kernels import generate_testcases, verify_program
 from ta_lift.optimizer import (
@@ -45,6 +48,11 @@ from ta_lift.optimizer import (
 )
 from ta_lift.program_text import parse_program, render_program
 from ta_lift.prompts import build_block_optimize_prompt, build_reorder_prompt
+from test_case_axis import workloads
+from test_instruction_table import one_field_mutations
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def parsed_golden(name):
@@ -172,6 +180,14 @@ def test_private_register_writes_do_not_serialize():
 # -- segmentation and dependences against the first-written oracle --------------
 
 
+def _memory(intervals):
+    return [iv for iv in intervals if not iv[0].startswith("reg:")]
+
+
+def _overlaps(xs, ys):
+    return any(x[0] == y[0] and x[1] < y[2] and y[1] < x[2] for x in xs for y in ys)
+
+
 def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
     """Block sizes and edges as the optimizer first computed them.
 
@@ -183,15 +199,9 @@ def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
     state = ScanState()
     effects = [footprint(ins, state, 4) for ins in instructions]
 
-    def memory(intervals):
-        return [iv for iv in intervals if not iv[0].startswith("reg:")]
-
-    def overlap(xs, ys):
-        return any(x[0] == y[0] and x[1] < y[2] and y[1] < x[2] for x in xs for y in ys)
-
     def first_consumer(index):
-        writes = memory(effects[index][1])
-        later = (at for at in range(index + 1, len(instructions)) if overlap(writes, memory(effects[at][0])))
+        writes = _memory(effects[index][1])
+        later = (at for at in range(index + 1, len(instructions)) if _overlaps(writes, _memory(effects[at][0])))
         return next(later, len(instructions))
 
     cuts = []
@@ -229,7 +239,7 @@ def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
     for i, (a_reads, a_writes, _, _) in enumerate(blocks):
         for j in range(i + 1, len(blocks)):
             b_reads, b_writes = blocks[j][:2]
-            if overlap(a_writes, b_reads) or overlap(a_reads, b_writes) or overlap(a_writes, b_writes):
+            if _overlaps(a_writes, b_reads) or _overlaps(a_reads, b_writes) or _overlaps(a_writes, b_writes):
                 edges.add((i, j))
     for reg in {reg for block in blocks for reg in block[2]}:
         writers = [i for i, block in enumerate(blocks) if reg in block[3]]
@@ -364,10 +374,191 @@ def test_peephole_never_removes_computes():
         assert before == after
 
 
+# -- the remembered-mvin index against the scan it replaced ------------------------
+
+
+class ScanContext(PeepholeContext):
+    """The first-written `admit`: every memory write tests every remembered mvin."""
+
+    def admit(self, ins):
+        reads, writes = footprint(ins, self.state, self.dim)
+        key = None
+        if isinstance(ins, Mvin) and not (ins.local.space is Space.ACCUMULATOR and ins.local.accumulate):
+            key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory(reads), *writes))
+            if key in self.seen_mvins:
+                return False
+        if isinstance(ins, ConfigEx):
+            self.weights_clean = False
+        mem = tuple(_memory(writes))
+        if mem:
+            self.seen_mvins -= {seen for seen in self.seen_mvins if _overlaps(mem, seen[-1])}
+            if _overlaps(mem, self.weights):
+                self.weights_clean = False
+        if key is not None:
+            self.seen_mvins.add(key)
+        return True
+
+
+def _expected_cells(ctx: PeepholeContext) -> dict:
+    """The index rebuilt from the remembered mvins: DIM-row tiles, or None for DRAM and wide spans."""
+    cells = {}
+    for key in ctx.seen_mvins:
+        for space, start, end in key[-1]:
+            low, high = min(start, end - 1), max(start, end - 1)
+            wide = space.startswith("dram:") or high - low >= ctx.dim * MAX_BLOCK_LEN_DEFAULT
+            for tile in [None] if wide else range(low // ctx.dim, high // ctx.dim + 1):
+                cells.setdefault(space, {}).setdefault(tile, set()).add(key)
+    return cells
+
+
+def _filed(cells: dict) -> dict:
+    """The index without the cells it has emptied."""
+    return {space: filed for space, tiles in cells.items() if (filed := {t: keys for t, keys in tiles.items() if keys})}
+
+
+def _context_state(ctx: PeepholeContext) -> tuple:
+    return ctx.seen_mvins, ctx.weights, ctx.weights_clean, ctx.last_preload, ctx.state
+
+
+def assert_index_agrees_with_scan(instructions, dim: int = 4) -> list[bool]:
+    """Walk both contexts one instruction at a time, as `peephole_block` does, and
+    `dedup_mvins` over the whole program; returns which instructions the walk kept.
+
+    Preloads take `peephole_block`'s own rules through one-instruction blocks.
+    An instruction without a table entry ends the walk: both must raise on it.
+    """
+    index, scan = PeepholeContext(dim=dim), ScanContext(dim=dim)
+    kept = []
+    for ins in instructions:
+        try:
+            want = peephole_block(Block(0, (ins,)), scan).instructions
+        except KeyError:  # no table entry: an unknown type or load channel
+            with pytest.raises(KeyError):
+                peephole_block(Block(0, (ins,)), index)
+            break
+        assert peephole_block(Block(0, (ins,)), index).instructions == want, ins
+        assert _context_state(index) == _context_state(scan), ins
+        assert _filed(index.cells) == _expected_cells(index), ins
+        kept.append(bool(want))
+    else:
+        scan = ScanContext(dim=dim)
+        assert dedup_mvins(tuple(instructions), dim) == tuple(ins for ins in instructions if scan.admit(ins))
+    return kept
+
+
+def test_index_agrees_with_the_scan_on_goldens_and_naive_programs(naive_programs):
+    for name in sorted(KERNELS):
+        for program in (parsed_golden(name)[1], naive_programs[name][1]):
+            kept = assert_index_agrees_with_scan(program.instructions)
+            assert len(kept) == len(program.instructions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
+def test_index_agrees_with_the_scan_on_synthetic_programs(seed, n):
+    assert_index_agrees_with_scan(_synthetic_program(seed, n).instructions)
+
+
+@_PROPERTY
+@given(workloads())
+def test_index_agrees_with_the_scan_on_random_workloads(workload):
+    assert_index_agrees_with_scan(workload[0].instructions)
+
+
+@_PROPERTY
+@given(one_field_mutations())
+def test_index_agrees_with_the_scan_on_one_field_mutations(mutation):
+    program, dim, _ = mutation
+    assert_index_agrees_with_scan(program.instructions, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["spad", "acc", "dram:x"]),
+    st.integers(-40, 40), st.integers(-8, 20), st.integers(-40, 40), st.integers(-8, 20),
+    st.sampled_from([1, 2, 4, 16]),
+)
+@example("spad", 5, -3, 0, 10, 4)  # rows 5 down to 2 overlap rows 0..10
+def test_overlapping_intervals_share_a_cell(space, a, a_rows, c, c_rows, dim):
+    """Inverted and empty intervals included: overlap means a tile in common, or None on one side."""
+    ctx = PeepholeContext(dim=dim)
+    x, y = (space, a, a + a_rows), (space, c, c + c_rows)
+    if _overlaps([x], [y]):
+        tx, ty = set(ctx.tiles(x)), set(ctx.tiles(y))
+        assert tx & ty or None in tx | ty
+
+
+_X, _Y = DramRef("x", 0), DramRef("y", 0)
+_LOAD = Mvin(0, _X, LocalAddr(0), 4, 4)
+
+
+@pytest.mark.parametrize(
+    "instructions, kept",
+    [
+        pytest.param(  # unset, then not whole elements: the source spans all of x
+            (_LOAD, _LOAD, ConfigLd(6, 0), Mvin(0, _X, LocalAddr(16), 4, 4), ConfigSt(16),
+             Mvout(DramRef("x", 400), LocalAddr(ACC), 4, 4), _LOAD, Mvin(0, _X, LocalAddr(16), 4, 4)),
+            [True, False, True, True, True, True, True, True],
+            id="mvin-under-unknown-pitch",
+        ),
+        pytest.param(  # the accumulator write has no latched rows, so it spans the accumulator
+            (ConfigLd(16, 0), Mvin(0, _X, LocalAddr(ACC | 64), 4, 4), _LOAD,
+             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4),
+             Mvin(0, _X, LocalAddr(ACC | 64), 4, 4), _LOAD),
+            [True, True, True, True, True, False],
+            id="compute-before-any-preload",
+        ),
+        pytest.param(  # rows 0..12 on three tiles; row 9 is in the last, row 12 past it
+            (ConfigLd(48, 0), Mvin(0, _X, LocalAddr(0), 12, 4), Mvin(0, _Y, LocalAddr(12), 4, 1),
+             Mvin(0, _X, LocalAddr(0), 12, 4), Mvin(0, _Y, LocalAddr(9), 4, 1), Mvin(0, _X, LocalAddr(0), 12, 4)),
+            [True, True, True, False, True, True],
+            id="destination-over-several-tiles",
+        ),
+        pytest.param(  # wider than any move: rows 0..100, filed under None
+            (ConfigLd(400, 0), Mvin(0, _X, LocalAddr(0), 100, 4), Mvin(0, _Y, LocalAddr(200), 4, 4),
+             Mvin(0, _X, LocalAddr(0), 100, 4), Mvin(0, _Y, LocalAddr(40), 4, 1), Mvin(0, _X, LocalAddr(0), 100, 4)),
+            [True, True, True, False, True, True],
+            id="oversized-destination",
+        ),
+        pytest.param(
+            (ConfigLd(16, 0), ConfigSt(16), _LOAD, Mvout(_Y, LocalAddr(ACC), 4, 4), _LOAD,
+             Mvout(DramRef("x", 12), LocalAddr(ACC), 4, 4), _LOAD),
+            [True, True, True, True, False, True, True],
+            id="mvout-onto-a-buffer-an-mvin-read",
+        ),
+        pytest.param(
+            (ConfigLd(16, 0), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4), _LOAD,
+             Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),
+             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4),
+             Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),
+             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4)),
+            [True, True, True, True, True, False, True, True, True],
+            id="accumulator-mvin-overwritten-by-a-compute",
+        ),
+        pytest.param(
+            (ConfigLd(16, 0), _LOAD, ConfigLd(32, 0), _LOAD, ConfigLd(32, 0), _LOAD, ConfigLd(16, 0), _LOAD),
+            [True, True, True, True, True, False, True, True],
+            id="stride-change-between-equal-mvins",
+        ),
+    ],
+)
+def test_index_hard_cases(instructions, kept):
+    assert assert_index_agrees_with_scan(instructions) == kept
+
+
+def test_rules_mode_peephole_tests_only_the_mvins_a_write_can_reach(naive_programs, monkeypatch):
+    """The scan tested every remembered mvin on every write: 67 762 overlap tests here."""
+    blocks = [segment_blocks(program) for _, program in naive_programs.values()]
+    calls = []
+    monkeypatch.setattr(optimizer, "_overlap", lambda a, b: calls.append(1) or _overlaps([a], [b]))
+    for program_blocks in blocks:
+        ctx = PeepholeContext()
+        for block in program_blocks:
+            peephole_block(block, ctx)
+    assert 0 < len(calls) <= 5000
+
+
 # -- ordering ----------------------------------------------------------------
-
-_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
 
 @cache
 def golden_setup(name):
