@@ -131,17 +131,50 @@ def load_completion(directory: Path, prompt: Prompt, params: GenerationParams, i
 
 
 def _default_post(url: str, headers: dict[str, str], payload: dict, timeout: float) -> tuple[int, dict]:
-    import requests
+    """POST `payload` as JSON; the status and the JSON body, or {"raw": text} for a body that is not JSON."""
+    # Imported here, as only this backend needs them: at start-up they cost a replay run about 3 MB.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     try:
-        response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.Timeout as err:
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as err:
+        status, raw = err.code, err.read()
+    except TimeoutError as err:
         raise BackendTimeout(str(err)) from err
+    except urllib.error.URLError as err:
+        if isinstance(err.reason, TimeoutError):
+            raise BackendTimeout(str(err.reason)) from err
+        raise BackendError(0, str(err.reason)) from err
+    except (OSError, ValueError, http.client.HTTPException) as err:  # ValueError: a URL urllib cannot use
+        raise BackendError(0, str(err) or type(err).__name__) from err
+    text = raw.decode("utf-8", errors="replace")
     try:
-        body = response.json()
-    except ValueError:
-        body = {"raw": response.text}
-    return response.status_code, body
+        body = json.loads(text)
+    except (ValueError, RecursionError):
+        body = {"raw": text}
+    return status, body
+
+
+def _reply_texts(status: int, body: object, n: int) -> list[str]:
+    """The message content of the first `n` choices of a chat-completions body; BackendError names what is missing."""
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not isinstance(choices, list):
+        raise BackendError(status, "reply is not a JSON object with a 'choices' list")
+    if len(choices) < n:
+        raise BackendError(status, f"expected {n} choices, got {len(choices)}")
+    texts = []
+    for index, choice in enumerate(choices[:n]):
+        message = choice.get("message") if isinstance(choice, dict) else None
+        content = message.get("content") if isinstance(message, dict) else None
+        if not isinstance(content, str):
+            raise BackendError(status, f"choice {index} is not an object whose 'message' object has a string "
+                                       "'content'")
+        texts.append(content)
+    return texts
 
 
 @dataclass
@@ -189,19 +222,9 @@ class HttpBackend:
                 raise BackendError(status, _canonical(body))
             self.sleep(self.backoff * (2**attempt))
 
-        choices = body.get("choices", [])
-        if len(choices) < params.n_samples:
-            raise BackendError(200, f"expected {params.n_samples} choices, got {len(choices)}")
+        texts = _reply_texts(status, body, params.n_samples)
         usage = body.get("usage")
-        return [
-            Completion(
-                text=choice.get("message", {}).get("content", ""),
-                backend_id=f"http:{model}",
-                cached=False,
-                usage=usage,
-            )
-            for choice in choices[: params.n_samples]
-        ]
+        return [Completion(text=text, backend_id=f"http:{model}", cached=False, usage=usage) for text in texts]
 
 
 class ReplayBackend:

@@ -26,8 +26,8 @@ Programs in the golden emitter's and `render_program`'s format are plain
 throughout, so `parse_program` reads text with one regex match per line for
 as long as each line is plain: blank, a comment, a `static uint32_t NAME =
 OPERAND;` declaration or a call whose operands are each a name, a decimal
-or hex literal, or `atom + atom`.  It resolves them by the token parser's
-rules.  At the first line it does not accept, or that the token parser
+or hex literal, or `atom + atom`.  Both parsers resolve operands with
+`_resolve`.  At the first line it does not accept, or that the token parser
 would refuse, it hands the rest of the text, with the symbols and
 instructions so far, to the tokenizer and the token parser, so every error
 and its line are theirs.  Text in the prompt examples' format (a `void
@@ -41,7 +41,7 @@ import operator
 import re
 import string
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
 from .isa import (
     BY_MNEMONIC,
@@ -83,8 +83,7 @@ class UnboundSymbolError(ProgramSyntaxError):
 
 
 class NonConstantLoopBoundError(ProgramSyntaxError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(line, reason)
+    """A loop bound, step or unrolled size the parser refuses."""
 
 
 _PUNCT = (
@@ -175,7 +174,9 @@ def _number(tok: str) -> int:
 
 _DATAFLOWS = {d.value: d for d in Dataflow}
 _ACTIVATIONS = {a.value: a for a in Activation}
-_NAMED_OPERANDS = {"dataflow": _DATAFLOWS, "activation": _ACTIVATIONS}
+# The words each operand kind reads as values.  A dataflow or an activation is one word; a flag is one of its
+# words or, as every other operand is, an expression.
+_WORDS = {"dataflow": _DATAFLOWS, "activation": _ACTIVATIONS, "flag": {"true": True, "false": False}}
 _KEYWORDS = {"static", "uint32_t", "int", "for", "if", "else", "void", "sizeof", "float", "true", "false"}
 
 # Binary operators by precedence, all left-associative, as in C.
@@ -346,7 +347,7 @@ class _Parser:
             raise self.error("DRAM operand must start with a buffer name")
         if name not in self.buffers:
             # A declared symbol is not a buffer; anything else is unbound.
-            if name in self.symbols or self._in_scope(name):
+            if name in self.symbols or any(name in scope for scope in self.scopes):
                 raise self.error(f"'{name}' is not a declared buffer")
             raise UnboundSymbolError(self.lines[at], name)
         self.pos += 1
@@ -358,9 +359,6 @@ class _Parser:
         if offset < 0:
             raise self.error(f"negative DRAM offset {offset} for buffer '{name}'", at)
         return DramRef(name, offset)
-
-    def _in_scope(self, name: str) -> bool:
-        return any(name in s for s in self.scopes)
 
     # -- statements ---------------------------------------------------------
 
@@ -526,37 +524,47 @@ class _Parser:
         if spec is None:
             raise UnknownFunctionError(self.lines[at], name)
         self.pos += 2  # the name and its '('
-        operands = []
-        for _, kind in spec.operands:
-            if operands:
-                self.expect(",")
-            operands.append(self._operand(kind))
+        starts: list[int] = []
+        values = _resolve(spec.operands, (self._raw_operand(kind, starts) for _, kind in spec.operands))
+        if isinstance(values, str):
+            raise self.error(values, starts[-1])
         self.expect(")")
         self.expect(";")
-        self.out.append(spec.build(*operands))
+        self.out.append(spec.build(*values))
 
-    def _operand(self, kind: str) -> DramRef | LocalAddr | Dataflow | Activation | bool | int:
+    def _raw_operand(self, kind: str, starts: list[int]) -> object:
+        """The next operand as `_resolve` takes it, after a comma unless first; `starts` gets its first token."""
+        if starts:
+            self.expect(",")
+        starts.append(self.pos)
         if kind == "dram":
             return self.parse_dram_ref()
-        at = self.pos
-        if kind in _NAMED_OPERANDS:
-            word = self.next()
-            if word not in _NAMED_OPERANDS[kind]:
-                raise self.error(f"unknown {kind} '{word}'", at)
-            return _NAMED_OPERANDS[kind][word]
-        if kind == "flag" and self.toks[at] in ("true", "false"):
-            self.pos += 1
-            return self.toks[at] == "true"
-        value = self.parse_expr()
-        if kind == "local":
-            if value < 0 or value > 0xFFFFFFFF:
-                raise self.error(f"local address {value:#x} outside 32-bit range", at)
-            return LocalAddr(value)
-        if kind == "flag":
-            return bool(value)
-        if value < 0 and kind != "channel":
-            raise self.error(f"{kind} must be non-negative, got {value}", at)
-        return value
+        if kind in _WORDS and (kind != "flag" or self.toks[self.pos] in _WORDS[kind]):
+            return self.next()
+        return self.parse_expr()
+
+
+def _resolve(operands: tuple[tuple[str, str], ...], raws: Iterable[object]) -> list[object] | str:
+    """The values of a call's (field, kind) `operands` from raw ones, or why the first that fails is refused.
+
+    A raw operand is a DramRef, a word or an integer.  Raws after a refused one are not read.
+    """
+    values = []
+    for (_, kind), raw in zip(operands, raws):
+        if raw.__class__ is str:
+            if raw not in _WORDS[kind]:
+                return f"unknown {kind} '{raw}'"
+            raw = _WORDS[kind][raw]
+        elif kind == "local":
+            if raw < 0 or raw > 0xFFFFFFFF:
+                return f"local address {raw:#x} outside 32-bit range"
+            raw = LocalAddr(raw)
+        elif kind == "flag":
+            raw = bool(raw)
+        elif raw.__class__ is int and raw < 0 and kind != "channel":
+            return f"{kind} must be non-negative, got {raw}"
+        values.append(raw)
+    return values
 
 
 # A line that holds one plain statement, or none: a `static uint32_t` declaration
@@ -624,27 +632,25 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
         operands = _PLAIN_OPERAND.findall(args or "")
         if spec is None or len(operands) != len(spec.operands):
             return number
-        values: list[object] = []
+        raws: list[object] = []
         for (_, kind), (head, tail) in zip(spec.operands, operands):
             if kind == "dram":
                 extra = atoms[tail]
                 if head not in buffers or extra is None:
                     return number
-                values.append(DramRef(head, extra))
-            elif kind in _NAMED_OPERANDS:
-                if tail or head not in _NAMED_OPERANDS[kind]:
-                    return number
-                values.append(_NAMED_OPERANDS[kind][head])
-            elif kind == "flag" and head in ("true", "false"):
+                raws.append(DramRef(head, extra))
+            elif kind in _WORDS and (kind != "flag" or head in _WORDS[kind]):
                 if tail:
                     return number
-                values.append(head == "true")
+                raws.append(head)
             else:
                 value, extra = atoms[head], atoms[tail]
-                if value is None or extra is None or kind == "local" and value + extra > 0xFFFFFFFF:
+                if value is None or extra is None:
                     return number
-                value += extra
-                values.append(LocalAddr(value) if kind == "local" else bool(value) if kind == "flag" else value)
+                raws.append(value + extra)
+        values = _resolve(spec.operands, raws)
+        if isinstance(values, str):
+            return number
         out.append(spec.build(*values))
     return len(rows)
 

@@ -9,6 +9,7 @@ so equal inputs always produce byte-identical prompts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -56,6 +57,7 @@ _ISA_HEADER = "The set of available functions for the Gemmini accelerator are as
 _SOURCE_HEADER = "Below we describe the functions present in the input code."
 
 
+@functools.cache
 def _asset(relative: str) -> str:
     return (resources.files("ta_lift") / "assets" / relative).read_text()
 
@@ -71,24 +73,18 @@ def instruction_text(name: str) -> str:
 def example_text(name: str, annotated: bool = True) -> str:
     if name not in EXAMPLE_NAMES:
         raise MissingExample(f"no in-context example named '{name}'")
-    variant = "annotated" if annotated else "stripped"
-    return _asset(f"examples/{name}_{variant}.txt").strip("\n")
+    text = _asset(f"examples/{name}.txt").strip("\n")
+    return text if annotated else strip_comments(text)
 
 
 def strip_comments(text: str) -> str:
     """Drop `//` commentary: inline comments are cut, comment lines vanish."""
     out = []
     for line in text.splitlines():
-        if "//" in line:
-            head = line.split("//", 1)[0].rstrip()
-            if head:
-                out.append(head)
-        else:
-            out.append(line.rstrip())
-    stripped = "\n".join(out)
-    if text.endswith("\n"):
-        stripped += "\n"
-    return stripped
+        head, cut, _ = line.partition("//")
+        if head.strip() or not cut:
+            out.append(head.rstrip())
+    return "\n".join(out) + ("\n" if text.endswith("\n") else "")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
-"""Shared replay-fixture builders used by the CLI and acceptance tests."""
+"""Shared replay-fixture builders used by the CLI and acceptance tests, and a loopback HTTP server."""
 
 import json
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+
+import pytest
 
 from ta_lift.fixtures import golden_program, kernel
 from ta_lift.harness import Ablation
@@ -101,3 +106,38 @@ def schedule_bundle(directory: Path) -> tuple[Path, Path]:
     second = extend_prompt(first, TILE_REPLY, feedback_applied(tiled, locality_cost(tiled)))
     fixtures = {first.fingerprint: [TILE_REPLY], second.fingerprint: [DONE_REPLY]}
     return kernel_file, write_json(directory / "schedule_fixtures.json", fixtures)
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers a POST with the reply scripted for its path: (status, body bytes, seconds to wait first)."""
+
+    def do_POST(self) -> None:
+        request = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts.append((self.path, dict(self.headers), json.loads(request)))
+        status, body, delay = self.server.replies[self.path]
+        time.sleep(delay)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            pass  # the client stopped waiting
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def loopback_server():
+    """An HTTP server on a free loopback port that answers from its `replies` and records its `posts`."""
+    server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.posts = {}, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,28 @@ def test_malformed_cache_record_is_a_backend_error(tmp_path, capsys, record):
     assert dispatch(["translate", "--kernel", "gv1", "--backend", "replay", "--cache", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("backend error: ") and str(path) in err
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("base", ["http://127.0.0.1:{port}/v1", "127.0.0.1:{port}/v1"],
+                         ids=["closed-port", "no-scheme"])
+def test_unreachable_http_endpoint_is_a_backend_error(monkeypatch, capsys, base):
+    monkeypatch.setenv("TA_LIFT_API_BASE", base.format(port=_closed_port()))
+    assert dispatch(["translate", "--kernel", "mm1", "--backend", "http"]) == 3
+    assert capsys.readouterr().err.startswith("backend error: ")
+
+
+def test_malformed_http_reply_is_a_backend_error(monkeypatch, capsys, loopback_server):
+    loopback_server.replies["/v1/chat/completions"] = (200, b'{"choices": [{"message": null}]}', 0)
+    monkeypatch.setenv("TA_LIFT_API_BASE", f"http://127.0.0.1:{loopback_server.server_port}/v1")
+    assert dispatch(["translate", "--kernel", "mm1", "--backend", "http", "--n", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: ") and "'message'" in err
 
 
 def test_consecutive_dispatches_see_their_own_defaults(monkeypatch):
@@ -485,11 +508,17 @@ def test_schedule_rejects_too_deep_kernel(tmp_path, capsys, text):
 # -- console entry point ---------------------------------------------------------
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a child interpreter, with this checkout's `src` on its PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_entry_point_help_via_subprocess():
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.argv = ['ta-lift', '--help']; from ta_lift.cli import main; main()"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0
     assert "ta-lift" in result.stdout
@@ -497,10 +526,8 @@ def test_entry_point_help_via_subprocess():
 
 @pytest.mark.parametrize("module", ["ta_lift.cli", "ta_lift"])
 def test_module_entry_points_run_the_cli(module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", module, "verify", "--kernel", "nope"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 2, result.stderr

@@ -1,4 +1,4 @@
-"""Backend behavior: keys, cache hits, replay misses, retry policy."""
+"""Backend behavior: keys, cache hits, replay misses, retry policy, the HTTP transport."""
 
 import json
 
@@ -6,12 +6,14 @@ import pytest
 
 from ta_lift.gateway import (
     BackendError,
+    BackendTimeout,
     CacheBackend,
     Completion,
     GenerationParams,
     HttpBackend,
     ReplayBackend,
     ReplayMiss,
+    _default_post,
     cache_key,
     load_completion,
     params_hash,
@@ -220,3 +222,61 @@ def test_http_backend_rejects_short_choice_list():
     backend = make_http(post)
     with pytest.raises(BackendError):
         backend.complete(sample_prompt(), GenerationParams(n_samples=2))
+
+
+@pytest.mark.parametrize("body", [[], {"choices": ["x"]}, {"choices": [{"message": None}]},
+                                  {"choices": [{"message": {"content": 5}}]}, {"raw": "<html>"}],
+                         ids=["list", "string-choice", "null-message", "numeric-content", "not-json"])
+def test_http_backend_rejects_malformed_reply_bodies(body):
+    backend = make_http(lambda url, headers, payload, timeout: (200, body))
+    with pytest.raises(BackendError) as excinfo:
+        backend.complete(sample_prompt(), GenerationParams(n_samples=1))
+    assert excinfo.value.status == 200
+    assert "choice" in excinfo.value.body
+
+
+# -- the standard-library transport, against a loopback server --------------------
+
+
+def test_default_post_sends_json_and_reads_a_json_reply(loopback_server):
+    loopback_server.replies["/ok"] = (200, json.dumps(openai_body(["hi"])).encode(), 0)
+    url = f"http://127.0.0.1:{loopback_server.server_port}/ok"
+    status, body = _default_post(url, {"Content-Type": "application/json", "Authorization": "Bearer k"},
+                                 {"n": 1}, 5.0)
+    assert (status, body) == (200, openai_body(["hi"]))
+    [(path, headers, payload)] = loopback_server.posts
+    assert (path, payload, headers["Authorization"]) == ("/ok", {"n": 1}, "Bearer k")
+
+
+def test_default_post_returns_a_server_error_body_and_the_backend_retries(loopback_server):
+    loopback_server.replies["/v1/chat/completions"] = (500, b'{"error": "boom"}', 0)
+    base = f"http://127.0.0.1:{loopback_server.server_port}/v1"
+    assert _default_post(base + "/chat/completions", {}, {}, 5.0) == (500, {"error": "boom"})
+    del loopback_server.posts[:]
+    backend = HttpBackend(base_url=base, sleep=lambda _: None)
+    with pytest.raises(BackendError) as excinfo:
+        backend.complete(sample_prompt(), GenerationParams(n_samples=1))
+    assert (excinfo.value.status, excinfo.value.body) == (500, '{"error":"boom"}')
+    assert len(loopback_server.posts) == backend.max_attempts
+
+
+def test_default_post_client_error_becomes_a_backend_error(loopback_server):
+    loopback_server.replies["/v1/chat/completions"] = (400, b'{"error": "bad model"}', 0)
+    backend = HttpBackend(base_url=f"http://127.0.0.1:{loopback_server.server_port}/v1", sleep=lambda _: None)
+    with pytest.raises(BackendError) as excinfo:
+        backend.complete(sample_prompt(), GenerationParams(n_samples=1))
+    assert excinfo.value.status == 400
+    assert "bad model" in excinfo.value.body
+    assert len(loopback_server.posts) == 1
+
+
+def test_default_post_keeps_a_body_that_is_not_json(loopback_server):
+    loopback_server.replies["/text"] = (200, b"<html>busy</html>", 0)
+    url = f"http://127.0.0.1:{loopback_server.server_port}/text"
+    assert _default_post(url, {}, {}, 5.0) == (200, {"raw": "<html>busy</html>"})
+
+
+def test_default_post_times_out(loopback_server):
+    loopback_server.replies["/slow"] = (200, b"{}", 0.6)
+    with pytest.raises(BackendTimeout):
+        _default_post(f"http://127.0.0.1:{loopback_server.server_port}/slow", {}, {}, 0.2)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from ta_lift import prompts
 from ta_lift.fixtures import golden_program, kernel, KERNELS
 from ta_lift.kernels import generate_testcases, verify_source
 from ta_lift.prompts import (
@@ -92,6 +95,67 @@ def test_nl_annotation_flag_strips_example_comments() -> None:
 @pytest.mark.parametrize("name", ["matvec", "matmat", "matmat_bias"])
 def test_stripped_asset_matches_strip_comments(name: str) -> None:
     assert example_text(name, annotated=False) == strip_comments(example_text(name, annotated=True))
+
+
+# The comment-free examples as they were stored before they were derived from the annotated ones: sha256 of the text.
+_STRIPPED_SHA256 = {
+    "matvec": "baeaabdcd129d2edd4f0208dcf22b617ecf4575b2279c59b36f1c3a851102072",
+    "matmat": "758b553802bec2104204bf12d025f52c9af780a45f7bedebf1b1f5a2a9d1b72d",
+    "matmat_bias": "07aadfad0e243f92d65565a173ce6457099b763cd4a55768d1b84c024b88ce06",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRIPPED_SHA256))
+def test_stripped_example_bytes_are_pinned(name: str) -> None:
+    digest = hashlib.sha256(example_text(name, annotated=False).encode("utf-8")).hexdigest()
+    assert digest == _STRIPPED_SHA256[name]
+
+
+# Fingerprints of the comment-free translation prompts at 1 and 2 shots; replay fixtures are keyed by them.
+_PLAIN_FINGERPRINTS = {
+    "gv1": ("dbdad424fc9ab70cefeba6358c28bfd9604a7a9d72650994b984d027c7a0d06a",
+            "7f3b19bf8bcf4a3924c72440645407763d28532437cb600777c6e8e4ef2a8598"),
+    "gv2": ("df36a63b0b81a163fa577e00ecfca7f75867edd47c4f3e95fd2477e9a4138229",
+            "057f3e4d488b0c240a4804e9dae55af89af53eaac517758e43995e1a98d992b5"),
+    "gv3": ("f39931e5465ba6398649321a89a513f4520a913a9a2e2d0a4ee8c32ef8637222",
+            "ad511af3eddbeaa092ccca884f826c30e34570cc7b479c45c41bc86a60f2094e"),
+    "gv4": ("4fc174ae0f3613c40f22a54137f112198aa60f2ad962eb9ab6155cacf0f58e69",
+            "aa5dbfd346b98ee0a66dd3a9b580924b12983af41405c0f0d3dc5ee85550eace"),
+    "mm1": ("6601324b8bb3bdbff21a43f05127c2868f88f41fed7dc18e732267f87bc4c6b6",
+            "beb8ef6826b39c8fd971bb50421a2534693f08daa9f21c6a8a2efccea1c2feae"),
+    "mm2": ("c0adf32dc131205e6745bdf2344dd7e859e7a5e41bd083f5577424c28558848f",
+            "4cbdf85bc2141c7fa404df236050292f44e4e88771d108e4df3ccb4e383b6fb5"),
+    "mm3": ("6ecf22766ac1f09664a215ed7ae96bf48e0bbb6f9c1f3913efdcdbae548c1423",
+            "bc8bf222c772860bad13e32f769f272fe6959ddb64eb2729225890e3b410be24"),
+    "mm4": ("0d91e87791173c78d6bfb209a924ad4ea8af835f45f343f615de2c63f29c70e3",
+            "972ccf26e7bfdd9d9eceee934c2a77bc54dbd63f98c7653c4a6e6049f23eb137"),
+    "mm5": ("86dbb432afcb4090c6cc9c43427dd7b22b14b443335e6867737e7cd2f791d10c",
+            "def9d1c79acd27e8e4b33547c14471b62b22312d881353af15db91c7e07a6ef7"),
+    "mm6": ("00aa429820af20decc3b8fe90ddd6664e2dc89fcdca16f9a16e8412a886f519c",
+            "e80eb799beac9c65fdd4e8837d7363702f5c3f3c9711c3a35d09cdbbffd42fe0"),
+    "mm7": ("0a669aacb1fab9df254f455d2fee62388b782aa7928838bea863328a025be8a8",
+            "3874e51a52d6f5890993b2d04cf5fae0b8955c083233a6584326ee8eaa8b73d6"),
+}
+
+
+def test_plain_translation_fingerprints_are_pinned() -> None:
+    assert sorted(_PLAIN_FINGERPRINTS) == sorted(KERNELS)
+    for name, pinned in _PLAIN_FINGERPRINTS.items():
+        found = tuple(build_translation_prompt(spec_for(name, shots=shots, nl_annotated=False)).fingerprint
+                      for shots in (1, 2))
+        assert found == pinned, name
+
+
+def test_assets_are_read_once(monkeypatch) -> None:
+    prompts._asset.cache_clear()
+    files = prompts.resources.files
+    reads = []
+    monkeypatch.setattr(prompts.resources, "files", lambda package: reads.append(package) or files(package))
+    spec = spec_for("mm1", shots=2, nl_annotated=False)
+    first = build_translation_prompt(spec)
+    assert len(reads) == 6  # the instructions, the ISA, two sources and two examples
+    assert build_translation_prompt(spec) == first
+    assert len(reads) == prompts._asset.cache_info().currsize == 6
 
 
 def test_nl_flag_is_irrelevant_at_zero_shots() -> None:
