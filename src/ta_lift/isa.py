@@ -32,6 +32,7 @@ from typing import Callable, Iterable
 DIM_DEFAULT = 4
 MAX_BLOCK_LEN_DEFAULT = 4  # an mvin or mvout moves at most this many DIM-wide tiles
 SENTINEL = 0xFFFFFFFF
+LOCAL_ADDR_MAX = 0xFFFFFFFF  # local addresses are 32-bit words
 ELEMENT_BYTES = 4
 
 _ACC_BIT = 1 << 31
@@ -83,7 +84,7 @@ class LocalAddr:
     raw: int
 
     def __post_init__(self) -> None:
-        if self.raw < 0 or self.raw > 0xFFFFFFFF:
+        if self.raw < 0 or self.raw > LOCAL_ADDR_MAX:
             raise AddressError(f"local address {self.raw:#x} outside 32-bit range")
 
     @staticmethod

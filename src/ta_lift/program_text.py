@@ -26,13 +26,14 @@ Programs in the golden emitter's and `render_program`'s format are plain
 throughout, so `parse_program` reads text with one regex match per line for
 as long as each line is plain: blank, a comment, a `static uint32_t NAME =
 OPERAND;` declaration or a call whose operands are each a name, a decimal
-or hex literal, or `atom + atom`.  Both parsers resolve operands with
-`_resolve`.  At the first line it does not accept, or that the token parser
-would refuse, it hands the rest of the text, with the symbols and
-instructions so far, to the tokenizer and the token parser, so every error
-and its line are theirs.  Text in the prompt examples' format (a `void
-test(...) {` wrapper, `sizeof`, `<<`, `|` or `*`) has no plain first line
-and goes to the token parser whole.
+or hex literal, or `atom + atom`.  The match captures each operand's atoms,
+and a reader compiled per mnemonic from `INSTRUCTIONS` turns them into the
+instruction.  At the first line it does not accept, or that the token parser
+would read otherwise or refuse, it hands the rest of the text, with the
+symbols and instructions so far, to the tokenizer and the token parser, so
+every error and its line are theirs.  Text in the prompt examples' format (a
+`void test(...) {` wrapper, `sizeof`, `<<`, `|` or `*`) has no plain first
+line and goes to the token parser whole.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ import operator
 import re
 import string
 import sys
+from functools import cache
 from typing import Callable, Iterable
 
 from .isa import (
     BY_MNEMONIC,
     ELEMENT_BYTES,
     INSTRUCTIONS,
+    LOCAL_ADDR_MAX,
     Activation,
     Dataflow,
     DramRef,
@@ -556,7 +559,7 @@ def _resolve(operands: tuple[tuple[str, str], ...], raws: Iterable[object]) -> l
                 return f"unknown {kind} '{raw}'"
             raw = _WORDS[kind][raw]
         elif kind == "local":
-            if raw < 0 or raw > 0xFFFFFFFF:
+            if raw < 0 or raw > LOCAL_ADDR_MAX:
                 return f"local address {raw:#x} outside 32-bit range"
             raw = LocalAddr(raw)
         elif kind == "flag":
@@ -568,18 +571,20 @@ def _resolve(operands: tuple[tuple[str, str], ...], raws: Iterable[object]) -> l
 
 
 # A line that holds one plain statement, or none: a `static uint32_t` declaration
-# of one operand or a call, each operand an atom or `atom + atom`, then perhaps a
-# comment.  No two runs of blanks are adjacent, so a line that fails to match
-# costs time linear in its length.
+# of one operand or a call of at most one operand more than any mnemonic takes,
+# each operand an atom or `atom + atom`, then perhaps a comment.  The groups are the
+# declared name, its (head, tail) atoms, the mnemonic and each call operand's (head,
+# tail).  No two runs of blanks are adjacent, so a failed match is linear in time.
 _S = "[ \t\r]*"
 _ATOM = "[A-Za-z0-9_]+"
-_OPERAND = rf"{_ATOM}(?:{_S}\+{_S}{_ATOM})?"
+_OPERAND = rf"({_ATOM})(?:{_S}\+{_S}({_ATOM}))?"
+_OPERANDS = _OPERAND
+for _ in range(max(len(spec.operands) for spec in INSTRUCTIONS)):
+    _OPERANDS = rf"{_OPERAND}(?:{_S},{_S}{_OPERANDS})?"
 _PLAIN_LINE = re.compile(
-    rf"{_S}(?:(?:static[ \t\r]+uint32_t[ \t\r]+([A-Za-z_][A-Za-z0-9_]*){_S}={_S}({_OPERAND})"
-    rf"|({_ATOM}){_S}\({_S}(?:({_OPERAND}(?:{_S},{_S}{_OPERAND})*){_S})?\)){_S};{_S})?(?://.*)?"
+    rf"{_S}(?:(?:static[ \t\r]+uint32_t[ \t\r]+([A-Za-z_][A-Za-z0-9_]*){_S}={_S}{_OPERAND}"
+    rf"|({_ATOM}){_S}\({_S}(?:{_OPERANDS}{_S})?\)){_S};{_S})?(?://.*)?"
 )
-# The operands of a plain line, each split into its one or two atoms.
-_PLAIN_OPERAND = re.compile(rf"({_ATOM}){_S}(?:\+{_S}({_ATOM}))?")
 _NUMBER = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
 
 
@@ -596,15 +601,56 @@ class _Atoms(dict):
         return value
 
 
+# How a reader reads each operand kind from its head and tail atoms `{h}` and `{t}`: its value `{v}` (an
+# atom that reads as None makes a sum raise TypeError), what refuses it and the argument.  Other kinds are counts.
+_SUM = "atoms[{h}] + atoms[{t}]"
+_READ_OPERAND = {
+    "dram": ("atoms[{t}]", "{v} is None or {h} not in buffers", "DramRef({h}, {v})"),
+    "local": (_SUM, f"not 0 <= {{v}} <= {LOCAL_ADDR_MAX}", "LocalAddr({v})"),
+    "flag": (f"FLAGS[{{h}}] if {{h}} in FLAGS else bool({_SUM})", "{t} and {h} in FLAGS", "{v}"),
+    "dataflow": ("DATAFLOWS.get({h})", "{v} is None or {t}", "{v}"),
+    "activation": ("ACTIVATIONS.get({h})", "{v} is None or {t}", "{v}"),
+    "channel": (_SUM, "", "{v}"),
+}
+_READ_COUNT = (_SUM, "{v} < 0", "{v}")
+_compile = cache(compile)  # mnemonics with the same operand kinds share one compiled reader
+
+
+def _reader(spec: InstructionSpec) -> Callable[[tuple[str, ...], _Atoms, dict], Instruction | None]:
+    """One function for the whole call, compiled from the entry's operand kinds.
+
+    It takes `_PLAIN_LINE`'s groups, "" for each missing one, and never raises: it returns None where `_Parser`
+    must read the line, such as for an unknown word, an unbound name or a wrong operand count."""
+    count = len(spec.operands)
+    # An operand past the last one the mnemonic takes, or a missing last one, refuses the line.
+    values, refusals, args = [], [f"g[{4 + 2 * count}]"] + [f"not g[{2 + 2 * count}]"] * bool(count), []
+    for i, (_, kind) in enumerate(spec.operands):
+        value, refusal, arg = (part.format(h=f"g[{4 + 2 * i}]", t=f"g[{5 + 2 * i}]", v=f"v{i}")
+                               for part in _READ_OPERAND.get(kind, _READ_COUNT))
+        values.append(f"v{i} = {value}")
+        refusals += [refusal] * bool(refusal)
+        args.append(arg)
+    source = (f"def read(g, atoms, buffers):\n try: {'; '.join(values) or 'pass'}\n except TypeError: return None\n"
+              f" if {' or '.join(refusals)}: return None\n return build({', '.join(args)})")
+    names = {"build": spec.build, "DramRef": DramRef, "LocalAddr": LocalAddr, "FLAGS": _WORDS["flag"],
+             "DATAFLOWS": _DATAFLOWS, "ACTIVATIONS": _ACTIVATIONS}
+    exec(_compile(source, "<reader>", "exec"), names)
+    return names["read"]
+
+
+_READERS = {spec.mnemonic: _reader(spec) for spec in INSTRUCTIONS}
+
+
 def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symbols: dict[str, int],
                       out: list[Instruction], atoms: _Atoms | None = None) -> int:
     """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
 
-    The lines may read the names already in `symbols`.  Stops, without
-    raising, at the first line that is not plain or that `_Parser` might
-    read otherwise or refuse, and leaves that line to it.  A line longer
-    than the shortest digit limit Python may apply to int() is left to it
-    too, so every number taken here converts.
+    The lines may read the names already in `symbols`.  A call line costs one
+    match and one call of its mnemonic's reader, or neither if taken since the
+    last declaration.  Stops, without raising, at the first line that is not
+    plain or that `_Parser` might read otherwise or refuse, and leaves that
+    line to it.  A line longer than the shortest digit limit Python may apply
+    to int() is left to it too, so every number taken here converts.
 
     `atoms`, when given, must hold `symbols` and is kept up to date with
     them; calls over the rows of one text that share it convert each number
@@ -612,46 +658,30 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
     """
     if atoms is None:
         atoms = _Atoms({**symbols, "": 0})
+    taken: dict[str, Instruction] = {}  # the call rows read since the last declaration
     for number, row in enumerate(rows):
-        match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
-        if not match:
-            return number
-        name, operand, mnemonic, args = match.groups()
-        if name is not None:
-            if name in buffers or name in _KEYWORDS:
+        ins = taken.get(row)
+        if ins is None:
+            match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
+            if not match:
                 return number
-            ((head, tail),) = _PLAIN_OPERAND.findall(operand)
-            value, extra = atoms[head], atoms[tail]
-            if value is None or extra is None:
-                return number
-            symbols[name] = atoms[name] = value + extra
-            continue
-        if mnemonic is None:
-            continue
-        spec = BY_MNEMONIC.get(mnemonic)
-        operands = _PLAIN_OPERAND.findall(args or "")
-        if spec is None or len(operands) != len(spec.operands):
-            return number
-        raws: list[object] = []
-        for (_, kind), (head, tail) in zip(spec.operands, operands):
-            if kind == "dram":
-                extra = atoms[tail]
-                if head not in buffers or extra is None:
-                    return number
-                raws.append(DramRef(head, extra))
-            elif kind in _WORDS and (kind != "flag" or head in _WORDS[kind]):
-                if tail:
-                    return number
-                raws.append(head)
-            else:
+            groups = match.groups("")
+            name, head, tail, mnemonic = groups[:4]
+            if name:
                 value, extra = atoms[head], atoms[tail]
-                if value is None or extra is None:
+                if name in buffers or name in _KEYWORDS or value is None or extra is None:
                     return number
-                raws.append(value + extra)
-        values = _resolve(spec.operands, raws)
-        if isinstance(values, str):
-            return number
-        out.append(spec.build(*values))
+                symbols[name] = atoms[name] = value + extra
+                taken.clear()
+                continue
+            if not mnemonic:
+                continue
+            reader = _READERS.get(mnemonic)
+            ins = reader and reader(groups, atoms, buffers)
+            if ins is None:
+                return number
+            taken[row] = ins
+        out.append(ins)
     return len(rows)
 
 

@@ -1286,6 +1286,11 @@ _SHORT_LINE = sys.int_info.str_digits_check_threshold
         ("fence();\nconfig_ex(SIDEWAYS, RELU, true, false);", 1),
         ("fence();\nconfig_ex(WEIGHT_STATIONARY + 1, RELU, true, false);", 1),
         ("fence();\nconfig_st(1, 2);\nconfig_ld(1);", 1),
+        # One operand more than the mnemonic takes, and one more than any takes.
+        ("fence();\nfence(1);", 1),
+        ("fence();\npreload(0, 0, 1, 1, 1, 1, 1);", 1),
+        ("fence();\npreload(0, 0, 1, 1, 1, 1, 1, 1);", 1),
+        ("fence();\ncompute_preloaded(0, 0, 1, 1, 1);", 1),
         ("fence();\nconfig_st(1 + 2 + 3);", 1),
         ("fence();\nstatic uint32_t x = 1, 2;", 1),
         ("fence();\nstatic uint32_t x = ;", 1),
@@ -1314,6 +1319,45 @@ def test_matcher_reads_the_symbols_it_is_given() -> None:
     assert (tuple(out), symbols) == (parsed.instructions, parsed.symbols)
 
 
+def test_matcher_leaves_negative_counts_and_locals_to_the_token_parser() -> None:
+    for row in ("config_st(s);", "preload_zeros(s);", "config_st(s + 3);"):
+        assert program_text._take_plain_lines([row], _TABLE, {"s": -4}, []) == 0
+    assert program_text._take_plain_lines(["config_ld(4, s);"], _TABLE, {"s": -4}, []) == 1
+
+
+def test_row_read_again_after_a_redeclaration_reads_the_new_value() -> None:
+    text = "static uint32_t x = 0;\nconfig_st(x);\nstatic uint32_t x = 4;\nconfig_st(x);\nconfig_st(x);"
+    assert _taken(text, {}) == 5
+    assert parse_program(text, {}).instructions == (ConfigSt(0), ConfigSt(4), ConfigSt(4))
+    assert_same_as_token_parse(text, {})
+
+
+def test_matcher_reads_each_distinct_call_row_once_between_declarations(monkeypatch) -> None:
+    calls = []
+
+    def counting(reader):
+        return lambda groups, atoms, buffers: calls.append(groups) or reader(groups, atoms, buffers)
+
+    monkeypatch.setattr(program_text, "_READERS", {m: counting(r) for m, r in program_text._READERS.items()})
+    repeated = 0
+    for name in KERNELS:
+        text = naive_program(golden_program(name))
+        rows, distinct, seen = 0, 0, set()
+        for row in text.split("\n"):
+            code = row.partition("//")[0].strip()
+            if code.startswith("static"):
+                seen.clear()
+            elif code:
+                rows += 1
+                distinct += row not in seen
+                seen.add(row)
+        calls.clear()
+        assert _taken(text, kernel(name).buffer_shapes()) == text.count("\n") + 1
+        assert len(calls) == distinct, name
+        repeated += rows - distinct
+    assert repeated > 0
+
+
 def test_truncated_golden_fails_at_the_same_line() -> None:
     text = golden_program("mm1")
     cut = text.index(",", len(text) // 2) + 1
@@ -1330,7 +1374,8 @@ def test_truncated_golden_fails_at_the_same_line() -> None:
 # plain line where blanks may stand.
 _BLANK_ROW_HEADS = ("", "fence();", "static", "static uint32_t x", "static uint32_t x =", "static uint32_t x = 1",
                     "static uint32_t x = 1 +", "fence", "fence(", "config_st(1", "config_st(1 +", "config_st(1 ,",
-                    "config_st(1)")
+                    "config_st(1)", "preload(1, 2, 3, 4, 5, 6 +", "preload(1, 2, 3, 4, 5, 6,",
+                    "preload(1, 2, 3, 4, 5, 6, 7", "static uint32_t x = 1 + 2")
 
 
 @pytest.mark.parametrize("head", _BLANK_ROW_HEADS)
@@ -1385,7 +1430,8 @@ def plain_texts(draw) -> tuple[str, dict[str, tuple[int, int]]]:
         elif shape == "call":
             spec = draw(st.sampled_from(INSTRUCTIONS))
             kinds = [kind for _, kind in spec.operands]
-            kinds = kinds[: len(kinds) + draw(st.sampled_from((0, 0, 0, 0, 0, -1)))]
+            change = draw(st.sampled_from((0, 0, 0, 0, 0, -1, +1, +2)))
+            kinds = kinds[: len(kinds) + change] if change <= 0 else kinds + ["count"] * change
             args = f"{draw(gap)},{draw(gap)}".join(operand(kind) for kind in kinds)
             row = f"{draw(gap)}{spec.mnemonic}{draw(gap)}({args}){draw(gap)};"
         else:
