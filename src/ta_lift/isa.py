@@ -35,10 +35,10 @@ SENTINEL = 0xFFFFFFFF
 LOCAL_ADDR_MAX = 0xFFFFFFFF  # local addresses are 32-bit words
 ELEMENT_BYTES = 4
 
-_ACC_BIT = 1 << 31
-_ACCUMULATE_BIT = 1 << 30
-_FULL_WIDTH_BIT = 1 << 29
-_ROW_MASK = (1 << 29) - 1
+ACC_BIT = 1 << 31
+ACCUMULATE_BIT = 1 << 30
+FULL_WIDTH_BIT = 1 << 29
+ROW_MASK = (1 << 29) - 1
 
 
 class Space(Enum):
@@ -65,15 +65,15 @@ class AddressError(ValueError):
 
 def encode_local_addr(space: Space, accumulate: bool, full_width: bool, row: int) -> int:
     """Pack a local address into its raw 32-bit form."""
-    if row < 0 or row > _ROW_MASK:
+    if row < 0 or row > ROW_MASK:
         raise AddressError(f"row {row} outside 29-bit range")
     raw = row
     if space is Space.ACCUMULATOR:
-        raw |= _ACC_BIT
+        raw |= ACC_BIT
     if accumulate:
-        raw |= _ACCUMULATE_BIT
+        raw |= ACCUMULATE_BIT
     if full_width:
-        raw |= _FULL_WIDTH_BIT
+        raw |= FULL_WIDTH_BIT
     return raw
 
 
@@ -93,19 +93,19 @@ class LocalAddr:
 
     @property
     def space(self) -> Space:
-        return Space.ACCUMULATOR if self.raw & _ACC_BIT else Space.SCRATCHPAD
+        return Space.ACCUMULATOR if self.raw & ACC_BIT else Space.SCRATCHPAD
 
     @property
     def accumulate(self) -> bool:
-        return bool(self.raw & _ACCUMULATE_BIT)
+        return bool(self.raw & ACCUMULATE_BIT)
 
     @property
     def full_width(self) -> bool:
-        return bool(self.raw & _FULL_WIDTH_BIT)
+        return bool(self.raw & FULL_WIDTH_BIT)
 
     @property
     def row(self) -> int:
-        return self.raw & _ROW_MASK
+        return self.raw & ROW_MASK
 
     @property
     def is_sentinel(self) -> bool:
@@ -429,6 +429,7 @@ def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]
     """Per type: the mnemonic messages name, the bounded fields and the address spaces.
 
     Bounds come by operand kind; the first mvin entry also bounds the channel the others fix.
+    Each address field carries the accumulator bit its memory needs.
     """
     extent = ("dimension_mismatch", 1, dim)
     limits = {
@@ -442,7 +443,9 @@ def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]
     for spec in INSTRUCTIONS:
         fields = spec.operands if spec.channel is None else (("channel", "channel"),) + spec.operands
         bounds = tuple((name,) + limits[kind] for name, kind in fields if kind in limits)
-        rules.setdefault(spec.type, (spec.mnemonic, bounds, spec.spaces))
+        spaces = tuple((name, ACC_BIT if space is Space.ACCUMULATOR else 0, space, sentinel_ok)
+                       for name, space, sentinel_ok in spec.spaces)
+        rules.setdefault(spec.type, (spec.mnemonic, bounds, spaces))
     return rules
 
 
@@ -472,9 +475,9 @@ def validate_instructions(indexed: Iterable[tuple[int, Instruction]], dim: int =
             if not lo <= value <= hi:
                 allowed = f"in {lo}..{hi}" if hi < inf else f"at least {lo}"
                 raise ValidationError(idx, kind, f"{mnemonic} {name} {value} must be {allowed}")
-        for name, space, sentinel_ok in spaces:
-            addr = getattr(ins, name)
-            if addr.space is not space and not (sentinel_ok and addr.is_sentinel):
+        for name, bit, space, sentinel_ok in spaces:
+            raw = getattr(ins, name).raw
+            if raw & ACC_BIT != bit and not (sentinel_ok and raw == SENTINEL):
                 allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
-                message = f"{mnemonic} {name} {addr.raw:#x} must address {allowed}"
+                message = f"{mnemonic} {name} {raw:#x} must address {allowed}"
                 raise ValidationError(idx, "wrong_address_space", message)

@@ -11,19 +11,31 @@ buffers, scratchpad, accumulator, latched weights) then carries the case
 axes in front, and each instruction runs once for all cases.  Every check
 depends only on the program and the configuration, never on the data, so a
 batched run fails exactly where each of its cases would fail alone.
+
+A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
+row length and the block lies inside the buffer) copies each DIM-wide tile
+with one 2-D slice.  Every other move goes row by row and checks each row
+before it moves, so a wrapped or overlapping block fails at the same row.
+Executors test local addresses on their raw bits, as `isa` lays them out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
     DIM_DEFAULT,
     ELEMENT_BYTES,
+    FULL_WIDTH_BIT,
     LOAD_CHANNELS,
     MAX_BLOCK_LEN_DEFAULT,
+    ROW_MASK,
+    SENTINEL,
     Activation,
     ComputeAccumulated,
     ComputePreloaded,
@@ -38,7 +50,6 @@ from .isa import (
     Preload,
     PreloadZeros,
     Program,
-    Space,
     ValidationError,
     validate_program,
 )
@@ -163,19 +174,42 @@ def _stride_elems(m: Machine, idx: int, stride_bytes: int | None, what: str) -> 
     return stride_bytes // ELEMENT_BYTES
 
 
-def _check_local_rows(m: Machine, idx: int, space: Space, row: int, nrows: int) -> None:
-    limit = m.config.acc_rows if space is Space.ACCUMULATOR else m.config.spad_rows
-    kind = "acc_out_of_range" if space is Space.ACCUMULATOR else "spad_out_of_range"
-    if row < 0 or row + nrows > limit:
-        raise ExecError(idx, kind, f"rows [{row}, {row + nrows}) exceed {limit}")
+def _rows_error(idx: int, acc_bit: int, row: int, nrows: int, limit: int) -> ExecError:
+    kind = "acc_out_of_range" if acc_bit else "spad_out_of_range"
+    return ExecError(idx, kind, f"rows [{row}, {row + nrows}) exceed {limit}")
 
 
-def _dram_flat(m: Machine, idx: int, buffer: str) -> np.ndarray:
-    """The buffer as one row of elements per case: a writable view."""
-    if buffer not in m.dram:
+def _dram(m: Machine, idx: int, buffer: str) -> np.ndarray:
+    arr = m.dram.get(buffer)
+    if arr is None:
         raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{buffer}'")
-    arr = m.dram[buffer]
-    return arr.reshape(arr.shape[:-2] + (-1,))
+    return arr
+
+
+def _tile_origin(arr: np.ndarray, offset: int, pitch: int, cols: int, rows: int) -> tuple[int, int] | None:
+    """The (row, column) a move starts at when each of its rows lies inside one row
+    of the buffer, so each tile is a 2-D slice; None when it must go row by row."""
+    buf_rows, buf_cols = arr.shape[-2:]
+    r0, c0 = divmod(offset, buf_cols)
+    if pitch == buf_cols and offset >= 0 and c0 + cols <= buf_cols and 0 < rows <= buf_rows - r0:
+        return r0, c0
+    return None
+
+
+def _row_moves(
+    idx: int, ins: Mvin | Mvout, pitch: int, size: int, dim: int, verb: str
+) -> Iterator[tuple[int, int, int]]:
+    """A move one row at a time, in order: (local row, first DRAM element, width),
+    each checked against the buffer's `size` elements before it is given."""
+    base_row = ins.local.raw & ROW_MASK
+    for t in range((ins.cols + dim - 1) // dim):
+        width = min(dim, ins.cols - t * dim)
+        for r in range(ins.rows):
+            start = ins.dram.offset + r * pitch + t * dim
+            if start < 0 or start + width > size:
+                message = f"{verb} [{start}, {start + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements"
+                raise ExecError(idx, "dram_out_of_range", message)
+            yield base_row + t * dim + r, start, width
 
 
 def _exec_config_ex(m: Machine, idx: int, ins: ConfigEx) -> None:
@@ -195,134 +229,126 @@ def _exec_fence(m: Machine, idx: int, ins: Fence) -> None:
 
 
 def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
-    dim = m.config.dim
+    dim, cols, rows, raw = m.config.dim, ins.cols, ins.rows, ins.local.raw
     pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
-    flat = _dram_flat(m, idx, ins.dram.buffer)
-    size = flat.shape[-1]
-    space = ins.local.space
-    mem = m.acc if space is Space.ACCUMULATOR else m.spad
-    tiles = (ins.cols + dim - 1) // dim
-    base_row = ins.local.row
-    _check_local_rows(m, idx, space, base_row, (tiles - 1) * dim + ins.rows)
-    accumulate = space is Space.ACCUMULATOR and ins.local.accumulate
-    for t in range(tiles):
-        width = min(dim, ins.cols - t * dim)
-        for r in range(ins.rows):
-            src = ins.dram.offset + r * pitch + t * dim
-            if src < 0 or src + width > size:
-                raise ExecError(
-                    idx,
-                    "dram_out_of_range",
-                    f"read [{src}, {src + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
-                )
-            dst = base_row + t * dim + r
+    arr = _dram(m, idx, ins.dram.buffer)
+    row, to_acc = raw & ROW_MASK, raw & ACC_BIT
+    limit = m.config.acc_rows if to_acc else m.config.spad_rows
+    nrows = ((cols + dim - 1) // dim - 1) * dim + rows
+    if row + nrows > limit:
+        raise _rows_error(idx, to_acc, row, nrows, limit)
+    mem = m.acc if to_acc else m.spad
+    accumulate = to_acc and raw & ACCUMULATE_BIT
+    origin = _tile_origin(arr, ins.dram.offset, pitch, cols, rows)
+    if origin is None:
+        flat = arr.reshape(arr.shape[:-2] + (-1,))
+        for dst, src, width in _row_moves(idx, ins, pitch, flat.shape[-1], dim, "read"):
             if accumulate:
                 mem[..., dst, :width] += flat[..., src : src + width]
             else:
                 mem[..., dst, :width] = flat[..., src : src + width]
+        return
+    r0, c0 = origin
+    for t in range(0, cols, dim):  # a tile's first column, and its first local row past `row`
+        width = min(dim, cols - t)
+        tile = arr[..., r0 : r0 + rows, c0 + t : c0 + t + width]
+        if accumulate:
+            mem[..., row + t : row + t + rows, :width] += tile
+        else:
+            mem[..., row + t : row + t + rows, :width] = tile
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
-    if not ins.b.is_sentinel:
-        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.b.row, ins.b_rows)
-        block = m.spad[..., ins.b.row : ins.b.row + ins.b_rows, : ins.b_cols].copy()
-        weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block
+    b = ins.b.raw
+    if b != SENTINEL:
+        row, limit = b & ROW_MASK, m.config.spad_rows
+        if row + ins.b_rows > limit:
+            raise _rows_error(idx, 0, row, ins.b_rows, limit)
+        block = m.spad[..., row : row + ins.b_rows, : ins.b_cols]
+        weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block.copy()
     else:
         if m.latched is None:
             raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
         weights = m.latched.weights
-    m.latched = _Latched(
-        weights=weights,
-        c_row=ins.c.row,
-        c_accumulate=ins.c.accumulate,
-        c_cols=ins.c_cols,
-        c_rows=ins.c_rows,
-    )
+    c = ins.c.raw
+    m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), ins.c_cols, ins.c_rows)
 
 
 def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
-    dim = m.config.dim
-    m.latched = _Latched(
-        weights=np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32),
-        c_row=ins.c.row,
-        c_accumulate=ins.c.accumulate,
-        c_cols=dim,
-        c_rows=dim,
-    )
+    dim, c = m.config.dim, ins.c.raw
+    weights = np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32)
+    m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), dim, dim)
 
 
 def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulated) -> None:
-    if m.regs.dataflow is not Dataflow.WEIGHT_STATIONARY:
-        raise ExecError(idx, "unsupported", f"dataflow {m.regs.dataflow.value} is parse-only")
-    if m.regs.act not in (Activation.NONE, Activation.RELU):
-        raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
+    regs = m.regs
+    if regs.dataflow is not Dataflow.WEIGHT_STATIONARY:
+        raise ExecError(idx, "unsupported", f"dataflow {regs.dataflow.value} is parse-only")
+    if regs.act is not Activation.NONE and regs.act is not Activation.RELU:
+        raise ExecError(idx, "unsupported", f"activation {regs.act.value} is parse-only")
     lat = m.latched
     if lat is None:
         raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
-    _check_local_rows(m, idx, Space.SCRATCHPAD, ins.a.row, ins.a_rows)
-    a_raw = m.spad[..., ins.a.row : ins.a.row + ins.a_rows, : ins.a_cols]
-    a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
+    spad_rows = m.config.spad_rows
+    row = ins.a.raw & ROW_MASK
+    if row + ins.a_rows > spad_rows:
+        raise _rows_error(idx, 0, row, ins.a_rows, spad_rows)
+    a_raw = m.spad[..., row : row + ins.a_rows, : ins.a_cols]
+    a_eff = a_raw.swapaxes(-1, -2) if regs.a_transpose else a_raw
     a_rows, a_cols = a_eff.shape[-2:]
     w_rows, w_cols = lat.weights.shape[-2:]
     if a_cols != w_rows:
-        raise ExecError(
-            idx,
-            "dimension_mismatch",
-            f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}",
-        )
-    if (a_rows, w_cols) != (lat.c_rows, lat.c_cols):
-        raise ExecError(
-            idx,
-            "dimension_mismatch",
-            f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}",
-        )
+        raise ExecError(idx, "dimension_mismatch", f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}")
+    if a_rows != lat.c_rows or w_cols != lat.c_cols:
+        message = f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}"
+        raise ExecError(idx, "dimension_mismatch", message)
     product = a_eff.astype(np.float32) @ lat.weights
-    if ins.d.is_sentinel:
+    d = ins.d.raw
+    if d == SENTINEL:
         biased = product
     else:
-        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.d.row, ins.d_rows)
-        if (ins.d_rows, ins.d_cols) != (lat.c_rows, lat.c_cols):
-            raise ExecError(
-                idx,
-                "dimension_mismatch",
-                f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}",
-            )
-        biased = product + m.spad[..., ins.d.row : ins.d.row + ins.d_rows, : ins.d_cols]
-    _check_local_rows(m, idx, Space.ACCUMULATOR, lat.c_row, lat.c_rows)
-    dst = m.acc[..., lat.c_row : lat.c_row + lat.c_rows, : lat.c_cols]
-    accumulate = lat.c_accumulate or isinstance(ins, ComputeAccumulated)
-    if accumulate:
-        dst += biased
+        row = d & ROW_MASK
+        if row + ins.d_rows > spad_rows:
+            raise _rows_error(idx, 0, row, ins.d_rows, spad_rows)
+        if ins.d_rows != lat.c_rows or ins.d_cols != lat.c_cols:
+            message = f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}"
+            raise ExecError(idx, "dimension_mismatch", message)
+        biased = product + m.spad[..., row : row + ins.d_rows, : ins.d_cols]
+    row, acc_rows = lat.c_row, m.config.acc_rows
+    if row + lat.c_rows > acc_rows:
+        raise _rows_error(idx, ACC_BIT, row, lat.c_rows, acc_rows)
+    if lat.c_accumulate or type(ins) is ComputeAccumulated:
+        m.acc[..., row : row + lat.c_rows, : lat.c_cols] += biased
     else:
-        dst[...] = biased
+        m.acc[..., row : row + lat.c_rows, : lat.c_cols] = biased
 
 
 def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
-    dim = m.config.dim
+    dim, cols, rows, raw, act = m.config.dim, ins.cols, ins.rows, ins.local.raw, m.regs.act
     pitch = _stride_elems(m, idx, m.st_stride, "store")
-    if m.regs.act not in (Activation.NONE, Activation.RELU) and not ins.local.full_width:
-        raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
-    flat = _dram_flat(m, idx, ins.dram.buffer)
-    size = flat.shape[-1]
-    tiles = (ins.cols + dim - 1) // dim
-    base_row = ins.local.row
-    _check_local_rows(m, idx, Space.ACCUMULATOR, base_row, (tiles - 1) * dim + ins.rows)
-    apply_relu = m.regs.act is Activation.RELU and not ins.local.full_width
-    for t in range(tiles):
-        width = min(dim, ins.cols - t * dim)
-        for r in range(ins.rows):
-            src_row = base_row + t * dim + r
-            values = m.acc[..., src_row, :width]
-            if apply_relu:
-                values = np.maximum(values, np.float32(0.0))
-            dst = ins.dram.offset + r * pitch + t * dim
-            if dst < 0 or dst + width > size:
-                raise ExecError(
-                    idx,
-                    "dram_out_of_range",
-                    f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
-                )
-            flat[..., dst : dst + width] = values
+    if act is not Activation.NONE and act is not Activation.RELU and not raw & FULL_WIDTH_BIT:
+        raise ExecError(idx, "unsupported", f"activation {act.value} is parse-only")
+    arr = _dram(m, idx, ins.dram.buffer)
+    row, limit = raw & ROW_MASK, m.config.acc_rows
+    nrows = ((cols + dim - 1) // dim - 1) * dim + rows
+    if row + nrows > limit:
+        raise _rows_error(idx, ACC_BIT, row, nrows, limit)
+    relu = act is Activation.RELU and not raw & FULL_WIDTH_BIT
+    origin = _tile_origin(arr, ins.dram.offset, pitch, cols, rows)
+    if origin is None:  # rows that overlap (pitch < width) are written in order: the last one wins
+        flat = arr.reshape(arr.shape[:-2] + (-1,))
+        for src, dst, width in _row_moves(idx, ins, pitch, flat.shape[-1], dim, "write"):
+            values = m.acc[..., src, :width]
+            flat[..., dst : dst + width] = np.maximum(values, np.float32(0.0)) if relu else values
+        return
+    r0, c0 = origin
+    for t in range(0, cols, dim):  # a tile's first column, and its first accumulator row past `row`
+        width = min(dim, cols - t)
+        tile = m.acc[..., row + t : row + t + rows, :width]
+        if relu:
+            np.maximum(tile, np.float32(0.0), out=arr[..., r0 : r0 + rows, c0 + t : c0 + t + width])
+        else:
+            arr[..., r0 : r0 + rows, c0 + t : c0 + t + width] = tile
 
 
 _EXECUTORS = {

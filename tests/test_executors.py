@@ -1,0 +1,474 @@
+"""The machine's executors against the per-row executors they replaced.
+
+A move whose rows are rows of its buffer (the pitch is the buffer's row
+length and the block lies inside the buffer) now copies each DIM-wide tile
+with one slice; every other move still goes row by row.  Local-address
+checks read the raw address bits.  The oracle below keeps the earlier
+executors verbatim: each step, each random workload and each one-field
+mutation must leave the same bytes in every array and raise the same
+`ExecError` (index, kind and message), or none.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import naive_program
+from ta_lift import machine
+from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
+    ELEMENT_BYTES,
+    FULL_WIDTH_BIT,
+    LOAD_CHANNELS,
+    SENTINEL,
+    Activation,
+    ComputeAccumulated,
+    ComputePreloaded,
+    ConfigEx,
+    ConfigLd,
+    ConfigSt,
+    Dataflow,
+    DramRef,
+    Fence,
+    LocalAddr,
+    Mvin,
+    Mvout,
+    Preload,
+    PreloadZeros,
+    Space,
+)
+from ta_lift.kernels import generate_testcases, machine_for_cases
+from ta_lift.machine import ExecError, Machine, MachineConfig, _Latched, create_machine
+from ta_lift.program_text import parse_program
+from test_case_axis import workloads
+from test_instruction_table import one_field_mutations
+
+# -- the oracle: the executors before the tile path, verbatim -----------------------
+
+
+def _stride_elems(m: Machine, idx: int, stride_bytes: int | None, what: str) -> int:
+    if stride_bytes is None:
+        raise ExecError(idx, "unsupported", f"{what} stride used before being configured")
+    if stride_bytes % ELEMENT_BYTES != 0:
+        raise ExecError(idx, "unsupported", f"{what} stride {stride_bytes} is not a multiple of {ELEMENT_BYTES}")
+    return stride_bytes // ELEMENT_BYTES
+
+
+def _check_local_rows(m: Machine, idx: int, space: Space, row: int, nrows: int) -> None:
+    limit = m.config.acc_rows if space is Space.ACCUMULATOR else m.config.spad_rows
+    kind = "acc_out_of_range" if space is Space.ACCUMULATOR else "spad_out_of_range"
+    if row < 0 or row + nrows > limit:
+        raise ExecError(idx, kind, f"rows [{row}, {row + nrows}) exceed {limit}")
+
+
+def _dram_flat(m: Machine, idx: int, buffer: str) -> np.ndarray:
+    """The buffer as one row of elements per case: a writable view."""
+    if buffer not in m.dram:
+        raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{buffer}'")
+    arr = m.dram[buffer]
+    return arr.reshape(arr.shape[:-2] + (-1,))
+
+
+def _exec_config_ex(m: Machine, idx: int, ins: ConfigEx) -> None:
+    m.regs = ins
+
+
+def _exec_config_ld(m: Machine, idx: int, ins: ConfigLd) -> None:
+    m.ld_strides[ins.channel] = ins.stride_bytes
+
+
+def _exec_config_st(m: Machine, idx: int, ins: ConfigSt) -> None:
+    m.st_stride = ins.stride_bytes
+
+
+def _exec_fence(m: Machine, idx: int, ins: Fence) -> None:
+    pass  # sequential semantics: nothing outstanding to wait on
+
+
+def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
+    dim = m.config.dim
+    pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
+    flat = _dram_flat(m, idx, ins.dram.buffer)
+    size = flat.shape[-1]
+    space = ins.local.space
+    mem = m.acc if space is Space.ACCUMULATOR else m.spad
+    tiles = (ins.cols + dim - 1) // dim
+    base_row = ins.local.row
+    _check_local_rows(m, idx, space, base_row, (tiles - 1) * dim + ins.rows)
+    accumulate = space is Space.ACCUMULATOR and ins.local.accumulate
+    for t in range(tiles):
+        width = min(dim, ins.cols - t * dim)
+        for r in range(ins.rows):
+            src = ins.dram.offset + r * pitch + t * dim
+            if src < 0 or src + width > size:
+                raise ExecError(
+                    idx,
+                    "dram_out_of_range",
+                    f"read [{src}, {src + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
+                )
+            dst = base_row + t * dim + r
+            if accumulate:
+                mem[..., dst, :width] += flat[..., src : src + width]
+            else:
+                mem[..., dst, :width] = flat[..., src : src + width]
+
+
+def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
+    if not ins.b.is_sentinel:
+        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.b.row, ins.b_rows)
+        block = m.spad[..., ins.b.row : ins.b.row + ins.b_rows, : ins.b_cols].copy()
+        weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block
+    else:
+        if m.latched is None:
+            raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
+        weights = m.latched.weights
+    m.latched = _Latched(
+        weights=weights,
+        c_row=ins.c.row,
+        c_accumulate=ins.c.accumulate,
+        c_cols=ins.c_cols,
+        c_rows=ins.c_rows,
+    )
+
+
+def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
+    dim = m.config.dim
+    m.latched = _Latched(
+        weights=np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32),
+        c_row=ins.c.row,
+        c_accumulate=ins.c.accumulate,
+        c_cols=dim,
+        c_rows=dim,
+    )
+
+
+def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulated) -> None:
+    if m.regs.dataflow is not Dataflow.WEIGHT_STATIONARY:
+        raise ExecError(idx, "unsupported", f"dataflow {m.regs.dataflow.value} is parse-only")
+    if m.regs.act not in (Activation.NONE, Activation.RELU):
+        raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
+    lat = m.latched
+    if lat is None:
+        raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
+    _check_local_rows(m, idx, Space.SCRATCHPAD, ins.a.row, ins.a_rows)
+    a_raw = m.spad[..., ins.a.row : ins.a.row + ins.a_rows, : ins.a_cols]
+    a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
+    a_rows, a_cols = a_eff.shape[-2:]
+    w_rows, w_cols = lat.weights.shape[-2:]
+    if a_cols != w_rows:
+        raise ExecError(
+            idx,
+            "dimension_mismatch",
+            f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}",
+        )
+    if (a_rows, w_cols) != (lat.c_rows, lat.c_cols):
+        raise ExecError(
+            idx,
+            "dimension_mismatch",
+            f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}",
+        )
+    product = a_eff.astype(np.float32) @ lat.weights
+    if ins.d.is_sentinel:
+        biased = product
+    else:
+        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.d.row, ins.d_rows)
+        if (ins.d_rows, ins.d_cols) != (lat.c_rows, lat.c_cols):
+            raise ExecError(
+                idx,
+                "dimension_mismatch",
+                f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}",
+            )
+        biased = product + m.spad[..., ins.d.row : ins.d.row + ins.d_rows, : ins.d_cols]
+    _check_local_rows(m, idx, Space.ACCUMULATOR, lat.c_row, lat.c_rows)
+    dst = m.acc[..., lat.c_row : lat.c_row + lat.c_rows, : lat.c_cols]
+    accumulate = lat.c_accumulate or isinstance(ins, ComputeAccumulated)
+    if accumulate:
+        dst += biased
+    else:
+        dst[...] = biased
+
+
+def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
+    dim = m.config.dim
+    pitch = _stride_elems(m, idx, m.st_stride, "store")
+    if m.regs.act not in (Activation.NONE, Activation.RELU) and not ins.local.full_width:
+        raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
+    flat = _dram_flat(m, idx, ins.dram.buffer)
+    size = flat.shape[-1]
+    tiles = (ins.cols + dim - 1) // dim
+    base_row = ins.local.row
+    _check_local_rows(m, idx, Space.ACCUMULATOR, base_row, (tiles - 1) * dim + ins.rows)
+    apply_relu = m.regs.act is Activation.RELU and not ins.local.full_width
+    for t in range(tiles):
+        width = min(dim, ins.cols - t * dim)
+        for r in range(ins.rows):
+            src_row = base_row + t * dim + r
+            values = m.acc[..., src_row, :width]
+            if apply_relu:
+                values = np.maximum(values, np.float32(0.0))
+            dst = ins.dram.offset + r * pitch + t * dim
+            if dst < 0 or dst + width > size:
+                raise ExecError(
+                    idx,
+                    "dram_out_of_range",
+                    f"write [{dst}, {dst + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements",
+                )
+            flat[..., dst : dst + width] = values
+
+
+
+OLD_EXECUTORS = {
+    ConfigEx: _exec_config_ex,
+    ConfigLd: _exec_config_ld,
+    ConfigSt: _exec_config_st,
+    Mvin: _exec_mvin,
+    Preload: _exec_preload,
+    PreloadZeros: _exec_preload_zeros,
+    ComputePreloaded: _exec_compute,
+    ComputeAccumulated: _exec_compute,
+    Mvout: _exec_mvout,
+    Fence: _exec_fence,
+}
+
+
+# -- running both --------------------------------------------------------------------
+
+
+def outcome(executors: dict, m: Machine, instructions) -> tuple | None:
+    """Run the instructions with one executor table: the error they stop at, or None.
+
+    An unvalidated program may also stop at an error numpy raises, such as a
+    block shaped for another DIM; that error must be the same too.
+    """
+    for idx, ins in enumerate(instructions):
+        step = executors.get(type(ins))
+        if step is None:
+            return idx, "no executor", type(ins).__name__
+        try:
+            step(m, idx, ins)
+        except ExecError as err:
+            return err.index, err.kind, err.detail
+        except ValueError as err:
+            return idx, type(err).__name__, str(err)
+    return None
+
+
+def state(m: Machine) -> tuple:
+    """Every array and register an executor can change, as bytes and values."""
+    latched = m.latched
+    if latched is not None:
+        latched = (latched.weights.shape, latched.weights.tobytes(), latched.c_row, latched.c_accumulate,
+                   latched.c_cols, latched.c_rows)
+    dram = {name: (arr.shape, arr.tobytes()) for name, arr in m.dram.items()}
+    return dram, m.spad.tobytes(), m.acc.tobytes(), m.regs, dict(m.ld_strides), m.st_stride, latched
+
+
+def assert_same_as_oracle(m: Machine, instructions) -> None:
+    """Run the tree's executors on `m` and the oracle's on a copy: same error, same state."""
+    old = m.copy()
+    expected = outcome(OLD_EXECUTORS, old, instructions)
+    assert outcome(machine._EXECUTORS, m, instructions) == expected
+    assert state(m) == state(old)
+
+
+# -- single steps on random machines -------------------------------------------------
+
+_FLAGS = (0, ACC_BIT, ACC_BIT | ACCUMULATE_BIT, ACC_BIT | FULL_WIDTH_BIT, ACC_BIT | ACCUMULATE_BIT | FULL_WIDTH_BIT,
+          ACCUMULATE_BIT, FULL_WIDTH_BIT)
+_ACTIVATIONS = (Activation.NONE, Activation.RELU) * 3 + (Activation.LAYERNORM, Activation.IGELU, Activation.SOFTMAX)
+
+
+@st.composite
+def local_rows(draw, limit: int, nrows: int) -> int:
+    """A first row for `nrows` rows: at either end of a memory of `limit` rows, one past its end, or anywhere in it."""
+    anywhere = draw(st.integers(0, max(0, limit - nrows)))
+    return max(0, draw(st.sampled_from((0, limit - nrows, limit - nrows + 1, anywhere))))
+
+
+@st.composite
+def strides(draw, row_bytes: tuple[int, ...]) -> int | None:
+    """A configured stride: mostly a buffer's row length, a short one (under a tile's
+    width, zero too) or another whole number of elements; sometimes unset or not whole elements."""
+    choice = draw(st.integers(0, 15))
+    if choice == 0:
+        return None
+    if choice == 1:
+        return draw(st.integers(0, 24)) * ELEMENT_BYTES + draw(st.integers(1, 3))
+    if choice < 9:
+        return draw(st.sampled_from(row_bytes))
+    return draw(st.integers(0, 3 if choice < 12 else 24)) * ELEMENT_BYTES
+
+
+@st.composite
+def moves(draw, kind: type, cfg: MachineConfig, shapes: dict[str, tuple[int, int]]):
+    buffer = draw(st.sampled_from((*shapes,) * 4 + ("missing",)))
+    rows_, cols_ = shapes.get(buffer, (3, 3))
+    r0, c0 = draw(st.sampled_from((-1, rows_, *range(rows_)))), draw(st.sampled_from((0, cols_ - 1, *range(cols_))))
+    offset = draw(st.one_of(st.just(r0 * cols_ + c0), st.integers(-4, rows_ * cols_ + 4)))
+    widest = cfg.dim * cfg.max_block_len
+    # A block that ends at its row's end, or any width.
+    cols = draw(st.sampled_from((min(widest, max(1, cols_ - c0)), draw(st.integers(1, widest)))))
+    rows = draw(st.integers(1, cfg.dim))
+    flags = draw(st.sampled_from(_FLAGS))
+    limit = cfg.acc_rows if flags & ACC_BIT or kind is Mvout else cfg.spad_rows
+    row = draw(local_rows(limit, ((cols + cfg.dim - 1) // cfg.dim - 1) * cfg.dim + rows))
+    if kind is Mvout:
+        return Mvout(DramRef(buffer, offset), LocalAddr(flags | row), cols, rows)
+    channel = draw(st.sampled_from((*LOAD_CHANNELS,) * 3 + (max(LOAD_CHANNELS) + 1,)))
+    return Mvin(channel, DramRef(buffer, offset), LocalAddr(flags | row), cols, rows)
+
+
+@st.composite
+def matrix_steps(draw, kind: type, cfg: MachineConfig):
+    dim = cfg.dim
+    counts = [draw(st.integers(1, dim)) for _ in range(4)]
+    if kind is PreloadZeros:
+        return PreloadZeros(LocalAddr(draw(st.sampled_from(_FLAGS)) | draw(local_rows(cfg.acc_rows, dim))))
+    if kind is Preload:
+        b = draw(st.one_of(st.just(SENTINEL), local_rows(cfg.spad_rows, counts[1])))
+        c = draw(st.sampled_from(_FLAGS)) | ACC_BIT | draw(local_rows(cfg.acc_rows, counts[3]))
+        return Preload(LocalAddr(b), LocalAddr(c), *counts)
+    a = draw(st.sampled_from(_FLAGS)) | draw(local_rows(cfg.spad_rows, counts[1]))
+    d = draw(st.one_of(st.just(SENTINEL), local_rows(cfg.spad_rows, counts[3])))
+    return kind(LocalAddr(a), LocalAddr(d), *counts)
+
+
+@st.composite
+def steps(draw):
+    """(machine, instructions): a random batched machine with random registers and latch,
+    and one to four mvin, mvout, preload or compute steps, a move perhaps after its stride."""
+    dim = draw(st.sampled_from((1, 2, 4)))
+    cfg = MachineConfig(dim=dim, spad_rows=draw(st.integers(dim, 4 * dim + 2)),
+                        acc_rows=draw(st.integers(dim, 4 * dim + 2)), max_block_len=draw(st.integers(1, 4)))
+    names = ("A", "B")[: draw(st.integers(1, 2))]
+    shapes = {name: (draw(st.integers(1, 8)), draw(st.integers(1, 20))) for name in names}
+    batch = draw(st.sampled_from(((), (2,), (1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    contents = {name: rng.standard_normal(batch + shape).astype(np.float32) for name, shape in shapes.items()}
+    m = create_machine(cfg, shapes, contents)
+    m.spad[...] = rng.standard_normal(m.spad.shape)
+    m.acc[...] = rng.standard_normal(m.acc.shape)
+    dataflow = draw(st.sampled_from((Dataflow.WEIGHT_STATIONARY,) * 3 + (Dataflow.OUTPUT_STATIONARY,)))
+    m.regs = ConfigEx(dataflow, draw(st.sampled_from(_ACTIVATIONS)), draw(st.booleans()), draw(st.booleans()))
+    row_bytes = tuple(cols * ELEMENT_BYTES for _, cols in shapes.values())
+    m.ld_strides = {channel: draw(strides(row_bytes)) for channel in LOAD_CHANNELS}
+    m.st_stride = draw(strides(row_bytes))
+    if draw(st.booleans()):
+        w_rows, w_cols = draw(st.integers(1, dim)), draw(st.integers(1, dim))
+        weights = rng.standard_normal(batch + (w_rows, w_cols)).astype(np.float32)
+        c_rows = draw(st.integers(1, dim))
+        m.latched = _Latched(weights, draw(local_rows(cfg.acc_rows, c_rows)), draw(st.booleans()), w_cols, c_rows)
+    instructions = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from((Mvin, Mvin, Mvout, Mvout, Preload, PreloadZeros, ComputePreloaded,
+                                     ComputeAccumulated)))
+        if kind not in (Mvin, Mvout):
+            instructions.append(draw(matrix_steps(kind, cfg)))
+            continue
+        move = draw(moves(kind, cfg, shapes))
+        if draw(st.booleans()):  # first set the stride, likely to the row length of the move's buffer
+            stride = draw(strides((shapes.get(move.dram.buffer, (1, 1))[1] * ELEMENT_BYTES,)))
+            instructions.append(ConfigSt(stride) if kind is Mvout else ConfigLd(stride, move.channel))
+        instructions.append(move)
+    return m, instructions
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps())
+def test_steps_match_the_oracle(step) -> None:
+    assert_same_as_oracle(*step)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(workloads())
+def test_random_workloads_match_the_oracle(workload) -> None:
+    program, spec, cases = workload
+    assert_same_as_oracle(machine_for_cases(spec, cases), program.instructions)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(one_field_mutations(), st.integers(0, 2**32 - 1))
+def test_one_field_mutations_match_the_oracle(mutation, seed) -> None:
+    """Unvalidated, as `run` takes them: counts out of range, wrong memories, unknown types."""
+    program, dim, max_block_len = mutation
+    rng = np.random.default_rng(seed)
+    contents = {name: rng.standard_normal((2,) + shape).astype(np.float32) for name, shape in program.buffers.items()}
+    m = create_machine(MachineConfig(dim=dim, max_block_len=max_block_len), program.buffers, contents)
+    assert_same_as_oracle(m, program.instructions)
+
+
+_ACC = LocalAddr(ACC_BIT)
+_RELU = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.RELU, False, False)
+EDGE_MOVES = {  # on a 6 x 8 buffer A
+    "load wraps a row": (ConfigLd(32, 0), Mvin(0, DramRef("A", 6), LocalAddr(0), 4, 2)),
+    "store wraps a row": (ConfigSt(32), Mvout(DramRef("A", 5), _ACC, 8, 3)),
+    "store rows overlap": (ConfigSt(4), Mvout(DramRef("A", 3), _ACC, 4, 4)),
+    "relu store rows overlap": (_RELU, ConfigSt(8), Mvout(DramRef("A", 0), _ACC, 8, 4)),
+    "accumulating load, pitch 0": (ConfigLd(0, 1), Mvin(1, DramRef("A", 9), LocalAddr(_ACC.raw | ACCUMULATE_BIT), 4, 4)),
+    "load to the buffer's last element": (ConfigLd(32, 2), Mvin(2, DramRef("A", 20), LocalAddr(1020), 4, 4)),
+    "store one row past the buffer": (ConfigSt(32), Mvout(DramRef("A", 24), _ACC, 8, 4)),
+    "load before the buffer": (ConfigLd(32, 0), Mvin(0, DramRef("A", -1), LocalAddr(0), 4, 2)),
+    "load with twice the row length": (ConfigLd(64, 0), Mvin(0, DramRef("A", 0), LocalAddr(0), 8, 3)),
+}
+
+
+@pytest.mark.parametrize("instructions", EDGE_MOVES.values(), ids=EDGE_MOVES)
+def test_edge_moves_match_the_oracle(instructions) -> None:
+    rng = np.random.default_rng(7)
+    m = create_machine(MachineConfig(), {"A": (6, 8)}, {"A": rng.standard_normal((2, 6, 8)).astype(np.float32)})
+    m.acc[...] = rng.standard_normal(m.acc.shape)
+    assert_same_as_oracle(m, instructions)
+
+
+# -- which path a move takes -------------------------------------------------------------
+
+
+def count_row_moves(monkeypatch) -> list[int]:
+    """Wrap the row-by-row helper: each move that goes row by row appends to the returned list."""
+    entered: list[int] = []
+    row_moves = machine._row_moves
+
+    def counted(idx, *args):
+        entered.append(idx)
+        return row_moves(idx, *args)
+
+    monkeypatch.setattr(machine, "_row_moves", counted)
+    return entered
+
+
+def test_every_move_of_the_goldens_and_naive_programs_takes_the_tile_path(monkeypatch) -> None:
+    entered = count_row_moves(monkeypatch)
+    moves_run = 0
+    for name in sorted(KERNELS):
+        spec = kernel(name)
+        for text in (golden_program(name), naive_program(golden_program(name))):
+            program = parse_program(text, spec.buffer_shapes())
+            machine.execute(machine_for_cases(spec, generate_testcases(spec, seed=1, count=5)), program)
+            moves_run += sum(isinstance(ins, (Mvin, Mvout)) for ins in program.instructions)
+    assert (len(entered), moves_run) == (0, 1380)
+
+
+def _stored(monkeypatch, stride_bytes: int, offset: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Store three accumulator rows, four wide, into an 8-element buffer with the given stride."""
+    entered = count_row_moves(monkeypatch)
+    m = create_machine(MachineConfig(), {"y": (1, 8)})
+    m.acc[:3] = np.arange(12, dtype=np.float32).reshape(3, 4) + 1
+    machine.run(m, (ConfigSt(stride_bytes), Mvout(DramRef("y", offset), LocalAddr.make(Space.ACCUMULATOR, 0), 4, 3)))
+    return m.dram["y"][0], m.acc[:3], entered
+
+
+def test_overlapping_store_rows_go_row_by_row_and_the_last_row_wins(monkeypatch) -> None:
+    y, acc, entered = _stored(monkeypatch, ELEMENT_BYTES, 1)  # pitch 1 < width 4
+    assert entered == [1]
+    assert y.tolist() == [0, acc[0, 0], acc[1, 0], *acc[2], 0]
+
+
+def test_a_store_with_pitch_zero_goes_row_by_row_and_leaves_the_last_row(monkeypatch) -> None:
+    y, acc, entered = _stored(monkeypatch, 0, 2)
+    assert entered == [1]
+    assert y.tolist() == [0, 0, *acc[2], 0, 0]
