@@ -16,7 +16,7 @@ accumulate-on-write address bit, and finished tiles are stored out once.
 
 from __future__ import annotations
 
-from .isa import ELEMENT_BYTES, SENTINEL
+from .isa import ACC_BIT, ACCUMULATE_BIT, ELEMENT_BYTES, SENTINEL
 from .kernels import KernelSpec
 from .machine import MachineConfig
 
@@ -231,8 +231,8 @@ def emit_golden_program(spec: KernelSpec, cfg: MachineConfig | None = None) -> s
     ]
     if d_layout is not None:
         lines.append(f"static uint32_t {d_sp} = {d_layout.base};")
-    lines.append(f"static uint32_t {c_acc} = {1 << 31:#x};")
-    lines.append(f"static uint32_t {c_sum} = {(1 << 31) | (1 << 30):#x};")
+    lines.append(f"static uint32_t {c_acc} = {ACC_BIT:#x};")
+    lines.append(f"static uint32_t {c_sum} = {ACC_BIT | ACCUMULATE_BIT:#x};")
     lines.append(f"static uint32_t NONE = {SENTINEL:#x};")
 
     a_flag = "true" if spec.transpose_a else "false"

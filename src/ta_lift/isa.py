@@ -1,28 +1,32 @@
 """Instruction set for an idealized weight-stationary systolic-array accelerator.
 
 The accelerator owns two row-addressed local memories: a scratchpad and an
-accumulator.  Each row holds DIM 32-bit float elements.  Local addresses are
-32-bit words with flag bits in the top three positions:
+accumulator.  Each row holds DIM 32-bit float elements.  A local address is
+a plain int, a 32-bit word with flag bits in the top three positions:
 
     bit 31  target/source is the accumulator (0 = scratchpad)
     bit 30  accumulate-on-write (accumulator writes only; 0 = overwrite)
     bit 29  read-full-width (accumulator reads only; skips activation)
     bits 28..0  row index
 
-The value 0xffffffff is reserved as a sentinel: as a preload weight operand
-it means "keep the previously latched weights", as a compute bias operand it
-means "no bias".
+`ACC_BIT`, `ACCUMULATE_BIT`, `FULL_WIDTH_BIT` and `ROW_MASK` define that
+layout once; every reader of an address tests its bits with them.  The
+value 0xffffffff is reserved as a sentinel: as a preload weight operand it
+means "keep the previously latched weights", as a compute bias operand it
+means "no bias".  The parser refuses a local address outside 0..0xffffffff.
 
 `INSTRUCTIONS` declares each mnemonic once: its constructor, its operands in
 text order, the memory its local operands must address, its footprint, the
-DRAM bytes it moves and its cost terms.  The parser, the renderer,
-`validate_program`, the cost model and the optimizer's footprints all read
-that table; `spec_of` finds an instruction's entry.
+DRAM bytes it moves and its cost terms.  Each instruction record is a
+frozen dataclass generated from its operand list, so its fields are the
+operands' fields in text order (an mvin's load channel first).  The parser,
+the renderer, `validate_program`, the cost model and the optimizer's
+footprints all read that table; `spec_of` finds an instruction's entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from enum import Enum
 from functools import cache, partial
 from math import inf
@@ -78,41 +82,6 @@ def encode_local_addr(space: Space, accumulate: bool, full_width: bool, row: int
 
 
 @dataclass(frozen=True)
-class LocalAddr:
-    """A raw 32-bit local address; flag bits are exposed as properties."""
-
-    raw: int
-
-    def __post_init__(self) -> None:
-        if self.raw < 0 or self.raw > LOCAL_ADDR_MAX:
-            raise AddressError(f"local address {self.raw:#x} outside 32-bit range")
-
-    @staticmethod
-    def make(space: Space, row: int, accumulate: bool = False, full_width: bool = False) -> "LocalAddr":
-        return LocalAddr(encode_local_addr(space, accumulate, full_width, row))
-
-    @property
-    def space(self) -> Space:
-        return Space.ACCUMULATOR if self.raw & ACC_BIT else Space.SCRATCHPAD
-
-    @property
-    def accumulate(self) -> bool:
-        return bool(self.raw & ACCUMULATE_BIT)
-
-    @property
-    def full_width(self) -> bool:
-        return bool(self.raw & FULL_WIDTH_BIT)
-
-    @property
-    def row(self) -> int:
-        return self.raw & ROW_MASK
-
-    @property
-    def is_sentinel(self) -> bool:
-        return self.raw == SENTINEL
-
-
-@dataclass(frozen=True)
 class DramRef:
     """A DRAM operand: a named buffer plus an element offset (4-byte units)."""
 
@@ -120,80 +89,34 @@ class DramRef:
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class ConfigEx:
-    dataflow: Dataflow
-    act: Activation
-    a_transpose: bool
-    b_transpose: bool
+def _record(name: str, fields: tuple[tuple[str, str], ...]) -> type:
+    """A frozen record class with one field per (field, operand kind) pair, in order."""
+    names = [field_name for field_name, _ in fields]
+    return make_dataclass(name, names, frozen=True, namespace={"__module__": __name__})
 
 
-@dataclass(frozen=True)
-class ConfigLd:
-    stride_bytes: int
-    channel: int
+# Each mnemonic's operands as (field, operand kind) pairs in text order; see `InstructionSpec`.
+_CONFIG_EX = (("dataflow", "dataflow"), ("act", "activation"), ("a_transpose", "flag"), ("b_transpose", "flag"))
+_CONFIG_LD = (("stride_bytes", "stride"), ("channel", "channel"))
+_CONFIG_ST = (("stride_bytes", "stride"),)
+_MOVE = (("dram", "dram"), ("local", "local"), ("cols", "cols"), ("rows", "rows"))
+_PRELOAD = (("b", "local"), ("c", "local"), ("b_cols", "B_cols"), ("b_rows", "B_rows"),
+            ("c_cols", "C_cols"), ("c_rows", "C_rows"))
+_PRELOAD_ZEROS = (("c", "local"),)
+_COMPUTE = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_rows"),
+            ("d_cols", "D_cols"), ("d_rows", "D_rows"))
+_LOAD_CHANNEL = (("channel", "channel"),)  # the field an mvin mnemonic fixes, ahead of its operands
 
-
-@dataclass(frozen=True)
-class ConfigSt:
-    stride_bytes: int
-
-
-@dataclass(frozen=True)
-class Mvin:
-    channel: int
-    dram: DramRef
-    local: LocalAddr
-    cols: int
-    rows: int
-
-
-@dataclass(frozen=True)
-class Preload:
-    b: LocalAddr
-    c: LocalAddr
-    b_cols: int
-    b_rows: int
-    c_cols: int
-    c_rows: int
-
-
-@dataclass(frozen=True)
-class PreloadZeros:
-    c: LocalAddr
-
-
-@dataclass(frozen=True)
-class ComputePreloaded:
-    a: LocalAddr
-    d: LocalAddr
-    a_cols: int
-    a_rows: int
-    d_cols: int
-    d_rows: int
-
-
-@dataclass(frozen=True)
-class ComputeAccumulated:
-    a: LocalAddr
-    d: LocalAddr
-    a_cols: int
-    a_rows: int
-    d_cols: int
-    d_rows: int
-
-
-@dataclass(frozen=True)
-class Mvout:
-    dram: DramRef
-    local: LocalAddr
-    cols: int
-    rows: int
-
-
-@dataclass(frozen=True)
-class Fence:
-    pass
+ConfigEx = _record("ConfigEx", _CONFIG_EX)
+ConfigLd = _record("ConfigLd", _CONFIG_LD)
+ConfigSt = _record("ConfigSt", _CONFIG_ST)
+Mvin = _record("Mvin", _LOAD_CHANNEL + _MOVE)
+Preload = _record("Preload", _PRELOAD)
+PreloadZeros = _record("PreloadZeros", _PRELOAD_ZEROS)
+ComputePreloaded = _record("ComputePreloaded", _COMPUTE)
+ComputeAccumulated = _record("ComputeAccumulated", _COMPUTE)
+Mvout = _record("Mvout", _MOVE)
+Fence = _record("Fence", ())
 
 
 Instruction = (
@@ -260,10 +183,10 @@ def stride_elems(stride_bytes: int | None) -> int | None:
     return stride_bytes // ELEMENT_BYTES
 
 
-def _local_interval(local: LocalAddr, cols: int, rows: int, dim: int) -> Interval:
+def _local_interval(local: int, cols: int, rows: int, dim: int) -> Interval:
     tiles = (cols + dim - 1) // dim
-    space = "acc" if local.space is Space.ACCUMULATOR else "spad"
-    return (space, local.row, local.row + (tiles - 1) * dim + rows)
+    row = local & ROW_MASK
+    return ("acc" if local & ACC_BIT else "spad", row, row + (tiles - 1) * dim + rows)
 
 
 def _dram_interval(ref: DramRef, cols: int, rows: int, pitch: int | None) -> Interval:
@@ -298,29 +221,32 @@ def _mvin_footprint(ins: Mvin, state: ScanState, dim: int) -> Effects:
     dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
     pitch = stride_elems(state.ld_strides.get(ins.channel))
     reads = [(f"reg:ld{ins.channel}", 0, 1), _dram_interval(ins.dram, ins.cols, ins.rows, pitch)]
-    if ins.local.space is Space.ACCUMULATOR and ins.local.accumulate:
+    if ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT:
         reads.append(dest)
     return reads, [dest]
 
 
 def _preload_footprint(ins: Preload, state: ScanState, dim: int) -> Effects:
-    state.latch = (ins.c.row, ins.c_rows, ins.c.accumulate)
-    if ins.b.is_sentinel:
+    state.latch = (ins.c & ROW_MASK, ins.c_rows, bool(ins.c & ACCUMULATE_BIT))
+    if ins.b == SENTINEL:
         return [_LATCH], [_LATCH]
-    return [_EX, ("spad", ins.b.row, ins.b.row + ins.b_rows)], [_LATCH]
+    row = ins.b & ROW_MASK
+    return [_EX, ("spad", row, row + ins.b_rows)], [_LATCH]
 
 
 def _preload_zeros_footprint(ins: PreloadZeros, state: ScanState, dim: int) -> Effects:
-    state.latch = (ins.c.row, dim, ins.c.accumulate)
+    state.latch = (ins.c & ROW_MASK, dim, bool(ins.c & ACCUMULATE_BIT))
     return [], [_LATCH]
 
 
 def _compute_footprint(
     ins: ComputePreloaded | ComputeAccumulated, state: ScanState, dim: int, accumulated: bool = False
 ) -> Effects:
-    reads = [_LATCH, _EX, ("spad", ins.a.row, ins.a.row + ins.a_rows)]
-    if not ins.d.is_sentinel:
-        reads.append(("spad", ins.d.row, ins.d.row + ins.d_rows))
+    row = ins.a & ROW_MASK
+    reads = [_LATCH, _EX, ("spad", row, row + ins.a_rows)]
+    if ins.d != SENTINEL:
+        row = ins.d & ROW_MASK
+        reads.append(("spad", row, row + ins.d_rows))
     if state.latch is None:
         target, accumulated = ("acc", 0, _FAR), True
     else:
@@ -375,25 +301,19 @@ class InstructionSpec:
         self.build: Callable[..., Instruction] = self.type if self.channel is None else partial(self.type, self.channel)
 
 
-_MOVE = (("dram", "dram"), ("local", "local"), ("cols", "cols"), ("rows", "rows"))
-_COMPUTE = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_rows"),
-            ("d_cols", "D_cols"), ("d_rows", "D_rows"))
-_PRELOAD = (("b", "local"), ("c", "local"), ("b_cols", "B_cols"), ("b_rows", "B_rows"),
-            ("c_cols", "C_cols"), ("c_rows", "C_rows"))
-_CONFIG_EX = (("dataflow", "dataflow"), ("act", "activation"), ("a_transpose", "flag"), ("b_transpose", "flag"))
 _WEIGHTS = ("b", Space.SCRATCHPAD, True)
 _OUTPUT = ("c", Space.ACCUMULATOR, False)
 _COMPUTE_SPACES = (("a", Space.SCRATCHPAD, False), ("d", Space.SCRATCHPAD, True))
 
 INSTRUCTIONS: tuple[InstructionSpec, ...] = (
     InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, _config_ex_footprint),
-    InstructionSpec("config_ld", ConfigLd, (("stride_bytes", "stride"), ("channel", "channel")), _config_ld_footprint),
-    InstructionSpec("config_st", ConfigSt, (("stride_bytes", "stride"),), _config_st_footprint),
+    InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, _config_ld_footprint),
+    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, _config_st_footprint),
     InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=0),
     InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=1),
     InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=2),
     InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, fills=1, spaces=(_WEIGHTS, _OUTPUT)),
-    InstructionSpec("preload_zeros", PreloadZeros, (("c", "local"),), _preload_zeros_footprint, fills=1,
+    InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, _preload_zeros_footprint, fills=1,
                     spaces=(_OUTPUT,)),
     InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint,
                     rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
@@ -441,7 +361,7 @@ def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]
     }
     rules: dict[type, tuple[str, tuple, tuple]] = {}
     for spec in INSTRUCTIONS:
-        fields = spec.operands if spec.channel is None else (("channel", "channel"),) + spec.operands
+        fields = spec.operands if spec.channel is None else _LOAD_CHANNEL + spec.operands
         bounds = tuple((name,) + limits[kind] for name, kind in fields if kind in limits)
         spaces = tuple((name, ACC_BIT if space is Space.ACCUMULATOR else 0, space, sentinel_ok)
                        for name, space, sentinel_ok in spec.spaces)
@@ -476,7 +396,7 @@ def validate_instructions(indexed: Iterable[tuple[int, Instruction]], dim: int =
                 allowed = f"in {lo}..{hi}" if hi < inf else f"at least {lo}"
                 raise ValidationError(idx, kind, f"{mnemonic} {name} {value} must be {allowed}")
         for name, bit, space, sentinel_ok in spaces:
-            raw = getattr(ins, name).raw
+            raw = getattr(ins, name)
             if raw & ACC_BIT != bit and not (sentinel_ok and raw == SENTINEL):
                 allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
                 message = f"{mnemonic} {name} {raw:#x} must address {allowed}"

@@ -16,7 +16,7 @@ A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
 row length and the block lies inside the buffer) copies each DIM-wide tile
 with one 2-D slice.  Every other move goes row by row and checks each row
 before it moves, so a wrapped or overlapping block fails at the same row.
-Executors test local addresses on their raw bits, as `isa` lays them out.
+Executors test the bits of local addresses, plain ints, as `isa` lays them out.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _row_moves(
 ) -> Iterator[tuple[int, int, int]]:
     """A move one row at a time, in order: (local row, first DRAM element, width),
     each checked against the buffer's `size` elements before it is given."""
-    base_row = ins.local.raw & ROW_MASK
+    base_row = ins.local & ROW_MASK
     for t in range((ins.cols + dim - 1) // dim):
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
@@ -229,7 +229,7 @@ def _exec_fence(m: Machine, idx: int, ins: Fence) -> None:
 
 
 def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
-    dim, cols, rows, raw = m.config.dim, ins.cols, ins.rows, ins.local.raw
+    dim, cols, rows, raw = m.config.dim, ins.cols, ins.rows, ins.local
     pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
     arr = _dram(m, idx, ins.dram.buffer)
     row, to_acc = raw & ROW_MASK, raw & ACC_BIT
@@ -259,7 +259,7 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
-    b = ins.b.raw
+    b = ins.b
     if b != SENTINEL:
         row, limit = b & ROW_MASK, m.config.spad_rows
         if row + ins.b_rows > limit:
@@ -270,12 +270,12 @@ def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
         if m.latched is None:
             raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
         weights = m.latched.weights
-    c = ins.c.raw
+    c = ins.c
     m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), ins.c_cols, ins.c_rows)
 
 
 def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
-    dim, c = m.config.dim, ins.c.raw
+    dim, c = m.config.dim, ins.c
     weights = np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32)
     m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), dim, dim)
 
@@ -290,7 +290,7 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
     if lat is None:
         raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
     spad_rows = m.config.spad_rows
-    row = ins.a.raw & ROW_MASK
+    row = ins.a & ROW_MASK
     if row + ins.a_rows > spad_rows:
         raise _rows_error(idx, 0, row, ins.a_rows, spad_rows)
     a_raw = m.spad[..., row : row + ins.a_rows, : ins.a_cols]
@@ -302,8 +302,9 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
     if a_rows != lat.c_rows or w_cols != lat.c_cols:
         message = f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}"
         raise ExecError(idx, "dimension_mismatch", message)
+    # Kept although spad is float32: matmul on the view takes another loop and can differ in the last bit.
     product = a_eff.astype(np.float32) @ lat.weights
-    d = ins.d.raw
+    d = ins.d
     if d == SENTINEL:
         biased = product
     else:
@@ -324,7 +325,7 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
 
 
 def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
-    dim, cols, rows, raw, act = m.config.dim, ins.cols, ins.rows, ins.local.raw, m.regs.act
+    dim, cols, rows, raw, act = m.config.dim, ins.cols, ins.rows, ins.local, m.regs.act
     pitch = _stride_elems(m, idx, m.st_stride, "store")
     if act is not Activation.NONE and act is not Activation.RELU and not raw & FULL_WIDTH_BIT:
         raise ExecError(idx, "unsupported", f"activation {act.value} is parse-only")

@@ -30,19 +30,19 @@ from dataclasses import dataclass, field, replace
 from .costs import CostReport, program_cost
 from .gateway import Backend, GenerationParams
 from .isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
     DIM_DEFAULT,
     MAX_BLOCK_LEN_DEFAULT,
     SENTINEL,
     ConfigEx,
     Instruction,
     Interval,
-    LocalAddr,
     Mvin,
     Preload,
     PreloadZeros,
     Program,
     ScanState,
-    Space,
     footprint,
     stride_elems,
 )
@@ -197,7 +197,7 @@ class PeepholeContext:
         """
         reads, writes = footprint(ins, self.state, self.dim)  # an mvin leaves the state as it is
         key = None
-        if isinstance(ins, Mvin) and not (ins.local.space is Space.ACCUMULATOR and ins.local.accumulate):
+        if isinstance(ins, Mvin) and not (ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT):
             key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory_only(reads), *writes))
             if key in self.seen_mvins:
                 return False
@@ -249,13 +249,13 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
         if (
             isinstance(ins, Preload)
             and isinstance(previous, Preload)
-            and not ins.b.is_sentinel
-            and not previous.b.is_sentinel
+            and ins.b != SENTINEL
+            and previous.b != SENTINEL
             and ins.b == previous.b
             and (ins.b_cols, ins.b_rows) == (previous.b_cols, previous.b_rows)
             and ctx.weights_clean
         ):
-            rewritten = replace(ins, b=LocalAddr(SENTINEL))
+            rewritten = replace(ins, b=SENTINEL)
         ctx.last_preload = ins
         ctx.weights = tuple(_memory_only(reads))
         ctx.weights_clean = True

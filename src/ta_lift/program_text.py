@@ -55,7 +55,6 @@ from .isa import (
     DramRef,
     Instruction,
     InstructionSpec,
-    LocalAddr,
     Program,
     spec_of,
 )
@@ -561,7 +560,6 @@ def _resolve(operands: tuple[tuple[str, str], ...], raws: Iterable[object]) -> l
         elif kind == "local":
             if raw < 0 or raw > LOCAL_ADDR_MAX:
                 return f"local address {raw:#x} outside 32-bit range"
-            raw = LocalAddr(raw)
         elif kind == "flag":
             raw = bool(raw)
         elif raw.__class__ is int and raw < 0 and kind != "channel":
@@ -606,7 +604,7 @@ class _Atoms(dict):
 _SUM = "atoms[{h}] + atoms[{t}]"
 _READ_OPERAND = {
     "dram": ("atoms[{t}]", "{v} is None or {h} not in buffers", "DramRef({h}, {v})"),
-    "local": (_SUM, f"not 0 <= {{v}} <= {LOCAL_ADDR_MAX}", "LocalAddr({v})"),
+    "local": (_SUM, f"not 0 <= {{v}} <= {LOCAL_ADDR_MAX}", "{v}"),
     "flag": (f"FLAGS[{{h}}] if {{h}} in FLAGS else bool({_SUM})", "{t} and {h} in FLAGS", "{v}"),
     "dataflow": ("DATAFLOWS.get({h})", "{v} is None or {t}", "{v}"),
     "activation": ("ACTIVATIONS.get({h})", "{v} is None or {t}", "{v}"),
@@ -632,7 +630,7 @@ def _reader(spec: InstructionSpec) -> Callable[[tuple[str, ...], _Atoms, dict], 
         args.append(arg)
     source = (f"def read(g, atoms, buffers):\n try: {'; '.join(values) or 'pass'}\n except TypeError: return None\n"
               f" if {' or '.join(refusals)}: return None\n return build({', '.join(args)})")
-    names = {"build": spec.build, "DramRef": DramRef, "LocalAddr": LocalAddr, "FLAGS": _WORDS["flag"],
+    names = {"build": spec.build, "DramRef": DramRef, "FLAGS": _WORDS["flag"],
              "DATAFLOWS": _DATAFLOWS, "ACTIVATIONS": _ACTIVATIONS}
     exec(_compile(source, "<reader>", "exec"), names)
     return names["read"]
@@ -716,7 +714,7 @@ def _render_dram(ref: DramRef) -> str:
 # other kind is an integer.
 _OPERAND_TEXT = {
     "dram": "{_render_dram(ins.%s)}",
-    "local": "{ins.%s.raw:#x}",
+    "local": "{ins.%s:#x}",
     "flag": "{'true' if ins.%s else 'false'}",
     "dataflow": "{ins.%s.value}",
     "activation": "{ins.%s.value}",

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ta_lift.kernels as kernels
 from ta_lift.fixtures import KERNELS, emit_golden_program, golden_program, kernel
-from ta_lift.isa import ConfigLd, ConfigSt, DramRef, LocalAddr, Mvin, Mvout, Program, ValidationError, validate_program
+from ta_lift.isa import ConfigLd, ConfigSt, DramRef, Mvin, Mvout, Program, ValidationError, spec_of, validate_program
 from ta_lift.kernels import (
     ABS_TOLERANCE,
     REL_TOLERANCE,
@@ -79,8 +79,16 @@ def oracle_verify(p: Program, spec: KernelSpec, cases: list[Case], cfg: MachineC
 # -- programs and cases ----------------------------------------------------------------
 
 
-def _perturbed(value, data):
-    """One constant of an instruction operand changed, or None if it has none."""
+def _perturbed(value, local: bool, data):
+    """One constant of an instruction operand changed, or None if it has none.
+
+    A local address (`local`) moves by a few rows or flips one flag bit, and stays a 32-bit word."""
+    if local:
+        raw = data.draw(
+            st.sampled_from([value - 4, value - 1, value + 1, value + 4,
+                             value ^ (1 << 31), value ^ (1 << 30), value ^ (1 << 29)])
+        )
+        return raw if 0 <= raw <= 0xFFFFFFFF else None
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -89,12 +97,6 @@ def _perturbed(value, data):
         return data.draw(st.sampled_from([member for member in type(value) if member is not value]))
     if isinstance(value, DramRef):
         return dataclasses.replace(value, offset=value.offset + data.draw(st.sampled_from([-4, -1, 1, 4, 64])))
-    if isinstance(value, LocalAddr):
-        raw = data.draw(
-            st.sampled_from([value.raw - 4, value.raw - 1, value.raw + 1, value.raw + 4,
-                             value.raw ^ (1 << 31), value.raw ^ (1 << 30), value.raw ^ (1 << 29)])
-        )
-        return LocalAddr(raw) if 0 <= raw <= 0xFFFFFFFF else None
     return None
 
 
@@ -108,7 +110,7 @@ def mutate(program: Program, data) -> Program:
         fields = [f.name for f in dataclasses.fields(ins[at])]
         if fields:
             name = data.draw(st.sampled_from(fields))
-            value = _perturbed(getattr(ins[at], name), data)
+            value = _perturbed(getattr(ins[at], name), (name, "local") in spec_of(ins[at]).operands, data)
             if value is not None:
                 ins[at] = dataclasses.replace(ins[at], **{name: value})
     elif how == "delete":

@@ -10,23 +10,23 @@ from ta_lift.isa import (
     ConfigEx,
     DramRef,
     Fence,
-    LocalAddr,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
     Space,
+    encode_local_addr,
 )
 from ta_lift.program_text import parse_program
 
 
-def spad(row: int) -> LocalAddr:
-    return LocalAddr.make(Space.SCRATCHPAD, row)
+def spad(row: int) -> int:
+    return encode_local_addr(Space.SCRATCHPAD, False, False, row)
 
 
-def acc(row: int) -> LocalAddr:
-    return LocalAddr.make(Space.ACCUMULATOR, row)
+def acc(row: int) -> int:
+    return encode_local_addr(Space.ACCUMULATOR, False, False, row)
 
 
 def instruction_cost(ins) -> float:
@@ -50,7 +50,7 @@ def test_preload_pays_pipeline_fill() -> None:
 
 
 def test_compute_pays_per_row() -> None:
-    comp = ComputePreloaded(a=spad(0), d=LocalAddr(0xFFFFFFFF), a_cols=4, a_rows=3, d_cols=4, d_rows=4)
+    comp = ComputePreloaded(a=spad(0), d=0xFFFFFFFF, a_cols=4, a_rows=3, d_cols=4, d_rows=4)
     assert instruction_cost(comp) == 4.0
 
 
@@ -71,7 +71,7 @@ def test_params_scale_terms(monkeypatch) -> None:
     assert instruction_cost(ins) == 2.0 + 0.5 * 4 * 2 * 2
     pre = PreloadZeros(c=acc(0))
     assert instruction_cost(pre) == 12.0
-    comp = ComputePreloaded(a=spad(0), d=LocalAddr(0xFFFFFFFF), a_cols=4, a_rows=3, d_cols=4, d_rows=4)
+    comp = ComputePreloaded(a=spad(0), d=0xFFFFFFFF, a_cols=4, a_rows=3, d_cols=4, d_rows=4)
     assert instruction_cost(comp) == 2.0 + 3.0 * 3
 
 

@@ -25,6 +25,7 @@ from ta_lift.isa import (
     ELEMENT_BYTES,
     FULL_WIDTH_BIT,
     LOAD_CHANNELS,
+    ROW_MASK,
     SENTINEL,
     Activation,
     ComputeAccumulated,
@@ -35,7 +36,6 @@ from ta_lift.isa import (
     Dataflow,
     DramRef,
     Fence,
-    LocalAddr,
     Mvin,
     Mvout,
     Preload,
@@ -95,12 +95,12 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
     pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
     flat = _dram_flat(m, idx, ins.dram.buffer)
     size = flat.shape[-1]
-    space = ins.local.space
+    space = Space.ACCUMULATOR if ins.local & ACC_BIT else Space.SCRATCHPAD
     mem = m.acc if space is Space.ACCUMULATOR else m.spad
     tiles = (ins.cols + dim - 1) // dim
-    base_row = ins.local.row
+    base_row = ins.local & ROW_MASK
     _check_local_rows(m, idx, space, base_row, (tiles - 1) * dim + ins.rows)
-    accumulate = space is Space.ACCUMULATOR and ins.local.accumulate
+    accumulate = space is Space.ACCUMULATOR and bool(ins.local & ACCUMULATE_BIT)
     for t in range(tiles):
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
@@ -119,9 +119,9 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
 
 
 def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
-    if not ins.b.is_sentinel:
-        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.b.row, ins.b_rows)
-        block = m.spad[..., ins.b.row : ins.b.row + ins.b_rows, : ins.b_cols].copy()
+    if ins.b != SENTINEL:
+        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.b & ROW_MASK, ins.b_rows)
+        block = m.spad[..., (ins.b & ROW_MASK) : (ins.b & ROW_MASK) + ins.b_rows, : ins.b_cols].copy()
         weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block
     else:
         if m.latched is None:
@@ -129,8 +129,8 @@ def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
         weights = m.latched.weights
     m.latched = _Latched(
         weights=weights,
-        c_row=ins.c.row,
-        c_accumulate=ins.c.accumulate,
+        c_row=ins.c & ROW_MASK,
+        c_accumulate=bool(ins.c & ACCUMULATE_BIT),
         c_cols=ins.c_cols,
         c_rows=ins.c_rows,
     )
@@ -140,8 +140,8 @@ def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
     dim = m.config.dim
     m.latched = _Latched(
         weights=np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32),
-        c_row=ins.c.row,
-        c_accumulate=ins.c.accumulate,
+        c_row=ins.c & ROW_MASK,
+        c_accumulate=bool(ins.c & ACCUMULATE_BIT),
         c_cols=dim,
         c_rows=dim,
     )
@@ -155,8 +155,8 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
     lat = m.latched
     if lat is None:
         raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
-    _check_local_rows(m, idx, Space.SCRATCHPAD, ins.a.row, ins.a_rows)
-    a_raw = m.spad[..., ins.a.row : ins.a.row + ins.a_rows, : ins.a_cols]
+    _check_local_rows(m, idx, Space.SCRATCHPAD, ins.a & ROW_MASK, ins.a_rows)
+    a_raw = m.spad[..., (ins.a & ROW_MASK) : (ins.a & ROW_MASK) + ins.a_rows, : ins.a_cols]
     a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
     a_rows, a_cols = a_eff.shape[-2:]
     w_rows, w_cols = lat.weights.shape[-2:]
@@ -173,17 +173,17 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
             f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}",
         )
     product = a_eff.astype(np.float32) @ lat.weights
-    if ins.d.is_sentinel:
+    if ins.d == SENTINEL:
         biased = product
     else:
-        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.d.row, ins.d_rows)
+        _check_local_rows(m, idx, Space.SCRATCHPAD, ins.d & ROW_MASK, ins.d_rows)
         if (ins.d_rows, ins.d_cols) != (lat.c_rows, lat.c_cols):
             raise ExecError(
                 idx,
                 "dimension_mismatch",
                 f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}",
             )
-        biased = product + m.spad[..., ins.d.row : ins.d.row + ins.d_rows, : ins.d_cols]
+        biased = product + m.spad[..., (ins.d & ROW_MASK) : (ins.d & ROW_MASK) + ins.d_rows, : ins.d_cols]
     _check_local_rows(m, idx, Space.ACCUMULATOR, lat.c_row, lat.c_rows)
     dst = m.acc[..., lat.c_row : lat.c_row + lat.c_rows, : lat.c_cols]
     accumulate = lat.c_accumulate or isinstance(ins, ComputeAccumulated)
@@ -196,14 +196,14 @@ def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulat
 def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
     dim = m.config.dim
     pitch = _stride_elems(m, idx, m.st_stride, "store")
-    if m.regs.act not in (Activation.NONE, Activation.RELU) and not ins.local.full_width:
+    if m.regs.act not in (Activation.NONE, Activation.RELU) and not ins.local & FULL_WIDTH_BIT:
         raise ExecError(idx, "unsupported", f"activation {m.regs.act.value} is parse-only")
     flat = _dram_flat(m, idx, ins.dram.buffer)
     size = flat.shape[-1]
     tiles = (ins.cols + dim - 1) // dim
-    base_row = ins.local.row
+    base_row = ins.local & ROW_MASK
     _check_local_rows(m, idx, Space.ACCUMULATOR, base_row, (tiles - 1) * dim + ins.rows)
-    apply_relu = m.regs.act is Activation.RELU and not ins.local.full_width
+    apply_relu = m.regs.act is Activation.RELU and not ins.local & FULL_WIDTH_BIT
     for t in range(tiles):
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
@@ -318,9 +318,9 @@ def moves(draw, kind: type, cfg: MachineConfig, shapes: dict[str, tuple[int, int
     limit = cfg.acc_rows if flags & ACC_BIT or kind is Mvout else cfg.spad_rows
     row = draw(local_rows(limit, ((cols + cfg.dim - 1) // cfg.dim - 1) * cfg.dim + rows))
     if kind is Mvout:
-        return Mvout(DramRef(buffer, offset), LocalAddr(flags | row), cols, rows)
+        return Mvout(DramRef(buffer, offset), flags | row, cols, rows)
     channel = draw(st.sampled_from((*LOAD_CHANNELS,) * 3 + (max(LOAD_CHANNELS) + 1,)))
-    return Mvin(channel, DramRef(buffer, offset), LocalAddr(flags | row), cols, rows)
+    return Mvin(channel, DramRef(buffer, offset), flags | row, cols, rows)
 
 
 @st.composite
@@ -328,14 +328,14 @@ def matrix_steps(draw, kind: type, cfg: MachineConfig):
     dim = cfg.dim
     counts = [draw(st.integers(1, dim)) for _ in range(4)]
     if kind is PreloadZeros:
-        return PreloadZeros(LocalAddr(draw(st.sampled_from(_FLAGS)) | draw(local_rows(cfg.acc_rows, dim))))
+        return PreloadZeros(draw(st.sampled_from(_FLAGS)) | draw(local_rows(cfg.acc_rows, dim)))
     if kind is Preload:
         b = draw(st.one_of(st.just(SENTINEL), local_rows(cfg.spad_rows, counts[1])))
         c = draw(st.sampled_from(_FLAGS)) | ACC_BIT | draw(local_rows(cfg.acc_rows, counts[3]))
-        return Preload(LocalAddr(b), LocalAddr(c), *counts)
+        return Preload(b, c, *counts)
     a = draw(st.sampled_from(_FLAGS)) | draw(local_rows(cfg.spad_rows, counts[1]))
     d = draw(st.one_of(st.just(SENTINEL), local_rows(cfg.spad_rows, counts[3])))
-    return kind(LocalAddr(a), LocalAddr(d), *counts)
+    return kind(a, d, *counts)
 
 
 @st.composite
@@ -402,18 +402,17 @@ def test_one_field_mutations_match_the_oracle(mutation, seed) -> None:
     assert_same_as_oracle(m, program.instructions)
 
 
-_ACC = LocalAddr(ACC_BIT)
 _RELU = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.RELU, False, False)
 EDGE_MOVES = {  # on a 6 x 8 buffer A
-    "load wraps a row": (ConfigLd(32, 0), Mvin(0, DramRef("A", 6), LocalAddr(0), 4, 2)),
-    "store wraps a row": (ConfigSt(32), Mvout(DramRef("A", 5), _ACC, 8, 3)),
-    "store rows overlap": (ConfigSt(4), Mvout(DramRef("A", 3), _ACC, 4, 4)),
-    "relu store rows overlap": (_RELU, ConfigSt(8), Mvout(DramRef("A", 0), _ACC, 8, 4)),
-    "accumulating load, pitch 0": (ConfigLd(0, 1), Mvin(1, DramRef("A", 9), LocalAddr(_ACC.raw | ACCUMULATE_BIT), 4, 4)),
-    "load to the buffer's last element": (ConfigLd(32, 2), Mvin(2, DramRef("A", 20), LocalAddr(1020), 4, 4)),
-    "store one row past the buffer": (ConfigSt(32), Mvout(DramRef("A", 24), _ACC, 8, 4)),
-    "load before the buffer": (ConfigLd(32, 0), Mvin(0, DramRef("A", -1), LocalAddr(0), 4, 2)),
-    "load with twice the row length": (ConfigLd(64, 0), Mvin(0, DramRef("A", 0), LocalAddr(0), 8, 3)),
+    "load wraps a row": (ConfigLd(32, 0), Mvin(0, DramRef("A", 6), 0, 4, 2)),
+    "store wraps a row": (ConfigSt(32), Mvout(DramRef("A", 5), ACC_BIT, 8, 3)),
+    "store rows overlap": (ConfigSt(4), Mvout(DramRef("A", 3), ACC_BIT, 4, 4)),
+    "relu store rows overlap": (_RELU, ConfigSt(8), Mvout(DramRef("A", 0), ACC_BIT, 8, 4)),
+    "accumulating load, pitch 0": (ConfigLd(0, 1), Mvin(1, DramRef("A", 9), ACC_BIT | ACCUMULATE_BIT, 4, 4)),
+    "load to the buffer's last element": (ConfigLd(32, 2), Mvin(2, DramRef("A", 20), 1020, 4, 4)),
+    "store one row past the buffer": (ConfigSt(32), Mvout(DramRef("A", 24), ACC_BIT, 8, 4)),
+    "load before the buffer": (ConfigLd(32, 0), Mvin(0, DramRef("A", -1), 0, 4, 2)),
+    "load with twice the row length": (ConfigLd(64, 0), Mvin(0, DramRef("A", 0), 0, 8, 3)),
 }
 
 
@@ -458,7 +457,7 @@ def _stored(monkeypatch, stride_bytes: int, offset: int) -> tuple[np.ndarray, np
     entered = count_row_moves(monkeypatch)
     m = create_machine(MachineConfig(), {"y": (1, 8)})
     m.acc[:3] = np.arange(12, dtype=np.float32).reshape(3, 4) + 1
-    machine.run(m, (ConfigSt(stride_bytes), Mvout(DramRef("y", offset), LocalAddr.make(Space.ACCUMULATOR, 0), 4, 3)))
+    machine.run(m, (ConfigSt(stride_bytes), Mvout(DramRef("y", offset), ACC_BIT, 4, 3)))
     return m.dram["y"][0], m.acc[:3], entered
 
 

@@ -11,7 +11,19 @@ from ta_lift.fixtures import (
     golden_program,
     kernel,
 )
-from ta_lift.isa import ComputePreloaded, Fence, Mvin, Mvout, Preload, Program, validate_program
+from ta_lift.isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
+    ROW_MASK,
+    SENTINEL,
+    ComputePreloaded,
+    Fence,
+    Mvin,
+    Mvout,
+    Preload,
+    Program,
+    validate_program,
+)
 from ta_lift.kernels import generate_testcases, verify_source
 from ta_lift.program_text import parse_program, render_program
 
@@ -54,14 +66,14 @@ def test_gv1_structure_matches_blocked_matvec() -> None:
     assert len(mvouts) == 1
     assert isinstance(program.instructions[-1], Fence)
     # First chunk starts a fresh tile, later chunks set the add-on-write bit.
-    assert preloads[0].c.accumulate is False
-    assert preloads[1].c.accumulate is True and preloads[2].c.accumulate is True
+    assert not preloads[0].c & ACCUMULATE_BIT
+    assert preloads[1].c & ACCUMULATE_BIT and preloads[2].c & ACCUMULATE_BIT
     for pre in preloads:
         assert (pre.c_cols, pre.c_rows) == (1, 4)
         assert (pre.b_cols, pre.b_rows) == (1, 4)
     for comp in computes:
         assert (comp.a_cols, comp.a_rows) == (4, 4)
-        assert comp.d.is_sentinel
+        assert comp.d == SENTINEL
 
 
 def test_wide_kernel_emits_multiple_output_tiles() -> None:
@@ -77,7 +89,7 @@ def test_bias_kernel_stages_bias_once_per_output_tile() -> None:
     bias_loads = [ins for ins in program.instructions if isinstance(ins, Mvin) and ins.channel == 2]
     assert len(bias_loads) == (spec.i // 4) * (spec.j // 4)
     computes = [ins for ins in program.instructions if isinstance(ins, ComputePreloaded)]
-    with_bias = [c for c in computes if not c.d.is_sentinel]
+    with_bias = [c for c in computes if c.d != SENTINEL]
     assert len(with_bias) == len(bias_loads)
 
 
@@ -97,5 +109,5 @@ def test_all_goldens_fit_default_machine() -> None:
     for name in KERNELS:
         program = parsed_golden(name)
         for ins in program.instructions:
-            if isinstance(ins, Mvin) and ins.local.space.name == "SCRATCHPAD":
-                assert ins.local.row + ins.rows <= cfg.spad_rows
+            if isinstance(ins, Mvin) and not ins.local & ACC_BIT:
+                assert (ins.local & ROW_MASK) + ins.rows <= cfg.spad_rows

@@ -28,6 +28,7 @@ from conftest import naive_program
 from ta_lift import machine, repair
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
+    ACC_BIT,
     INSTRUCTIONS,
     SENTINEL,
     Activation,
@@ -38,13 +39,11 @@ from ta_lift.isa import (
     Dataflow,
     DramRef,
     Interval,
-    LocalAddr,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
-    Space,
     ScanState,
     ValidationError,
     footprint,
@@ -74,7 +73,7 @@ def test_every_table_entry_has_an_executor_and_a_reserved_name() -> None:
 
 _SAMPLE_OPERANDS = {
     "dram": DramRef("A", 1),
-    "local": LocalAddr(4),
+    "local": 4,
     "flag": True,
     "dataflow": Dataflow.WEIGHT_STATIONARY,
     "activation": Activation.RELU,
@@ -89,6 +88,14 @@ def test_each_entry_names_every_field_and_round_trips_through_text() -> None:
         ins = spec.build(*(_SAMPLE_OPERANDS.get(kind, 3) for _, kind in spec.operands))
         assert spec_of(ins) is spec
         assert parse_program(render_instruction(ins), {"A": (4, 4)}).instructions == (ins,)
+
+
+def test_records_of_different_mnemonics_differ_on_the_same_operands() -> None:
+    ops = (0, SENTINEL, 4, 4, 4, 4)
+    preloaded, accumulated = ComputePreloaded(*ops), ComputeAccumulated(*ops)
+    assert preloaded != accumulated
+    assert len({preloaded, accumulated}) == 2
+    assert {preloaded, accumulated} == {ComputePreloaded(*ops), ComputeAccumulated(*ops)}
 
 
 # -- validation derived from the table ------------------------------------------------------
@@ -114,29 +121,29 @@ def old_violations(p: Program, dim: int = 4, max_block_len: int = 4):
                 yield idx, "rows_exceed_dim", "rows", str(ins.rows), f"1..{dim}"
             if ins.cols < 1 or ins.cols > dim * max_block_len:
                 yield idx, "block_too_wide", "cols", str(ins.cols), f"1..{dim * max_block_len}"
-            if ins.local.space is not Space.ACCUMULATOR:
-                yield idx, "wrong_address_space", "local", f"{ins.local.raw:#x}", "accumulator"
+            if not ins.local & ACC_BIT:
+                yield idx, "wrong_address_space", "local", f"{ins.local:#x}", "accumulator"
         elif isinstance(ins, Preload):
             for label in ("b_cols", "b_rows", "c_cols", "c_rows"):
                 v = getattr(ins, label)
                 if v < 1 or v > dim:
                     yield idx, "dimension_mismatch", label, str(v), f"1..{dim}"
-            if not ins.b.is_sentinel and ins.b.space is not Space.SCRATCHPAD:
-                yield idx, "wrong_address_space", "b", f"{ins.b.raw:#x}", "scratchpad"
-            if ins.c.space is not Space.ACCUMULATOR:
-                yield idx, "wrong_address_space", "c", f"{ins.c.raw:#x}", "accumulator"
+            if ins.b != SENTINEL and ins.b & ACC_BIT:
+                yield idx, "wrong_address_space", "b", f"{ins.b:#x}", "scratchpad"
+            if not ins.c & ACC_BIT:
+                yield idx, "wrong_address_space", "c", f"{ins.c:#x}", "accumulator"
         elif isinstance(ins, PreloadZeros):
-            if ins.c.space is not Space.ACCUMULATOR:
-                yield idx, "wrong_address_space", "c", f"{ins.c.raw:#x}", "accumulator"
+            if not ins.c & ACC_BIT:
+                yield idx, "wrong_address_space", "c", f"{ins.c:#x}", "accumulator"
         elif isinstance(ins, (ComputePreloaded, ComputeAccumulated)):
             for label in ("a_cols", "a_rows", "d_cols", "d_rows"):
                 v = getattr(ins, label)
                 if v < 1 or v > dim:
                     yield idx, "dimension_mismatch", label, str(v), f"1..{dim}"
-            if ins.a.space is not Space.SCRATCHPAD:
-                yield idx, "wrong_address_space", "a", f"{ins.a.raw:#x}", "scratchpad"
-            if not ins.d.is_sentinel and ins.d.space is not Space.SCRATCHPAD:
-                yield idx, "wrong_address_space", "d", f"{ins.d.raw:#x}", "scratchpad"
+            if ins.a & ACC_BIT:
+                yield idx, "wrong_address_space", "a", f"{ins.a:#x}", "scratchpad"
+            if ins.d != SENTINEL and ins.d & ACC_BIT:
+                yield idx, "wrong_address_space", "d", f"{ins.d:#x}", "scratchpad"
         elif isinstance(ins, ConfigLd):
             if ins.channel not in (0, 1, 2):
                 yield idx, "unsupported", "channel", str(ins.channel), "0..2"
@@ -192,14 +199,16 @@ _EDGE_COUNTS = (-4, -1, 0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 2**31)
 _EDGE_ADDRESSES = (0, 4, 1 << 29, 1 << 31, (1 << 31) | (1 << 30) | 3, (1 << 31) | (1 << 29), SENTINEL - 1, SENTINEL)
 
 
-def _edge_values(value) -> tuple:
-    """Values to put in a field: counts around every bound, and addresses in both
-    memories, with each flag and the sentinel."""
-    if isinstance(value, bool) or not isinstance(value, (int, LocalAddr)):
+def _edge_values(ins, name: str) -> tuple:
+    """Values to put in a field, by its operand kind in the table: for a local address,
+    addresses in both memories, with each flag and the sentinel; for any other
+    integer, counts around every bound."""
+    if (name, "local") in spec_of(ins).operands:
+        return _EDGE_ADDRESSES
+    value = getattr(ins, name)
+    if isinstance(value, bool) or not isinstance(value, int):
         return ()
-    if isinstance(value, int):
-        return _EDGE_COUNTS
-    return tuple(LocalAddr(raw) for raw in _EDGE_ADDRESSES)
+    return _EDGE_COUNTS
 
 
 def test_validation_agrees_on_goldens_and_naive_programs() -> None:
@@ -218,7 +227,7 @@ def test_validation_agrees_on_every_one_field_mutation_of_each_mnemonic() -> Non
     assert set(samples) == {spec.mnemonic for spec in INSTRUCTIONS}
     for ins in samples.values():
         for field in dataclasses.fields(ins):
-            for value in _edge_values(getattr(ins, field.name)):
+            for value in _edge_values(ins, field.name):
                 mutated = dataclasses.replace(ins, **{field.name: value})
                 for dim, max_block_len in _MACHINE_SHAPES:
                     assert_validation_agrees(Program((ins, mutated, ins)), dim, max_block_len)
@@ -232,7 +241,7 @@ def test_validation_messages_name_the_rule() -> None:
             return str(err)
         return "valid"
 
-    spad, acc = LocalAddr(0), LocalAddr(1 << 31)
+    spad, acc = 0, ACC_BIT
     mvin = Mvin(1, DramRef("A"), spad, 4, 4)
     assert detail(dataclasses.replace(mvin, rows=5)) == "instruction 0: rows_exceed_dim: mvin rows 5 must be in 1..4"
     assert detail(mvin, dataclasses.replace(mvin, cols=17)) == (
@@ -244,14 +253,14 @@ def test_validation_messages_name_the_rule() -> None:
     assert detail(Mvout(DramRef("C"), spad, 4, 4)) == (
         "instruction 0: wrong_address_space: mvout local 0x0 must address the accumulator"
     )
-    keep = Preload(LocalAddr(SENTINEL), acc, 4, 4, 4, 4)
+    keep = Preload(SENTINEL, acc, 4, 4, 4, 4)
     assert detail(keep) == "valid"
     assert detail(dataclasses.replace(keep, b=acc)) == (
         "instruction 0: wrong_address_space: preload b 0x80000000 must address the scratchpad or be the sentinel"
     )
-    no_bias = ComputePreloaded(spad, LocalAddr(SENTINEL), 4, 4, 4, 4)
+    no_bias = ComputePreloaded(spad, SENTINEL, 4, 4, 4, 4)
     assert detail(no_bias) == "valid"
-    assert detail(dataclasses.replace(no_bias, a=LocalAddr(SENTINEL))) == (
+    assert detail(dataclasses.replace(no_bias, a=SENTINEL)) == (
         "instruction 0: wrong_address_space: compute_preloaded a 0xffffffff must address the scratchpad"
     )
     assert detail(dataclasses.replace(no_bias, d_rows=0)) == (
@@ -282,7 +291,7 @@ def one_field_mutations(draw):
     instructions = list(program.instructions)
     at = draw(st.integers(0, len(instructions) - 1))
     ins = instructions[at]
-    choices = [(f.name, v) for f in dataclasses.fields(ins) for v in _edge_values(getattr(ins, f.name))]
+    choices = [(f.name, v) for f in dataclasses.fields(ins) for v in _edge_values(ins, f.name)]
     if choices and draw(st.integers(0, 9)):
         name, value = draw(st.sampled_from(choices))
         instructions[at] = dataclasses.replace(ins, **{name: value})

@@ -7,9 +7,12 @@ import random
 import pytest
 
 from ta_lift.isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
+    FULL_WIDTH_BIT,
+    ROW_MASK,
     SENTINEL,
     AddressError,
-    LocalAddr,
     Program,
     Space,
     ValidationError,
@@ -32,16 +35,16 @@ def test_encode_accumulator_full_width() -> None:
 
 
 def test_decode_fields() -> None:
-    addr = LocalAddr(0x80000004)
-    assert addr.space is Space.ACCUMULATOR
-    assert not addr.accumulate
-    assert not addr.full_width
-    assert addr.row == 4
+    addr = 0x80000004
+    assert addr & ACC_BIT
+    assert not addr & ACCUMULATE_BIT
+    assert not addr & FULL_WIDTH_BIT
+    assert addr & ROW_MASK == 4
 
 
 def test_sentinel_value() -> None:
-    assert LocalAddr(SENTINEL).is_sentinel
-    assert not LocalAddr(0xC0000000).is_sentinel
+    assert SENTINEL == 0xFFFFFFFF
+    assert 0xC0000000 != SENTINEL
 
 
 def test_row_out_of_range_rejected() -> None:
@@ -58,8 +61,14 @@ def test_encode_decode_round_trip() -> None:
         accumulate = rng.random() < 0.5
         full = rng.random() < 0.5
         row = rng.randrange(1 << 29)
-        addr = LocalAddr(encode_local_addr(space, accumulate, full, row))
-        assert (addr.space, addr.accumulate, addr.full_width, addr.row) == (space, accumulate, full, row)
+        addr = encode_local_addr(space, accumulate, full, row)
+        decoded = (
+            Space.ACCUMULATOR if addr & ACC_BIT else Space.SCRATCHPAD,
+            bool(addr & ACCUMULATE_BIT),
+            bool(addr & FULL_WIDTH_BIT),
+            addr & ROW_MASK,
+        )
+        assert decoded == (space, accumulate, full, row)
 
 
 def _program(text: str, buffers: dict[str, tuple[int, int]]) -> Program:

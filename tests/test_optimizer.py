@@ -11,7 +11,10 @@ from ta_lift.costs import program_cost
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.gateway import ReplayBackend
 from ta_lift.isa import (
+    ACC_BIT,
+    ACCUMULATE_BIT,
     MAX_BLOCK_LEN_DEFAULT,
+    ROW_MASK,
     SENTINEL,
     Activation,
     ComputePreloaded,
@@ -20,14 +23,12 @@ from ta_lift.isa import (
     ConfigSt,
     Dataflow,
     DramRef,
-    LocalAddr,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
     ScanState,
-    Space,
     footprint,
     stride_elems,
 )
@@ -128,22 +129,22 @@ ACC = 1 << 31
 
 
 def test_disjoint_blocks_have_no_edge():
-    a = Block(0, (Mvin(0, DramRef("x", 0), LocalAddr(ACC), 4, 4), Mvout(DramRef("out", 0), LocalAddr(ACC), 4, 4)))
+    a = Block(0, (Mvin(0, DramRef("x", 0), ACC, 4, 4), Mvout(DramRef("out", 0), ACC, 4, 4)))
     b = Block(
-        1, (Mvin(0, DramRef("x", 16), LocalAddr(ACC | 8), 4, 4), Mvout(DramRef("other", 0), LocalAddr(ACC | 8), 4, 4))
+        1, (Mvin(0, DramRef("x", 16), ACC | 8, 4, 4), Mvout(DramRef("other", 0), ACC | 8, 4, 4))
     )
     assert analyze_dependences([a, b]) == frozenset()
 
 
 def test_read_after_write_makes_edge():
-    a = Block(0, (Mvin(0, DramRef("x", 0), LocalAddr(0), 8, 4),))  # scratchpad rows 0..8
-    b = Block(1, (Preload(LocalAddr(4), LocalAddr(ACC), 4, 2, 4, 4),))  # reads rows 4..6
+    a = Block(0, (Mvin(0, DramRef("x", 0), 0, 8, 4),))  # scratchpad rows 0..8
+    b = Block(1, (Preload(4, ACC, 4, 2, 4, 4),))  # reads rows 4..6
     assert (0, 1) in analyze_dependences([a, b])
 
 
 def test_write_after_read_makes_edge():
-    a = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))  # reads scratchpad rows 0..4
-    b = Block(1, (Mvin(0, DramRef("x", 0), LocalAddr(0), 4, 4),))  # overwrites them
+    a = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))  # reads scratchpad rows 0..4
+    b = Block(1, (Mvin(0, DramRef("x", 0), 0, 4, 4),))  # overwrites them
     assert analyze_dependences([a, b]) == frozenset({(0, 1)})
 
 
@@ -154,7 +155,7 @@ def test_accumulation_chain_is_totally_ordered():
     # Rounds summing into one accumulator column must keep their order.
     groups = {}
     for block in blocks[1:]:
-        target = next(i.c.row for i in block.instructions if isinstance(i, Preload))
+        target = next(i.c & ROW_MASK for i in block.instructions if isinstance(i, Preload))
         groups.setdefault(target, []).append(block.id)
     assert len(groups) == 3
     for members in groups.values():
@@ -164,16 +165,16 @@ def test_accumulation_chain_is_totally_ordered():
 
 
 def test_register_use_pins_reader_between_writers():
-    writer1 = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))
-    reader = Block(1, (ComputePreloaded(LocalAddr(8), LocalAddr(SENTINEL), 4, 4, 4, 4),))  # reads the latch
-    writer2 = Block(2, (Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),))
+    writer1 = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))
+    reader = Block(1, (ComputePreloaded(8, SENTINEL, 4, 4, 4, 4),))  # reads the latch
+    writer2 = Block(2, (Preload(0, ACC | 4, 4, 4, 4, 4),))
     edges = analyze_dependences([writer1, reader, writer2])
     assert (0, 1) in edges and (1, 2) in edges and (0, 2) in edges
 
 
 def test_private_register_writes_do_not_serialize():
-    writer1 = Block(0, (Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),))
-    writer2 = Block(1, (Preload(LocalAddr(4), LocalAddr(ACC | 4), 4, 4, 4, 4),))
+    writer1 = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))
+    writer2 = Block(1, (Preload(4, ACC | 4, 4, 4, 4, 4),))
     assert analyze_dependences([writer1, writer2]) == frozenset()
 
 
@@ -261,14 +262,14 @@ def _assert_matches_oracle(program: Program) -> None:
 
 
 def test_mvin_read_by_a_later_mvin_of_the_run_stays_before_the_cut():
-    accumulate = LocalAddr(ACC | 1 << 30)
+    accumulate = ACC | 1 << 30
     program = Program(
         (
             ConfigLd(16, 0),
-            Mvin(0, DramRef("x", 0), LocalAddr(ACC), 4, 4),
+            Mvin(0, DramRef("x", 0), ACC, 4, 4),
             Mvin(0, DramRef("y", 0), accumulate, 4, 4),  # reads the rows the mvin above wrote
-            Mvin(0, DramRef("w", 0), LocalAddr(0), 4, 4),
-            Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),
+            Mvin(0, DramRef("w", 0), 0, 4, 4),
+            Preload(0, ACC | 4, 4, 4, 4, 4),
         )
     )
     assert [len(b.instructions) for b in segment_blocks(program)] == [2, 3]
@@ -340,7 +341,7 @@ def both_mvin_walks(instructions):
 
 
 def test_mvin_not_dropped_after_destination_overwritten():
-    spad = LocalAddr(0)
+    spad = 0
     load = Mvin(0, DramRef("x", 0), spad, 4, 4)
     clobber = Mvin(0, DramRef("y", 0), spad, 4, 4)
     for out in both_mvin_walks((load, clobber, load)):
@@ -350,7 +351,7 @@ def test_mvin_not_dropped_after_destination_overwritten():
 
 
 def test_accumulating_mvins_never_deduped():
-    acc = LocalAddr((1 << 31) | (1 << 30))
+    acc = (1 << 31) | (1 << 30)
     load = Mvin(0, DramRef("x", 0), acc, 4, 4)
     for out in both_mvin_walks((load, load)):
         assert out == (load, load)
@@ -360,7 +361,7 @@ def test_shared_weights_rewritten_to_keep():
     spec, program = parsed_golden("gv3")
     result = optimize_program(program, spec, cases_for(spec))
     preloads = [i for i in result.program.instructions if isinstance(i, Preload)]
-    assert [p.b.is_sentinel for p in preloads] == [False, True, True]
+    assert [p.b == SENTINEL for p in preloads] == [False, True, True]
     assert result.after.total == result.before.total
     assert verify_program(result.program, spec, cases_for(spec)).passed
 
@@ -383,7 +384,7 @@ class ScanContext(PeepholeContext):
     def admit(self, ins):
         reads, writes = footprint(ins, self.state, self.dim)
         key = None
-        if isinstance(ins, Mvin) and not (ins.local.space is Space.ACCUMULATOR and ins.local.accumulate):
+        if isinstance(ins, Mvin) and not (ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT):
             key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory(reads), *writes))
             if key in self.seen_mvins:
                 return False
@@ -489,49 +490,49 @@ def test_overlapping_intervals_share_a_cell(space, a, a_rows, c, c_rows, dim):
 
 
 _X, _Y = DramRef("x", 0), DramRef("y", 0)
-_LOAD = Mvin(0, _X, LocalAddr(0), 4, 4)
+_LOAD = Mvin(0, _X, 0, 4, 4)
 
 
 @pytest.mark.parametrize(
     "instructions, kept",
     [
         pytest.param(  # unset, then not whole elements: the source spans all of x
-            (_LOAD, _LOAD, ConfigLd(6, 0), Mvin(0, _X, LocalAddr(16), 4, 4), ConfigSt(16),
-             Mvout(DramRef("x", 400), LocalAddr(ACC), 4, 4), _LOAD, Mvin(0, _X, LocalAddr(16), 4, 4)),
+            (_LOAD, _LOAD, ConfigLd(6, 0), Mvin(0, _X, 16, 4, 4), ConfigSt(16),
+             Mvout(DramRef("x", 400), ACC, 4, 4), _LOAD, Mvin(0, _X, 16, 4, 4)),
             [True, False, True, True, True, True, True, True],
             id="mvin-under-unknown-pitch",
         ),
         pytest.param(  # the accumulator write has no latched rows, so it spans the accumulator
-            (ConfigLd(16, 0), Mvin(0, _X, LocalAddr(ACC | 64), 4, 4), _LOAD,
-             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4),
-             Mvin(0, _X, LocalAddr(ACC | 64), 4, 4), _LOAD),
+            (ConfigLd(16, 0), Mvin(0, _X, ACC | 64, 4, 4), _LOAD,
+             ComputePreloaded(0, SENTINEL, 4, 4, 4, 4),
+             Mvin(0, _X, ACC | 64, 4, 4), _LOAD),
             [True, True, True, True, True, False],
             id="compute-before-any-preload",
         ),
         pytest.param(  # rows 0..12 on three tiles; row 9 is in the last, row 12 past it
-            (ConfigLd(48, 0), Mvin(0, _X, LocalAddr(0), 12, 4), Mvin(0, _Y, LocalAddr(12), 4, 1),
-             Mvin(0, _X, LocalAddr(0), 12, 4), Mvin(0, _Y, LocalAddr(9), 4, 1), Mvin(0, _X, LocalAddr(0), 12, 4)),
+            (ConfigLd(48, 0), Mvin(0, _X, 0, 12, 4), Mvin(0, _Y, 12, 4, 1),
+             Mvin(0, _X, 0, 12, 4), Mvin(0, _Y, 9, 4, 1), Mvin(0, _X, 0, 12, 4)),
             [True, True, True, False, True, True],
             id="destination-over-several-tiles",
         ),
         pytest.param(  # wider than any move: rows 0..100, filed under None
-            (ConfigLd(400, 0), Mvin(0, _X, LocalAddr(0), 100, 4), Mvin(0, _Y, LocalAddr(200), 4, 4),
-             Mvin(0, _X, LocalAddr(0), 100, 4), Mvin(0, _Y, LocalAddr(40), 4, 1), Mvin(0, _X, LocalAddr(0), 100, 4)),
+            (ConfigLd(400, 0), Mvin(0, _X, 0, 100, 4), Mvin(0, _Y, 200, 4, 4),
+             Mvin(0, _X, 0, 100, 4), Mvin(0, _Y, 40, 4, 1), Mvin(0, _X, 0, 100, 4)),
             [True, True, True, False, True, True],
             id="oversized-destination",
         ),
         pytest.param(
-            (ConfigLd(16, 0), ConfigSt(16), _LOAD, Mvout(_Y, LocalAddr(ACC), 4, 4), _LOAD,
-             Mvout(DramRef("x", 12), LocalAddr(ACC), 4, 4), _LOAD),
+            (ConfigLd(16, 0), ConfigSt(16), _LOAD, Mvout(_Y, ACC, 4, 4), _LOAD,
+             Mvout(DramRef("x", 12), ACC, 4, 4), _LOAD),
             [True, True, True, True, False, True, True],
             id="mvout-onto-a-buffer-an-mvin-read",
         ),
         pytest.param(
-            (ConfigLd(16, 0), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4), _LOAD,
-             Preload(LocalAddr(0), LocalAddr(ACC), 4, 4, 4, 4),
-             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4),
-             Preload(LocalAddr(0), LocalAddr(ACC | 4), 4, 4, 4, 4),
-             ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4), Mvin(0, _Y, LocalAddr(ACC | 4), 4, 4)),
+            (ConfigLd(16, 0), Mvin(0, _Y, ACC | 4, 4, 4), _LOAD,
+             Preload(0, ACC, 4, 4, 4, 4),
+             ComputePreloaded(0, SENTINEL, 4, 4, 4, 4), Mvin(0, _Y, ACC | 4, 4, 4),
+             Preload(0, ACC | 4, 4, 4, 4, 4),
+             ComputePreloaded(0, SENTINEL, 4, 4, 4, 4), Mvin(0, _Y, ACC | 4, 4, 4)),
             [True, True, True, True, True, False, True, True, True],
             id="accumulator-mvin-overwritten-by-a-compute",
         ),
@@ -581,10 +582,10 @@ def _synthetic_program(seed: int, n: int = 6) -> Program:
         row = 4 * b
         slices.append(
             (
-                Mvin(0, DramRef("w", offset), LocalAddr(row), 4, 4),
-                Preload(LocalAddr(row), LocalAddr((1 << 31) | row), 4, 4, 4, 4),
-                ComputePreloaded(LocalAddr(0), LocalAddr(SENTINEL), 4, 4, 4, 4),
-                Mvout(DramRef("out", 64 * b), LocalAddr((1 << 31) | row), 4, 4),
+                Mvin(0, DramRef("w", offset), row, 4, 4),
+                Preload(row, (1 << 31) | row, 4, 4, 4, 4),
+                ComputePreloaded(0, SENTINEL, 4, 4, 4, 4),
+                Mvout(DramRef("out", 64 * b), (1 << 31) | row, 4, 4),
             )
         )
     return Program(tuple(i for s in slices for i in s), {"w": (16, 16), "out": (64, 16)})

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_program
-from ta_lift import program_text
+from ta_lift import kernels, program_text
 from ta_lift.fixtures import KERNELS, golden_program, kernel
 from ta_lift.isa import (
     INSTRUCTIONS,
@@ -27,7 +27,6 @@ from ta_lift.isa import (
     DramRef,
     Fence,
     Instruction,
-    LocalAddr,
     Mvin,
     Mvout,
     Preload,
@@ -61,7 +60,7 @@ def test_mvin_with_symbolic_local_address() -> None:
     mvin(Bdyn, Bdyn_sp_addr, 12, 4);
     """
     p = parse_program(text, BUFFERS)
-    assert p.instructions[1] == Mvin(0, DramRef("Bdyn", 0), LocalAddr(0), 12, 4)
+    assert p.instructions[1] == Mvin(0, DramRef("Bdyn", 0), 0, 12, 4)
     assert p.symbols == {"Bdyn_sp_addr": 0}
 
 
@@ -105,7 +104,7 @@ def test_loop_variable_feeds_operands() -> None:
     }
     """
     p = parse_program("config_ld(16, 0);" + text, BUFFERS)
-    locals_used = [ins.local.raw for ins in p.instructions[1:]]
+    locals_used = [ins.local for ins in p.instructions[1:]]
     assert locals_used == [0, 4, 8]
 
 
@@ -138,7 +137,37 @@ def test_shift_and_or_precedence() -> None:
     p = parse_program(text, {})
     ins = p.instructions[0]
     assert isinstance(ins, Preload)
-    assert ins.c.raw == 0xC0000000
+    assert ins.c == 0xC0000000
+
+
+_SAMPLE_TEXT = {"dram": "x", "flag": "true", "dataflow": "WEIGHT_STATIONARY", "activation": "NO_ACTIVATION"}
+
+
+@pytest.mark.parametrize(
+    "operand, shown",
+    [("0x100000000", "0x100000000"), ("4294967295 + 1", "0x100000000"), ("1 << 32", "0x100000000"),
+     ("-1", "-0x1"), ("0 - 1", "-0x1")],
+)
+def test_the_parser_is_the_only_local_address_range_guard(operand: str, shown: str, monkeypatch) -> None:
+    """Every local operand of every mnemonic, bare or in the examples' `void test(...) { ... }` wrapper:
+    the line matcher takes no such line, the token parser refuses it with its line, and no case runs."""
+    spec, cases = kernel("gv2"), generate_testcases(kernel("gv2"), seed=0, count=1)
+    buffers = spec.buffer_shapes()
+    monkeypatch.setattr(kernels, "run", lambda *args: pytest.fail("a program with a bad local address ran"))
+    checked = 0
+    for entry in INSTRUCTIONS:
+        for name in (name for name, kind in entry.operands if kind == "local"):
+            call = ", ".join(operand if field == name else _SAMPLE_TEXT.get(kind, "0" if kind == "local" else "1")
+                             for field, kind in entry.operands)
+            row = f"{entry.mnemonic}({call});"
+            assert program_text._take_plain_lines([row], buffers, {}, []) == 0, row
+            for text, line in ((row, 1), (f"void test(float *x) {{\n    {row}\n}}\n", 2)):
+                with pytest.raises(ProgramSyntaxError) as err:
+                    parse_program(text, buffers)
+                assert (err.value.line, err.value.reason) == (line, f"local address {shown} outside 32-bit range")
+                assert verify_source(text, spec, cases).failure == ParseFailure(str(err.value))
+                checked += 1
+    assert checked == 22
 
 
 def test_unknown_function_rejected() -> None:
@@ -664,12 +693,12 @@ class _RefParser:
     def _in_scope(self, name: str) -> bool:
         return any(name in s for s in self.scopes)
 
-    def parse_local_addr(self) -> LocalAddr:
+    def parse_local_addr(self) -> int:
         line = self.peek().line
         v = self.parse_expr()
         if v < 0 or v > 0xFFFFFFFF:
             raise ProgramSyntaxError(line, f"local address {v:#x} outside 32-bit range")
-        return LocalAddr(v)
+        return v
 
     def _flag_arg(self) -> bool:
         t = self.peek()
@@ -1008,7 +1037,7 @@ def test_tokens_match_the_reference_on_random_text(text: str) -> None:
 
 _BUFFER_NAMES = ("A", "B", "Bdyn", "p")
 _INTS = st.one_of(st.integers(0, 64), st.integers(-(2**70), 2**70))
-_LOCALS = st.builds(LocalAddr, st.integers(0, 0xFFFFFFFF))
+_LOCALS = st.integers(0, 0xFFFFFFFF)
 _DRAMS = st.builds(DramRef, st.sampled_from(_BUFFER_NAMES), _INTS)
 _INSTRUCTIONS = st.one_of(
     st.builds(ConfigEx, st.sampled_from(Dataflow), st.sampled_from(Activation), st.booleans(), st.booleans()),

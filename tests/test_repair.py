@@ -18,6 +18,7 @@ import ta_lift.program_text as program_text
 import ta_lift.repair as repair_module
 from ta_lift.fixtures import golden_program, kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
+from ta_lift.isa import LOCAL_ADDR_MAX, spec_of
 from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
 from ta_lift.program_text import ProgramSyntaxError, parse_program
 from ta_lift.prompts import (
@@ -607,6 +608,26 @@ def test_fill_parsed_whole_is_verified_whole(monkeypatch):
     assert fills == [((("h0", -4),), False), ((("h0", 4),), True)]
     assert calls == ["verify", "verify_fill"]
     assert_fills_match_their_text(template, SPEC, (-4, 4, 2**32))
+
+
+def test_a_local_address_hole_out_of_range_never_reaches_the_machine(monkeypatch):
+    ran = []
+    real = kernels.run
+
+    def recording(m, instructions, *rest):
+        ran.extend(instructions)
+        return real(m, instructions, *rest)
+
+    monkeypatch.setattr(kernels, "run", recording)
+    template = extract_holes(perturbed("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, <CONST>, 1, 4);"))
+    enumerator = FillEnumerator(template, (4294967296, -1, 40), SPEC.buffer_shapes())
+    assert [fill.assignment for fill, _ in fill_verdicts(enumerator, SPEC, CASES)] == [(("h0", 40),)]
+    assert (enumerator.attempted, enumerator.skipped) == (3, 2)
+    for value, shown in ((4294967296, "0x100000000"), (-1, "-0x1")):
+        with pytest.raises(ProgramSyntaxError, match=f"^line 15: local address {shown} outside 32-bit range$"):
+            parse_program(template.substitute({"h0": value}), SPEC.buffer_shapes())
+    local = [getattr(ins, name) for ins in ran for name, kind in spec_of(ins).operands if kind == "local"]
+    assert local and all(0 <= value <= LOCAL_ADDR_MAX for value in local)
 
 
 # -- work per fill -------------------------------------------------------------
