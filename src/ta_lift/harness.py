@@ -18,7 +18,7 @@ from pathlib import Path
 from .fixtures import KERNELS, kernel
 from .gateway import Backend, GenerationParams
 from .kernels import KernelSpec, Verdict, generate_testcases, verify_source
-from .program_text import ProgramSyntaxError, parse_program
+from .program_text import LineMemo, ProgramSyntaxError, parse_program
 from .prompts import (
     DEFAULT_EXAMPLE_ORDER,
     EXAMPLE_NAMES,
@@ -48,19 +48,21 @@ EXAMPLE_SOURCE_KERNELS: dict[str, str] = {
 _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]]) -> str | None:
+def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]], memo: LineMemo | None = None) -> str | None:
     """Pull the candidate program out of a completion.
 
     Replies usually wrap code in fenced blocks; the largest block wins.
     A bare reply is accepted whole if it already parses against `buffers`,
-    the buffer table of the kernel it was written for.
+    the buffer table of the kernel it was written for.  That trial parse
+    uses the line memo `memo`, so verifying the reply with the same memo
+    reads each of its plain rows from it.
     """
     blocks = [m.group(1) for m in _FENCE.finditer(completion_text)]
     if blocks:
         best = max(blocks, key=len)
         return best.rstrip("\n")
     try:
-        parse_program(completion_text, buffers)
+        parse_program(completion_text, buffers, memo)
     except ProgramSyntaxError:
         return None
     return completion_text
@@ -161,13 +163,13 @@ class ExperimentReport:
 
 
 def _verify_candidate(
-    spec: KernelSpec, fingerprint: str, index: int, raw: str, cases
+    spec: KernelSpec, fingerprint: str, index: int, raw: str, cases, memo: LineMemo
 ) -> CandidateRecord:
-    code = extract_code(raw, spec.buffer_shapes())
+    code = extract_code(raw, spec.buffer_shapes(), memo=memo)
     if code is None:
         verdict = Verdict(passed=False)
     else:
-        verdict = verify_source(code, spec, cases)
+        verdict = verify_source(code, spec, cases, memo=memo)
     return CandidateRecord(
         kernel=spec.name,
         fingerprint=fingerprint,
@@ -251,8 +253,11 @@ def run_experiment(
             prompt = build_translation_prompt(ablation.prompt_spec(spec))
             completions = backend.complete(prompt, config.params)
             cases = generate_testcases(spec, config.seed, config.testcases_per_kernel)
+            # The samples of one prompt repeat most of each other's lines: one line
+            # memo per cell reads each distinct line once, and goes when the cell ends.
+            memo: LineMemo = {}
             records = [
-                _verify_candidate(spec, prompt.fingerprint, index, completion.text, cases)
+                _verify_candidate(spec, prompt.fingerprint, index, completion.text, cases, memo)
                 for index, completion in enumerate(completions)
             ]
             all_records.extend(records)

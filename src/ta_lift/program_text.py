@@ -34,6 +34,14 @@ symbols and instructions so far, to the tokenizer and the token parser, so
 every error and its line are theirs.  Text in the prompt examples' format (a
 `void test(...) {` wrapper, `sizeof`, `<<`, `|` or `*`) has no plain first
 line and goes to the token parser whole.
+
+What a plain line reads as depends only on the line, the buffer table and
+the symbols declared before it.  The samples of one prompt repeat most of
+each other's lines, so a caller may pass `parse_program` a line memo that
+it keeps over texts parsed against one buffer table: a tree with one node
+per sequence of declarations, in which each row read under a node is held
+with what it read as.  A row held under the current node is not matched
+again.  Without a memo each text starts from a fresh root.
 """
 
 from __future__ import annotations
@@ -639,16 +647,36 @@ def _reader(spec: InstructionSpec) -> Callable[[tuple[str, ...], _Atoms, dict], 
 _READERS = {spec.mnemonic: _reader(spec) for spec in INSTRUCTIONS}
 
 
+# What a row the matcher has read, other than a call or a declaration, stands for.
+_BLANK = "blank"  # a blank or comment row
+_REFUSED = "refused"  # a row left to `_Parser`
+
+# A line memo is a tree of dicts.  A node stands for one symbol table; it maps each row read
+# under that table to what it reads as (an instruction, `_BLANK`, `_REFUSED` or, for a
+# declaration, its `(name, value)`), and each `(name, value)` declared under it to the node
+# of the table the declaration gives.
+LineMemo = dict
+
+
 def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symbols: dict[str, int],
-                      out: list[Instruction], atoms: _Atoms | None = None) -> int:
+                      out: list[Instruction], atoms: _Atoms | None = None, memo: LineMemo | None = None) -> int:
     """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
 
-    The lines may read the names already in `symbols`.  A call line costs one
-    match and one call of its mnemonic's reader, or neither if taken since the
-    last declaration.  Stops, without raising, at the first line that is not
-    plain or that `_Parser` might read otherwise or refuse, and leaves that
-    line to it.  A line longer than the shortest digit limit Python may apply
-    to int() is left to it too, so every number taken here converts.
+    The lines may read the names already in `symbols`.  Stops, without
+    raising, at the first line that is not plain or that `_Parser` might read
+    otherwise or refuse, and leaves that line to it.  A line longer than the
+    shortest digit limit Python may apply to int() is left to it too, so
+    every number taken here converts.
+
+    A row costs one match, and a call row one call of its mnemonic's reader,
+    unless `memo` already holds it under the current symbol table.  `memo` is
+    the node of the table `symbols` holds on entry; each declaration moves to
+    the child node of its `(name, value)`, so texts that declare the same
+    names with the same values in the same order share nodes, and a
+    declaration costs O(1).  Without `memo` the root is a fresh dict, so
+    within one text a row is read once between two declarations.  One memo
+    may be shared only by parses against one buffer table, since a row's
+    reading depends on it.
 
     `atoms`, when given, must hold `symbols` and is kept up to date with
     them; calls over the rows of one text that share it convert each number
@@ -656,43 +684,49 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
     """
     if atoms is None:
         atoms = _Atoms({**symbols, "": 0})
-    taken: dict[str, Instruction] = {}  # the call rows read since the last declaration
+    node = {} if memo is None else memo
     for number, row in enumerate(rows):
-        ins = taken.get(row)
-        if ins is None:
+        read = node.get(row)
+        if read is None:
+            read = _REFUSED
             match = len(row) <= _SHORT_LINE and _PLAIN_LINE.fullmatch(row)
-            if not match:
-                return number
-            groups = match.groups("")
-            name, head, tail, mnemonic = groups[:4]
-            if name:
-                value, extra = atoms[head], atoms[tail]
-                if name in buffers or name in _KEYWORDS or value is None or extra is None:
-                    return number
-                symbols[name] = atoms[name] = value + extra
-                taken.clear()
-                continue
-            if not mnemonic:
-                continue
-            reader = _READERS.get(mnemonic)
-            ins = reader and reader(groups, atoms, buffers)
-            if ins is None:
-                return number
-            taken[row] = ins
-        out.append(ins)
+            if match:
+                groups = match.groups("")
+                name, head, tail, mnemonic = groups[:4]
+                if name:
+                    value, extra = atoms[head], atoms[tail]
+                    if not (name in buffers or name in _KEYWORDS or value is None or extra is None):
+                        read = (name, value + extra)
+                elif not mnemonic:
+                    read = _BLANK
+                else:
+                    reader = _READERS.get(mnemonic)
+                    read = reader and reader(groups, atoms, buffers) or _REFUSED
+            node[row] = read
+        if read.__class__ is tuple:
+            name, value = read
+            symbols[name] = atoms[name] = value
+            node = node.setdefault(read, {})
+        elif read is _REFUSED:
+            return number
+        elif read is not _BLANK:
+            out.append(read)
     return len(rows)
 
 
-def parse_program(text: str, buffers: dict[str, tuple[int, int]]) -> Program:
+def parse_program(text: str, buffers: dict[str, tuple[int, int]], memo: LineMemo | None = None) -> Program:
     """Parse program text into a Program.
 
     `buffers` maps the kernel's DRAM buffer names to (rows, cols); a DRAM
-    operand must name one of them, and any other name is unbound.
+    operand must name one of them, and any other name is unbound.  `memo`,
+    when given, is a line memo (`_take_plain_lines`) kept by the caller over
+    texts parsed against the same `buffers`, such as the samples of one
+    prompt: each row it holds is not matched again.
     """
     symbols: dict[str, int] = {}
     out: list[Instruction] = []
     rows = text.split("\n")
-    taken = _take_plain_lines(rows, buffers, symbols, out)
+    taken = _take_plain_lines(rows, buffers, symbols, out, memo=memo)
     if taken:
         text = "\n".join(rows[taken:])
     parser = _Parser(*_tokenize(text, taken + 1), buffers)

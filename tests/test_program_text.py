@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import statistics
 import sys
@@ -1488,3 +1489,132 @@ def test_matcher_parses_as_the_token_parser(source: tuple[str, dict[str, tuple[i
 @given(plain_texts())
 def test_matcher_parses_plain_texts_as_the_token_parser(source: tuple[str, dict[str, tuple[int, int]]]) -> None:
     assert_same_as_token_parse(*source)
+
+
+# -- one line memo over the texts of a cell ---------------------------------------------------
+# The samples of one prompt repeat most of each other's rows.  Parses that share a memo read
+# each row once under each symbol table, and each must still parse as it does alone.
+
+
+class _CountingMatcher:
+    """`_PLAIN_LINE` with a count of its matches."""
+
+    def __init__(self, real):
+        self.real = real
+        self.count = 0
+
+    def fullmatch(self, row: str):
+        self.count += 1
+        return self.real.fullmatch(row)
+
+
+def count_matches(monkeypatch) -> _CountingMatcher:
+    matcher = _CountingMatcher(program_text._PLAIN_LINE)
+    monkeypatch.setattr(program_text, "_PLAIN_LINE", matcher)
+    return matcher
+
+
+def _code_replies(name: str) -> list[str]:
+    """The code of a pass@k cell's replies: the golden and naive programs, one mvin width cut by one, and a cut-off golden."""
+    golden = golden_program(name)
+    widths = list(re.finditer(r"(?m)^mvin\d?\([^,]*,[^,]*, ([2-9]|[1-9][0-9]+),", golden))
+    width = widths[len(widths) // 2]
+    perturbed = golden[: width.start(1)] + str(int(width[1]) - 1) + golden[width.end(1):]
+    return [golden, naive_program(golden), perturbed, golden[: golden.index(",", len(golden) // 2) + 1]]
+
+
+def _row_pairs(texts: list[str]) -> set[tuple[tuple[str, ...], str]]:
+    """The distinct (declaration path, row) pairs of `texts`: each row under the declaration rows above it."""
+    pairs = set()
+    for text in texts:
+        path: tuple[str, ...] = ()
+        for row in text.split("\n"):
+            pairs.add((path, row))
+            if row.startswith("static"):
+                path += (row,)
+    return pairs
+
+
+def test_one_memo_matches_each_distinct_row_of_a_cell_once(monkeypatch) -> None:
+    matcher = count_matches(monkeypatch)
+    shared = alone = 0
+    for name in KERNELS:
+        buffers = kernel(name).buffer_shapes()
+        replies = _code_replies(name)
+        lone = [_outcome(parse_program, text, buffers) for text in replies]
+        matcher.count = 0
+        memo: dict = {}
+        assert [_outcome(lambda text, table: parse_program(text, table, memo), text, buffers)
+                for text in replies] == lone
+        assert matcher.count == len(_row_pairs(replies)), name
+        shared += matcher.count
+        # Without a memo each text reads each row once between two declarations, as before the memo.
+        matcher.count = 0
+        for text in replies:
+            _outcome(parse_program, text, buffers)
+        assert matcher.count == sum(len(_row_pairs([text])) for text in replies), name
+        alone += matcher.count
+    assert 3 * shared < alone
+
+
+def test_texts_that_declare_differently_read_a_shared_row_under_their_own_values() -> None:
+    memo: dict = {}
+    for value in (0, 4, 0, 4):
+        text = f"static uint32_t x = {value};\nconfig_st(x);\nstatic uint32_t y = x;\nconfig_ld(y, x);"
+        assert parse_program(text, {}, memo).instructions == (ConfigSt(value), ConfigLd(value, value))
+    with pytest.raises(UnboundSymbolError, match="line 1: unbound symbol 'x'"):
+        parse_program("config_st(x);", {}, memo)
+
+
+_MEMO_KERNELS = ("gv1", "gv4", "mm2", "mm4")
+_MEMO_VALUES = (0, 4, 12, 0x80000000)
+
+
+@st.composite
+def cell_texts(draw, name: str) -> str:
+    """A text one sample of `name`'s cell might hold: the golden or naive program, a one-line mutant, a cut-off
+    golden, or a golden whose declarations differ: another value, another order, one missing, one added."""
+    golden = golden_program(name)
+    rows = golden.split("\n")
+    declared = [at for at, row in enumerate(rows) if row.startswith("static")]
+    calls = [at for at, row in enumerate(rows) if row and at not in declared]
+    shape = draw(st.sampled_from(("golden", "naive", "mutant", "cut", "revalue", "reorder", "undeclared", "redeclare")))
+    if shape == "golden":
+        return golden
+    if shape == "naive":
+        return naive_program(golden)
+    if shape == "cut":
+        return golden[: draw(st.integers(0, len(golden)))]
+    if shape == "mutant":
+        at = draw(st.sampled_from(calls))
+        literal = draw(st.sampled_from(list(re.finditer(r"\b[0-9]+\b", rows[at])) or [None]))
+        if literal is None:
+            del rows[at]
+        else:
+            moved = int(literal[0]) + draw(st.sampled_from((-4, -1, 1, 4)))
+            rows[at] = rows[at][: literal.start()] + str(moved) + rows[at][literal.end():]
+    elif shape == "revalue":
+        at = draw(st.sampled_from(declared))
+        rows[at] = re.sub(r"= .*;", f"= {draw(st.sampled_from(_MEMO_VALUES))};", rows[at])
+    elif shape == "reorder":
+        for at, row in zip(declared, draw(st.permutations([rows[at] for at in declared]))):
+            rows[at] = row
+    elif shape == "undeclared":
+        del rows[draw(st.sampled_from(declared))]
+    else:
+        again = re.sub(r"= .*;", f"= {draw(st.sampled_from(_MEMO_VALUES))};", rows[draw(st.sampled_from(declared))])
+        rows.insert(draw(st.sampled_from(calls)), again)
+    return "\n".join(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_MEMO_KERNELS).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(cell_texts(name), min_size=2, max_size=4))))
+def test_a_shared_memo_parses_each_text_as_a_lone_parse(cell: tuple[str, list[str]]) -> None:
+    name, texts = cell
+    buffers = kernel(name).buffer_shapes()
+    lone = [_outcome(parse_program, text, buffers) for text in texts]
+    for order in itertools.permutations(range(len(texts))):
+        memo: dict = {}
+        for at in order:
+            assert _outcome(lambda text, table: parse_program(text, table, memo), texts[at], buffers) == lone[at]
