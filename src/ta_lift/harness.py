@@ -18,7 +18,7 @@ from pathlib import Path
 from .fixtures import KERNELS, kernel
 from .gateway import Backend, GenerationParams
 from .kernels import KernelSpec, Verdict, generate_testcases, verify_source
-from .program_text import LineMemo, ProgramSyntaxError, parse_program
+from .program_text import ProgramSyntaxError, parse_program
 from .prompts import (
     DEFAULT_EXAMPLE_ORDER,
     EXAMPLE_NAMES,
@@ -48,21 +48,19 @@ EXAMPLE_SOURCE_KERNELS: dict[str, str] = {
 _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]], memo: LineMemo | None = None) -> str | None:
+def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]]) -> str | None:
     """Pull the candidate program out of a completion.
 
     Replies usually wrap code in fenced blocks; the largest block wins.
     A bare reply is accepted whole if it already parses against `buffers`,
-    the buffer table of the kernel it was written for.  That trial parse
-    uses the line memo `memo`, so verifying the reply with the same memo
-    reads each of its plain rows from it.
+    the buffer table of the kernel it was written for.
     """
     blocks = [m.group(1) for m in _FENCE.finditer(completion_text)]
     if blocks:
         best = max(blocks, key=len)
         return best.rstrip("\n")
     try:
-        parse_program(completion_text, buffers, memo)
+        parse_program(completion_text, buffers)
     except ProgramSyntaxError:
         return None
     return completion_text
@@ -163,9 +161,9 @@ class ExperimentReport:
 
 
 def _verify_candidate(
-    spec: KernelSpec, fingerprint: str, index: int, raw: str, cases, memo: LineMemo
+    spec: KernelSpec, fingerprint: str, index: int, raw: str, cases, memo: dict
 ) -> CandidateRecord:
-    code = extract_code(raw, spec.buffer_shapes(), memo=memo)
+    code = extract_code(raw, spec.buffer_shapes())
     if code is None:
         verdict = Verdict(passed=False)
     else:
@@ -255,7 +253,7 @@ def run_experiment(
             cases = generate_testcases(spec, config.seed, config.testcases_per_kernel)
             # The samples of one prompt repeat most of each other's lines: one line
             # memo per cell reads each distinct line once, and goes when the cell ends.
-            memo: LineMemo = {}
+            memo: dict = {}
             records = [
                 _verify_candidate(spec, prompt.fingerprint, index, completion.text, cases, memo)
                 for index, completion in enumerate(completions)

@@ -21,7 +21,7 @@ from .isa import Instruction, Program, ValidationError, validate_instructions
 # Verification runs programs with `run`; `execute` stays importable here because
 # perfbench/tracing.py wraps `kernels.execute`.
 from .machine import ExecError, Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
-from .program_text import LineMemo, ProgramSyntaxError, parse_program
+from .program_text import ProgramSyntaxError, parse_program
 
 REL_TOLERANCE = 1e-4
 ABS_TOLERANCE = 1e-7
@@ -370,7 +370,7 @@ def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: Mac
 
 
 def verify_source(text: str, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None,
-                  memo: LineMemo | None = None) -> Verdict:
+                  memo: dict | None = None) -> Verdict:
     """Parse program text against the spec's buffer table, then verify.
 
     `memo` is a line memo shared by texts parsed against this spec's buffer table (`parse_program`).

@@ -655,11 +655,8 @@ _REFUSED = "refused"  # a row left to `_Parser`
 # under that table to what it reads as (an instruction, `_BLANK`, `_REFUSED` or, for a
 # declaration, its `(name, value)`), and each `(name, value)` declared under it to the node
 # of the table the declaration gives.
-LineMemo = dict
-
-
 def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symbols: dict[str, int],
-                      out: list[Instruction], atoms: _Atoms | None = None, memo: LineMemo | None = None) -> int:
+                      out: list[Instruction], atoms: _Atoms | None = None, memo: dict | None = None) -> int:
     """Parse the leading plain lines into `symbols` and `out`, as `_Parser` would; the number of lines taken.
 
     The lines may read the names already in `symbols`.  Stops, without
@@ -714,7 +711,7 @@ def _take_plain_lines(rows: list[str], buffers: dict[str, tuple[int, int]], symb
     return len(rows)
 
 
-def parse_program(text: str, buffers: dict[str, tuple[int, int]], memo: LineMemo | None = None) -> Program:
+def parse_program(text: str, buffers: dict[str, tuple[int, int]], memo: dict | None = None) -> Program:
     """Parse program text into a Program.
 
     `buffers` maps the kernel's DRAM buffer names to (rows, cols); a DRAM

@@ -36,7 +36,6 @@ from .program_text import (
     _DATAFLOWS,
     _KEYWORDS,
     _PLAIN_LINE,
-    LineMemo,
     ProgramSyntaxError,
     _Atoms,
     _take_plain_lines,
@@ -175,8 +174,7 @@ class FillEnumerator:
     whether a template takes the row path.
 
     A fill with a re-read row that the matcher refuses, and every fill of a
-    template that fails one of the three conditions, is parsed whole, with
-    one line memo over all of the enumerator's whole parses.
+    template that fails one of the three conditions, is parsed whole.
     Either way a fill equals the parse of its text, and it is skipped
     exactly when that parse fails, which is when `verify_source` on its
     text gives a `ParseFailure`.
@@ -208,7 +206,6 @@ class FillEnumerator:
         # instruction index, its declared name, and whether it is read once per text.
         self._rows: list[tuple[list[str], list[int], int | None, str | None, bool]] = []
         self._by_text: dict[str, Instruction | int | None] = {}  # what each row text read once gives
-        self._memo: LineMemo = {}  # the line memo of the fills parsed whole
         self.program: Program | None = None
         self.rebuilt: tuple[int, ...] = ()
         self.slotted = self._read_template(template.pieces())
@@ -291,7 +288,7 @@ class FillEnumerator:
             else:
                 return Program(tuple(instructions), dict(self.buffers), symbols), True
         ids = [hole.id for hole in self.template.holes]
-        return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers, self._memo), False
+        return parse_program(self.template.substitute(dict(zip(ids, values))), self.buffers), False
 
     def __iter__(self) -> Iterator[FillCandidate]:
         ids = [hole.id for hole in self.template.holes]

@@ -10,7 +10,6 @@ from math import comb
 import pytest
 
 from conftest import fenced
-from test_program_text import count_matches
 
 from ta_lift import harness
 from ta_lift.fixtures import golden_program, kernel
@@ -287,38 +286,22 @@ def test_samples_of_a_cell_share_one_line_memo_and_no_two_cells_share_one(monkey
         params=GenerationParams(n_samples=3),
     )
     backend = replay_for(config, lambda name: [golden_program(name), fenced(golden_program(name)), "no code"])
-    extracted, verified = [], []
-    real_extract, real_verify = harness.extract_code, harness.verify_source
-
-    def extract(text, buffers, memo=None):
-        extracted.append(memo)
-        return real_extract(text, buffers, memo)
+    verified = []
+    real_verify = harness.verify_source
 
     def verify(text, spec, cases, cfg=None, memo=None):
         verified.append(memo)
         return real_verify(text, spec, cases, cfg, memo)
 
-    monkeypatch.setattr(harness, "extract_code", extract)
     monkeypatch.setattr(harness, "verify_source", verify)
     report = run_experiment(config, backend)
     assert [row.c_total for row in report.rows] == [4, 4]
-    # Cells run one after another: 2 ablations x 2 kernels, each with 3 extractions and 2 verifications.
-    cells = [extracted[at:at + 3] + verified[2 * (at // 3):2 * (at // 3) + 2] for at in range(0, 12, 3)]
-    assert len(extracted) == 12 and len(verified) == 8
+    # Cells run one after another: 2 ablations x 2 kernels, each with 2 replies holding code.
+    cells = [verified[at:at + 2] for at in range(0, 8, 2)]
+    assert len(verified) == 8
     for memos in cells:
-        assert isinstance(memos[0], dict) and all(memo is memos[0] for memo in memos)
+        assert isinstance(memos[0], dict) and memos[1] is memos[0]
     assert len({id(memos[0]) for memos in cells}) == 4
-
-
-def test_a_bare_golden_reply_is_matched_once_per_distinct_row(monkeypatch):
-    matcher = count_matches(monkeypatch)
-    config = two_kernel_config(kernels=("mm2",), params=GenerationParams(n_samples=1), k_values=(1,))
-    report = run_experiment(config, replay_for(config, lambda name: [golden_program(name)]))
-    assert report.rows[0].c_total == 1
-    # The trial parse in `extract_code` and the parse in `verify_source` share the cell's memo.
-    # The golden declares every name before its first call, so its rows read under distinct
-    # symbol tables are its distinct rows.
-    assert matcher.count == len(set(golden_program("mm2").split("\n")))
 
 
 # -- report rendering ----------------------------------------------------------

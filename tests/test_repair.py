@@ -684,9 +684,9 @@ def count_parses(monkeypatch):
     buffer_tables = []
     real = repair_module.parse_program
 
-    def counting(text, buffers, memo=None):
+    def counting(text, buffers):
         buffer_tables.append(buffers)
-        return real(text, buffers, memo)
+        return real(text, buffers)
 
     monkeypatch.setattr(repair_module, "parse_program", counting)
     return buffer_tables
@@ -728,24 +728,6 @@ def test_fill_parses_whole_only_where_the_matcher_refuses_a_row(monkeypatch):
     assert [fill.code for fill in enumerator] == [template.substitute({"h0": v}) for v in (-4, 4)]
     assert enumerator.slotted and (enumerator.attempted, enumerator.skipped) == (3, 1)
     assert buffer_tables == [SPEC.buffer_shapes()] * 2
-
-
-def test_fills_parsed_whole_share_one_line_memo_per_enumerator(monkeypatch):
-    memos = []
-    real = repair_module.parse_program
-
-    def recording(text, buffers, memo=None):
-        memos.append(memo)
-        return real(text, buffers, memo)
-
-    monkeypatch.setattr(repair_module, "parse_program", recording)
-    template = extract_holes(perturbed("config_st(4);", "for (int i = 0; i < <CONST>; i++) { config_st(4); }"))
-    for _ in range(2):
-        fills = list(FillEnumerator(template, (0, 1, 2), SPEC.buffer_shapes()))
-        assert [fill.program for fill in fills] == [real(fill.code, SPEC.buffer_shapes()) for fill in fills]
-    assert len(memos) == 6 and isinstance(memos[0], dict)
-    assert all(memo is memos[0] for memo in memos[:3]) and all(memo is memos[3] for memo in memos[3:])
-    assert memos[0] is not memos[3]
 
 
 # -- rows re-read per fill -----------------------------------------------------
