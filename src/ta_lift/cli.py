@@ -35,10 +35,11 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .isa import ValidationError, validate_program
+from .isa import ExecError, check_execution, validate_program
 from .kernels import KernelSpec, Verdict, generate_testcases, machine_for_cases, verify_program, verify_source
 from .loopir import BoundsError, KernelSyntaxError, locality_cost, parse_kernel, render_kernel
-from .machine import ExecError, execute, read_output
+# Simulation runs programs with `run`; `execute` stays importable here because perfbench/tracing.py wraps `cli.execute`.
+from .machine import MachineConfig, execute, read_output, run
 from .optimizer import optimize_program
 from .program_text import ProgramSyntaxError, parse_program, render_program
 from .prompts import ExamplesPosition, SourceStyle, build_translation_prompt
@@ -244,14 +245,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     if program is None:
         return EXIT_FAIL
     try:
-        # Validate before the cases are built; execution errors depend only
+        # Check before the cases are built; execution errors depend only
         # on the program, so the first case hits them.
         validate_program(program)
-        machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
-        execute(machine, program)
-    except (ValidationError, ExecError) as err:
+        check_execution(program.instructions, MachineConfig(), spec.buffer_shapes())
+    except ExecError as err:  # a ValidationError is one too
         print(f"case 0: execution failed: {err}")
         return EXIT_FAIL
+    machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
+    run(machine, program.instructions)
     results = read_output(machine, spec.c)
     outputs = []
     for index, result in enumerate(results):

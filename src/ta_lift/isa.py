@@ -22,6 +22,9 @@ frozen dataclass generated from its operand list, so its fields are the
 operands' fields in text order (an mvin's load channel first).  The parser,
 the renderer, `validate_program`, the cost model and the optimizer's
 footprints all read that table; `spec_of` finds an instruction's entry.
+`check_execution` scans a valid program once, before it runs, and raises
+the first `ExecError` the machine would meet, with its index, kind and
+message; its bounds are the footprints' intervals.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ from enum import Enum
 from functools import cache, partial
 from math import inf
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .machine import MachineConfig
 
 DIM_DEFAULT = 4
 MAX_BLOCK_LEN_DEFAULT = 4  # an mvin or mvout moves at most this many DIM-wide tiles
@@ -118,6 +124,8 @@ ComputeAccumulated = _record("ComputeAccumulated", _COMPUTE)
 Mvout = _record("Mvout", _MOVE)
 Fence = _record("Fence", ())
 
+RESET_EX = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.NONE, False, False)  # config_ex before any is issued
+
 
 Instruction = (
     ConfigEx
@@ -142,14 +150,18 @@ class Program:
     symbols: dict[str, int] = field(default_factory=dict)
 
 
-class ValidationError(ValueError):
-    """A structurally invalid instruction, with its index in the program."""
+class ExecError(Exception):
+    """An instruction that cannot execute, with its index in the program (`check_execution`)."""
 
     def __init__(self, index: int, kind: str, message: str):
         super().__init__(f"instruction {index}: {kind}: {message}")
         self.index = index
         self.kind = kind
         self.detail = message
+
+
+class ValidationError(ExecError, ValueError):
+    """A structurally invalid instruction, with its index in the program."""
 
 
 # -- footprints ----------------------------------------------------------------
@@ -174,6 +186,16 @@ class ScanState:
     ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latch: tuple[int, int, bool] | None = None  # (c_row, c_rows, c_accumulate)
+    ex: ConfigEx = RESET_EX  # the last config_ex
+    weights: tuple[int, int] | None = None  # the latched weights' (rows, cols)
+    result: tuple[int, int] | None = None  # the latched result block's (rows, cols)
+
+    def copy(self) -> ScanState:
+        return ScanState(dict(self.ld_strides), self.st_stride, self.latch, self.ex, self.weights, self.result)
+
+    def key(self) -> tuple:
+        """The state as a hashable value: equal keys, equal states."""
+        return tuple(self.ld_strides.values()), self.st_stride, self.latch, self.ex, self.weights, self.result
 
 
 def stride_elems(stride_bytes: int | None) -> int | None:
@@ -204,6 +226,7 @@ def _no_footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
 
 
 def _config_ex_footprint(ins: ConfigEx, state: ScanState, dim: int) -> Effects:
+    state.ex = ins
     return [], [_EX]
 
 
@@ -228,14 +251,17 @@ def _mvin_footprint(ins: Mvin, state: ScanState, dim: int) -> Effects:
 
 def _preload_footprint(ins: Preload, state: ScanState, dim: int) -> Effects:
     state.latch = (ins.c & ROW_MASK, ins.c_rows, bool(ins.c & ACCUMULATE_BIT))
-    if ins.b == SENTINEL:
+    state.result = (ins.c_rows, ins.c_cols)
+    if ins.b == SENTINEL:  # the latched weights stay
         return [_LATCH], [_LATCH]
+    state.weights = (ins.b_cols, ins.b_rows) if state.ex.b_transpose else (ins.b_rows, ins.b_cols)
     row = ins.b & ROW_MASK
     return [_EX, ("spad", row, row + ins.b_rows)], [_LATCH]
 
 
 def _preload_zeros_footprint(ins: PreloadZeros, state: ScanState, dim: int) -> Effects:
     state.latch = (ins.c & ROW_MASK, dim, bool(ins.c & ACCUMULATE_BIT))
+    state.weights = state.result = (dim, dim)
     return [], [_LATCH]
 
 
@@ -262,6 +288,80 @@ def _mvout_footprint(ins: Mvout, state: ScanState, dim: int) -> Effects:
     return reads, [_dram_interval(ins.dram, ins.cols, ins.rows, stride_elems(state.st_stride))]
 
 
+# -- execution checks ------------------------------------------------------------
+
+# A check raises the `ExecError` running an instruction raises, from its
+# footprint, the scan state past it and each memory's size by interval space.
+
+_RUNNABLE_ACTIVATIONS = (Activation.NONE, Activation.RELU)
+
+
+def _check_rows(idx: int, interval: Interval, sizes: dict[str, int]) -> None:
+    space, start, end = interval
+    if end > sizes[space]:
+        raise ExecError(idx, f"{space}_out_of_range", f"rows [{start}, {end}) exceed {sizes[space]}")
+
+
+def _check_move(idx: int, ins: Mvin | Mvout, state: ScanState, effects: Effects, sizes: dict[str, int],
+                dim: int) -> None:
+    """The stride (and an mvout's activation), the buffer, the local rows, then each DRAM row in moving order."""
+    (reads, writes), load = effects, type(ins) is Mvin
+    stride, what = (state.ld_strides[ins.channel], f"load channel {ins.channel}") if load else (state.st_stride, "store")
+    pitch = stride_elems(stride)
+    if pitch is None:
+        problem = "used before being configured" if stride is None else f"{stride} is not a multiple of {ELEMENT_BYTES}"
+        raise ExecError(idx, "unsupported", f"{what} stride {problem}")
+    if not load and state.ex.act not in _RUNNABLE_ACTIVATIONS and not ins.local & FULL_WIDTH_BIT:
+        raise ExecError(idx, "unsupported", f"activation {state.ex.act.value} is parse-only")
+    (space, lo, hi), local = (reads[1], writes[0]) if load else (writes[0], reads[2])
+    size = sizes.get(space)
+    if size is None:
+        raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{ins.dram.buffer}'")
+    _check_rows(idx, local, sizes)
+    if lo >= 0 and hi <= size:
+        return
+    for t in range(0, ins.cols, dim):  # a tile's first column
+        width = min(dim, ins.cols - t)
+        for r in range(ins.rows):
+            start = ins.dram.offset + r * pitch + t
+            if start < 0 or start + width > size:
+                verb = "read" if load else "write"
+                message = f"{verb} [{start}, {start + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements"
+                raise ExecError(idx, "dram_out_of_range", message)
+
+
+def _check_preload(idx: int, ins: Preload, state: ScanState, effects: Effects, sizes: dict[str, int], dim: int) -> None:
+    if ins.b != SENTINEL:
+        _check_rows(idx, effects[0][1], sizes)
+    elif state.weights is None:  # a keep-weights preload latches no weights of its own
+        raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
+
+
+def _check_compute(idx: int, ins: ComputePreloaded | ComputeAccumulated, state: ScanState, effects: Effects,
+                   sizes: dict[str, int], dim: int) -> None:
+    ex, (reads, (target,)) = state.ex, effects
+    if ex.dataflow is not Dataflow.WEIGHT_STATIONARY:
+        raise ExecError(idx, "unsupported", f"dataflow {ex.dataflow.value} is parse-only")
+    if ex.act not in _RUNNABLE_ACTIVATIONS:
+        raise ExecError(idx, "unsupported", f"activation {ex.act.value} is parse-only")
+    if state.latch is None:
+        raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
+    _check_rows(idx, reads[2], sizes)
+    a_rows, a_cols = (ins.a_cols, ins.a_rows) if ex.a_transpose else (ins.a_rows, ins.a_cols)
+    (w_rows, w_cols), (c_rows, c_cols) = state.weights, state.result
+    if a_cols != w_rows:
+        raise ExecError(idx, "dimension_mismatch", f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}")
+    if (a_rows, w_cols) != state.result:
+        message = f"result is {a_rows}x{w_cols} but the preload latched {c_rows}x{c_cols}"
+        raise ExecError(idx, "dimension_mismatch", message)
+    if ins.d != SENTINEL:
+        _check_rows(idx, reads[3], sizes)
+        if (ins.d_rows, ins.d_cols) != state.result:
+            message = f"bias is {ins.d_rows}x{ins.d_cols} but the result is {c_rows}x{c_cols}"
+            raise ExecError(idx, "dimension_mismatch", message)
+    _check_rows(idx, target, sizes)
+
+
 # -- the instruction table -------------------------------------------------------------
 
 
@@ -281,14 +381,16 @@ class InstructionSpec:
     `dram`, `local` (a local address), `flag`, `dataflow`, `activation`,
     `channel` (any integer) or the name of a count that must be
     non-negative, which parser messages quote and `validate_program` bounds.
-    Cost terms: one issue, `bytes_in` + `bytes_out` DRAM bytes moved,
-    `fills` pipeline fills and `rows_fed` rows fed through the array.
+    `check` raises what running it would raise (`check_execution`).  Cost
+    terms: one issue, `bytes_in` + `bytes_out` DRAM bytes moved, `fills`
+    pipeline fills and `rows_fed` rows fed through the array.
     """
 
     mnemonic: str
     type: type
     operands: tuple[tuple[str, str], ...]
     footprint: Callable[[Instruction, ScanState, int], Effects] = _no_footprint
+    check: Callable[[int, Instruction, ScanState, Effects, dict[str, int], int], None] = lambda *_: None
     bytes_in: Callable[[Instruction], int] = _nothing
     bytes_out: Callable[[Instruction], int] = _nothing
     fills: int = 0
@@ -309,17 +411,18 @@ INSTRUCTIONS: tuple[InstructionSpec, ...] = (
     InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, _config_ex_footprint),
     InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, _config_ld_footprint),
     InstructionSpec("config_st", ConfigSt, _CONFIG_ST, _config_st_footprint),
-    InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=0),
-    InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=1),
-    InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, bytes_in=_moved_bytes, channel=2),
-    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, fills=1, spaces=(_WEIGHTS, _OUTPUT)),
+    InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=0),
+    InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=1),
+    InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=2),
+    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, _check_preload, fills=1,
+                    spaces=(_WEIGHTS, _OUTPUT)),
     InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, _preload_zeros_footprint, fills=1,
                     spaces=(_OUTPUT,)),
-    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint,
+    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint, _check_compute,
                     rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
     InstructionSpec("compute_accumulated", ComputeAccumulated, _COMPUTE, partial(_compute_footprint, accumulated=True),
-                    rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
-    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, bytes_out=_moved_bytes,
+                    _check_compute, rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
+    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, _check_move, bytes_out=_moved_bytes,
                     spaces=(("local", Space.ACCUMULATOR, False),)),
     InstructionSpec("fence", Fence, ()),
 )
@@ -328,6 +431,7 @@ BY_MNEMONIC: dict[str, InstructionSpec] = {spec.mnemonic: spec for spec in INSTR
 _BY_TYPE = {spec.type: spec for spec in INSTRUCTIONS if spec.channel is None}
 _MVIN_BY_CHANNEL = {spec.channel: spec for spec in INSTRUCTIONS if spec.channel is not None}
 LOAD_CHANNELS: tuple[int, ...] = tuple(_MVIN_BY_CHANNEL)
+_SCANS = {spec.type: (spec.footprint, spec.check) for spec in INSTRUCTIONS}  # the mvin entries share both
 
 
 def spec_of(ins: Instruction) -> InstructionSpec:
@@ -372,7 +476,7 @@ def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]
 def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> None:
     """Check each instruction's type, operand bounds and address spaces against the table.
 
-    Memory bounds and stateful rules (preload-before-compute, stride setup) are the simulator's job.
+    Memory bounds and stateful rules (preload-before-compute, stride setup) are `check_execution`'s job.
     """
     validate_instructions(enumerate(p.instructions), dim, max_block_len)
 
@@ -401,3 +505,26 @@ def validate_instructions(indexed: Iterable[tuple[int, Instruction]], dim: int =
                 allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
                 message = f"{mnemonic} {name} {raw:#x} must address {allowed}"
                 raise ValidationError(idx, "wrong_address_space", message)
+
+
+# -- the execution check pass ------------------------------------------------------
+
+
+def check_execution(instructions: Sequence[Instruction], cfg: MachineConfig, buffers: dict[str, tuple[int, int]],
+                    state: ScanState | None = None, start: int = 0, stop: int | None = None) -> ScanState:
+    """Raise the `ExecError` that running `instructions[start:stop]` from `state` raises; else the state past them.
+
+    The instructions must be valid (`validate_instructions`).  `state`, fresh
+    by default, moves with the scan.  No check reads data: only the program,
+    `cfg`'s `dim`, `spad_rows` and `acc_rows` and each buffer's (rows, cols),
+    so a run of what this pass accepts raises nothing.  Bounds are checked
+    on the footprints' intervals.
+    """
+    state = ScanState() if state is None else state
+    dim = cfg.dim
+    sizes = {"spad": cfg.spad_rows, "acc": cfg.acc_rows}
+    sizes.update((f"dram:{name}", rows * cols) for name, (rows, cols) in buffers.items())
+    for idx, ins in enumerate(instructions[start:stop], start):
+        footprint, check = _SCANS[type(ins)]
+        check(idx, ins, state, footprint(ins, state, dim), sizes, dim)
+    return state

@@ -9,6 +9,9 @@ The accelerator's compute path can only *add* a bias block, matching the
 instruction set's `P = A*W + D`.  Subtracting kernels are therefore bound
 with the bias buffer negated when a machine is prepared, standing in for
 the negative load-scale factor real hardware would use.
+
+Verification validates a program and checks it with `isa.check_execution`
+before it builds a machine, so the machine only moves data.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .isa import Instruction, Program, ValidationError, validate_instructions
+from .isa import ExecError, Instruction, Program, ScanState, ValidationError, check_execution, validate_instructions
 # Verification runs programs with `run`; `execute` stays importable here because
 # perfbench/tracing.py wraps `kernels.execute`.
-from .machine import ExecError, Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
+from .machine import Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
 from .program_text import ProgramSyntaxError, parse_program
 
 REL_TOLERANCE = 1e-4
@@ -248,19 +251,21 @@ def _compare(got: np.ndarray, want: np.ndarray, tolerance: np.ndarray | None) ->
 class Verifier:
     """Verifies programs against one case set, whose inputs are stacked at most once.
 
-    `verify` gives `verify_program`'s verdict.  It validates first, so an
-    invalid program stacks nothing and builds no machine; a valid one runs
-    on a fresh machine holding the stacked inputs, and each case's
-    tolerance is computed once.
+    `verify` gives `verify_program`'s verdict.  It validates, then checks
+    (`check_execution`), so a program either refuses stacks nothing and
+    builds no machine; an accepted one runs on a fresh machine holding the
+    stacked inputs, and each case's tolerance is computed once.
 
     Given a `template` and the ascending indices `rebuilt` of the
     instructions its fills may change, `verify_fill` gives a fill the
     verdict `verify` would.  The template's other instructions are
-    validated once, and the instructions before the first rebuilt one run
-    once, into a snapshot.  A fill then validates only its rebuilt
-    instructions, and if it is valid, runs the rest on a copy of the
-    snapshot.  Validation still decides first: an invalid instruction after
-    the rebuilt ones outranks an execution error before them.
+    validated once, and a fill validates only its rebuilt ones.  The check
+    pass takes each rebuilt instruction, and each run of template
+    instructions around them once per scan state it starts from.  A fill
+    both accept runs from its first rebuilt instruction on a copy of a
+    snapshot that the instructions before it leave, taken once.  Validation
+    still decides first: an invalid instruction after the rebuilt ones
+    outranks an execution error before them.
     """
 
     def __init__(
@@ -276,11 +281,13 @@ class Verifier:
         self.cfg = cfg or MachineConfig()
         self.template = template
         self.rebuilt = rebuilt
+        self._buffers = spec.buffer_shapes()
         self._inputs: dict[str, np.ndarray] | None = None
         self._tolerances: dict[int, np.ndarray | None] = {}
         self._start = 0
         self._invalid: ValidationError | None = None
-        self._snapshot: Machine | ExecError | None = None  # after the template's instructions before `_start`
+        self._runs: dict[tuple, ScanState | ExecError] = {}  # (first index, scan state key) -> a checked template run
+        self._snapshot: Machine | None = None  # after the template's instructions before `_start`
         if template is not None:
             self._start = rebuilt[0] if rebuilt else len(template.instructions)
             changed = set(rebuilt)
@@ -292,9 +299,9 @@ class Verifier:
         """`verify_program`'s verdict on `p`."""
         if not self.cases:
             return Verdict(passed=True)
-        invalid = self._first_invalid(enumerate(p.instructions))
-        if invalid is not None:
-            return _failed(invalid)
+        checked = self._first_invalid(enumerate(p.instructions)) or self._check(p.instructions, ScanState(), 0)
+        if not isinstance(checked, ScanState):
+            return _failed(checked)
         return self._finish(self._fresh(), p.instructions, 0)
 
     def verify_fill(self, p: Program) -> Verdict:
@@ -305,38 +312,47 @@ class Verifier:
         invalid = self._first_invalid((index, instructions[index]) for index in self.rebuilt)
         if self._invalid is not None and (invalid is None or self._invalid.index < invalid.index):
             invalid = self._invalid
-        if invalid is not None:
-            return _failed(invalid)
+        error = invalid or self._fill_error(instructions)
+        if error is not None:
+            return _failed(error)
         if self._snapshot is None:
-            machine = self._fresh()
-            try:
-                run(machine, self.template.instructions, 0, self._start)
-            except ExecError as e:
-                machine = e.with_traceback(None)  # kept, so it must not keep this frame alive
-            self._snapshot = machine
-        if isinstance(self._snapshot, ExecError):
-            return _failed(self._snapshot)
+            self._snapshot = self._fresh()
+            run(self._snapshot, self.template.instructions, 0, self._start)
         return self._finish(self._snapshot.copy(), instructions, self._start)
 
     def _first_invalid(self, indexed) -> ValidationError | None:
-        try:
-            validate_instructions(indexed, self.cfg.dim, self.cfg.max_block_len)
-        except ValidationError as e:
-            return e.with_traceback(None)
+        return _caught(validate_instructions, indexed, self.cfg.dim, self.cfg.max_block_len)
+
+    def _check(self, instructions: tuple[Instruction, ...], state: ScanState, start: int,
+               stop: int | None = None) -> ScanState | ExecError:
+        """`check_execution` of `instructions[start:stop]` from `state`: the state past them, or the error."""
+        return _caught(check_execution, instructions, self.cfg, self._buffers, state, start, stop)
+
+    def _fill_error(self, instructions: tuple[Instruction, ...]) -> ExecError | None:
+        """`check_execution`'s error for a valid fill, if any.  Each rebuilt instruction is checked on its own,
+        and each run of template instructions around them once per scan state it starts from."""
+        state, begin = ScanState(), 0
+        for end in (*self.rebuilt, len(instructions)):
+            key = (begin, state.key())
+            if key not in self._runs:
+                self._runs[key] = self._check(instructions, state, begin, end)
+            state = self._runs[key]
+            if end < len(instructions) and isinstance(state, ScanState):
+                state = self._check(instructions, state.copy(), end, end + 1)
+            if isinstance(state, ExecError):
+                return state
+            begin = end + 1
         return None
 
     def _fresh(self) -> Machine:
         """A new machine holding the cases' inputs, which are stacked on the first call."""
         if self._inputs is None:
             self._inputs = _stack_cases(self.spec, self.cases)
-        return create_machine(self.cfg, self.spec.buffer_shapes(), self._inputs)
+        return create_machine(self.cfg, self._buffers, self._inputs)
 
     def _finish(self, machine: Machine, instructions: tuple[Instruction, ...], start: int) -> Verdict:
         """Run `instructions` from `start` on `machine`, then report the cases in order up to the first that fails."""
-        try:
-            run(machine, instructions, start)
-        except ExecError as e:
-            return _failed(e)
+        run(machine, instructions, start)
         verdict = Verdict(passed=True)
         outputs = read_output(machine, self.spec.c)
         for index, (case, got) in enumerate(zip(self.cases, outputs)):
@@ -354,7 +370,15 @@ class Verifier:
         return verdict
 
 
-def _failed(error: ExecError | ValidationError) -> Verdict:
+def _caught(check, *args):
+    """What `check(*args)` returns, or the `ExecError` it raises (a `ValidationError` is one too)."""
+    try:
+        return check(*args)
+    except ExecError as e:
+        return e.with_traceback(None)
+
+
+def _failed(error: ExecError) -> Verdict:
     """The verdict of a program that fails at `error` on every case alike: reported once, as case 0's."""
     failure = ExecFailure(error.index, error.kind, error.detail)
     return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])

@@ -3,20 +3,22 @@
 State is a set of named 2-D float32 DRAM buffers, a scratchpad and an
 accumulator (both row-addressed, DIM elements wide), configuration
 registers, and the latched weights/output-address pair left by the most
-recent preload.  Execution is sequential; every error carries the index of
-the offending instruction.
+recent preload.  Execution is sequential.
+
+The executors only move data.  Every execution error depends only on the
+program, the configuration and the buffer shapes, never on the data, so
+`isa.check_execution` finds it before anything runs; `execute` validates,
+checks, then runs, and `run` checks nothing.
 
 A machine may hold a batch of cases: every array of data state (DRAM
 buffers, scratchpad, accumulator, latched weights) then carries the case
-axes in front, and each instruction runs once for all cases.  Every check
-depends only on the program and the configuration, never on the data, so a
-batched run fails exactly where each of its cases would fail alone.
+axes in front, and each instruction runs once for all cases.
 
 A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
 row length and the block lies inside the buffer) copies each DIM-wide tile
-with one 2-D slice.  Every other move goes row by row and checks each row
-before it moves, so a wrapped or overlapping block fails at the same row.
-Executors test the bits of local addresses, plain ints, as `isa` lays them out.
+with one 2-D slice.  Every other move goes row by row, in order, so of
+overlapping rows the last one wins.  Executors test the bits of local
+addresses, plain ints, as `isa` lays them out.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .isa import (
     FULL_WIDTH_BIT,
     LOAD_CHANNELS,
     MAX_BLOCK_LEN_DEFAULT,
+    RESET_EX,
     ROW_MASK,
     SENTINEL,
     Activation,
@@ -42,7 +45,7 @@ from .isa import (
     ConfigEx,
     ConfigLd,
     ConfigSt,
-    Dataflow,
+    ExecError,  # machine.ExecError, as callers catch it
     Fence,
     Instruction,
     Mvin,
@@ -50,7 +53,8 @@ from .isa import (
     Preload,
     PreloadZeros,
     Program,
-    ValidationError,
+    ScanState,
+    check_execution,
     validate_program,
 )
 
@@ -61,16 +65,6 @@ class ConfigInvalid(ValueError):
 
 class ShapeMismatch(ValueError):
     pass
-
-
-class ExecError(Exception):
-    """Execution failure at a specific instruction."""
-
-    def __init__(self, index: int, kind: str, message: str):
-        super().__init__(f"instruction {index}: {kind}: {message}")
-        self.index = index
-        self.kind = kind
-        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,7 @@ class Machine:
     dram: dict[str, np.ndarray]
     spad: np.ndarray
     acc: np.ndarray
-    regs: ConfigEx = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.NONE, False, False)  # the last config_ex
+    regs: ConfigEx = RESET_EX  # the last config_ex
     ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latched: _Latched | None = None
@@ -166,83 +160,50 @@ def create_machine(
     return Machine(cfg, dram, spad, acc)
 
 
-def _stride_elems(m: Machine, idx: int, stride_bytes: int | None, what: str) -> int:
-    if stride_bytes is None:
-        raise ExecError(idx, "unsupported", f"{what} stride used before being configured")
-    if stride_bytes % ELEMENT_BYTES != 0:
-        raise ExecError(idx, "unsupported", f"{what} stride {stride_bytes} is not a multiple of {ELEMENT_BYTES}")
-    return stride_bytes // ELEMENT_BYTES
-
-
-def _rows_error(idx: int, acc_bit: int, row: int, nrows: int, limit: int) -> ExecError:
-    kind = "acc_out_of_range" if acc_bit else "spad_out_of_range"
-    return ExecError(idx, kind, f"rows [{row}, {row + nrows}) exceed {limit}")
-
-
-def _dram(m: Machine, idx: int, buffer: str) -> np.ndarray:
-    arr = m.dram.get(buffer)
-    if arr is None:
-        raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{buffer}'")
-    return arr
-
-
-def _tile_origin(arr: np.ndarray, offset: int, pitch: int, cols: int, rows: int) -> tuple[int, int] | None:
-    """The (row, column) a move starts at when each of its rows lies inside one row
-    of the buffer, so each tile is a 2-D slice; None when it must go row by row."""
-    buf_rows, buf_cols = arr.shape[-2:]
+def _tile_origin(arr: np.ndarray, offset: int, pitch: int, cols: int) -> tuple[int, int] | None:
+    """The (row, column) a checked move starts at when each of its rows lies inside one
+    row of the buffer, so each tile is a 2-D slice; None when it must go row by row."""
+    buf_cols = arr.shape[-1]
     r0, c0 = divmod(offset, buf_cols)
-    if pitch == buf_cols and offset >= 0 and c0 + cols <= buf_cols and 0 < rows <= buf_rows - r0:
-        return r0, c0
-    return None
+    return (r0, c0) if pitch == buf_cols and c0 + cols <= buf_cols else None
 
 
-def _row_moves(
-    idx: int, ins: Mvin | Mvout, pitch: int, size: int, dim: int, verb: str
-) -> Iterator[tuple[int, int, int]]:
-    """A move one row at a time, in order: (local row, first DRAM element, width),
-    each checked against the buffer's `size` elements before it is given."""
+def _row_moves(ins: Mvin | Mvout, pitch: int, dim: int) -> Iterator[tuple[int, int, int]]:
+    """A move one row at a time, in order: (local row, first DRAM element, width)."""
     base_row = ins.local & ROW_MASK
     for t in range((ins.cols + dim - 1) // dim):
         width = min(dim, ins.cols - t * dim)
         for r in range(ins.rows):
-            start = ins.dram.offset + r * pitch + t * dim
-            if start < 0 or start + width > size:
-                message = f"{verb} [{start}, {start + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements"
-                raise ExecError(idx, "dram_out_of_range", message)
-            yield base_row + t * dim + r, start, width
+            yield base_row + t * dim + r, ins.dram.offset + r * pitch + t * dim, width
 
 
-def _exec_config_ex(m: Machine, idx: int, ins: ConfigEx) -> None:
+def _exec_config_ex(m: Machine, ins: ConfigEx) -> None:
     m.regs = ins
 
 
-def _exec_config_ld(m: Machine, idx: int, ins: ConfigLd) -> None:
+def _exec_config_ld(m: Machine, ins: ConfigLd) -> None:
     m.ld_strides[ins.channel] = ins.stride_bytes
 
 
-def _exec_config_st(m: Machine, idx: int, ins: ConfigSt) -> None:
+def _exec_config_st(m: Machine, ins: ConfigSt) -> None:
     m.st_stride = ins.stride_bytes
 
 
-def _exec_fence(m: Machine, idx: int, ins: Fence) -> None:
+def _exec_fence(m: Machine, ins: Fence) -> None:
     pass  # sequential semantics: nothing outstanding to wait on
 
 
-def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
+def _exec_mvin(m: Machine, ins: Mvin) -> None:
     dim, cols, rows, raw = m.config.dim, ins.cols, ins.rows, ins.local
-    pitch = _stride_elems(m, idx, m.ld_strides.get(ins.channel), f"load channel {ins.channel}")
-    arr = _dram(m, idx, ins.dram.buffer)
+    pitch = m.ld_strides[ins.channel] // ELEMENT_BYTES
+    arr = m.dram[ins.dram.buffer]
     row, to_acc = raw & ROW_MASK, raw & ACC_BIT
-    limit = m.config.acc_rows if to_acc else m.config.spad_rows
-    nrows = ((cols + dim - 1) // dim - 1) * dim + rows
-    if row + nrows > limit:
-        raise _rows_error(idx, to_acc, row, nrows, limit)
     mem = m.acc if to_acc else m.spad
     accumulate = to_acc and raw & ACCUMULATE_BIT
-    origin = _tile_origin(arr, ins.dram.offset, pitch, cols, rows)
+    origin = _tile_origin(arr, ins.dram.offset, pitch, cols)
     if origin is None:
         flat = arr.reshape(arr.shape[:-2] + (-1,))
-        for dst, src, width in _row_moves(idx, ins, pitch, flat.shape[-1], dim, "read"):
+        for dst, src, width in _row_moves(ins, pitch, dim):
             if accumulate:
                 mem[..., dst, :width] += flat[..., src : src + width]
             else:
@@ -258,87 +219,51 @@ def _exec_mvin(m: Machine, idx: int, ins: Mvin) -> None:
             mem[..., row + t : row + t + rows, :width] = tile
 
 
-def _exec_preload(m: Machine, idx: int, ins: Preload) -> None:
+def _exec_preload(m: Machine, ins: Preload) -> None:
     b = ins.b
-    if b != SENTINEL:
-        row, limit = b & ROW_MASK, m.config.spad_rows
-        if row + ins.b_rows > limit:
-            raise _rows_error(idx, 0, row, ins.b_rows, limit)
+    if b == SENTINEL:
+        weights = m.latched.weights
+    else:
+        row = b & ROW_MASK
         block = m.spad[..., row : row + ins.b_rows, : ins.b_cols]
         weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block.copy()
-    else:
-        if m.latched is None:
-            raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
-        weights = m.latched.weights
     c = ins.c
     m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), ins.c_cols, ins.c_rows)
 
 
-def _exec_preload_zeros(m: Machine, idx: int, ins: PreloadZeros) -> None:
+def _exec_preload_zeros(m: Machine, ins: PreloadZeros) -> None:
     dim, c = m.config.dim, ins.c
     weights = np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32)
     m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), dim, dim)
 
 
-def _exec_compute(m: Machine, idx: int, ins: ComputePreloaded | ComputeAccumulated) -> None:
-    regs = m.regs
-    if regs.dataflow is not Dataflow.WEIGHT_STATIONARY:
-        raise ExecError(idx, "unsupported", f"dataflow {regs.dataflow.value} is parse-only")
-    if regs.act is not Activation.NONE and regs.act is not Activation.RELU:
-        raise ExecError(idx, "unsupported", f"activation {regs.act.value} is parse-only")
-    lat = m.latched
-    if lat is None:
-        raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
-    spad_rows = m.config.spad_rows
-    row = ins.a & ROW_MASK
-    if row + ins.a_rows > spad_rows:
-        raise _rows_error(idx, 0, row, ins.a_rows, spad_rows)
+def _exec_compute(m: Machine, ins: ComputePreloaded | ComputeAccumulated) -> None:
+    lat, row = m.latched, ins.a & ROW_MASK
     a_raw = m.spad[..., row : row + ins.a_rows, : ins.a_cols]
-    a_eff = a_raw.swapaxes(-1, -2) if regs.a_transpose else a_raw
-    a_rows, a_cols = a_eff.shape[-2:]
-    w_rows, w_cols = lat.weights.shape[-2:]
-    if a_cols != w_rows:
-        raise ExecError(idx, "dimension_mismatch", f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}")
-    if a_rows != lat.c_rows or w_cols != lat.c_cols:
-        message = f"result is {a_rows}x{w_cols} but the preload latched {lat.c_rows}x{lat.c_cols}"
-        raise ExecError(idx, "dimension_mismatch", message)
+    a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
     # Kept although spad is float32: matmul on the view takes another loop and can differ in the last bit.
     product = a_eff.astype(np.float32) @ lat.weights
     d = ins.d
-    if d == SENTINEL:
-        biased = product
-    else:
+    if d != SENTINEL:
         row = d & ROW_MASK
-        if row + ins.d_rows > spad_rows:
-            raise _rows_error(idx, 0, row, ins.d_rows, spad_rows)
-        if ins.d_rows != lat.c_rows or ins.d_cols != lat.c_cols:
-            message = f"bias is {ins.d_rows}x{ins.d_cols} but the result is {lat.c_rows}x{lat.c_cols}"
-            raise ExecError(idx, "dimension_mismatch", message)
-        biased = product + m.spad[..., row : row + ins.d_rows, : ins.d_cols]
-    row, acc_rows = lat.c_row, m.config.acc_rows
-    if row + lat.c_rows > acc_rows:
-        raise _rows_error(idx, ACC_BIT, row, lat.c_rows, acc_rows)
+        product = product + m.spad[..., row : row + ins.d_rows, : ins.d_cols]
+    row = lat.c_row
     if lat.c_accumulate or type(ins) is ComputeAccumulated:
-        m.acc[..., row : row + lat.c_rows, : lat.c_cols] += biased
+        m.acc[..., row : row + lat.c_rows, : lat.c_cols] += product
     else:
-        m.acc[..., row : row + lat.c_rows, : lat.c_cols] = biased
+        m.acc[..., row : row + lat.c_rows, : lat.c_cols] = product
 
 
-def _exec_mvout(m: Machine, idx: int, ins: Mvout) -> None:
+def _exec_mvout(m: Machine, ins: Mvout) -> None:
     dim, cols, rows, raw, act = m.config.dim, ins.cols, ins.rows, ins.local, m.regs.act
-    pitch = _stride_elems(m, idx, m.st_stride, "store")
-    if act is not Activation.NONE and act is not Activation.RELU and not raw & FULL_WIDTH_BIT:
-        raise ExecError(idx, "unsupported", f"activation {act.value} is parse-only")
-    arr = _dram(m, idx, ins.dram.buffer)
-    row, limit = raw & ROW_MASK, m.config.acc_rows
-    nrows = ((cols + dim - 1) // dim - 1) * dim + rows
-    if row + nrows > limit:
-        raise _rows_error(idx, ACC_BIT, row, nrows, limit)
+    pitch = m.st_stride // ELEMENT_BYTES
+    arr = m.dram[ins.dram.buffer]
+    row = raw & ROW_MASK
     relu = act is Activation.RELU and not raw & FULL_WIDTH_BIT
-    origin = _tile_origin(arr, ins.dram.offset, pitch, cols, rows)
+    origin = _tile_origin(arr, ins.dram.offset, pitch, cols)
     if origin is None:  # rows that overlap (pitch < width) are written in order: the last one wins
         flat = arr.reshape(arr.shape[:-2] + (-1,))
-        for src, dst, width in _row_moves(idx, ins, pitch, flat.shape[-1], dim, "write"):
+        for src, dst, width in _row_moves(ins, pitch, dim):
             values = m.acc[..., src, :width]
             flat[..., dst : dst + width] = np.maximum(values, np.float32(0.0)) if relu else values
         return
@@ -367,21 +292,31 @@ _EXECUTORS = {
 
 
 def run(m: Machine, instructions: tuple[Instruction, ...], start: int = 0, stop: int | None = None) -> None:
-    """Run `instructions[start:stop]` on every case at once, without validating them.
+    """Run `instructions[start:stop]` on every case at once, checking nothing.
 
-    Each keeps its index in the whole sequence, so an `ExecError` names the
-    same instruction as a run from the start would.
+    They must pass `validate_program` and then `check_execution` from the
+    machine's `scan_state`; a run of such instructions raises nothing.
     """
-    for idx, ins in enumerate(instructions[start:stop], start):
-        _EXECUTORS[type(ins)](m, idx, ins)
+    for ins in instructions[start:stop]:
+        _EXECUTORS[type(ins)](m, ins)
+
+
+def scan_state(m: Machine) -> ScanState:
+    """The scan state of `m`'s registers and latch, which `check_execution` starts from."""
+    lat = m.latched
+    if lat is None:
+        return ScanState(dict(m.ld_strides), m.st_stride, ex=m.regs)
+    latch, result = (lat.c_row, lat.c_rows, lat.c_accumulate), (lat.c_rows, lat.c_cols)
+    return ScanState(dict(m.ld_strides), m.st_stride, latch, m.regs, lat.weights.shape[-2:], result)
 
 
 def execute(m: Machine, p: Program) -> Machine:
-    """Validate a program, then run it to completion on every case at once, mutating and returning the machine."""
-    try:
-        validate_program(p, dim=m.config.dim, max_block_len=m.config.max_block_len)
-    except ValidationError as e:
-        raise ExecError(e.index, e.kind, e.detail) from None
+    """Validate, check (`check_execution`), then run a program on every case at once; return the machine.
+
+    A `ValidationError` is an `ExecError` too.  A refused program leaves the machine untouched.
+    """
+    validate_program(p, dim=m.config.dim, max_block_len=m.config.max_block_len)
+    check_execution(p.instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}, scan_state(m))
     run(m, p.instructions)
     return m
 

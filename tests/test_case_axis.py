@@ -18,7 +18,19 @@ from hypothesis import strategies as st
 
 import ta_lift.kernels as kernels
 from ta_lift.fixtures import KERNELS, emit_golden_program, golden_program, kernel
-from ta_lift.isa import ConfigLd, ConfigSt, DramRef, Mvin, Mvout, Program, ValidationError, spec_of, validate_program
+from ta_lift.isa import (
+    ConfigLd,
+    ConfigSt,
+    DramRef,
+    Mvin,
+    Mvout,
+    Program,
+    ScanState,
+    ValidationError,
+    check_execution,
+    spec_of,
+    validate_program,
+)
 from ta_lift.kernels import (
     ABS_TOLERANCE,
     REL_TOLERANCE,
@@ -228,11 +240,15 @@ def arrays_of(m) -> list[np.ndarray]:
     return [*m.dram.values(), m.spad, m.acc] + ([m.latched.weights] if m.latched is not None else [])
 
 
-def run_or_error(m, instructions, start=0, stop=None):
+def run_or_error(m, instructions, start, stop, state: ScanState):
+    """Check `instructions[start:stop]` from `state`, moving it past them, then run them if the pass accepts:
+    the (index, kind) of the error it raises, or None."""
     try:
-        run(m, instructions, start, stop)
+        check_execution(instructions[:stop], m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
+                        state, start)
     except ExecError as err:
         return err.index, err.kind
+    run(m, instructions, start, stop)
     return None
 
 
@@ -253,11 +269,11 @@ def test_a_run_split_at_a_copied_snapshot_equals_one_run(workload, data) -> None
     else:
         whole_error = None
     split = data.draw(st.integers(0, len(instructions)))
-    snapshot = machine_for_cases(spec, cases)
-    prefix_error = run_or_error(snapshot, instructions, 0, split)
+    snapshot, state = machine_for_cases(spec, cases), ScanState()
+    prefix_error = run_or_error(snapshot, instructions, 0, split, state)
     if prefix_error is not None:
         assert prefix_error == whole_error
-        assert machine_state(snapshot) == machine_state(whole)
+        assert machine_state(snapshot) == machine_state(whole)  # neither ran
         return
     before = machine_state(snapshot)
     first, second = snapshot.copy(), snapshot.copy()
@@ -265,8 +281,9 @@ def test_a_run_split_at_a_copied_snapshot_equals_one_run(workload, data) -> None
     for one, other in itertools.combinations((snapshot, first, second), 2):
         assert not any(np.shares_memory(a, b) for a in arrays_of(one) for b in arrays_of(other))
     for suffix in (first, second):
-        assert run_or_error(suffix, instructions, split) == whole_error
-        assert machine_state(suffix) == machine_state(whole)
+        assert run_or_error(suffix, instructions, split, None, state.copy()) == whole_error
+        # A refused suffix leaves the snapshot's state, as a refused program leaves a fresh machine's.
+        assert machine_state(suffix) == (before if whole_error is not None else machine_state(whole))
     # Neither suffix wrote through to the snapshot.
     assert machine_state(snapshot) == before
 

@@ -256,15 +256,21 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_refuses_an_invalid_program_before_building_cases(tmp_path, capsys, monkeypatch):
     program = tmp_path / "mm1.txt"
-    program.write_text(golden_program("mm1").replace("mvin(Ad, Ad_sp, 4, 4);", "mvin(Ad, Ad_sp, 4, 5);", 1))
     calls = []
     for name in ("generate_testcases", "machine_for_cases"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    assert dispatch(["simulate", "--program", str(program), "--kernel", "mm1", "--n", "3"]) == 1
-    assert capsys.readouterr().out == (
-        "case 0: execution failed: instruction 4: rows_exceed_dim: mvin rows 5 must be in 1..4\n"
-    )
+    refused = [
+        # Invalid: validation refuses it.
+        (("mvin(Ad, Ad_sp, 4, 4);", "mvin(Ad, Ad_sp, 4, 5);"),
+         "instruction 4: rows_exceed_dim: mvin rows 5 must be in 1..4"),
+        # Valid, but its first mvout has no store stride: the execution check pass refuses it.
+        (("config_st(48);\n", ""), "instruction 39: unsupported: store stride used before being configured"),
+    ]
+    for (old, new), message in refused:
+        program.write_text(golden_program("mm1").replace(old, new, 1))
+        assert dispatch(["simulate", "--program", str(program), "--kernel", "mm1", "--n", "3"]) == 1
+        assert capsys.readouterr().out == f"case 0: execution failed: {message}\n"
     assert calls == []
 
 

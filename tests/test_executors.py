@@ -1,15 +1,21 @@
-"""The machine's executors against the per-row executors they replaced.
+"""The machine's executors and the static check pass against the per-row executors they replaced.
 
 A move whose rows are rows of its buffer (the pitch is the buffer's row
 length and the block lies inside the buffer) now copies each DIM-wide tile
-with one slice; every other move still goes row by row.  Local-address
-checks read the raw address bits.  The oracle below keeps the earlier
-executors verbatim: each step, each random workload and each one-field
-mutation must leave the same bytes in every array and raise the same
-`ExecError` (index, kind and message), or none.
+with one slice; every other move still goes row by row.  The executors
+check nothing: `isa.check_execution` finds every execution error before a
+run.  The oracle below keeps the earlier executors, checks and all,
+verbatim.  For each step, each random workload and each one-field
+mutation, validation, then the pass from the machine's `scan_state`, then
+`run` must raise the same `ExecError` (index, kind and message) as
+validation, then the oracle's executors, or none and leave the same bytes
+in every array.  Whatever prefix of them validation and the pass accept,
+`run` runs without raising.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -41,9 +47,13 @@ from ta_lift.isa import (
     Preload,
     PreloadZeros,
     Space,
+    ValidationError,
+    check_execution,
+    spec_of,
+    validate_instructions,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
-from ta_lift.machine import ExecError, Machine, MachineConfig, _Latched, create_machine
+from ta_lift.machine import ExecError, Machine, MachineConfig, _Latched, create_machine, run, scan_state
 from ta_lift.program_text import parse_program
 from test_case_axis import workloads
 from test_instruction_table import one_field_mutations
@@ -239,22 +249,52 @@ OLD_EXECUTORS = {
 # -- running both --------------------------------------------------------------------
 
 
-def outcome(executors: dict, m: Machine, instructions) -> tuple | None:
-    """Run the instructions with one executor table: the error they stop at, or None.
+def validation_error(m: Machine, instructions) -> tuple | None:
+    """The first instruction validation refuses on the machine's configuration, or None.
 
-    An unvalidated program may also stop at an error numpy raises, such as a
-    block shaped for another DIM; that error must be the same too.
+    `steps` also unsets a stride with a config of stride None, which no text
+    parses to; validation refuses it with a TypeError.
     """
     for idx, ins in enumerate(instructions):
-        step = executors.get(type(ins))
-        if step is None:
-            return idx, "no executor", type(ins).__name__
         try:
-            step(m, idx, ins)
+            validate_instructions([(idx, ins)], m.config.dim, m.config.max_block_len)
+        except ValidationError as err:
+            return err.index, err.kind, err.detail
+        except TypeError as err:
+            return idx, "TypeError", str(err)
+    return None
+
+
+def static_error(m: Machine, instructions) -> tuple | None:
+    """What validation, then the pass from the machine's registers and latch, refuses first: or None."""
+    error = validation_error(m, instructions)
+    if error is None:
+        try:
+            check_execution(instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
+                            scan_state(m))
         except ExecError as err:
             return err.index, err.kind, err.detail
-        except ValueError as err:
-            return idx, type(err).__name__, str(err)
+    return error
+
+
+def outcome(m: Machine, instructions) -> tuple | None:
+    """Validate, check, then run on the tree's machine: the error refused, or None."""
+    error = static_error(m, instructions)
+    if error is None:
+        run(m, instructions)
+    return error
+
+
+def oracle_outcome(m: Machine, instructions) -> tuple | None:
+    """Validate, then run the oracle's executors: the error they stop at, or None."""
+    error = validation_error(m, instructions)
+    if error is not None:
+        return error
+    for idx, ins in enumerate(instructions):
+        try:
+            OLD_EXECUTORS[type(ins)](m, idx, ins)
+        except ExecError as err:
+            return err.index, err.kind, err.detail
     return None
 
 
@@ -269,10 +309,21 @@ def state(m: Machine) -> tuple:
 
 
 def assert_same_as_oracle(m: Machine, instructions) -> None:
-    """Run the tree's executors on `m` and the oracle's on a copy: same error, same state."""
+    """The tree on `m` and the oracle on a copy: the same error and `m` untouched, or no error and the same state."""
+    old, before = m.copy(), state(m)
+    expected = oracle_outcome(old, instructions)
+    assert outcome(m, instructions) == expected
+    assert state(m) == (before if expected is not None else state(old))
+
+
+def assert_accepted_prefix_runs(m: Machine, instructions) -> None:
+    """The longest prefix validation and the pass accept: `run` raises nothing on it and leaves the oracle's bytes."""
+    stop = len(instructions)
+    while (error := static_error(m, instructions[:stop])) is not None:
+        stop = error[0]
     old = m.copy()
-    expected = outcome(OLD_EXECUTORS, old, instructions)
-    assert outcome(machine._EXECUTORS, m, instructions) == expected
+    assert oracle_outcome(old, instructions[:stop]) is None
+    run(m, instructions, 0, stop)
     assert state(m) == state(old)
 
 
@@ -384,6 +435,32 @@ def test_steps_match_the_oracle(step) -> None:
     assert_same_as_oracle(*step)
 
 
+def valid_form(step):
+    """The step with what validation refuses moved in range: each local address into the memory its
+    operand must address, each load channel to 0 and each stride config of None to 0.  Most such steps
+    reach the pass."""
+    m, instructions = step
+    fixed = []
+    for ins in instructions:
+        if isinstance(ins, (Mvin, ConfigLd)) and ins.channel not in LOAD_CHANNELS:
+            ins = dataclasses.replace(ins, channel=0)
+        if isinstance(ins, (ConfigLd, ConfigSt)) and ins.stride_bytes is None:
+            ins = dataclasses.replace(ins, stride_bytes=0)
+        for name, space, sentinel_ok in spec_of(ins).spaces:
+            raw = getattr(ins, name)
+            if not (sentinel_ok and raw == SENTINEL):
+                raw = raw | ACC_BIT if space is Space.ACCUMULATOR else raw & ~ACC_BIT
+                ins = dataclasses.replace(ins, **{name: raw})
+        fixed.append(ins)
+    return m, fixed
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps().map(valid_form))
+def test_valid_steps_match_the_oracle(step) -> None:
+    assert_same_as_oracle(*step)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(workloads())
 def test_random_workloads_match_the_oracle(workload) -> None:
@@ -391,15 +468,20 @@ def test_random_workloads_match_the_oracle(workload) -> None:
     assert_same_as_oracle(machine_for_cases(spec, cases), program.instructions)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(one_field_mutations(), st.integers(0, 2**32 - 1))
-def test_one_field_mutations_match_the_oracle(mutation, seed) -> None:
-    """Unvalidated, as `run` takes them: counts out of range, wrong memories, unknown types."""
+def mutation_machine(mutation, seed: int) -> tuple[Machine, tuple]:
+    """A two-case machine for a one-field mutation's program, shaped as it asks."""
     program, dim, max_block_len = mutation
     rng = np.random.default_rng(seed)
     contents = {name: rng.standard_normal((2,) + shape).astype(np.float32) for name, shape in program.buffers.items()}
     m = create_machine(MachineConfig(dim=dim, max_block_len=max_block_len), program.buffers, contents)
-    assert_same_as_oracle(m, program.instructions)
+    return m, program.instructions
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(one_field_mutations(), st.integers(0, 2**32 - 1))
+def test_one_field_mutations_match_the_oracle(mutation, seed) -> None:
+    """Counts out of range, wrong memories and unknown types stop at validation on both sides."""
+    assert_same_as_oracle(*mutation_machine(mutation, seed))
 
 
 _RELU = ConfigEx(Dataflow.WEIGHT_STATIONARY, Activation.RELU, False, False)
@@ -416,25 +498,92 @@ EDGE_MOVES = {  # on a 6 x 8 buffer A
 }
 
 
-@pytest.mark.parametrize("instructions", EDGE_MOVES.values(), ids=EDGE_MOVES)
-def test_edge_moves_match_the_oracle(instructions) -> None:
+def edge_machine() -> Machine:
     rng = np.random.default_rng(7)
     m = create_machine(MachineConfig(), {"A": (6, 8)}, {"A": rng.standard_normal((2, 6, 8)).astype(np.float32)})
     m.acc[...] = rng.standard_normal(m.acc.shape)
+    return m
+
+
+@pytest.mark.parametrize("instructions", EDGE_MOVES.values(), ids=EDGE_MOVES)
+def test_edge_moves_match_the_oracle(instructions) -> None:
+    assert_same_as_oracle(edge_machine(), instructions)
+
+
+def _ex(dataflow=Dataflow.WEIGHT_STATIONARY, act=Activation.NONE, a_transpose=False, b_transpose=False) -> ConfigEx:
+    return ConfigEx(dataflow, act, a_transpose, b_transpose)
+
+
+_LATCH_4X4 = Preload(0, ACC_BIT, 4, 4, 4, 4)
+_COMPUTE = ComputePreloaded(0, SENTINEL, 4, 4, 4, 4)
+EDGE_CHECKS = {  # name: (the kind the first error has, or None; instructions on a 6 x 8 buffer A)
+    "compute before any preload": ("compute_before_preload", (_COMPUTE,)),
+    "keep-weights preload with nothing latched": ("compute_before_preload", (Preload(SENTINEL, ACC_BIT, 4, 4, 4, 4),)),
+    "keep-weights preload after a preload": (None, (_LATCH_4X4, Preload(SENTINEL, ACC_BIT | 4, 4, 4, 4, 4), _COMPUTE)),
+    "parse-only dataflow": ("unsupported", (_ex(Dataflow.OUTPUT_STATIONARY), _LATCH_4X4, _COMPUTE)),
+    "parse-only activation at a compute": ("unsupported", (_ex(act=Activation.SOFTMAX), _LATCH_4X4, _COMPUTE)),
+    "parse-only activation at a store": ("unsupported", (_ex(act=Activation.LAYERNORM), ConfigSt(32),
+                                                         Mvout(DramRef("A", 0), ACC_BIT, 8, 4))),
+    "full-width store under a parse-only activation": (None, (_ex(act=Activation.IGELU), ConfigSt(32),
+                                                              Mvout(DramRef("A", 0), ACC_BIT | FULL_WIDTH_BIT, 8, 4))),
+    "store stride before the activation": ("unsupported", (_ex(act=Activation.LAYERNORM),
+                                                           Mvout(DramRef("A", 0), ACC_BIT, 8, 4))),
+    "A rows past the scratchpad before a mismatch": ("spad_out_of_range", (
+        _LATCH_4X4, ComputePreloaded(1022, SENTINEL, 3, 4, 4, 4))),
+    "A deeper than the weights": ("dimension_mismatch", (Preload(0, ACC_BIT, 4, 2, 4, 4), _COMPUTE)),
+    "result wider than the latched block": ("dimension_mismatch", (Preload(0, ACC_BIT, 4, 4, 2, 4), _COMPUTE)),
+    "transposed A and B that fit": (None, (_ex(a_transpose=True, b_transpose=True), Preload(0, ACC_BIT, 3, 4, 4, 4),
+                                           ComputeAccumulated(4, SENTINEL, 4, 3, 4, 4))),
+    "transposed B that does not fit": ("dimension_mismatch", (_ex(b_transpose=True), Preload(0, ACC_BIT, 3, 4, 4, 4),
+                                                              _COMPUTE)),
+    "bias rows past the scratchpad before a bias mismatch": ("spad_out_of_range", (
+        _LATCH_4X4, ComputePreloaded(0, 1022, 4, 4, 3, 4))),
+    "bias narrower than the result": ("dimension_mismatch", (_LATCH_4X4, ComputePreloaded(0, 8, 4, 4, 3, 4))),
+    "result rows past the accumulator": ("acc_out_of_range", (Preload(0, ACC_BIT | 254, 4, 4, 4, 4), _COMPUTE)),
+    "zeros latched past the accumulator": ("acc_out_of_range", (PreloadZeros(ACC_BIT | 253), _COMPUTE)),
+    "weights past the scratchpad": ("spad_out_of_range", (Preload(1021, ACC_BIT, 4, 4, 4, 4),)),
+    "load stride not whole elements": ("unsupported", (ConfigLd(6, 0), Mvin(0, DramRef("A", 0), 0, 4, 4))),
+    "load stride set on another channel": ("unsupported", (ConfigLd(32, 0), Mvin(2, DramRef("A", 0), 0, 4, 4))),
+    "unknown buffer before the local rows": ("dram_out_of_range", (ConfigLd(32, 0),
+                                                                   Mvin(0, DramRef("B", 0), 1022, 4, 4))),
+    "local rows before the DRAM rows": ("spad_out_of_range", (ConfigLd(32, 0), Mvin(0, DramRef("A", 40), 1022, 4, 4))),
+    "accumulator load past its rows": ("acc_out_of_range", (ConfigLd(32, 0),
+                                                            Mvin(0, DramRef("A", 0), ACC_BIT | 254, 4, 4))),
+    "wide load spans its tiles' rows": ("spad_out_of_range", (ConfigLd(32, 0), Mvin(0, DramRef("A", 0), 1012, 16, 4))),
+    "wide store ending at the buffer's end": (None, (ConfigSt(64), Mvout(DramRef("A", 0), ACC_BIT, 16, 3))),
+}
+
+
+@pytest.mark.parametrize("kind, instructions", EDGE_CHECKS.values(), ids=EDGE_CHECKS)
+def test_edge_checks_match_the_oracle(kind, instructions) -> None:
+    m = edge_machine()
+    assert (static_error(m, instructions) or (None, None))[1] == kind
     assert_same_as_oracle(m, instructions)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    steps(),
+    workloads().map(lambda workload: (machine_for_cases(workload[1], workload[2]), workload[0].instructions)),
+    st.builds(mutation_machine, one_field_mutations(), st.integers(0, 2**32 - 1)),
+    st.sampled_from([*EDGE_MOVES.values(), *(instructions for _, instructions in EDGE_CHECKS.values())]).map(
+        lambda instructions: (edge_machine(), instructions)),
+))
+def test_run_raises_nothing_on_what_validation_and_the_pass_accept(machine_and_instructions) -> None:
+    assert_accepted_prefix_runs(*machine_and_instructions)
 
 
 # -- which path a move takes -------------------------------------------------------------
 
 
-def count_row_moves(monkeypatch) -> list[int]:
-    """Wrap the row-by-row helper: each move that goes row by row appends to the returned list."""
-    entered: list[int] = []
+def count_row_moves(monkeypatch) -> list:
+    """Wrap the row-by-row helper: each move that goes row by row appends itself to the returned list."""
+    entered: list = []
     row_moves = machine._row_moves
 
-    def counted(idx, *args):
-        entered.append(idx)
-        return row_moves(idx, *args)
+    def counted(ins, *args):
+        entered.append(ins)
+        return row_moves(ins, *args)
 
     monkeypatch.setattr(machine, "_row_moves", counted)
     return entered
@@ -452,22 +601,24 @@ def test_every_move_of_the_goldens_and_naive_programs_takes_the_tile_path(monkey
     assert (len(entered), moves_run) == (0, 1380)
 
 
-def _stored(monkeypatch, stride_bytes: int, offset: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Store three accumulator rows, four wide, into an 8-element buffer with the given stride."""
+def _stored(monkeypatch, stride_bytes: int, offset: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Store three accumulator rows, four wide, into an 8-element buffer with the given stride;
+    also whether the store, and nothing else, went row by row."""
     entered = count_row_moves(monkeypatch)
     m = create_machine(MachineConfig(), {"y": (1, 8)})
     m.acc[:3] = np.arange(12, dtype=np.float32).reshape(3, 4) + 1
-    machine.run(m, (ConfigSt(stride_bytes), Mvout(DramRef("y", offset), ACC_BIT, 4, 3)))
-    return m.dram["y"][0], m.acc[:3], entered
+    store = Mvout(DramRef("y", offset), ACC_BIT, 4, 3)
+    machine.run(m, (ConfigSt(stride_bytes), store))
+    return m.dram["y"][0], m.acc[:3], entered == [store]
 
 
 def test_overlapping_store_rows_go_row_by_row_and_the_last_row_wins(monkeypatch) -> None:
-    y, acc, entered = _stored(monkeypatch, ELEMENT_BYTES, 1)  # pitch 1 < width 4
-    assert entered == [1]
+    y, acc, by_rows = _stored(monkeypatch, ELEMENT_BYTES, 1)  # pitch 1 < width 4
+    assert by_rows
     assert y.tolist() == [0, acc[0, 0], acc[1, 0], *acc[2], 0]
 
 
 def test_a_store_with_pitch_zero_goes_row_by_row_and_leaves_the_last_row(monkeypatch) -> None:
-    y, acc, entered = _stored(monkeypatch, 0, 2)
-    assert entered == [1]
+    y, acc, by_rows = _stored(monkeypatch, 0, 2)
+    assert by_rows
     assert y.tolist() == [0, 0, *acc[2], 0, 0]

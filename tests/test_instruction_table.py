@@ -12,7 +12,10 @@ Both machines then run the instruction: nothing outside the declared
 writes may change, and every element either run wrote must be equal in
 both.  So the declared memory footprints cover what each instruction really
 reads and writes.  Registers (the config registers and the latched weights)
-are not covered: the copy keeps them as they are.
+are not covered: the copy keeps them as they are.  The execution check pass
+takes its bounds from the same intervals: every memory interval of a step
+it accepts lies inside its memory, and some interval of a step it refuses
+on a bound does not.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from ta_lift.isa import (
     Program,
     ScanState,
     ValidationError,
+    check_execution,
     footprint,
     spec_of,
     validate_program,
@@ -350,23 +354,34 @@ def _twin(m: Machine, reads: dict[str, np.ndarray], noise: dict[str, np.ndarray]
     return twin
 
 
+def _inside(m: Machine, interval: Interval) -> bool:
+    space, start, end = interval
+    memory = _memories(m).get(space)
+    return memory is not None and 0 <= start and end <= memory.shape[-2]
+
+
 def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bool:
     """Run one instruction on `m` and on a randomized twin; False once it fails."""
     single = Program((ins,))
     try:
         validate_program(single, m.config.dim, m.config.max_block_len)  # an invalid one has no footprint
+        check_execution(single.instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
+                        state.copy())
     except ValidationError:
         return False
+    except ExecError as err:
+        if err.kind.endswith("_out_of_range"):
+            reads, writes = footprint(ins, state.copy(), m.config.dim)
+            assert not all(_inside(m, iv) for iv in reads + writes if not iv[0].startswith("reg:")), (ins, err)
+        return False
     reads, writes = footprint(ins, state, m.config.dim)
+    assert all(_inside(m, iv) for iv in reads + writes if not iv[0].startswith("reg:")), ins
     read_masks = _masks(m, reads)
     write_masks = _masks(m, writes)
     twin = _twin(m, read_masks, noise)
     before = {space: memory.copy() for space, memory in _memories(m).items()}
     twin_before = {space: memory.copy() for space, memory in _memories(twin).items()}
-    try:
-        execute(m, single)
-    except ExecError:
-        return False
+    execute(m, single)
     execute(twin, single)
     after, twin_after = _memories(m), _memories(twin)
     for space, memory in after.items():

@@ -14,6 +14,7 @@ from test_program_text import _STRAY
 
 import ta_lift
 import ta_lift.kernels as kernels
+import ta_lift.machine as machine
 import ta_lift.program_text as program_text
 import ta_lift.repair as repair_module
 from ta_lift.fixtures import golden_program, kernel
@@ -643,6 +644,22 @@ def test_cases_are_stacked_once_per_repair_call(monkeypatch, marked, tried):
     result = repair(candidate, SPEC, CASES, constants=(0, 1, 3, 4, 12, 48), mode="enumerate")
     assert isinstance(result.outcome, Repaired) and result.stats.candidates_tried == tried
     assert len(stacked) == 1
+
+
+def test_a_fill_with_a_static_error_copies_no_snapshot(monkeypatch):
+    copies = []
+    real = machine.Machine.copy
+    monkeypatch.setattr(machine.Machine, "copy", lambda self: copies.append(self) or real(self))
+    template = extract_holes(perturbed("compute_preloaded(Pinf_sp + 4, NONE, 4, 4, 1, 4);",
+                                       "compute_preloaded(Pinf_sp + 4, NONE, <CONST>, 4, 1, 4);"))
+    enumerator = FillEnumerator(template, (1, 2, 3, 4), SPEC.buffer_shapes())
+    seen = []
+    for fill, verdict in fill_verdicts(enumerator, SPEC, CASES):
+        seen.append((fill.assignment, getattr(verdict.failure, "kind", None), len(copies)))
+        copies.clear()
+    # A is 4x1, 4x2 or 4x3 but the weights are 4x1 deep: refused before the snapshot is copied.
+    mismatch = [((("h0", value),), "dimension_mismatch", 0) for value in (1, 2, 3)]
+    assert seen == mismatch + [((("h0", 4),), None, 1)]
 
 
 def test_fills_validate_only_their_rebuilt_instructions(monkeypatch):
