@@ -282,8 +282,3 @@ def emit_golden_program(spec: KernelSpec, cfg: MachineConfig | None = None) -> s
             lines.append(f"mvout({_operand(spec.c, c_offset)}, {_operand(c_acc, c_tile)}, {j_blk}, {i_blk});")
     lines.append("fence();")
     return "\n".join(lines) + "\n"
-
-
-def golden_program(name: str, cfg: MachineConfig | None = None) -> str:
-    return emit_golden_program(kernel(name), cfg)
-

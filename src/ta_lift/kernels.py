@@ -20,14 +20,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .isa import ExecError, Instruction, Program, ScanState, ValidationError, check_execution, validate_instructions
+from .isa import (ELEMENT_BYTES, ExecError, Instruction, Program, ScanState, ValidationError, check_execution,
+                  validate_instructions)
 # Verification runs programs with `run`; `execute` stays importable here because
 # perfbench/tracing.py wraps `kernels.execute`.
-from .machine import Machine, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
+from .machine import (Machine, MachineConfig, ShapeMismatch, create_machine, execute, join, read_output, repeat, run,
+                      slices)
 from .program_text import ProgramSyntaxError, parse_program
 
 REL_TOLERANCE = 1e-4
 ABS_TOLERANCE = 1e-7
+BATCH_BYTES = 1 << 21  # the machine state one batch of fills may stack (`Verifier.batch`); see README
 
 
 @dataclass(frozen=True)
@@ -257,15 +260,21 @@ class Verifier:
     stacked inputs, and each case's tolerance is computed once.
 
     Given a `template` and the ascending indices `rebuilt` of the
-    instructions its fills may change, `verify_fill` gives a fill the
-    verdict `verify` would.  The template's other instructions are
-    validated once, and a fill validates only its rebuilt ones.  The check
-    pass takes each rebuilt instruction, and each run of template
-    instructions around them once per scan state it starts from.  A fill
-    both accept runs from its first rebuilt instruction on a copy of a
-    snapshot that the instructions before it leave, taken once.  Validation
-    still decides first: an invalid instruction after the rebuilt ones
-    outranks an execution error before them.
+    instructions its fills may change, `verify_fills` gives each of a batch
+    of fills the verdict `verify` would.  The template's other instructions
+    are validated once, and a fill validates only its rebuilt ones.  The
+    check pass takes each rebuilt instruction, and each run of template
+    instructions around them once per scan state it starts from.
+    Validation still decides first: an invalid instruction after the
+    rebuilt ones outranks an execution error before them.  A fill refused
+    there runs nothing.  The others are grouped by the scan states after
+    their rebuilt instructions, and each group runs on one machine: the
+    snapshot that the template's instructions before the first rebuilt one
+    leave, taken once, repeated onto a fill axis in front of the case axis.
+    Each fill's rebuilt instructions run on its own slice of it, and each
+    run of template instructions between them runs once for the group.
+    `batch` fills of `fill_bytes` each hold at most `BATCH_BYTES` of machine
+    state, or one fill does when it alone holds more.
     """
 
     def __init__(
@@ -284,13 +293,20 @@ class Verifier:
         self._buffers = spec.buffer_shapes()
         self._inputs: dict[str, np.ndarray] | None = None
         self._tolerances: dict[int, np.ndarray | None] = {}
-        self._start = 0
         self._invalid: ValidationError | None = None
         self._runs: dict[tuple, ScanState | ExecError] = {}  # (first index, scan state key) -> a checked template run
-        self._snapshot: Machine | None = None  # after the template's instructions before `_start`
+        self._snapshot: Machine | None = None  # after the template's instructions before the first rebuilt one
+        self._expected: np.ndarray | None = None  # the cases' expected outputs, case axis first
+        # A fill's machine state: its cases' scratchpads, accumulators and DRAM buffers (one case when there are none).
+        cells = (self.cfg.spad_rows + self.cfg.acc_rows) * self.cfg.dim + sum(r * c for r, c in self._buffers.values())
+        self.fill_bytes = max(1, len(cases)) * cells * ELEMENT_BYTES
+        self.batch = max(1, BATCH_BYTES // self.fill_bytes)
+        self._segments: list[tuple[int, int, int]] = []  # rebuilt [first, stop), then template [stop, end)
         if template is not None:
-            self._start = rebuilt[0] if rebuilt else len(template.instructions)
             changed = set(rebuilt)
+            firsts = [index for index in rebuilt if index - 1 not in changed]
+            stops = [index + 1 for index in rebuilt if index + 1 not in changed]
+            self._segments = list(zip(firsts, stops, firsts[1:] + [len(template.instructions)]))
             self._invalid = self._first_invalid(
                 (index, ins) for index, ins in enumerate(template.instructions) if index not in changed
             )
@@ -304,21 +320,23 @@ class Verifier:
             return _failed(checked)
         return self._finish(self._fresh(), p.instructions, 0)
 
-    def verify_fill(self, p: Program) -> Verdict:
-        """`verify`'s verdict on `p`, a fill that equals the template except at `rebuilt`."""
+    def verify_fills(self, fills: list[Program]) -> list[Verdict]:
+        """`verify`'s verdict on each of `fills`, programs that equal the template except at `rebuilt`."""
         if not self.cases:
-            return Verdict(passed=True)
-        instructions = p.instructions
-        invalid = self._first_invalid((index, instructions[index]) for index in self.rebuilt)
-        if self._invalid is not None and (invalid is None or self._invalid.index < invalid.index):
-            invalid = self._invalid
-        error = invalid or self._fill_error(instructions)
-        if error is not None:
-            return _failed(error)
-        if self._snapshot is None:
-            self._snapshot = self._fresh()
-            run(self._snapshot, self.template.instructions, 0, self._start)
-        return self._finish(self._snapshot.copy(), instructions, self._start)
+            return [Verdict(passed=True) for _ in fills]
+        verdicts: list[Verdict | None] = [None] * len(fills)
+        groups: dict[tuple, list[int]] = {}
+        for position, fill in enumerate(fills):
+            checked = self._fill_check(fill.instructions)
+            if isinstance(checked, ExecError):
+                verdicts[position] = _failed(checked)
+            else:
+                groups.setdefault(checked, []).append(position)
+        for members in groups.values():
+            machine = self._run_group([fills[position].instructions for position in members])
+            for position, verdict in zip(members, self._report(machine.dram[self.spec.c])):
+                verdicts[position] = verdict
+        return verdicts
 
     def _first_invalid(self, indexed) -> ValidationError | None:
         return _caught(validate_instructions, indexed, self.cfg.dim, self.cfg.max_block_len)
@@ -328,21 +346,45 @@ class Verifier:
         """`check_execution` of `instructions[start:stop]` from `state`: the state past them, or the error."""
         return _caught(check_execution, instructions, self.cfg, self._buffers, state, start, stop)
 
-    def _fill_error(self, instructions: tuple[Instruction, ...]) -> ExecError | None:
-        """`check_execution`'s error for a valid fill, if any.  Each rebuilt instruction is checked on its own,
-        and each run of template instructions around them once per scan state it starts from."""
-        state, begin = ScanState(), 0
+    def _fill_check(self, instructions: tuple[Instruction, ...]) -> tuple | ExecError:
+        """A fill's first static error, or else a key for the scan states its template runs start from.
+
+        Validation decides first.  Each rebuilt instruction is checked on its own, and each
+        run of template instructions around them once per scan state it starts from.  Each
+        (run, scan state) pair has one cached result, so the key holds their identities.
+        """
+        invalid = self._first_invalid((index, instructions[index]) for index in self.rebuilt)
+        if self._invalid is not None and (invalid is None or self._invalid.index < invalid.index):
+            invalid = self._invalid
+        if invalid is not None:
+            return invalid
+        state, begin, runs = ScanState(), 0, []
         for end in (*self.rebuilt, len(instructions)):
             key = (begin, state.key())
             if key not in self._runs:
                 self._runs[key] = self._check(instructions, state, begin, end)
             state = self._runs[key]
+            runs.append(id(state))
             if end < len(instructions) and isinstance(state, ScanState):
                 state = self._check(instructions, state.copy(), end, end + 1)
             if isinstance(state, ExecError):
                 return state
             begin = end + 1
-        return None
+        return tuple(runs)
+
+    def _run_group(self, fills: list[tuple[Instruction, ...]]) -> Machine:
+        """Run fills whose template runs start from the same scan states on one machine, fill axis first."""
+        if self._snapshot is None:
+            self._snapshot = self._fresh()
+            run(self._snapshot, self.template.instructions, 0, self._segments[0][0] if self._segments else None)
+        machine = repeat(self._snapshot, len(fills))
+        for first, stop, end in self._segments:
+            parts = slices(machine)
+            for part, instructions in zip(parts, fills):
+                run(part, instructions, first, stop)
+            join(machine, parts)
+            run(machine, self.template.instructions, stop, end)
+        return machine
 
     def _fresh(self) -> Machine:
         """A new machine holding the cases' inputs, which are stacked on the first call."""
@@ -350,15 +392,18 @@ class Verifier:
             self._inputs = _stack_cases(self.spec, self.cases)
         return create_machine(self.cfg, self._buffers, self._inputs)
 
+    def _case_tolerance(self, index: int) -> np.ndarray | None:
+        if index not in self._tolerances:
+            self._tolerances[index] = _tolerance(self.spec, self.cases[index])
+        return self._tolerances[index]
+
     def _finish(self, machine: Machine, instructions: tuple[Instruction, ...], start: int) -> Verdict:
         """Run `instructions` from `start` on `machine`, then report the cases in order up to the first that fails."""
         run(machine, instructions, start)
         verdict = Verdict(passed=True)
         outputs = read_output(machine, self.spec.c)
         for index, (case, got) in enumerate(zip(self.cases, outputs)):
-            if index not in self._tolerances:
-                self._tolerances[index] = _tolerance(self.spec, case)
-            position = _compare(got, case.expected, self._tolerances[index])
+            position = _compare(got, case.expected, self._case_tolerance(index))
             if position is None:
                 verdict.cases.append(CaseOutcome(index=index, passed=True))
                 continue
@@ -368,6 +413,33 @@ class Verifier:
             verdict.cases.append(CaseOutcome(index=index, passed=False, failure=verdict.failure))
             break
         return verdict
+
+    def _report(self, outputs: np.ndarray) -> list[Verdict]:
+        """`_finish`'s report for each fill of `outputs` (fill axis, case axis, rows, cols), from one comparison."""
+        if self._expected is None:
+            self._expected = np.stack([case.expected for case in self.cases])
+        mismatch = outputs != self._expected
+        for index, case in enumerate(self.cases):
+            tolerance = self._case_tolerance(index)
+            if tolerance is not None:
+                mismatch[:, index] &= ~(np.abs(outputs[:, index] - case.expected) <= tolerance)
+        failing = mismatch.any(axis=(-2, -1))  # (fill, case)
+        first = failing.argmax(axis=1)  # each fill's first failing case, or 0
+        fills = np.arange(len(outputs))
+        cols = outputs.shape[-1]
+        at = mismatch[fills, first].reshape(len(fills), -1).argmax(axis=1)  # its first wrong element, row-major
+        got = outputs[fills, first].reshape(len(fills), -1)[fills, at]
+        verdicts = []
+        for fails, index, flat, value in zip(failing.any(axis=1).tolist(), first.tolist(), at.tolist(), got.tolist()):
+            cases = [CaseOutcome(index=i, passed=True) for i in range(index if fails else len(self.cases))]
+            if not fails:
+                verdicts.append(Verdict(passed=True, cases=cases))
+                continue
+            r, c = divmod(flat, cols)
+            failure = WrongResult((r, c), value, float(self.cases[index].expected[r, c]))
+            cases.append(CaseOutcome(index=index, passed=False, failure=failure))
+            verdicts.append(Verdict(passed=False, failure=failure, cases=cases))
+        return verdicts
 
 
 def _caught(check, *args):

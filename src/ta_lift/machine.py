@@ -12,7 +12,11 @@ checks, then runs, and `run` checks nothing.
 
 A machine may hold a batch of cases: every array of data state (DRAM
 buffers, scratchpad, accumulator, latched weights) then carries the case
-axes in front, and each instruction runs once for all cases.
+axes in front, and each instruction runs once for all cases.  `repeat`
+puts copies of a machine on a new leading axis; `slices` gives one machine
+per index of that axis over views of its arrays, so that instructions which
+differ per index run on their own slice, and `join` takes the slices'
+registers and latched weights back.
 
 A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
 row length and the block lies inside the buffer) copies each DIM-wide tile
@@ -102,22 +106,6 @@ class Machine:
     ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
     st_stride: int | None = None
     latched: _Latched | None = None
-
-    def copy(self) -> Machine:
-        """An independent copy: the two machines share no array and no stride table."""
-        latched = self.latched
-        if latched is not None:
-            latched = replace(latched, weights=latched.weights.copy())
-        return Machine(
-            self.config,
-            {name: arr.copy() for name, arr in self.dram.items()},
-            self.spad.copy(),
-            self.acc.copy(),
-            self.regs,
-            dict(self.ld_strides),
-            self.st_stride,
-            latched,
-        )
 
 
 def create_machine(
@@ -289,6 +277,50 @@ _EXECUTORS = {
     Mvout: _exec_mvout,
     Fence: _exec_fence,
 }
+
+
+def repeat(m: Machine, count: int) -> Machine:
+    """`count` copies of `m` on a new leading batch axis, with `m`'s registers.
+
+    Each array is one new C-contiguous array, so each [index] slice of it is contiguous too.
+    """
+
+    def stacked(arr: np.ndarray) -> np.ndarray:
+        return np.repeat(arr[np.newaxis], count, axis=0)
+
+    lat = m.latched
+    return Machine(m.config, {name: stacked(arr) for name, arr in m.dram.items()}, stacked(m.spad), stacked(m.acc),
+                   m.regs, dict(m.ld_strides), m.st_stride, lat and replace(lat, weights=stacked(lat.weights)))
+
+
+def slices(m: Machine) -> list[Machine]:
+    """One machine per index of `m`'s leading batch axis, made of views of its [index] slices.
+
+    A move run on one writes through to `m`: every slice is contiguous (`repeat`), and a
+    reshape of a contiguous slice is a view.  Each has its own copy of `m`'s registers.
+    """
+    lat = m.latched
+    return [
+        Machine(m.config, {name: arr[index] for name, arr in m.dram.items()}, m.spad[index], m.acc[index], m.regs,
+                dict(m.ld_strides), m.st_stride,
+                lat and _Latched(lat.weights[index], lat.c_row, lat.c_accumulate, lat.c_cols, lat.c_rows))
+        for index in range(len(m.spad))
+    ]
+
+
+def join(m: Machine, parts: list[Machine]) -> None:
+    """Take back the registers of `slices(m)` after each ran from the same scan state to the same one.
+
+    Their registers then agree, and so does their latch but for its weights.  Those are
+    stacked into `m`'s latch unless every part still holds its own slice of it.
+    """
+    first = parts[0]
+    m.regs, m.ld_strides, m.st_stride = first.regs, first.ld_strides, first.st_stride
+    if first.latched is not None:
+        weights = m.latched and m.latched.weights  # an array of its own: a part's slice of it has it as its base
+        if weights is None or any(part.latched.weights.base is not weights for part in parts):
+            weights = np.stack([part.latched.weights for part in parts])
+        m.latched = replace(first.latched, weights=weights)
 
 
 def run(m: Machine, instructions: tuple[Instruction, ...], start: int = 0, stop: int | None = None) -> None:

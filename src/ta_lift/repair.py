@@ -12,10 +12,13 @@ once with the line matcher of `program_text`; a fill re-reads only the
 rows its holes reach and rebuilds only their instructions, and falls back
 to a whole parse where the matcher refuses a row (see `FillEnumerator`).
 One `kernels.Verifier` checks every fill of a repair call against cases
-stacked once.  A fill read this way validates only its rebuilt
-instructions, and runs only from the first instruction a fill may change,
-on a copy of the machine state the template's instructions before it
-leave; a fill parsed whole is validated and run whole (see `fill_verdicts`).
+stacked once.  Fills read this way are verified in batches: each validates
+and checks only its rebuilt instructions, and the fills that pass run
+together from the machine state that the template's instructions before
+the first rebuilt one leave, with a fill axis in front of the case axis, so
+the template's instructions between holes run once per batch and each
+fill's rebuilt instructions run on its own slice.  A fill parsed whole is
+validated and run whole (see `fill_verdicts`).
 """
 
 from __future__ import annotations
@@ -308,15 +311,22 @@ class FillEnumerator:
 def fill_verdicts(
     enumerator: FillEnumerator, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None
 ) -> Iterator[tuple[FillCandidate, Verdict]]:
-    """Each fill that parses, with the verdict `verify_source` gives its text.
+    """Each fill that parses, in order, with the verdict `verify_source` gives its text.
 
-    One `kernels.Verifier` serves every fill.  A fill read by the row path is
-    checked against the template's shared part; a fill parsed whole is
-    verified whole.
+    One `kernels.Verifier` serves every fill.  Fills are taken from the
+    enumerator one batch at a time, as many as `Verifier.batch` allows (one
+    when the template does not take the row path).  The batch's row-path
+    fills are verified together (`Verifier.verify_fills`); a fill parsed
+    whole is verified whole when it is reached.  So a caller that stops at
+    a fill leaves at most one batch past it parsed, checked and run, and
+    the enumerator's counters count that batch too.
     """
     verifier = kernels.Verifier(spec, cases, cfg, enumerator.program, enumerator.rebuilt)
-    for fill in enumerator:
-        yield fill, verifier.verify_fill(fill.program) if fill.from_rows else verifier.verify(fill.program)
+    fills, size = iter(enumerator), verifier.batch if enumerator.slotted else 1
+    while batch := list(itertools.islice(fills, size)):
+        verdicts = iter(verifier.verify_fills([fill.program for fill in batch if fill.from_rows]))
+        for fill in batch:
+            yield fill, next(verdicts) if fill.from_rows else verifier.verify(fill.program)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ta_lift.fixtures import golden_program, kernel
+from ta_lift.fixtures import emit_golden_program, kernel
 from ta_lift.harness import Ablation
 from ta_lift.loopir import locality_cost, parse_kernel
 from ta_lift.prompts import build_translation_prompt
@@ -42,6 +42,11 @@ TILE_REPLY = (
 )
 
 DONE_REPLY = "That looks good, no further changes."
+
+
+def golden_program(name: str) -> str:
+    """The golden program of a bundled kernel, as `emit_golden_program` writes it."""
+    return emit_golden_program(kernel(name))
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

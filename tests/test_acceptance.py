@@ -13,10 +13,10 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import DOITGEN, TILE_REPLY, eval_bundle, schedule_bundle, translation_prompt
+from conftest import DOITGEN, TILE_REPLY, eval_bundle, golden_program, schedule_bundle, translation_prompt
 from ta_lift.cli import dispatch
 from ta_lift.costs import program_cost
-from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.gateway import ReplayBackend
 from ta_lift.harness import pass_at_k
 from ta_lift.kernels import generate_testcases, verify_program

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import golden_program
 import ta_lift.kernels as kernels
-from ta_lift.fixtures import KERNELS, emit_golden_program, golden_program, kernel
+from ta_lift.fixtures import KERNELS, emit_golden_program, kernel
 from ta_lift.isa import (
     ConfigLd,
     ConfigSt,
@@ -47,7 +48,8 @@ from ta_lift.kernels import (
     machine_for_cases,
     verify_program,
 )
-from ta_lift.machine import ExecError, MachineConfig, ShapeMismatch, create_machine, execute, read_output, run
+from ta_lift.machine import (ExecError, MachineConfig, ShapeMismatch, create_machine, execute, join, read_output,
+                             repeat, run, slices)
 from ta_lift.program_text import parse_program
 
 # -- the oracle: one machine per case ------------------------------------------------
@@ -254,7 +256,9 @@ def run_or_error(m, instructions, start, stop, state: ScanState):
 
 @_SETTINGS
 @given(workloads(), st.data())
-def test_a_run_split_at_a_copied_snapshot_equals_one_run(workload, data) -> None:
+def test_a_run_split_at_a_repeated_snapshot_equals_one_run(workload, data) -> None:
+    """A prefix runs once; the snapshot it leaves is repeated onto a new leading axis; the next
+    instruction runs on each slice (`slices`), and the rest once on the whole (`join`)."""
     program, spec, cases = workload
     try:
         validate_program(program)  # only valid programs are run
@@ -276,15 +280,24 @@ def test_a_run_split_at_a_copied_snapshot_equals_one_run(workload, data) -> None
         assert machine_state(snapshot) == machine_state(whole)  # neither ran
         return
     before = machine_state(snapshot)
-    first, second = snapshot.copy(), snapshot.copy()
-    assert first.ld_strides is not snapshot.ld_strides and first.ld_strides is not second.ld_strides
-    for one, other in itertools.combinations((snapshot, first, second), 2):
+    try:
+        check_execution(instructions, snapshot.config, spec.buffer_shapes(), state.copy(), split)
+    except ExecError as err:
+        assert (err.index, err.kind) == whole_error
+        return
+    assert whole_error is None
+    group = repeat(snapshot, 2)
+    parts = slices(group)
+    assert [machine_state(part) for part in parts] == [before] * 2
+    assert parts[0].ld_strides is not parts[1].ld_strides and parts[0].ld_strides is not group.ld_strides
+    for one, other in itertools.combinations((snapshot, *parts), 2):
         assert not any(np.shares_memory(a, b) for a in arrays_of(one) for b in arrays_of(other))
-    for suffix in (first, second):
-        assert run_or_error(suffix, instructions, split, None, state.copy()) == whole_error
-        # A refused suffix leaves the snapshot's state, as a refused program leaves a fresh machine's.
-        assert machine_state(suffix) == (before if whole_error is not None else machine_state(whole))
-    # Neither suffix wrote through to the snapshot.
+    for part in parts:
+        run(part, instructions, split, split + 1)
+    join(group, parts)
+    run(group, instructions, split + 1)
+    # Each slice holds the whole run's state, and nothing wrote through to the snapshot.
+    assert [machine_state(part) for part in slices(group)] == [machine_state(whole)] * 2
     assert machine_state(snapshot) == before
 
 

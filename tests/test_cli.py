@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 import ta_lift.cli as cli
-from conftest import eval_bundle, fenced, schedule_bundle, translation_prompt, write_json
+from conftest import eval_bundle, fenced, golden_program, schedule_bundle, translation_prompt, write_json
 from ta_lift.cli import dispatch
-from ta_lift.fixtures import golden_program
 from ta_lift.gateway import GenerationParams, ReplayBackend, store_completion
 from ta_lift.repair import DEFAULT_CONSTANT_SET
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from conftest import golden_program
 from ta_lift import costs
 from ta_lift.costs import CostReport, program_cost, render_feedback
-from ta_lift.fixtures import golden_program, kernel
+from ta_lift.fixtures import kernel
 from ta_lift.isa import (
     ComputePreloaded,
     ConfigEx,

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_program
+from conftest import golden_program, naive_program
 from ta_lift import machine
-from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.isa import (
     ACC_BIT,
     ACCUMULATE_BIT,
@@ -53,7 +53,8 @@ from ta_lift.isa import (
     validate_instructions,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
-from ta_lift.machine import ExecError, Machine, MachineConfig, _Latched, create_machine, run, scan_state
+from ta_lift.machine import (ExecError, Machine, MachineConfig, _Latched, create_machine, repeat, run, scan_state,
+                             slices)
 from ta_lift.program_text import parse_program
 from test_case_axis import workloads
 from test_instruction_table import one_field_mutations
@@ -308,9 +309,14 @@ def state(m: Machine) -> tuple:
     return dram, m.spad.tobytes(), m.acc.tobytes(), m.regs, dict(m.ld_strides), m.st_stride, latched
 
 
+def copied(m: Machine) -> Machine:
+    """An independent copy of `m`: the one slice of `m` repeated once."""
+    return slices(repeat(m, 1))[0]
+
+
 def assert_same_as_oracle(m: Machine, instructions) -> None:
     """The tree on `m` and the oracle on a copy: the same error and `m` untouched, or no error and the same state."""
-    old, before = m.copy(), state(m)
+    old, before = copied(m), state(m)
     expected = oracle_outcome(old, instructions)
     assert outcome(m, instructions) == expected
     assert state(m) == (before if expected is not None else state(old))
@@ -321,7 +327,7 @@ def assert_accepted_prefix_runs(m: Machine, instructions) -> None:
     stop = len(instructions)
     while (error := static_error(m, instructions[:stop])) is not None:
         stop = error[0]
-    old = m.copy()
+    old = copied(m)
     assert oracle_outcome(old, instructions[:stop]) is None
     run(m, instructions, 0, stop)
     assert state(m) == state(old)

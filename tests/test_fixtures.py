@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import golden_program
 from ta_lift.fixtures import (
     KERNELS,
     emit_golden_program,
-    golden_program,
     kernel,
 )
 from ta_lift.isa import (

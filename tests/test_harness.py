@@ -9,10 +9,10 @@ from math import comb
 
 import pytest
 
-from conftest import fenced
+from conftest import fenced, golden_program
 
 from ta_lift import harness
-from ta_lift.fixtures import golden_program, kernel
+from ta_lift.fixtures import kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
 from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
 from ta_lift.harness import (

@@ -27,9 +27,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_program
+from conftest import golden_program, naive_program
 from ta_lift import machine, repair
-from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.isa import (
     ACC_BIT,
     INSTRUCTIONS,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import golden_program
 from ta_lift.kernels import (
     KernelSpec,
     ParseFailure,
@@ -16,7 +17,7 @@ from ta_lift.kernels import (
     verify_program,
     verify_source,
 )
-from ta_lift.fixtures import golden_program, kernel
+from ta_lift.fixtures import kernel
 
 
 def naive_product(a, b, i_dim: int, k_dim: int, j_dim: int, ta: bool, tb: bool):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_program
+from conftest import golden_program, naive_program
 from ta_lift import optimizer
 from ta_lift.costs import program_cost
-from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.gateway import ReplayBackend
 from ta_lift.isa import (
     ACC_BIT,

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_program
+from conftest import golden_program, naive_program
 from ta_lift import kernels, program_text
-from ta_lift.fixtures import KERNELS, golden_program, kernel
+from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.isa import (
     INSTRUCTIONS,
     Activation,

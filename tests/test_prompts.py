@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
+from conftest import golden_program
 from ta_lift import prompts
-from ta_lift.fixtures import golden_program, kernel, KERNELS
+from ta_lift.fixtures import kernel, KERNELS
 from ta_lift.kernels import generate_testcases, verify_source
 from ta_lift.prompts import (
     DEFAULT_HEURISTICS,

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import constant_argument_spans, criterion_5_holes, punch_holes
+from conftest import golden_program
+from test_acceptance import _LITERAL, constant_argument_spans, criterion_5_holes, punch_holes
+from test_case_axis import machine_state, make_cases
 from test_program_text import _STRAY
 
 import ta_lift
@@ -17,10 +19,10 @@ import ta_lift.kernels as kernels
 import ta_lift.machine as machine
 import ta_lift.program_text as program_text
 import ta_lift.repair as repair_module
-from ta_lift.fixtures import golden_program, kernel
+from ta_lift.fixtures import kernel
 from ta_lift.gateway import GenerationParams, ReplayBackend
-from ta_lift.isa import LOCAL_ADDR_MAX, spec_of
-from ta_lift.kernels import ParseFailure, generate_testcases, verify_source
+from ta_lift.isa import LOCAL_ADDR_MAX, ExecError, spec_of
+from ta_lift.kernels import ParseFailure, generate_testcases, machine_for_cases, verify_source
 from ta_lift.program_text import ProgramSyntaxError, parse_program
 from ta_lift.prompts import (
     EmptyConstantSet,
@@ -598,16 +600,21 @@ def test_fill_verdicts_keep_validation_before_the_shared_prefix(edits, prefix_er
 
 def test_fill_parsed_whole_is_verified_whole(monkeypatch):
     calls = []
-    for method in ("verify", "verify_fill"):
+    for method in ("verify", "verify_fills"):
         real = getattr(kernels.Verifier, method)
-        monkeypatch.setattr(kernels.Verifier, method,
-                            lambda self, p, real=real, method=method: calls.append(method) or real(self, p))
+
+        def recording(self, arg, real=real, method=method):
+            calls.append((method, len(arg) if method == "verify_fills" else arg))
+            return real(self, arg)
+
+        monkeypatch.setattr(kernels.Verifier, method, recording)
     template = extract_holes(perturbed("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + <CONST>, 1, 4);"))
     enumerator = FillEnumerator(template, (-4, 4, 2**32), SPEC.buffer_shapes())
-    fills = [(fill.assignment, fill.from_rows) for fill, _ in fill_verdicts(enumerator, SPEC, CASES)]
+    fills = [(fill.assignment, fill.from_rows, fill.program) for fill, _ in fill_verdicts(enumerator, SPEC, CASES)]
     # `x_sp + -4` parses, but the line matcher does not take it.
-    assert fills == [((("h0", -4),), False), ((("h0", 4),), True)]
-    assert calls == ["verify", "verify_fill"]
+    assert [fill[:2] for fill in fills] == [((("h0", -4),), False), ((("h0", 4),), True)]
+    # The batch verifies its one row-path fill; the fill parsed whole is verified whole when it is reached.
+    assert calls == [("verify_fills", 1), ("verify", fills[0][2])]
     assert_fills_match_their_text(template, SPEC, (-4, 4, 2**32))
 
 
@@ -646,20 +653,19 @@ def test_cases_are_stacked_once_per_repair_call(monkeypatch, marked, tried):
     assert len(stacked) == 1
 
 
-def test_a_fill_with_a_static_error_copies_no_snapshot(monkeypatch):
-    copies = []
-    real = machine.Machine.copy
-    monkeypatch.setattr(machine.Machine, "copy", lambda self: copies.append(self) or real(self))
+def test_a_fill_with_a_static_error_joins_no_batch(monkeypatch):
+    groups = []
+    real = kernels.Verifier._run_group
+    monkeypatch.setattr(kernels.Verifier, "_run_group", lambda self, fills: groups.append(fills) or real(self, fills))
     template = extract_holes(perturbed("compute_preloaded(Pinf_sp + 4, NONE, 4, 4, 1, 4);",
                                        "compute_preloaded(Pinf_sp + 4, NONE, <CONST>, 4, 1, 4);"))
     enumerator = FillEnumerator(template, (1, 2, 3, 4), SPEC.buffer_shapes())
-    seen = []
-    for fill, verdict in fill_verdicts(enumerator, SPEC, CASES):
-        seen.append((fill.assignment, getattr(verdict.failure, "kind", None), len(copies)))
-        copies.clear()
-    # A is 4x1, 4x2 or 4x3 but the weights are 4x1 deep: refused before the snapshot is copied.
-    mismatch = [((("h0", value),), "dimension_mismatch", 0) for value in (1, 2, 3)]
-    assert seen == mismatch + [((("h0", 4),), None, 1)]
+    seen = [(fill.assignment, getattr(verdict.failure, "kind", None), fill.program.instructions)
+            for fill, verdict in fill_verdicts(enumerator, SPEC, CASES)]
+    # A is 4x1, 4x2 or 4x3 but the weights are 4x1 deep: refused before any machine runs.
+    mismatch = [((("h0", value),), "dimension_mismatch") for value in (1, 2, 3)]
+    assert [fill[:2] for fill in seen] == mismatch + [((("h0", 4),), None)]
+    assert groups == [[seen[3][2]]]
 
 
 def test_fills_validate_only_their_rebuilt_instructions(monkeypatch):
@@ -691,6 +697,189 @@ def test_template_read_converts_each_literal_once(monkeypatch):
     assert FillEnumerator(template, DEFAULT_CONSTANT_SET, kernel("mm1").buffer_shapes()).slotted
     literals = [atom for atom in converted if program_text._NUMBER.fullmatch(atom)]
     assert literals and len(literals) == len(set(literals))
+
+
+# -- fills verified in batches -------------------------------------------------
+
+
+def assert_batches_match_solo_runs(template, spec, constants, cases, sizes):
+    """Verify the row-path fills of `template` in consecutive batches of the given `sizes`, in turn.
+
+    Each verdict equals `verify_source` of the fill's text, field for field.  Each fill that the
+    static checks accept is grouped as `verify_fills` groups it, and its slice of its group's
+    machine (fill axis first) holds what a run of the fill alone leaves.  Returns the groups.
+    """
+    enumerator = FillEnumerator(template, constants, spec.buffer_shapes())
+    assert enumerator.slotted
+    fills = [fill for fill in enumerator if fill.from_rows]
+    verifier = kernels.Verifier(spec, cases, None, enumerator.program, enumerator.rebuilt)
+    sizes, start = itertools.cycle(sizes), 0
+    while start < len(fills):
+        batch = fills[start : start + next(sizes)]
+        for fill, verdict in zip(batch, verifier.verify_fills([fill.program for fill in batch]), strict=True):
+            assert verdict == verify_source(fill.code, spec, cases), fill.code
+        start += len(batch)
+    groups = {}
+    for fill in fills:
+        key = verifier._fill_check(fill.program.instructions)
+        if not isinstance(key, ExecError):
+            groups.setdefault(key, []).append(fill)
+    for members in groups.values():
+        parts = machine.slices(verifier._run_group([fill.program.instructions for fill in members]))
+        for part, fill in zip(parts, members, strict=True):
+            solo = machine_for_cases(spec, cases)
+            machine.execute(solo, fill.program)
+            assert machine_state(part) == machine_state(solo), fill.code
+    return list(groups.values())
+
+
+_BATCH_GOLDENS = ("gv1", "gv2", "gv3", "gv4", "mm2", "mm3", "mm4", "mm5", "mm7")
+_KEEP_WEIGHTS = "0xffffffff"
+
+
+@st.composite
+def batch_templates(draw):
+    """(spec, template, constants): a golden with 1-3 holes on literals of drawn instruction kinds.
+
+    Its `config_ex` flags are written 0 and 1, so they can be holes.  Drawn rewrites turn a
+    preload after the first into one that keeps the latched weights, a compute into an
+    accumulating one, or a preload into a `preload_zeros`."""
+    name = draw(st.sampled_from(_BATCH_GOLDENS))
+    rng = draw(st.randoms(use_true_random=False))  # spreads the choices better than sampled_from
+    rows = golden_program(name).replace(", false", ", 0").replace(", true", ", 1").split("\n")
+    preloads = [r for r, row in enumerate(rows) if row.startswith("preload(")]
+    for rewrite in ("accumulate", "keep", "zeros"):  # in this order, zeros may take a kept row
+        if rng.random() < 0.3:
+            at = rng.choice(preloads[1:] if rewrite == "keep" else preloads)
+            if rewrite == "accumulate":
+                rows[at + 1] = rows[at + 1].replace("compute_preloaded(", "compute_accumulated(")
+            elif rewrite == "keep":
+                rows[at] = f"preload({_KEEP_WEIGHTS}, " + rows[at].split(", ", 1)[1]
+            else:
+                rows[at] = f"preload_zeros({rows[at].split(', ')[1]});"
+    by_kind, offset = {}, 0
+    for row in rows:
+        if not row.startswith("static") and "(" in row:
+            spans = [(offset + m.start(1), offset + m.end(1)) for m in _LITERAL.finditer(row, row.index("("))]
+            by_kind.setdefault(row[: row.index("(")], []).extend(spans)
+        offset += len(row) + 1
+    kinds = rng.sample(sorted(kind for kind, found in by_kind.items() if found), draw(st.integers(1, 3)))
+    text, spans = "\n".join(rows), sorted({rng.choice(by_kind[kind]) for kind in kinds})
+    # The punched values, so that some fills run, and one or two others.
+    constants = [int(text[begin:end]) for begin, end in spans]
+    constants += draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 12, 16, 48, 2**32 - 1)), min_size=1,
+                               max_size=2 if len(spans) == 1 else 1))
+    return kernel(name), extract_holes(punch_holes(text, spans)), tuple(dict.fromkeys(constants))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(batch_templates(), st.data())
+def test_batched_fills_match_their_text_and_solo_runs(template, data):
+    spec, template, constants = template
+    cases = make_cases(spec, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
+    assert_batches_match_solo_runs(template, spec, constants, cases,
+                                   data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize(
+    "edits, constants, groups, row_moves",
+    [
+        # Load strides 48, 16, 0 and 4 start the template's runs from four scan states; 6 is refused.
+        ((("config_ld(48, 0);", "config_ld(<CONST>, 0);"),), (48, 6, 16, 0, 4), 4, True),
+        # Transpose flags: each pair is its own scan state, and some refuse the compute's shapes.
+        ((("config_ex(WEIGHT_STATIONARY, NO_ACTIVATION, false, false);",
+           "config_ex(WEIGHT_STATIONARY, NO_ACTIVATION, <CONST>, <CONST>);"),), (0, 1), 2, False),
+        # Preload sizes change the latched shapes: (1, 1), (3, 3) and (4, 4) run, the other pairs are refused.
+        ((("preload(x_sp + 4, Pinf_x_sum, 1, 4, 1, 4);", "preload(x_sp + 4, Pinf_x_sum, <CONST>, 4, <CONST>, 4);"),),
+         (1, 3, 4), 3, False),
+        # Rebuilt preloads latch different weights, and the next preload keeps them.
+        ((("preload(x_sp + 4, Pinf_x_sum, 1, 4, 1, 4);", "preload(x_sp + <CONST>, Pinf_x_sum, 1, 4, 1, 4);"),
+          ("preload(x_sp + 8, Pinf_x_sum, 1, 4, 1, 4);", f"preload({_KEEP_WEIGHTS}, Pinf_x_sum, 1, 4, 1, 4);")),
+         (4, 0, 8, 1), 1, False),
+        # A rebuilt preload that keeps the weights latched before it, among ones that latch their own.
+        ((("preload(x_sp + 4, Pinf_x_sum, 1, 4, 1, 4);", "preload(<CONST>, Pinf_x_sum, 1, 4, 1, 4);"),),
+         (2**32 - 1, 40, 36, 2**32 - 1), 1, False),
+        # Moves that go row by row in rebuilt positions: 2 or 3 columns of a one-column buffer.
+        ((("mvout(Pinf_x, Pinf_x_acc, 1, 4);", "mvout(Pinf_x, Pinf_x_acc, <CONST>, 4);"),
+          ("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + 4, <CONST>, 4);")), (1, 2, 3), 1, True),
+        # Rows 5 and 0 fail validation between fills that run.
+        ((("mvin(Pinf + 4, Pinf_sp + 4, 4, 4);", "mvin(Pinf + 4, Pinf_sp + 4, 4, <CONST>);"),), (4, 5, 3, 0, 1), 1,
+         False),
+    ],
+)
+def test_batched_fills_of_chosen_templates_match_their_text_and_solo_runs(monkeypatch, edits, constants, groups,
+                                                                           row_moves):
+    moved = []
+    real = machine._row_moves
+    monkeypatch.setattr(machine, "_row_moves", lambda ins, *rest: moved.append(ins) or real(ins, *rest))
+    cases = make_cases(SPEC, 3, seed=5)
+    found = assert_batches_match_solo_runs(extract_holes(edited(*edits)), SPEC, constants, cases, (3, 1, 5))
+    assert len(found) == groups
+    assert bool(moved) == row_moves
+
+
+@pytest.mark.parametrize("winner", [0, 2, 3, None])
+def test_a_winner_leaves_at_most_its_batch_enumerated(monkeypatch, winner):
+    """Winners at the first fill, the last fill of a batch and the first of the next, and none at all."""
+    wrong = [0, 8, 12, 3, 16, 20]  # 3 is not a multiple of 4: refused before anything runs
+    constants = wrong + [24] if winner is None else wrong[:winner] + [4] + wrong[winner:]
+    monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * kernels.Verifier(SPEC, cases_for("gv2")).fill_bytes)
+    candidate = perturbed("config_st(4);", "config_st(<CONST>);")
+    assert_matches_reference(candidate, "gv2", constants, slotted=True)
+    sizes = []
+    real = kernels.Verifier.verify_fills
+    monkeypatch.setattr(kernels.Verifier, "verify_fills", lambda self, fills: sizes.append(len(fills)) or real(self, fills))
+    enumerator = FillEnumerator(extract_holes(candidate), constants, SPEC.buffer_shapes())
+    verdicts = fill_verdicts(enumerator, SPEC, cases_for("gv2"))
+    passed = next((fill.index for fill, verdict in verdicts if verdict.passed), None)
+    assert passed == winner
+    # The winner's batch is enumerated in full, and nothing past it.
+    attempted = len(constants) if winner is None else 3 * (winner // 3 + 1)
+    assert (enumerator.attempted, enumerator.skipped) == (attempted, 0)
+    assert sizes == [3, 3, 1][: len(sizes)] and sum(sizes) == attempted
+
+
+def test_a_batch_of_fills_stays_within_the_byte_budget():
+    cases = generate_testcases(SPEC, seed=3, count=40)
+    template = extract_holes(perturbed("mvin(Pinf + 4, Pinf_sp + 4, 4, 4);", "mvin(Pinf + 4, Pinf_sp + 4, 4, <CONST>);"))
+    enumerator = FillEnumerator(template, (4,), SPEC.buffer_shapes())
+    verifier = kernels.Verifier(SPEC, cases, None, enumerator.program, enumerator.rebuilt)
+    assert verifier.batch > 1
+    group = verifier._run_group([next(iter(enumerator)).program.instructions] * verifier.batch)
+    stacked = sum(arr.nbytes for arr in (*group.dram.values(), group.spad, group.acc))
+    assert stacked == verifier.batch * verifier.fill_bytes <= kernels.BATCH_BYTES
+
+
+def test_a_fill_over_the_byte_budget_runs_as_a_batch_of_one(monkeypatch):
+    monkeypatch.setattr(kernels, "BATCH_BYTES", kernels.Verifier(SPEC, CASES).fill_bytes - 1)
+    groups = []
+    real = kernels.Verifier._run_group
+    monkeypatch.setattr(kernels.Verifier, "_run_group", lambda self, fills: groups.append(len(fills)) or real(self, fills))
+    template = extract_holes(perturbed("config_st(4);\nconfig_ld(48, 0);", "config_st(<CONST>);\nconfig_ld(<CONST>, 0);"))
+    result = repair(template.code, SPEC, CASES, constants=(0, 4, 48), mode="enumerate")
+    assert result.outcome == Repaired(program=GOLDEN, assignment=(("h0", 4), ("h1", 48)))
+    assert groups and set(groups) == {1}
+    assert_fills_match_their_text(template, SPEC, (0, 4, 48))
+
+
+def test_the_seed_1_repair_workload_runs_under_a_third_of_the_instructions(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    ran = []
+    real = kernels.run
+    monkeypatch.setattr(kernels, "run", lambda m, instructions, start=0, stop=None:
+                        ran.append(len(instructions[start:stop])) or real(m, instructions, start, stop))
+    tried = []
+    for job in workloads.build_repair(ta_lift, 1, tmp_path).jobs:
+        argv = dict(zip(job.argv[1::2], job.argv[2::2]))
+        spec = kernel(argv["--kernel"])
+        cases = generate_testcases(spec, int(argv["--seed"]), int(argv["--n"]))
+        result = repair(Path(argv["--program"]).read_text(), spec, cases, mode="enumerate")
+        tried.append(result.stats.candidates_tried)
+    assert tried == [4] * 11 + [94, 94, 119, 119]
+    # With a snapshot copy per fill, each fill ran every instruction after its first hole: 6 528 in all.
+    assert sum(ran) <= 2_100
 
 
 # -- parses per template -------------------------------------------------------
