@@ -11,7 +11,6 @@ that use them, so no configuration is graded on its own worked example.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,26 @@ EXAMPLE_SOURCE_KERNELS: dict[str, str] = {
     "matmat_bias": "mm3",
 }
 
-_FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+def fenced_blocks(text: str) -> list[str]:
+    """The bodies of the fenced code blocks of `text`, left to right.
+
+    A block opens at a fence of three backticks, skips the rest of that
+    line and closes at the next fence.  The scan ends at an opener with no
+    newline or no closing fence after it, as no later opener could close
+    either.  The text is read left to right once, so a long run of
+    backticks costs linear time.
+    """
+    blocks = []
+    start = text.find("```")
+    while start >= 0:
+        body = text.find("\n", start + 3) + 1
+        end = text.find("```", body) if body else -1
+        if end < 0:
+            break
+        blocks.append(text[body:end])
+        start = text.find("```", end + 3)
+    return blocks
 
 
 def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]]) -> str | None:
@@ -55,7 +73,7 @@ def extract_code(completion_text: str, buffers: dict[str, tuple[int, int]]) -> s
     A bare reply is accepted whole if it already parses against `buffers`,
     the buffer table of the kernel it was written for.
     """
-    blocks = [m.group(1) for m in _FENCE.finditer(completion_text)]
+    blocks = fenced_blocks(completion_text)
     if blocks:
         best = max(blocks, key=len)
         return best.rstrip("\n")

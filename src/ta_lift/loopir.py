@@ -9,12 +9,17 @@ swapped consistently to produce small clones that interpret quickly.
 `interpret` compiles a nest to the source of a Python function once, keeps
 the function on the nest object and calls it: loops over Python ints and one
 `np.float32` operation per `+ - *`, the values a direct evaluation of the
-tree in f32 gives, bit for bit.  Loops plus operators nest at most
+tree in f32 gives, bit for bit.  Little else runs per iteration: each
+statement is one line, row prefixes and compound indices are bound outside
+the loops that do not change them, and an innermost loop keeps an element
+it does not move in a local.  Loops plus operators nest at most
 `_MAX_DEPTH` deep; deeper nests are a `NestingTooDeep` syntax error.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -629,50 +634,109 @@ def render_kernel(nest: LoopNest) -> str:
 #
 # Arrays enter the generated code as nested lists of `np.float32` scalars,
 # which index faster than numpy arrays and hold the same values.  Each value
-# `+ - *` is one `np.float32` op into a temporary, so no generated
-# expression nests however deep the tree.  An index is computed in Python
-# ints only where every intermediate is an integer of magnitude at most
-# 2**24, where f32 arithmetic is exact; elsewhere it is computed in f32 and
-# truncated with `int()`, so `B[i * 1.5]` and large offsets land where f32
-# puts them.  No user name appears in the source (arrays `a<k>`, loop
-# variables `i<k>`, temporaries `t<k>`, constants `c<k>`), so names such as
-# `range` or `np` cannot capture anything.
+# `+ - *` is one `np.float32` operation on the operands a direct evaluation
+# of the tree uses, in the same order.  The code around those operations is
+# cut down to little more than the loops:
+#
+# - A statement is one line, its expressions inline.  A part nested deeper
+#   than `_INLINE_DEPTH` goes into a temporary first, so CPython's parser
+#   never meets a deep expression.
+# - A row prefix such as `A[r, q]` is bound to a local once, at the top of
+#   the loop that binds the innermost variable its indices read (or of the
+#   function), and inner loops index that row.  Generated code assigns only
+#   at the last index, so a row never changes.  A compound index is bound
+#   the same way.
+# - In an innermost loop, an array whose every access there has one index
+#   tuple that does not read the loop variable lives in a local: loaded
+#   before the loop, stored after it when the loop writes it.
+#
+# Loops are never empty (an empty one is refused), so a row or an element
+# loaded ahead of a loop is one the loop would have read anyway.  An index
+# is computed in Python ints only where every intermediate is an integer of
+# magnitude at most 2**24, where f32 arithmetic is exact; elsewhere it is
+# computed in f32 and truncated with `int()`, so `B[i * 1.5]` and large
+# offsets land where f32 puts them.  No user name appears in the source
+# (arrays `a<k>`, loop variables `i<k>`, rows `r<k>`, indices `x<k>`,
+# locals `s<k>`, temporaries `t<k>`, constants `c<k>`), so names such as
+# `range` or `np` cannot capture anything.  Each loop gets a fresh variable
+# and rows are keyed by their generated text, so a loop that shadows a name
+# never reuses a row or local bound under the outer meaning.
 
 # CPython refuses more than 20 statically nested blocks in one function.
 _LOOPS_PER_FUNCTION = 16
+# Brackets, calls and operators one generated expression may nest before a
+# part goes into a temporary; CPython's parser allows 200 nested brackets.
+_INLINE_DEPTH = 40
+
+
+def _bare(operand: str) -> str:
+    """An operand without the parentheses around an operator at its root."""
+    return operand[1:-1] if operand.startswith("(") else operand
+
+
+class _Frame:
+    """The top of one loop body or function: the locals bound there, by the text they hold."""
+
+    def __init__(self, pad: str):
+        self.pad = pad
+        self.lines: list[str] = []
+        self.bound: dict[str, str] = {}
+
+
+class _Scope:
+    """What generated code at one place sees.
+
+    `names` maps each visible loop variable to its Python name and level,
+    the number of this function's loops around its binding (0 for a
+    parameter); `ranges` maps it to its inclusive value range.
+    `frames[level]` is the frame of that level, and `indices` remembers
+    each index rendered here by node identity.
+    """
+
+    def __init__(self, names: dict[str, tuple[str, int]], ranges: dict[str, tuple[int, int]], frames: list[_Frame]):
+        self.names = names
+        self.ranges = ranges
+        self.frames = frames
+        self.indices: dict[int, tuple[str, int, int]] = {}
 
 
 class _Compiler:
-    """Python source for one nest, as `lines` of functions `k0`, `k1`, ...
+    """Python source for one nest, as `source`: functions `k0`, `k1`, ...
 
     `k0` takes the arrays in declaration order.  A loop deeper than
     `_LOOPS_PER_FUNCTION` in its function moves to a function of its own
-    that also takes the loop variables in scope.  A scope maps each visible
-    loop variable to its Python name and its inclusive value range.
+    that also takes the loop variables in scope and binds its own rows.
     """
 
     def __init__(self, nest: LoopNest):
         self.arrays = {a.name: f"a{k}" for k, a in enumerate(nest.arrays)}
         self.namespace: dict[str, object] = {"f32": np.float32}
         self.constants: dict[bytes, str] = {}
-        self.queue: list[tuple[str, tuple[Statement, ...], dict]] = []
-        self.lines: list[str] = []
-        self.loops = 0
-        self.temps = 0
-        self.function(nest.body, {})
+        self.queue: list[tuple[str, tuple[Statement, ...], _Scope]] = []
+        # Lines, and frames whose bound locals go in their place once all are known.
+        self.lines: list[str | _Frame] = []
+        self.loops = self.bound = self.temps = 0
+        self.known: dict[int, tuple[frozenset[str], int]] = {}
+        self.function(nest.body, _Scope({}, {}, []))
         # Emitting a function may queue more; the loop picks them up.
-        for header, stmts, scope in self.queue:
-            self.lines.append(header)
-            self.block(stmts, scope, 1)
+        for header, stmts, outer in self.queue:
+            top = _Frame("    ")
+            self.lines += (header, top)
+            names = {name: (var, 0) for name, (var, _) in outer.names.items()}
+            self.block(stmts, _Scope(names, outer.ranges, [top]), 1, {})
+        self.source = "\n".join(
+            line for part in self.lines for line in (part.lines if type(part) is _Frame else (part,))
+        ) + "\n"
 
-    def function(self, stmts: tuple[Statement, ...], scope: dict) -> str:
+    def function(self, stmts: tuple[Statement, ...], scope: _Scope) -> str:
         """Queue a function running `stmts` in `scope`; return its call."""
         name = f"k{len(self.queue)}"
-        params = ", ".join([*self.arrays.values(), *(var for var, _ in scope.values())])
+        params = ", ".join([*self.arrays.values(), *(var for var, _ in scope.names.values())])
         self.queue.append((f"def {name}({params}):", stmts, scope))
         return f"{name}({params})"
 
-    def block(self, stmts: tuple[Statement, ...], scope: dict, depth: int) -> None:
+    def block(self, stmts: tuple[Statement, ...], scope: _Scope, depth: int, scalars: dict[str, str]) -> None:
+        """Emit `stmts`, with the arrays in `scalars` read and written through those locals."""
         pad = "    " * depth
         if not stmts:
             self.lines.append(pad + "pass")
@@ -680,20 +744,183 @@ class _Compiler:
             if isinstance(stmt, Loop) and depth > _LOOPS_PER_FUNCTION:
                 self.lines.append(pad + self.function((stmt,), scope))
             elif isinstance(stmt, Loop):
-                var = f"i{self.loops}"
-                self.loops += 1
-                self.lines.append(f"{pad}for {var} in range({stmt.lo}, {stmt.hi}):")
-                inner = {**scope, stmt.var: (var, (stmt.lo, stmt.hi - 1))}
-                self.block(stmt.body, inner, depth + 1)
+                self.loop(stmt, scope, depth)
             else:
-                self.temps = 0
-                code: list[str] = []
-                target = self.access(stmt.array, stmt.indices, scope, code)
-                value = self.value(stmt.rhs, scope, code)
-                if isinstance(stmt, Accumulate):
-                    value = f"{target} + {value}"
-                code.append(f"{target} = {value}")
-                self.lines.extend(pad + line for line in code)
+                self.statement(stmt, scope, scalars, pad)
+
+    def loop(self, loop: Loop, scope: _Scope, depth: int) -> None:
+        if loop.hi <= loop.lo:
+            raise BoundsError(f"loop '{loop.var}' has empty range [{loop.lo}, {loop.hi})")
+        pad = "    " * depth
+        var = f"i{self.loops}"
+        self.loops += 1
+        top = _Frame(pad + "    ")
+        inner = _Scope(
+            {**scope.names, loop.var: (var, len(scope.frames))},
+            {**scope.ranges, loop.var: (loop.lo, loop.hi - 1)},
+            [*scope.frames, top],
+        )
+        scalars: dict[str, str] = {}
+        stores: list[str] = []
+        if all(type(stmt) is not Loop for stmt in loop.body):
+            for array, indices, written in self.scalars(loop):
+                local = scalars[array] = f"s{self.bound}"
+                self.bound += 1
+                element = self.access(array, indices, scope, [])[0]
+                self.lines.append(f"{pad}{local} = {element}")
+                if written:
+                    stores.append(f"{pad}{element} = {local}")
+        bounds = f"{loop.lo}, {loop.hi}" if loop.lo else loop.hi
+        self.lines += (f"{pad}for {var} in range({bounds}):", top)
+        self.block(loop.body, inner, depth + 1, scalars)
+        self.lines += stores
+
+    def scalars(self, loop: Loop) -> list[tuple[str, tuple[Expr, ...], bool]]:
+        """The arrays of an innermost loop that can live in a local, their indices and whether the loop writes them.
+
+        Every access to such an array in the loop has indices equal by
+        value, which do not read the loop variable and need no temporary.
+        Index trees equal by value name the same element: they differ at
+        most in a constant's type or a zero's sign, which changes no
+        truncated index.
+        """
+        indices: dict[str, tuple[Expr, ...] | None] = {}
+        written = set()
+        for stmt in loop.body:
+            written.add(stmt.array)
+            reads = [(node.array, node.indices) for node in _postorder(stmt.rhs) if type(node) is Read]
+            for array, spot in ((stmt.array, stmt.indices), *reads):
+                known = indices.setdefault(array, spot)
+                if known is not None and known is not spot and known != spot:
+                    indices[array] = None
+        return [
+            (array, spot, array in written)
+            for array, spot in indices.items()
+            if spot is not None and all(self.invariant(index, loop.var) for index in spot)
+        ]
+
+    def invariant(self, index: Expr, var: str) -> bool:
+        """Whether `index` does not read `var` and renders without a temporary."""
+        if type(index) is Var:
+            return index.name != var
+        names, depth = self.facts(index)
+        return var not in names and depth < _INLINE_DEPTH
+
+    def facts(self, expr: Expr) -> tuple[frozenset[str], int]:
+        """The free variables and operator depth of an index, computed once per compile."""
+        known = self.known.get(id(expr))
+        if known is None:
+            names = frozenset(node.name for node in _walk(expr) if type(node) is Var)
+            known = self.known[id(expr)] = names, _operator_depth(expr)
+        return known
+
+    def statement(self, stmt: Assign | Accumulate, scope: _Scope, scalars: dict[str, str], pad: str) -> None:
+        self.temps = 0
+        code: list[str] = []
+        target = scalars.get(stmt.array) or self.access(stmt.array, stmt.indices, scope, code)[0]
+        value = self.value(stmt.rhs, scope, scalars, code)[0]
+        if isinstance(stmt, Accumulate):
+            code.append(f"{target} = {target} + {value}")
+        else:
+            code.append(f"{target} = {_bare(value)}")
+        self.lines += [pad + line for line in code]
+
+    def access(self, array: str, indices: tuple[Expr, ...], scope: _Scope, code: list[str]) -> tuple[str, int]:
+        """`a<k>[...]...[...]` and its nesting, with row prefixes and compound indices bound where they can be.
+
+        A prefix or compound index is bound at the level of the innermost
+        loop variable it reads when that is outside the accessing level and
+        no index of the access up to it needed a temporary.
+        """
+        if array not in self.arrays:
+            raise BoundsError(f"unknown array '{array}'")
+        level, temps = len(scope.frames) - 1, len(code)
+        text, depth, reach, last = self.arrays[array], 0, 0, len(indices) - 1
+        for k, index in enumerate(indices):
+            spot, spot_depth, at = self.index(index, scope, code)
+            inline = len(code) == temps
+            if type(index) is BinOp and at < level and inline:
+                spot, spot_depth = self.bind(scope.frames[at], spot, "x"), 0
+            if at > reach:
+                reach = at
+            if spot_depth >= depth:
+                depth = spot_depth + 1
+            text = f"{text}[{spot}]"
+            if k < last and reach < level and inline:
+                text, depth = self.bind(scope.frames[reach], text, "r"), 0
+        return text, depth
+
+    def bind(self, frame: _Frame, text: str, kind: str) -> str:
+        """The local holding `text`, assigned at the top of `frame` the first time it is asked for."""
+        if text not in frame.bound:
+            frame.bound[text] = f"{kind}{self.bound}"
+            self.bound += 1
+            frame.lines.append(f"{frame.pad}{frame.bound[text]} = {text}")
+        return frame.bound[text]
+
+    def value(self, expr: Expr, scope: _Scope, scalars: dict[str, str], code: list[str]) -> tuple[str, int]:
+        """`expr` in f32 as an operand and its nesting; an operator at its root is parenthesized."""
+
+        def leaf(node: Expr) -> tuple[str, int]:
+            if isinstance(node, Const):
+                return self.constant(node.value), 0
+            if isinstance(node, Var):
+                return f"f32({self.variable(node.name, scope)[0]})", 1
+            if node.array in scalars:
+                return scalars[node.array], 0
+            return self.access(node.array, node.indices, scope, code)
+
+        return self.operators(expr, code, leaf)
+
+    def index(self, expr: Expr, scope: _Scope, code: list[str]) -> tuple[str, int, int]:
+        """An int operand equal to `int(f32 value)` of an index, its nesting and its level.
+
+        The level is that of the innermost loop variable the index reads.
+        An index rendered without temporaries is remembered per scope.
+        """
+        known = scope.indices.get(id(expr))
+        if known is not None:
+            return known
+        if isinstance(expr, Var):  # the common index, with `_int_range`'s test inlined
+            var, level = self.variable(expr.name, scope)
+            low, high = scope.ranges[expr.name]
+            if -_EXACT_F32_INT <= low and high <= _EXACT_F32_INT:
+                scope.indices[id(expr)] = known = var, 0, level
+                return known
+        temps = len(code)
+        level = max((self.variable(name, scope)[1] for name in self.facts(expr)[0]), default=0)
+        if _int_range(expr, scope.ranges) is None:
+            spot, depth = self.value(expr, scope, {}, code)
+            spot, depth = f"int({_bare(spot)})", depth + 1
+        else:
+            spot, depth = self.operators(
+                expr, code,
+                lambda node: (repr(node.value) if isinstance(node, Const) else self.variable(node.name, scope)[0], 0),
+            )
+            spot = _bare(spot)
+        if len(code) == temps:
+            scope.indices[id(expr)] = spot, depth, level
+        return spot, depth, level
+
+    def operators(self, expr: Expr, code: list[str], leaf) -> tuple[str, int]:
+        """`expr` as one operand and its nesting, with `leaf` giving the other nodes with theirs.
+
+        Each operator is parenthesized; one that would nest deeper than
+        `_INLINE_DEPTH` goes into a temporary.
+        """
+        stack: list[tuple[str, int]] = []
+        for node in _postorder(expr):
+            if type(node) is BinOp:
+                right, right_depth = stack.pop()
+                left, depth = stack.pop()
+                depth = (depth if depth > right_depth else right_depth) + 1
+                if depth > _INLINE_DEPTH:
+                    stack.append((self.temp(code, f"{left} {node.op} {right}"), 0))
+                else:
+                    stack.append((f"({left} {node.op} {right})", depth))
+            else:
+                stack.append(leaf(node))
+        return stack.pop()
 
     def temp(self, code: list[str], value: str) -> str:
         self.temps += 1
@@ -708,59 +935,34 @@ class _Compiler:
             self.namespace[self.constants[key]] = f
         return self.constants[key]
 
-    def variable(self, name: str, scope: dict) -> str:
-        if name not in scope:
+    def variable(self, name: str, scope: _Scope) -> tuple[str, int]:
+        """The Python name of a loop variable and the level that binds it."""
+        if name not in scope.names:
             raise BoundsError(f"unbound variable '{name}'")
-        return scope[name][0]
-
-    def access(self, array: str, indices: tuple[Expr, ...], scope: dict, code: list[str]) -> str:
-        """`a<k>[...]...[...]`, with each index computed into `code` first."""
-        if array not in self.arrays:
-            raise BoundsError(f"unknown array '{array}'")
-        spots = [self.index(index, scope, code) for index in indices]
-        return self.arrays[array] + "".join(f"[{spot}]" for spot in spots)
-
-    def value(self, expr: Expr, scope: dict, code: list[str]) -> str:
-        """Emit `expr` in f32 into `code`; return the operand holding its value."""
-
-        def leaf(node: Expr) -> str:
-            if isinstance(node, Const):
-                return self.constant(node.value)
-            if isinstance(node, Var):
-                return f"f32({self.variable(node.name, scope)})"
-            return self.temp(code, self.access(node.array, node.indices, scope, code))
-
-        return self.operators(expr, code, leaf)
-
-    def index(self, expr: Expr, scope: dict, code: list[str]) -> str:
-        """Emit an index into `code`; return an int operand equal to `int(f32 value)`."""
-        if _int_range(expr, {name: bounds for name, (_, bounds) in scope.items()}) is None:
-            return self.temp(code, f"int({self.value(expr, scope, code)})")
-        return self.operators(
-            expr, code, lambda node: repr(node.value) if isinstance(node, Const) else self.variable(node.name, scope)
-        )
-
-    def operators(self, expr: Expr, code: list[str], leaf) -> str:
-        """Emit one temporary per operator of `expr`, with `leaf` giving the other nodes."""
-        stack: list[str] = []
-        for node in _postorder(expr):
-            if isinstance(node, BinOp):
-                right, left = stack.pop(), stack.pop()
-                stack.append(self.temp(code, f"{left} {node.op} {right}"))
-            else:
-                stack.append(leaf(node))
-        return stack.pop()
+        return scope.names[name]
 
 
 def _compile(nest: LoopNest):
     compiler = _Compiler(nest)
-    source = "\n".join(compiler.lines) + "\n"
-    exec(compile(source, f"<loop nest {nest.name}>", "exec"), compiler.namespace)
+    exec(compile(compiler.source, f"<loop nest {nest.name}>", "exec"), compiler.namespace)
     return compiler.namespace["k0"]
 
 
 def _as_lists(array: np.ndarray) -> list:
-    return list(array) if array.ndim == 1 else [_as_lists(part) for part in array]
+    """`array` as nested lists of its `np.float32` scalars, from one flat list."""
+    rows = list(array.ravel())
+    for dim in range(array.ndim - 1, 0, -1):
+        width = array.shape[dim]
+        rows = [rows[k * width : (k + 1) * width] for k in range(math.prod(array.shape[:dim]))]
+    return rows
+
+
+def _from_lists(rows: list, extents: tuple[int, ...]) -> np.ndarray:
+    """The array of shape `extents` that `_as_lists` gave as `rows`, with the values they hold now."""
+    values = iter(rows)
+    for _ in extents[1:]:
+        values = itertools.chain.from_iterable(values)
+    return np.fromiter(values, dtype=np.float32, count=math.prod(extents)).reshape(extents)
 
 
 def interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -780,10 +982,7 @@ def interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.nda
             raise ShapeMismatch(f"{name} has shape {value.shape}, expected {extents}")
         lists.append(_as_lists(value))
     nest._program(*lists)
-    return {
-        name: np.array(values, dtype=np.float32).reshape(extents)
-        for (name, extents), values in zip(declared.items(), lists)
-    }
+    return {name: _from_lists(rows, extents) for (name, extents), rows in zip(declared.items(), lists)}
 
 
 @dataclass(frozen=True)

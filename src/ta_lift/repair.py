@@ -30,7 +30,7 @@ from typing import Iterator
 
 from . import kernels
 from .gateway import Backend, GenerationParams
-from .harness import _FENCE, extract_code
+from .harness import extract_code, fenced_blocks
 from .isa import BY_MNEMONIC, Instruction, Program
 from .kernels import KernelSpec, TestCase, Verdict, verify_source
 from .machine import MachineConfig
@@ -447,7 +447,7 @@ def repair(
 
 def _marked_from_reply(reply: str) -> str:
     """The marking reply is code, fenced or bare; fences win when present."""
-    fenced = _FENCE.findall(reply)
+    fenced = fenced_blocks(reply)
     if fenced:
         return max(fenced, key=len).rstrip("\n")
     return reply

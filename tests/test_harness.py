@@ -4,10 +4,15 @@ import csv
 import io
 import itertools
 import json
+import re
+import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fenced, golden_program
 
@@ -23,6 +28,7 @@ from ta_lift.harness import (
     ExperimentReport,
     ExperimentRow,
     extract_code,
+    fenced_blocks,
     pass_at_k,
     render_report,
     run_experiment,
@@ -113,6 +119,47 @@ def test_extract_bare_program_passes_through():
 def test_extract_bare_reply_naming_another_buffer_is_not_code():
     # `mystery` is no buffer of gv1, so the reply does not parse against the kernel's table.
     assert extract_code("config_ld(16, 0);\nmvin(mystery, 0, 1, 4);", GV1_BUFFERS) is None
+
+
+# The fence regex `fenced_blocks` replaced, kept as the reference.  It is
+# quadratic on a run of backticks.
+OLD_FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="`\nc ", max_size=40))
+@example("```")
+@example("```\n```")
+@example("````\nx````\n``")
+@example("```c\nfence();\n```\nprose ```\n")
+@example("``` ```\n``` ```\n```")
+def test_fenced_blocks_match_the_old_regex(text):
+    assert fenced_blocks(text) == OLD_FENCE.findall(text)
+
+
+def test_fenced_blocks_match_the_old_regex_on_every_evaluate_reply(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import worker
+    import workloads
+
+    modules = worker.Modules()
+    replies = 0
+    for seed in range(3):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        workloads.build_evaluate(modules, seed, work)
+        for texts in json.loads((work / "fixtures.json").read_text()).values():
+            for text in texts:
+                assert fenced_blocks(text) == OLD_FENCE.findall(text)
+                replies += 1
+    assert replies == 3 * 22 * 5
+
+
+def test_fenced_blocks_read_a_megabyte_of_backticks_quickly():
+    start = time.perf_counter()
+    assert fenced_blocks("`" * 2**20) == []
+    assert fenced_blocks("```\n" + "`" * 2**20) == [""]
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

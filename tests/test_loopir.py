@@ -1,13 +1,15 @@
 """Loop nest IR: parsing, rendering, interpretation, and the cost proxy."""
 
+import ast
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ta_lift.loopir import (
+    _LOOPS_PER_FUNCTION,
     Accumulate,
     ArrayDecl,
     Assign,
@@ -36,6 +38,7 @@ from ta_lift.loopir import (
     render_line,
     substitute_stmt,
     times,
+    _Compiler,
 )
 from ta_lift.schedule import (
     IllegalRewrite,
@@ -318,7 +321,11 @@ def test_render_line_shapes():
 
 
 def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The tree-walking interpreter `interpret` replaced, kept as the oracle."""
+    """The tree-walking interpreter `interpret` replaced, kept as the oracle.
+
+    A loop that shadows a name gives the outer binding back when it ends,
+    as `interpret` scopes variables lexically.
+    """
     arrays = {a.name: np.asarray(inputs[a.name], dtype=np.float32).copy() for a in nest.arrays}
 
     def evaluate(expr, env):
@@ -340,10 +347,14 @@ def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, n
     def run(stmts, env):
         for stmt in stmts:
             if isinstance(stmt, Loop):
+                outer = env.get(stmt.var)
                 for i in range(stmt.lo, stmt.hi):
                     env[stmt.var] = i
                     run(stmt.body, env)
-                del env[stmt.var]
+                if outer is None:
+                    del env[stmt.var]
+                else:
+                    env[stmt.var] = outer
                 continue
             spot = tuple(int(evaluate(i, env)) for i in stmt.indices)
             value = evaluate(stmt.rhs, env)
@@ -368,13 +379,16 @@ def random_inputs(nest: LoopNest, seed: int) -> dict[str, np.ndarray]:
 
 
 def assert_same_as_walker(nest: LoopNest, inputs: dict[str, np.ndarray]) -> None:
+    """The compiled nest and the walker agree bit for bit; a failure shows the generated source."""
     with np.errstate(all="ignore"):
         expected = walk_interpret(nest, inputs)
         got = interpret(nest, inputs)
     assert set(got) == set(expected)
     for name in expected:
         assert got[name].dtype == np.float32 and got[name].shape == expected[name].shape
-        assert got[name].tobytes() == expected[name].tobytes(), name
+        assert got[name].tobytes() == expected[name].tobytes(), (
+            f"array '{name}' differs from the walker's; the generated source:\n{_Compiler(nest).source}"
+        )
 
 
 # Names the generated code must not capture: Python keywords and builtins,
@@ -438,16 +452,34 @@ def random_nests(draw) -> LoopNest:
     return nest
 
 
+# Nests in the random test's alphabet that reach every transformation of
+# the compiled code on every run: rows bound outside the loops that use them,
+# a compound index bound outside its loop, an accumulator and a read-only
+# element in locals, and a loop that shadows a name a row was bound under.
+HOISTED = parse_kernel(
+    "def random(np: f32[3, 4] @ DRAM, int: f32[4] @ DRAM, y: f32[2, 2] @ DRAM):\n"
+    "    for range in seq(0, 3):\n"
+    "        for lambda in seq(0, 2):\n"
+    "            for x in seq(0, 4):\n"
+    "                int[lambda * 2 + 1] += np[range, x] * y[lambda, 1] - np[2 - range, x]\n"
+    "            np[range, lambda * 2 + 1] = np[range, lambda] - int[lambda]\n"
+)
+SHADOWED = parse_kernel(
+    "def random(np: f32[3, 3, 2] @ DRAM):\n"
+    "    for range in seq(0, 3):\n"
+    "        for lambda in seq(0, 3):\n"
+    "            np[range, lambda, 0] += np[range, lambda, 1] * 0.5\n"
+    "        for range in seq(1, 3):\n"
+    "            for lambda in seq(0, 2):\n"
+    "                np[range, lambda, 1] += np[range, 2, 0] - np[range - 1, lambda, 1]\n"
+)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(random_nests(), st.integers(0, 2**32 - 1))
+@example(HOISTED, 7)
+@example(SHADOWED, 8)
 def test_interpret_matches_walker_on_random_nests(nest, seed):
-    try:
-        with np.errstate(all="ignore"):
-            walk_interpret(nest, random_inputs(nest, seed))
-    except KeyError:
-        # The walker unbinds a shadowed outer variable when the inner loop
-        # ends, so it cannot run a later use of it; interpret scopes lexically.
-        assume(False)
     assert_same_as_walker(nest, random_inputs(nest, seed))
 
 
@@ -488,6 +520,22 @@ def deep_nest(loops: int, body: str) -> str:
     return "\n".join(lines + ["    " * (loops + 1) + body]) + "\n"
 
 
+def deep_rows(loops: int) -> str:
+    """Rows of A bound in the first function and used by the loops moved to later ones.
+
+    `v0`, `v1` and the innermost loop take two values, the rest one.
+    """
+    last = loops - 1
+    lines = ["def deep(A: f32[2, 2, 4] @ DRAM, B: f32[2, 2] @ DRAM):"]
+    lines += ["    " * (d + 1) + f"for v{d} in seq(0, {2 if d < 2 or d == last else 1}):" for d in range(loops)]
+    lines += ["    " * (loops + 1) + f"B[v0, v1] += A[v1, v0, v{last} + v2] * A[v0, v1, v{last}]",
+              "    " * (loops + 1) + f"A[v0, v1, v{last} + 2] = B[v1, v0] - B[v0, v1]"]
+    return "\n".join(lines) + "\n"
+
+
+DEEP_INDEX = "i" + " + 0" * 60
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -504,8 +552,48 @@ def deep_nest(loops: int, body: str) -> str:
         "    for i in seq(16777217, 16777218):\n"
         "        for j in seq(16777216, 16777217):\n"
         "            A[i - j] = i - j\n",
+        # The accumulator's array is also read at an index that names its element once.
+        "def f(sum: f32[4] @ DRAM, C4: f32[4, 4] @ DRAM):\n"
+        "    for p in seq(0, 4):\n"
+        "        for s in seq(0, 4):\n"
+        "            sum[p] += sum[s] * C4[s, p]\n",
+        # A[i], A[i + 0] and A[2 - 1] name one element for i = 1, by different expressions.
+        "def f(A: f32[4] @ DRAM, B: f32[4] @ DRAM):\n"
+        "    for i in seq(0, 4):\n"
+        "        for j in seq(0, 3):\n"
+        "            A[i] += A[i + 0] * B[j]\n"
+        "            A[2 - 1] += B[j]\n",
+        # The inner i shadows the i of the rows A[i] and A[i, j] bound outside it.
+        "def f(A: f32[3, 3, 2] @ DRAM):\n"
+        "    for i in seq(0, 3):\n"
+        "        for j in seq(0, 3):\n"
+        "            A[i, j, 0] += A[i, j, 1] * 2.0\n"
+        "        for i in seq(1, 3):\n"
+        "            for j in seq(0, 3):\n"
+        "                A[i, j, 1] += A[i, j, 0] - A[i - 1, j, 0]\n",
+        deep_rows(_LOOPS_PER_FUNCTION + 4),
+        # Indices computed in f32, as row prefixes and as an accumulator's index.
+        "def f(A: f32[3, 2] @ DRAM, B: f32[3, 2] @ DRAM):\n"
+        "    for i in seq(0, 2):\n"
+        "        for j in seq(0, 2):\n"
+        "            for k in seq(0, 2):\n"
+        "                B[i * 1.5, j] += A[i * 1.5, k] * A[j + 0.5, k]\n",
+        # An index and a value past the inlining depth, in a row prefix and an element held across a loop.
+        "def f(A: f32[2, 2] @ DRAM):\n"
+        "    for i in seq(0, 2):\n"
+        "        for j in seq(0, 2):\n"
+        f"            A[{DEEP_INDEX}, j] += A[{DEEP_INDEX}, 1] * " + " * ".join(["A[j, 0]"] * 60) + "\n"
+        f"            A[{DEEP_INDEX}, 0] += A[{DEEP_INDEX}, 0] * 0.5\n",
+        # -0.0 stored through a local, and multiplied there.
+        "def f(A: f32[2] @ DRAM, B: f32[3] @ DRAM):\n"
+        "    for i in seq(0, 2):\n"
+        "        for j in seq(0, 3):\n"
+        "            A[i] = -0.0\n"
+        "            A[i] = A[i] * B[j]\n",
     ],
-    ids=["25-deep", "400-deep", "900-terms", "float-index", "odd-names", "large-loop-values"],
+    ids=["25-deep", "400-deep", "900-terms", "float-index", "odd-names", "large-loop-values",
+         "accumulator-also-read", "one-element-two-names", "shadowed-row", "rows-past-a-function",
+         "float-index-rows", "past-the-inlining-depth", "negative-zero-local"],
 )
 def test_interpret_matches_walker_on_hard_nests(text):
     nest = parse_kernel(text)
@@ -520,6 +608,66 @@ def test_negative_zero_constant_is_not_merged_with_zero():
     assert interpret(plus_zero, ones)["A"].view(np.uint32)[0] == 0x00000000
     assert interpret(minus_zero, ones)["A"].view(np.uint32)[0] == 0x80000000
     assert_same_as_walker(minus_zero, ones)
+
+
+def test_negative_zero_is_stored_through_a_local():
+    nest = parse_kernel("def f(A: f32[2] @ DRAM, B: f32[3] @ DRAM):\n"
+                        "    for i in seq(0, 2):\n"
+                        "        for j in seq(0, 3):\n"
+                        "            A[i] = -0.0\n"
+                        "            A[i] = A[i] * B[j]\n")
+    assert "s0 = s0 * a1[i1]" in _Compiler(nest).source
+    out = interpret(nest, {"A": np.ones(2, np.float32), "B": np.full(3, 2.0, np.float32)})["A"]
+    assert out.view(np.uint32).tolist() == [0x80000000, 0x80000000]
+
+
+def innermost_loops(source: str) -> list[ast.For]:
+    """The `for` loops of generated source that hold no loop, in source order."""
+    loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+    innermost = [loop for loop in loops if not any(isinstance(n, ast.For) for s in loop.body for n in ast.walk(s))]
+    return sorted(innermost, key=lambda loop: loop.lineno)
+
+
+def test_doitgen_reduction_loop_is_one_statement_of_arithmetic():
+    source = _Compiler(small_doitgen()).source
+    s_loop = innermost_loops(source)[0]  # `for s`: the first innermost loop
+    assert len(s_loop.body) == 1, source
+    (statement,) = s_loop.body
+    s = s_loop.target.id
+    # Every subscript reads the loop variable: rows of A that do not
+    # depend on s are bound outside the loop.
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Subscript):
+            assert s in {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}, ast.unparse(node)
+    # sum is a2: the element sum[p] lives in a local for the whole loop.
+    names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+    assert "a2" not in names, source
+
+
+def test_a_moved_loop_binds_its_rows_at_the_top_of_its_function():
+    source = _Compiler(parse_kernel(deep_rows(_LOOPS_PER_FUNCTION + 4))).source
+    k1 = next(node for node in ast.parse(source).body if node.name == "k1")
+    assert not any(arg.arg.startswith(("r", "x", "s")) for arg in k1.args.args), source
+    first_loop = next(k for k, stmt in enumerate(k1.body) if isinstance(stmt, ast.For))
+    assert first_loop == 6 and all(stmt.targets[0].id.startswith("r") for stmt in k1.body[:first_loop]), source
+    assert not any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.startswith("r")
+                   for loop in k1.body[first_loop:] for node in ast.walk(loop)), source
+
+
+def test_an_empty_loop_is_refused():
+    nest = LoopNest("f", (ArrayDecl("A", (2,)),), (Loop("i", 1, 1, (Assign("A", (Var("i"),), Const(1.0)),)),))
+    with pytest.raises(BoundsError, match="empty range"):
+        interpret(nest, {"A": np.zeros(2, np.float32)})
+
+
+def test_inputs_of_every_shape_convert_to_lists_and_back():
+    nest = parse_kernel("def f(A: f32[2, 3, 4] @ DRAM, Z: f32[2, 0] @ DRAM, V: f32[5] @ DRAM):\n"
+                        "    for i in seq(0, 2):\n"
+                        "        V[i] += A[i, 2, 3] - A[1 - i, 0, 1]\n")
+    inputs = random_inputs(nest, 9)
+    inputs["A"] = np.asfortranarray(inputs["A"])  # not C-contiguous
+    assert_same_as_walker(nest, inputs)
+    assert interpret(nest, inputs)["Z"].shape == (2, 0)
 
 
 def test_float_index_truncates():
