@@ -14,6 +14,12 @@ statement is one line, row prefixes and compound indices are bound outside
 the loops that do not change them, and an innermost loop keeps an element
 it does not move in a local.  Loops plus operators nest at most
 `_MAX_DEPTH` deep; deeper nests are a `NestingTooDeep` syntax error.
+
+The same compiler gives an exact function, over Python ints with each store
+reduced mod the prime `P`, which `check_equivalence` runs once on inputs
+uniform in [0, P) when every value constant is an integer in f32.  A wrong
+rewrite of degree d then passes with probability at most d/P
+(Schwartz-Zippel); a nest with another constant keeps five f32 trials.
 """
 
 from __future__ import annotations
@@ -125,6 +131,27 @@ class LoopNest:
         differ in output, as `Const(0.0) == Const(-0.0)`.
         """
         return _compile(self)
+
+    @cached_property
+    def _exact_program(self):
+        """This nest compiled over GF(`P`) (see `interpret`), kept as `_program` is."""
+        return _compile(self, exact=True)
+
+    @cached_property
+    def _integral(self) -> bool:
+        """Whether every value constant is an integer after rounding to f32."""
+        stack, constants = list(self.body), []
+        while stack:
+            stmt = stack.pop()
+            if type(stmt) is Loop:
+                stack += stmt.body
+            else:
+                constants += (node.value for node in _postorder(stmt.rhs) if type(node) is Const)
+        return all(float(np.float32(value)).is_integer() for value in constants)
+
+    @cached_property
+    def _locality_cost(self) -> float:
+        return _locality_walk(self)
 
 
 # -- expression helpers --------------------------------------------------------
@@ -661,6 +688,13 @@ def render_kernel(nest: LoopNest) -> str:
 # `range` or `np` cannot capture anything.  Each loop gets a fresh variable
 # and rows are keyed by their generated text, so a loop that shadows a name
 # never reuses a row or local bound under the outer meaning.
+#
+# The exact function differs only in values: Python ints, a loop variable
+# as itself, each constant as the int of its f32 value, and each store
+# reduced mod `P`, so no int outgrows one statement's expression.
+
+# The largest prime below 2**30: every stored value is one CPython digit.
+P = 2**30 - 35
 
 # CPython refuses more than 20 statically nested blocks in one function.
 _LOOPS_PER_FUNCTION = 16
@@ -708,9 +742,10 @@ class _Compiler:
     that also takes the loop variables in scope and binds its own rows.
     """
 
-    def __init__(self, nest: LoopNest):
+    def __init__(self, nest: LoopNest, exact: bool = False):
+        self.exact = exact
         self.arrays = {a.name: f"a{k}" for k, a in enumerate(nest.arrays)}
-        self.namespace: dict[str, object] = {"f32": np.float32}
+        self.namespace: dict[str, object] = {"f32": np.float32, "P": P}
         self.constants: dict[bytes, str] = {}
         self.queue: list[tuple[str, tuple[Statement, ...], _Scope]] = []
         # Lines, and frames whose bound locals go in their place once all are known.
@@ -818,11 +853,10 @@ class _Compiler:
         self.temps = 0
         code: list[str] = []
         target = scalars.get(stmt.array) or self.access(stmt.array, stmt.indices, scope, code)[0]
-        value = self.value(stmt.rhs, scope, scalars, code)[0]
+        value = self.value(stmt.rhs, scope, scalars, code, self.exact)[0]
         if isinstance(stmt, Accumulate):
-            code.append(f"{target} = {target} + {value}")
-        else:
-            code.append(f"{target} = {_bare(value)}")
+            value = f"({target} + {value})"
+        code.append(f"{target} = {value} % P" if self.exact else f"{target} = {_bare(value)}")
         self.lines += [pad + line for line in code]
 
     def access(self, array: str, indices: tuple[Expr, ...], scope: _Scope, code: list[str]) -> tuple[str, int]:
@@ -858,14 +892,16 @@ class _Compiler:
             frame.lines.append(f"{frame.pad}{frame.bound[text]} = {text}")
         return frame.bound[text]
 
-    def value(self, expr: Expr, scope: _Scope, scalars: dict[str, str], code: list[str]) -> tuple[str, int]:
-        """`expr` in f32 as an operand and its nesting; an operator at its root is parenthesized."""
+    def value(self, expr: Expr, scope: _Scope, scalars: dict[str, str], code: list[str],
+              exact: bool = False) -> tuple[str, int]:
+        """`expr` in f32, or `exact` in ints, as an operand and its nesting; an operator at its root is parenthesized."""
 
         def leaf(node: Expr) -> tuple[str, int]:
             if isinstance(node, Const):
-                return self.constant(node.value), 0
+                return (repr(int(np.float32(node.value))) if exact else self.constant(node.value)), 0
             if isinstance(node, Var):
-                return f"f32({self.variable(node.name, scope)[0]})", 1
+                var = self.variable(node.name, scope)[0]
+                return (var, 0) if exact else (f"f32({var})", 1)
             if node.array in scalars:
                 return scalars[node.array], 0
             return self.access(node.array, node.indices, scope, code)
@@ -942,8 +978,8 @@ class _Compiler:
         return scope.names[name]
 
 
-def _compile(nest: LoopNest):
-    compiler = _Compiler(nest)
+def _compile(nest: LoopNest, exact: bool = False):
+    compiler = _Compiler(nest, exact)
     exec(compile(compiler.source, f"<loop nest {nest.name}>", "exec"), compiler.namespace)
     return compiler.namespace["k0"]
 
@@ -957,32 +993,37 @@ def _as_lists(array: np.ndarray) -> list:
     return rows
 
 
-def _from_lists(rows: list, extents: tuple[int, ...]) -> np.ndarray:
+def _from_lists(rows: list, extents: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     """The array of shape `extents` that `_as_lists` gave as `rows`, with the values they hold now."""
     values = iter(rows)
     for _ in extents[1:]:
         values = itertools.chain.from_iterable(values)
-    return np.fromiter(values, dtype=np.float32, count=math.prod(extents)).reshape(extents)
+    return np.fromiter(values, dtype=dtype, count=math.prod(extents)).reshape(extents)
 
 
 def interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Run the kernel sequentially in 32-bit float and return all arrays.
 
-    The nest is compiled to Python on its first run and the function kept
-    on the nest object.  Variables are scoped lexically: an inner loop that
-    reuses a name shadows the outer one only inside its body.
+    When every input has an integer dtype, run it exactly instead, over
+    Python ints with each stored value reduced mod `P`, and return int64
+    arrays; index arithmetic is the same.  The nest is compiled to Python
+    on its first run of each kind and the function kept on the nest object.
+    Variables are scoped lexically: an inner loop that reuses a name
+    shadows the outer one only inside its body.
     """
     declared = {a.name: a.extents for a in nest.arrays}
     if set(inputs) != set(declared):
         raise ShapeMismatch(f"inputs {sorted(inputs)} do not match arrays {sorted(declared)}")
+    exact = all(np.issubdtype(np.asarray(value).dtype, np.integer) for value in inputs.values())
+    dtype = np.int64 if exact else np.float32
     lists = []
     for name, extents in declared.items():
-        value = np.asarray(inputs[name], dtype=np.float32)
+        value = np.asarray(inputs[name], dtype=dtype)
         if value.shape != extents:
             raise ShapeMismatch(f"{name} has shape {value.shape}, expected {extents}")
-        lists.append(_as_lists(value))
-    nest._program(*lists)
-    return {name: _from_lists(rows, extents) for (name, extents), rows in zip(declared.items(), lists)}
+        lists.append(value.tolist() if exact else _as_lists(value))
+    (nest._exact_program if exact else nest._program)(*lists)
+    return {name: _from_lists(rows, extents, dtype) for (name, extents), rows in zip(declared.items(), lists)}
 
 
 @dataclass(frozen=True)
@@ -996,26 +1037,35 @@ class EquivalenceVerdict:
 
 
 def check_equivalence(k1: LoopNest, k2: LoopNest, trials: int = 5, seed: int = 0) -> EquivalenceVerdict:
-    """Compare both kernels bit-exactly on random small-integer inputs.
+    """Compare both kernels on the same random inputs.
 
-    Small integers keep every f32 operation exact, so legal reassociations
-    (tiling, interchange, unrolling) cannot introduce rounding differences.
+    A nest computes only `+ - *`, so each output is a polynomial in the
+    inputs.  When every value constant of both kernels is an integer in
+    f32, one exact trial decides: inputs uniform in [0, P), both kernels
+    run over GF(`P`) (see `interpret`), outputs compared exactly.  A wrong
+    kernel whose outputs differ by a polynomial of degree d that is not 0
+    mod P passes with probability at most d/P (Schwartz 1980, Zippel 1979);
+    legal reorderings, tilings and unrollings always pass.  Otherwise
+    `trials` f32 trials on integers in [-4, 4] run, compared with NaN equal
+    to NaN; small integers keep most f32 operations exact.
     """
     sig1 = tuple((a.name, a.extents) for a in k1.arrays)
     sig2 = tuple((a.name, a.extents) for a in k2.arrays)
     if sig1 != sig2:
         raise SignatureMismatch(f"signatures differ: {sig1} vs {sig2}")
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        inputs = {
-            a.name: rng.integers(-4, 5, size=a.extents).astype(np.float32) for a in k1.arrays
-        }
-        out1 = interpret(k1, inputs)
-        out2 = interpret(k2, inputs)
-        for name in out1:
-            if not np.array_equal(out1[name], out2[name]):
-                return EquivalenceVerdict(False, trial + 1, f"trial {trial}: array '{name}' differs")
-    return EquivalenceVerdict(True, trials)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = k1._integral and k2._integral
+        low, high, dtype = (0, P, np.int64) if exact else (-4, 5, np.float32)
+        runs = 1 if exact else trials
+        for trial in range(runs):
+            inputs = {a.name: rng.integers(low, high, size=a.extents).astype(dtype) for a in k1.arrays}
+            out1 = interpret(k1, inputs)
+            out2 = interpret(k2, inputs)
+            for name in out1:
+                if not np.array_equal(out1[name], out2[name], equal_nan=True):
+                    return EquivalenceVerdict(False, trial + 1, f"trial {trial}: array '{name}' differs")
+    return EquivalenceVerdict(True, runs)
 
 
 # -- reduced clones and the cost proxy -----------------------------------------
@@ -1094,8 +1144,13 @@ def locality_cost(nest: LoopNest) -> float:
     Every loop header and leaf statement instance counts once.  Each array
     access is charged `STRIDE_PENALTY` per execution when the innermost enclosing
     loop variable appearing in its indices walks the flattened row-major
-    layout with a stride other than one.
+    layout with a stride other than one.  The cost is kept on the nest object.
     """
+    return nest._locality_cost
+
+
+def _locality_walk(nest: LoopNest) -> float:
+    """`locality_cost`, walked over the nest."""
     extents = {a.name: a.extents for a in nest.arrays}
 
     def row_weights(shape: tuple[int, ...]) -> list[int]:

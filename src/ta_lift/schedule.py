@@ -3,9 +3,9 @@
 A scheduling session holds a kernel plus a reduced-extent clone.  Commands
 name source lines on the full kernel, resolve to structural paths, and are
 applied to both copies.  Each accepted rewrite must leave the reduced clone
-bit-equivalent to its predecessor on randomized inputs, which keeps the
-check cheap while still catching dependence violations the conservative
-legality rules let through.
+equivalent to its predecessor on random inputs (`check_equivalence`), which
+keeps the check cheap while still catching dependence violations the
+conservative legality rules let through.
 """
 
 from __future__ import annotations

@@ -313,7 +313,7 @@ def test_criterion_7_loop_scheduler_protocol():
     reduced_base = reduce_extents(parse_kernel(DOITGEN), 8)
     verdict = check_equivalence(reduced_base, session.reduced, trials=5, seed=0)
     assert verdict.passed
-    assert verdict.trials_run == 5
+    assert verdict.trials_run == 1  # an integer nest runs one exact trial
 
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget is 5s"

@@ -2,20 +2,24 @@
 
 import ast
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ta_lift import loopir
 from ta_lift.loopir import (
     _LOOPS_PER_FUNCTION,
+    P,
     Accumulate,
     ArrayDecl,
     Assign,
     BinOp,
     BoundsError,
     Const,
+    EquivalenceVerdict,
     KernelSyntaxError,
     Loop,
     LoopNest,
@@ -42,6 +46,7 @@ from ta_lift.loopir import (
 )
 from ta_lift.schedule import (
     IllegalRewrite,
+    _splice,
     _walk_statements,
     fission_at,
     fuse_at,
@@ -225,7 +230,7 @@ def test_check_equivalence_accepts_self():
     nest = small_doitgen()
     verdict = check_equivalence(nest, nest, trials=5, seed=0)
     assert verdict.passed
-    assert verdict.trials_run == 5
+    assert verdict.trials_run == 1  # an integer nest runs one exact trial
     assert bool(verdict)
 
 
@@ -249,6 +254,110 @@ def test_check_equivalence_signature_mismatch():
     other = LoopNest(nest.name, (ArrayDecl("A", (4, 4, 4)),) + nest.arrays[1:], nest.body)
     with pytest.raises(SignatureMismatch):
         check_equivalence(nest, other)
+
+
+def f32_gate(k1: LoopNest, k2: LoopNest, trials: int = 5, seed: int = 0) -> bool:
+    """The gate's f32 trials on integers in [-4, 4], kept as the oracle of its exact trial."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for _ in range(trials):
+            inputs = {a.name: rng.integers(-4, 5, size=a.extents).astype(np.float32) for a in k1.arrays}
+            out1, out2 = interpret(k1, inputs), interpret(k2, inputs)
+            if not all(np.array_equal(out1[name], out2[name], equal_nan=True) for name in out1):
+                return False
+    return True
+
+
+def test_the_exact_gate_refuses_a_difference_that_vanishes_on_small_integers():
+    # (A[0] + 4)(A[0] + 3)...(A[0] - 4) is 0 wherever A[0] is an integer in [-4, 4].
+    term = " * ".join(f"(A[0] + {-k})" if k < 0 else f"(A[0] - {k})" for k in range(-4, 5))
+    header = "def f(A: f32[2] @ DRAM, B: f32[1] @ DRAM):\n"
+    plain = parse_kernel(header + "    B[0] = A[1]\n")
+    thin = parse_kernel(header + f"    B[0] = A[1] + {term}\n")
+    assert f32_gate(plain, thin)
+    assert check_equivalence(plain, thin) == check_equivalence(thin, plain, seed=3) == (
+        EquivalenceVerdict(False, 1, "trial 0: array 'B' differs")
+    )
+
+
+def scaled(*factors) -> LoopNest:
+    """`A[i] = A[i] * f0 * f1 ...` for each i."""
+    rhs = Read("A", (Var("i"),))
+    for factor in factors:
+        rhs = BinOp("*", rhs, Const(factor))
+    return LoopNest("f", (ArrayDecl("A", (3,)),), (Loop("i", 0, 3, (Assign("A", (Var("i"),), rhs),)),))
+
+
+@pytest.mark.parametrize(
+    "constant, trials_run",
+    [(0.5, 5), (1e-40, 5), (1e39, 5), (3.0, 1), (-0.0, 1), (16777217, 1), (1e20, 1)],
+)
+def test_only_nests_with_integer_constants_take_the_exact_trial(constant, trials_run):
+    assert check_equivalence(scaled(constant), scaled(constant)) == EquivalenceVerdict(True, trials_run)
+
+
+def test_a_pair_takes_the_exact_trial_only_when_both_nests_have_integer_constants():
+    # Over GF(P), 0.5 would count as 0.
+    assert check_equivalence(scaled(2), scaled(4, 0.5)) == check_equivalence(scaled(4, 0.5), scaled(2)) == (
+        EquivalenceVerdict(True, 5)
+    )
+
+
+def test_each_nest_compiles_once_to_the_function_its_trials_run(monkeypatch):
+    compiled = []
+    real = loopir._compile
+    monkeypatch.setattr(loopir, "_compile", lambda nest, exact=False: compiled.append((id(nest), exact)) or real(nest, exact))
+    integral, half = small_doitgen(), scaled(0.5)
+    for _ in range(2):
+        assert check_equivalence(integral, integral) and check_equivalence(half, half)
+    assert compiled == [(id(integral), True), (id(half), False)]
+
+
+def test_the_exact_interpretation():
+    # Constants are the ints of their f32 values, loop variables are themselves,
+    # every store is reduced mod P, and an index computed in f32 still truncates.
+    nest = parse_kernel("def f(A: f32[3] @ DRAM, B: f32[2] @ DRAM):\n"
+                        "    for i in seq(16777217, 16777218):\n"
+                        "        A[0] = A[0] * 16777217 + i\n"
+                        "    for j in seq(0, 3):\n"
+                        "        B[j * 0.5] += A[j] - 3\n")
+    out = interpret(nest, {"A": np.array([P - 1, 5, 7]), "B": np.array([P - 1, 10**12])})
+    assert out["A"].dtype == out["B"].dtype == np.int64
+    a0 = ((P - 1) * 16777216 + 16777217) % P
+    assert out["A"].tolist() == [a0, 5, 7]
+    assert out["B"].tolist() == [(P - 1 + a0 - 3 + 5 - 3) % P, (10**12 + 7 - 3) % P]
+
+
+def test_repeated_squaring_gets_a_verdict_quickly():
+    # Degree 2**512 in A[0]: reduced at each store, the ints stay one digit.
+    text = ("def f(A: f32[2] @ DRAM):\n    for i in seq(0, 8):\n        for j in seq(0, 8):\n"
+            "            for k in seq(0, 8):\n                A[0] = A[0] * A[0]\n")
+    squares = parse_kernel(text)
+    start = time.perf_counter()
+    assert interpret(squares, {"A": np.array([3, 5])})["A"].tolist() == [pow(3, 2**512, P), 5]
+    assert check_equivalence(squares, parse_kernel(text))
+    assert not check_equivalence(squares, parse_kernel(text.replace("A[0] * A[0]", "A[0] * A[0] + A[1]")))
+    assert time.perf_counter() - start < 0.5
+
+
+# Overflows to infinity, and infinity minus infinity is NaN, unless A[1] is 0.
+HUGE = BinOp("*", BinOp("*", Read("A", (Const(1),)), Const(1e20)), Const(1e20))
+
+
+@pytest.mark.parametrize("factor", [1, 0.5], ids=["exact-trial", "f32-trials"])
+def test_a_nest_with_nan_outputs_is_equivalent_to_itself(factor):
+    nest = LoopNest("f", (ArrayDecl("A", (2,)),),
+                    (Assign("A", (Const(0),), times(BinOp("-", HUGE, HUGE), Const(factor))),))
+    with np.errstate(all="ignore"):
+        assert np.isnan(interpret(nest, {"A": np.ones(2, np.float32)})["A"][0])
+    assert check_equivalence(nest, nest) == EquivalenceVerdict(True, 5 if factor == 0.5 else 1)
+
+
+def test_the_f32_trials_print_no_warnings():
+    nest = LoopNest("f", (ArrayDecl("A", (2,)),), (Assign("A", (Const(0),), BinOp("-", HUGE, Const(0.5))),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_equivalence(nest, nest).trials_run == 5
 
 
 def test_reduce_extents_rewrites_shapes_and_bounds():
@@ -511,6 +620,63 @@ def test_interpret_matches_walker_on_rewritten_doitgen(data):
         except (IllegalRewrite, BoundsError, IndexError):
             continue
     assert_same_as_walker(nest, random_inputs(nest, data.draw(st.integers(0, 2**32 - 1))))
+
+
+GATE_KERNELS = (
+    small_doitgen_at(4),
+    parse_kernel("def mm(A: f32[4, 4] @ DRAM, B: f32[4, 4] @ DRAM, C: f32[4, 4] @ DRAM):\n"
+                 "    for i in seq(0, 4):\n"
+                 "        for j in seq(0, 4):\n"
+                 "            C[i, j] = 0.0\n"
+                 "            for k in seq(0, 4):\n"
+                 "                C[i, j] += A[i, k] * B[k, j]\n"),
+    parse_kernel("def t(A: f32[4] @ DRAM, B: f32[1] @ DRAM, C: f32[4] @ DRAM):\n"
+                 "    for i in seq(0, 4):\n"
+                 "        B[0] = A[i]\n"
+                 "        C[i] = B[0]\n"),
+    parse_kernel("def scan(A: f32[5] @ DRAM, B: f32[2, 4] @ DRAM):\n"
+                 "    for t in seq(0, 2):\n"
+                 "        for i in seq(1, 5):\n"
+                 "            A[i] = A[i - 1] * B[t, i - 1] - 2\n"),
+)
+POISONS = {
+    "plus one": lambda stmt: type(stmt)(stmt.array, stmt.indices, plus(stmt.rhs, Const(1))),
+    "double": lambda stmt: type(stmt)(stmt.array, stmt.indices, times(stmt.rhs, Const(2))),
+    "square": lambda stmt: type(stmt)(stmt.array, stmt.indices, BinOp("*", stmt.rhs, stmt.rhs)),
+    "flip": lambda stmt: (Assign if type(stmt) is Accumulate else Accumulate)(stmt.array, stmt.indices, stmt.rhs),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_exact_gate_agrees_with_the_f32_trials_on_rewrites(data):
+    original = nest = data.draw(st.sampled_from(GATE_KERNELS))
+    for step in range(data.draw(st.integers(1, 4))):
+        paths = [path for path, _ in _walk_statements(nest.body, ())]
+        path = data.draw(st.sampled_from(paths))
+        op = data.draw(st.sampled_from(("tile", "reorder", "fission", "unroll", "fuse", "poison", "poison")))
+        try:
+            if op == "tile":
+                nest = tile_at(nest, path, data.draw(st.sampled_from((1, 2, 4))), f"o{step}", f"n{step}")
+            elif op == "reorder":
+                nest = reorder_at(nest, path)
+            elif op == "fission":
+                nest = fission_at(nest, path, data.draw(st.sampled_from(("before", "after"))))
+            elif op == "unroll":
+                nest = unroll_at(nest, path)
+            elif op == "fuse":
+                nest = fuse_at(nest, path, path[:-1] + (path[-1] + 1,))
+            else:
+                leaves = [(path, stmt) for path, stmt in _walk_statements(nest.body, ()) if type(stmt) is not Loop]
+                path, stmt = data.draw(st.sampled_from(leaves))
+                nest = _splice(nest, path, (POISONS[data.draw(st.sampled_from(sorted(POISONS)))](stmt),))
+            check_bounds(nest)
+        except (IllegalRewrite, BoundsError, IndexError):
+            continue
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    verdict = check_equivalence(original, nest, seed=seed)
+    assert verdict.trials_run == 1
+    assert verdict.passed == f32_gate(original, nest, seed=seed), render_kernel(nest)
 
 
 def deep_nest(loops: int, body: str) -> str:

@@ -2,9 +2,12 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+import ta_lift
+from ta_lift import cli, loopir
 from ta_lift.gateway import ReplayBackend
 from ta_lift.loopir import (
     Const,
@@ -519,3 +522,35 @@ def test_run_llm_session_replays_scripted_turns():
     assert transcript[1]["result"] == "ok"
     assert transcript[1]["cost"] == BASE_COST + 64**2 * 4
     assert render_kernel(session.full) == TILED_COPYBACK
+
+
+# -- work per pass of the schedule benchmark ---------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_a_seed_1_schedule_pass_interprets_10_times_and_walks_10_costs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    jobs = workloads.build_schedule(ta_lift, 1, tmp_path).jobs
+    interpreted, compiled, walked = [], [], []
+    real_interpret, real_compile, real_walk = loopir.interpret, loopir._compile, loopir._locality_walk
+    monkeypatch.setattr(loopir, "interpret", lambda nest, inputs:
+                        interpreted.append(nest) or real_interpret(nest, inputs))
+    monkeypatch.setattr(loopir, "_compile", lambda nest, exact=False:
+                        compiled.append((nest, exact)) or real_compile(nest, exact))
+    monkeypatch.setattr(loopir, "_locality_walk", lambda nest: walked.append(nest) or real_walk(nest))
+    accepted = refused = 0
+    for job in jobs:
+        problems, stats = job.check(cli.dispatch(job.argv), job.out)
+        assert not problems
+        accepted, refused = accepted + stats["accepted"], refused + stats["refused"]
+    assert (accepted, refused) == (5, 5)
+    # One exact trial of two kernels per accepted rewrite; five f32 trials made 50 calls.
+    assert len(interpreted) == 10
+    # Each reduced nest compiles once, to its exact function only.
+    assert len({id(nest) for nest, _ in compiled}) == len(compiled) and all(exact for _, exact in compiled)
+    assert {id(nest) for nest in interpreted} == {id(nest) for nest, _ in compiled}
+    # One cost walk per distinct nest; 25 calls walked each time.
+    assert len(walked) == len({id(nest) for nest in walked}) == 10
