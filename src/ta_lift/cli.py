@@ -35,10 +35,10 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .isa import ExecError, check_execution, validate_program
+from .isa import ExecError, memory_sizes, step
 from .kernels import KernelSpec, Verdict, generate_testcases, machine_for_cases, verify_program, verify_source
 from .loopir import BoundsError, KernelSyntaxError, locality_cost, parse_kernel, render_kernel
-# Simulation runs programs with `run`; `execute` stays importable here because perfbench/tracing.py wraps `cli.execute`.
+# Simulation replays stepped programs; `execute` stays importable here because perfbench/tracing.py wraps `cli.execute`.
 from .machine import MachineConfig, execute, read_output, run
 from .optimizer import optimize_program
 from .program_text import ProgramSyntaxError, parse_program, render_program
@@ -244,16 +244,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     program = _parse_or_fail(_read_text(ns.program), spec)
     if program is None:
         return EXIT_FAIL
+    cfg = MachineConfig()
     try:
-        # Check before the cases are built; execution errors depend only
-        # on the program, so the first case hits them.
-        validate_program(program)
-        check_execution(program.instructions, MachineConfig(), spec.buffer_shapes())
+        # Step before the cases are built; execution errors depend only on the program, so the first case hits them.
+        ops = step(program.instructions, cfg, memory_sizes(cfg, spec.buffer_shapes()))
     except ExecError as err:  # a ValidationError is one too
         print(f"case 0: execution failed: {err}")
         return EXIT_FAIL
-    machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n))
-    run(machine, program.instructions)
+    machine = machine_for_cases(spec, generate_testcases(spec, ns.seed, ns.n), cfg)
+    run(machine, ops)
     results = read_output(machine, spec.c)
     outputs = []
     for index, result in enumerate(results):

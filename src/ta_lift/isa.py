@@ -15,20 +15,26 @@ value 0xffffffff is reserved as a sentinel: as a preload weight operand it
 means "keep the previously latched weights", as a compute bias operand it
 means "no bias".  The parser refuses a local address outside 0..0xffffffff.
 
-`INSTRUCTIONS` declares each mnemonic once: its constructor, its operands in
-text order, the memory its local operands must address, its footprint, the
-DRAM bytes it moves and its cost terms.  Each instruction record is a
-frozen dataclass generated from its operand list, so its fields are the
-operands' fields in text order (an mvin's load channel first).  The parser,
-the renderer, `validate_program`, the cost model and the optimizer's
-footprints all read that table; `spec_of` finds an instruction's entry.
-`check_execution` scans a valid program once, before it runs, and raises
-the first `ExecError` the machine would meet, with its index, kind and
-message; its bounds are the footprints' intervals.
+`INSTRUCTIONS` declares each mnemonic once: its constructor, its operands
+in text order, the memory its local operands must address, its effects
+(registers, local rows and DRAM elements read and written, and rules, in
+checking order), how it moves the scan state, its replay op and its cost
+terms.  Each instruction record is a frozen dataclass generated from its
+operand list, so its fields are the operands' fields in text order (an
+mvin's load channel first).  The parser, the renderer and the cost model
+read that table; `spec_of` finds an instruction's entry.  One straight-line
+step per mnemonic, and the footprint the optimizer reads, are compiled
+from it for each (DIM, block length).  `step` runs a program's steps once,
+before it runs: each validates its instruction, raises the `ExecError` the
+machine would meet, moves the scan state and returns the op `machine.run`
+replays.  Validation wins: past an execution error the rest is only
+validated, and a later invalid instruction is raised instead.
 """
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass, field, make_dataclass
 from enum import Enum
 from functools import cache, partial
@@ -109,8 +115,8 @@ _MOVE = (("dram", "dram"), ("local", "local"), ("cols", "cols"), ("rows", "rows"
 _PRELOAD = (("b", "local"), ("c", "local"), ("b_cols", "B_cols"), ("b_rows", "B_rows"),
             ("c_cols", "C_cols"), ("c_rows", "C_rows"))
 _PRELOAD_ZEROS = (("c", "local"),)
-_COMPUTE = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_rows"),
-            ("d_cols", "D_cols"), ("d_rows", "D_rows"))
+_COMPUTE_OPERANDS = (("a", "local"), ("d", "local"), ("a_cols", "A_cols"), ("a_rows", "A_rows"),
+                     ("d_cols", "D_cols"), ("d_rows", "D_rows"))
 _LOAD_CHANNEL = (("channel", "channel"),)  # the field an mvin mnemonic fixes, ahead of its operands
 
 ConfigEx = _record("ConfigEx", _CONFIG_EX)
@@ -119,8 +125,8 @@ ConfigSt = _record("ConfigSt", _CONFIG_ST)
 Mvin = _record("Mvin", _LOAD_CHANNEL + _MOVE)
 Preload = _record("Preload", _PRELOAD)
 PreloadZeros = _record("PreloadZeros", _PRELOAD_ZEROS)
-ComputePreloaded = _record("ComputePreloaded", _COMPUTE)
-ComputeAccumulated = _record("ComputeAccumulated", _COMPUTE)
+ComputePreloaded = _record("ComputePreloaded", _COMPUTE_OPERANDS)
+ComputeAccumulated = _record("ComputeAccumulated", _COMPUTE_OPERANDS)
 Mvout = _record("Mvout", _MOVE)
 Fence = _record("Fence", ())
 
@@ -151,7 +157,7 @@ class Program:
 
 
 class ExecError(Exception):
-    """An instruction that cannot execute, with its index in the program (`check_execution`)."""
+    """An instruction that cannot execute, with its index in the program (`step`)."""
 
     def __init__(self, index: int, kind: str, message: str):
         super().__init__(f"instruction {index}: {kind}: {message}")
@@ -164,7 +170,7 @@ class ValidationError(ExecError, ValueError):
     """A structurally invalid instruction, with its index in the program."""
 
 
-# -- footprints ----------------------------------------------------------------
+# -- footprints and the scan state -------------------------------------------------
 
 # A span of state that an instruction reads or writes: (space, start, end),
 # end exclusive.  Memory spaces are "spad" and "acc" (rows) and
@@ -174,9 +180,6 @@ Interval = tuple[str, int, int]
 Effects = tuple[list[Interval], list[Interval]]  # (reads, writes)
 
 _FAR = 1 << 40
-_EX: Interval = ("reg:ex", 0, 1)
-_ST: Interval = ("reg:st", 0, 1)
-_LATCH: Interval = ("reg:latch", 0, 1)
 
 
 @dataclass
@@ -205,164 +208,150 @@ def stride_elems(stride_bytes: int | None) -> int | None:
     return stride_bytes // ELEMENT_BYTES
 
 
-def _local_interval(local: int, cols: int, rows: int, dim: int) -> Interval:
-    tiles = (cols + dim - 1) // dim
-    row = local & ROW_MASK
-    return ("acc" if local & ACC_BIT else "spad", row, row + (tiles - 1) * dim + rows)
+# -- effects -------------------------------------------------------------------------
+
+# Each entry declares its effects once, in the order its step checks them, as Python source over its operands
+# (bound to their field names), the scan state `st`, `dim` and the names its `bind` sets.  An effect is its
+# footprint's lines and its step's lines; its mode is the footprint list it goes to, "reads" or "writes".
 
 
-def _dram_interval(ref: DramRef, cols: int, rows: int, pitch: int | None) -> Interval:
-    if pitch is None:
-        return (f"dram:{ref.buffer}", 0, _FAR)
-    return (f"dram:{ref.buffer}", ref.offset, ref.offset + (rows - 1) * pitch + cols)
+def _when(condition: str, lines: list[str]) -> list[str]:
+    return lines if condition == "True" else [f"if {condition}:", *(f"    {line}" for line in lines)]
 
 
-# A footprint function gives an instruction's reads and writes, given the
-# scan state and DIM, and moves the state past the instruction.
+def _reg(mode: str, name: str, when: str = "True") -> tuple[list[str], list[str]]:
+    """Register `reg:<name>`, read or written when `when` holds.  Footprints only."""
+    return _when(when, [f"{mode}.append((f'reg:{name}', 0, 1))"]), []
 
 
-def _no_footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
-    return [], []
+def _rows(name: str, mode: str, space: str, first_row: str, count: str, when: str = "True",
+          reads_too: str = "False") -> tuple[list[str], list[str]]:
+    """Local rows [first, first + count) when `when` holds, a write read too when `reads_too` holds, in `space`:
+    "spad", "acc" or the local operand whose bit picks one.  Both bind `<name>_first` and `<name>_end`."""
+    memory, size = (repr(space), f"{space}_rows") if space in ("spad", "acc") else (
+        f"('acc' if {space} & ACC_BIT else 'spad')", f"(acc_rows if {space} & ACC_BIT else spad_rows)")
+    first, end = f"{name}_first", f"{name}_end"
+    bind, interval = [f"{first} = {first_row}", f"{end} = {first} + {count}"], f"({memory}, {first}, {end})"
+    also = [] if reads_too == "False" else _when(reads_too, [f"reads.append({interval})"])
+    return (_when(when, bind + also + [f"{mode}.append({interval})"]),
+            _when(when, bind + [f"if {end} > {size}: raise _out_of_range(i, {memory}, {first}, {end}, {size})"]))
 
 
-def _config_ex_footprint(ins: ConfigEx, state: ScanState, dim: int) -> Effects:
-    state.ex = ins
-    return [], [_EX]
+def _dram(mode: str) -> tuple[list[str], list[str]]:
+    """A move's `rows` rows of `cols` elements, `pitch` apart from `dram`: the whole buffer while the pitch is
+    unknown.  The step follows the rules that bind `pitch` and `buf`, and refuses the first row that leaves it."""
+    end = "dram.offset + (rows - 1) * pitch + cols"
+    return ([f"if pitch is None: {mode}.append((f'dram:{{dram.buffer}}', 0, _FAR))",
+             f"else: {mode}.append((f'dram:{{dram.buffer}}', dram.offset, {end}))"],
+            [f"if dram.offset < 0 or {end} > buf[0]: raise _dram_error(i, {mode[:-1]!r}, ins, pitch, buf[0], dim)"])
 
 
-def _config_ld_footprint(ins: ConfigLd, state: ScanState, dim: int) -> Effects:
-    state.ld_strides[ins.channel] = ins.stride_bytes
-    return [], [(f"reg:ld{ins.channel}", 0, 1)]
+def _let(source: str) -> tuple[list[str], list[str]]:
+    """Names that only steps read: their rules and ops."""
+    return [], [source]
 
 
-def _config_st_footprint(ins: ConfigSt, state: ScanState, dim: int) -> Effects:
-    state.st_stride = ins.stride_bytes
-    return [], [_ST]
+def _rule(broken: str, kind: str, message: str) -> tuple[list[str], list[str]]:
+    """An execution rule: the step raises ExecError(`kind`, `message`) when `broken` holds.  Steps only."""
+    return [], [f"if {broken}: raise ExecError(i, {kind!r}, {message})"]
 
 
-def _mvin_footprint(ins: Mvin, state: ScanState, dim: int) -> Effects:
-    dest = _local_interval(ins.local, ins.cols, ins.rows, dim)
-    pitch = stride_elems(state.ld_strides.get(ins.channel))
-    reads = [(f"reg:ld{ins.channel}", 0, 1), _dram_interval(ins.dram, ins.cols, ins.rows, pitch)]
-    if ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT:
-        reads.append(dest)
-    return reads, [dest]
+def _out_of_range(idx: int, space: str, start: int, end: int, size: int) -> ExecError:
+    return ExecError(idx, f"{space}_out_of_range", f"rows [{start}, {end}) exceed {size}")
 
 
-def _preload_footprint(ins: Preload, state: ScanState, dim: int) -> Effects:
-    state.latch = (ins.c & ROW_MASK, ins.c_rows, bool(ins.c & ACCUMULATE_BIT))
-    state.result = (ins.c_rows, ins.c_cols)
-    if ins.b == SENTINEL:  # the latched weights stay
-        return [_LATCH], [_LATCH]
-    state.weights = (ins.b_cols, ins.b_rows) if state.ex.b_transpose else (ins.b_rows, ins.b_cols)
-    row = ins.b & ROW_MASK
-    return [_EX, ("spad", row, row + ins.b_rows)], [_LATCH]
-
-
-def _preload_zeros_footprint(ins: PreloadZeros, state: ScanState, dim: int) -> Effects:
-    state.latch = (ins.c & ROW_MASK, dim, bool(ins.c & ACCUMULATE_BIT))
-    state.weights = state.result = (dim, dim)
-    return [], [_LATCH]
-
-
-def _compute_footprint(
-    ins: ComputePreloaded | ComputeAccumulated, state: ScanState, dim: int, accumulated: bool = False
-) -> Effects:
-    row = ins.a & ROW_MASK
-    reads = [_LATCH, _EX, ("spad", row, row + ins.a_rows)]
-    if ins.d != SENTINEL:
-        row = ins.d & ROW_MASK
-        reads.append(("spad", row, row + ins.d_rows))
-    if state.latch is None:
-        target, accumulated = ("acc", 0, _FAR), True
-    else:
-        row, nrows, acc_bit = state.latch
-        target, accumulated = ("acc", row, row + nrows), acc_bit or accumulated
-    if accumulated:
-        reads.append(target)
-    return reads, [target]
-
-
-def _mvout_footprint(ins: Mvout, state: ScanState, dim: int) -> Effects:
-    reads = [_ST, _EX, _local_interval(ins.local, ins.cols, ins.rows, dim)]
-    return reads, [_dram_interval(ins.dram, ins.cols, ins.rows, stride_elems(state.st_stride))]
-
-
-# -- execution checks ------------------------------------------------------------
-
-# A check raises the `ExecError` running an instruction raises, from its
-# footprint, the scan state past it and each memory's size by interval space.
-
-_RUNNABLE_ACTIVATIONS = (Activation.NONE, Activation.RELU)
-
-
-def _check_rows(idx: int, interval: Interval, sizes: dict[str, int]) -> None:
-    space, start, end = interval
-    if end > sizes[space]:
-        raise ExecError(idx, f"{space}_out_of_range", f"rows [{start}, {end}) exceed {sizes[space]}")
-
-
-def _check_move(idx: int, ins: Mvin | Mvout, state: ScanState, effects: Effects, sizes: dict[str, int],
-                dim: int) -> None:
-    """The stride (and an mvout's activation), the buffer, the local rows, then each DRAM row in moving order."""
-    (reads, writes), load = effects, type(ins) is Mvin
-    stride, what = (state.ld_strides[ins.channel], f"load channel {ins.channel}") if load else (state.st_stride, "store")
-    pitch = stride_elems(stride)
-    if pitch is None:
-        problem = "used before being configured" if stride is None else f"{stride} is not a multiple of {ELEMENT_BYTES}"
-        raise ExecError(idx, "unsupported", f"{what} stride {problem}")
-    if not load and state.ex.act not in _RUNNABLE_ACTIVATIONS and not ins.local & FULL_WIDTH_BIT:
-        raise ExecError(idx, "unsupported", f"activation {state.ex.act.value} is parse-only")
-    (space, lo, hi), local = (reads[1], writes[0]) if load else (writes[0], reads[2])
-    size = sizes.get(space)
-    if size is None:
-        raise ExecError(idx, "dram_out_of_range", f"unknown buffer '{ins.dram.buffer}'")
-    _check_rows(idx, local, sizes)
-    if lo >= 0 and hi <= size:
-        return
-    for t in range(0, ins.cols, dim):  # a tile's first column
-        width = min(dim, ins.cols - t)
+def _dram_error(idx: int, verb: str, ins: Mvin | Mvout, pitch: int, size: int, dim: int) -> ExecError:
+    """The error of a move's first row, in moving order, that leaves its buffer of `size` elements."""
+    offset, cols = ins.dram.offset, ins.cols
+    for t in range(0, cols, dim):  # a tile's first column
+        width = min(dim, cols - t)
         for r in range(ins.rows):
-            start = ins.dram.offset + r * pitch + t
+            start = offset + r * pitch + t
             if start < 0 or start + width > size:
-                verb = "read" if load else "write"
                 message = f"{verb} [{start}, {start + width}) exceeds buffer '{ins.dram.buffer}' of {size} elements"
-                raise ExecError(idx, "dram_out_of_range", message)
+                return ExecError(idx, "dram_out_of_range", message)
+    raise AssertionError("a move inside its buffer")
 
 
-def _check_preload(idx: int, ins: Preload, state: ScanState, effects: Effects, sizes: dict[str, int], dim: int) -> None:
-    if ins.b != SENTINEL:
-        _check_rows(idx, effects[0][1], sizes)
-    elif state.weights is None:  # a keep-weights preload latches no weights of its own
-        raise ExecError(idx, "compute_before_preload", "keep-weights preload with no previously latched weights")
+def _moves(ins: Mvin | Mvout, first: int, pitch: int, buf_cols: int, dim: int) -> tuple[int, bool, tuple]:
+    """A checked move as (rows, flat, blocks), each block (first local row, buffer row, buffer column, width).
+
+    A move whose rows are rows of its buffer (the pitch is the buffer's row length and the block lies inside
+    the buffer) moves each DIM-wide tile as one block of `rows` rows.  Every other goes row by row, in order,
+    over the buffer read as one row of elements (flat), so of overlapping rows the last one wins.
+    """
+    cols, (r0, c0) = ins.cols, divmod(ins.dram.offset, buf_cols)
+    if pitch != buf_cols or c0 + cols > buf_cols:
+        return 1, True, _row_moves(ins, first, pitch, dim)
+    if cols <= dim:  # one tile
+        return ins.rows, False, ((first, r0, c0, cols),)
+    return ins.rows, False, tuple([(first + t, r0, c0 + t, min(dim, cols - t)) for t in range(0, cols, dim)])
 
 
-def _check_compute(idx: int, ins: ComputePreloaded | ComputeAccumulated, state: ScanState, effects: Effects,
-                   sizes: dict[str, int], dim: int) -> None:
-    ex, (reads, (target,)) = state.ex, effects
-    if ex.dataflow is not Dataflow.WEIGHT_STATIONARY:
-        raise ExecError(idx, "unsupported", f"dataflow {ex.dataflow.value} is parse-only")
-    if ex.act not in _RUNNABLE_ACTIVATIONS:
-        raise ExecError(idx, "unsupported", f"activation {ex.act.value} is parse-only")
-    if state.latch is None:
-        raise ExecError(idx, "compute_before_preload", "compute issued before any preload")
-    _check_rows(idx, reads[2], sizes)
-    a_rows, a_cols = (ins.a_cols, ins.a_rows) if ex.a_transpose else (ins.a_rows, ins.a_cols)
-    (w_rows, w_cols), (c_rows, c_cols) = state.weights, state.result
-    if a_cols != w_rows:
-        raise ExecError(idx, "dimension_mismatch", f"A is {a_rows}x{a_cols} but weights are {w_rows}x{w_cols}")
-    if (a_rows, w_cols) != state.result:
-        message = f"result is {a_rows}x{w_cols} but the preload latched {c_rows}x{c_cols}"
-        raise ExecError(idx, "dimension_mismatch", message)
-    if ins.d != SENTINEL:
-        _check_rows(idx, reads[3], sizes)
-        if (ins.d_rows, ins.d_cols) != state.result:
-            message = f"bias is {ins.d_rows}x{ins.d_cols} but the result is {c_rows}x{c_cols}"
-            raise ExecError(idx, "dimension_mismatch", message)
-    _check_rows(idx, target, sizes)
+def _row_moves(ins: Mvin | Mvout, first: int, pitch: int, dim: int) -> tuple:
+    """A move one row at a time, in order, as blocks of one row over the buffer's elements."""
+    offset, cols = ins.dram.offset, ins.cols
+    return tuple([(first + t + r, 0, offset + r * pitch + t, min(dim, cols - t))
+                  for t in range(0, cols, dim) for r in range(ins.rows)])
 
 
 # -- the instruction table -------------------------------------------------------------
+
+_RUNNABLE_ACTIVATIONS = (Activation.NONE, Activation.RELU)
+_TILE_ROWS = "((cols + dim - 1) // dim - 1) * dim + rows"  # the local rows a move's DIM-wide tiles span
+_BUFFER = _rule("(buf := buffers.get(dram.buffer)) is None", "dram_out_of_range", "f\"unknown buffer '{dram.buffer}'\"")
+_MOVE_BLOCK = "_moves(ins, local_first, pitch, buf[1], dim)"
+_UNSET = f"('used before being configured' if stride is None else f'{{stride}} is not a multiple of {ELEMENT_BYTES}')"
+_LOAD = (
+    _reg("reads", "ld{channel}"),
+    _rule("pitch is None", "unsupported", f"f'load channel {{channel}} stride ' + {_UNSET}"),
+    _BUFFER,
+    _rows("local", "writes", "local", "local & ROW_MASK", _TILE_ROWS,
+          reads_too="local & ACC_BIT and local & ACCUMULATE_BIT"),
+    _dram("reads"),
+)
+_STORE = (
+    _let("ex = st.ex"),
+    _reg("reads", "st"),
+    _reg("reads", "ex"),
+    _rule("pitch is None", "unsupported", f"'store stride ' + {_UNSET}"),
+    _rule("ex.act not in _RUNNABLE_ACTIVATIONS and not local & FULL_WIDTH_BIT", "unsupported",
+          "f'activation {ex.act.value} is parse-only'"),
+    _BUFFER,
+    _rows("local", "reads", "local", "local & ROW_MASK", _TILE_ROWS),
+    _dram("writes"),
+)
+_LATCH_PRELOAD = (
+    _reg("reads", "latch", when="b == SENTINEL"),
+    _reg("reads", "ex", when="b != SENTINEL"),
+    _rows("b", "reads", "spad", "b & ROW_MASK", "b_rows", when="b != SENTINEL"),
+    _rule("b == SENTINEL and st.weights is None", "compute_before_preload",
+          "'keep-weights preload with no previously latched weights'"),
+    _reg("writes", "latch"),
+)
+_COMPUTE = (  # a compute accumulates into the latched rows when `accumulates` holds
+    _let("ex = st.ex"),
+    _reg("reads", "latch"),
+    _reg("reads", "ex"),
+    _rule("ex.dataflow is not Dataflow.WEIGHT_STATIONARY", "unsupported",
+          "f'dataflow {ex.dataflow.value} is parse-only'"),
+    _rule("ex.act not in _RUNNABLE_ACTIVATIONS", "unsupported", "f'activation {ex.act.value} is parse-only'"),
+    _rule("st.latch is None", "compute_before_preload", "'compute issued before any preload'"),
+    _rows("a", "reads", "spad", "a & ROW_MASK", "a_rows"),
+    _let("a_out, a_in = (a_cols, a_rows) if ex.a_transpose else (a_rows, a_cols)"),
+    _rule("a_in != st.weights[0]", "dimension_mismatch",
+          "f'A is {a_out}x{a_in} but weights are {st.weights[0]}x{st.weights[1]}'"),
+    _rule("(a_out, st.weights[1]) != st.result", "dimension_mismatch",
+          "f'result is {a_out}x{st.weights[1]} but the preload latched {st.result[0]}x{st.result[1]}'"),
+    _rows("d", "reads", "spad", "d & ROW_MASK", "d_rows", when="d != SENTINEL"),
+    _rule("d != SENTINEL and (d_rows, d_cols) != st.result", "dimension_mismatch",
+          "f'bias is {d_rows}x{d_cols} but the result is {st.result[0]}x{st.result[1]}'"),
+    _rows("c", "writes", "acc", "c_row", "c_rows", reads_too="accumulates"),
+)
+_MOVE_BIND = "stride = {}\npitch = stride_elems(stride)"
+_COMPUTE_BIND = "c_row, c_rows, c_acc = st.latch or (0, _FAR, True)\naccumulates = {}"
+_COMPUTE_OP = ("a_first, a_end, a_cols, ex.a_transpose, None if d == SENTINEL else d_first, d_rows, d_cols, "
+               "c_first, c_end, st.result[1], accumulates")
 
 
 def _moved_bytes(ins: Mvin | Mvout) -> int:
@@ -375,13 +364,14 @@ def _nothing(ins: Instruction) -> int:
 
 @dataclass(eq=False)
 class InstructionSpec:
-    """One mnemonic: how it is written, what it touches and what it costs.
+    """One mnemonic: how it is written, what it touches, how it is checked and what it costs.
 
     `operands` lists (field, operand kind) pairs in text order.  A kind is
     `dram`, `local` (a local address), `flag`, `dataflow`, `activation`,
     `channel` (any integer) or the name of a count that must be
-    non-negative, which parser messages quote and `validate_program` bounds.
-    `check` raises what running it would raise (`check_execution`).  Cost
+    non-negative, which parser messages quote and validation bounds.
+    `effects`, `bind`, `moves` (past the instruction) and `op` (its replay
+    op's fields after its type) are source; see "effects" above.  Cost
     terms: one issue, `bytes_in` + `bytes_out` DRAM bytes moved, `fills`
     pipeline fills and `rows_fed` rows fed through the array.
     """
@@ -389,8 +379,10 @@ class InstructionSpec:
     mnemonic: str
     type: type
     operands: tuple[tuple[str, str], ...]
-    footprint: Callable[[Instruction, ScanState, int], Effects] = _no_footprint
-    check: Callable[[int, Instruction, ScanState, Effects, dict[str, int], int], None] = lambda *_: None
+    effects: tuple[tuple[list[str], list[str]], ...] = ()
+    bind: str = ""
+    moves: str = ""
+    op: str = ""
     bytes_in: Callable[[Instruction], int] = _nothing
     bytes_out: Callable[[Instruction], int] = _nothing
     fills: int = 0
@@ -406,24 +398,34 @@ class InstructionSpec:
 _WEIGHTS = ("b", Space.SCRATCHPAD, True)
 _OUTPUT = ("c", Space.ACCUMULATOR, False)
 _COMPUTE_SPACES = (("a", Space.SCRATCHPAD, False), ("d", Space.SCRATCHPAD, True))
+_LATCH = "st.latch = (c & ROW_MASK, {}, bool(c & ACCUMULATE_BIT))\n"
+_C_OP = "c & ROW_MASK, c & ACCUMULATE_BIT != 0, "
 
 INSTRUCTIONS: tuple[InstructionSpec, ...] = (
-    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, _config_ex_footprint),
-    InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, _config_ld_footprint),
-    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, _config_st_footprint),
-    InstructionSpec("mvin", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=0),
-    InstructionSpec("mvin2", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=1),
-    InstructionSpec("mvin3", Mvin, _MOVE, _mvin_footprint, _check_move, bytes_in=_moved_bytes, channel=2),
-    InstructionSpec("preload", Preload, _PRELOAD, _preload_footprint, _check_preload, fills=1,
-                    spaces=(_WEIGHTS, _OUTPUT)),
-    InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, _preload_zeros_footprint, fills=1,
-                    spaces=(_OUTPUT,)),
-    InstructionSpec("compute_preloaded", ComputePreloaded, _COMPUTE, _compute_footprint, _check_compute,
-                    rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
-    InstructionSpec("compute_accumulated", ComputeAccumulated, _COMPUTE, partial(_compute_footprint, accumulated=True),
-                    _check_compute, rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES),
-    InstructionSpec("mvout", Mvout, _MOVE, _mvout_footprint, _check_move, bytes_out=_moved_bytes,
-                    spaces=(("local", Space.ACCUMULATOR, False),)),
+    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, (_reg("writes", "ex"),), moves="st.ex = ins", op="'regs', ins"),
+    InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, (_reg("writes", "ld{channel}"),),
+                    moves="st.ld_strides[channel] = stride_bytes", op="channel, stride_bytes"),
+    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, (_reg("writes", "st"),), moves="st.st_stride = stride_bytes",
+                    op="'st_stride', stride_bytes"),
+    *(InstructionSpec(mnemonic, Mvin, _MOVE, _LOAD, _MOVE_BIND.format("st.ld_strides.get(channel)"),
+                      op=f"local & ACC_BIT, local & ACC_BIT and local & ACCUMULATE_BIT, dram.buffer, {_MOVE_BLOCK}",
+                      bytes_in=_moved_bytes, channel=channel)
+      for channel, mnemonic in enumerate(("mvin", "mvin2", "mvin3"))),
+    InstructionSpec("preload", Preload, _PRELOAD, _LATCH_PRELOAD,
+                    moves=_LATCH.format("c_rows") + "st.result = (c_rows, c_cols)\nif b != SENTINEL:\n"
+                    "    st.weights = (b_cols, b_rows) if st.ex.b_transpose else (b_rows, b_cols)",
+                    op=f"None if b == SENTINEL else b_first, b_rows, b_cols, st.ex.b_transpose, {_C_OP}c_cols, c_rows",
+                    fills=1, spaces=(_WEIGHTS, _OUTPUT)),
+    InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, (_reg("writes", "latch"),),
+                    moves=_LATCH.format("dim") + "st.weights = st.result = (dim, dim)", op=_C_OP + "dim",
+                    fills=1, spaces=(_OUTPUT,)),
+    *(InstructionSpec(mnemonic, kind, _COMPUTE_OPERANDS, _COMPUTE, _COMPUTE_BIND.format(accumulates), op=_COMPUTE_OP,
+                      rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES)
+      for mnemonic, kind, accumulates in (("compute_preloaded", ComputePreloaded, "c_acc"),
+                                          ("compute_accumulated", ComputeAccumulated, "True"))),
+    InstructionSpec("mvout", Mvout, _MOVE, _STORE, _MOVE_BIND.format("st.st_stride"),
+                    op=f"dram.buffer, ex.act is Activation.RELU and not local & FULL_WIDTH_BIT, {_MOVE_BLOCK}",
+                    bytes_out=_moved_bytes, spaces=(("local", Space.ACCUMULATOR, False),)),
     InstructionSpec("fence", Fence, ()),
 )
 
@@ -431,7 +433,7 @@ BY_MNEMONIC: dict[str, InstructionSpec] = {spec.mnemonic: spec for spec in INSTR
 _BY_TYPE = {spec.type: spec for spec in INSTRUCTIONS if spec.channel is None}
 _MVIN_BY_CHANNEL = {spec.channel: spec for spec in INSTRUCTIONS if spec.channel is not None}
 LOAD_CHANNELS: tuple[int, ...] = tuple(_MVIN_BY_CHANNEL)
-_SCANS = {spec.type: (spec.footprint, spec.check) for spec in INSTRUCTIONS}  # the mvin entries share both
+_FIRST_OF_TYPE = {spec.type: spec for spec in reversed(INSTRUCTIONS)}  # the mvin entries share the first one's code
 
 
 def spec_of(ins: Instruction) -> InstructionSpec:
@@ -440,21 +442,17 @@ def spec_of(ins: Instruction) -> InstructionSpec:
     return _MVIN_BY_CHANNEL[ins.channel] if kind is Mvin else _BY_TYPE[kind]
 
 
-def footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
-    """What an instruction reads and writes; the scan state moves past it."""
-    return spec_of(ins).footprint(ins, state, dim)
+# -- compiled steps ------------------------------------------------------------------
 
 
-# -- validation ------------------------------------------------------------------
+def _refuse(idx: int, ins: Instruction, *_) -> None:  # the validator and step of a type the table lacks
+    raise ValidationError(idx, "unsupported", f"unknown instruction type {type(ins).__name__}")
 
 
-@cache
-def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]:
-    """Per type: the mnemonic messages name, the bounded fields and the address spaces.
+def _validation(spec: InstructionSpec, dim: int, max_block_len: int) -> list[str]:
+    """Lines that raise the first ValidationError of the operands' bounds, by kind, then address spaces.
 
-    Bounds come by operand kind; the first mvin entry also bounds the channel the others fix.
-    Each address field carries the accumulator bit its memory needs.
-    """
+    The first mvin entry also bounds the channel the others fix."""
     extent = ("dimension_mismatch", 1, dim)
     limits = {
         "rows": ("rows_exceed_dim", 1, dim),
@@ -463,68 +461,112 @@ def _rules(dim: int, max_block_len: int) -> dict[type, tuple[str, tuple, tuple]]
         "stride": ("unsupported", 0, inf),
         "channel": ("unsupported", min(LOAD_CHANNELS), max(LOAD_CHANNELS)),
     }
-    rules: dict[type, tuple[str, tuple, tuple]] = {}
-    for spec in INSTRUCTIONS:
-        fields = spec.operands if spec.channel is None else _LOAD_CHANNEL + spec.operands
-        bounds = tuple((name,) + limits[kind] for name, kind in fields if kind in limits)
-        spaces = tuple((name, ACC_BIT if space is Space.ACCUMULATOR else 0, space, sentinel_ok)
-                       for name, space, sentinel_ok in spec.spaces)
-        rules.setdefault(spec.type, (spec.mnemonic, bounds, spaces))
-    return rules
+    fields = spec.operands if spec.channel is None else _LOAD_CHANNEL + spec.operands
+    lines = []
+    for name, kind in fields:
+        if kind in limits:
+            error, lo, hi = limits[kind]
+            test, allowed = (f"{lo} <= {name} <= {hi}", f"in {lo}..{hi}") if hi < inf else (f"{lo} <= {name}",
+                                                                                           f"at least {lo}")
+            message = f"f'{spec.mnemonic} {name} {{{name}}} must be {allowed}'"
+            lines.append(f"if not {test}: raise ValidationError(i, {error!r}, {message})")
+    for name, space, sentinel_ok in spec.spaces:
+        test = f"{name} & ACC_BIT != {ACC_BIT if space is Space.ACCUMULATOR else 0}"
+        allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
+        message = f"f'{spec.mnemonic} {name} {{{name}:#x}} must address {allowed}'"
+        lines.append(f"if {test}{f' and {name} != SENTINEL' * sentinel_ok}: "
+                     f"raise ValidationError(i, 'wrong_address_space', {message})")
+    return lines
+
+
+def _define(signature: str, spec: InstructionSpec, lines: list[str]) -> Callable:
+    """A function compiled from its signature and body lines, over this module's names; it first binds
+    each operand of `spec` that the body reads to its field name."""
+    fields = spec.operands if spec.channel is None else _LOAD_CHANNEL + spec.operands
+    lines = [f"{name} = ins.{name}" for name, _ in fields if re.search(rf"\b{name}\b", "\n".join(lines))] + lines
+    scope: dict[str, Callable] = {}
+    exec(compile("".join([f"def {signature}:\n", *(f"    {line}\n" for line in lines)]), "<isa>", "exec"),
+         globals(), scope)
+    return scope.popitem()[1]
+
+
+@cache
+def _compiled(dim: int, max_block_len: int) -> tuple[dict[type, Callable], ...]:
+    """Per type: a validator that raises its first `ValidationError`, its step (`step`) and its footprint."""
+    validators, steps, footprints = defaultdict(lambda: _refuse), defaultdict(lambda: _refuse), {}
+    for kind, spec in _FIRST_OF_TYPE.items():
+        bind, moves = spec.bind.splitlines(), spec.moves.splitlines()
+        validators[kind] = _define("validate(i, ins)", spec, _validation(spec, dim, max_block_len) + ["pass"])
+        steps[kind] = _define(f"step(i, ins, st, spad_rows, acc_rows, buffers, dim={dim})", spec,
+                              _validation(spec, dim, max_block_len) + bind
+                              + [line for _, lines in spec.effects for line in lines] + moves
+                              + [f"return ({kind.__name__}, {spec.op})"])
+        footprints[kind] = _define(f"footprint(ins, st, dim={dim})", spec, bind + ["reads, writes = [], []"]
+                                   + [line for lines, _ in spec.effects for line in lines] + moves
+                                   + ["return reads, writes"])
+    return validators, steps, footprints
+
+
+@cache
+def _footprints(dim: int) -> dict[type, Callable]:
+    return _compiled(dim, MAX_BLOCK_LEN_DEFAULT)[2]  # no footprint reads the block length
+
+
+def footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
+    """What an instruction reads and writes; the scan state moves past it."""
+    return _footprints(dim)[type(ins)](ins, state)
+
+
+# -- validation and the step pass --------------------------------------------------
+
+
+def first_invalid(indexed: Iterable[tuple[int, Instruction]], dim: int = DIM_DEFAULT,
+                  max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> ValidationError | None:
+    """The `ValidationError` of the first (index, instruction) pair that fails validation, or None.
+
+    Each instruction's type, operand bounds and address spaces are checked on
+    their own, so a program's first invalid one is the same over any split.
+    """
+    validators = _compiled(dim, max_block_len)[0]
+    try:
+        for idx, ins in indexed:
+            validators[type(ins)](idx, ins)
+    except ValidationError as error:
+        return error.with_traceback(None)
+    return None
 
 
 def validate_program(p: Program, dim: int = DIM_DEFAULT, max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> None:
-    """Check each instruction's type, operand bounds and address spaces against the table.
-
-    Memory bounds and stateful rules (preload-before-compute, stride setup) are `check_execution`'s job.
-    """
-    validate_instructions(enumerate(p.instructions), dim, max_block_len)
-
-
-def validate_instructions(indexed: Iterable[tuple[int, Instruction]], dim: int = DIM_DEFAULT,
-                          max_block_len: int = MAX_BLOCK_LEN_DEFAULT) -> None:
-    """`validate_program` over (index, instruction) pairs: raise for the first pair that fails.
-
-    Each instruction is checked on its own, so a program's first invalid
-    instruction is the lowest-indexed failure over any split of its indices.
-    """
-    rules = _rules(dim, max_block_len)
-    for idx, ins in indexed:
-        rule = rules.get(type(ins))
-        if rule is None:
-            raise ValidationError(idx, "unsupported", f"unknown instruction type {type(ins).__name__}")
-        mnemonic, bounds, spaces = rule
-        for name, kind, lo, hi in bounds:
-            value = getattr(ins, name)
-            if not lo <= value <= hi:
-                allowed = f"in {lo}..{hi}" if hi < inf else f"at least {lo}"
-                raise ValidationError(idx, kind, f"{mnemonic} {name} {value} must be {allowed}")
-        for name, bit, space, sentinel_ok in spaces:
-            raw = getattr(ins, name)
-            if raw & ACC_BIT != bit and not (sentinel_ok and raw == SENTINEL):
-                allowed = f"the {space.value}" + (" or be the sentinel" if sentinel_ok else "")
-                message = f"{mnemonic} {name} {raw:#x} must address {allowed}"
-                raise ValidationError(idx, "wrong_address_space", message)
+    """Raise the program's first `ValidationError`; memory bounds and stateful rules are `step`'s."""
+    error = first_invalid(enumerate(p.instructions), dim, max_block_len)
+    if error is not None:
+        raise error
 
 
-# -- the execution check pass ------------------------------------------------------
+def memory_sizes(cfg: MachineConfig, buffers: dict[str, tuple[int, int]]) -> tuple[int, int, dict]:
+    """What the step pass checks against: (scratchpad rows, accumulator rows, {buffer: (elements, cols)})."""
+    return cfg.spad_rows, cfg.acc_rows, {name: (rows * cols, cols) for name, (rows, cols) in buffers.items()}
 
 
-def check_execution(instructions: Sequence[Instruction], cfg: MachineConfig, buffers: dict[str, tuple[int, int]],
-                    state: ScanState | None = None, start: int = 0, stop: int | None = None) -> ScanState:
-    """Raise the `ExecError` that running `instructions[start:stop]` from `state` raises; else the state past them.
+def step(instructions: Sequence[Instruction], cfg: MachineConfig, sizes: tuple, state: ScanState | None = None,
+         start: int = 0, stop: int | None = None) -> list[tuple]:
+    """Validate and check `instructions[start:stop]` from `state` in one pass; their replay ops (`machine.run`).
 
-    The instructions must be valid (`validate_instructions`).  `state`, fresh
-    by default, moves with the scan.  No check reads data: only the program,
-    `cfg`'s `dim`, `spad_rows` and `acc_rows` and each buffer's (rows, cols),
-    so a run of what this pass accepts raises nothing.  Bounds are checked
-    on the footprints' intervals.
+    `state`, fresh by default, moves past them.  Bounds are checked against
+    `sizes` (`memory_sizes`).  Each op is the instruction's type, then the
+    tiles, local rows, latch and matmul operands its step proved in range.
+    No step reads data, so a replay of the ops raises nothing.
     """
     state = ScanState() if state is None else state
-    dim = cfg.dim
-    sizes = {"spad": cfg.spad_rows, "acc": cfg.acc_rows}
-    sizes.update((f"dram:{name}", rows * cols) for name, (rows, cols) in buffers.items())
-    for idx, ins in enumerate(instructions[start:stop], start):
-        footprint, check = _SCANS[type(ins)]
-        check(idx, ins, state, footprint(ins, state, dim), sizes, dim)
-    return state
+    by_type = _compiled(cfg.dim, cfg.max_block_len)[1]
+    spad_rows, acc_rows, buffers = sizes
+    ops: list[tuple] = []
+    try:
+        for idx, ins in enumerate(instructions[start:stop], start):
+            ops.append(by_type[type(ins)](idx, ins, state, spad_rows, acc_rows, buffers))
+    except ValidationError:
+        raise
+    except ExecError as error:
+        later = enumerate(instructions[error.index + 1 : stop], error.index + 1)
+        raise first_invalid(later, cfg.dim, cfg.max_block_len) or error
+    return ops

@@ -10,8 +10,9 @@ instruction set's `P = A*W + D`.  Subtracting kernels are therefore bound
 with the bias buffer negated when a machine is prepared, standing in for
 the negative load-scale factor real hardware would use.
 
-Verification validates a program and checks it with `isa.check_execution`
-before it builds a machine, so the machine only moves data.
+Verification steps a program once (`isa.step`): each instruction is
+validated and checked, and hands back its replay op.  Only then is a
+machine built, and it only replays the ops.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .isa import (ELEMENT_BYTES, ExecError, Instruction, Program, ScanState, ValidationError, check_execution,
-                  validate_instructions)
+from .isa import (ELEMENT_BYTES, ExecError, Instruction, Program, ScanState, ValidationError, first_invalid,
+                  memory_sizes, step)
 # Verification runs programs with `run`; `execute` stays importable here because
 # perfbench/tracing.py wraps `kernels.execute`.
 from .machine import (Machine, MachineConfig, ShapeMismatch, create_machine, execute, join, read_output, repeat, run,
@@ -254,27 +255,27 @@ def _compare(got: np.ndarray, want: np.ndarray, tolerance: np.ndarray | None) ->
 class Verifier:
     """Verifies programs against one case set, whose inputs are stacked at most once.
 
-    `verify` gives `verify_program`'s verdict.  It validates, then checks
-    (`check_execution`), so a program either refuses stacks nothing and
-    builds no machine; an accepted one runs on a fresh machine holding the
-    stacked inputs, and each case's tolerance is computed once.
+    `verify` gives `verify_program`'s verdict.  It steps the program once
+    (`isa.step`), so a program it refuses stacks nothing and builds no machine;
+    an accepted one replays its ops on a fresh machine holding the stacked
+    inputs.  Memory sizes and each case's tolerance are computed once.
 
     Given a `template` and the ascending indices `rebuilt` of the
     instructions its fills may change, `verify_fills` gives each of a batch
     of fills the verdict `verify` would.  The template's other instructions
-    are validated once, and a fill validates only its rebuilt ones.  The
-    check pass takes each rebuilt instruction, and each run of template
-    instructions around them once per scan state it starts from.
+    are validated once.  Each run of template instructions around the
+    rebuilt ones is stepped once per scan state it starts from, and its ops
+    are cached with that state; a fill steps only its rebuilt instructions.
     Validation still decides first: an invalid instruction after the
     rebuilt ones outranks an execution error before them.  A fill refused
-    there runs nothing.  The others are grouped by the scan states after
-    their rebuilt instructions, and each group runs on one machine: the
-    snapshot that the template's instructions before the first rebuilt one
-    leave, taken once, repeated onto a fill axis in front of the case axis.
-    Each fill's rebuilt instructions run on its own slice of it, and each
-    run of template instructions between them runs once for the group.
-    `batch` fills of `fill_bytes` each hold at most `BATCH_BYTES` of machine
-    state, or one fill does when it alone holds more.
+    there runs nothing.  The others are grouped by the template runs they
+    replay, and each group runs on one machine: the snapshot that the
+    template's instructions before the first rebuilt one leave, taken once,
+    repeated onto a fill axis in front of the case axis.  Each fill's
+    rebuilt ops replay on its own slice of it, and each template run
+    between them replays once for the group.  `batch` fills of `fill_bytes`
+    each hold at most `BATCH_BYTES` of machine state, or one fill does when
+    it alone holds more.
     """
 
     def __init__(
@@ -291,99 +292,117 @@ class Verifier:
         self.template = template
         self.rebuilt = rebuilt
         self._buffers = spec.buffer_shapes()
+        self._sizes = memory_sizes(self.cfg, self._buffers)
         self._inputs: dict[str, np.ndarray] | None = None
         self._tolerances: dict[int, np.ndarray | None] = {}
-        self._invalid: ValidationError | None = None
-        self._runs: dict[tuple, ScanState | ExecError] = {}  # (first index, scan state key) -> a checked template run
+        # (first index, scan state key) -> a stepped template run: its ops and the state past it, or its error
+        self._runs: dict[tuple, tuple[list, ScanState] | ExecError] = {}
+        self._ends: dict[tuple, ScanState] = {}  # (stop, scan state key) -> the one state object runs end in there
+        self._links: dict[tuple[int, int], tuple] = {}  # (id of a run's end state, id of a rebuilt instruction) -> link
         self._snapshot: Machine | None = None  # after the template's instructions before the first rebuilt one
         self._expected: np.ndarray | None = None  # the cases' expected outputs, case axis first
         # A fill's machine state: its cases' scratchpads, accumulators and DRAM buffers (one case when there are none).
         cells = (self.cfg.spad_rows + self.cfg.acc_rows) * self.cfg.dim + sum(r * c for r, c in self._buffers.values())
         self.fill_bytes = max(1, len(cases)) * cells * ELEMENT_BYTES
         self.batch = max(1, BATCH_BYTES // self.fill_bytes)
-        self._segments: list[tuple[int, int, int]] = []  # rebuilt [first, stop), then template [stop, end)
-        if template is not None:
-            changed = set(rebuilt)
-            firsts = [index for index in rebuilt if index - 1 not in changed]
-            stops = [index + 1 for index in rebuilt if index + 1 not in changed]
-            self._segments = list(zip(firsts, stops, firsts[1:] + [len(template.instructions)]))
-            self._invalid = self._first_invalid(
-                (index, ins) for index, ins in enumerate(template.instructions) if index not in changed
-            )
+        # Positions [lo, hi) in `rebuilt` of each run of consecutive indices; template run `hi` follows it.
+        breaks = [k for k in range(1, len(rebuilt)) if rebuilt[k] != rebuilt[k - 1] + 1]
+        self._segments = list(zip([0] + breaks, breaks + [len(rebuilt)])) if rebuilt else []
+        if template is not None:  # run stops by first index; the first invalid other instruction, else the first run
+            self._stops = dict(zip((0, *(index + 1 for index in rebuilt)), (*rebuilt, len(template.instructions))))
+            first, changed = self._entry(template.instructions, ScanState(), 0), set(rebuilt)  # it validates its run
+            later = ((i, ins) for i, ins in enumerate(template.instructions) if i > self._stops[0] and i not in changed)
+            invalid = first_invalid(later, self.cfg.dim, self.cfg.max_block_len)
+            self._first = first if isinstance(first, ValidationError) else invalid or first
 
     def verify(self, p: Program) -> Verdict:
         """`verify_program`'s verdict on `p`."""
         if not self.cases:
             return Verdict(passed=True)
-        checked = self._first_invalid(enumerate(p.instructions)) or self._check(p.instructions, ScanState(), 0)
-        if not isinstance(checked, ScanState):
-            return _failed(checked)
-        return self._finish(self._fresh(), p.instructions, 0)
+        ops = self._step(p.instructions, ScanState(), 0)
+        if isinstance(ops, ExecError):
+            return _failed(ops)
+        return self._finish(self._fresh(), ops)
 
     def verify_fills(self, fills: list[Program]) -> list[Verdict]:
         """`verify`'s verdict on each of `fills`, programs that equal the template except at `rebuilt`."""
         if not self.cases:
             return [Verdict(passed=True) for _ in fills]
         verdicts: list[Verdict | None] = [None] * len(fills)
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[tuple, tuple[list, dict[int, list]]] = {}  # template runs -> (them, {position: rebuilt ops})
         for position, fill in enumerate(fills):
             checked = self._fill_check(fill.instructions)
             if isinstance(checked, ExecError):
                 verdicts[position] = _failed(checked)
-            else:
-                groups.setdefault(checked, []).append(position)
-        for members in groups.values():
-            machine = self._run_group([fills[position].instructions for position in members])
+                continue
+            groups.setdefault(tuple(map(id, checked[0])), (checked[0], {}))[1][position] = checked[1]
+        for runs, members in groups.values():
+            machine = self._run_group(runs, list(members.values()))
             for position, verdict in zip(members, self._report(machine.dram[self.spec.c])):
                 verdicts[position] = verdict
         return verdicts
 
-    def _first_invalid(self, indexed) -> ValidationError | None:
-        return _caught(validate_instructions, indexed, self.cfg.dim, self.cfg.max_block_len)
+    def _step(self, instructions: tuple[Instruction, ...], state: ScanState, start: int,
+              stop: int | None = None) -> list | ExecError:
+        """`isa.step` of `instructions[start:stop]` from `state`, which moves past them: their ops, or the error."""
+        return _caught(step, instructions, self.cfg, self._sizes, state, start, stop)
 
-    def _check(self, instructions: tuple[Instruction, ...], state: ScanState, start: int,
-               stop: int | None = None) -> ScanState | ExecError:
-        """`check_execution` of `instructions[start:stop]` from `state`: the state past them, or the error."""
-        return _caught(check_execution, instructions, self.cfg, self._buffers, state, start, stop)
+    def _fill_check(self, instructions: tuple[Instruction, ...]) -> tuple[list, list] | ExecError:
+        """A fill's first static error; or else the template runs it replays and the ops of its rebuilt instructions.
 
-    def _fill_check(self, instructions: tuple[Instruction, ...]) -> tuple | ExecError:
-        """A fill's first static error, or else a key for the scan states its template runs start from.
-
-        Validation decides first.  Each rebuilt instruction is checked on its own, and each
-        run of template instructions around them once per scan state it starts from.  Each
-        (run, scan state) pair has one cached result, so the key holds their identities.
+        Each run of template instructions around the rebuilt ones is stepped once per scan state it starts
+        from, and a fill replays those cached entries.  A rebuilt instruction is stepped once per scan state
+        too: the link from an entry's end state through it holds its op or error, and the entry it leads to.
         """
-        invalid = self._first_invalid((index, instructions[index]) for index in self.rebuilt)
-        if self._invalid is not None and (invalid is None or self._invalid.index < invalid.index):
-            invalid = self._invalid
-        if invalid is not None:
-            return invalid
-        state, begin, runs = ScanState(), 0, []
-        for end in (*self.rebuilt, len(instructions)):
-            key = (begin, state.key())
-            if key not in self._runs:
-                self._runs[key] = self._check(instructions, state, begin, end)
-            state = self._runs[key]
-            runs.append(id(state))
-            if end < len(instructions) and isinstance(state, ScanState):
-                state = self._check(instructions, state.copy(), end, end + 1)
-            if isinstance(state, ExecError):
-                return state
-            begin = end + 1
-        return tuple(runs)
+        entry = self._first
+        runs, ops = [entry], []
+        for index in self.rebuilt:
+            if isinstance(entry, ExecError):
+                break
+            ins = instructions[index]
+            link = self._links.get((id(entry[1]), id(ins)))
+            if link is None:  # the link holds `ins`, so no other object takes its id
+                state = entry[1].copy()
+                op = self._step(instructions, state, index, index + 1)
+                after = op if isinstance(op, ExecError) else self._entry(instructions, state, index + 1)
+                link = self._links[id(entry[1]), id(ins)] = (ins, op, after)
+            _, op, entry = link
+            if not isinstance(entry, ExecError):
+                ops += op
+                runs.append(entry)
+        if not isinstance(entry, ExecError):
+            return runs, ops
+        before = isinstance(entry, ValidationError)
+        if before and entry is not self._first:  # a step's: every instruction before it was stepped, so is valid
+            return entry
+        # Validation decides first: a rebuilt instruction that fails it before the template's invalid one, or after
+        # this execution error, wins.
+        rest = ((i, instructions[i]) for i in self.rebuilt if (i < entry.index if before else i > entry.index))
+        return first_invalid(rest, self.cfg.dim, self.cfg.max_block_len) or entry
 
-    def _run_group(self, fills: list[tuple[Instruction, ...]]) -> Machine:
-        """Run fills whose template runs start from the same scan states on one machine, fill axis first."""
+    def _entry(self, instructions: tuple[Instruction, ...], state: ScanState, begin: int) -> tuple | ExecError:
+        """The template run from `begin` and `state`, stepped on a miss: its ops and `state` moved, or its error."""
+        key = (begin, state.key())
+        entry = self._runs.get(key)
+        if entry is None:
+            stop = self._stops[begin]
+            ops = self._step(instructions, state, begin, stop)
+            entry = self._runs[key] = ops if isinstance(ops, ExecError) else (
+                ops, self._ends.setdefault((stop, state.key()), state))  # runs that end alike share their links
+        return entry
+
+    def _run_group(self, runs: list[tuple[list, ScanState]], fills: list[list]) -> Machine:
+        """Replay the template `runs` and each fill's rebuilt ops (`_fill_check`) on one machine, fill axis first."""
         if self._snapshot is None:
             self._snapshot = self._fresh()
-            run(self._snapshot, self.template.instructions, 0, self._segments[0][0] if self._segments else None)
+            run(self._snapshot, runs[0][0])
         machine = repeat(self._snapshot, len(fills))
-        for first, stop, end in self._segments:
+        for lo, hi in self._segments:
             parts = slices(machine)
-            for part, instructions in zip(parts, fills):
-                run(part, instructions, first, stop)
+            for part, ops in zip(parts, fills):
+                run(part, ops[lo:hi])
             join(machine, parts)
-            run(machine, self.template.instructions, stop, end)
+            run(machine, runs[hi][0])
         return machine
 
     def _fresh(self) -> Machine:
@@ -397,9 +416,9 @@ class Verifier:
             self._tolerances[index] = _tolerance(self.spec, self.cases[index])
         return self._tolerances[index]
 
-    def _finish(self, machine: Machine, instructions: tuple[Instruction, ...], start: int) -> Verdict:
-        """Run `instructions` from `start` on `machine`, then report the cases in order up to the first that fails."""
-        run(machine, instructions, start)
+    def _finish(self, machine: Machine, ops: list) -> Verdict:
+        """Replay `ops` on `machine`, then report the cases in order up to the first that fails."""
+        run(machine, ops)
         verdict = Verdict(passed=True)
         outputs = read_output(machine, self.spec.c)
         for index, (case, got) in enumerate(zip(self.cases, outputs)):
@@ -457,7 +476,7 @@ def _failed(error: ExecError) -> Verdict:
 
 
 def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:
-    """Validate, run all cases in one batched execution, then report them in order up to the first that fails.
+    """Step the program, replay it on all cases at once, then report them in order up to the first that fails.
 
     Execution errors depend only on the program, so one fails every case
     alike and is reported as case 0's.

@@ -5,10 +5,12 @@ accumulator (both row-addressed, DIM elements wide), configuration
 registers, and the latched weights/output-address pair left by the most
 recent preload.  Execution is sequential.
 
-The executors only move data.  Every execution error depends only on the
-program, the configuration and the buffer shapes, never on the data, so
-`isa.check_execution` finds it before anything runs; `execute` validates,
-checks, then runs, and `run` checks nothing.
+Every execution error depends only on the program, the configuration and
+the buffer shapes, never on the data.  So `isa.step` finds it before
+anything runs, and hands back each instruction's replay op: the tile
+slices, local rows, latch and matmul operands it proved in range.  `run`
+only replays ops: slice copies, `+=`, matmuls and `np.maximum`.
+`execute` steps a program from the machine's scan state, then replays it.
 
 A machine may hold a batch of cases: every array of data state (DRAM
 buffers, scratchpad, accumulator, latched weights) then carries the case
@@ -21,29 +23,20 @@ registers and latched weights back.
 A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
 row length and the block lies inside the buffer) copies each DIM-wide tile
 with one 2-D slice.  Every other move goes row by row, in order, so of
-overlapping rows the last one wins.  Executors test the bits of local
-addresses, plain ints, as `isa` lays them out.
+overlapping rows the last one wins (`isa._moves`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .isa import (
-    ACC_BIT,
-    ACCUMULATE_BIT,
     DIM_DEFAULT,
-    ELEMENT_BYTES,
-    FULL_WIDTH_BIT,
     LOAD_CHANNELS,
     MAX_BLOCK_LEN_DEFAULT,
     RESET_EX,
-    ROW_MASK,
-    SENTINEL,
-    Activation,
     ComputeAccumulated,
     ComputePreloaded,
     ConfigEx,
@@ -51,15 +44,15 @@ from .isa import (
     ConfigSt,
     ExecError,  # machine.ExecError, as callers catch it
     Fence,
-    Instruction,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
     ScanState,
-    check_execution,
-    validate_program,
+    memory_sizes,
+    step,
+    validate_program,  # machine.validate_program, as perfbench/tracing.py wraps it
 )
 
 
@@ -148,134 +141,82 @@ def create_machine(
     return Machine(cfg, dram, spad, acc)
 
 
-def _tile_origin(arr: np.ndarray, offset: int, pitch: int, cols: int) -> tuple[int, int] | None:
-    """The (row, column) a checked move starts at when each of its rows lies inside one
-    row of the buffer, so each tile is a 2-D slice; None when it must go row by row."""
-    buf_cols = arr.shape[-1]
-    r0, c0 = divmod(offset, buf_cols)
-    return (r0, c0) if pitch == buf_cols and c0 + cols <= buf_cols else None
+def _replay_register(m: Machine, op: tuple) -> None:  # config_ex and config_st
+    setattr(m, op[1], op[2])
 
 
-def _row_moves(ins: Mvin | Mvout, pitch: int, dim: int) -> Iterator[tuple[int, int, int]]:
-    """A move one row at a time, in order: (local row, first DRAM element, width)."""
-    base_row = ins.local & ROW_MASK
-    for t in range((ins.cols + dim - 1) // dim):
-        width = min(dim, ins.cols - t * dim)
-        for r in range(ins.rows):
-            yield base_row + t * dim + r, ins.dram.offset + r * pitch + t * dim, width
+def _replay_config_ld(m: Machine, op: tuple) -> None:
+    m.ld_strides[op[1]] = op[2]
 
 
-def _exec_config_ex(m: Machine, ins: ConfigEx) -> None:
-    m.regs = ins
+def _buffer(m: Machine, name: str, flat: bool) -> np.ndarray:
+    """A DRAM buffer, or a view of it as one row of elements when `flat`."""
+    arr = m.dram[name]
+    return arr.reshape(arr.shape[:-2] + (1, -1)) if flat else arr
 
 
-def _exec_config_ld(m: Machine, ins: ConfigLd) -> None:
-    m.ld_strides[ins.channel] = ins.stride_bytes
-
-
-def _exec_config_st(m: Machine, ins: ConfigSt) -> None:
-    m.st_stride = ins.stride_bytes
-
-
-def _exec_fence(m: Machine, ins: Fence) -> None:
-    pass  # sequential semantics: nothing outstanding to wait on
-
-
-def _exec_mvin(m: Machine, ins: Mvin) -> None:
-    dim, cols, rows, raw = m.config.dim, ins.cols, ins.rows, ins.local
-    pitch = m.ld_strides[ins.channel] // ELEMENT_BYTES
-    arr = m.dram[ins.dram.buffer]
-    row, to_acc = raw & ROW_MASK, raw & ACC_BIT
-    mem = m.acc if to_acc else m.spad
-    accumulate = to_acc and raw & ACCUMULATE_BIT
-    origin = _tile_origin(arr, ins.dram.offset, pitch, cols)
-    if origin is None:
-        flat = arr.reshape(arr.shape[:-2] + (-1,))
-        for dst, src, width in _row_moves(ins, pitch, dim):
-            if accumulate:
-                mem[..., dst, :width] += flat[..., src : src + width]
-            else:
-                mem[..., dst, :width] = flat[..., src : src + width]
-        return
-    r0, c0 = origin
-    for t in range(0, cols, dim):  # a tile's first column, and its first local row past `row`
-        width = min(dim, cols - t)
-        tile = arr[..., r0 : r0 + rows, c0 + t : c0 + t + width]
+def _replay_mvin(m: Machine, op: tuple) -> None:
+    _, to_acc, accumulate, buffer, (rows, flat, blocks) = op
+    mem, src = m.acc if to_acc else m.spad, _buffer(m, buffer, flat)
+    for local, r, c, width in blocks:
         if accumulate:
-            mem[..., row + t : row + t + rows, :width] += tile
+            block = mem[..., local : local + rows, :width]
+            block += src[..., r : r + rows, c : c + width]
         else:
-            mem[..., row + t : row + t + rows, :width] = tile
+            mem[..., local : local + rows, :width] = src[..., r : r + rows, c : c + width]
 
 
-def _exec_preload(m: Machine, ins: Preload) -> None:
-    b = ins.b
-    if b == SENTINEL:
+def _replay_mvout(m: Machine, op: tuple) -> None:
+    _, buffer, relu, (rows, flat, blocks) = op
+    acc, dst = m.acc, _buffer(m, buffer, flat)
+    for local, r, c, width in blocks:
+        tile = acc[..., local : local + rows, :width]
+        if relu:
+            np.maximum(tile, np.float32(0.0), out=dst[..., r : r + rows, c : c + width])
+        else:
+            dst[..., r : r + rows, c : c + width] = tile
+
+
+def _replay_preload(m: Machine, op: tuple) -> None:
+    _, b, b_rows, b_cols, transpose, c_row, c_accumulate, c_cols, c_rows = op
+    if b is None:
         weights = m.latched.weights
     else:
-        row = b & ROW_MASK
-        block = m.spad[..., row : row + ins.b_rows, : ins.b_cols]
-        weights = block.swapaxes(-1, -2).copy() if m.regs.b_transpose else block.copy()
-    c = ins.c
-    m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), ins.c_cols, ins.c_rows)
+        block = m.spad[..., b : b + b_rows, :b_cols]
+        weights = block.swapaxes(-1, -2).copy() if transpose else block.copy()
+    m.latched = _Latched(weights, c_row, c_accumulate, c_cols, c_rows)
 
 
-def _exec_preload_zeros(m: Machine, ins: PreloadZeros) -> None:
-    dim, c = m.config.dim, ins.c
-    weights = np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32)
-    m.latched = _Latched(weights, c & ROW_MASK, bool(c & ACCUMULATE_BIT), dim, dim)
+def _replay_preload_zeros(m: Machine, op: tuple) -> None:
+    _, c_row, c_accumulate, dim = op
+    m.latched = _Latched(np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32), c_row, c_accumulate, dim, dim)
 
 
-def _exec_compute(m: Machine, ins: ComputePreloaded | ComputeAccumulated) -> None:
-    lat, row = m.latched, ins.a & ROW_MASK
-    a_raw = m.spad[..., row : row + ins.a_rows, : ins.a_cols]
-    a_eff = a_raw.swapaxes(-1, -2) if m.regs.a_transpose else a_raw
+def _replay_compute(m: Machine, op: tuple) -> None:
+    _, a, a_end, a_cols, transpose, d, d_rows, d_cols, c, c_end, c_cols, accumulate = op
+    a_raw = m.spad[..., a:a_end, :a_cols]
     # Kept although spad is float32: matmul on the view takes another loop and can differ in the last bit.
-    product = a_eff.astype(np.float32) @ lat.weights
-    d = ins.d
-    if d != SENTINEL:
-        row = d & ROW_MASK
-        product = product + m.spad[..., row : row + ins.d_rows, : ins.d_cols]
-    row = lat.c_row
-    if lat.c_accumulate or type(ins) is ComputeAccumulated:
-        m.acc[..., row : row + lat.c_rows, : lat.c_cols] += product
+    product = (a_raw.swapaxes(-1, -2) if transpose else a_raw).astype(np.float32) @ m.latched.weights
+    if d is not None:
+        product = product + m.spad[..., d : d + d_rows, :d_cols]
+    if accumulate:
+        block = m.acc[..., c:c_end, :c_cols]
+        block += product
     else:
-        m.acc[..., row : row + lat.c_rows, : lat.c_cols] = product
+        m.acc[..., c:c_end, :c_cols] = product
 
 
-def _exec_mvout(m: Machine, ins: Mvout) -> None:
-    dim, cols, rows, raw, act = m.config.dim, ins.cols, ins.rows, ins.local, m.regs.act
-    pitch = m.st_stride // ELEMENT_BYTES
-    arr = m.dram[ins.dram.buffer]
-    row = raw & ROW_MASK
-    relu = act is Activation.RELU and not raw & FULL_WIDTH_BIT
-    origin = _tile_origin(arr, ins.dram.offset, pitch, cols)
-    if origin is None:  # rows that overlap (pitch < width) are written in order: the last one wins
-        flat = arr.reshape(arr.shape[:-2] + (-1,))
-        for src, dst, width in _row_moves(ins, pitch, dim):
-            values = m.acc[..., src, :width]
-            flat[..., dst : dst + width] = np.maximum(values, np.float32(0.0)) if relu else values
-        return
-    r0, c0 = origin
-    for t in range(0, cols, dim):  # a tile's first column, and its first accumulator row past `row`
-        width = min(dim, cols - t)
-        tile = m.acc[..., row + t : row + t + rows, :width]
-        if relu:
-            np.maximum(tile, np.float32(0.0), out=arr[..., r0 : r0 + rows, c0 + t : c0 + t + width])
-        else:
-            arr[..., r0 : r0 + rows, c0 + t : c0 + t + width] = tile
-
-
-_EXECUTORS = {
-    ConfigEx: _exec_config_ex,
-    ConfigLd: _exec_config_ld,
-    ConfigSt: _exec_config_st,
-    Mvin: _exec_mvin,
-    Preload: _exec_preload,
-    PreloadZeros: _exec_preload_zeros,
-    ComputePreloaded: _exec_compute,
-    ComputeAccumulated: _exec_compute,
-    Mvout: _exec_mvout,
-    Fence: _exec_fence,
+_REPLAYS = {
+    ConfigEx: _replay_register,
+    ConfigLd: _replay_config_ld,
+    ConfigSt: _replay_register,
+    Mvin: _replay_mvin,
+    Preload: _replay_preload,
+    PreloadZeros: _replay_preload_zeros,
+    ComputePreloaded: _replay_compute,
+    ComputeAccumulated: _replay_compute,
+    Mvout: _replay_mvout,
+    Fence: lambda m, op: None,  # sequential semantics: nothing outstanding to wait on
 }
 
 
@@ -323,18 +264,18 @@ def join(m: Machine, parts: list[Machine]) -> None:
         m.latched = replace(first.latched, weights=weights)
 
 
-def run(m: Machine, instructions: tuple[Instruction, ...], start: int = 0, stop: int | None = None) -> None:
-    """Run `instructions[start:stop]` on every case at once, checking nothing.
+def run(m: Machine, ops: list[tuple]) -> None:
+    """Replay the ops of checked instructions (`isa.step`) on every case at once, checking nothing.
 
-    They must pass `validate_program` and then `check_execution` from the
-    machine's `scan_state`; a run of such instructions raises nothing.
+    The step pass must have taken them from the machine's `scan_state`; a replay of its ops raises nothing.
     """
-    for ins in instructions[start:stop]:
-        _EXECUTORS[type(ins)](m, ins)
+    replays = _REPLAYS
+    for op in ops:
+        replays[op[0]](m, op)
 
 
 def scan_state(m: Machine) -> ScanState:
-    """The scan state of `m`'s registers and latch, which `check_execution` starts from."""
+    """The scan state of `m`'s registers and latch, which a step pass over it starts from."""
     lat = m.latched
     if lat is None:
         return ScanState(dict(m.ld_strides), m.st_stride, ex=m.regs)
@@ -343,13 +284,12 @@ def scan_state(m: Machine) -> ScanState:
 
 
 def execute(m: Machine, p: Program) -> Machine:
-    """Validate, check (`check_execution`), then run a program on every case at once; return the machine.
+    """Step (`isa.step`) a program from the machine's scan state, then replay it on every case at once.
 
     A `ValidationError` is an `ExecError` too.  A refused program leaves the machine untouched.
     """
-    validate_program(p, dim=m.config.dim, max_block_len=m.config.max_block_len)
-    check_execution(p.instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}, scan_state(m))
-    run(m, p.instructions)
+    sizes = memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()})
+    run(m, step(p.instructions, m.config, sizes, scan_state(m)))
     return m
 
 

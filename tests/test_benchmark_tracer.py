@@ -3,11 +3,14 @@
 `perfbench/tracing.py` times layers by replacing module attributes such as
 `optimizer.search_reorder` with wrappers.  A rename in `src/` that drops
 one of them breaks traced and smoke benchmark runs, so install the tracer
-here over the same modules the benchmark worker loads, then take it out.
+here over the same modules the benchmark worker loads, then take it out,
+and run the smoke benchmark itself.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,3 +34,16 @@ def test_tracer_patches_existing_attributes_and_restores_them(monkeypatch) -> No
         assert getattr(owner, attr) is original, attr
     names = {attr for _, attr, _ in patched}
     assert {"search_reorder", "analyze_dependences", "peephole_block", "verify_program"} <= names
+
+
+def test_the_smoke_benchmark_passes() -> None:
+    """`perfbench/run.py --smoke` runs every workload twice, traced, and checks their answers and counts.
+
+    A renamed attribute that the tracer wraps, or a workload check that no
+    longer holds, fails here rather than in a benchmark run.  The benchmark
+    writes only under `.perfbench/` at the repository root.
+    """
+    result = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"], cwd=PERFBENCH.parent,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "smoke: pass" in result.stdout.splitlines()

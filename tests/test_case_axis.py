@@ -28,8 +28,9 @@ from ta_lift.isa import (
     Program,
     ScanState,
     ValidationError,
-    check_execution,
+    memory_sizes,
     spec_of,
+    step,
     validate_program,
 )
 from ta_lift.kernels import (
@@ -243,14 +244,14 @@ def arrays_of(m) -> list[np.ndarray]:
 
 
 def run_or_error(m, instructions, start, stop, state: ScanState):
-    """Check `instructions[start:stop]` from `state`, moving it past them, then run them if the pass accepts:
+    """Step `instructions[start:stop]` from `state`, moving it past them, then replay them if the pass accepts:
     the (index, kind) of the error it raises, or None."""
     try:
-        check_execution(instructions[:stop], m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
-                        state, start)
+        ops = step(instructions[:stop], m.config,
+                   memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}), state, start)
     except ExecError as err:
         return err.index, err.kind
-    run(m, instructions, start, stop)
+    run(m, ops)
     return None
 
 
@@ -281,7 +282,8 @@ def test_a_run_split_at_a_repeated_snapshot_equals_one_run(workload, data) -> No
         return
     before = machine_state(snapshot)
     try:
-        check_execution(instructions, snapshot.config, spec.buffer_shapes(), state.copy(), split)
+        rest = step(instructions, snapshot.config, memory_sizes(snapshot.config, spec.buffer_shapes()), state.copy(),
+                    split)
     except ExecError as err:
         assert (err.index, err.kind) == whole_error
         return
@@ -293,9 +295,9 @@ def test_a_run_split_at_a_repeated_snapshot_equals_one_run(workload, data) -> No
     for one, other in itertools.combinations((snapshot, *parts), 2):
         assert not any(np.shares_memory(a, b) for a in arrays_of(one) for b in arrays_of(other))
     for part in parts:
-        run(part, instructions, split, split + 1)
+        run(part, rest[:1])
     join(group, parts)
-    run(group, instructions, split + 1)
+    run(group, rest[1:])
     # Each slice holds the whole run's state, and nothing wrote through to the snapshot.
     assert [machine_state(part) for part in slices(group)] == [machine_state(whole)] * 2
     assert machine_state(snapshot) == before
@@ -320,6 +322,30 @@ def test_an_invalid_program_is_refused_before_a_case_machine_is_built(monkeypatc
     assert verify_program(program, spec, cases) == Verdict(
         passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
     assert built == []
+
+
+def test_an_invalid_instruction_outranks_an_earlier_execution_error() -> None:
+    """One-shot path: the step pass meets the execution error at i first, then validates the rest and reports
+    the invalid instruction at j > i instead, and the machine runs nothing."""
+    spec, golden = kernel("mm1"), _GOLDEN_PROGRAMS["mm1"].instructions
+    mvins = [index for index, ins in enumerate(golden) if isinstance(ins, Mvin)]
+    i, j = mvins[1], mvins[-1]
+    instructions = list(golden)
+    instructions[i] = dataclasses.replace(golden[i], dram=DramRef(golden[i].dram.buffer, 10**6))  # dram_out_of_range
+    instructions[j] = dataclasses.replace(golden[j], rows=5)  # rows_exceed_dim
+    program = Program(tuple(instructions), spec.buffer_shapes(), {})
+    with pytest.raises(ExecError) as before_j:  # the prefix up to j alone fails at i
+        execute(machine_for_cases(spec, make_cases(spec, 2, seed=3)), Program(program.instructions[:j]))
+    assert (before_j.value.index, before_j.value.kind) == (i, "dram_out_of_range")
+    machine = machine_for_cases(spec, make_cases(spec, 2, seed=3))
+    untouched = machine_state(machine)
+    with pytest.raises(ValidationError) as err:
+        execute(machine, program)
+    assert (err.value.index, err.value.kind, err.value.detail) == (j, "rows_exceed_dim", "mvin rows 5 must be in 1..4")
+    assert machine_state(machine) == untouched
+    failure = ExecFailure(j, "rows_exceed_dim", "mvin rows 5 must be in 1..4")
+    assert verify_program(program, spec, make_cases(spec, 2, seed=3)) == Verdict(
+        passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
 
 
 def test_every_golden_verifies_in_one_batched_run() -> None:

@@ -263,7 +263,7 @@ def test_simulate_refuses_an_invalid_program_before_building_cases(tmp_path, cap
         # Invalid: validation refuses it.
         (("mvin(Ad, Ad_sp, 4, 4);", "mvin(Ad, Ad_sp, 4, 5);"),
          "instruction 4: rows_exceed_dim: mvin rows 5 must be in 1..4"),
-        # Valid, but its first mvout has no store stride: the execution check pass refuses it.
+        # Valid, but its first mvout has no store stride: the step pass refuses it.
         (("config_st(48);\n", ""), "instruction 39: unsupported: store stride used before being configured"),
     ]
     for (old, new), message in refused:

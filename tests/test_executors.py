@@ -1,16 +1,16 @@
-"""The machine's executors and the static check pass against the per-row executors they replaced.
+"""The machine's replay and the step pass against the per-row executors they replaced.
 
 A move whose rows are rows of its buffer (the pitch is the buffer's row
 length and the block lies inside the buffer) now copies each DIM-wide tile
-with one slice; every other move still goes row by row.  The executors
-check nothing: `isa.check_execution` finds every execution error before a
-run.  The oracle below keeps the earlier executors, checks and all,
-verbatim.  For each step, each random workload and each one-field
-mutation, validation, then the pass from the machine's `scan_state`, then
-`run` must raise the same `ExecError` (index, kind and message) as
-validation, then the oracle's executors, or none and leave the same bytes
-in every array.  Whatever prefix of them validation and the pass accept,
-`run` runs without raising.
+with one slice; every other move still goes row by row.  The replay checks
+nothing: `isa.step` finds every execution error before a run and hands
+`run` the ops to replay.  The oracle below keeps the earlier executors,
+checks and all, verbatim.  For each step, each random workload and each
+one-field mutation, validation, then the step pass from the machine's
+`scan_state`, then `run` of its ops must raise the same `ExecError`
+(index, kind and message) as validation, then the oracle's executors, or
+none and leave the same bytes in every array.  Whatever prefix of them
+validation and the pass accept, `run` replays without raising.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_program, naive_program
-from ta_lift import machine
+from ta_lift import isa, machine
 from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.isa import (
     ACC_BIT,
@@ -47,10 +47,12 @@ from ta_lift.isa import (
     Preload,
     PreloadZeros,
     Space,
+    Program,
     ValidationError,
-    check_execution,
+    first_invalid,
+    memory_sizes,
     spec_of,
-    validate_instructions,
+    step,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
 from ta_lift.machine import (ExecError, Machine, MachineConfig, _Latched, create_machine, repeat, run, scan_state,
@@ -258,31 +260,36 @@ def validation_error(m: Machine, instructions) -> tuple | None:
     """
     for idx, ins in enumerate(instructions):
         try:
-            validate_instructions([(idx, ins)], m.config.dim, m.config.max_block_len)
-        except ValidationError as err:
-            return err.index, err.kind, err.detail
+            err = first_invalid([(idx, ins)], m.config.dim, m.config.max_block_len)
         except TypeError as err:
             return idx, "TypeError", str(err)
+        if err is not None:
+            return err.index, err.kind, err.detail
     return None
 
 
+def stepped(m: Machine, instructions) -> list:
+    """The ops of the step pass over `instructions` from the machine's registers and latch."""
+    return step(instructions, m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
+                scan_state(m))
+
+
 def static_error(m: Machine, instructions) -> tuple | None:
-    """What validation, then the pass from the machine's registers and latch, refuses first: or None."""
+    """What validation, then the step pass from the machine's registers and latch, refuses first: or None."""
     error = validation_error(m, instructions)
     if error is None:
         try:
-            check_execution(instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
-                            scan_state(m))
+            stepped(m, instructions)
         except ExecError as err:
             return err.index, err.kind, err.detail
     return error
 
 
 def outcome(m: Machine, instructions) -> tuple | None:
-    """Validate, check, then run on the tree's machine: the error refused, or None."""
+    """Validate, step, then replay on the tree's machine: the error refused, or None."""
     error = static_error(m, instructions)
     if error is None:
-        run(m, instructions)
+        run(m, stepped(m, instructions))
     return error
 
 
@@ -323,13 +330,13 @@ def assert_same_as_oracle(m: Machine, instructions) -> None:
 
 
 def assert_accepted_prefix_runs(m: Machine, instructions) -> None:
-    """The longest prefix validation and the pass accept: `run` raises nothing on it and leaves the oracle's bytes."""
+    """The longest prefix validation and the pass accept: its replay raises nothing and leaves the oracle's bytes."""
     stop = len(instructions)
     while (error := static_error(m, instructions[:stop])) is not None:
         stop = error[0]
     old = copied(m)
     assert oracle_outcome(old, instructions[:stop]) is None
-    run(m, instructions, 0, stop)
+    run(m, stepped(m, instructions[:stop]))
     assert state(m) == state(old)
 
 
@@ -583,15 +590,15 @@ def test_run_raises_nothing_on_what_validation_and_the_pass_accept(machine_and_i
 
 
 def count_row_moves(monkeypatch) -> list:
-    """Wrap the row-by-row helper: each move that goes row by row appends itself to the returned list."""
+    """Wrap the row-by-row helper: each move stepped to go row by row appends itself to the returned list."""
     entered: list = []
-    row_moves = machine._row_moves
+    row_moves = isa._row_moves
 
     def counted(ins, *args):
         entered.append(ins)
         return row_moves(ins, *args)
 
-    monkeypatch.setattr(machine, "_row_moves", counted)
+    monkeypatch.setattr(isa, "_row_moves", counted)
     return entered
 
 
@@ -614,7 +621,7 @@ def _stored(monkeypatch, stride_bytes: int, offset: int) -> tuple[np.ndarray, np
     m = create_machine(MachineConfig(), {"y": (1, 8)})
     m.acc[:3] = np.arange(12, dtype=np.float32).reshape(3, 4) + 1
     store = Mvout(DramRef("y", offset), ACC_BIT, 4, 3)
-    machine.run(m, (ConfigSt(stride_bytes), store))
+    machine.execute(m, Program((ConfigSt(stride_bytes), store)))
     return m.dram["y"][0], m.acc[:3], entered == [store]
 
 

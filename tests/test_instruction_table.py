@@ -12,10 +12,10 @@ Both machines then run the instruction: nothing outside the declared
 writes may change, and every element either run wrote must be equal in
 both.  So the declared memory footprints cover what each instruction really
 reads and writes.  Registers (the config registers and the latched weights)
-are not covered: the copy keeps them as they are.  The execution check pass
-takes its bounds from the same intervals: every memory interval of a step
-it accepts lies inside its memory, and some interval of a step it refuses
-on a bound does not.
+are not covered: the copy keeps them as they are.  The step pass takes its
+bounds from the same declarations: every memory interval of a step it
+accepts lies inside its memory, and some interval of a step it refuses on
+a bound does not.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from ta_lift.isa import (
     Program,
     ScanState,
     ValidationError,
-    check_execution,
     footprint,
+    memory_sizes,
     spec_of,
+    step,
     validate_program,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
@@ -71,7 +72,7 @@ def test_benchmark_instruction_kinds_are_the_table_mnemonics(monkeypatch) -> Non
 
 def test_every_table_entry_has_an_executor_and_a_reserved_name() -> None:
     for spec in INSTRUCTIONS:
-        assert spec.type in machine._EXECUTORS, spec.mnemonic
+        assert spec.type in machine._REPLAYS, spec.mnemonic
         assert spec.mnemonic in repair._RESERVED
 
 
@@ -156,7 +157,7 @@ def old_violations(p: Program, dim: int = 4, max_block_len: int = 4):
         elif isinstance(ins, ConfigSt):
             if ins.stride_bytes < 0:
                 yield idx, "unsupported", "stride_bytes", str(ins.stride_bytes), "at least 0"
-        elif type(ins) not in machine._EXECUTORS:
+        elif type(ins) not in machine._REPLAYS:
             yield idx, "unsupported", "type", type(ins).__name__, "unknown"
 
 
@@ -364,10 +365,9 @@ def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bo
     """Run one instruction on `m` and on a randomized twin; False once it fails."""
     single = Program((ins,))
     try:
-        validate_program(single, m.config.dim, m.config.max_block_len)  # an invalid one has no footprint
-        check_execution(single.instructions, m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()},
-                        state.copy())
-    except ValidationError:
+        step(single.instructions, m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
+             state.copy())
+    except ValidationError:  # an invalid one has no footprint
         return False
     except ExecError as err:
         if err.kind.endswith("_out_of_range"):

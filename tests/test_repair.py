@@ -3,6 +3,7 @@
 import functools
 import itertools
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from test_case_axis import machine_state, make_cases
 from test_program_text import _STRAY
 
 import ta_lift
+import ta_lift.isa as isa
 import ta_lift.kernels as kernels
 import ta_lift.machine as machine
 import ta_lift.program_text as program_text
@@ -565,6 +567,7 @@ _EARLY_MVIN = ("config_ld(48, 0);", "mvin(Pinf, Pinf_sp, 4, 4);\nconfig_ld(48, 0
 # An instruction that fails validation (5 rows on a 4-wide machine), and a hole before it.
 _LATE_INVALID = ("mvin(Pinf + 8, Pinf_sp + 8, 4, 4);", "mvin(Pinf + 8, Pinf_sp + 8, 4, 5);")
 _LATER_HOLE = ("mvin(Pinf + 4, Pinf_sp + 4, 4, 4);", "mvin(Pinf + 4, Pinf_sp + 4, 4, <CONST>);")
+_NEXT_INVALID = ("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, x_sp + 4, 1, 5);")  # right after the later hole
 
 
 def edited(*edits):
@@ -582,6 +585,7 @@ def edited(*edits):
         ((_EARLY_MVIN, _LATER_HOLE), True),
         # Validation decides first: an invalid instruction after the hole outranks the prefix's error.
         ((_EARLY_MVIN, _LATER_HOLE, _LATE_INVALID), False),
+        ((_EARLY_MVIN, _LATER_HOLE, _NEXT_INVALID), False),
         ((_LATER_HOLE, _LATE_INVALID), False),
     ],
 )
@@ -620,13 +624,13 @@ def test_fill_parsed_whole_is_verified_whole(monkeypatch):
 
 def test_a_local_address_hole_out_of_range_never_reaches_the_machine(monkeypatch):
     ran = []
-    real = kernels.run
+    real = kernels.step
 
-    def recording(m, instructions, *rest):
-        ran.extend(instructions)
-        return real(m, instructions, *rest)
+    def recording(instructions, cfg, sizes, state, start=0, stop=None):
+        ran.extend(instructions[start:stop])
+        return real(instructions, cfg, sizes, state, start, stop)
 
-    monkeypatch.setattr(kernels, "run", recording)
+    monkeypatch.setattr(kernels, "step", recording)
     template = extract_holes(perturbed("mvin2(x + 4, x_sp + 4, 1, 4);", "mvin2(x + 4, <CONST>, 1, 4);"))
     enumerator = FillEnumerator(template, (4294967296, -1, 40), SPEC.buffer_shapes())
     assert [fill.assignment for fill, _ in fill_verdicts(enumerator, SPEC, CASES)] == [(("h0", 40),)]
@@ -656,7 +660,8 @@ def test_cases_are_stacked_once_per_repair_call(monkeypatch, marked, tried):
 def test_a_fill_with_a_static_error_joins_no_batch(monkeypatch):
     groups = []
     real = kernels.Verifier._run_group
-    monkeypatch.setattr(kernels.Verifier, "_run_group", lambda self, fills: groups.append(fills) or real(self, fills))
+    monkeypatch.setattr(kernels.Verifier, "_run_group",
+                        lambda self, runs, fills: groups.append(fills) or real(self, runs, fills))
     template = extract_holes(perturbed("compute_preloaded(Pinf_sp + 4, NONE, 4, 4, 1, 4);",
                                        "compute_preloaded(Pinf_sp + 4, NONE, <CONST>, 4, 1, 4);"))
     enumerator = FillEnumerator(template, (1, 2, 3, 4), SPEC.buffer_shapes())
@@ -665,26 +670,37 @@ def test_a_fill_with_a_static_error_joins_no_batch(monkeypatch):
     # A is 4x1, 4x2 or 4x3 but the weights are 4x1 deep: refused before any machine runs.
     mismatch = [((("h0", value),), "dimension_mismatch") for value in (1, 2, 3)]
     assert [fill[:2] for fill in seen] == mismatch + [((("h0", 4),), None)]
-    assert groups == [[seen[3][2]]]
+    # The one group holds the rebuilt ops of the fill that runs, and of no other.
+    verifier = kernels.Verifier(SPEC, CASES, None, enumerator.program, enumerator.rebuilt)
+    assert groups == [[verifier._fill_check(seen[3][2])[1]]]
 
 
 def test_fills_validate_only_their_rebuilt_instructions(monkeypatch):
-    validated = []
-    real = kernels.validate_instructions
+    validated, stepped = [], []
+    real_validate, real_step = kernels.first_invalid, kernels.step
 
-    def recording(indexed, dim, max_block_len):
+    def validating(indexed, dim, max_block_len):
         indexed = list(indexed)
         validated.append([index for index, _ in indexed])
-        return real(indexed, dim, max_block_len)
+        return real_validate(indexed, dim, max_block_len)
 
-    monkeypatch.setattr(kernels, "validate_instructions", recording)
+    def stepping(instructions, cfg, sizes, state, start=0, stop=None):
+        if stop == start + 1 and start in (1, 2):  # a fill's own step, outside template runs
+            stepped.append(start)
+        return real_step(instructions, cfg, sizes, state, start, stop)
+
+    monkeypatch.setattr(kernels, "first_invalid", validating)
+    monkeypatch.setattr(kernels, "step", stepping)
     template = extract_holes(perturbed("config_st(4);\nconfig_ld(48, 0);", "config_st(<CONST>);\nconfig_ld(<CONST>, 0);"))
     enumerator = FillEnumerator(template, (0, 4, 48), SPEC.buffer_shapes())
     assert len(list(fill_verdicts(enumerator, SPEC, CASES))) == 9
     count = len(enumerator.program.instructions)
     assert enumerator.rebuilt == (1, 2)
-    # The template's other instructions once, then each fill's two rebuilt ones.
-    assert validated == [[index for index in range(count) if index not in (1, 2)]] + [[1, 2]] * 9
+    # The template's other instructions are validated once: those before the first hole by stepping them, the
+    # rest by validation alone.  The fills step only their two rebuilt ones, each once per scan state it starts
+    # from: three stores, then three loads after each.
+    assert [indices for indices in validated if indices] == [[index for index in range(3, count)]]
+    assert stepped == [1, 2, 2, 2] * 3
 
 
 def test_template_read_converts_each_literal_once(monkeypatch):
@@ -721,16 +737,17 @@ def assert_batches_match_solo_runs(template, spec, constants, cases, sizes):
         start += len(batch)
     groups = {}
     for fill in fills:
-        key = verifier._fill_check(fill.program.instructions)
-        if not isinstance(key, ExecError):
-            groups.setdefault(key, []).append(fill)
-    for members in groups.values():
-        parts = machine.slices(verifier._run_group([fill.program.instructions for fill in members]))
-        for part, fill in zip(parts, members, strict=True):
+        checked = verifier._fill_check(fill.program.instructions)
+        if not isinstance(checked, ExecError):
+            runs, ops = checked
+            groups.setdefault(tuple(map(id, runs)), (runs, []))[1].append((fill, ops))
+    for runs, members in groups.values():
+        parts = machine.slices(verifier._run_group(runs, [ops for _, ops in members]))
+        for part, (fill, _) in zip(parts, members, strict=True):
             solo = machine_for_cases(spec, cases)
             machine.execute(solo, fill.program)
             assert machine_state(part) == machine_state(solo), fill.code
-    return list(groups.values())
+    return [[fill for fill, _ in members] for _, members in groups.values()]
 
 
 _BATCH_GOLDENS = ("gv1", "gv2", "gv3", "gv4", "mm2", "mm3", "mm4", "mm5", "mm7")
@@ -810,8 +827,8 @@ def test_batched_fills_match_their_text_and_solo_runs(template, data):
 def test_batched_fills_of_chosen_templates_match_their_text_and_solo_runs(monkeypatch, edits, constants, groups,
                                                                            row_moves):
     moved = []
-    real = machine._row_moves
-    monkeypatch.setattr(machine, "_row_moves", lambda ins, *rest: moved.append(ins) or real(ins, *rest))
+    real = isa._row_moves
+    monkeypatch.setattr(isa, "_row_moves", lambda ins, *rest: moved.append(ins) or real(ins, *rest))
     cases = make_cases(SPEC, 3, seed=5)
     found = assert_batches_match_solo_runs(extract_holes(edited(*edits)), SPEC, constants, cases, (3, 1, 5))
     assert len(found) == groups
@@ -845,7 +862,8 @@ def test_a_batch_of_fills_stays_within_the_byte_budget():
     enumerator = FillEnumerator(template, (4,), SPEC.buffer_shapes())
     verifier = kernels.Verifier(SPEC, cases, None, enumerator.program, enumerator.rebuilt)
     assert verifier.batch > 1
-    group = verifier._run_group([next(iter(enumerator)).program.instructions] * verifier.batch)
+    runs, ops = verifier._fill_check(next(iter(enumerator)).program.instructions)
+    group = verifier._run_group(runs, [ops] * verifier.batch)
     stacked = sum(arr.nbytes for arr in (*group.dram.values(), group.spad, group.acc))
     assert stacked == verifier.batch * verifier.fill_bytes <= kernels.BATCH_BYTES
 
@@ -854,7 +872,8 @@ def test_a_fill_over_the_byte_budget_runs_as_a_batch_of_one(monkeypatch):
     monkeypatch.setattr(kernels, "BATCH_BYTES", kernels.Verifier(SPEC, CASES).fill_bytes - 1)
     groups = []
     real = kernels.Verifier._run_group
-    monkeypatch.setattr(kernels.Verifier, "_run_group", lambda self, fills: groups.append(len(fills)) or real(self, fills))
+    monkeypatch.setattr(kernels.Verifier, "_run_group",
+                        lambda self, runs, fills: groups.append(len(fills)) or real(self, runs, fills))
     template = extract_holes(perturbed("config_st(4);\nconfig_ld(48, 0);", "config_st(<CONST>);\nconfig_ld(<CONST>, 0);"))
     result = repair(template.code, SPEC, CASES, constants=(0, 4, 48), mode="enumerate")
     assert result.outcome == Repaired(program=GOLDEN, assignment=(("h0", 4), ("h1", 48)))
@@ -868,8 +887,7 @@ def test_the_seed_1_repair_workload_runs_under_a_third_of_the_instructions(tmp_p
 
     ran = []
     real = kernels.run
-    monkeypatch.setattr(kernels, "run", lambda m, instructions, start=0, stop=None:
-                        ran.append(len(instructions[start:stop])) or real(m, instructions, start, stop))
+    monkeypatch.setattr(kernels, "run", lambda m, ops: ran.append(len(ops)) or real(m, ops))
     tried = []
     for job in workloads.build_repair(ta_lift, 1, tmp_path).jobs:
         argv = dict(zip(job.argv[1::2], job.argv[2::2]))
@@ -880,6 +898,33 @@ def test_the_seed_1_repair_workload_runs_under_a_third_of_the_instructions(tmp_p
     assert tried == [4] * 11 + [94, 94, 119, 119]
     # With a snapshot copy per fill, each fill ran every instruction after its first hole: 6 528 in all.
     assert sum(ran) <= 2_100
+
+
+def test_the_seed_1_repair_workload_steps_each_instruction_once_per_run_start(tmp_path, monkeypatch):
+    """Each instruction is stepped at most once per scan state its run starts from: a template run once per
+    state it is reached in (it is cached with its ops), a rebuilt instruction once per cached run it follows.
+    Replays stay within the instructions run before the step pass, 2 055 per pass."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    stepped, kept, replayed = Counter(), [], []
+    real_step, real_run = kernels.step, kernels.run
+
+    def counting(instructions, cfg, sizes, state, start=0, stop=None):
+        kept.append(instructions)  # no stepped instruction is freed, so none leaves its id to another
+        key = (start, state.key())
+        stepped.update((index, id(instructions[index]), key) for index in range(start, stop))
+        return real_step(instructions, cfg, sizes, state, start, stop)
+
+    monkeypatch.setattr(kernels, "step", counting)
+    monkeypatch.setattr(kernels, "run", lambda m, ops: replayed.append(len(ops)) or real_run(m, ops))
+    for job in workloads.build_repair(ta_lift, 1, tmp_path).jobs:
+        argv = dict(zip(job.argv[1::2], job.argv[2::2]))
+        spec = kernel(argv["--kernel"])
+        cases = generate_testcases(spec, int(argv["--seed"]), int(argv["--n"]))
+        repair(Path(argv["--program"]).read_text(), spec, cases, mode="enumerate")
+    assert stepped and max(stepped.values()) == 1
+    assert sum(replayed) <= 2_100
 
 
 # -- parses per template -------------------------------------------------------
