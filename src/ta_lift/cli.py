@@ -207,7 +207,10 @@ def _out_dir(ns: argparse.Namespace) -> Path | None:
     if out is None:
         return None
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file at the path or above it, say
+        raise UsageError(f"--out {out} is not a usable directory: {err}") from None
     return path
 
 

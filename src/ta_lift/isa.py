@@ -27,8 +27,11 @@ step per mnemonic, and the footprint the optimizer reads, are compiled
 from it for each (DIM, block length).  `step` runs a program's steps once,
 before it runs: each validates its instruction, raises the `ExecError` the
 machine would meet, moves the scan state and returns the op `machine.run`
-replays.  Validation wins: past an execution error the rest is only
-validated, and a later invalid instruction is raised instead.
+replays.  The scan state is the only copy of the configuration registers,
+the strides and the latch's output rows: a config op is its type alone,
+and a preload op is its weight block alone.  Validation wins: past an
+execution error the rest is only validated, and a later invalid
+instruction is raised instead.
 """
 
 from __future__ import annotations
@@ -399,14 +402,12 @@ _WEIGHTS = ("b", Space.SCRATCHPAD, True)
 _OUTPUT = ("c", Space.ACCUMULATOR, False)
 _COMPUTE_SPACES = (("a", Space.SCRATCHPAD, False), ("d", Space.SCRATCHPAD, True))
 _LATCH = "st.latch = (c & ROW_MASK, {}, bool(c & ACCUMULATE_BIT))\n"
-_C_OP = "c & ROW_MASK, c & ACCUMULATE_BIT != 0, "
 
 INSTRUCTIONS: tuple[InstructionSpec, ...] = (
-    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, (_reg("writes", "ex"),), moves="st.ex = ins", op="'regs', ins"),
+    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, (_reg("writes", "ex"),), moves="st.ex = ins"),
     InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, (_reg("writes", "ld{channel}"),),
-                    moves="st.ld_strides[channel] = stride_bytes", op="channel, stride_bytes"),
-    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, (_reg("writes", "st"),), moves="st.st_stride = stride_bytes",
-                    op="'st_stride', stride_bytes"),
+                    moves="st.ld_strides[channel] = stride_bytes"),
+    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, (_reg("writes", "st"),), moves="st.st_stride = stride_bytes"),
     *(InstructionSpec(mnemonic, Mvin, _MOVE, _LOAD, _MOVE_BIND.format("st.ld_strides.get(channel)"),
                       op=f"local & ACC_BIT, local & ACC_BIT and local & ACCUMULATE_BIT, dram.buffer, {_MOVE_BLOCK}",
                       bytes_in=_moved_bytes, channel=channel)
@@ -414,10 +415,10 @@ INSTRUCTIONS: tuple[InstructionSpec, ...] = (
     InstructionSpec("preload", Preload, _PRELOAD, _LATCH_PRELOAD,
                     moves=_LATCH.format("c_rows") + "st.result = (c_rows, c_cols)\nif b != SENTINEL:\n"
                     "    st.weights = (b_cols, b_rows) if st.ex.b_transpose else (b_rows, b_cols)",
-                    op=f"None if b == SENTINEL else b_first, b_rows, b_cols, st.ex.b_transpose, {_C_OP}c_cols, c_rows",
+                    op="None if b == SENTINEL else b_first, b_rows, b_cols, st.ex.b_transpose",
                     fills=1, spaces=(_WEIGHTS, _OUTPUT)),
     InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, (_reg("writes", "latch"),),
-                    moves=_LATCH.format("dim") + "st.weights = st.result = (dim, dim)", op=_C_OP + "dim",
+                    moves=_LATCH.format("dim") + "st.weights = st.result = (dim, dim)", op="dim",
                     fills=1, spaces=(_OUTPUT,)),
     *(InstructionSpec(mnemonic, kind, _COMPUTE_OPERANDS, _COMPUTE, _COMPUTE_BIND.format(accumulates), op=_COMPUTE_OP,
                       rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES)
@@ -554,7 +555,7 @@ def step(instructions: Sequence[Instruction], cfg: MachineConfig, sizes: tuple, 
 
     `state`, fresh by default, moves past them.  Bounds are checked against
     `sizes` (`memory_sizes`).  Each op is the instruction's type, then the
-    tiles, local rows, latch and matmul operands its step proved in range.
+    tiles, local rows, weight block and matmul operands its step proved in range.
     No step reads data, so a replay of the ops raises nothing.
     """
     state = ScanState() if state is None else state

@@ -12,7 +12,8 @@ the negative load-scale factor real hardware would use.
 
 Verification steps a program once (`isa.step`): each instruction is
 validated and checked, and hands back its replay op.  Only then is a
-machine built, and it only replays the ops.
+machine built, and it only replays the ops.  One comparison reports every
+verdict: a program's cases are compared as one fill of a batch.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .isa import (ELEMENT_BYTES, ExecError, Instruction, Program, ScanState, Val
                   memory_sizes, step)
 # Verification runs programs with `run`; `execute` stays importable here because
 # perfbench/tracing.py wraps `kernels.execute`.
-from .machine import (Machine, MachineConfig, ShapeMismatch, create_machine, execute, join, read_output, repeat, run,
-                      slices)
+from .machine import Machine, MachineConfig, ShapeMismatch, create_machine, execute, join, repeat, run, slices
 from .program_text import ProgramSyntaxError, parse_program
 
 REL_TOLERANCE = 1e-4
@@ -242,23 +242,15 @@ def _tolerance(spec: KernelSpec, case: TestCase) -> np.ndarray | None:
     return ABS_TOLERANCE + REL_TOLERANCE * evaluate_reference(replace(spec, sub=False), magnitudes)
 
 
-def _compare(got: np.ndarray, want: np.ndarray, tolerance: np.ndarray | None) -> tuple[int, int] | None:
-    mismatch = got != want
-    if tolerance is not None:
-        mismatch &= ~(np.abs(got - want) <= tolerance)
-    if not mismatch.any():
-        return None
-    r, c = np.argwhere(mismatch)[0]
-    return int(r), int(c)
-
-
 class Verifier:
     """Verifies programs against one case set, whose inputs are stacked at most once.
 
     `verify` gives `verify_program`'s verdict.  It steps the program once
     (`isa.step`), so a program it refuses stacks nothing and builds no machine;
     an accepted one replays its ops on a fresh machine holding the stacked
-    inputs.  Memory sizes and each case's tolerance are computed once.
+    inputs, and its output is compared as a batch of one fill (`_report`).
+    Memory sizes, the expected outputs and each case's tolerance are
+    computed once.
 
     Given a `template` and the ascending indices `rebuilt` of the
     instructions its fills may change, `verify_fills` gives each of a batch
@@ -294,13 +286,13 @@ class Verifier:
         self._buffers = spec.buffer_shapes()
         self._sizes = memory_sizes(self.cfg, self._buffers)
         self._inputs: dict[str, np.ndarray] | None = None
-        self._tolerances: dict[int, np.ndarray | None] = {}
         # (first index, scan state key) -> a stepped template run: its ops and the state past it, or its error
         self._runs: dict[tuple, tuple[list, ScanState] | ExecError] = {}
         self._ends: dict[tuple, ScanState] = {}  # (stop, scan state key) -> the one state object runs end in there
         self._links: dict[tuple[int, int], tuple] = {}  # (id of a run's end state, id of a rebuilt instruction) -> link
         self._snapshot: Machine | None = None  # after the template's instructions before the first rebuilt one
         self._expected: np.ndarray | None = None  # the cases' expected outputs, case axis first
+        self._tolerances: list[np.ndarray | None] = []  # each case's (`_tolerance`), set with `_expected`
         # A fill's machine state: its cases' scratchpads, accumulators and DRAM buffers (one case when there are none).
         cells = (self.cfg.spad_rows + self.cfg.acc_rows) * self.cfg.dim + sum(r * c for r, c in self._buffers.values())
         self.fill_bytes = max(1, len(cases)) * cells * ELEMENT_BYTES
@@ -322,7 +314,9 @@ class Verifier:
         ops = self._step(p.instructions, ScanState(), 0)
         if isinstance(ops, ExecError):
             return _failed(ops)
-        return self._finish(self._fresh(), ops)
+        machine = self._fresh()
+        run(machine, ops)
+        return self._report(machine.dram[self.spec.c][np.newaxis])[0]
 
     def verify_fills(self, fills: list[Program]) -> list[Verdict]:
         """`verify`'s verdict on each of `fills`, programs that equal the template except at `rebuilt`."""
@@ -411,35 +405,14 @@ class Verifier:
             self._inputs = _stack_cases(self.spec, self.cases)
         return create_machine(self.cfg, self._buffers, self._inputs)
 
-    def _case_tolerance(self, index: int) -> np.ndarray | None:
-        if index not in self._tolerances:
-            self._tolerances[index] = _tolerance(self.spec, self.cases[index])
-        return self._tolerances[index]
-
-    def _finish(self, machine: Machine, ops: list) -> Verdict:
-        """Replay `ops` on `machine`, then report the cases in order up to the first that fails."""
-        run(machine, ops)
-        verdict = Verdict(passed=True)
-        outputs = read_output(machine, self.spec.c)
-        for index, (case, got) in enumerate(zip(self.cases, outputs)):
-            position = _compare(got, case.expected, self._case_tolerance(index))
-            if position is None:
-                verdict.cases.append(CaseOutcome(index=index, passed=True))
-                continue
-            r, c = position
-            verdict.passed = False
-            verdict.failure = WrongResult(position, float(got[r, c]), float(case.expected[r, c]))
-            verdict.cases.append(CaseOutcome(index=index, passed=False, failure=verdict.failure))
-            break
-        return verdict
-
     def _report(self, outputs: np.ndarray) -> list[Verdict]:
-        """`_finish`'s report for each fill of `outputs` (fill axis, case axis, rows, cols), from one comparison."""
+        """For each fill of `outputs` (fill axis, case axis, rows, cols), its cases in order up to the first that
+        fails, from one comparison."""
         if self._expected is None:
             self._expected = np.stack([case.expected for case in self.cases])
+            self._tolerances = [_tolerance(self.spec, case) for case in self.cases]
         mismatch = outputs != self._expected
-        for index, case in enumerate(self.cases):
-            tolerance = self._case_tolerance(index)
+        for index, (case, tolerance) in enumerate(zip(self.cases, self._tolerances)):
             if tolerance is not None:
                 mismatch[:, index] &= ~(np.abs(outputs[:, index] - case.expected) <= tolerance)
         failing = mismatch.any(axis=(-2, -1))  # (fill, case)

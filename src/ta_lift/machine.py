@@ -1,24 +1,26 @@
 """Functional simulator for the accelerator.
 
-State is a set of named 2-D float32 DRAM buffers, a scratchpad and an
-accumulator (both row-addressed, DIM elements wide), configuration
-registers, and the latched weights/output-address pair left by the most
-recent preload.  Execution is sequential.
+A machine holds data only: a set of named 2-D float32 DRAM buffers, a
+scratchpad and an accumulator (both row-addressed, DIM elements wide) and
+the weights latched by the most recent preload.  The configuration
+registers, the strides and the latch's output rows live in the scan state
+of `isa.step` alone.  Execution is sequential.
 
 Every execution error depends only on the program, the configuration and
 the buffer shapes, never on the data.  So `isa.step` finds it before
 anything runs, and hands back each instruction's replay op: the tile
-slices, local rows, latch and matmul operands it proved in range.  `run`
-only replays ops: slice copies, `+=`, matmuls and `np.maximum`.
-`execute` steps a program from the machine's scan state, then replays it.
+slices, local rows and matmul operands it proved in range.  `run` only
+replays ops: slice copies, `+=`, matmuls and `np.maximum`; a config op
+replays as nothing, as a fence does.  `execute` steps a program from a
+fresh scan state, then replays it.
 
-A machine may hold a batch of cases: every array of data state (DRAM
-buffers, scratchpad, accumulator, latched weights) then carries the case
-axes in front, and each instruction runs once for all cases.  `repeat`
-puts copies of a machine on a new leading axis; `slices` gives one machine
-per index of that axis over views of its arrays, so that instructions which
-differ per index run on their own slice, and `join` takes the slices'
-registers and latched weights back.
+A machine may hold a batch of cases: every array (DRAM buffers,
+scratchpad, accumulator, latched weights) then carries the case axes in
+front, and each instruction runs once for all cases.  `repeat` puts copies
+of a machine on a new leading axis; `slices` gives one machine per index
+of that axis over views of its arrays, so that instructions which differ
+per index run on their own slice, and `join` takes back the weights the
+slices latched.
 
 A move whose rows are rows of its DRAM buffer (the pitch is the buffer's
 row length and the block lies inside the buffer) copies each DIM-wide tile
@@ -28,15 +30,13 @@ overlapping rows the last one wins (`isa._moves`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .isa import (
     DIM_DEFAULT,
-    LOAD_CHANNELS,
     MAX_BLOCK_LEN_DEFAULT,
-    RESET_EX,
     ComputeAccumulated,
     ComputePreloaded,
     ConfigEx,
@@ -49,7 +49,6 @@ from .isa import (
     Preload,
     PreloadZeros,
     Program,
-    ScanState,
     memory_sizes,
     step,
     validate_program,  # machine.validate_program, as perfbench/tracing.py wraps it
@@ -81,24 +80,12 @@ class MachineConfig:
 
 
 @dataclass
-class _Latched:
-    weights: np.ndarray  # post-transpose W block, behind the case axes
-    c_row: int
-    c_accumulate: bool
-    c_cols: int
-    c_rows: int
-
-
-@dataclass
 class Machine:
     config: MachineConfig
     dram: dict[str, np.ndarray]
     spad: np.ndarray
     acc: np.ndarray
-    regs: ConfigEx = RESET_EX  # the last config_ex
-    ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
-    st_stride: int | None = None
-    latched: _Latched | None = None
+    weights: np.ndarray | None = None  # the latched post-transpose W block, behind the case axes
 
 
 def create_machine(
@@ -141,14 +128,6 @@ def create_machine(
     return Machine(cfg, dram, spad, acc)
 
 
-def _replay_register(m: Machine, op: tuple) -> None:  # config_ex and config_st
-    setattr(m, op[1], op[2])
-
-
-def _replay_config_ld(m: Machine, op: tuple) -> None:
-    m.ld_strides[op[1]] = op[2]
-
-
 def _buffer(m: Machine, name: str, flat: bool) -> np.ndarray:
     """A DRAM buffer, or a view of it as one row of elements when `flat`."""
     arr = m.dram[name]
@@ -178,25 +157,25 @@ def _replay_mvout(m: Machine, op: tuple) -> None:
 
 
 def _replay_preload(m: Machine, op: tuple) -> None:
-    _, b, b_rows, b_cols, transpose, c_row, c_accumulate, c_cols, c_rows = op
-    if b is None:
-        weights = m.latched.weights
-    else:
+    _, b, b_rows, b_cols, transpose = op
+    if b is not None:  # else it keeps the latched weights
         block = m.spad[..., b : b + b_rows, :b_cols]
-        weights = block.swapaxes(-1, -2).copy() if transpose else block.copy()
-    m.latched = _Latched(weights, c_row, c_accumulate, c_cols, c_rows)
+        m.weights = block.swapaxes(-1, -2).copy() if transpose else block.copy()
 
 
 def _replay_preload_zeros(m: Machine, op: tuple) -> None:
-    _, c_row, c_accumulate, dim = op
-    m.latched = _Latched(np.zeros(m.spad.shape[:-2] + (dim, dim), dtype=np.float32), c_row, c_accumulate, dim, dim)
+    m.weights = np.zeros(m.spad.shape[:-2] + (op[1], op[1]), dtype=np.float32)
+
+
+def _replay_nothing(m: Machine, op: tuple) -> None:
+    pass  # a config op moves only the scan state; a fence has nothing outstanding to wait on
 
 
 def _replay_compute(m: Machine, op: tuple) -> None:
     _, a, a_end, a_cols, transpose, d, d_rows, d_cols, c, c_end, c_cols, accumulate = op
     a_raw = m.spad[..., a:a_end, :a_cols]
     # Kept although spad is float32: matmul on the view takes another loop and can differ in the last bit.
-    product = (a_raw.swapaxes(-1, -2) if transpose else a_raw).astype(np.float32) @ m.latched.weights
+    product = (a_raw.swapaxes(-1, -2) if transpose else a_raw).astype(np.float32) @ m.weights
     if d is not None:
         product = product + m.spad[..., d : d + d_rows, :d_cols]
     if accumulate:
@@ -207,21 +186,21 @@ def _replay_compute(m: Machine, op: tuple) -> None:
 
 
 _REPLAYS = {
-    ConfigEx: _replay_register,
-    ConfigLd: _replay_config_ld,
-    ConfigSt: _replay_register,
+    ConfigEx: _replay_nothing,
+    ConfigLd: _replay_nothing,
+    ConfigSt: _replay_nothing,
     Mvin: _replay_mvin,
     Preload: _replay_preload,
     PreloadZeros: _replay_preload_zeros,
     ComputePreloaded: _replay_compute,
     ComputeAccumulated: _replay_compute,
     Mvout: _replay_mvout,
-    Fence: lambda m, op: None,  # sequential semantics: nothing outstanding to wait on
+    Fence: _replay_nothing,
 }
 
 
 def repeat(m: Machine, count: int) -> Machine:
-    """`count` copies of `m` on a new leading batch axis, with `m`'s registers.
+    """`count` copies of `m` on a new leading batch axis.
 
     Each array is one new C-contiguous array, so each [index] slice of it is contiguous too.
     """
@@ -229,67 +208,52 @@ def repeat(m: Machine, count: int) -> Machine:
     def stacked(arr: np.ndarray) -> np.ndarray:
         return np.repeat(arr[np.newaxis], count, axis=0)
 
-    lat = m.latched
     return Machine(m.config, {name: stacked(arr) for name, arr in m.dram.items()}, stacked(m.spad), stacked(m.acc),
-                   m.regs, dict(m.ld_strides), m.st_stride, lat and replace(lat, weights=stacked(lat.weights)))
+                   None if m.weights is None else stacked(m.weights))
 
 
 def slices(m: Machine) -> list[Machine]:
     """One machine per index of `m`'s leading batch axis, made of views of its [index] slices.
 
     A move run on one writes through to `m`: every slice is contiguous (`repeat`), and a
-    reshape of a contiguous slice is a view.  Each has its own copy of `m`'s registers.
+    reshape of a contiguous slice is a view.
     """
-    lat = m.latched
     return [
-        Machine(m.config, {name: arr[index] for name, arr in m.dram.items()}, m.spad[index], m.acc[index], m.regs,
-                dict(m.ld_strides), m.st_stride,
-                lat and _Latched(lat.weights[index], lat.c_row, lat.c_accumulate, lat.c_cols, lat.c_rows))
+        Machine(m.config, {name: arr[index] for name, arr in m.dram.items()}, m.spad[index], m.acc[index],
+                None if m.weights is None else m.weights[index])
         for index in range(len(m.spad))
     ]
 
 
 def join(m: Machine, parts: list[Machine]) -> None:
-    """Take back the registers of `slices(m)` after each ran from the same scan state to the same one.
+    """Take back the weights latched by `slices(m)` after each ran from the same scan state to the same one.
 
-    Their registers then agree, and so does their latch but for its weights.  Those are
-    stacked into `m`'s latch unless every part still holds its own slice of it.
+    Then all of them hold weights or none does.  The weights are stacked into `m` when a part
+    latched its own, rather than holding its slice of `m`'s.
     """
-    first = parts[0]
-    m.regs, m.ld_strides, m.st_stride = first.regs, first.ld_strides, first.st_stride
-    if first.latched is not None:
-        weights = m.latched and m.latched.weights  # an array of its own: a part's slice of it has it as its base
-        if weights is None or any(part.latched.weights.base is not weights for part in parts):
-            weights = np.stack([part.latched.weights for part in parts])
-        m.latched = replace(first.latched, weights=weights)
+    weights = m.weights  # an array of its own: a part's slice of it has it as its base
+    if parts[0].weights is not None and (weights is None or any(part.weights.base is not weights for part in parts)):
+        m.weights = np.stack([part.weights for part in parts])
 
 
 def run(m: Machine, ops: list[tuple]) -> None:
     """Replay the ops of checked instructions (`isa.step`) on every case at once, checking nothing.
 
-    The step pass must have taken them from the machine's `scan_state`; a replay of its ops raises nothing.
+    The ops must come from a step pass that started in the scan state the machine was left in; a replay of
+    them raises nothing.
     """
     replays = _REPLAYS
     for op in ops:
         replays[op[0]](m, op)
 
 
-def scan_state(m: Machine) -> ScanState:
-    """The scan state of `m`'s registers and latch, which a step pass over it starts from."""
-    lat = m.latched
-    if lat is None:
-        return ScanState(dict(m.ld_strides), m.st_stride, ex=m.regs)
-    latch, result = (lat.c_row, lat.c_rows, lat.c_accumulate), (lat.c_rows, lat.c_cols)
-    return ScanState(dict(m.ld_strides), m.st_stride, latch, m.regs, lat.weights.shape[-2:], result)
-
-
 def execute(m: Machine, p: Program) -> Machine:
-    """Step (`isa.step`) a program from the machine's scan state, then replay it on every case at once.
+    """Step (`isa.step`) a program from a fresh scan state, then replay it on every case at once.
 
     A `ValidationError` is an `ExecError` too.  A refused program leaves the machine untouched.
     """
     sizes = memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()})
-    run(m, step(p.instructions, m.config, sizes, scan_state(m)))
+    run(m, step(p.instructions, m.config, sizes))
     return m
 
 

@@ -1,10 +1,11 @@
 """The benchmark's tracer must find every program attribute it wraps.
 
 `perfbench/tracing.py` times layers by replacing module attributes such as
-`optimizer.search_reorder` with wrappers.  A rename in `src/` that drops
-one of them breaks traced and smoke benchmark runs, so install the tracer
-here over the same modules the benchmark worker loads, then take it out,
-and run the smoke benchmark itself.
+`optimizer.search_reorder` with wrappers, and reads a few more, such as
+`machine.ExecError`, as they are.  A rename in `src/` that drops one of
+them breaks traced and smoke benchmark runs, so install the tracer here
+over the same modules the benchmark worker loads, then take it out, check
+the names it only reads, and run the smoke benchmark itself.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def test_tracer_patches_existing_attributes_and_restores_them(monkeypatch) -> No
         assert getattr(owner, attr) is original, attr
     names = {attr for _, attr, _ in patched}
     assert {"search_reorder", "analyze_dependences", "peephole_block", "verify_program"} <= names
+    patched_at = {(owner.__name__, attr) for owner, attr, _ in patched}
+    assert {("ta_lift.kernels", "execute"), ("ta_lift.cli", "execute"),
+            ("ta_lift.machine", "validate_program")} <= patched_at
+
+
+def test_tracer_reads_existing_attributes() -> None:
+    """Names the tracer reads without wrapping them: a rename would fail only inside a traced run."""
+    from ta_lift import costs, machine
+
+    assert issubclass(machine.ExecError, Exception)
+    assert callable(costs.instruction_kind)
 
 
 def test_the_smoke_benchmark_passes() -> None:

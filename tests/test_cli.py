@@ -273,6 +273,34 @@ def test_simulate_refuses_an_invalid_program_before_building_cases(tmp_path, cap
     assert calls == []
 
 
+_OUT_COMMANDS = {  # every subcommand that takes --out, on inputs it runs to the end
+    "simulate": lambda d: ["simulate", "--program", golden_file(d), "--kernel", "gv1", "--n", "2"],
+    "verify": lambda d: ["verify", "--program", golden_file(d), "--kernel", "gv1", "--n", "2"],
+    "translate": lambda d: ["translate", "--kernel", "gv1", "--backend", "replay", "--n", "1", "--fixtures",
+                            write_json(d / "fx.json", {translation_prompt("gv1").fingerprint: [
+                                fenced(golden_program("gv1"))]})],
+    "evaluate": lambda d: ["evaluate", "--config", eval_bundle(d)[0], "--backend", "replay",
+                           "--fixtures", eval_bundle(d)[1]],
+    "repair": lambda d: ["repair", "--program", golden_file(d), "--kernel", "gv1", "--mode", "enumerate"],
+    "optimize": lambda d: ["optimize", "--program", golden_file(d), "--kernel", "gv1", "--mode", "rules"],
+    "schedule": lambda d: ["schedule", "--program", schedule_bundle(d)[0], "--backend", "replay",
+                           "--fixtures", schedule_bundle(d)[1], "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "out" if under else taken
+    argv = [str(arg) for arg in _OUT_COMMANDS[command](tmp_path)]
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(taken) in err and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 # -- translate -------------------------------------------------------------------
 
 

@@ -5,17 +5,21 @@ length and the block lies inside the buffer) now copies each DIM-wide tile
 with one slice; every other move still goes row by row.  The replay checks
 nothing: `isa.step` finds every execution error before a run and hands
 `run` the ops to replay.  The oracle below keeps the earlier executors,
-checks and all, verbatim.  For each step, each random workload and each
-one-field mutation, validation, then the step pass from the machine's
-`scan_state`, then `run` of its ops must raise the same `ExecError`
-(index, kind and message) as validation, then the oracle's executors, or
-none and leave the same bytes in every array.  Whatever prefix of them
+checks and all, verbatim.  They keep the registers and the latch record on
+the machine, so they run on a test-side machine type that holds them; the
+tree keeps them in the step pass's scan state alone.  For each step, each
+random workload and each one-field mutation, validation, then the step
+pass from the scan state the machine was left in, then `run` of its ops
+must raise the same `ExecError` (index, kind and message) as validation,
+then the oracle's executors, or none and leave the same bytes in every
+array and the same registers and latch.  Whatever prefix of them
 validation and the pass accept, `run` replays without raising.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from ta_lift.isa import (
     ELEMENT_BYTES,
     FULL_WIDTH_BIT,
     LOAD_CHANNELS,
+    RESET_EX,
     ROW_MASK,
     SENTINEL,
     Activation,
@@ -48,6 +53,7 @@ from ta_lift.isa import (
     PreloadZeros,
     Space,
     Program,
+    ScanState,
     ValidationError,
     first_invalid,
     memory_sizes,
@@ -55,13 +61,31 @@ from ta_lift.isa import (
     step,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
-from ta_lift.machine import (ExecError, Machine, MachineConfig, _Latched, create_machine, repeat, run, scan_state,
-                             slices)
+from ta_lift.machine import ExecError, Machine, MachineConfig, create_machine, repeat, run, slices
 from ta_lift.program_text import parse_program
 from test_case_axis import workloads
 from test_instruction_table import one_field_mutations
 
 # -- the oracle: the executors before the tile path, verbatim -----------------------
+
+
+@dataclass
+class _Latched:
+    weights: np.ndarray  # post-transpose W block, behind the case axes
+    c_row: int
+    c_accumulate: bool
+    c_cols: int
+    c_rows: int
+
+
+@dataclass
+class OracleMachine(Machine):
+    """A machine that also holds the registers and the latch record, as the oracle's executors read them."""
+
+    regs: ConfigEx = RESET_EX  # the last config_ex
+    ld_strides: dict[int, int | None] = field(default_factory=lambda: dict.fromkeys(LOAD_CHANNELS))
+    st_stride: int | None = None
+    latched: _Latched | None = None
 
 
 def _stride_elems(m: Machine, idx: int, stride_bytes: int | None, what: str) -> int:
@@ -268,28 +292,28 @@ def validation_error(m: Machine, instructions) -> tuple | None:
     return None
 
 
-def stepped(m: Machine, instructions) -> list:
-    """The ops of the step pass over `instructions` from the machine's registers and latch."""
+def stepped(m: Machine, scan: ScanState, instructions) -> list:
+    """The ops of the step pass over `instructions` from `scan`, which moves past them."""
     return step(instructions, m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
-                scan_state(m))
+                scan)
 
 
-def static_error(m: Machine, instructions) -> tuple | None:
-    """What validation, then the step pass from the machine's registers and latch, refuses first: or None."""
+def static_error(m: Machine, scan: ScanState, instructions) -> tuple | None:
+    """What validation, then the step pass from a copy of `scan`, refuses first: or None."""
     error = validation_error(m, instructions)
     if error is None:
         try:
-            stepped(m, instructions)
+            stepped(m, scan.copy(), instructions)
         except ExecError as err:
             return err.index, err.kind, err.detail
     return error
 
 
-def outcome(m: Machine, instructions) -> tuple | None:
-    """Validate, step, then replay on the tree's machine: the error refused, or None."""
-    error = static_error(m, instructions)
+def outcome(m: Machine, scan: ScanState, instructions) -> tuple | None:
+    """Validate, step, then replay on the tree's machine, moving `scan` past them: the error refused, or None."""
+    error = static_error(m, scan, instructions)
     if error is None:
-        run(m, stepped(m, instructions))
+        run(m, stepped(m, scan, instructions))
     return error
 
 
@@ -306,38 +330,54 @@ def oracle_outcome(m: Machine, instructions) -> tuple | None:
     return None
 
 
-def state(m: Machine) -> tuple:
-    """Every array and register an executor can change, as bytes and values."""
-    latched = m.latched
-    if latched is not None:
-        latched = (latched.weights.shape, latched.weights.tobytes(), latched.c_row, latched.c_accumulate,
-                   latched.c_cols, latched.c_rows)
+def state(m: Machine, scan: ScanState) -> tuple:
+    """Every array the replay can change, as bytes, and every register and latch value the step pass can."""
+    weights = None if m.weights is None else (m.weights.shape, m.weights.tobytes())
     dram = {name: (arr.shape, arr.tobytes()) for name, arr in m.dram.items()}
-    return dram, m.spad.tobytes(), m.acc.tobytes(), m.regs, dict(m.ld_strides), m.st_stride, latched
+    return dram, m.spad.tobytes(), m.acc.tobytes(), weights, scan.copy()
 
 
-def copied(m: Machine) -> Machine:
-    """An independent copy of `m`: the one slice of `m` repeated once."""
-    return slices(repeat(m, 1))[0]
+def oracle_state(old: OracleMachine) -> tuple:
+    """`state` of the oracle's machine, its registers and latch read as a scan state."""
+    lat, weights = old.latched, None
+    scan = ScanState(dict(old.ld_strides), old.st_stride, ex=old.regs)
+    if lat is not None:
+        weights = lat.weights.shape, lat.weights.tobytes()
+        scan.latch, scan.result = (lat.c_row, lat.c_rows, lat.c_accumulate), (lat.c_rows, lat.c_cols)
+        scan.weights = lat.weights.shape[-2:]
+    dram = {name: (arr.shape, arr.tobytes()) for name, arr in old.dram.items()}
+    return dram, old.spad.tobytes(), old.acc.tobytes(), weights, scan
 
 
-def assert_same_as_oracle(m: Machine, instructions) -> None:
-    """The tree on `m` and the oracle on a copy: the same error and `m` untouched, or no error and the same state."""
-    old, before = copied(m), state(m)
+def oracle_copy(m: Machine, scan: ScanState) -> OracleMachine:
+    """An independent copy of `m` (its one slice repeated once) holding `scan`'s registers and latch."""
+    copy, latched = slices(repeat(m, 1))[0], None
+    if scan.latch is not None:
+        c_row, c_rows, c_accumulate = scan.latch
+        latched = _Latched(copy.weights, c_row, c_accumulate, scan.result[1], c_rows)
+    return OracleMachine(copy.config, copy.dram, copy.spad, copy.acc, regs=scan.ex, ld_strides=dict(scan.ld_strides),
+                         st_stride=scan.st_stride, latched=latched)
+
+
+def assert_same_as_oracle(m: Machine, scan: ScanState, instructions) -> None:
+    """The tree on `m` from `scan` and the oracle on a copy: the same error and `m` and `scan` untouched, or no
+    error and the same state."""
+    old, before = oracle_copy(m, scan), state(m, scan)
+    assert oracle_state(old) == before
     expected = oracle_outcome(old, instructions)
-    assert outcome(m, instructions) == expected
-    assert state(m) == (before if expected is not None else state(old))
+    assert outcome(m, scan, instructions) == expected
+    assert state(m, scan) == (before if expected is not None else oracle_state(old))
 
 
-def assert_accepted_prefix_runs(m: Machine, instructions) -> None:
-    """The longest prefix validation and the pass accept: its replay raises nothing and leaves the oracle's bytes."""
+def assert_accepted_prefix_runs(m: Machine, scan: ScanState, instructions) -> None:
+    """The longest prefix validation and the pass accept: its replay raises nothing and leaves the oracle's state."""
     stop = len(instructions)
-    while (error := static_error(m, instructions[:stop])) is not None:
+    while (error := static_error(m, scan, instructions[:stop])) is not None:
         stop = error[0]
-    old = copied(m)
+    old = oracle_copy(m, scan)
     assert oracle_outcome(old, instructions[:stop]) is None
-    run(m, stepped(m, instructions[:stop]))
-    assert state(m) == state(old)
+    run(m, stepped(m, scan, instructions[:stop]))
+    assert state(m, scan) == oracle_state(old)
 
 
 # -- single steps on random machines -------------------------------------------------
@@ -404,8 +444,8 @@ def matrix_steps(draw, kind: type, cfg: MachineConfig):
 
 @st.composite
 def steps(draw):
-    """(machine, instructions): a random batched machine with random registers and latch,
-    and one to four mvin, mvout, preload or compute steps, a move perhaps after its stride."""
+    """(machine, scan state, instructions): a random batched machine with random registers and latch in
+    the scan state, and one to four mvin, mvout, preload or compute steps, a move perhaps after its stride."""
     dim = draw(st.sampled_from((1, 2, 4)))
     cfg = MachineConfig(dim=dim, spad_rows=draw(st.integers(dim, 4 * dim + 2)),
                         acc_rows=draw(st.integers(dim, 4 * dim + 2)), max_block_len=draw(st.integers(1, 4)))
@@ -418,15 +458,16 @@ def steps(draw):
     m.spad[...] = rng.standard_normal(m.spad.shape)
     m.acc[...] = rng.standard_normal(m.acc.shape)
     dataflow = draw(st.sampled_from((Dataflow.WEIGHT_STATIONARY,) * 3 + (Dataflow.OUTPUT_STATIONARY,)))
-    m.regs = ConfigEx(dataflow, draw(st.sampled_from(_ACTIVATIONS)), draw(st.booleans()), draw(st.booleans()))
+    ex = ConfigEx(dataflow, draw(st.sampled_from(_ACTIVATIONS)), draw(st.booleans()), draw(st.booleans()))
     row_bytes = tuple(cols * ELEMENT_BYTES for _, cols in shapes.values())
-    m.ld_strides = {channel: draw(strides(row_bytes)) for channel in LOAD_CHANNELS}
-    m.st_stride = draw(strides(row_bytes))
+    ld_strides = {channel: draw(strides(row_bytes)) for channel in LOAD_CHANNELS}
+    scan = ScanState(ld_strides, draw(strides(row_bytes)), ex=ex)
     if draw(st.booleans()):
         w_rows, w_cols = draw(st.integers(1, dim)), draw(st.integers(1, dim))
-        weights = rng.standard_normal(batch + (w_rows, w_cols)).astype(np.float32)
+        m.weights = rng.standard_normal(batch + (w_rows, w_cols)).astype(np.float32)
         c_rows = draw(st.integers(1, dim))
-        m.latched = _Latched(weights, draw(local_rows(cfg.acc_rows, c_rows)), draw(st.booleans()), w_cols, c_rows)
+        scan.latch = (draw(local_rows(cfg.acc_rows, c_rows)), c_rows, draw(st.booleans()))
+        scan.weights, scan.result = (w_rows, w_cols), (c_rows, w_cols)
     instructions = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from((Mvin, Mvin, Mvout, Mvout, Preload, PreloadZeros, ComputePreloaded,
@@ -439,7 +480,7 @@ def steps(draw):
             stride = draw(strides((shapes.get(move.dram.buffer, (1, 1))[1] * ELEMENT_BYTES,)))
             instructions.append(ConfigSt(stride) if kind is Mvout else ConfigLd(stride, move.channel))
         instructions.append(move)
-    return m, instructions
+    return m, scan, instructions
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -452,7 +493,7 @@ def valid_form(step):
     """The step with what validation refuses moved in range: each local address into the memory its
     operand must address, each load channel to 0 and each stride config of None to 0.  Most such steps
     reach the pass."""
-    m, instructions = step
+    m, scan, instructions = step
     fixed = []
     for ins in instructions:
         if isinstance(ins, (Mvin, ConfigLd)) and ins.channel not in LOAD_CHANNELS:
@@ -465,7 +506,7 @@ def valid_form(step):
                 raw = raw | ACC_BIT if space is Space.ACCUMULATOR else raw & ~ACC_BIT
                 ins = dataclasses.replace(ins, **{name: raw})
         fixed.append(ins)
-    return m, fixed
+    return m, scan, fixed
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -478,16 +519,16 @@ def test_valid_steps_match_the_oracle(step) -> None:
 @given(workloads())
 def test_random_workloads_match_the_oracle(workload) -> None:
     program, spec, cases = workload
-    assert_same_as_oracle(machine_for_cases(spec, cases), program.instructions)
+    assert_same_as_oracle(machine_for_cases(spec, cases), ScanState(), program.instructions)
 
 
-def mutation_machine(mutation, seed: int) -> tuple[Machine, tuple]:
-    """A two-case machine for a one-field mutation's program, shaped as it asks."""
+def mutation_machine(mutation, seed: int) -> tuple[Machine, ScanState, tuple]:
+    """A two-case machine for a one-field mutation's program, shaped as it asks, with a fresh scan state."""
     program, dim, max_block_len = mutation
     rng = np.random.default_rng(seed)
     contents = {name: rng.standard_normal((2,) + shape).astype(np.float32) for name, shape in program.buffers.items()}
     m = create_machine(MachineConfig(dim=dim, max_block_len=max_block_len), program.buffers, contents)
-    return m, program.instructions
+    return m, ScanState(), program.instructions
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -520,7 +561,7 @@ def edge_machine() -> Machine:
 
 @pytest.mark.parametrize("instructions", EDGE_MOVES.values(), ids=EDGE_MOVES)
 def test_edge_moves_match_the_oracle(instructions) -> None:
-    assert_same_as_oracle(edge_machine(), instructions)
+    assert_same_as_oracle(edge_machine(), ScanState(), instructions)
 
 
 def _ex(dataflow=Dataflow.WEIGHT_STATIONARY, act=Activation.NONE, a_transpose=False, b_transpose=False) -> ConfigEx:
@@ -570,20 +611,21 @@ EDGE_CHECKS = {  # name: (the kind the first error has, or None; instructions on
 @pytest.mark.parametrize("kind, instructions", EDGE_CHECKS.values(), ids=EDGE_CHECKS)
 def test_edge_checks_match_the_oracle(kind, instructions) -> None:
     m = edge_machine()
-    assert (static_error(m, instructions) or (None, None))[1] == kind
-    assert_same_as_oracle(m, instructions)
+    assert (static_error(m, ScanState(), instructions) or (None, None))[1] == kind
+    assert_same_as_oracle(m, ScanState(), instructions)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(
     steps(),
-    workloads().map(lambda workload: (machine_for_cases(workload[1], workload[2]), workload[0].instructions)),
+    workloads().map(lambda workload: (machine_for_cases(workload[1], workload[2]), ScanState(),
+                                      workload[0].instructions)),
     st.builds(mutation_machine, one_field_mutations(), st.integers(0, 2**32 - 1)),
     st.sampled_from([*EDGE_MOVES.values(), *(instructions for _, instructions in EDGE_CHECKS.values())]).map(
-        lambda instructions: (edge_machine(), instructions)),
+        lambda instructions: (edge_machine(), ScanState(), instructions)),
 ))
-def test_run_raises_nothing_on_what_validation_and_the_pass_accept(machine_and_instructions) -> None:
-    assert_accepted_prefix_runs(*machine_and_instructions)
+def test_run_raises_nothing_on_what_validation_and_the_pass_accept(machine_state_and_instructions) -> None:
+    assert_accepted_prefix_runs(*machine_state_and_instructions)
 
 
 # -- which path a move takes -------------------------------------------------------------

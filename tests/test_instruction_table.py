@@ -56,7 +56,7 @@ from ta_lift.isa import (
     validate_program,
 )
 from ta_lift.kernels import generate_testcases, machine_for_cases
-from ta_lift.machine import ExecError, Machine, execute
+from ta_lift.machine import ExecError, Machine, execute, run
 from ta_lift.program_text import parse_program, render_instruction
 from test_case_axis import _GOLDEN_PROGRAMS, workloads
 
@@ -347,8 +347,6 @@ def _twin(m: Machine, reads: dict[str, np.ndarray], noise: dict[str, np.ndarray]
         dram={name: arr.copy() for name, arr in m.dram.items()},
         spad=m.spad.copy(),
         acc=m.acc.copy(),
-        regs=dataclasses.replace(m.regs),
-        ld_strides=dict(m.ld_strides),
     )
     for space, memory in _memories(twin).items():
         np.copyto(memory, noise[space], where=~reads[space][:, None])
@@ -362,11 +360,10 @@ def _inside(m: Machine, interval: Interval) -> bool:
 
 
 def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bool:
-    """Run one instruction on `m` and on a randomized twin; False once it fails."""
-    single = Program((ins,))
+    """Run one instruction from `state` on `m` and on a randomized twin; False once it fails."""
     try:
-        step(single.instructions, m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
-             state.copy())
+        ops = step((ins,), m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
+                   state.copy())
     except ValidationError:  # an invalid one has no footprint
         return False
     except ExecError as err:
@@ -381,8 +378,8 @@ def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bo
     twin = _twin(m, read_masks, noise)
     before = {space: memory.copy() for space, memory in _memories(m).items()}
     twin_before = {space: memory.copy() for space, memory in _memories(twin).items()}
-    execute(m, single)
-    execute(twin, single)
+    run(m, ops)
+    run(twin, ops)
     after, twin_after = _memories(m), _memories(twin)
     for space, memory in after.items():
         wrote = (memory != before[space]) | (twin_after[space] != twin_before[space])
