@@ -247,6 +247,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     program = _parse_or_fail(_read_text(ns.program), spec)
     if program is None:
         return EXIT_FAIL
+    out = _out_dir(ns)
     cfg = MachineConfig()
     try:
         # Step before the cases are built; execution errors depend only on the program, so the first case hits them.
@@ -262,7 +263,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         outputs.append({"index": index, "output": result.tolist()})
         print(f"case {index}: {spec.c} shape {result.shape[0]}x{result.shape[1]} "
               f"checksum {float(result.sum()):.6g}")
-    out = _out_dir(ns)
     if out is not None:
         _write_json(out / f"simulate_{spec.name}.json",
                     {"kernel": spec.name, "seed": ns.seed, "cases": outputs})
@@ -274,13 +274,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     program = _parse_or_fail(_read_text(ns.program), spec)
     if program is None:
         return EXIT_FAIL
+    out = _out_dir(ns)
     cases = generate_testcases(spec, ns.seed, ns.n)
     verdict = verify_program(program, spec, cases)
     for outcome in verdict.cases:
         status = "pass" if outcome.passed else f"fail ({_failure_text(outcome.failure)})"
         print(f"case {outcome.index}: {status}")
     print(f"{'PASS' if verdict.passed else 'FAIL'} ({len(verdict.cases)} of {len(cases)} cases run)")
-    out = _out_dir(ns)
     if out is not None:
         _write_json(out / f"verify_{spec.name}.json", {
             "kernel": spec.name,
@@ -297,6 +297,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_translate(ns: argparse.Namespace) -> int:
     spec = _require_kernel(ns.kernel)
     backend = _make_backend(ns)
+    out = _out_dir(ns)
     prompt = build_translation_prompt(Ablation(label="default").prompt_spec(spec))
     completions = backend.complete(prompt, GenerationParams(n_samples=ns.n))
     cases = generate_testcases(spec, ns.seed, 5)
@@ -315,7 +316,6 @@ def cmd_translate(ns: argparse.Namespace) -> int:
             status = f"fail ({_failure_text(verdict.failure)})"
         print(f"sample {index}: {status}")
     print(f"{len(passing)} of {len(results)} samples verified")
-    out = _out_dir(ns)
     if out is not None:
         if passing:
             (out / f"translated_{spec.name}.txt").write_text(passing[0])
@@ -393,11 +393,11 @@ def cmd_repair(ns: argparse.Namespace) -> int:
         backend = _make_backend(ns)
     if ns.mode == "llm" and backend is None:
         raise UsageError("--mode llm requires --backend")
+    out = _out_dir(ns)
     cases = generate_testcases(spec, ns.seed, ns.n)
     result = repair(candidate, spec, cases, constants=tuple(ns.constants),
                     mode=ns.mode, backend=backend)
     outcome = result.outcome
-    out = _out_dir(ns)
     payload: dict = {"kernel": spec.name, "tried": result.stats.candidates_tried}
     if isinstance(outcome, Repaired):
         print(f"repaired after {result.stats.candidates_tried} candidates")
@@ -430,6 +430,7 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
         if ns.backend is None:
             raise UsageError(f"--mode {ns.mode} requires --backend")
         backend = _make_backend(ns)
+    out = _out_dir(ns)
     cases = generate_testcases(spec, ns.seed, ns.n)
     try:
         result = optimize_program(program, spec, cases, mode=ns.mode, backend=backend)
@@ -439,7 +440,6 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     print(f"cost {result.before.total:g} -> {result.after.total:g} "
           f"(plan: {result.plan.provenance})")
     print(render_feedback(result.before, result.after).rstrip("\n"))
-    out = _out_dir(ns)
     if out is not None:
         (out / f"optimized_{spec.name}.txt").write_text(render_program(result.program))
         identity = tuple(range(len(result.plan.permutation)))
@@ -459,17 +459,18 @@ def cmd_schedule(ns: argparse.Namespace) -> int:
     text = _read_text(ns.program)
     try:
         nest = parse_kernel(text)
+        backend = _make_backend(ns)
+        out = _out_dir(ns)
+        # The session's reduced clone can be out of bounds where the kernel is not.
+        session = run_llm_session(nest, backend, max_steps=ns.n, seed=ns.seed)
     except (KernelSyntaxError, BoundsError) as err:
         print(f"kernel error: {err}")
         return EXIT_FAIL
-    backend = _make_backend(ns)
-    session = run_llm_session(nest, backend, max_steps=ns.n, seed=ns.seed)
     for step, record in enumerate(session.records):
         name = record.command["optimization"] if record.command else "(unparsable)"
         status = "ok" if record.result == "ok" else f"error: {record.result.splitlines()[0]}"
         print(f"step {step}: {name} {status} (cost {record.cost:g})")
     print(f"final locality cost {locality_cost(session.full):g}")
-    out = _out_dir(ns)
     if out is not None:
         (out / "schedule_transcript.json").write_text(session.transcript_json())
         (out / "scheduled_kernel.txt").write_text(render_kernel(session.full))

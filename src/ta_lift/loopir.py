@@ -6,28 +6,28 @@ leaves.  Bounds are compile-time constants, so every access can be
 bounds-checked by interval analysis at parse time, and extents can be
 swapped consistently to produce small clones that interpret quickly.
 
-`interpret` compiles a nest to the source of a Python function once, keeps
-the function on the nest object and calls it: loops over Python ints and one
-`np.float32` operation per `+ - *`, the values a direct evaluation of the
-tree in f32 gives, bit for bit.  Little else runs per iteration: each
-statement is one line, row prefixes and compound indices are bound outside
-the loops that do not change them, and an innermost loop keeps an element
-it does not move in a local.  Loops plus operators nest at most
-`_MAX_DEPTH` deep; deeper nests are a `NestingTooDeep` syntax error.
+A nest has one exact semantics.  A constant stands for its f32 value, a
+dyadic rational n / 2**k, and a loop variable for its int.  An index is
+exact integer arithmetic; a value is computed over GF(p), where 2**k has
+an inverse.  Constants fold only where the exact result of their f32
+values is an f32 value, so a rewrite never changes what a nest computes.
 
-The same compiler gives an exact function, over Python ints with each store
-reduced mod the prime `P`, which `check_equivalence` runs once on inputs
-uniform in [0, P) when every value constant is an integer in f32.  A wrong
-rewrite of degree d then passes with probability at most d/P
-(Schwartz-Zippel); a nest with another constant keeps five f32 trials.
+`interpret` compiles a nest to the source of a Python function once per
+prime, keeps the function on the nest object and calls it.  Little else
+runs per iteration: each statement is one line, row prefixes and compound
+indices are bound outside the loops that do not change them, and an
+innermost loop keeps an element it does not move in a local.  Loops plus
+operators nest at most `_MAX_DEPTH` deep; deeper nests are a
+`NestingTooDeep` syntax error.  `check_equivalence` runs two nests once
+over a prime drawn from its seed.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -124,30 +124,9 @@ class LoopNest:
     body: tuple[Statement, ...]
 
     @cached_property
-    def _program(self):
-        """This nest compiled to a Python function (see `interpret`).
-
-        Kept per object, not per value: nests that compare equal can still
-        differ in output, as `Const(0.0) == Const(-0.0)`.
-        """
-        return _compile(self)
-
-    @cached_property
-    def _exact_program(self):
-        """This nest compiled over GF(`P`) (see `interpret`), kept as `_program` is."""
-        return _compile(self, exact=True)
-
-    @cached_property
-    def _integral(self) -> bool:
-        """Whether every value constant is an integer after rounding to f32."""
-        stack, constants = list(self.body), []
-        while stack:
-            stmt = stack.pop()
-            if type(stmt) is Loop:
-                stack += stmt.body
-            else:
-                constants += (node.value for node in _postorder(stmt.rhs) if type(node) is Const)
-        return all(float(np.float32(value)).is_integer() for value in constants)
+    def _programs(self) -> dict:
+        """This nest compiled over GF(p), by prime p (see `interpret`)."""
+        return {}
 
     @cached_property
     def _locality_cost(self) -> float:
@@ -157,9 +136,41 @@ class LoopNest:
 # -- expression helpers --------------------------------------------------------
 
 
+# The least magnitude that rounds to infinity in f32: halfway past its largest value.
+_F32_LIMIT = 2.0**128 - 2.0**103
+
+
+def _f32(value: int | float | Fraction) -> Fraction | None:
+    """`value` rounded to f32, exactly, or None where that is not finite."""
+    value = float(value)
+    if not abs(value) < _F32_LIMIT:
+        return None
+    return Fraction(float(np.float32(value)))
+
+
+def _fold(op: str, left: Expr, right: Expr) -> Const | None:
+    """`left op right` as one constant, when both are constants and the exact result of their f32 values is an f32 value."""
+    if type(left) is not Const or type(right) is not Const:
+        return None
+    a, b = _f32(left.value), _f32(right.value)
+    exact = a + b if op == "+" else a - b if op == "-" else a * b
+    if _f32(exact) != exact:
+        return None
+    return Const(int(exact) if type(left.value) is type(right.value) is int else float(exact))
+
+
+def integer(value: int) -> Expr:
+    """An expression whose value is exactly the int `value`: a constant where f32 holds it."""
+    if abs(value) <= 2**24:
+        return Const(value)
+    high, low = divmod(value, 2**24)
+    return plus(times(integer(high), Const(2**24)), Const(low))
+
+
 def plus(left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value + right.value)
+    folded = _fold("+", left, right)
+    if folded is not None:
+        return folded
     if isinstance(left, Const) and left.value == 0:
         return right
     if isinstance(right, Const) and right.value == 0:
@@ -168,8 +179,9 @@ def plus(left: Expr, right: Expr) -> Expr:
 
 
 def times(left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value * right.value)
+    folded = _fold("*", left, right)
+    if folded is not None:
+        return folded
     if (isinstance(left, Const) and left.value == 0) or (
         isinstance(right, Const) and right.value == 0
     ):
@@ -196,9 +208,7 @@ def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
         return plus(left, right)
     if expr.op == "*":
         return times(left, right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value - right.value)
-    return BinOp("-", left, right)
+    return _fold("-", left, right) or BinOp("-", left, right)
 
 
 def substitute_stmt(stmt: Statement, var: str, replacement: Expr) -> Statement:
@@ -296,10 +306,8 @@ class _ExprParser:
                 expr = Const(-expr.value) if isinstance(expr, Const) else BinOp("-", Const(0), expr)
             return expr
         self.take()
-        if re.fullmatch(r"\d+\.\d+", tok):
-            return Const(float(tok))
-        if tok.isdigit():
-            return Const(int(tok))
+        if re.fullmatch(r"\d+(\.\d+)?", tok):
+            return Const(_literal(tok))
         if not re.fullmatch(r"\w+", tok):
             raise KernelSyntaxError(f"unexpected token '{tok}'")
         if self.peek() == "[":
@@ -318,6 +326,24 @@ class _ExprParser:
         self.brackets += 1
         if self.brackets > _MAX_BRACKETS:
             raise NestingTooDeep(f"more than {_MAX_BRACKETS} nested parentheses or brackets")
+
+
+# f32's largest value, about 3.4e38, has 39 digits.
+_F32_DIGITS = 39
+
+
+def _literal(tok: str) -> int | float:
+    """The value of a literal, refused unless its f32 value is finite.
+
+    Digits are counted first, so no literal meets `int()`'s digit limit.
+    """
+    whole = tok.split(".")[0].lstrip("0")
+    if len(whole) <= _F32_DIGITS:
+        value = float(tok) if "." in tok else int(whole or "0")
+        if _f32(value) is not None:
+            return value
+    shown = tok if len(tok) <= 24 else tok[:20] + "..."
+    raise KernelSyntaxError(f"literal {shown} is not finite in f32, whose largest value is about 3.4e38")
 
 
 def parse_expr(text: str) -> Expr:
@@ -498,28 +524,19 @@ def _check_depth(nest: LoopNest) -> None:
 
 # -- bounds checking -----------------------------------------------------------
 
-# Integers up to this magnitude are exact in f32, and so is f32 arithmetic on them.
-_EXACT_F32_INT = 2**24
-
-
-def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]], f32: bool = False):
-    """The value range of every node of an index expression, in `_postorder`.
-
-    With `f32`, constants, loop variables and every operation are `np.float32`,
-    as `interpret` computes an index that is not exact in ints.  Rounding to
-    f32 is monotone, so the ranges still hold every value `interpret` can
-    compute; a range that is not finite is a BoundsError.
-    """
-    number = np.float32 if f32 else (lambda value: value)
-    bounds: list[tuple[float, float]] = []
+def _index_range(expr: Expr, ranges: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The exact range of an index expression, whose constants must be integers in f32."""
+    bounds: list[tuple[int, int]] = []
     for node in _postorder(expr):
         if isinstance(node, Const):
-            bounds.append((number(node.value), number(node.value)))
+            value = _f32(node.value)
+            if value is None or value.denominator != 1:
+                raise BoundsError(f"index constant {node.value} is not an integer in f32")
+            bounds.append((int(value), int(value)))
         elif isinstance(node, Var):
             if node.name not in ranges:
                 raise BoundsError(f"unbound variable '{node.name}' in index expression")
-            low, high = ranges[node.name]
-            bounds.append((number(low), number(high)))
+            bounds.append(ranges[node.name])
         elif isinstance(node, Read):
             raise BoundsError("array reads are not allowed in index expressions")
         else:
@@ -531,22 +548,7 @@ def _intervals(expr: Expr, ranges: dict[str, tuple[int, int]], f32: bool = False
             else:
                 corners = (ll * rl, ll * rh, lh * rl, lh * rh)
                 bounds.append((min(corners), max(corners)))
-        if f32 and not np.isfinite(bounds[-1]).all():
-            raise BoundsError("index expression overflows f32")
-        yield bounds[-1]
-
-
-def _int_range(expr: Expr, ranges: dict[str, tuple[int, int]]) -> tuple[int, int] | None:
-    """The range of an index expression whose every value is an integer of magnitude at most 2**24, else None.
-
-    A float constant makes every range that depends on it a float one.
-    """
-    span = None
-    for span in _intervals(expr, ranges):
-        low, high = span
-        if type(low) is not int or type(high) is not int or max(abs(low), abs(high)) > _EXACT_F32_INT:
-            return None
-    return span
+    return bounds[-1]
 
 
 def check_bounds(nest: LoopNest) -> None:
@@ -563,12 +565,7 @@ def check_bounds(nest: LoopNest) -> None:
         if len(indices) != len(extents[array]):
             raise BoundsError(f"{array} expects {len(extents[array])} indices, got {len(indices)}")
         for dim, index in enumerate(indices):
-            # interpret computes an index in ints where that is exact, else in f32.
-            span = _int_range(index, ranges)
-            if span is None:
-                with np.errstate(over="ignore"):
-                    *_, span = _intervals(index, ranges, f32=True)
-            low, high = span
+            low, high = _index_range(index, ranges)
             if low < 0 or high >= extents[array][dim]:
                 raise BoundsError(
                     f"{array} index {dim} spans [{low}, {high}] outside [0, {extents[array][dim] - 1}]"
@@ -593,19 +590,24 @@ def check_bounds(nest: LoopNest) -> None:
 
 
 def render_expr(expr: Expr) -> str:
+    """`expr` as text that `parse_expr` reads back as the same tree."""
     if isinstance(expr, Const):
-        return str(expr.value)
+        text = str(expr.value)
+        if "e" in text:  # the parser reads no exponents
+            text = format(Decimal(text), "f")
+            text += "" if "." in text else ".0"
+        return text
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Read):
         return f"{expr.array}[{', '.join(render_expr(i) for i in expr.indices)}]"
     left = render_expr(expr.left)
     right = render_expr(expr.right)
-    if expr.op == "*":
-        if isinstance(expr.left, BinOp) and expr.left.op in "+-":
-            left = f"({left})"
-        if isinstance(expr.right, BinOp) and expr.right.op in "+-":
-            right = f"({right})"
+    # The parser groups `*` first, then left to right.
+    if expr.op == "*" and isinstance(expr.left, BinOp) and expr.left.op in "+-":
+        left = f"({left})"
+    if isinstance(expr.right, BinOp) and (expr.op == "*" or expr.right.op in "+-"):
+        right = f"({right})"
     return f"{left} {expr.op} {right}"
 
 
@@ -659,11 +661,13 @@ def render_kernel(nest: LoopNest) -> str:
 
 # -- interpretation ------------------------------------------------------------
 #
-# Arrays enter the generated code as nested lists of `np.float32` scalars,
-# which index faster than numpy arrays and hold the same values.  Each value
-# `+ - *` is one `np.float32` operation on the operands a direct evaluation
-# of the tree uses, in the same order.  The code around those operations is
-# cut down to little more than the loops:
+# Arrays enter the generated code as nested lists of Python ints, which
+# index faster than numpy arrays.  A value is computed in ints, a constant as
+# its residue mod p and a loop variable as itself, and each store is reduced
+# mod p (`P` in the function's namespace), so no int outgrows one
+# statement's expression.  An index is computed in ints, exactly, each
+# constant as its f32 value.  The code around the arithmetic is cut down to
+# little more than the loops:
 #
 # - A statement is one line, its expressions inline.  A part nested deeper
 #   than `_INLINE_DEPTH` goes into a temporary first, so CPython's parser
@@ -678,22 +682,15 @@ def render_kernel(nest: LoopNest) -> str:
 #   before the loop, stored after it when the loop writes it.
 #
 # Loops are never empty (an empty one is refused), so a row or an element
-# loaded ahead of a loop is one the loop would have read anyway.  An index
-# is computed in Python ints only where every intermediate is an integer of
-# magnitude at most 2**24, where f32 arithmetic is exact; elsewhere it is
-# computed in f32 and truncated with `int()`, so `B[i * 1.5]` and large
-# offsets land where f32 puts them.  No user name appears in the source
-# (arrays `a<k>`, loop variables `i<k>`, rows `r<k>`, indices `x<k>`,
-# locals `s<k>`, temporaries `t<k>`, constants `c<k>`), so names such as
-# `range` or `np` cannot capture anything.  Each loop gets a fresh variable
-# and rows are keyed by their generated text, so a loop that shadows a name
-# never reuses a row or local bound under the outer meaning.
-#
-# The exact function differs only in values: Python ints, a loop variable
-# as itself, each constant as the int of its f32 value, and each store
-# reduced mod `P`, so no int outgrows one statement's expression.
+# loaded ahead of a loop is one the loop would have read anyway.  No user
+# name appears in the source (arrays `a<k>`, loop variables `i<k>`, rows
+# `r<k>`, indices `x<k>`, locals `s<k>`, temporaries `t<k>`), so names such
+# as `range` or `P` cannot capture anything.  Each loop gets a fresh
+# variable and rows are keyed by their generated text, so a loop that
+# shadows a name never reuses a row or local bound under the outer meaning.
 
-# The largest prime below 2**30: every stored value is one CPython digit.
+# The largest prime below 2**30, the default modulus of `interpret` and the
+# top of `check_equivalence`'s draw: every stored value is one CPython digit.
 P = 2**30 - 35
 
 # CPython refuses more than 20 statically nested blocks in one function.
@@ -722,14 +719,12 @@ class _Scope:
 
     `names` maps each visible loop variable to its Python name and level,
     the number of this function's loops around its binding (0 for a
-    parameter); `ranges` maps it to its inclusive value range.
-    `frames[level]` is the frame of that level, and `indices` remembers
-    each index rendered here by node identity.
+    parameter).  `frames[level]` is the frame of that level, and `indices`
+    remembers each index rendered here by node identity.
     """
 
-    def __init__(self, names: dict[str, tuple[str, int]], ranges: dict[str, tuple[int, int]], frames: list[_Frame]):
+    def __init__(self, names: dict[str, tuple[str, int]], frames: list[_Frame]):
         self.names = names
-        self.ranges = ranges
         self.frames = frames
         self.indices: dict[int, tuple[str, int, int]] = {}
 
@@ -737,28 +732,28 @@ class _Scope:
 class _Compiler:
     """Python source for one nest, as `source`: functions `k0`, `k1`, ...
 
-    `k0` takes the arrays in declaration order.  A loop deeper than
-    `_LOOPS_PER_FUNCTION` in its function moves to a function of its own
-    that also takes the loop variables in scope and binds its own rows.
+    `k0` takes the arrays in declaration order and computes over GF(`p`).
+    A loop deeper than `_LOOPS_PER_FUNCTION` in its function moves to a
+    function of its own that also takes the loop variables in scope and
+    binds its own rows.
     """
 
-    def __init__(self, nest: LoopNest, exact: bool = False):
-        self.exact = exact
+    def __init__(self, nest: LoopNest, p: int):
+        self.p = p
         self.arrays = {a.name: f"a{k}" for k, a in enumerate(nest.arrays)}
-        self.namespace: dict[str, object] = {"f32": np.float32, "P": P}
-        self.constants: dict[bytes, str] = {}
+        self.namespace: dict[str, object] = {"P": p}
         self.queue: list[tuple[str, tuple[Statement, ...], _Scope]] = []
         # Lines, and frames whose bound locals go in their place once all are known.
         self.lines: list[str | _Frame] = []
         self.loops = self.bound = self.temps = 0
         self.known: dict[int, tuple[frozenset[str], int]] = {}
-        self.function(nest.body, _Scope({}, {}, []))
+        self.function(nest.body, _Scope({}, []))
         # Emitting a function may queue more; the loop picks them up.
         for header, stmts, outer in self.queue:
             top = _Frame("    ")
             self.lines += (header, top)
             names = {name: (var, 0) for name, (var, _) in outer.names.items()}
-            self.block(stmts, _Scope(names, outer.ranges, [top]), 1, {})
+            self.block(stmts, _Scope(names, [top]), 1, {})
         self.source = "\n".join(
             line for part in self.lines for line in (part.lines if type(part) is _Frame else (part,))
         ) + "\n"
@@ -790,11 +785,7 @@ class _Compiler:
         var = f"i{self.loops}"
         self.loops += 1
         top = _Frame(pad + "    ")
-        inner = _Scope(
-            {**scope.names, loop.var: (var, len(scope.frames))},
-            {**scope.ranges, loop.var: (loop.lo, loop.hi - 1)},
-            [*scope.frames, top],
-        )
+        inner = _Scope({**scope.names, loop.var: (var, len(scope.frames))}, [*scope.frames, top])
         scalars: dict[str, str] = {}
         stores: list[str] = []
         if all(type(stmt) is not Loop for stmt in loop.body):
@@ -816,8 +807,8 @@ class _Compiler:
         Every access to such an array in the loop has indices equal by
         value, which do not read the loop variable and need no temporary.
         Index trees equal by value name the same element: they differ at
-        most in a constant's type or a zero's sign, which changes no
-        truncated index.
+        most in a constant's type or a zero's sign, which changes no f32
+        value.
         """
         indices: dict[str, tuple[Expr, ...] | None] = {}
         written = set()
@@ -853,10 +844,10 @@ class _Compiler:
         self.temps = 0
         code: list[str] = []
         target = scalars.get(stmt.array) or self.access(stmt.array, stmt.indices, scope, code)[0]
-        value = self.value(stmt.rhs, scope, scalars, code, self.exact)[0]
+        value = self.value(stmt.rhs, scope, scalars, code)[0]
         if isinstance(stmt, Accumulate):
             value = f"({target} + {value})"
-        code.append(f"{target} = {value} % P" if self.exact else f"{target} = {_bare(value)}")
+        code.append(f"{target} = {value} % P")
         self.lines += [pad + line for line in code]
 
     def access(self, array: str, indices: tuple[Expr, ...], scope: _Scope, code: list[str]) -> tuple[str, int]:
@@ -892,16 +883,15 @@ class _Compiler:
             frame.lines.append(f"{frame.pad}{frame.bound[text]} = {text}")
         return frame.bound[text]
 
-    def value(self, expr: Expr, scope: _Scope, scalars: dict[str, str], code: list[str],
-              exact: bool = False) -> tuple[str, int]:
-        """`expr` in f32, or `exact` in ints, as an operand and its nesting; an operator at its root is parenthesized."""
+    def value(self, expr: Expr, scope: _Scope, scalars: dict[str, str], code: list[str]) -> tuple[str, int]:
+        """`expr` over GF(`p`) as an operand and its nesting; an operator at its root is parenthesized."""
 
         def leaf(node: Expr) -> tuple[str, int]:
             if isinstance(node, Const):
-                return (repr(int(np.float32(node.value))) if exact else self.constant(node.value)), 0
+                value = _f32(node.value)
+                return repr(value.numerator * pow(value.denominator, -1, self.p) % self.p), 0
             if isinstance(node, Var):
-                var = self.variable(node.name, scope)[0]
-                return (var, 0) if exact else (f"f32({var})", 1)
+                return self.variable(node.name, scope)[0], 0
             if node.array in scalars:
                 return scalars[node.array], 0
             return self.access(node.array, node.indices, scope, code)
@@ -909,7 +899,7 @@ class _Compiler:
         return self.operators(expr, code, leaf)
 
     def index(self, expr: Expr, scope: _Scope, code: list[str]) -> tuple[str, int, int]:
-        """An int operand equal to `int(f32 value)` of an index, its nesting and its level.
+        """An int operand equal to an index, its nesting and its level.
 
         The level is that of the innermost loop variable the index reads.
         An index rendered without temporaries is remembered per scope.
@@ -917,23 +907,13 @@ class _Compiler:
         known = scope.indices.get(id(expr))
         if known is not None:
             return known
-        if isinstance(expr, Var):  # the common index, with `_int_range`'s test inlined
-            var, level = self.variable(expr.name, scope)
-            low, high = scope.ranges[expr.name]
-            if -_EXACT_F32_INT <= low and high <= _EXACT_F32_INT:
-                scope.indices[id(expr)] = known = var, 0, level
-                return known
         temps = len(code)
         level = max((self.variable(name, scope)[1] for name in self.facts(expr)[0]), default=0)
-        if _int_range(expr, scope.ranges) is None:
-            spot, depth = self.value(expr, scope, {}, code)
-            spot, depth = f"int({_bare(spot)})", depth + 1
-        else:
-            spot, depth = self.operators(
-                expr, code,
-                lambda node: (repr(node.value) if isinstance(node, Const) else self.variable(node.name, scope)[0], 0),
-            )
-            spot = _bare(spot)
+        spot, depth = self.operators(
+            expr, code,
+            lambda node: (repr(int(_f32(node.value))) if isinstance(node, Const) else self.variable(node.name, scope)[0], 0),
+        )
+        spot = _bare(spot)
         if len(code) == temps:
             scope.indices[id(expr)] = spot, depth, level
         return spot, depth, level
@@ -963,14 +943,6 @@ class _Compiler:
         code.append(f"t{self.temps} = {value}")
         return f"t{self.temps}"
 
-    def constant(self, value: int | float) -> str:
-        f = np.float32(value)
-        key = f.tobytes()
-        if key not in self.constants:
-            self.constants[key] = f"c{len(self.constants)}"
-            self.namespace[self.constants[key]] = f
-        return self.constants[key]
-
     def variable(self, name: str, scope: _Scope) -> tuple[str, int]:
         """The Python name of a loop variable and the level that binds it."""
         if name not in scope.names:
@@ -978,52 +950,39 @@ class _Compiler:
         return scope.names[name]
 
 
-def _compile(nest: LoopNest, exact: bool = False):
-    compiler = _Compiler(nest, exact)
+def _compile(nest: LoopNest, p: int):
+    compiler = _Compiler(nest, p)
     exec(compile(compiler.source, f"<loop nest {nest.name}>", "exec"), compiler.namespace)
     return compiler.namespace["k0"]
 
 
-def _as_lists(array: np.ndarray) -> list:
-    """`array` as nested lists of its `np.float32` scalars, from one flat list."""
-    rows = list(array.ravel())
-    for dim in range(array.ndim - 1, 0, -1):
-        width = array.shape[dim]
-        rows = [rows[k * width : (k + 1) * width] for k in range(math.prod(array.shape[:dim]))]
-    return rows
+def interpret(nest: LoopNest, inputs: dict[str, np.ndarray], p: int = P) -> dict[str, np.ndarray]:
+    """Run the kernel sequentially over GF(`p`) and return all arrays as int64.
 
-
-def _from_lists(rows: list, extents: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    """The array of shape `extents` that `_as_lists` gave as `rows`, with the values they hold now."""
-    values = iter(rows)
-    for _ in extents[1:]:
-        values = itertools.chain.from_iterable(values)
-    return np.fromiter(values, dtype=dtype, count=math.prod(extents)).reshape(extents)
-
-
-def interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Run the kernel sequentially in 32-bit float and return all arrays.
-
-    When every input has an integer dtype, run it exactly instead, over
-    Python ints with each stored value reduced mod `P`, and return int64
-    arrays; index arithmetic is the same.  The nest is compiled to Python
-    on its first run of each kind and the function kept on the nest object.
-    Variables are scoped lexically: an inner loop that reuses a name
-    shadows the outer one only inside its body.
+    Inputs are integer arrays.  Values are computed in Python ints, with
+    each stored value reduced mod `p`; a constant is its f32 value, n / 2**k,
+    as n times the inverse of 2**k mod `p`.  Indices are exact.  The nest is
+    compiled to Python on its first run for `p` and the function kept on
+    the nest object.  Variables are scoped lexically: an inner loop that
+    reuses a name shadows the outer one only inside its body.
     """
     declared = {a.name: a.extents for a in nest.arrays}
     if set(inputs) != set(declared):
         raise ShapeMismatch(f"inputs {sorted(inputs)} do not match arrays {sorted(declared)}")
-    exact = all(np.issubdtype(np.asarray(value).dtype, np.integer) for value in inputs.values())
-    dtype = np.int64 if exact else np.float32
     lists = []
     for name, extents in declared.items():
-        value = np.asarray(inputs[name], dtype=dtype)
+        value = np.asarray(inputs[name])
         if value.shape != extents:
             raise ShapeMismatch(f"{name} has shape {value.shape}, expected {extents}")
-        lists.append(value.tolist() if exact else _as_lists(value))
-    (nest._exact_program if exact else nest._program)(*lists)
-    return {name: _from_lists(rows, extents, dtype) for (name, extents), rows in zip(declared.items(), lists)}
+        if not np.issubdtype(value.dtype, np.integer):
+            raise ShapeMismatch(f"{name} holds {value.dtype}, expected integers")
+        lists.append(value.tolist())
+    program = nest._programs.get(p)
+    if program is None:
+        program = nest._programs[p] = _compile(nest, p)
+    program(*lists)
+    # The reshape keeps a zero extent after the first, which nested lists cannot show.
+    return {name: np.array(rows, np.int64).reshape(extents) for (name, extents), rows in zip(declared.items(), lists)}
 
 
 @dataclass(frozen=True)
@@ -1036,36 +995,56 @@ class EquivalenceVerdict:
         return self.passed
 
 
-def check_equivalence(k1: LoopNest, k2: LoopNest, trials: int = 5, seed: int = 0) -> EquivalenceVerdict:
-    """Compare both kernels on the same random inputs.
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on bases 2, 3, 5 and 7, which is exact below 3 215 031 751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    A nest computes only `+ - *`, so each output is a polynomial in the
-    inputs.  When every value constant of both kernels is an integer in
-    f32, one exact trial decides: inputs uniform in [0, P), both kernels
-    run over GF(`P`) (see `interpret`), outputs compared exactly.  A wrong
-    kernel whose outputs differ by a polynomial of degree d that is not 0
-    mod P passes with probability at most d/P (Schwartz 1980, Zippel 1979);
-    legal reorderings, tilings and unrollings always pass.  Otherwise
-    `trials` f32 trials on integers in [-4, 4] run, compared with NaN equal
-    to NaN; small integers keep most f32 operations exact.
+
+def check_equivalence(k1: LoopNest, k2: LoopNest, seed: int = 0) -> EquivalenceVerdict:
+    """Compare both kernels in one exact trial over GF(p).
+
+    The seed draws p, the first prime at or above a uniform draw in
+    [2**29, `P`], and then the inputs, uniform in [0, p).  Both kernels run
+    over GF(p) (see `interpret`) and their outputs are compared exactly.  A
+    nest computes only `+ - *` on dyadic constants, so each output is a
+    polynomial in the inputs.  A wrong kernel whose outputs differ by a
+    polynomial of degree d passes with probability at most d/p (Schwartz
+    1980, Zippel 1979), plus the chance that p divides every coefficient of
+    the difference; legal reorderings, tilings and unrollings always pass.
     """
     sig1 = tuple((a.name, a.extents) for a in k1.arrays)
     sig2 = tuple((a.name, a.extents) for a in k2.arrays)
     if sig1 != sig2:
         raise SignatureMismatch(f"signatures differ: {sig1} vs {sig2}")
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = k1._integral and k2._integral
-        low, high, dtype = (0, P, np.int64) if exact else (-4, 5, np.float32)
-        runs = 1 if exact else trials
-        for trial in range(runs):
-            inputs = {a.name: rng.integers(low, high, size=a.extents).astype(dtype) for a in k1.arrays}
-            out1 = interpret(k1, inputs)
-            out2 = interpret(k2, inputs)
-            for name in out1:
-                if not np.array_equal(out1[name], out2[name], equal_nan=True):
-                    return EquivalenceVerdict(False, trial + 1, f"trial {trial}: array '{name}' differs")
-    return EquivalenceVerdict(True, runs)
+    p = int(rng.integers(2**29, P + 1))
+    while not _is_prime(p):
+        p += 1
+    inputs = {a.name: rng.integers(0, p, size=a.extents) for a in k1.arrays}
+    out1 = interpret(k1, inputs, p)
+    out2 = interpret(k2, inputs, p)
+    for name in out1:
+        if not np.array_equal(out1[name], out2[name]):
+            return EquivalenceVerdict(False, 1, f"trial 0: array '{name}' differs")
+    return EquivalenceVerdict(True, 1)
 
 
 # -- reduced clones and the cost proxy -----------------------------------------

@@ -19,7 +19,6 @@ from .loopir import (
     Accumulate,
     Assign,
     BoundsError,
-    Const,
     Expr,
     KernelSyntaxError,
     Loop,
@@ -30,6 +29,7 @@ from .loopir import (
     check_bounds,
     check_equivalence,
     free_vars,
+    integer,
     locality_cost,
     plus,
     reduce_extents,
@@ -229,7 +229,7 @@ def tile_at(nest: LoopNest, path: Path, size: int, outer: str, inner: str) -> Lo
             raise IllegalRewrite(f"loop name '{name}' is already in use")
     if outer == inner:
         raise IllegalRewrite("outer and inner tile loops need distinct names")
-    replacement = plus(Const(node.lo), plus(Var(inner), times(Const(size), Var(outer))))
+    replacement = plus(plus(integer(node.lo), Var(inner)), times(integer(size), Var(outer)))
     body = tuple(substitute_stmt(s, node.var, replacement) for s in node.body)
     tiled = Loop(outer, 0, extent // size, (Loop(inner, 0, size, body),))
     return _splice(nest, path, (tiled,))
@@ -287,7 +287,7 @@ def unroll_at(nest: LoopNest, path: Path) -> LoopNest:
             f"over the limit of {_UNROLL_LIMIT}"
         )
     replacement = tuple(
-        substitute_stmt(stmt, node.var, Const(node.lo + i))
+        substitute_stmt(stmt, node.var, integer(node.lo + i))
         for i in range(extent)
         for stmt in node.body
     )
@@ -464,7 +464,10 @@ class ScheduleSession:
     records: list[SessionRecord] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        self.reduced = reduce_extents(self.full)
+        try:
+            self.reduced = reduce_extents(self.full)
+        except BoundsError as err:
+            raise BoundsError(f"the clone with extents of at most 8 that checks rewrites is out of bounds: {err}") from None
 
     @property
     def cost(self) -> float:

@@ -296,8 +296,9 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, comma
     out = taken / "out" if under else taken
     argv = [str(arg) for arg in _OUT_COMMANDS[command](tmp_path)]
     assert dispatch(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and str(taken) in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and str(taken) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # refused before any work
     assert taken.read_text() == "not a directory\n"
 
 
@@ -536,6 +537,30 @@ def test_schedule_rejects_too_deep_kernel(tmp_path, capsys, text):
                      "--fixtures", str(fixtures)])
     assert code == 1
     assert "kernel error: loops and operators nest" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("def f(A: f32[4] @ DRAM):\n    A[0] = " + "9" * 5000 + "\n", "is not finite in f32"),
+        ("def f(A: f32[4] @ DRAM):\n    A[0] = A[1] * " + "1" * 40 + "\n", "is not finite in f32"),
+        ("def f(A: f32[16] @ DRAM):\n    for i in seq(9, 16):\n        A[i] = 1.0\n",
+         "the clone with extents of at most 8 that checks rewrites is out of bounds: loop 'i' has empty range [9, 8)"),
+        ("def f(A: f32[16] @ DRAM, B: f32[16] @ DRAM):\n    for i in seq(0, 16):\n        A[i] = B[12]\n",
+         "the clone with extents of at most 8 that checks rewrites is out of bounds: B index 0 spans [12, 12]"),
+    ],
+    ids=["5000-digit-literal", "40-digit-literal", "clone-with-an-empty-loop", "clone-index-out-of-bounds"],
+)
+def test_schedule_refuses_a_kernel_it_cannot_check_with_a_kernel_error(tmp_path, capsys, text, message):
+    kernel_file = tmp_path / "k.txt"
+    kernel_file.write_text(text)
+    fixtures = write_json(tmp_path / "fx.json", {})
+    code = dispatch(["schedule", "--program", str(kernel_file), "--backend", "replay",
+                     "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("kernel error: ") and message in captured.out
+    assert captured.out.count("\n") == 1 and captured.err == ""
 
 
 # -- console entry point ---------------------------------------------------------

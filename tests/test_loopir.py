@@ -1,8 +1,11 @@
 """Loop nest IR: parsing, rendering, interpretation, and the cost proxy."""
 
 import ast
+import itertools
+import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,7 +118,7 @@ def test_render_wraps_long_headers():
     assert parse_kernel(render_kernel(short)) == short
 
 
-BIG = "3" + "0" * 38 + ".0"
+BIG = "3" + "0" * 38 + ".0"  # 3e38, an integer in f32
 
 
 @pytest.mark.parametrize(
@@ -130,10 +133,27 @@ BIG = "3" + "0" * 38 + ".0"
         ("def f(A: f32[4] @ DRAM):\n    A[A[0]] = 0.0\n", KernelSyntaxError),
         ("def f(A: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        A[i + 1] = 0.0\n", BoundsError),
         ("def f(A: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        A[i, 0] = 0.0\n", BoundsError),
-        # interpret indexes in f32, where 0.99999999999 * 2 is 2.0.
+        # 0.99999999999 is 1.0 in f32, so the index is 2.
         ("def f(A: f32[2] @ DRAM):\n    A[0.99999999999 * 2] = 0.0\n", BoundsError),
-        # 3e38 + 3e38 overflows f32 to inf, so the index is inf, not 0.
-        (f"def f(A: f32[4] @ DRAM):\n    A[{BIG} + {BIG} - {BIG} - {BIG}] = 0.0\n", BoundsError),
+        # An index constant must be an integer in f32.
+        pytest.param("def f(A: f32[2] @ DRAM, B: f32[2] @ DRAM):\n"
+                     "    for i in seq(0, 2):\n        B[i * 1.5] = A[i] + 1.0\n", BoundsError,
+                     id="float-index-truncates"),
+        pytest.param("def deep(A: f32[4] @ DRAM, B: f32[2] @ DRAM):\n    for v0 in seq(0, 2):\n"
+                     "        B[v0 * 1.5] = A[v0 + 16777216 - 16777216] + 0.1\n", BoundsError, id="float-index"),
+        pytest.param("def f(A: f32[3, 2] @ DRAM, B: f32[3, 2] @ DRAM):\n"
+                     "    for i in seq(0, 2):\n"
+                     "        for j in seq(0, 2):\n"
+                     "            for k in seq(0, 2):\n"
+                     "                B[i * 1.5, j] += A[i * 1.5, k] * A[j + 0.5, k]\n", BoundsError,
+                     id="float-index-rows"),
+        # A literal must be finite in f32; more digits than 4300 never reach int().
+        pytest.param("def f(A: f32[4] @ DRAM):\n    A[0] = " + "1" + "0" * 39 + ".0\n", KernelSyntaxError,
+                     id="1e39-literal"),
+        pytest.param("def f(A: f32[4] @ DRAM):\n    A[0] = A[1] * " + "1" * 40 + "\n", KernelSyntaxError,
+                     id="40-digit-literal"),
+        pytest.param("def f(A: f32[4] @ DRAM):\n    A[0] = " + "9" * 5000 + "\n", KernelSyntaxError,
+                     id="5000-digit-literal"),
     ],
 )
 def test_parse_rejects_malformed_kernels(text, error):
@@ -142,9 +162,27 @@ def test_parse_rejects_malformed_kernels(text, error):
 
 
 def test_float_index_bounds_are_checked_in_f32():
-    # f32(3) * f32(0.99999997) is 2.9999998, below 3, although 3 * 0.99999997 rounds to 3.0 in f32.
-    nest = parse_kernel("def f(A: f32[3] @ DRAM):\n    for i in seq(3, 4):\n        A[i * 0.99999997] = 1.0\n")
-    assert interpret(nest, {"A": np.zeros(3, dtype=np.float32)})["A"].tolist() == [0.0, 0.0, 1.0]
+    # An index constant is its f32 value: 0.99999999999 is 1.0, so this index is 2, and
+    # 0.99999997 is 0.99999994, not an integer, so that index is refused, naming the constant.
+    nest = parse_kernel("def f(A: f32[3] @ DRAM):\n    A[0.99999999999 * 2] = 1.0\n")
+    assert interpret(nest, {"A": np.zeros(3, np.int64)})["A"].tolist() == [0, 0, 1]
+    with pytest.raises(BoundsError, match="^index constant 0.99999997 is not an integer in f32$"):
+        parse_kernel("def f(A: f32[3] @ DRAM):\n    for i in seq(3, 4):\n        A[i * 0.99999997] = 1.0\n")
+
+
+def test_a_literal_past_f32s_range_is_refused_naming_the_limit():
+    with pytest.raises(KernelSyntaxError, match=r"^literal 9{20}\.\.\. is not finite in f32, whose largest value is about 3\.4e38$"):
+        parse_kernel("def f(A: f32[4] @ DRAM):\n    A[0] = " + "9" * 5000 + "\n")
+    # f32's largest value, and leading zeros past int()'s digit limit, are read.
+    largest = str((2**24 - 1) * 2**104)
+    assert parse_kernel(f"def f(A: f32[1] @ DRAM):\n    A[0] = {largest}\n").body[0].rhs == Const(int(largest))
+    assert parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = " + "0" * 5000 + "7\n").body[0].rhs == Const(7)
+
+
+def test_index_arithmetic_is_exact_at_any_magnitude():
+    # 3e38 + 3e38 overflows f32, but an index is exact in ints: this one is 0.
+    nest = parse_kernel(f"def f(A: f32[4] @ DRAM):\n    A[{BIG} + {BIG} - {BIG} - {BIG}] = 1.0\n")
+    assert interpret(nest, {"A": np.zeros(4, np.int64)})["A"].tolist() == [1, 0, 0, 0]
 
 
 def test_expression_rendering():
@@ -154,6 +192,39 @@ def test_expression_rendering():
     assert render_expr(times(Const(16), Const(0))) == "0"
     assert render_expr(Const(0.0)) == "0.0"
     assert render_expr(BinOp("*", BinOp("+", Var("a"), Var("b")), Var("c"))) == "(a + b) * c"
+    # Right operands the parser would group differently, and floats `str` writes with an exponent.
+    assert render_expr(BinOp("-", Var("a"), BinOp("+", Var("b"), Var("c")))) == "a - (b + c)"
+    assert render_expr(BinOp("+", Var("a"), BinOp("-", Var("b"), Var("c")))) == "a + (b - c)"
+    assert render_expr(BinOp("*", Var("a"), BinOp("*", Var("b"), Var("c")))) == "a * (b * c)"
+    assert render_expr(BinOp("-", BinOp("+", Var("a"), Var("b")), BinOp("*", Var("b"), Var("c")))) == "a + b - b * c"
+    assert render_expr(Const(1e20)) == "100000000000000000000.0"
+    assert render_expr(Const(-1e-05)) == "-0.00001"
+    for text in ("a - (b + c)", "a * (b * c) - (d - e)", "100000000000000000000.0 * 0.00001"):
+        assert render_expr(loopir.parse_expr(text)) == text
+
+
+def test_constants_fold_only_to_their_exact_f32_result():
+    # 3 * 16777217 is 3 * 16777216 in f32, which f32 holds; 3 * f32(0.9) is not an f32 value.
+    assert times(Const(3), Const(16777217)) == Const(50331648)
+    assert times(Const(3), Const(0.9)) == BinOp("*", Const(3), Const(0.9))
+    assert times(Const(3), Const(0.3)) == Const(0.9000000357627869)
+    assert plus(Const(16777216), Const(1)) == BinOp("+", Const(16777216), Const(1))
+    assert plus(Const(1.0), Const(2.0)) == Const(3.0) and type(plus(Const(1), Const(2)).value) is int
+    assert plus(Const(0.1), Const(0.2)) == BinOp("+", Const(0.1), Const(0.2))
+    assert loopir.substitute(BinOp("-", Var("i"), Const(1)), "i", Const(16777217)) == Const(16777215)
+    assert loopir.substitute(BinOp("-", Var("i"), Const(0.5)), "i", Const(16777215)) == (
+        BinOp("-", Const(16777215), Const(0.5))
+    )
+    # 1e38 * 1e38 is past f32's range.
+    assert times(Const(1e38), Const(1e38)) == BinOp("*", Const(1e38), Const(1e38))
+
+
+@pytest.mark.parametrize("value", [0, 7, -7, 2**24, 2**24 + 1, -(2**24) - 1, 2**30 + 3, 3 * 2**48 + 5, -(10**60) + 1])
+def test_an_integer_expression_is_exact(value):
+    expr = loopir.integer(value)
+    assert loopir._index_range(expr, {}) == (value, value)
+    assert loopir.parse_expr(render_expr(expr)) == expr
+    assert (expr == Const(value)) if abs(value) <= 2**24 else (type(expr) is BinOp)
 
 
 def test_substitute_respects_shadowing():
@@ -163,16 +234,16 @@ def test_substitute_respects_shadowing():
 
 
 def doitgen_oracle(a, c4, sum0):
-    """Plain python loops over numpy scalars, written independently."""
-    a = a.astype(np.float32).copy()
-    out = sum0.astype(np.float32).copy()
+    """Plain python loops over ints mod P, written independently."""
+    a = a.astype(object).copy()
+    out = sum0.astype(object).copy()
     n = a.shape[0]
     for r in range(n):
         for q in range(n):
             for p in range(n):
-                acc = np.float32(0.0)
+                acc = 0
                 for s in range(n):
-                    acc = np.float32(acc + np.float32(a[r, q, s] * c4[s, p]))
+                    acc = (acc + a[r, q, s] * c4[s, p]) % P
                 out[p] = acc
             for p in range(n):
                 a[r, q, p] = out[p]
@@ -183,54 +254,56 @@ def test_interpret_matches_loop_oracle():
     nest = small_doitgen()
     rng = np.random.default_rng(11)
     inputs = {
-        "A": rng.integers(-4, 5, size=(8, 8, 8)).astype(np.float32),
-        "C4": rng.integers(-4, 5, size=(8, 8)).astype(np.float32),
-        "sum": np.zeros(8, dtype=np.float32),
+        "A": rng.integers(0, P, size=(8, 8, 8)),
+        "C4": rng.integers(0, P, size=(8, 8)),
+        "sum": np.zeros(8, dtype=np.int64),
     }
     result = interpret(nest, inputs)
     expected_a, expected_sum = doitgen_oracle(inputs["A"], inputs["C4"], inputs["sum"])
-    assert np.array_equal(result["A"], expected_a)
-    assert np.array_equal(result["sum"], expected_sum)
+    assert result["A"].tolist() == expected_a.tolist()
+    assert result["sum"].tolist() == expected_sum.tolist()
     assert np.array_equal(result["C4"], inputs["C4"])
 
 
 def test_interpret_identity_projection_keeps_input():
     nest = small_doitgen()
     rng = np.random.default_rng(3)
-    a = rng.integers(-4, 5, size=(8, 8, 8)).astype(np.float32)
-    result = interpret(nest, {"A": a, "C4": np.eye(8, dtype=np.float32),
-                              "sum": np.zeros(8, dtype=np.float32)})
+    a = rng.integers(0, P, size=(8, 8, 8))
+    result = interpret(nest, {"A": a, "C4": np.eye(8, dtype=np.int64),
+                              "sum": np.zeros(8, dtype=np.int64)})
     assert np.array_equal(result["A"], a)
     assert np.array_equal(result["sum"], a[7, 7, :])
 
 
 def test_interpret_does_not_alias_inputs():
     nest = small_doitgen()
-    a = np.ones((8, 8, 8), dtype=np.float32)
-    result = interpret(nest, {"A": a, "C4": np.eye(8, dtype=np.float32) * 2,
-                              "sum": np.zeros(8, dtype=np.float32)})
-    assert np.array_equal(a, np.ones((8, 8, 8), dtype=np.float32))
+    a = np.ones((8, 8, 8), dtype=np.int64)
+    result = interpret(nest, {"A": a, "C4": np.eye(8, dtype=np.int64) * 2,
+                              "sum": np.zeros(8, dtype=np.int64)})
+    assert np.array_equal(a, np.ones((8, 8, 8), dtype=np.int64))
     assert np.array_equal(result["A"], a * 2)
 
 
 def test_interpret_shape_mismatch():
     nest = small_doitgen()
-    good = {"A": np.zeros((8, 8, 8), dtype=np.float32),
-            "C4": np.zeros((8, 8), dtype=np.float32),
-            "sum": np.zeros(8, dtype=np.float32)}
+    good = {"A": np.zeros((8, 8, 8), dtype=np.int64),
+            "C4": np.zeros((8, 8), dtype=np.int64),
+            "sum": np.zeros(8, dtype=np.int64)}
     with pytest.raises(ShapeMismatch):
-        interpret(nest, {**good, "C4": np.zeros((8, 4), dtype=np.float32)})
+        interpret(nest, {**good, "C4": np.zeros((8, 4), dtype=np.int64)})
     with pytest.raises(ShapeMismatch):
         interpret(nest, {"A": good["A"], "C4": good["C4"]})
     with pytest.raises(ShapeMismatch):
-        interpret(nest, {**good, "extra": np.zeros(1, dtype=np.float32)})
+        interpret(nest, {**good, "extra": np.zeros(1, dtype=np.int64)})
+    with pytest.raises(ShapeMismatch, match="holds float32, expected integers"):
+        interpret(nest, {**good, "sum": np.zeros(8, dtype=np.float32)})
 
 
 def test_check_equivalence_accepts_self():
     nest = small_doitgen()
-    verdict = check_equivalence(nest, nest, trials=5, seed=0)
+    verdict = check_equivalence(nest, nest, seed=0)
     assert verdict.passed
-    assert verdict.trials_run == 1  # an integer nest runs one exact trial
+    assert verdict.trials_run == 1  # every nest runs one exact trial
     assert bool(verdict)
 
 
@@ -243,7 +316,7 @@ def test_check_equivalence_flags_changed_results():
                             (Assign("sum", (Var("p"),), Const(1.0)),) + compute.body[1:])
     poisoned = LoopNest(nest.name, nest.arrays,
                         (Loop("r", 0, 8, (Loop("q", 0, 8, (poisoned_compute, copyback)),)),))
-    verdict = check_equivalence(nest, poisoned, trials=5, seed=0)
+    verdict = check_equivalence(nest, poisoned, seed=0)
     assert not verdict.passed
     assert verdict.trials_run == 1
     assert "differs" in verdict.detail
@@ -257,12 +330,12 @@ def test_check_equivalence_signature_mismatch():
 
 
 def f32_gate(k1: LoopNest, k2: LoopNest, trials: int = 5, seed: int = 0) -> bool:
-    """The gate's f32 trials on integers in [-4, 4], kept as the oracle of its exact trial."""
+    """The deleted gate's f32 trials on integers in [-4, 4], kept as the oracle of the exact trial."""
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         for _ in range(trials):
             inputs = {a.name: rng.integers(-4, 5, size=a.extents).astype(np.float32) for a in k1.arrays}
-            out1, out2 = interpret(k1, inputs), interpret(k2, inputs)
+            out1, out2 = walk_interpret(k1, inputs), walk_interpret(k2, inputs)
             if not all(np.array_equal(out1[name], out2[name], equal_nan=True) for name in out1):
                 return False
     return True
@@ -280,6 +353,16 @@ def test_the_exact_gate_refuses_a_difference_that_vanishes_on_small_integers():
     )
 
 
+def test_the_exact_gate_refuses_a_multiple_of_the_largest_prime_below_2_to_the_30():
+    # A[0] * 1073741824 - A[0] * 35 is A[0] * P, which is 0 over GF(P) but not over the drawn primes.
+    header = "def f(A: f32[1] @ DRAM):\n"
+    times_p = parse_kernel(header + "    A[0] = A[0] * 1073741824 - A[0] * 35\n")
+    zero = parse_kernel(header + "    A[0] = 0.0\n")
+    assert interpret(times_p, {"A": np.array([5])})["A"].tolist() == [0]
+    for seed in range(20):
+        assert check_equivalence(times_p, zero, seed=seed) == EquivalenceVerdict(False, 1, "trial 0: array 'A' differs")
+
+
 def scaled(*factors) -> LoopNest:
     """`A[i] = A[i] * f0 * f1 ...` for each i."""
     rhs = Read("A", (Var("i"),))
@@ -288,44 +371,67 @@ def scaled(*factors) -> LoopNest:
     return LoopNest("f", (ArrayDecl("A", (3,)),), (Loop("i", 0, 3, (Assign("A", (Var("i"),), rhs),)),))
 
 
-@pytest.mark.parametrize(
-    "constant, trials_run",
-    [(0.5, 5), (1e-40, 5), (1e39, 5), (3.0, 1), (-0.0, 1), (16777217, 1), (1e20, 1)],
-)
-def test_only_nests_with_integer_constants_take_the_exact_trial(constant, trials_run):
-    assert check_equivalence(scaled(constant), scaled(constant)) == EquivalenceVerdict(True, trials_run)
+@pytest.mark.parametrize("constant", [0.5, 1e-40, 3.0, -0.0, 16777217, 1e20])
+def test_every_finite_constant_takes_the_exact_trial(constant):
+    assert check_equivalence(scaled(constant), scaled(constant)) == EquivalenceVerdict(True, 1)
 
 
-def test_a_pair_takes_the_exact_trial_only_when_both_nests_have_integer_constants():
-    # Over GF(P), 0.5 would count as 0.
+def test_a_constant_runs_as_the_residue_of_its_f32_value():
+    # 0.5 is the inverse of 2 mod p, so 4 * 0.5 is 2; 16777217 is 16777216 in f32.
     assert check_equivalence(scaled(2), scaled(4, 0.5)) == check_equivalence(scaled(4, 0.5), scaled(2)) == (
-        EquivalenceVerdict(True, 5)
+        EquivalenceVerdict(True, 1)
     )
+    assert check_equivalence(scaled(16777216), scaled(16777217))
+    assert check_equivalence(scaled(0.3, 3.0), scaled(0.9000000357627869))  # 3 * f32(0.3), an f32 value
+    assert not check_equivalence(scaled(2), scaled(4, 0.50000006))
+    assert not check_equivalence(scaled(0.3, 3.0), scaled(0.9))
 
 
 def test_each_nest_compiles_once_to_the_function_its_trials_run(monkeypatch):
     compiled = []
     real = loopir._compile
-    monkeypatch.setattr(loopir, "_compile", lambda nest, exact=False: compiled.append((id(nest), exact)) or real(nest, exact))
+    monkeypatch.setattr(loopir, "_compile", lambda nest, p: compiled.append((id(nest), p)) or real(nest, p))
     integral, half = small_doitgen(), scaled(0.5)
     for _ in range(2):
         assert check_equivalence(integral, integral) and check_equivalence(half, half)
-    assert compiled == [(id(integral), True), (id(half), False)]
+    (_, prime), _ = compiled
+    assert compiled == [(id(integral), prime), (id(half), prime)]
+    # Another seed draws another prime, and each nest compiles once for it.
+    assert check_equivalence(half, half, seed=1)
+    assert len(compiled) == 3 and compiled[2][0] == id(half) and compiled[2][1] != prime
+
+
+def test_the_seed_draws_the_first_prime_at_or_above_a_uniform_draw():
+    def prime(n):
+        return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    nest = scaled(0.5)
+    for seed in range(40):
+        assert check_equivalence(nest, nest, seed=seed)
+        draw = int(np.random.default_rng(seed).integers(2**29, P + 1))
+        p = list(nest._programs)[-1]
+        assert draw <= p <= P and prime(p) and not any(prime(n) for n in range(draw, p))
+    assert len(nest._programs) == 40
 
 
 def test_the_exact_interpretation():
-    # Constants are the ints of their f32 values, loop variables are themselves,
-    # every store is reduced mod P, and an index computed in f32 still truncates.
+    # Constants are the residues of their f32 values, loop variables are
+    # themselves, every store is reduced mod P, and indices are exact.
     nest = parse_kernel("def f(A: f32[3] @ DRAM, B: f32[2] @ DRAM):\n"
                         "    for i in seq(16777217, 16777218):\n"
                         "        A[0] = A[0] * 16777217 + i\n"
-                        "    for j in seq(0, 3):\n"
-                        "        B[j * 0.5] += A[j] - 3\n")
+                        "        A[i - 16777216] = A[i - 16777216] * 0.75\n"
+                        "    for j in seq(0, 2):\n"
+                        "        B[j] += A[2 * j] - 3\n")
     out = interpret(nest, {"A": np.array([P - 1, 5, 7]), "B": np.array([P - 1, 10**12])})
     assert out["A"].dtype == out["B"].dtype == np.int64
     a0 = ((P - 1) * 16777216 + 16777217) % P
-    assert out["A"].tolist() == [a0, 5, 7]
-    assert out["B"].tolist() == [(P - 1 + a0 - 3 + 5 - 3) % P, (10**12 + 7 - 3) % P]
+    a1 = 5 * 3 * pow(4, -1, P) % P
+    assert out["A"].tolist() == [a0, a1, 7]
+    assert out["B"].tolist() == [(P - 1 + a0 - 3) % P, (10**12 + 7 - 3) % P]
+    # Over another prime, the same nest.
+    small = interpret(nest, {"A": np.array([6, 5, 7]), "B": np.array([0, 0])}, 11)["A"].tolist()
+    assert small == [(6 * 16777216 + 16777217) % 11, 5 * 3 * pow(4, -1, 11) % 11, 7]
 
 
 def test_repeated_squaring_gets_a_verdict_quickly():
@@ -340,24 +446,19 @@ def test_repeated_squaring_gets_a_verdict_quickly():
     assert time.perf_counter() - start < 0.5
 
 
-# Overflows to infinity, and infinity minus infinity is NaN, unless A[1] is 0.
+# Overflows f32 to infinity, and infinity minus infinity is NaN, unless A[1] is 0.
 HUGE = BinOp("*", BinOp("*", Read("A", (Const(1),)), Const(1e20)), Const(1e20))
 
 
-@pytest.mark.parametrize("factor", [1, 0.5], ids=["exact-trial", "f32-trials"])
+@pytest.mark.parametrize("factor", [1], ids=["exact-trial"])
 def test_a_nest_with_nan_outputs_is_equivalent_to_itself(factor):
+    # What f32 made NaN is exactly 0, and the gate prints no overflow warnings.
     nest = LoopNest("f", (ArrayDecl("A", (2,)),),
                     (Assign("A", (Const(0),), times(BinOp("-", HUGE, HUGE), Const(factor))),))
-    with np.errstate(all="ignore"):
-        assert np.isnan(interpret(nest, {"A": np.ones(2, np.float32)})["A"][0])
-    assert check_equivalence(nest, nest) == EquivalenceVerdict(True, 5 if factor == 0.5 else 1)
-
-
-def test_the_f32_trials_print_no_warnings():
-    nest = LoopNest("f", (ArrayDecl("A", (2,)),), (Assign("A", (Const(0),), BinOp("-", HUGE, Const(0.5))),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_equivalence(nest, nest).trials_run == 5
+        assert interpret(nest, {"A": np.ones(2, np.int64)})["A"].tolist() == [0, 1]
+        assert check_equivalence(nest, nest) == EquivalenceVerdict(True, 1)
 
 
 def test_reduce_extents_rewrites_shapes_and_bounds():
@@ -429,29 +530,46 @@ def test_render_line_shapes():
 # -- the compiled interpreter against the tree walker it replaced ---------------
 
 
-def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray], p: int | None = None) -> dict[str, np.ndarray]:
     """The tree-walking interpreter `interpret` replaced, kept as the oracle.
 
-    A loop that shadows a name gives the outer binding back when it ends,
-    as `interpret` scopes variables lexically.
+    With `p` it runs over GF(p) as `interpret` does: a constant is its f32
+    value n / 2**k, as n times the inverse of 2**k mod p, in a value and
+    exactly in an index; a loop variable is its int; each store is reduced
+    mod p.  Without `p` it runs as the deleted f32 interpreter did: every
+    value and index in `np.float32`, indices truncated with `int()`, the
+    oracle of the f32 trials in `f32_gate`.  A loop that shadows a name gives
+    the outer binding back when it ends, as `interpret` scopes variables
+    lexically.
     """
-    arrays = {a.name: np.asarray(inputs[a.name], dtype=np.float32).copy() for a in nest.arrays}
+    exact = p is not None
+    arrays = {a.name: np.asarray(inputs[a.name], dtype=np.int64 if exact else np.float32).copy() for a in nest.arrays}
 
-    def evaluate(expr, env):
+    def constant(value):
+        f32 = Fraction(float(np.float32(value)))
+        return f32.numerator * pow(f32.denominator, -1, p) % p
+
+    def evaluate(expr, env, index=False):
         if isinstance(expr, Const):
-            return np.float32(expr.value)
+            if not exact:
+                return np.float32(expr.value)
+            if index:
+                f32 = Fraction(float(np.float32(expr.value)))
+                assert f32.denominator == 1
+                return int(f32)
+            return constant(expr.value)
         if isinstance(expr, Var):
-            return np.float32(env[expr.name])
+            return env[expr.name] if exact else np.float32(env[expr.name])
         if isinstance(expr, Read):
-            spot = tuple(int(evaluate(i, env)) for i in expr.indices)
-            return arrays[expr.array][spot]
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return np.float32(left + right)
-        if expr.op == "-":
-            return np.float32(left - right)
-        return np.float32(left * right)
+            value = arrays[expr.array][place(expr.indices, env)]
+            return int(value) if exact else value
+        left = evaluate(expr.left, env, index)
+        right = evaluate(expr.right, env, index)
+        value = left + right if expr.op == "+" else left - right if expr.op == "-" else left * right
+        return value if exact else np.float32(value)
+
+    def place(indices, env):
+        return tuple(evaluate(i, env, True) if exact else int(evaluate(i, env)) for i in indices)
 
     def run(stmts, env):
         for stmt in stmts:
@@ -465,44 +583,41 @@ def walk_interpret(nest: LoopNest, inputs: dict[str, np.ndarray]) -> dict[str, n
                 else:
                     env[stmt.var] = outer
                 continue
-            spot = tuple(int(evaluate(i, env)) for i in stmt.indices)
+            spot = place(stmt.indices, env)
             value = evaluate(stmt.rhs, env)
-            if isinstance(stmt, Assign):
-                arrays[stmt.array][spot] = value
-            else:
-                arrays[stmt.array][spot] = np.float32(arrays[stmt.array][spot] + value)
+            if isinstance(stmt, Accumulate):
+                value = int(arrays[stmt.array][spot]) + value if exact else arrays[stmt.array][spot] + value
+            arrays[stmt.array][spot] = value % p if exact else np.float32(value)
 
     run(nest.body, {})
     return arrays
 
 
 def random_inputs(nest: LoopNest, seed: int) -> dict[str, np.ndarray]:
-    """Normal floats of mixed scale, with arbitrary bit patterns (NaNs, infinities, subnormals) mixed in."""
+    """Residues uniform in [0, P), with arbitrary ints of up to 40 bits of either sign mixed in."""
     rng = np.random.default_rng(seed)
     inputs = {}
     for a in nest.arrays:
-        values = (rng.standard_normal(a.extents) * 10.0 ** rng.integers(-3, 4, a.extents)).astype(np.float32)
-        bits = rng.integers(0, 2**32, size=a.extents, dtype=np.uint64).astype(np.uint32).view(np.float32)
-        inputs[a.name] = np.where(rng.random(a.extents) < 0.2, bits, values)
+        wide = rng.integers(-2**40, 2**40, size=a.extents)
+        inputs[a.name] = np.where(rng.random(a.extents) < 0.2, wide, rng.integers(0, P, size=a.extents))
     return inputs
 
 
 def assert_same_as_walker(nest: LoopNest, inputs: dict[str, np.ndarray]) -> None:
-    """The compiled nest and the walker agree bit for bit; a failure shows the generated source."""
-    with np.errstate(all="ignore"):
-        expected = walk_interpret(nest, inputs)
-        got = interpret(nest, inputs)
+    """The compiled nest and the walker over GF(P) agree exactly; a failure shows the generated source."""
+    expected = walk_interpret(nest, inputs, P)
+    got = interpret(nest, inputs)
     assert set(got) == set(expected)
     for name in expected:
-        assert got[name].dtype == np.float32 and got[name].shape == expected[name].shape
+        assert got[name].dtype == np.int64 and got[name].shape == expected[name].shape
         assert got[name].tobytes() == expected[name].tobytes(), (
-            f"array '{name}' differs from the walker's; the generated source:\n{_Compiler(nest).source}"
+            f"array '{name}' differs from the walker's; the generated source:\n{_Compiler(nest, P).source}"
         )
 
 
 # Names the generated code must not capture: Python keywords and builtins,
 # the module's own globals, and the generated names themselves.
-ODD_NAMES = ("range", "lambda", "int", "np", "f32", "k0", "a0", "i0", "t1", "c0", "x", "y")
+ODD_NAMES = ("range", "lambda", "int", "np", "f32", "P", "k0", "a0", "i0", "t1", "c0", "x", "y")
 VALUE_CONSTANTS = (0.0, -0.0, 1, -1, 2, 0.5, -2.75, 3.0000001, 1e-40, 123456789.0, 16777217)
 
 
@@ -516,15 +631,15 @@ def random_nests(draw) -> LoopNest:
 
     def index(extent: int, scope: dict[str, tuple[int, int]]):
         fitting = [v for v, (lo, hi) in scope.items() if hi - lo < extent]
-        kind = draw(st.sampled_from(("const", "float", "var", "scaled") if fitting else ("const", "float")))
+        kind = draw(st.sampled_from(("const", "float", "var", "reversed") if fitting else ("const", "float")))
         if kind == "const":
             return Const(draw(st.integers(0, extent - 1)))
-        if kind == "float":  # truncated: 1.5 indexes element 1
-            return Const(draw(st.integers(0, extent - 1)) + 0.5)
+        if kind == "float":  # an integer in f32
+            return Const(float(draw(st.integers(0, extent - 1))))
         var = draw(st.sampled_from(fitting))
         lo, hi = scope[var]
         shifted = BinOp("-", Var(var), Const(lo)) if lo else Var(var)
-        return BinOp("*", shifted, Const(0.5)) if kind == "scaled" else shifted
+        return BinOp("-", Const(hi - lo), shifted) if kind == "reversed" else shifted
 
     def read(scope):
         name = draw(st.sampled_from(names))
@@ -679,6 +794,116 @@ def test_the_exact_gate_agrees_with_the_f32_trials_on_rewrites(data):
     assert verdict.passed == f32_gate(original, nest, seed=seed), render_kernel(nest)
 
 
+# f32 values that fractional constants and folding meet, and ints and floats at 2**24 and past it.
+LEGAL_CONSTANTS = (0.3, 0.9, 1.1, 2.3, 0.123, 0.5, -2.75, 1e-05, 3, -1, 16777217, 16777217.0, 2**24 + 3,
+                   2.0**25, 1e20)
+LOOP_STARTS = (0, 1, 2**24 - 1, 2**24 + 1, 2**30 + 3)
+
+
+@st.composite
+def legal_nests(draw) -> LoopNest:
+    """Nests that every sequence of the five rewrites keeps equivalent over GF(p).
+
+    Each statement writes an array of its own and reads only `B`.  An
+    assignment's indices are its enclosing loops' variables, so it writes
+    each element once; an accumulation may add to one element many times,
+    in any order, as exact sums commute.
+    """
+    arrays = [ArrayDecl("B", (3, 3))]
+    loops = itertools.count()
+
+    def shifted(var, lo):
+        return BinOp("-", Var(var), loopir.integer(lo)) if lo else Var(var)
+
+    def index(scope):
+        if scope and draw(st.booleans()):
+            var = draw(st.sampled_from(sorted(scope)))
+            return shifted(var, scope[var][0])
+        return Const(draw(st.integers(0, 2)))
+
+    def expr(scope, depth):
+        kind = draw(st.sampled_from(("const", "read", "var", "op", "op") if depth else ("const", "read", "var")))
+        if kind == "const":
+            return Const(draw(st.sampled_from(LEGAL_CONSTANTS)))
+        if kind == "var" and scope:
+            return Var(draw(st.sampled_from(sorted(scope))))
+        if kind in ("read", "var"):
+            return Read("B", (index(scope), index(scope)))
+        return BinOp(draw(st.sampled_from("+-*")), expr(scope, depth - 1), expr(scope, depth - 1))
+
+    def block(scope, depth) -> tuple[Statement, ...]:
+        stmts = []
+        for _ in range(draw(st.integers(1, 2))):
+            if depth and draw(st.booleans()):
+                var = f"v{next(loops)}"
+                lo = draw(st.sampled_from(LOOP_STARTS))
+                hi = lo + draw(st.integers(1, 3))
+                stmts.append(Loop(var, lo, hi, block({**scope, var: (lo, hi)}, depth - 1)))
+                continue
+            name = f"O{len(arrays) - 1}"
+            if draw(st.booleans()):
+                enclosing = sorted(scope, key=lambda v: int(v[1:]))
+                arrays.append(ArrayDecl(name, tuple(scope[v][1] - scope[v][0] for v in enclosing) or (1,)))
+                indices = tuple(shifted(v, scope[v][0]) for v in enclosing) or (Const(0),)
+                stmts.append(Assign(name, indices, expr(scope, 2)))
+            else:
+                arrays.append(ArrayDecl(name, (3,)))
+                stmts.append(Accumulate(name, (index(scope),), expr(scope, 2)))
+        return tuple(stmts)
+
+    body = block({}, 3)
+    nest = LoopNest("legal", tuple(arrays), body)
+    check_bounds(nest)
+    return nest
+
+
+def unroll_form(constant: str) -> LoopNest:
+    return parse_kernel("def f(A: f32[8] @ DRAM, B: f32[8] @ DRAM):\n"
+                        f"    for i in seq(0, 8):\n        A[i] = B[i] + i * {constant}\n")
+
+
+REWRITES = st.lists(
+    st.tuples(st.sampled_from(("tile", "reorder", "fission", "unroll", "fuse")), st.integers(0, 99),
+              st.sampled_from((1, 2, 3)), st.sampled_from(("before", "after"))),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(legal_nests(), REWRITES, st.integers(0, 2**32 - 1))
+@example(unroll_form("16777217"), [("unroll", 0, 1, "after")], 0)
+@example(unroll_form("0.3"), [("unroll", 0, 1, "after")], 0)
+@example(unroll_form("0.9"), [("unroll", 0, 1, "after")], 0)
+@example(unroll_form("1.1"), [("unroll", 0, 1, "after")], 0)
+@example(unroll_form("2.3"), [("unroll", 0, 1, "after")], 0)
+@example(unroll_form("0.123"), [("unroll", 0, 1, "after")], 0)
+@example(parse_kernel("def f(A: f32[2] @ DRAM, B: f32[1] @ DRAM):\n"
+                      "    for i in seq(16777217, 16777219):\n        A[i - 16777216 - 1] = B[0] + i\n"),
+         [("tile", 0, 2, "after"), ("unroll", 1, 1, "after"), ("unroll", 0, 1, "after")], 0)
+def test_legal_rewrite_sequences_pass_the_gate_and_render_back(nest, steps, seed):
+    original = nest
+    for step, (op, pick, size, location) in enumerate(steps):
+        paths = [path for path, _ in _walk_statements(nest.body, ())]
+        path = paths[pick % len(paths)]
+        try:
+            if op == "tile":
+                candidate = tile_at(nest, path, size, f"o{step}", f"n{step}")
+            elif op == "reorder":
+                candidate = reorder_at(nest, path)
+            elif op == "fission":
+                candidate = fission_at(nest, path, location)
+            elif op == "unroll":
+                candidate = unroll_at(nest, path)
+            else:
+                candidate = fuse_at(nest, path, path[:-1] + (path[-1] + 1,))
+            check_bounds(candidate)
+        except (IllegalRewrite, BoundsError, IndexError):
+            continue
+        nest = candidate
+    assert check_equivalence(original, nest, seed=seed), render_kernel(nest)
+    assert parse_kernel(render_kernel(nest)) == nest
+
+
 def deep_nest(loops: int, body: str) -> str:
     """`body` inside `loops` nested loops; `v0` and `v1` take two values, the rest one."""
     lines = ["def deep(A: f32[4] @ DRAM, B: f32[2] @ DRAM):"]
@@ -708,12 +933,11 @@ DEEP_INDEX = "i" + " + 0" * 60
         deep_nest(25, "A[v1 + v24] += A[v1] * B[v0]"),  # more loops than CPython nests in one function
         deep_nest(400, "A[v399 + v1] += A[v0] - 1.5"),
         deep_nest(1, "A[v0] = " + " + ".join(["A[v0]"] * 900)),  # no generated expression nests
-        deep_nest(1, "B[v0 * 1.5] = A[v0 + 16777216 - 16777216] + 0.1"),  # f32 index arithmetic
         "def range(lambda: f32[3] @ DRAM, int: f32[3] @ DRAM, 9x: f32[1] @ DRAM):\n"
         "    for np in seq(0, 3):\n"
         "        for 1x in seq(0, 1):\n"
         "            int[np] += lambda[np] * int[2 - np]\n",
-        # Loop variables are f32 values too: 16777217 rounds to 16777216.
+        # Loop variables are ints: i - j is 1, although 16777217 is 16777216 in f32.
         "def f(A: f32[2] @ DRAM):\n"
         "    for i in seq(16777217, 16777218):\n"
         "        for j in seq(16777216, 16777217):\n"
@@ -738,12 +962,6 @@ DEEP_INDEX = "i" + " + 0" * 60
         "            for j in seq(0, 3):\n"
         "                A[i, j, 1] += A[i, j, 0] - A[i - 1, j, 0]\n",
         deep_rows(_LOOPS_PER_FUNCTION + 4),
-        # Indices computed in f32, as row prefixes and as an accumulator's index.
-        "def f(A: f32[3, 2] @ DRAM, B: f32[3, 2] @ DRAM):\n"
-        "    for i in seq(0, 2):\n"
-        "        for j in seq(0, 2):\n"
-        "            for k in seq(0, 2):\n"
-        "                B[i * 1.5, j] += A[i * 1.5, k] * A[j + 0.5, k]\n",
         # An index and a value past the inlining depth, in a row prefix and an element held across a loop.
         "def f(A: f32[2, 2] @ DRAM):\n"
         "    for i in seq(0, 2):\n"
@@ -757,23 +975,13 @@ DEEP_INDEX = "i" + " + 0" * 60
         "            A[i] = -0.0\n"
         "            A[i] = A[i] * B[j]\n",
     ],
-    ids=["25-deep", "400-deep", "900-terms", "float-index", "odd-names", "large-loop-values",
+    ids=["25-deep", "400-deep", "900-terms", "odd-names", "large-loop-values",
          "accumulator-also-read", "one-element-two-names", "shadowed-row", "rows-past-a-function",
-         "float-index-rows", "past-the-inlining-depth", "negative-zero-local"],
+         "past-the-inlining-depth", "negative-zero-local"],
 )
 def test_interpret_matches_walker_on_hard_nests(text):
     nest = parse_kernel(text)
     assert_same_as_walker(nest, random_inputs(nest, 5))
-
-
-def test_negative_zero_constant_is_not_merged_with_zero():
-    plus_zero = parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = 0.0\n")
-    minus_zero = parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = -0.0\n")
-    assert plus_zero == minus_zero  # the IR compares values, so -0.0 == 0.0
-    ones = {"A": np.ones(1, dtype=np.float32)}
-    assert interpret(plus_zero, ones)["A"].view(np.uint32)[0] == 0x00000000
-    assert interpret(minus_zero, ones)["A"].view(np.uint32)[0] == 0x80000000
-    assert_same_as_walker(minus_zero, ones)
 
 
 def test_negative_zero_is_stored_through_a_local():
@@ -782,9 +990,8 @@ def test_negative_zero_is_stored_through_a_local():
                         "        for j in seq(0, 3):\n"
                         "            A[i] = -0.0\n"
                         "            A[i] = A[i] * B[j]\n")
-    assert "s0 = s0 * a1[i1]" in _Compiler(nest).source
-    out = interpret(nest, {"A": np.ones(2, np.float32), "B": np.full(3, 2.0, np.float32)})["A"]
-    assert out.view(np.uint32).tolist() == [0x80000000, 0x80000000]
+    assert "s0 = (s0 * a1[i1]) % P" in _Compiler(nest, P).source
+    assert interpret(nest, {"A": np.ones(2, np.int64), "B": np.full(3, 2, np.int64)})["A"].tolist() == [0, 0]
 
 
 def innermost_loops(source: str) -> list[ast.For]:
@@ -795,7 +1002,7 @@ def innermost_loops(source: str) -> list[ast.For]:
 
 
 def test_doitgen_reduction_loop_is_one_statement_of_arithmetic():
-    source = _Compiler(small_doitgen()).source
+    source = _Compiler(small_doitgen(), P).source
     s_loop = innermost_loops(source)[0]  # `for s`: the first innermost loop
     assert len(s_loop.body) == 1, source
     (statement,) = s_loop.body
@@ -811,7 +1018,7 @@ def test_doitgen_reduction_loop_is_one_statement_of_arithmetic():
 
 
 def test_a_moved_loop_binds_its_rows_at_the_top_of_its_function():
-    source = _Compiler(parse_kernel(deep_rows(_LOOPS_PER_FUNCTION + 4))).source
+    source = _Compiler(parse_kernel(deep_rows(_LOOPS_PER_FUNCTION + 4)), P).source
     k1 = next(node for node in ast.parse(source).body if node.name == "k1")
     assert not any(arg.arg.startswith(("r", "x", "s")) for arg in k1.args.args), source
     first_loop = next(k for k, stmt in enumerate(k1.body) if isinstance(stmt, ast.For))
@@ -823,7 +1030,7 @@ def test_a_moved_loop_binds_its_rows_at_the_top_of_its_function():
 def test_an_empty_loop_is_refused():
     nest = LoopNest("f", (ArrayDecl("A", (2,)),), (Loop("i", 1, 1, (Assign("A", (Var("i"),), Const(1.0)),)),))
     with pytest.raises(BoundsError, match="empty range"):
-        interpret(nest, {"A": np.zeros(2, np.float32)})
+        interpret(nest, {"A": np.zeros(2, np.int64)})
 
 
 def test_inputs_of_every_shape_convert_to_lists_and_back():
@@ -836,17 +1043,10 @@ def test_inputs_of_every_shape_convert_to_lists_and_back():
     assert interpret(nest, inputs)["Z"].shape == (2, 0)
 
 
-def test_float_index_truncates():
-    nest = parse_kernel("def f(A: f32[2] @ DRAM, B: f32[2] @ DRAM):\n"
-                        "    for i in seq(0, 2):\n        B[i * 1.5] = A[i] + 1.0\n")
-    out = interpret(nest, {"A": np.array([1, 2], dtype=np.float32), "B": np.zeros(2, dtype=np.float32)})
-    assert out["B"].tolist() == [2.0, 3.0]
-
-
 def test_check_equivalence_on_reduced_doitgen_is_fast():
     nest = small_doitgen()
     start = time.perf_counter()
-    assert check_equivalence(nest, small_doitgen(), trials=5)
+    assert check_equivalence(nest, small_doitgen())
     # The tree walker took about 0.5 s here; the compiled nests take about 0.01 s.
     assert time.perf_counter() - start < 0.25
 
@@ -856,7 +1056,7 @@ def test_check_equivalence_on_reduced_doitgen_is_fast():
 
 def test_loop_depth_limit():
     nest = parse_kernel(deep_nest(900, "A[0] = 1.0"))
-    assert interpret(nest, {"A": np.zeros(4, np.float32), "B": np.zeros(2, np.float32)})["A"][0] == 1.0
+    assert interpret(nest, {"A": np.zeros(4, np.int64), "B": np.zeros(2, np.int64)})["A"][0] == 1
     with pytest.raises(NestingTooDeep, match="nest 901 deep"):
         parse_kernel(deep_nest(901, "A[0] = 1.0"))
 

@@ -432,17 +432,6 @@ def test_session_equivalence_gate_catches_unsound_fission():
     assert session.records[-1].result == message
 
 
-def test_session_refuses_a_rewrite_whose_index_rounds_out_of_bounds():
-    # Unrolling folds 3 * 0.99999997 into one constant, which f32 rounds to 3.0.
-    text = "def t(A: f32[3] @ DRAM):\n    for i in seq(3, 4):\n        A[i * 0.99999997] = 1.0\n"
-    session = ScheduleSession(parse_kernel(text))
-    ok, message = session.apply(command("unroll", line="for i in seq(3, 4):"))
-    assert not ok
-    assert message == "A index 0 spans [3.0, 3.0] outside [0, 2]"
-    assert session.full == parse_kernel(text)
-    assert session.records[-1].result == message
-
-
 def test_session_refuses_an_unroll_that_would_outgrow_the_statement_limit():
     # Each unroll multiplies the nest: the third would hold 266,369 statements.
     session = ScheduleSession(parse_kernel(DOITGEN))
@@ -536,10 +525,10 @@ def test_a_seed_1_schedule_pass_interprets_10_times_and_walks_10_costs(tmp_path,
     jobs = workloads.build_schedule(ta_lift, 1, tmp_path).jobs
     interpreted, compiled, walked = [], [], []
     real_interpret, real_compile, real_walk = loopir.interpret, loopir._compile, loopir._locality_walk
-    monkeypatch.setattr(loopir, "interpret", lambda nest, inputs:
-                        interpreted.append(nest) or real_interpret(nest, inputs))
-    monkeypatch.setattr(loopir, "_compile", lambda nest, exact=False:
-                        compiled.append((nest, exact)) or real_compile(nest, exact))
+    monkeypatch.setattr(loopir, "interpret", lambda nest, inputs, p:
+                        interpreted.append(nest) or real_interpret(nest, inputs, p))
+    monkeypatch.setattr(loopir, "_compile", lambda nest, p:
+                        compiled.append((nest, p)) or real_compile(nest, p))
     monkeypatch.setattr(loopir, "_locality_walk", lambda nest: walked.append(nest) or real_walk(nest))
     accepted = refused = 0
     for job in jobs:
@@ -549,8 +538,8 @@ def test_a_seed_1_schedule_pass_interprets_10_times_and_walks_10_costs(tmp_path,
     assert (accepted, refused) == (5, 5)
     # One exact trial of two kernels per accepted rewrite; five f32 trials made 50 calls.
     assert len(interpreted) == 10
-    # Each reduced nest compiles once, to its exact function only.
-    assert len({id(nest) for nest, _ in compiled}) == len(compiled) and all(exact for _, exact in compiled)
+    # Each reduced nest compiles once, for the one prime its session's seed draws.
+    assert len({id(nest) for nest, _ in compiled}) == len(compiled) and len({p for _, p in compiled}) == 1
     assert {id(nest) for nest in interpreted} == {id(nest) for nest, _ in compiled}
     # One cost walk per distinct nest; 25 calls walked each time.
     assert len(walked) == len({id(nest) for nest in walked}) == 10
