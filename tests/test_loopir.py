@@ -461,6 +461,15 @@ def test_a_nest_with_nan_outputs_is_equivalent_to_itself(factor):
         assert check_equivalence(nest, nest) == EquivalenceVerdict(True, 1)
 
 
+def test_the_f32_trials_print_no_warnings():
+    # A nest whose f32 run would overflow to infinity: the exact trial that
+    # replaced the f32 trials runs it over GF(p) without a warning.
+    nest = LoopNest("f", (ArrayDecl("A", (2,)),), (Assign("A", (Const(0),), BinOp("-", HUGE, Const(0.5))),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_equivalence(nest, nest) == EquivalenceVerdict(True, 1)
+
+
 def test_reduce_extents_rewrites_shapes_and_bounds():
     nest = parse_kernel(DOITGEN)
     reduced = reduce_extents(nest, 8)
