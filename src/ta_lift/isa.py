@@ -17,21 +17,22 @@ means "no bias".  The parser refuses a local address outside 0..0xffffffff.
 
 `INSTRUCTIONS` declares each mnemonic once: its constructor, its operands
 in text order, the memory its local operands must address, its effects
-(registers, local rows and DRAM elements read and written, and rules, in
-checking order), how it moves the scan state, its replay op and its cost
-terms.  Each instruction record is a frozen dataclass generated from its
-operand list, so its fields are the operands' fields in text order (an
-mvin's load channel first).  The parser, the renderer and the cost model
-read that table; `spec_of` finds an instruction's entry.  One straight-line
-step per mnemonic, and the footprint the optimizer reads, are compiled
-from it for each (DIM, block length).  `step` runs a program's steps once,
-before it runs: each validates its instruction, raises the `ExecError` the
-machine would meet, moves the scan state and returns the op `machine.run`
-replays.  The scan state is the only copy of the configuration registers,
-the strides and the latch's output rows: a config op is its type alone,
-and a preload op is its weight block alone.  Validation wins: past an
-execution error the rest is only validated, and a later invalid
-instruction is raised instead.
+(local rows and DRAM elements it checks, and rules, in checking order),
+how it moves the scan state, its replay op, the registers it reads and
+writes and its cost terms.  Each instruction record is a frozen dataclass
+generated from its operand list, so its fields are the operands' fields
+in text order (an mvin's load channel first).  The parser, the renderer
+and the cost model read that table; `spec_of` finds an instruction's
+entry.  One straight-line validator and one step per mnemonic are
+compiled from it for each (DIM, block length).  `step` runs a program's
+steps once, before it runs: each validates its instruction, raises the
+`ExecError` the machine would meet, moves the scan state and returns the
+op `machine.run` replays.  The scan state is the only copy of the
+configuration registers, the strides and the latch's output rows: a config
+op is its type alone, and a preload op is its weight block alone.
+Validation wins: past an execution error the rest is only validated, and
+a later invalid instruction is raised instead.  `op_effects` reads the
+memory an op touches off the op, for the optimizer.
 """
 
 from __future__ import annotations
@@ -76,24 +77,6 @@ class Activation(Enum):
     LAYERNORM = "LAYERNORM"
     IGELU = "IGELU"
     SOFTMAX = "SOFTMAX"
-
-
-class AddressError(ValueError):
-    """Raised for local addresses that cannot be encoded in 32 bits."""
-
-
-def encode_local_addr(space: Space, accumulate: bool, full_width: bool, row: int) -> int:
-    """Pack a local address into its raw 32-bit form."""
-    if row < 0 or row > ROW_MASK:
-        raise AddressError(f"row {row} outside 29-bit range")
-    raw = row
-    if space is Space.ACCUMULATOR:
-        raw |= ACC_BIT
-    if accumulate:
-        raw |= ACCUMULATE_BIT
-    if full_width:
-        raw |= FULL_WIDTH_BIT
-    return raw
 
 
 @dataclass(frozen=True)
@@ -173,16 +156,7 @@ class ValidationError(ExecError, ValueError):
     """A structurally invalid instruction, with its index in the program."""
 
 
-# -- footprints and the scan state -------------------------------------------------
-
-# A span of state that an instruction reads or writes: (space, start, end),
-# end exclusive.  Memory spaces are "spad" and "acc" (rows) and
-# "dram:<buffer>" (elements); the registers "reg:ex", "reg:ld0".."reg:ld2",
-# "reg:st" and "reg:latch" are one slot wide.
-Interval = tuple[str, int, int]
-Effects = tuple[list[Interval], list[Interval]]  # (reads, writes)
-
-_FAR = 1 << 40
+# -- the scan state ------------------------------------------------------------------
 
 
 @dataclass
@@ -215,48 +189,38 @@ def stride_elems(stride_bytes: int | None) -> int | None:
 
 # Each entry declares its effects once, in the order its step checks them, as Python source over its operands
 # (bound to their field names), the scan state `st`, `dim` and the names its `bind` sets.  An effect is its
-# footprint's lines and its step's lines; its mode is the footprint list it goes to, "reads" or "writes".
+# step's lines.
 
 
 def _when(condition: str, lines: list[str]) -> list[str]:
     return lines if condition == "True" else [f"if {condition}:", *(f"    {line}" for line in lines)]
 
 
-def _reg(mode: str, name: str, when: str = "True") -> tuple[list[str], list[str]]:
-    """Register `reg:<name>`, read or written when `when` holds.  Footprints only."""
-    return _when(when, [f"{mode}.append((f'reg:{name}', 0, 1))"]), []
-
-
-def _rows(name: str, mode: str, space: str, first_row: str, count: str, when: str = "True",
-          reads_too: str = "False") -> tuple[list[str], list[str]]:
-    """Local rows [first, first + count) when `when` holds, a write read too when `reads_too` holds, in `space`:
-    "spad", "acc" or the local operand whose bit picks one.  Both bind `<name>_first` and `<name>_end`."""
+def _rows(name: str, space: str, first_row: str, count: str, when: str = "True") -> list[str]:
+    """Local rows [first, first + count) when `when` holds, in `space`: "spad", "acc" or the local operand whose
+    bit picks one.  The step binds `<name>_first` and `<name>_end`, and refuses rows past that memory."""
     memory, size = (repr(space), f"{space}_rows") if space in ("spad", "acc") else (
         f"('acc' if {space} & ACC_BIT else 'spad')", f"(acc_rows if {space} & ACC_BIT else spad_rows)")
     first, end = f"{name}_first", f"{name}_end"
-    bind, interval = [f"{first} = {first_row}", f"{end} = {first} + {count}"], f"({memory}, {first}, {end})"
-    also = [] if reads_too == "False" else _when(reads_too, [f"reads.append({interval})"])
-    return (_when(when, bind + also + [f"{mode}.append({interval})"]),
-            _when(when, bind + [f"if {end} > {size}: raise _out_of_range(i, {memory}, {first}, {end}, {size})"]))
+    return _when(when, [f"{first} = {first_row}", f"{end} = {first} + {count}",
+                        f"if {end} > {size}: raise _out_of_range(i, {memory}, {first}, {end}, {size})"])
 
 
-def _dram(mode: str) -> tuple[list[str], list[str]]:
-    """A move's `rows` rows of `cols` elements, `pitch` apart from `dram`: the whole buffer while the pitch is
-    unknown.  The step follows the rules that bind `pitch` and `buf`, and refuses the first row that leaves it."""
+def _dram(verb: str) -> list[str]:
+    """A move's `rows` rows of `cols` elements, `pitch` apart from `dram`.  The step follows the rules that bind
+    `pitch` and `buf`, and refuses the first row that leaves the buffer."""
     end = "dram.offset + (rows - 1) * pitch + cols"
-    return ([f"if pitch is None: {mode}.append((f'dram:{{dram.buffer}}', 0, _FAR))",
-             f"else: {mode}.append((f'dram:{{dram.buffer}}', dram.offset, {end}))"],
-            [f"if dram.offset < 0 or {end} > buf[0]: raise _dram_error(i, {mode[:-1]!r}, ins, pitch, buf[0], dim)"])
+    return [f"if dram.offset < 0 or {end} > buf[0]: raise _dram_error(i, {verb!r}, ins, pitch, buf[0], dim)"]
 
 
-def _let(source: str) -> tuple[list[str], list[str]]:
-    """Names that only steps read: their rules and ops."""
-    return [], [source]
+def _let(source: str) -> list[str]:
+    """Names that the rules and the op read."""
+    return [source]
 
 
-def _rule(broken: str, kind: str, message: str) -> tuple[list[str], list[str]]:
-    """An execution rule: the step raises ExecError(`kind`, `message`) when `broken` holds.  Steps only."""
-    return [], [f"if {broken}: raise ExecError(i, {kind!r}, {message})"]
+def _rule(broken: str, kind: str, message: str) -> list[str]:
+    """An execution rule: the step raises ExecError(`kind`, `message`) when `broken` holds."""
+    return [f"if {broken}: raise ExecError(i, {kind!r}, {message})"]
 
 
 def _out_of_range(idx: int, space: str, start: int, end: int, size: int) -> ExecError:
@@ -306,53 +270,44 @@ _BUFFER = _rule("(buf := buffers.get(dram.buffer)) is None", "dram_out_of_range"
 _MOVE_BLOCK = "_moves(ins, local_first, pitch, buf[1], dim)"
 _UNSET = f"('used before being configured' if stride is None else f'{{stride}} is not a multiple of {ELEMENT_BYTES}')"
 _LOAD = (
-    _reg("reads", "ld{channel}"),
     _rule("pitch is None", "unsupported", f"f'load channel {{channel}} stride ' + {_UNSET}"),
     _BUFFER,
-    _rows("local", "writes", "local", "local & ROW_MASK", _TILE_ROWS,
-          reads_too="local & ACC_BIT and local & ACCUMULATE_BIT"),
-    _dram("reads"),
+    _rows("local", "local", "local & ROW_MASK", _TILE_ROWS),
+    _dram("read"),
 )
 _STORE = (
     _let("ex = st.ex"),
-    _reg("reads", "st"),
-    _reg("reads", "ex"),
     _rule("pitch is None", "unsupported", f"'store stride ' + {_UNSET}"),
     _rule("ex.act not in _RUNNABLE_ACTIVATIONS and not local & FULL_WIDTH_BIT", "unsupported",
           "f'activation {ex.act.value} is parse-only'"),
     _BUFFER,
-    _rows("local", "reads", "local", "local & ROW_MASK", _TILE_ROWS),
-    _dram("writes"),
+    _rows("local", "local", "local & ROW_MASK", _TILE_ROWS),
+    _dram("write"),
 )
 _LATCH_PRELOAD = (
-    _reg("reads", "latch", when="b == SENTINEL"),
-    _reg("reads", "ex", when="b != SENTINEL"),
-    _rows("b", "reads", "spad", "b & ROW_MASK", "b_rows", when="b != SENTINEL"),
+    _rows("b", "spad", "b & ROW_MASK", "b_rows", when="b != SENTINEL"),
     _rule("b == SENTINEL and st.weights is None", "compute_before_preload",
           "'keep-weights preload with no previously latched weights'"),
-    _reg("writes", "latch"),
 )
 _COMPUTE = (  # a compute accumulates into the latched rows when `accumulates` holds
     _let("ex = st.ex"),
-    _reg("reads", "latch"),
-    _reg("reads", "ex"),
     _rule("ex.dataflow is not Dataflow.WEIGHT_STATIONARY", "unsupported",
           "f'dataflow {ex.dataflow.value} is parse-only'"),
     _rule("ex.act not in _RUNNABLE_ACTIVATIONS", "unsupported", "f'activation {ex.act.value} is parse-only'"),
     _rule("st.latch is None", "compute_before_preload", "'compute issued before any preload'"),
-    _rows("a", "reads", "spad", "a & ROW_MASK", "a_rows"),
+    _rows("a", "spad", "a & ROW_MASK", "a_rows"),
     _let("a_out, a_in = (a_cols, a_rows) if ex.a_transpose else (a_rows, a_cols)"),
     _rule("a_in != st.weights[0]", "dimension_mismatch",
           "f'A is {a_out}x{a_in} but weights are {st.weights[0]}x{st.weights[1]}'"),
     _rule("(a_out, st.weights[1]) != st.result", "dimension_mismatch",
           "f'result is {a_out}x{st.weights[1]} but the preload latched {st.result[0]}x{st.result[1]}'"),
-    _rows("d", "reads", "spad", "d & ROW_MASK", "d_rows", when="d != SENTINEL"),
+    _rows("d", "spad", "d & ROW_MASK", "d_rows", when="d != SENTINEL"),
     _rule("d != SENTINEL and (d_rows, d_cols) != st.result", "dimension_mismatch",
           "f'bias is {d_rows}x{d_cols} but the result is {st.result[0]}x{st.result[1]}'"),
-    _rows("c", "writes", "acc", "c_row", "c_rows", reads_too="accumulates"),
+    _rows("c", "acc", "c_row", "c_rows"),
 )
 _MOVE_BIND = "stride = {}\npitch = stride_elems(stride)"
-_COMPUTE_BIND = "c_row, c_rows, c_acc = st.latch or (0, _FAR, True)\naccumulates = {}"
+_COMPUTE_BIND = "c_row, c_rows, c_acc = st.latch or (0, 0, True)\naccumulates = {}"
 _COMPUTE_OP = ("a_first, a_end, a_cols, ex.a_transpose, None if d == SENTINEL else d_first, d_rows, d_cols, "
                "c_first, c_end, st.result[1], accumulates")
 
@@ -374,15 +329,17 @@ class InstructionSpec:
     `channel` (any integer) or the name of a count that must be
     non-negative, which parser messages quote and validation bounds.
     `effects`, `bind`, `moves` (past the instruction) and `op` (its replay
-    op's fields after its type) are source; see "effects" above.  Cost
-    terms: one issue, `bytes_in` + `bytes_out` DRAM bytes moved, `fills`
-    pipeline fills and `rows_fed` rows fed through the array.
+    op's fields after its type) are source; see "effects" above.
+    `registers` gives the registers (`ex`, `st`, `ld<channel>`, `latch`) it
+    reads and writes, from its operands alone.  Cost terms: one issue,
+    `bytes_in` + `bytes_out` DRAM bytes moved, `fills` pipeline fills and
+    `rows_fed` rows fed through the array.
     """
 
     mnemonic: str
     type: type
     operands: tuple[tuple[str, str], ...]
-    effects: tuple[tuple[list[str], list[str]], ...] = ()
+    effects: tuple[list[str], ...] = ()
     bind: str = ""
     moves: str = ""
     op: str = ""
@@ -390,6 +347,7 @@ class InstructionSpec:
     bytes_out: Callable[[Instruction], int] = _nothing
     fills: int = 0
     rows_fed: Callable[[Instruction], int] = _nothing
+    registers: Callable[[Instruction], tuple[tuple[str, ...], tuple[str, ...]]] = lambda ins: ((), ())
     channel: int | None = None  # the load channel that an mvin mnemonic fixes
     spaces: tuple[tuple[str, Space, bool], ...] = ()  # (local operand, its memory, whether the sentinel may stand)
 
@@ -404,29 +362,33 @@ _COMPUTE_SPACES = (("a", Space.SCRATCHPAD, False), ("d", Space.SCRATCHPAD, True)
 _LATCH = "st.latch = (c & ROW_MASK, {}, bool(c & ACCUMULATE_BIT))\n"
 
 INSTRUCTIONS: tuple[InstructionSpec, ...] = (
-    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, (_reg("writes", "ex"),), moves="st.ex = ins"),
-    InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, (_reg("writes", "ld{channel}"),),
-                    moves="st.ld_strides[channel] = stride_bytes"),
-    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, (_reg("writes", "st"),), moves="st.st_stride = stride_bytes"),
+    InstructionSpec("config_ex", ConfigEx, _CONFIG_EX, moves="st.ex = ins", registers=lambda ins: ((), ("ex",))),
+    InstructionSpec("config_ld", ConfigLd, _CONFIG_LD, moves="st.ld_strides[channel] = stride_bytes",
+                    registers=lambda ins: ((), (f"ld{ins.channel}",))),
+    InstructionSpec("config_st", ConfigSt, _CONFIG_ST, moves="st.st_stride = stride_bytes",
+                    registers=lambda ins: ((), ("st",))),
     *(InstructionSpec(mnemonic, Mvin, _MOVE, _LOAD, _MOVE_BIND.format("st.ld_strides.get(channel)"),
                       op=f"local & ACC_BIT, local & ACC_BIT and local & ACCUMULATE_BIT, dram.buffer, {_MOVE_BLOCK}",
-                      bytes_in=_moved_bytes, channel=channel)
+                      bytes_in=_moved_bytes, registers=lambda ins: ((f"ld{ins.channel}",), ()), channel=channel)
       for channel, mnemonic in enumerate(("mvin", "mvin2", "mvin3"))),
     InstructionSpec("preload", Preload, _PRELOAD, _LATCH_PRELOAD,
                     moves=_LATCH.format("c_rows") + "st.result = (c_rows, c_cols)\nif b != SENTINEL:\n"
                     "    st.weights = (b_cols, b_rows) if st.ex.b_transpose else (b_rows, b_cols)",
                     op="None if b == SENTINEL else b_first, b_rows, b_cols, st.ex.b_transpose",
-                    fills=1, spaces=(_WEIGHTS, _OUTPUT)),
-    InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS, (_reg("writes", "latch"),),
+                    fills=1, registers=lambda ins: (("latch",) if ins.b == SENTINEL else ("ex",), ("latch",)),
+                    spaces=(_WEIGHTS, _OUTPUT)),
+    InstructionSpec("preload_zeros", PreloadZeros, _PRELOAD_ZEROS,
                     moves=_LATCH.format("dim") + "st.weights = st.result = (dim, dim)", op="dim",
-                    fills=1, spaces=(_OUTPUT,)),
+                    fills=1, registers=lambda ins: ((), ("latch",)), spaces=(_OUTPUT,)),
     *(InstructionSpec(mnemonic, kind, _COMPUTE_OPERANDS, _COMPUTE, _COMPUTE_BIND.format(accumulates), op=_COMPUTE_OP,
-                      rows_fed=attrgetter("a_rows"), spaces=_COMPUTE_SPACES)
+                      rows_fed=attrgetter("a_rows"), registers=lambda ins: (("latch", "ex"), ()),
+                      spaces=_COMPUTE_SPACES)
       for mnemonic, kind, accumulates in (("compute_preloaded", ComputePreloaded, "c_acc"),
                                           ("compute_accumulated", ComputeAccumulated, "True"))),
     InstructionSpec("mvout", Mvout, _MOVE, _STORE, _MOVE_BIND.format("st.st_stride"),
                     op=f"dram.buffer, ex.act is Activation.RELU and not local & FULL_WIDTH_BIT, {_MOVE_BLOCK}",
-                    bytes_out=_moved_bytes, spaces=(("local", Space.ACCUMULATOR, False),)),
+                    bytes_out=_moved_bytes, registers=lambda ins: (("st", "ex"), ()),
+                    spaces=(("local", Space.ACCUMULATOR, False),)),
     InstructionSpec("fence", Fence, ()),
 )
 
@@ -441,6 +403,45 @@ def spec_of(ins: Instruction) -> InstructionSpec:
     """An instruction's table entry: by type, and by load channel for an mvin."""
     kind = type(ins)
     return _MVIN_BY_CHANNEL[ins.channel] if kind is Mvin else _BY_TYPE[kind]
+
+
+# -- the memory an op touches ----------------------------------------------------------
+
+Span = tuple[Space | str, int, int]  # (space, first, end), end exclusive: rows of a `Space`, or elements of a buffer
+
+
+def _move_spans(local: Space, buffer: str, cols: int, move: tuple) -> tuple[Span, Span]:
+    """A move's local rows and DRAM elements: the hulls of its blocks (`_moves`), which run in moving order, so
+    the first starts both and the last ends both.  A block starts at element r * cols + c (a flat one at c)."""
+    rows, _, blocks = move
+    (first, r, c, _), (last, r_last, c_last, width) = blocks[0], blocks[-1]
+    return (local, first, last + rows), (buffer, r * cols + c, (r_last + rows - 1) * cols + c_last + width)
+
+
+def op_effects(op: tuple, buffers: dict[str, tuple[int, int]]) -> tuple[list[Span], list[Span]]:
+    """The memory an op (`step`) reads and writes, as (reads, writes) lists of spans.
+
+    A span's space is a `Space` for local rows and a buffer's name for its
+    elements, so no buffer name aliases a local memory; `buffers` holds the
+    (rows, cols) shapes the op was stepped against.  An accumulating load or
+    compute reads the rows it writes; a keep-weights preload reads none.
+    """
+    kind = op[0]
+    if kind is Mvin:
+        _, to_acc, accumulate, buffer, move = op
+        local, dram = _move_spans(Space.ACCUMULATOR if to_acc else Space.SCRATCHPAD, buffer, buffers[buffer][1], move)
+        return ([local, dram] if accumulate else [dram]), [local]
+    if kind is Preload:
+        return ([] if op[1] is None else [(Space.SCRATCHPAD, op[1], op[1] + op[2])]), []
+    if kind is ComputePreloaded or kind is ComputeAccumulated:
+        _, a, a_end, _, _, d, d_rows, _, c, c_end, _, accumulate = op
+        output, bias = (Space.ACCUMULATOR, c, c_end), [] if d is None else [(Space.SCRATCHPAD, d, d + d_rows)]
+        return [(Space.SCRATCHPAD, a, a_end), *bias, *([output] if accumulate else [])], [output]
+    if kind is Mvout:
+        _, buffer, _, move = op
+        local, dram = _move_spans(Space.ACCUMULATOR, buffer, buffers[buffer][1], move)
+        return [local], [dram]
+    return [], []
 
 
 # -- compiled steps ------------------------------------------------------------------
@@ -492,30 +493,16 @@ def _define(signature: str, spec: InstructionSpec, lines: list[str]) -> Callable
 
 
 @cache
-def _compiled(dim: int, max_block_len: int) -> tuple[dict[type, Callable], ...]:
-    """Per type: a validator that raises its first `ValidationError`, its step (`step`) and its footprint."""
-    validators, steps, footprints = defaultdict(lambda: _refuse), defaultdict(lambda: _refuse), {}
+def _compiled(dim: int, max_block_len: int) -> tuple[dict[type, Callable], dict[type, Callable]]:
+    """Per type: a validator that raises its first `ValidationError`, and its step (`step`)."""
+    validators, steps = defaultdict(lambda: _refuse), defaultdict(lambda: _refuse)
     for kind, spec in _FIRST_OF_TYPE.items():
-        bind, moves = spec.bind.splitlines(), spec.moves.splitlines()
         validators[kind] = _define("validate(i, ins)", spec, _validation(spec, dim, max_block_len) + ["pass"])
         steps[kind] = _define(f"step(i, ins, st, spad_rows, acc_rows, buffers, dim={dim})", spec,
-                              _validation(spec, dim, max_block_len) + bind
-                              + [line for _, lines in spec.effects for line in lines] + moves
+                              _validation(spec, dim, max_block_len) + spec.bind.splitlines()
+                              + [line for lines in spec.effects for line in lines] + spec.moves.splitlines()
                               + [f"return ({kind.__name__}, {spec.op})"])
-        footprints[kind] = _define(f"footprint(ins, st, dim={dim})", spec, bind + ["reads, writes = [], []"]
-                                   + [line for lines, _ in spec.effects for line in lines] + moves
-                                   + ["return reads, writes"])
-    return validators, steps, footprints
-
-
-@cache
-def _footprints(dim: int) -> dict[type, Callable]:
-    return _compiled(dim, MAX_BLOCK_LEN_DEFAULT)[2]  # no footprint reads the block length
-
-
-def footprint(ins: Instruction, state: ScanState, dim: int) -> Effects:
-    """What an instruction reads and writes; the scan state moves past it."""
-    return _footprints(dim)[type(ins)](ins, state)
+    return validators, steps
 
 
 # -- validation and the step pass --------------------------------------------------

@@ -141,7 +141,11 @@ _F32_LIMIT = 2.0**128 - 2.0**103
 
 
 def _f32(value: int | float | Fraction) -> Fraction | None:
-    """`value` rounded to f32, exactly, or None where that is not finite."""
+    """`value` rounded to f32, exactly, or None where that is not finite; any value but an int via a double."""
+    if type(value) is int:  # rounded once, to 24 significant bits; `round` takes ties to even
+        shift = max(abs(value).bit_length() - 24, 0)
+        rounded = round(Fraction(value, 1 << shift)) << shift
+        return Fraction(rounded) if abs(rounded) < 2**128 else None
     value = float(value)
     if not abs(value) < _F32_LIMIT:
         return None

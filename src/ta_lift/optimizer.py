@@ -9,16 +9,16 @@ edges.  Every candidate must re-verify in the simulator before it replaces
 its input.  A change that fails verification or raises the modeled cost is
 discarded, so the pipeline never regresses a program.
 
-Each instruction's footprint comes from its entry in the instruction table
-(`isa.INSTRUCTIONS`), given the configuration and latch state of a
-left-to-right scan.  Segmentation scans them once; a block is only its
-slice of instructions.  Block footprints are built only where a model's
-plan is checked, by `analyze_dependences`.  Memory footprints (scratchpad
-rows, accumulator rows, DRAM element intervals) conflict by interval
-overlap.  Register state (the config registers and the weight latch) is
-treated as privatizable: a block that writes a register before reading it
-breaks the dependence chain, so ordinary blocks that each begin with their
-own preload do not serialize on the latch.
+The program is stepped once (`isa.step`), and each block carries its
+instructions' replay ops.  `isa.op_effects` reads each op's memory spans
+(scratchpad rows, accumulator rows, DRAM element intervals) off the rows
+and tiles its step proved; spans conflict by overlap.  Block spans are
+gathered only where a model's plan is checked, by `analyze_dependences`.
+Registers (the config registers and the weight latch) come from each
+table entry's operands and are treated as privatizable: a block that
+writes a register before reading it breaks the dependence chain, so
+ordinary blocks that each begin with their own preload do not serialize
+on the latch.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .costs import CostReport, program_cost
 from .gateway import Backend, GenerationParams
@@ -33,18 +34,20 @@ from .isa import (
     ACC_BIT,
     ACCUMULATE_BIT,
     DIM_DEFAULT,
-    MAX_BLOCK_LEN_DEFAULT,
     SENTINEL,
     ConfigEx,
+    ExecError,
     Instruction,
-    Interval,
     Mvin,
     Preload,
     PreloadZeros,
     Program,
-    ScanState,
-    footprint,
-    stride_elems,
+    Space,
+    Span,
+    memory_sizes,
+    op_effects,
+    spec_of,
+    step,
 )
 from .kernels import KernelSpec, TestCase, verify_program
 from .machine import MachineConfig
@@ -56,11 +59,11 @@ class PlanParseError(ValueError):
     """A reordering reply could not be read as a permutation of blocks."""
 
 
-def _overlap(a: Interval, b: Interval) -> bool:
+def _overlap(a: Span, b: Span) -> bool:
     return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
 
 
-def _any_overlap(xs: Sequence[Interval], ys: Sequence[Interval]) -> bool:
+def _any_overlap(xs: Sequence[Span], ys: Sequence[Span]) -> bool:
     return any(_overlap(x, y) for x in xs for y in ys)
 
 
@@ -68,17 +71,20 @@ def _any_overlap(xs: Sequence[Interval], ys: Sequence[Interval]) -> bool:
 class Block:
     id: int
     instructions: tuple[Instruction, ...]
+    ops: tuple[tuple, ...] = ()  # each instruction's replay op (`isa.step`), in order
 
     def text(self) -> str:
         return "\n".join(render_instruction(ins) for ins in self.instructions)
 
 
-def _memory_only(intervals: list[Interval]) -> list[Interval]:
-    return [iv for iv in intervals if not iv[0].startswith("reg:")]
+def _sliced(blocks: list[Block], ops: Sequence[tuple]) -> list[Block]:
+    """The blocks with their slices of `ops`, the ops of all their instructions in block order."""
+    ends = accumulate(len(block.instructions) for block in blocks)
+    return [replace(block, ops=tuple(ops[end - len(block.instructions) : end])) for block, end in zip(blocks, ends)]
 
 
 def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
-    """Cut a program into a prelude plus one block per preload.
+    """Cut a program, stepped once against its buffers, into a prelude plus one block per preload.
 
     Cuts never move instructions: each mvin of the run directly before a
     preload joins the new block exactly when its first consumer (the first
@@ -88,49 +94,41 @@ def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
     """
     cfg = cfg or MachineConfig()
     instructions = tuple(p.instructions)
-    state = ScanState()
-    effects = [footprint(ins, state, cfg.dim) for ins in instructions]
+    ops = tuple(step(instructions, cfg, memory_sizes(cfg, p.buffers)))
     cuts: list[int] = []
     for index, ins in enumerate(instructions):
         if not isinstance(ins, (Preload, PreloadZeros)):
             continue
         start, later_reads = index, []
         while start > 0 and isinstance(instructions[start - 1], Mvin):
-            reads, writes = effects[start - 1]
+            reads, writes = op_effects(ops[start - 1], p.buffers)
             if _any_overlap(writes, later_reads):
                 break
             start -= 1
             later_reads += reads
         cuts.append(start)
     bounds = sorted({0, *cuts, len(instructions)})
-    return [Block(n, instructions[a:b]) for n, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return [Block(n, instructions[a:b], ops[a:b]) for n, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def _registers(intervals: list[Interval]) -> set[str]:
-    return {iv[0][4:] for iv in intervals if iv[0].startswith("reg:")}
-
-
-def analyze_dependences(blocks: list[Block], cfg: MachineConfig | None = None) -> frozenset[tuple[int, int]]:
+def analyze_dependences(blocks: list[Block], buffers: dict[str, tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Pairwise block conflicts; every edge (i, j) means i stays before j.
 
-    One scan in block order gives each block its memory reads and writes,
+    One pass in block order gives each block its memory reads and writes
+    (its ops' spans over `buffers`, the shapes they were stepped against),
     the registers it reads before writing them (exposed) and the registers
     it writes.
     """
-    cfg = cfg or MachineConfig()
-    state = ScanState()
     scanned = []
     for block in blocks:
-        reads: list[Interval] = []
-        writes: list[Interval] = []
-        exposed: set[str] = set()
-        written: set[str] = set()
-        for ins in block.instructions:
-            r, w = footprint(ins, state, cfg.dim)
-            exposed |= _registers(r) - written
-            written |= _registers(w)
-            reads += _memory_only(r)
-            writes += _memory_only(w)
+        reads, writes, exposed, written = [], [], set(), set()
+        for ins, op in zip(block.instructions, block.ops, strict=True):
+            reg_reads, reg_writes = spec_of(ins).registers(ins)
+            exposed.update(reg for reg in reg_reads if reg not in written)
+            written.update(reg_writes)
+            r, w = op_effects(op, buffers)
+            reads += r
+            writes += w
         scanned.append((block.id, reads, writes, exposed, written))
 
     edges: set[tuple[int, int]] = set()
@@ -165,67 +163,64 @@ def analyze_dependences(blocks: list[Block], cfg: MachineConfig | None = None) -
 class PeepholeContext:
     """Cross-block state for the rewrite walk, in original block order.
 
-    `seen_mvins` holds the mvins still in place.  `cells` files each of them
-    under every cell its memory intervals cover: per space, the DIM-row tiles
-    of a scratchpad or accumulator interval, and the tile None for a DRAM
-    interval or one wider than any move (an unknown pitch, a compute before
-    any preload).  A write tests only the mvins filed under the tiles it
-    covers and under None; a write filed under None tests its whole space.
+    `buffers` holds the shapes the walked ops were stepped against.
+    `seen_mvins` maps each mvin still in place, keyed by its op, to its
+    memory spans.  `cells` files each of them under every cell its spans
+    cover: per space, the DIM-row tiles of a scratchpad or accumulator span,
+    and the tile None for a DRAM span.  A write tests only the mvins filed
+    under the tiles it covers and under None; a DRAM write tests its whole
+    buffer.
     """
 
     dim: int = DIM_DEFAULT
-    state: ScanState = field(default_factory=ScanState)
+    buffers: dict[str, tuple[int, int]] = field(default_factory=dict)
     last_preload: Preload | PreloadZeros | None = None
-    weights: tuple[Interval, ...] = ()  # the memory the last preload latched from
+    weights: tuple[Span, ...] = ()  # the memory the last preload latched from
     weights_clean: bool = False
-    seen_mvins: set[tuple] = field(default_factory=set)
-    cells: dict[str, dict[int | None, set[tuple]]] = field(default_factory=dict)  # space -> tile -> keys
+    seen_mvins: dict[tuple, tuple[Span, ...]] = field(default_factory=dict)
+    cells: dict[Space | str, dict[int | None, set[tuple]]] = field(default_factory=dict)  # space -> tile -> keys
 
-    def tiles(self, iv: Interval) -> Sequence[int | None]:
-        """The row tiles an interval covers, from one end's tile to the other's; or (None,)."""
-        first, last = sorted((iv[1], iv[2] - 1))  # an inverted interval still overlaps across its ends
-        if iv[0].startswith("dram:") or last - first >= self.dim * MAX_BLOCK_LEN_DEFAULT:
-            return (None,)
-        return range(first // self.dim, last // self.dim + 1)
+    def tiles(self, span: Span) -> Sequence[int | None]:
+        """The DIM-row tiles a span of local rows covers; (None,) for a span of DRAM elements."""
+        space, first, end = span
+        return range(first // self.dim, (end - 1) // self.dim + 1) if isinstance(space, Space) else (None,)
 
-    def admit(self, ins: Instruction) -> bool:
-        """Walk past one instruction other than a preload.
+    def admit(self, ins: Instruction, op: tuple) -> bool:
+        """Walk past one instruction other than a preload, given its op.
 
         Returns False, and changes nothing, for an mvin that reloads a tile
-        still in place: same source, destination and stride, and neither
-        overwritten since.  Accumulating mvins are always kept.
+        still in place: the same op (source tiles and destination rows), and
+        neither overwritten since.  Accumulating mvins are always kept.
         """
-        reads, writes = footprint(ins, self.state, self.dim)  # an mvin leaves the state as it is
+        reads, writes = op_effects(op, self.buffers)
         key = None
         if isinstance(ins, Mvin) and not (ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT):
-            key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory_only(reads), *writes))
+            key = op
             if key in self.seen_mvins:
                 return False
         if isinstance(ins, ConfigEx):
             self.weights_clean = False  # a transpose change would alter relatched weights
-        mem = tuple(_memory_only(writes))
-        if mem:
-            for write in mem:
-                self._forget_overlapping(write)
-            if _any_overlap(mem, self.weights):
-                self.weights_clean = False
+        for write in writes:
+            self._forget_overlapping(write)
+        if _any_overlap(writes, self.weights):
+            self.weights_clean = False
         if key is not None:
-            self.seen_mvins.add(key)
-            for iv in key[-1]:
-                for tile in self.tiles(iv):
-                    self.cells.setdefault(iv[0], {}).setdefault(tile, set()).add(key)
+            spans = self.seen_mvins[key] = (*reads, *writes)
+            for span in spans:
+                for tile in self.tiles(span):
+                    self.cells.setdefault(span[0], {}).setdefault(tile, set()).add(key)
         return True
 
-    def _forget_overlapping(self, write: Interval) -> None:
-        """Drop every remembered mvin whose memory the write overlaps, from the set and from every cell."""
+    def _forget_overlapping(self, write: Span) -> None:
+        """Drop every remembered mvin whose memory the write overlaps, from the map and from every cell."""
         by_tile = self.cells.get(write[0], {})
         tiles = self.tiles(write)
         near = by_tile.values() if tiles[0] is None else [by_tile[t] for t in (*tiles, None) if t in by_tile]
-        for victim in [seen for seen in set().union(*near) if any(_overlap(write, iv) for iv in seen[-1])]:
-            self.seen_mvins.remove(victim)
-            for iv in victim[-1]:
-                for tile in self.tiles(iv):
-                    self.cells[iv[0]][tile].remove(victim)
+        victims = [seen for seen in set().union(*near) if any(_overlap(write, span) for span in self.seen_mvins[seen])]
+        for victim in victims:
+            for span in self.seen_mvins.pop(victim):
+                for tile in self.tiles(span):
+                    self.cells[span[0]][tile].remove(victim)
 
 
 def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
@@ -235,17 +230,17 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
     spanning block boundaries are caught when blocks are walked in order.
     Compute instructions are never touched.
     """
-    kept: list[Instruction] = []
-    for ins in block.instructions:
+    kept: list[tuple[Instruction, tuple]] = []  # (instruction, op) pairs
+    for ins, op in zip(block.instructions, block.ops, strict=True):
         if not isinstance(ins, (Preload, PreloadZeros)):
-            if ctx.admit(ins):
-                kept.append(ins)
+            if ctx.admit(ins, op):
+                kept.append((ins, op))
             continue
         previous = ctx.last_preload
-        reads, _ = footprint(ins, ctx.state, ctx.dim)
         if ins == previous and ctx.weights_clean:
             continue
-        rewritten = ins
+        ctx.last_preload = ins
+        ctx.weights = tuple(op_effects(op, ctx.buffers)[0])
         if (
             isinstance(ins, Preload)
             and isinstance(previous, Preload)
@@ -255,18 +250,17 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
             and (ins.b_cols, ins.b_rows) == (previous.b_cols, previous.b_rows)
             and ctx.weights_clean
         ):
-            rewritten = replace(ins, b=SENTINEL)
-        ctx.last_preload = ins
-        ctx.weights = tuple(_memory_only(reads))
+            ins, op = replace(ins, b=SENTINEL), (Preload, None, *op[2:])  # a keep-weights preload's op
         ctx.weights_clean = True
-        kept.append(rewritten)
-    return replace(block, instructions=tuple(kept))
+        kept.append((ins, op))
+    return replace(block, instructions=tuple(ins for ins, _ in kept), ops=tuple(op for _, op in kept))
 
 
-def dedup_mvins(instructions: tuple[Instruction, ...], dim: int = DIM_DEFAULT) -> tuple[Instruction, ...]:
-    """Program-wide duplicate-mvin elimination with write invalidation."""
-    ctx = PeepholeContext(dim=dim)
-    return tuple(ins for ins in instructions if ctx.admit(ins))
+def dedup_mvins(instructions: tuple[Instruction, ...], ops: Sequence[tuple], buffers: dict[str, tuple[int, int]],
+                dim: int = DIM_DEFAULT) -> tuple[Instruction, ...]:
+    """Program-wide duplicate-mvin elimination with write invalidation, given the program's ops."""
+    ctx = PeepholeContext(dim=dim, buffers=buffers)
+    return tuple(ins for ins, op in zip(instructions, ops, strict=True) if ctx.admit(ins, op))
 
 
 # -- ordering ------------------------------------------------------------------
@@ -313,7 +307,11 @@ def reassemble(
     dedup: bool = False,
     cfg: MachineConfig | None = None,
 ) -> Program:
-    """Concatenate blocks in the given order into a new Program."""
+    """Concatenate blocks in the given order into a new Program.
+
+    With `dedup` the concatenation is stepped against `base`'s buffers
+    first, and its `ExecError` raised when it does not step.
+    """
     cfg = cfg or MachineConfig()
     by_id = {b.id: b for b in blocks}
     instructions: list[Instruction] = []
@@ -321,7 +319,7 @@ def reassemble(
         instructions.extend(by_id[block_id].instructions)
     out = tuple(instructions)
     if dedup:
-        out = dedup_mvins(out, cfg.dim)
+        out = dedup_mvins(out, step(out, cfg, memory_sizes(cfg, base.buffers)), base.buffers, cfg.dim)
     return Program(out, dict(base.buffers), dict(base.symbols))
 
 
@@ -383,6 +381,13 @@ def optimize_program(
     def verified(candidate: Program) -> bool:
         return verify_program(candidate, spec, cases, cfg).passed
 
+    def deduped(permutation: tuple[int, ...]) -> Program | None:  # the blocks reordered and deduped, if that verifies
+        try:
+            candidate = reassemble(blocks, permutation, p, dedup=True, cfg=cfg)
+        except ExecError:  # it does not step, so it would not verify
+            return None
+        return candidate if verified(candidate) else None
+
     # Stage 1: per-block rewrites, each gated by whole-program verification.
     llm_params = params or GenerationParams(n_samples=1)
     if mode in ("llm", "llm_then_rules") and backend is not None:
@@ -395,9 +400,9 @@ def optimize_program(
             trial[block.id] = Block(block.id, rewritten)
             candidate = reassemble(trial, identity, p)
             if verified(candidate) and program_cost(candidate).total <= before.total:
-                blocks = trial
+                blocks = _sliced(trial, step(candidate.instructions, cfg, memory_sizes(cfg, p.buffers)))  # it verified
     if mode in ("rules", "llm_then_rules"):
-        ctx = PeepholeContext(dim=cfg.dim)
+        ctx = PeepholeContext(dim=cfg.dim, buffers=p.buffers)
         candidate_blocks = [peephole_block(block, ctx) for block in blocks]
         candidate = reassemble(candidate_blocks, identity, p)
         if verified(candidate):
@@ -414,15 +419,13 @@ def optimize_program(
             permutation = parse_plan(reply, len(blocks))
         except PlanParseError:
             permutation = None
-        if permutation is not None and _respects(permutation, analyze_dependences(blocks, cfg)):
-            candidate = reassemble(blocks, permutation, p, dedup=True, cfg=cfg)
-            if verified(candidate):
+        if permutation is not None and _respects(permutation, analyze_dependences(blocks, p.buffers)):
+            candidate = deduped(permutation)
+            if candidate is not None:
                 final, plan = candidate, OrderingPlan(permutation, provenance="llm")
     if mode == "llm" and plan.provenance == "search":
         # No peephole ran, so the dedup walk may still drop loads.
-        candidate = reassemble(blocks, plan.permutation, p, dedup=True, cfg=cfg)
-        if verified(candidate):
-            final = candidate
+        final = deduped(plan.permutation) or final
     after = program_cost(final)
     if after.total > before.total:
         final, after, plan = p, before, search_reorder(blocks)

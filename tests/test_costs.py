@@ -7,6 +7,7 @@ from ta_lift import costs
 from ta_lift.costs import CostReport, program_cost, render_feedback
 from ta_lift.fixtures import kernel
 from ta_lift.isa import (
+    ACC_BIT,
     ComputePreloaded,
     ConfigEx,
     DramRef,
@@ -16,18 +17,16 @@ from ta_lift.isa import (
     Preload,
     PreloadZeros,
     Program,
-    Space,
-    encode_local_addr,
 )
 from ta_lift.program_text import parse_program
 
 
 def spad(row: int) -> int:
-    return encode_local_addr(Space.SCRATCHPAD, False, False, row)
+    return row
 
 
 def acc(row: int) -> int:
-    return encode_local_addr(Space.ACCUMULATOR, False, False, row)
+    return ACC_BIT | row
 
 
 def instruction_cost(ins) -> float:

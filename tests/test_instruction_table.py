@@ -6,16 +6,15 @@ that both agree on the goldens, the benchmark's naive programs, random
 workloads and programs with one field mutated.
 
 The footprint differential steps a batched machine one instruction at a
-time.  Before each step it copies the machine and fills everything in the
-copy that the instruction's declared reads do not cover with random data.
-Both machines then run the instruction: nothing outside the declared
-writes may change, and every element either run wrote must be equal in
-both.  So the declared memory footprints cover what each instruction really
-reads and writes.  Registers (the config registers and the latched weights)
-are not covered: the copy keeps them as they are.  The step pass takes its
-bounds from the same declarations: every memory interval of a step it
-accepts lies inside its memory, and some interval of a step it refuses on
-a bound does not.
+time.  Before each replay it copies the machine and fills everything in the
+copy that the op's effects (`op_effects`) do not read with random data.
+Both machines then replay the op: nothing outside its writes may change,
+and every element either run wrote must be equal in both.  So the effects
+read off each op cover what replaying it really reads and writes, and each
+of their spans lies inside its memory.  Registers (the config registers and
+the latched weights) are not covered: the copy keeps them as they are.  A
+step refused on a bound has no op; refusals are pinned against the oracle
+executors in `test_executors.py`.
 """
 
 from __future__ import annotations
@@ -41,16 +40,17 @@ from ta_lift.isa import (
     ConfigSt,
     Dataflow,
     DramRef,
-    Interval,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
     ScanState,
+    Space,
+    Span,
     ValidationError,
-    footprint,
     memory_sizes,
+    op_effects,
     spec_of,
     step,
     validate_program,
@@ -321,27 +321,28 @@ def test_validation_agrees_on_random_workloads(workload, shape) -> None:
 # -- the footprint differential ------------------------------------------------------------
 
 
-def _masks(m: Machine, intervals: list[Interval]) -> dict[str, np.ndarray]:
-    """Per memory (spad, acc and each DRAM buffer), which rows or elements the intervals cover."""
-    masks = {"spad": np.zeros(m.spad.shape[-2], bool), "acc": np.zeros(m.acc.shape[-2], bool)}
-    for name, arr in m.dram.items():
-        masks[f"dram:{name}"] = np.zeros(arr.shape[-2] * arr.shape[-1], bool)
-    for space, start, end in intervals:
-        if space in masks:
-            masks[space][max(start, 0) : max(end, 0)] = True
-    return masks
+def _shapes(m: Machine) -> dict[str, tuple[int, int]]:
+    return {name: arr.shape[-2:] for name, arr in m.dram.items()}
 
 
-def _memories(m: Machine) -> dict[str, np.ndarray]:
-    """Each memory with its rows or elements on the last axis but one."""
-    views = {"spad": m.spad, "acc": m.acc}
+def _memories(m: Machine) -> dict[Space | str, np.ndarray]:
+    """Each memory, by its span space, with its rows or elements on the last axis but one."""
+    views = {Space.SCRATCHPAD: m.spad, Space.ACCUMULATOR: m.acc}
     for name, arr in m.dram.items():
-        views[f"dram:{name}"] = arr.reshape(arr.shape[:-2] + (-1, 1))
+        views[name] = arr.reshape(arr.shape[:-2] + (-1, 1))
     return views
 
 
-def _twin(m: Machine, reads: dict[str, np.ndarray], noise: dict[str, np.ndarray]) -> Machine:
-    """A copy of `m` with random data wherever the declared reads do not reach."""
+def _masks(m: Machine, spans: list[Span]) -> dict[Space | str, np.ndarray]:
+    """Per memory, which rows or elements the spans cover."""
+    masks = {space: np.zeros(memory.shape[-2], bool) for space, memory in _memories(m).items()}
+    for space, start, end in spans:
+        masks[space][start:end] = True
+    return masks
+
+
+def _twin(m: Machine, reads: dict[Space | str, np.ndarray], noise: dict[Space | str, np.ndarray]) -> Machine:
+    """A copy of `m` with random data wherever the op's reads do not reach."""
     twin = dataclasses.replace(
         m,
         dram={name: arr.copy() for name, arr in m.dram.items()},
@@ -353,26 +354,19 @@ def _twin(m: Machine, reads: dict[str, np.ndarray], noise: dict[str, np.ndarray]
     return twin
 
 
-def _inside(m: Machine, interval: Interval) -> bool:
-    space, start, end = interval
-    memory = _memories(m).get(space)
-    return memory is not None and 0 <= start and end <= memory.shape[-2]
+def _inside(m: Machine, span: Span) -> bool:
+    space, start, end = span
+    return 0 <= start < end <= _memories(m)[space].shape[-2]
 
 
-def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bool:
-    """Run one instruction from `state` on `m` and on a randomized twin; False once it fails."""
+def _step(m: Machine, state: ScanState, ins, noise: dict[Space | str, np.ndarray]) -> bool:
+    """Step one instruction from `state` and replay its op on `m` and on a randomized twin; False once it fails."""
     try:
-        ops = step((ins,), m.config, memory_sizes(m.config, {name: arr.shape[-2:] for name, arr in m.dram.items()}),
-                   state.copy())
-    except ValidationError:  # an invalid one has no footprint
+        ops = step((ins,), m.config, memory_sizes(m.config, _shapes(m)), state)
+    except ExecError:  # a ValidationError too: a refused step has no op
         return False
-    except ExecError as err:
-        if err.kind.endswith("_out_of_range"):
-            reads, writes = footprint(ins, state.copy(), m.config.dim)
-            assert not all(_inside(m, iv) for iv in reads + writes if not iv[0].startswith("reg:")), (ins, err)
-        return False
-    reads, writes = footprint(ins, state, m.config.dim)
-    assert all(_inside(m, iv) for iv in reads + writes if not iv[0].startswith("reg:")), ins
+    reads, writes = op_effects(ops[0], _shapes(m))
+    assert all(_inside(m, span) for span in reads + writes), ins
     read_masks = _masks(m, reads)
     write_masks = _masks(m, writes)
     twin = _twin(m, read_masks, noise)
@@ -389,20 +383,29 @@ def _step(m: Machine, state: ScanState, ins, noise: dict[str, np.ndarray]) -> bo
     return True
 
 
-def _run_differential(m: Machine, program: Program) -> None:
+def _run_differential(m: Machine, program: Program) -> int:
+    """Walk the program until a step refuses; the number of instructions walked."""
     rng = np.random.default_rng(0)
     noise = {space: rng.uniform(-8, 8, memory.shape).astype(np.float32) for space, memory in _memories(m).items()}
     state = ScanState()
-    for ins in program.instructions:
+    for walked, ins in enumerate(program.instructions):
         if not _step(m, state, ins, noise):
-            break
+            return walked
+    return len(program.instructions)
 
 
 def test_declared_footprints_cover_every_golden() -> None:
     for name in KERNELS:
         spec = kernel(name)
         m = machine_for_cases(spec, generate_testcases(spec, seed=5, count=2))
-        _run_differential(m, _GOLDEN_PROGRAMS[name])
+        assert _run_differential(m, _GOLDEN_PROGRAMS[name]) == len(_GOLDEN_PROGRAMS[name].instructions), name
+
+
+def test_declared_footprints_cover_every_naive_program() -> None:
+    for name, program in _NAIVE_PROGRAMS.items():
+        spec = kernel(name)
+        m = machine_for_cases(spec, generate_testcases(spec, seed=5, count=2))
+        assert _run_differential(m, program) == len(program.instructions), name
 
 
 def _gv1_with_first_mvin_on_channel(channel: int) -> Program:

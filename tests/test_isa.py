@@ -1,8 +1,6 @@
-"""Local address encoding and structural validation."""
+"""Local address bits and structural validation."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -12,26 +10,11 @@ from ta_lift.isa import (
     FULL_WIDTH_BIT,
     ROW_MASK,
     SENTINEL,
-    AddressError,
     Program,
-    Space,
     ValidationError,
-    encode_local_addr,
     validate_program,
 )
 from ta_lift.program_text import parse_program
-
-
-def test_encode_scratchpad_row() -> None:
-    assert encode_local_addr(Space.SCRATCHPAD, False, False, 12) == 0x0000000C
-
-
-def test_encode_accumulator_accumulate() -> None:
-    assert encode_local_addr(Space.ACCUMULATOR, True, False, 0) == 0xC0000000
-
-
-def test_encode_accumulator_full_width() -> None:
-    assert encode_local_addr(Space.ACCUMULATOR, False, True, 5) == 0xA0000005
 
 
 def test_decode_fields() -> None:
@@ -45,30 +28,6 @@ def test_decode_fields() -> None:
 def test_sentinel_value() -> None:
     assert SENTINEL == 0xFFFFFFFF
     assert 0xC0000000 != SENTINEL
-
-
-def test_row_out_of_range_rejected() -> None:
-    with pytest.raises(AddressError):
-        encode_local_addr(Space.SCRATCHPAD, False, False, 1 << 29)
-    with pytest.raises(AddressError):
-        encode_local_addr(Space.SCRATCHPAD, False, False, -1)
-
-
-def test_encode_decode_round_trip() -> None:
-    rng = random.Random(7)
-    for _ in range(500):
-        space = rng.choice([Space.SCRATCHPAD, Space.ACCUMULATOR])
-        accumulate = rng.random() < 0.5
-        full = rng.random() < 0.5
-        row = rng.randrange(1 << 29)
-        addr = encode_local_addr(space, accumulate, full, row)
-        decoded = (
-            Space.ACCUMULATOR if addr & ACC_BIT else Space.SCRATCHPAD,
-            bool(addr & ACCUMULATE_BIT),
-            bool(addr & FULL_WIDTH_BIT),
-            addr & ROW_MASK,
-        )
-        assert decoded == (space, accumulate, full, row)
 
 
 def _program(text: str, buffers: dict[str, tuple[int, int]]) -> Program:

@@ -179,6 +179,23 @@ def test_a_literal_past_f32s_range_is_refused_naming_the_limit():
     assert parse_kernel("def f(A: f32[1] @ DRAM):\n    A[0] = " + "0" * 5000 + "7\n").body[0].rhs == Const(7)
 
 
+def test_an_integer_literal_rounds_once_to_f32():
+    # 2**54 + 2**30 + 1 rounds to 24 bits as 2**54 + 2**31; rounded to a double first, it would be 2**54.
+    nest = parse_kernel("def f(A: f32[2] @ DRAM):\n    A[18014399583223809 - 18014400656965632] = 1.0\n")
+    assert interpret(nest, {"A": np.zeros(2, np.int64)})["A"].tolist() == [1, 0]
+    value = parse_kernel("def f(A: f32[3] @ DRAM):\n    for i in seq(0, 3):\n        A[i] = A[i] * 18014399583223809\n")
+    assert check_equivalence(value, scaled(2**54 + 2**31))
+    assert not check_equivalence(value, scaled(2**54))
+    # One below the overflow midpoint 2**128 - 2**103 is f32's largest value; the midpoint and past it are refused.
+    below = 340282356779733661637539395458142568447
+    assert below == 2**128 - 2**103 - 1
+    largest = parse_kernel(f"def f(A: f32[3] @ DRAM):\n    for i in seq(0, 3):\n        A[i] = A[i] * {below}\n")
+    assert check_equivalence(largest, scaled((2**24 - 1) * 2**104))
+    for literal in (2**128 - 2**103, 2**128 - 1, 2**128):
+        with pytest.raises(KernelSyntaxError, match=f"^literal {str(literal)[:20]}\\.\\.\\. is not finite in f32"):
+            parse_kernel(f"def f(A: f32[1] @ DRAM):\n    A[0] = {literal}\n")
+
+
 def test_index_arithmetic_is_exact_at_any_magnitude():
     # 3e38 + 3e38 overflows f32, but an index is exact in ints: this one is 0.
     nest = parse_kernel(f"def f(A: f32[4] @ DRAM):\n    A[{BIG} + {BIG} - {BIG} - {BIG}] = 1.0\n")

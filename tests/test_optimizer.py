@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import cache
 
@@ -13,7 +14,6 @@ from ta_lift.gateway import ReplayBackend
 from ta_lift.isa import (
     ACC_BIT,
     ACCUMULATE_BIT,
-    MAX_BLOCK_LEN_DEFAULT,
     ROW_MASK,
     SENTINEL,
     Activation,
@@ -23,16 +23,21 @@ from ta_lift.isa import (
     ConfigSt,
     Dataflow,
     DramRef,
+    ExecError,
     Mvin,
     Mvout,
     Preload,
     PreloadZeros,
     Program,
     ScanState,
-    footprint,
-    stride_elems,
+    Space,
+    memory_sizes,
+    op_effects,
+    spec_of,
+    step,
 )
 from ta_lift.kernels import generate_testcases, verify_program
+from ta_lift.machine import MachineConfig
 from ta_lift.optimizer import (
     Block,
     OrderingPlan,
@@ -126,32 +131,43 @@ def test_mvout_stays_with_its_compute_block():
 # -- dependences -----------------------------------------------------------
 
 ACC = 1 << 31
+_BUFFERS = {"x": (8, 4), "out": (4, 4), "other": (4, 4)}
+
+
+def dependences(*groups, buffers=_BUFFERS):
+    """The edges between blocks of the instruction groups, stepped in order from a fresh scan state."""
+    cfg = MachineConfig()
+    ops = step(tuple(ins for group in groups for ins in group), cfg, memory_sizes(cfg, buffers))
+    blocks, at = [], 0
+    for n, group in enumerate(groups):
+        blocks.append(Block(n, tuple(group), tuple(ops[at : at + len(group)])))
+        at += len(group)
+    return analyze_dependences(blocks, buffers)
 
 
 def test_disjoint_blocks_have_no_edge():
-    a = Block(0, (Mvin(0, DramRef("x", 0), ACC, 4, 4), Mvout(DramRef("out", 0), ACC, 4, 4)))
-    b = Block(
-        1, (Mvin(0, DramRef("x", 16), ACC | 8, 4, 4), Mvout(DramRef("other", 0), ACC | 8, 4, 4))
-    )
-    assert analyze_dependences([a, b]) == frozenset()
+    config = (ConfigLd(16, 0), ConfigSt(16))  # each block's own: written before it is read
+    a = (*config, Mvin(0, DramRef("x", 0), ACC, 4, 4), Mvout(DramRef("out", 0), ACC, 4, 4))
+    b = (*config, Mvin(0, DramRef("x", 16), ACC | 8, 4, 4), Mvout(DramRef("other", 0), ACC | 8, 4, 4))
+    assert dependences(a, b) == frozenset()
 
 
 def test_read_after_write_makes_edge():
-    a = Block(0, (Mvin(0, DramRef("x", 0), 0, 8, 4),))  # scratchpad rows 0..8
-    b = Block(1, (Preload(4, ACC, 4, 2, 4, 4),))  # reads rows 4..6
-    assert (0, 1) in analyze_dependences([a, b])
+    a = (ConfigLd(32, 0), Mvin(0, DramRef("x", 0), 0, 8, 4))  # scratchpad rows 0..8
+    b = (Preload(4, ACC, 4, 2, 4, 4),)  # reads rows 4..6
+    assert (0, 1) in dependences(a, b, buffers={"x": (4, 8)})
 
 
 def test_write_after_read_makes_edge():
-    a = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))  # reads scratchpad rows 0..4
-    b = Block(1, (Mvin(0, DramRef("x", 0), 0, 4, 4),))  # overwrites them
-    assert analyze_dependences([a, b]) == frozenset({(0, 1)})
+    a = (ConfigLd(16, 0), Preload(0, ACC, 4, 4, 4, 4))  # reads scratchpad rows 0..4
+    b = (Mvin(0, DramRef("x", 0), 0, 4, 4),)  # overwrites them
+    assert dependences(a, b) == frozenset({(0, 1)})
 
 
 def test_accumulation_chain_is_totally_ordered():
     _, program = parsed_golden("gv2")
     blocks = segment_blocks(program)
-    edges = analyze_dependences(blocks)
+    edges = analyze_dependences(blocks, program.buffers)
     # Rounds summing into one accumulator column must keep their order.
     groups = {}
     for block in blocks[1:]:
@@ -165,24 +181,20 @@ def test_accumulation_chain_is_totally_ordered():
 
 
 def test_register_use_pins_reader_between_writers():
-    writer1 = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))
-    reader = Block(1, (ComputePreloaded(8, SENTINEL, 4, 4, 4, 4),))  # reads the latch
-    writer2 = Block(2, (Preload(0, ACC | 4, 4, 4, 4, 4),))
-    edges = analyze_dependences([writer1, reader, writer2])
+    writer1 = (Preload(0, ACC, 4, 4, 4, 4),)
+    reader = (ComputePreloaded(8, SENTINEL, 4, 4, 4, 4),)  # reads the latch
+    writer2 = (Preload(0, ACC | 4, 4, 4, 4, 4),)
+    edges = dependences(writer1, reader, writer2)
     assert (0, 1) in edges and (1, 2) in edges and (0, 2) in edges
 
 
 def test_private_register_writes_do_not_serialize():
-    writer1 = Block(0, (Preload(0, ACC, 4, 4, 4, 4),))
-    writer2 = Block(1, (Preload(4, ACC | 4, 4, 4, 4, 4),))
-    assert analyze_dependences([writer1, writer2]) == frozenset()
+    writer1 = (Preload(0, ACC, 4, 4, 4, 4),)
+    writer2 = (Preload(4, ACC | 4, 4, 4, 4, 4),)
+    assert dependences(writer1, writer2) == frozenset()
 
 
 # -- segmentation and dependences against the first-written oracle --------------
-
-
-def _memory(intervals):
-    return [iv for iv in intervals if not iv[0].startswith("reg:")]
 
 
 def _overlaps(xs, ys):
@@ -193,16 +205,17 @@ def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
     """Block sizes and edges as the optimizer first computed them.
 
     Cuts come from each mvin's first consumer anywhere later in the program;
-    then every block's footprint is aggregated in a second scan, and every
+    then every block's effects are aggregated in a second pass, and every
     pair of blocks is tested.
     """
     instructions = program.instructions
-    state = ScanState()
-    effects = [footprint(ins, state, 4) for ins in instructions]
+    cfg = MachineConfig()
+    effects = [op_effects(op, program.buffers) for op in step(instructions, cfg, memory_sizes(cfg, program.buffers))]
+    registers = [spec_of(ins).registers(ins) for ins in instructions]
 
     def first_consumer(index):
-        writes = _memory(effects[index][1])
-        later = (at for at in range(index + 1, len(instructions)) if _overlaps(writes, _memory(effects[at][0])))
+        writes = effects[index][1]
+        later = (at for at in range(index + 1, len(instructions)) if _overlaps(writes, effects[at][0]))
         return next(later, len(instructions))
 
     cuts = []
@@ -214,26 +227,16 @@ def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
             if not cuts or start > cuts[-1]:
                 cuts.append(start)
     bounds = sorted({0, *cuts, len(instructions)})
-    slices = [instructions[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    state = ScanState()
     blocks = []
-    for block in slices:
+    for a, b in zip(bounds, bounds[1:]):
         reads, writes, exposed, written = [], [], [], []
-        for ins in block:
-            r, w = footprint(ins, state, 4)
-            for iv in r:
-                reg = iv[0][4:] if iv[0].startswith("reg:") else None
-                if reg is None:
-                    reads.append(iv)
-                elif reg not in written and reg not in exposed:
-                    exposed.append(reg)
-            for iv in w:
-                reg = iv[0][4:] if iv[0].startswith("reg:") else None
-                if reg is None:
-                    writes.append(iv)
-                elif reg not in written:
-                    written.append(reg)
+        for at in range(a, b):
+            reads += effects[at][0]
+            writes += effects[at][1]
+            reg_reads, reg_writes = registers[at]
+            exposed += [reg for reg in reg_reads if reg not in written and reg not in exposed]
+            written += [reg for reg in reg_writes if reg not in written]
         blocks.append((reads, writes, exposed, written))
 
     edges = set()
@@ -251,14 +254,14 @@ def _oracle(program: Program) -> tuple[list[int], frozenset[tuple[int, int]]]:
             if before:
                 edges.add((before[-1], reader))
             edges.update((reader, w) for w in writers if w > reader)
-    return [len(s) for s in slices], frozenset(edges)
+    return [b - a for a, b in zip(bounds, bounds[1:])], frozenset(edges)
 
 
 def _assert_matches_oracle(program: Program) -> None:
     blocks = segment_blocks(program)
     assert tuple(i for b in blocks for i in b.instructions) == program.instructions
     assert [b.id for b in blocks] == list(range(len(blocks)))
-    assert ([len(b.instructions) for b in blocks], analyze_dependences(blocks)) == _oracle(program)
+    assert ([len(b.instructions) for b in blocks], analyze_dependences(blocks, program.buffers)) == _oracle(program)
 
 
 def test_mvin_read_by_a_later_mvin_of_the_run_stays_before_the_cut():
@@ -270,7 +273,8 @@ def test_mvin_read_by_a_later_mvin_of_the_run_stays_before_the_cut():
             Mvin(0, DramRef("y", 0), accumulate, 4, 4),  # reads the rows the mvin above wrote
             Mvin(0, DramRef("w", 0), 0, 4, 4),
             Preload(0, ACC | 4, 4, 4, 4, 4),
-        )
+        ),
+        {"x": (4, 4), "y": (4, 4), "w": (4, 4)},
     )
     assert [len(b.instructions) for b in segment_blocks(program)] == [2, 3]
     _assert_matches_oracle(program)
@@ -297,14 +301,41 @@ def test_synthetic_programs_match_the_oracle(seed, n):
     _assert_matches_oracle(_synthetic_program(seed, n))
 
 
-def test_rules_mode_scans_each_footprint_at_most_twice(naive_programs, monkeypatch):
-    """Once to segment, once for the peephole walk; block footprints are not built."""
-    calls = []
-    monkeypatch.setattr(optimizer, "footprint", lambda *args: calls.append(1) or footprint(*args))
+def test_rules_mode_steps_its_input_once_outside_the_verification_gates(naive_programs, monkeypatch):
+    """Segmentation and the peephole walk read the ops of one step pass; no dedup pass steps again."""
+    stepped = []
+    monkeypatch.setattr(optimizer, "step", lambda instructions, *rest: stepped.append(len(instructions))
+                        or step(instructions, *rest))
     for spec, program in naive_programs.values():
-        calls.clear()
+        stepped.clear()
         optimize_program(program, spec, cases_for(spec, count=2), mode="rules")
-        assert len(calls) <= 2 * len(program.instructions), spec.name
+        assert stepped == [len(program.instructions)], spec.name
+
+
+# Per naive program: instructions removed, the modeled cost after, and the sha256 of the rendered result.
+_RULES_OUTPUTS = {
+    "gv1": (0, 106.0, "f2d84ee669d912ff30570a08830bc92329341260550b6ed82924323a68eeedaa"),
+    "gv2": (6, 278.0, "486402ccf039c9ea4029d58cf9c6822185bb6579d4de344e1e4b7ace4473f157"),
+    "gv3": (2, 106.0, "f06471e4a6c1ee176116bf92cf66f4e4acd0863f8e8925d15d014f7c4fc04ec7"),
+    "gv4": (6, 278.0, "4b7141e0a1607070fee05c7cd1ca5b41b74b9c6c9ab0b7cfbe861198ae3a96b5"),
+    "mm1": (378, 4730.0, "861b1bd491a4962bfbd9ece65dd9b3461787fd92e0f52e6a738d07c3091f11c9"),
+    "mm2": (12, 504.0, "c6a5b26498bf5387484fd61f017ff4411447ae840ca2a1f8dec64c4aa51a39a3"),
+    "mm3": (6, 402.0, "238a59b251049f76b19c17d139f46d3325744844f60ab62b230e11f676133d42"),
+    "mm4": (6, 350.0, "682410a7d85044cb43a9f1367b07fb402e2404ddebc2c797e2d928357a1a124c"),
+    "mm5": (36, 734.0, "7e624e625f0bdd752bd85a0536c9606a478a8f4bbeb3fd6ecb7429424693ad39"),
+    "mm6": (126, 2346.0, "8694828757a3a7cf6e4164a787045c7a5ee3d997184cd686f6e2f767add53d6b"),
+    "mm7": (18, 938.0, "8e41baf703e82b7331d9934c70a515696556e65303c8b66415930813142d7884"),
+}
+
+
+def test_rules_mode_outputs_on_the_naive_programs_are_pinned(naive_programs):
+    """Any changed optimizer decision on the benchmark's programs changes one of these."""
+    assert set(_RULES_OUTPUTS) == set(naive_programs)
+    for name, (spec, program) in naive_programs.items():
+        result = optimize_program(program, spec, cases_for(spec, count=2), mode="rules")
+        removed = len(program.instructions) - len(result.program.instructions)
+        digest = hashlib.sha256(render_program(result.program).encode()).hexdigest()
+        assert (removed, result.after.total, digest) == _RULES_OUTPUTS[name], name
 
 
 # -- peephole --------------------------------------------------------------
@@ -315,7 +346,7 @@ def test_duplicate_preload_dropped_and_survivor_kept():
     doubled = duplicate_line(golden_program("gv1"), "preload(p_sp, B_p_acc, 1, 4, 1, 4);")
     parsed = parse_program(doubled, spec.buffer_shapes())
     assert verify_program(parsed, spec, cases_for(spec)).passed
-    ctx = PeepholeContext()
+    ctx = PeepholeContext(buffers=parsed.buffers)
     kept = []
     for block in segment_blocks(parsed):
         kept.extend(peephole_block(block, ctx).instructions)
@@ -327,17 +358,22 @@ def test_duplicate_mvin_dropped():
     spec, program = parsed_golden("gv1")
     doubled = duplicate_line(golden_program("gv1"), "mvin(Bdyn, Bdyn_sp, 4, 4);")
     parsed = parse_program(doubled, spec.buffer_shapes())
-    ctx = PeepholeContext()
+    ctx = PeepholeContext(buffers=parsed.buffers)
     kept = []
     for block in segment_blocks(parsed):
         kept.extend(peephole_block(block, ctx).instructions)
     assert len(kept) == len(program.instructions)
 
 
+_MVIN_BUFFERS = {"x": (4, 4), "y": (4, 4)}
+
+
 def both_mvin_walks(instructions):
-    """The program-wide dedup and the peephole walk share one mvin rule."""
-    block = segment_blocks(Program(instructions))[0]
-    return dedup_mvins(instructions), peephole_block(block, PeepholeContext()).instructions
+    """The program-wide dedup and the peephole walk share one mvin rule; a config_ld goes first, so they step."""
+    block = segment_blocks(Program((ConfigLd(16, 0), *instructions), _MVIN_BUFFERS))[0]
+    deduped = dedup_mvins(block.instructions, block.ops, _MVIN_BUFFERS)
+    walked = peephole_block(block, PeepholeContext(buffers=_MVIN_BUFFERS)).instructions
+    return deduped[1:], walked[1:]
 
 
 def test_mvin_not_dropped_after_destination_overwritten():
@@ -381,33 +417,32 @@ def test_peephole_never_removes_computes():
 class ScanContext(PeepholeContext):
     """The first-written `admit`: every memory write tests every remembered mvin."""
 
-    def admit(self, ins):
-        reads, writes = footprint(ins, self.state, self.dim)
+    def admit(self, ins, op):
+        reads, writes = op_effects(op, self.buffers)
         key = None
         if isinstance(ins, Mvin) and not (ins.local & ACC_BIT and ins.local & ACCUMULATE_BIT):
-            key = (ins, stride_elems(self.state.ld_strides.get(ins.channel)), (*_memory(reads), *writes))
+            key = op
             if key in self.seen_mvins:
                 return False
         if isinstance(ins, ConfigEx):
             self.weights_clean = False
-        mem = tuple(_memory(writes))
-        if mem:
-            self.seen_mvins -= {seen for seen in self.seen_mvins if _overlaps(mem, seen[-1])}
-            if _overlaps(mem, self.weights):
+        if writes:
+            for seen in [seen for seen, spans in self.seen_mvins.items() if _overlaps(writes, spans)]:
+                del self.seen_mvins[seen]
+            if _overlaps(writes, self.weights):
                 self.weights_clean = False
         if key is not None:
-            self.seen_mvins.add(key)
+            self.seen_mvins[key] = (*reads, *writes)
         return True
 
 
 def _expected_cells(ctx: PeepholeContext) -> dict:
-    """The index rebuilt from the remembered mvins: DIM-row tiles, or None for DRAM and wide spans."""
+    """The index rebuilt from the remembered mvins: DIM-row tiles, or None for DRAM."""
     cells = {}
-    for key in ctx.seen_mvins:
-        for space, start, end in key[-1]:
-            low, high = min(start, end - 1), max(start, end - 1)
-            wide = space.startswith("dram:") or high - low >= ctx.dim * MAX_BLOCK_LEN_DEFAULT
-            for tile in [None] if wide else range(low // ctx.dim, high // ctx.dim + 1):
+    for key, spans in ctx.seen_mvins.items():
+        for space, start, end in spans:
+            local = isinstance(space, Space)
+            for tile in range(start // ctx.dim, (end - 1) // ctx.dim + 1) if local else [None]:
                 cells.setdefault(space, {}).setdefault(tile, set()).add(key)
     return cells
 
@@ -418,70 +453,77 @@ def _filed(cells: dict) -> dict:
 
 
 def _context_state(ctx: PeepholeContext) -> tuple:
-    return ctx.seen_mvins, ctx.weights, ctx.weights_clean, ctx.last_preload, ctx.state
+    return ctx.seen_mvins, ctx.weights, ctx.weights_clean, ctx.last_preload
 
 
-def assert_index_agrees_with_scan(instructions, dim: int = 4) -> list[bool]:
-    """Walk both contexts one instruction at a time, as `peephole_block` does, and
-    `dedup_mvins` over the whole program; returns which instructions the walk kept.
-
-    Preloads take `peephole_block`'s own rules through one-instruction blocks.
-    An instruction without a table entry ends the walk: both must raise on it.
-    """
-    index, scan = PeepholeContext(dim=dim), ScanContext(dim=dim)
-    kept = []
+def stepped_prefix(instructions, buffers, cfg: MachineConfig) -> tuple[tuple, list]:
+    """The instructions `isa.step` accepts before its first refusal, and their ops: all the optimizer sees."""
+    state, sizes, ops = ScanState(), memory_sizes(cfg, buffers), []
     for ins in instructions:
         try:
-            want = peephole_block(Block(0, (ins,)), scan).instructions
-        except KeyError:  # no table entry: an unknown type or load channel
-            with pytest.raises(KeyError):
-                peephole_block(Block(0, (ins,)), index)
+            ops += step((ins,), cfg, sizes, state)
+        except ExecError:
             break
-        assert peephole_block(Block(0, (ins,)), index).instructions == want, ins
+    return tuple(instructions[: len(ops)]), ops
+
+
+def assert_index_agrees_with_scan(instructions, buffers, cfg: MachineConfig = MachineConfig()) -> list[bool]:
+    """Walk both contexts one instruction at a time, as `peephole_block` does, and
+    `dedup_mvins` over the whole prefix that steps; returns which instructions the walk kept.
+
+    Preloads take `peephole_block`'s own rules through one-instruction blocks.
+    """
+    prefix, ops = stepped_prefix(instructions, buffers, cfg)
+    index, scan = PeepholeContext(dim=cfg.dim, buffers=buffers), ScanContext(dim=cfg.dim, buffers=buffers)
+    kept = []
+    for ins, op in zip(prefix, ops):
+        want = peephole_block(Block(0, (ins,), (op,)), scan).instructions
+        assert peephole_block(Block(0, (ins,), (op,)), index).instructions == want, ins
         assert _context_state(index) == _context_state(scan), ins
         assert _filed(index.cells) == _expected_cells(index), ins
         kept.append(bool(want))
-    else:
-        scan = ScanContext(dim=dim)
-        assert dedup_mvins(tuple(instructions), dim) == tuple(ins for ins in instructions if scan.admit(ins))
+    scan = ScanContext(dim=cfg.dim, buffers=buffers)
+    assert dedup_mvins(prefix, ops, buffers, cfg.dim) == tuple(ins for ins, op in zip(prefix, ops) if scan.admit(ins, op))
     return kept
 
 
 def test_index_agrees_with_the_scan_on_goldens_and_naive_programs(naive_programs):
     for name in sorted(KERNELS):
         for program in (parsed_golden(name)[1], naive_programs[name][1]):
-            kept = assert_index_agrees_with_scan(program.instructions)
+            kept = assert_index_agrees_with_scan(program.instructions, program.buffers)
             assert len(kept) == len(program.instructions)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
 def test_index_agrees_with_the_scan_on_synthetic_programs(seed, n):
-    assert_index_agrees_with_scan(_synthetic_program(seed, n).instructions)
+    program = _synthetic_program(seed, n)
+    assert len(assert_index_agrees_with_scan(program.instructions, program.buffers)) == len(program.instructions)
 
 
 @_PROPERTY
 @given(workloads())
 def test_index_agrees_with_the_scan_on_random_workloads(workload):
-    assert_index_agrees_with_scan(workload[0].instructions)
+    program, spec, _ = workload
+    assert_index_agrees_with_scan(program.instructions, spec.buffer_shapes())
 
 
 @_PROPERTY
 @given(one_field_mutations())
 def test_index_agrees_with_the_scan_on_one_field_mutations(mutation):
-    program, dim, _ = mutation
-    assert_index_agrees_with_scan(program.instructions, dim)
+    program, dim, max_block_len = mutation
+    assert_index_agrees_with_scan(program.instructions, program.buffers, MachineConfig(dim=dim, max_block_len=max_block_len))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(["spad", "acc", "dram:x"]),
-    st.integers(-40, 40), st.integers(-8, 20), st.integers(-40, 40), st.integers(-8, 20),
+    st.sampled_from([Space.SCRATCHPAD, Space.ACCUMULATOR, "x"]),
+    st.integers(0, 80), st.integers(1, 20), st.integers(0, 80), st.integers(1, 20),
     st.sampled_from([1, 2, 4, 16]),
 )
-@example("spad", 5, -3, 0, 10, 4)  # rows 5 down to 2 overlap rows 0..10
+@example(Space.SCRATCHPAD, 7, 2, 8, 4, 4)  # rows 7..9 and 8..12 meet in tile 2
 def test_overlapping_intervals_share_a_cell(space, a, a_rows, c, c_rows, dim):
-    """Inverted and empty intervals included: overlap means a tile in common, or None on one side."""
+    """Overlap means a tile in common, or None on one side."""
     ctx = PeepholeContext(dim=dim)
     x, y = (space, a, a + a_rows), (space, c, c + c_rows)
     if _overlaps([x], [y]):
@@ -496,28 +538,15 @@ _LOAD = Mvin(0, _X, 0, 4, 4)
 @pytest.mark.parametrize(
     "instructions, kept",
     [
-        pytest.param(  # unset, then not whole elements: the source spans all of x
-            (_LOAD, _LOAD, ConfigLd(6, 0), Mvin(0, _X, 16, 4, 4), ConfigSt(16),
-             Mvout(DramRef("x", 400), ACC, 4, 4), _LOAD, Mvin(0, _X, 16, 4, 4)),
-            [True, False, True, True, True, True, True, True],
-            id="mvin-under-unknown-pitch",
-        ),
-        pytest.param(  # the accumulator write has no latched rows, so it spans the accumulator
-            (ConfigLd(16, 0), Mvin(0, _X, ACC | 64, 4, 4), _LOAD,
-             ComputePreloaded(0, SENTINEL, 4, 4, 4, 4),
-             Mvin(0, _X, ACC | 64, 4, 4), _LOAD),
-            [True, True, True, True, True, False],
-            id="compute-before-any-preload",
-        ),
         pytest.param(  # rows 0..12 on three tiles; row 9 is in the last, row 12 past it
             (ConfigLd(48, 0), Mvin(0, _X, 0, 12, 4), Mvin(0, _Y, 12, 4, 1),
              Mvin(0, _X, 0, 12, 4), Mvin(0, _Y, 9, 4, 1), Mvin(0, _X, 0, 12, 4)),
             [True, True, True, False, True, True],
             id="destination-over-several-tiles",
         ),
-        pytest.param(  # wider than any move: rows 0..100, filed under None
-            (ConfigLd(400, 0), Mvin(0, _X, 0, 100, 4), Mvin(0, _Y, 200, 4, 4),
-             Mvin(0, _X, 0, 100, 4), Mvin(0, _Y, 40, 4, 1), Mvin(0, _X, 0, 100, 4)),
+        pytest.param(  # as wide as a move can be: rows 0..16 on four tiles; row 12 is in the last
+            (ConfigLd(64, 0), Mvin(0, _X, 0, 16, 4), Mvin(0, _Y, 200, 4, 4),
+             Mvin(0, _X, 0, 16, 4), Mvin(0, _Y, 12, 4, 1), Mvin(0, _X, 0, 16, 4)),
             [True, True, True, False, True, True],
             id="oversized-destination",
         ),
@@ -541,10 +570,17 @@ _LOAD = Mvin(0, _X, 0, 4, 4)
             [True, True, True, True, True, False, True, True],
             id="stride-change-between-equal-mvins",
         ),
+        pytest.param(  # a write to the DRAM buffer named spad leaves the scratchpad rows alone
+            (ConfigLd(16, 0), ConfigSt(16), _LOAD, Mvout(DramRef("spad", 0), ACC, 4, 4), _LOAD,
+             Mvout(DramRef("acc", 0), ACC, 4, 4), _LOAD),
+            [True, True, True, True, False, True, False],
+            id="buffers-named-like-local-memories",
+        ),
     ],
 )
 def test_index_hard_cases(instructions, kept):
-    assert assert_index_agrees_with_scan(instructions) == kept
+    buffers = {"x": (4, 16), "y": (4, 16), "spad": (4, 16), "acc": (4, 16)}
+    assert assert_index_agrees_with_scan(instructions, buffers) == kept
 
 
 def test_rules_mode_peephole_tests_only_the_mvins_a_write_can_reach(naive_programs, monkeypatch):
@@ -552,8 +588,8 @@ def test_rules_mode_peephole_tests_only_the_mvins_a_write_can_reach(naive_progra
     blocks = [segment_blocks(program) for _, program in naive_programs.values()]
     calls = []
     monkeypatch.setattr(optimizer, "_overlap", lambda a, b: calls.append(1) or _overlaps([a], [b]))
-    for program_blocks in blocks:
-        ctx = PeepholeContext()
+    for (_, program), program_blocks in zip(naive_programs.values(), blocks):
+        ctx = PeepholeContext(buffers=program.buffers)
         for block in program_blocks:
             peephole_block(block, ctx)
     assert 0 < len(calls) <= 5000
@@ -565,7 +601,7 @@ def test_rules_mode_peephole_tests_only_the_mvins_a_write_can_reach(naive_progra
 def golden_setup(name):
     spec, program = parsed_golden(name)
     blocks = segment_blocks(program)
-    return spec, program, blocks, analyze_dependences(blocks), cases_for(spec)
+    return spec, program, blocks, analyze_dependences(blocks, program.buffers), cases_for(spec)
 
 
 def _synthetic_program(seed: int, n: int = 6) -> Program:
@@ -619,10 +655,11 @@ def random_topological_order(n, edges, rng):
 )
 def test_random_programs_ordering_respects_edges(source):
     """Every edge runs forward, so the fallback (identity) plan respects them all."""
-    blocks = golden_setup(source)[2] if isinstance(source, str) else segment_blocks(_synthetic_program(*source))
+    program = golden_setup(source)[1] if isinstance(source, str) else _synthetic_program(*source)
+    blocks = segment_blocks(program)
     plan = search_reorder(blocks)
     assert plan == OrderingPlan(tuple(range(len(blocks))), "search")
-    assert all(i < j for i, j in analyze_dependences(blocks))
+    assert all(i < j for i, j in analyze_dependences(blocks, program.buffers))
 
 
 @_PROPERTY
@@ -711,6 +748,27 @@ def test_llm_plan_violating_edges_falls_back_to_search(monkeypatch):
     assert result.plan.provenance == "search"
     assert render_program(result.program) == render_program(program)
     # The edges refuse the plan before it is simulated: only the input and
+    # the identity order with its mvin dedup are verified.
+    assert len(verified) == 2
+
+
+def test_llm_plan_that_does_not_step_falls_back_to_search(monkeypatch):
+    verified = []
+    monkeypatch.setattr(
+        optimizer, "verify_program", lambda p, *rest: verified.append(p) or verify_program(p, *rest)
+    )
+    monkeypatch.setattr(optimizer, "analyze_dependences", lambda *args: frozenset())  # so the plan is tried
+    spec, program = parsed_golden("gv1")
+    blocks = segment_blocks(program)
+    backend = ReplayBackend()
+    for block in blocks:
+        backend.add(build_block_optimize_prompt(block.text()).fingerprint, ["no change"])
+    # Block 1's mvins run before the prelude configures their load channel.
+    backend.add(build_reorder_prompt([b.text() for b in blocks]).fingerprint, ["Block 1, Block 0, Block 2, Block 3"])
+    result = optimize_program(program, spec, cases_for(spec), mode="llm", backend=backend)
+    assert result.plan.provenance == "search"
+    assert render_program(result.program) == render_program(program)
+    # The step refuses the plan before it is simulated: only the input and
     # the identity order with its mvin dedup are verified.
     assert len(verified) == 2
 
