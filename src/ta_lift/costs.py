@@ -8,9 +8,10 @@ ranking signal for the optimizer, not a timing model.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .isa import Instruction, Program, spec_of
+from .isa import INSTRUCTIONS, Instruction, InstructionSpec, Mvin, Program, spec_of
 
 
 # Weights of the per-instruction cost terms.
@@ -25,13 +26,25 @@ def instruction_kind(ins: Instruction) -> str:
     return spec_of(ins).mnemonic
 
 
-def _priced(ins: Instruction) -> tuple[str, float, int, int]:
-    """An instruction's kind, cost, and DRAM bytes moved in and out."""
-    spec = spec_of(ins)
-    moved_in = spec.bytes_in(ins)
-    moved_out = spec.bytes_out(ins)
-    cost = ISSUE + BYTE_COST * (moved_in + moved_out) + PIPELINE_FILL * spec.fills + ROW_COST * spec.rows_fed(ins)
-    return spec.mnemonic, cost, moved_in, moved_out
+def _price(spec: InstructionSpec) -> Callable[[Instruction], tuple[str, float, int, int]]:
+    """An entry's price function: an instruction's kind, cost, and DRAM bytes moved in and out.
+
+    It is built once from the entry's declared terms; the weights are read
+    at each call.
+    """
+    kind, fills, bytes_in, bytes_out, rows_fed = spec.mnemonic, spec.fills, spec.bytes_in, spec.bytes_out, spec.rows_fed
+
+    def price(ins: Instruction) -> tuple[str, float, int, int]:
+        moved_in, moved_out = bytes_in(ins), bytes_out(ins)
+        cost = ISSUE + BYTE_COST * (moved_in + moved_out) + PIPELINE_FILL * fills + ROW_COST * rows_fed(ins)
+        return kind, cost, moved_in, moved_out
+
+    return price
+
+
+# The price column: one price function per table entry, found as `spec_of` finds the entry.
+_PRICES = {spec.type: _price(spec) for spec in INSTRUCTIONS if spec.channel is None}
+_MVIN_PRICES = {spec.channel: _price(spec) for spec in INSTRUCTIONS if spec.channel is not None}
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,8 @@ def program_cost(program: Program) -> CostReport:
     bytes_out = 0
     total = 0.0
     for ins in program.instructions:
-        kind, cost, moved_in, moved_out = _priced(ins)
+        price = _MVIN_PRICES[ins.channel] if type(ins) is Mvin else _PRICES[type(ins)]
+        kind, cost, moved_in, moved_out = price(ins)
         breakdown[kind] = breakdown.get(kind, 0.0) + cost
         counts[kind] = counts.get(kind, 0) + 1
         total += cost

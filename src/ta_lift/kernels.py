@@ -247,8 +247,9 @@ class Verifier:
 
     `verify` gives `verify_program`'s verdict.  It steps the program once
     (`isa.step`), so a program it refuses stacks nothing and builds no machine;
-    an accepted one replays its ops on a fresh machine holding the stacked
-    inputs, and its output is compared as a batch of one fill (`_report`).
+    an accepted one replays its ops (`replay`) on a fresh machine holding the
+    stacked inputs, and its output is compared as a batch of one fill
+    (`_report`).
     Memory sizes, the expected outputs and each case's tolerance are
     computed once.
 
@@ -314,6 +315,12 @@ class Verifier:
         ops = self._step(p.instructions, ScanState(), 0)
         if isinstance(ops, ExecError):
             return _failed(ops)
+        return self.replay(ops)
+
+    def replay(self, ops: list[tuple]) -> Verdict:
+        """The verdict of a program whose step gave `ops`: they replay on a fresh machine, whose output is compared."""
+        if not self.cases:
+            return Verdict(passed=True)
         machine = self._fresh()
         run(machine, ops)
         return self._report(machine.dram[self.spec.c][np.newaxis])[0]
@@ -448,13 +455,23 @@ def _failed(error: ExecError) -> Verdict:
     return Verdict(passed=False, failure=failure, cases=[CaseOutcome(index=0, passed=False, failure=failure)])
 
 
-def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None) -> Verdict:
+def verify_program(p: Program, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None, *,
+                   ops: list[tuple] | None = None) -> Verdict:
     """Step the program, replay it on all cases at once, then report them in order up to the first that fails.
 
     Execution errors depend only on the program, so one fails every case
-    alike and is reported as case 0's.
+    alike and is reported as case 0's.  A caller that has stepped the
+    program already hands its `ops`, which must be
+    `isa.step(p.instructions, cfg, memory_sizes(cfg, spec.buffer_shapes()))`:
+    they are replayed and compared on every case, and not stepped again.
+    Ops of another count than `p`'s instructions are refused with
+    `ValueError`.
     """
-    return Verifier(spec, cases, cfg).verify(p)
+    if ops is None:
+        return Verifier(spec, cases, cfg).verify(p)
+    if len(ops) != len(p.instructions):
+        raise ValueError(f"{len(ops)} ops handed for a program of {len(p.instructions)} instructions")
+    return Verifier(spec, cases, cfg).replay(ops)
 
 
 def verify_source(text: str, spec: KernelSpec, cases: list[TestCase], cfg: MachineConfig | None = None,

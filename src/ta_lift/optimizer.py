@@ -9,8 +9,10 @@ edges.  Every candidate must re-verify in the simulator before it replaces
 its input.  A change that fails verification or raises the modeled cost is
 discarded, so the pipeline never regresses a program.
 
-The program is stepped once (`isa.step`), and each block carries its
-instructions' replay ops.  `isa.op_effects` reads each op's memory spans
+The input is stepped once (`isa.step`) against the spec's buffer table:
+the gate that admits it replays those ops, and each block carries its
+instructions' slice of them.  Rules mode walks them with the peephole
+rules in one pass.  `isa.op_effects` reads each op's memory spans
 (scratchpad rows, accumulator rows, DRAM element intervals) off the rows
 and tiles its step proved; spans conflict by overlap.  Block spans are
 gathered only where a model's plan is checked, by `analyze_dependences`.
@@ -83,8 +85,12 @@ def _sliced(blocks: list[Block], ops: Sequence[tuple]) -> list[Block]:
     return [replace(block, ops=tuple(ops[end - len(block.instructions) : end])) for block, end in zip(blocks, ends)]
 
 
-def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
+def segment_blocks(p: Program, cfg: MachineConfig | None = None, ops: Sequence[tuple] | None = None) -> list[Block]:
     """Cut a program, stepped once against its buffers, into a prelude plus one block per preload.
+
+    A caller that has stepped the program hands its `ops`, which must be
+    `isa.step(p.instructions, cfg, memory_sizes(cfg, p.buffers))`; each
+    block carries its slice of them.
 
     Cuts never move instructions: each mvin of the run directly before a
     preload joins the new block exactly when its first consumer (the first
@@ -94,7 +100,7 @@ def segment_blocks(p: Program, cfg: MachineConfig | None = None) -> list[Block]:
     """
     cfg = cfg or MachineConfig()
     instructions = tuple(p.instructions)
-    ops = tuple(step(instructions, cfg, memory_sizes(cfg, p.buffers)))
+    ops = tuple(step(instructions, cfg, memory_sizes(cfg, p.buffers)) if ops is None else ops)
     cuts: list[int] = []
     for index, ins in enumerate(instructions):
         if not isinstance(ins, (Preload, PreloadZeros)):
@@ -228,7 +234,8 @@ def peephole_block(block: Block, ctx: PeepholeContext) -> Block:
 
     The context carries what survived earlier blocks, so duplicate loads
     spanning block boundaries are caught when blocks are walked in order.
-    Compute instructions are never touched.
+    Rules mode walks the whole program as one block.  Compute instructions
+    are never touched.
     """
     kept: list[tuple[Instruction, tuple]] = []  # (instruction, op) pairs
     for ins, op in zip(block.instructions, block.ops, strict=True):
@@ -310,7 +317,9 @@ def reassemble(
     """Concatenate blocks in the given order into a new Program.
 
     With `dedup` the concatenation is stepped against `base`'s buffers
-    first, and its `ExecError` raised when it does not step.
+    first, and its `ExecError` raised when it does not step.  Its ops are
+    read only to drop mvins: the deduped result is another program, which
+    its verification steps again.
     """
     cfg = cfg or MachineConfig()
     by_id = {b.id: b for b in blocks}
@@ -365,15 +374,32 @@ def optimize_program(
     params: GenerationParams | None = None,
     cfg: MachineConfig | None = None,
 ) -> OptimizeResult:
-    """Optimize a verified program; every stage is gated by verification."""
+    """Optimize a verified program; every stage is gated by verification.
+
+    The input is stepped once against the spec's buffer table, and the gate
+    that admits it and every stage read those ops.  Each candidate is
+    stepped and verified on its own.
+    """
     if mode not in ("rules", "llm", "llm_then_rules"):
         raise ValueError(f"unknown optimize mode '{mode}'")
     cfg = cfg or MachineConfig()
-    if not verify_program(p, spec, cases, cfg).passed:
+    buffers = spec.buffer_shapes()
+    if p.buffers != buffers:  # the gates step against the spec's table, so the stages read the ops over it too
+        p = Program(p.instructions, buffers, dict(p.symbols))
+    sizes = memory_sizes(cfg, buffers)
+
+    def stepped(candidate: Program) -> list[tuple] | None:  # its ops; None when it does not step, so would not verify
+        try:
+            return step(candidate.instructions, cfg, sizes)
+        except ExecError:
+            return None
+
+    ops = stepped(p)
+    if ops is None or not verify_program(p, spec, cases, cfg, ops=ops).passed:
         raise ValueError("optimize_program expects a program that already verifies")
     before = program_cost(p)
 
-    blocks = segment_blocks(p, cfg)
+    blocks = segment_blocks(p, cfg, ops)
     if not blocks:
         return OptimizeResult(p, before, before, search_reorder(blocks))
     identity = tuple(range(len(blocks)))
@@ -389,9 +415,9 @@ def optimize_program(
         return candidate if verified(candidate) else None
 
     # Stage 1: per-block rewrites, each gated by whole-program verification.
+    # An accepted model rewrite is stepped once: its gate and its blocks read those ops.
     llm_params = params or GenerationParams(n_samples=1)
     if mode in ("llm", "llm_then_rules") and backend is not None:
-        buffers = spec.buffer_shapes()
         for block in blocks:
             rewritten = _llm_block_rewrite(block, backend, llm_params, buffers)
             if rewritten is None or rewritten == block.instructions:
@@ -399,33 +425,39 @@ def optimize_program(
             trial = list(blocks)
             trial[block.id] = Block(block.id, rewritten)
             candidate = reassemble(trial, identity, p)
-            if verified(candidate) and program_cost(candidate).total <= before.total:
-                blocks = _sliced(trial, step(candidate.instructions, cfg, memory_sizes(cfg, p.buffers)))  # it verified
-    if mode in ("rules", "llm_then_rules"):
-        ctx = PeepholeContext(dim=cfg.dim, buffers=p.buffers)
-        candidate_blocks = [peephole_block(block, ctx) for block in blocks]
-        candidate = reassemble(candidate_blocks, identity, p)
-        if verified(candidate):
-            blocks = candidate_blocks
-
-    # Stage 2: ordering.  The rules keep the block order, which the stage
-    # above has verified.  Only a model's plan is checked against the
-    # dependence edges, then re-verified after a program-wide mvin dedup.
+            trial_ops = stepped(candidate)
+            if (trial_ops is not None and verify_program(candidate, spec, cases, cfg, ops=trial_ops).passed
+                    and program_cost(candidate).total <= before.total):
+                blocks = _sliced(trial, trial_ops)
     plan = search_reorder(blocks)
-    final = reassemble(blocks, plan.permutation, p)
-    if mode != "rules" and backend is not None:
-        reply = backend.complete(build_reorder_prompt([block.text() for block in blocks]), llm_params)[0].text
-        try:
-            permutation = parse_plan(reply, len(blocks))
-        except PlanParseError:
-            permutation = None
-        if permutation is not None and _respects(permutation, analyze_dependences(blocks, p.buffers)):
-            candidate = deduped(permutation)
-            if candidate is not None:
-                final, plan = candidate, OrderingPlan(permutation, provenance="llm")
-    if mode == "llm" and plan.provenance == "search":
-        # No peephole ran, so the dedup walk may still drop loads.
-        final = deduped(plan.permutation) or final
+    if mode == "rules":  # one walk over every block in order; the verified candidate is the final program
+        walked = peephole_block(Block(0, p.instructions, ops), PeepholeContext(dim=cfg.dim, buffers=p.buffers))
+        candidate = Program(walked.instructions, dict(p.buffers), dict(p.symbols))
+        final = candidate if verified(candidate) else p
+    else:
+        if mode == "llm_then_rules":  # block by block, since the ordering stage reads the blocks
+            ctx = PeepholeContext(dim=cfg.dim, buffers=p.buffers)
+            candidate_blocks = [peephole_block(block, ctx) for block in blocks]
+            if verified(reassemble(candidate_blocks, identity, p)):
+                blocks = candidate_blocks
+
+        # Stage 2: ordering.  The rules keep the block order.  Only a model's
+        # plan is checked against the dependence edges, then re-verified after
+        # a program-wide mvin dedup.
+        final = reassemble(blocks, plan.permutation, p)
+        if backend is not None:
+            reply = backend.complete(build_reorder_prompt([block.text() for block in blocks]), llm_params)[0].text
+            try:
+                permutation = parse_plan(reply, len(blocks))
+            except PlanParseError:
+                permutation = None
+            if permutation is not None and _respects(permutation, analyze_dependences(blocks, p.buffers)):
+                candidate = deduped(permutation)
+                if candidate is not None:
+                    final, plan = candidate, OrderingPlan(permutation, provenance="llm")
+        if mode == "llm" and plan.provenance == "search":
+            # No peephole ran, so the dedup walk may still drop loads.
+            final = deduped(plan.permutation) or final
     after = program_cost(final)
     if after.total > before.total:
         final, after, plan = p, before, search_reorder(blocks)

@@ -15,6 +15,11 @@ of their spans lies inside its memory.  Registers (the config registers and
 the latched weights) are not covered: the copy keeps them as they are.  A
 step refused on a bound has no op; refusals are pinned against the oracle
 executors in `test_executors.py`.
+
+The price oracle keeps the per-instruction formula `costs.program_cost`
+summed before it had a price column, and checks that both give bit-identical
+reports on the goldens, the naive programs, each entry and random
+instructions of every mnemonic.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_program, naive_program
-from ta_lift import machine, repair
+from ta_lift import costs, machine, repair
 from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.isa import (
     ACC_BIT,
@@ -422,3 +427,67 @@ def _gv1_with_first_mvin_on_channel(channel: int) -> Program:
 def test_declared_footprints_cover_random_and_mutated_programs(workload) -> None:
     program, spec, cases = workload
     _run_differential(machine_for_cases(spec, cases[:2]), program)
+
+
+# -- the price column against the formula it replaced ------------------------------------------------------
+
+
+def _priced(ins) -> tuple[str, float, int, int]:
+    """An instruction's kind, cost and DRAM bytes in and out, as `program_cost` priced it before its price column:
+    the entry found by `spec_of` and its terms, read on every call."""
+    spec = spec_of(ins)
+    moved_in = spec.bytes_in(ins)
+    moved_out = spec.bytes_out(ins)
+    cost = (costs.ISSUE + costs.BYTE_COST * (moved_in + moved_out) + costs.PIPELINE_FILL * spec.fills
+            + costs.ROW_COST * spec.rows_fed(ins))
+    return spec.mnemonic, cost, moved_in, moved_out
+
+
+def _oracle_cost(program: Program) -> tuple:
+    """`program_cost`'s report, summed in program order from `_priced`, with each float as its exact bits."""
+    breakdown, counts, total, bytes_in, bytes_out = {}, {}, 0.0, 0, 0
+    for ins in program.instructions:
+        kind, cost, moved_in, moved_out = _priced(ins)
+        breakdown[kind] = breakdown.get(kind, 0.0) + cost
+        counts[kind] = counts.get(kind, 0) + 1
+        total += cost
+        bytes_in += moved_in
+        bytes_out += moved_out
+    return total.hex(), {kind: cost.hex() for kind, cost in breakdown.items()}, counts, bytes_in, bytes_out
+
+
+def _report_bits(program: Program) -> tuple:
+    report = costs.program_cost(program)
+    breakdown = {kind: cost.hex() for kind, cost in report.breakdown.items()}
+    return report.total.hex(), breakdown, report.counts, report.dram_bytes_in, report.dram_bytes_out
+
+
+def test_the_price_column_prices_goldens_naive_programs_and_each_entry_as_the_formula() -> None:
+    entries = [Program((spec.build(*(_SAMPLE_OPERANDS.get(kind, 3) for _, kind in spec.operands)),))
+               for spec in INSTRUCTIONS]
+    for program in [*_PROGRAMS, *entries]:
+        assert _report_bits(program) == _oracle_cost(program)
+
+
+_PRICED_OPERANDS = {
+    "dram": st.builds(DramRef, st.sampled_from(("A", "B")), st.integers(-(2**40), 2**40)),
+    "local": st.integers(0, SENTINEL),
+    "flag": st.booleans(),
+    "dataflow": st.sampled_from(Dataflow),
+    "activation": st.sampled_from(Activation),
+}
+_PRICED_COUNTS = st.integers(-(2**70), 2**70)  # any other kind is an integer; pricing validates none of them
+
+
+@st.composite
+def single_instructions(draw):
+    """One instruction of any of the table's mnemonics, its operands unchecked."""
+    spec = draw(st.sampled_from(INSTRUCTIONS))
+    return spec.build(*(draw(_PRICED_OPERANDS.get(kind, _PRICED_COUNTS)) for _, kind in spec.operands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(single_instructions(), min_size=1, max_size=6))
+def test_the_price_column_prices_random_instructions_as_the_formula(instructions) -> None:
+    program = Program(tuple(instructions))
+    assert _report_bits(program) == _oracle_cost(program)

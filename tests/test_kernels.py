@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import golden_program
+from conftest import golden_program, naive_program
+from ta_lift.isa import Mvin, Program, memory_sizes, step
 from ta_lift.kernels import (
     KernelSpec,
     ParseFailure,
@@ -17,7 +20,9 @@ from ta_lift.kernels import (
     verify_program,
     verify_source,
 )
-from ta_lift.fixtures import kernel
+from ta_lift.fixtures import KERNELS, kernel
+from ta_lift.machine import MachineConfig
+from ta_lift.program_text import parse_program
 
 
 def naive_product(a, b, i_dim: int, k_dim: int, j_dim: int, ta: bool, tb: bool):
@@ -139,3 +144,37 @@ def test_verify_program_object_entry_point() -> None:
     program = parse_program(golden_program("gv2"), spec.buffer_shapes())
     verdict = verify_program(program, spec, generate_testcases(spec, seed=9, count=2))
     assert verdict.passed
+
+
+def _perturbed(program: Program, golden: Program) -> Program:
+    """The program with each copy of the golden's first mvin of two or more columns cut by one: a tile column is
+    never loaded."""
+    site = next(ins for ins in golden.instructions if isinstance(ins, Mvin) and ins.cols >= 2)
+    cut = dataclasses.replace(site, cols=site.cols - 1)
+    return dataclasses.replace(program, instructions=tuple(cut if ins == site else ins for ins in program.instructions))
+
+
+def test_handed_ops_give_the_verdict_of_stepping() -> None:
+    """With the ops of its step against the spec's table, a program gets the verdict it gets without them."""
+    cfg = MachineConfig()
+    for name in sorted(KERNELS):
+        spec = kernel(name)
+        golden = parse_program(golden_program(name), spec.buffer_shapes())
+        naive = parse_program(naive_program(golden_program(name)), spec.buffer_shapes())
+        cases = generate_testcases(spec, seed=4, count=3)
+        wrong = _perturbed(golden, golden), _perturbed(naive, golden)
+        for program, passes in ((golden, True), (naive, True), (wrong[0], False), (wrong[1], False)):
+            ops = step(program.instructions, cfg, memory_sizes(cfg, spec.buffer_shapes()))
+            verdict = verify_program(program, spec, cases, cfg, ops=ops)
+            assert verdict == verify_program(program, spec, cases, cfg), name
+            assert verdict.passed is passes and (passes or isinstance(verdict.failure, WrongResult)), name
+
+
+def test_handed_ops_of_another_count_are_refused() -> None:
+    spec, cfg = kernel("gv1"), MachineConfig()
+    program = parse_program(golden_program("gv1"), spec.buffer_shapes())
+    ops = step(program.instructions, cfg, memory_sizes(cfg, spec.buffer_shapes()))
+    for cases in (generate_testcases(spec, seed=4, count=2), []):
+        for wrong in (ops[:-1], ops + ops[-1:]):
+            with pytest.raises(ValueError, match="ops handed"):
+                verify_program(program, spec, cases, cfg, ops=wrong)

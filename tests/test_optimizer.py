@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_program, naive_program
-from ta_lift import optimizer
+from ta_lift import kernels, optimizer
 from ta_lift.costs import program_cost
 from ta_lift.fixtures import KERNELS, kernel
 from ta_lift.gateway import ReplayBackend
@@ -301,15 +302,70 @@ def test_synthetic_programs_match_the_oracle(seed, n):
     _assert_matches_oracle(_synthetic_program(seed, n))
 
 
-def test_rules_mode_steps_its_input_once_outside_the_verification_gates(naive_programs, monkeypatch):
-    """Segmentation and the peephole walk read the ops of one step pass; no dedup pass steps again."""
+def _counting_steps(monkeypatch) -> list[int]:
+    """The length of each program `optimizer` or `kernels` steps from here on, in order."""
     stepped = []
-    monkeypatch.setattr(optimizer, "step", lambda instructions, *rest: stepped.append(len(instructions))
-                        or step(instructions, *rest))
+
+    def counted(instructions, *rest):
+        stepped.append(len(instructions))
+        return step(instructions, *rest)
+
+    monkeypatch.setattr(optimizer, "step", counted)
+    monkeypatch.setattr(kernels, "step", counted)
+    return stepped
+
+
+def test_rules_mode_steps_each_naive_program_twice(naive_programs, monkeypatch):
+    """The input's one step serves its gate, segmentation and the peephole walk; the candidate's gate steps it."""
+    stepped = _counting_steps(monkeypatch)
     for spec, program in naive_programs.values():
         stepped.clear()
-        optimize_program(program, spec, cases_for(spec, count=2), mode="rules")
-        assert stepped == [len(program.instructions)], spec.name
+        result = optimize_program(program, spec, cases_for(spec, count=2), mode="rules")
+        assert stepped == [len(program.instructions), len(result.program.instructions)], spec.name
+
+
+def test_llm_then_rules_steps_an_accepted_block_rewrite_once(monkeypatch):
+    spec, program = parsed_golden("gv1")
+    blocks = segment_blocks(program)
+    lines = blocks[1].text().splitlines()
+    swapped = "\n".join([lines[1], lines[0], *lines[2:]])  # its two mvins load other rows, so either order verifies
+    texts = [swapped if block.id == 1 else block.text() for block in blocks]
+    backend = ReplayBackend()
+    for block, text in zip(blocks, texts):
+        backend.add(build_block_optimize_prompt(block.text()).fingerprint,
+                    [f"```\n{text}\n```" if block.id == 1 else "no change"])
+    backend.add(build_reorder_prompt(texts).fingerprint, ["Block 0, Block 1, Block 2, Block 3"])
+    stepped = _counting_steps(monkeypatch)
+    result = optimize_program(program, spec, cases_for(spec), mode="llm_then_rules", backend=backend)
+    assert Block(0, result.program.instructions).text() == "\n".join(texts)
+    assert result.plan.provenance == "llm"
+    # The input; the rewrite, once for its gate and its blocks; the peephole's candidate; the plan's
+    # concatenation, to dedup it, and the deduped program.
+    assert stepped == [len(program.instructions)] * 5
+
+
+def test_a_program_checked_against_another_table_is_refused_with_a_value_error():
+    """The input is stepped against the spec's table, so a table mismatch is the gate's refusal, not a lookup's."""
+    spec, program = parsed_golden("gv1")
+    smaller = replace(spec, name="gv1-small", k=8)  # gv1's names, with too few rows of Bdyn and p for its program
+    larger = replace(spec, name="gv1-large", i=8)  # rows its program never writes
+    for other in (kernel("mm2"), smaller, larger):
+        with pytest.raises(ValueError, match="already verifies"):
+            optimize_program(program, other, cases_for(other))
+
+
+def test_a_program_parsed_against_another_table_optimizes_over_the_specs(naive_programs):
+    """A program that verifies is optimized over the buffer table its gate stepped it against, not its own."""
+    for name in ("gv1", "mm1"):
+        spec, program = naive_programs[name]
+        tiny = parse_program(render_program(program), dict.fromkeys(spec.buffer_shapes(), (1, 1)))
+        assert tiny.instructions == program.instructions
+        cases = cases_for(spec, count=2)
+        ours = optimize_program(program, spec, cases)
+        for other in (tiny, Program(program.instructions)):  # the kernel's names with other shapes; no table
+            theirs = optimize_program(other, spec, cases)
+            assert (theirs.program.instructions, theirs.after, theirs.plan) == (
+                ours.program.instructions, ours.after, ours.plan), name
 
 
 # Per naive program: instructions removed, the modeled cost after, and the sha256 of the rendered result.
@@ -733,7 +789,7 @@ def test_unknown_mode_rejected():
 def test_llm_plan_violating_edges_falls_back_to_search(monkeypatch):
     verified = []
     monkeypatch.setattr(
-        optimizer, "verify_program", lambda p, *rest: verified.append(p) or verify_program(p, *rest)
+        optimizer, "verify_program", lambda p, *rest, **kw: verified.append(p) or verify_program(p, *rest, **kw)
     )
     spec, program = parsed_golden("gv1")
     blocks = segment_blocks(program)
@@ -755,7 +811,7 @@ def test_llm_plan_violating_edges_falls_back_to_search(monkeypatch):
 def test_llm_plan_that_does_not_step_falls_back_to_search(monkeypatch):
     verified = []
     monkeypatch.setattr(
-        optimizer, "verify_program", lambda p, *rest: verified.append(p) or verify_program(p, *rest)
+        optimizer, "verify_program", lambda p, *rest, **kw: verified.append(p) or verify_program(p, *rest, **kw)
     )
     monkeypatch.setattr(optimizer, "analyze_dependences", lambda *args: frozenset())  # so the plan is tried
     spec, program = parsed_golden("gv1")
